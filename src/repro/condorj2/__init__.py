@@ -31,8 +31,8 @@ from repro.condorj2.costs import CasCostModel
 from repro.condorj2.database import ConnectionPool, Database, DatabaseError
 from repro.condorj2.startd import CondorJ2Startd, StartdConfig
 from repro.condorj2.storage import (
-    PreparedStatementCache,
     SqliteStorageEngine,
+    StatementCache,
     StatementCounts,
     StorageEngine,
 )
@@ -48,11 +48,11 @@ __all__ = [
     "Database",
     "DatabaseError",
     "OperationContract",
-    "PreparedStatementCache",
     "ServiceFault",
     "ServiceGateway",
     "SqliteStorageEngine",
     "StartdConfig",
+    "StatementCache",
     "StatementCounts",
     "StorageEngine",
     "UserClient",

@@ -220,7 +220,9 @@ class ServiceGateway:
         stats = self._stats_for(invocation.operation)
         stats.attempts += 1
         stats.calls += 1
-        snapshot = self.counts.snapshot() if self.counts is not None else None
+        # A scalar mark, not a snapshot: everything read below (budget,
+        # row work, the cost model) is a scalar, so no ledger is copied.
+        mark = self.counts.mark() if self.counts is not None else None
         started = self.clock()
         dispatched = 0
         try:
@@ -236,8 +238,8 @@ class ServiceGateway:
             stats.handler_seconds += elapsed
             stats.max_handler_seconds = max(stats.max_handler_seconds,
                                             elapsed)
-            if snapshot is not None:
-                delta = self.counts.delta(snapshot)
+            if mark is not None:
+                delta = self.counts.since(mark)
                 dispatched = delta.statements
                 stats.statements += delta.statements
                 stats.max_statements = max(stats.max_statements,

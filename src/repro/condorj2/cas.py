@@ -71,7 +71,7 @@ class CondorJ2ApplicationServer:
         self.network = network
         self.address = address
         self.costs = costs or CasCostModel()
-        # The engine's prepared-statement cache and backend choice are
+        # The engine's statement cache size and backend choice are
         # container configuration, so the cost model owns both.
         self.db = database or Database(
             statement_cache_size=self.costs.prepared_statement_cache_size,
@@ -146,9 +146,9 @@ class CondorJ2ApplicationServer:
             yield Delay(self.costs.scheduling_interval_seconds)
             yield Acquire(self.connections)
             try:
-                before = self.db.counts.snapshot()
+                mark = self.db.counts.mark()
                 created = self.scheduling.run_pass(self.sim.now)
-                delta = self.db.counts.delta(before)
+                delta = self.db.counts.since(mark)
             finally:
                 self.connections.release()
             if created:
@@ -224,10 +224,10 @@ class CondorJ2ApplicationServer:
 
             yield Acquire(self.connections)
             try:
-                before = self.db.counts.snapshot()
+                mark = self.db.counts.mark()
                 items = self.gateway.dispatch_batch(calls, self.sim.now,
                                                     in_batch=is_batch)
-                delta = self.db.counts.delta(before)
+                delta = self.db.counts.since(mark)
             finally:
                 self.connections.release()
 

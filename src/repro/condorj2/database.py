@@ -11,7 +11,7 @@ matter for the reproduction:
   (per-event cost is flat in queue length, which is where CondorJ2's
   scalability shape comes from).
 
-The engine itself — connection, prepared-statement cache, accounting —
+The engine itself — connection, statement cache, accounting —
 lives in :mod:`repro.condorj2.storage`; this module adds the query
 helpers, transaction scoping and schema bootstrap the bean container and
 the logic layer program against.
@@ -19,14 +19,13 @@ the logic layer program against.
 
 from __future__ import annotations
 
-import sqlite3
 from contextlib import contextmanager
 from typing import Any, Iterable, Iterator, List, Optional, Sequence
 
 from repro.condorj2.schema import SCHEMA_STATEMENTS
 from repro.condorj2.storage import (
     DatabaseError,
-    PreparedStatementCache,
+    StatementCache,
     StatementCounts,
     StorageEngine,
     create_engine,
@@ -82,33 +81,30 @@ class Database:
         return self.engine.counts
 
     @property
-    def statement_cache(self) -> PreparedStatementCache:
-        """The engine's LRU prepared-statement cache."""
+    def statement_cache(self) -> StatementCache:
+        """The engine's LRU statement cache."""
         return self.engine.statement_cache
-
-    @property
-    def plan_cache(self):
-        """The engine's LRU compiled-plan cache."""
-        return self.engine.plan_cache
 
     def explain(self, sql: str, params: Sequence[Any] = None):
         """The engine's chosen plan for ``sql`` (uncounted).
 
         With ``params``, engines that support profiling execute the
         statement instrumented — side-effect free — and report actual
-        rows and per-operator timings next to the estimates."""
-        return self.engine.explain(sql, params)
+        rows and per-operator timings next to the estimates.  A
+        statement the engine rejects raises :class:`DatabaseError`."""
+        try:
+            return self.engine.explain(sql, params)
+        except self.engine.ENGINE_ERRORS as exc:
+            raise DatabaseError(str(exc)) from exc
 
     # ------------------------------------------------------------------
     # statement execution
     # ------------------------------------------------------------------
-    def execute(self, sql: str, params: Sequence[Any] = ()) -> sqlite3.Cursor:
+    def execute(self, sql: str, params: Sequence[Any] = ()) -> Any:
         """Run one statement, counting it; integrity errors are wrapped."""
         return self.engine.execute(sql, params)
 
-    def executemany(
-        self, sql: str, rows: Iterable[Sequence[Any]]
-    ) -> sqlite3.Cursor:
+    def executemany(self, sql: str, rows: Iterable[Sequence[Any]]) -> Any:
         """Run one statement over many parameter rows (one batch).
 
         The cost-model contract: per-verb work is charged per *row*,
@@ -116,11 +112,11 @@ class Database:
         """
         return self.engine.executemany(sql, rows)
 
-    def query_all(self, sql: str, params: Sequence[Any] = ()) -> List[sqlite3.Row]:
+    def query_all(self, sql: str, params: Sequence[Any] = ()) -> List[Any]:
         """Run a SELECT and fetch every row."""
         return self.execute(sql, params).fetchall()
 
-    def query_one(self, sql: str, params: Sequence[Any] = ()) -> Optional[sqlite3.Row]:
+    def query_one(self, sql: str, params: Sequence[Any] = ()) -> Optional[Any]:
         """Run a SELECT and fetch the first row (None when empty)."""
         return self.execute(sql, params).fetchone()
 

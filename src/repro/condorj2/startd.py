@@ -28,7 +28,6 @@ from repro.cluster.job import JobSpec
 from repro.cluster.machine import PhysicalNode, VirtualMachine, VmState
 from repro.condorj2.web.soap import (
     ServiceFault,
-    SoapFault,
     decode_batch_response,
     decode_response,
     encode_batch_request,
@@ -115,7 +114,7 @@ class CondorJ2Startd:
     def _call(self, operation: str, payload: Any) -> Generator:
         """Invoke a CAS web service; returns the decoded response payload.
 
-        Raises :class:`SoapFault` on remote faults and transport errors so
+        Raises :class:`ServiceFault` on remote faults and transport errors so
         the caller can decide how to recover.
         """
         return (yield from rpc_roundtrip(
@@ -129,7 +128,7 @@ class CondorJ2Startd:
         """Invoke N operations in one multiplexed envelope (one
         round-trip); returns per-op payloads and fault objects in order.
 
-        Raises :class:`SoapFault` only on *transport* failure — per-op
+        Raises :class:`ServiceFault` only on *transport* failure — per-op
         faults are returned in place so siblings still count.
         """
         return (yield from rpc_roundtrip(
@@ -160,7 +159,7 @@ class CondorJ2Startd:
     def _main_loop(self) -> Generator:
         try:
             yield from self._call("registerMachine", self.node.describe())
-        except SoapFault:
+        except ServiceFault:
             self.rpc_failures += 1
             self.running = False
             return
@@ -176,7 +175,7 @@ class CondorJ2Startd:
                         results = yield from self._call_batch(
                             riders + [("heartbeat", payload)]
                         )
-                    except SoapFault:
+                    except ServiceFault:
                         # Transport failure: the envelope never arrived,
                         # so the riders were not executed — requeue them
                         # for the next beat.
@@ -196,7 +195,7 @@ class CondorJ2Startd:
                 else:
                     response = yield from self._call("heartbeat", payload)
                 failures = 0
-            except SoapFault:
+            except ServiceFault:
                 # Requeue the events we drained so the next beat resends
                 # them — the transactional no-lost-jobs guarantee depends
                 # on the client retrying until the server confirms.
@@ -244,7 +243,7 @@ class CondorJ2Startd:
                  {"job_id": match["job_id"], "vm_id": match["vm_id"]})
                 for match, _ in accepted
             ])
-        except SoapFault:
+        except ServiceFault:
             self.rpc_failures += 1
             return
         for (match, vm), response in zip(accepted, results):

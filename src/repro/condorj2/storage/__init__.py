@@ -11,8 +11,9 @@ Public surface:
 * :func:`create_engine` / :func:`register_engine` — the backend registry
   the access layer resolves names and URLs through;
 * :class:`StatementCounts` — centralized per-verb statement accounting;
-* :class:`PreparedStatementCache` — the LRU statement cache engines put
-  in front of SQL compilation;
+* :class:`StatementCache` / :class:`Statement` — the one LRU keyed by
+  statement text that engines put in front of SQL compilation, and its
+  entry;
 * :class:`DatabaseError` — the layer's error root;
 * :class:`StorageConfigError` — the structured fault raised for an
   unknown backend name, carrying the offending name and the registered
@@ -43,12 +44,7 @@ from repro.condorj2.storage.engine import (
 )
 from repro.condorj2.storage.memory import MemoryStorageEngine
 from repro.condorj2.storage.planner import ExplainReport, PlanNode
-from repro.condorj2.storage.statements import (
-    CachedPlan,
-    PlanCache,
-    PreparedStatement,
-    PreparedStatementCache,
-)
+from repro.condorj2.storage.statements import Statement, StatementCache
 from repro.condorj2.storage.wal import (
     CrashInjector,
     FsyncPolicy,
@@ -161,20 +157,18 @@ def create_engine(
 
 
 __all__ = [
-    "CachedPlan",
     "CrashInjector",
     "DatabaseError",
     "ENGINE_ENV_VAR",
     "ExplainReport",
     "FsyncPolicy",
     "MemoryStorageEngine",
-    "PlanCache",
     "PlanNode",
-    "PreparedStatement",
-    "PreparedStatementCache",
     "RecoveryReport",
     "SimulatedCrash",
     "SqliteStorageEngine",
+    "Statement",
+    "StatementCache",
     "StatementCounts",
     "StorageConfigError",
     "StorageEngine",

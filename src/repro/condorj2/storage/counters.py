@@ -25,13 +25,35 @@ Two derived classifications live here because every engine needs them:
 
 from __future__ import annotations
 
+import copy
 import re
-from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Dict
+from dataclasses import dataclass, field, fields
+from operator import attrgetter, sub
+from typing import Any, Dict, Tuple
 
 #: Verbs whose per-table statistics count *written rows*.
 WRITE_VERBS = ("INSERT", "UPDATE", "DELETE")
+
+#: Accounting verb -> the scalar counter and per-table ledger key it
+#: feeds; every other verb is charged to ``other``.
+_VERB_KEYS = {verb: verb.lower() for verb in ("SELECT",) + WRITE_VERBS}
+
+
+def _combine(left: Any, right: Any, sign: int) -> Any:
+    """``left + sign * right`` over a counter or a (nested) ledger dict.
+
+    Ledger keys keep first-seen order (``left``'s, then ``right``'s new
+    ones); entries that come out zero or empty are dropped.
+    """
+    if not isinstance(left, dict):
+        return left + sign * right
+    combined = {}
+    for key, sample in {**left, **right}.items():
+        zero: Any = {} if isinstance(sample, dict) else 0
+        value = _combine(left.get(key, zero), right.get(key, zero), sign)
+        if value:
+            combined[key] = value
+    return combined
 
 
 @dataclass
@@ -48,7 +70,7 @@ class StatementCounts:
 
     ``statements`` is also the ledger both halves of the
     dispatch-complexity story read (DESIGN.md section 9.2): the service
-    gateway meters each call's ``snapshot()``/``delta()`` of it against
+    gateway meters each call's ``mark()``/``since()`` of it against
     the contract's declared ``statement_budget``, and the static
     analyzer (:mod:`repro.condorj2.analysis.dispatch`) proves the
     handler's dispatch count is flat in the data before trusting a
@@ -74,10 +96,12 @@ class StatementCounts:
     batches: int = 0
     prepared_hits: int = 0
     prepared_misses: int = 0
-    #: Compiled-plan cache ledger (engine-side plan compilation — the
-    #: memory engine's closure plans, SQLite's natively prepared
-    #: statements).  Admitted by the shared base class, so two backends
-    #: replaying one workload agree on these by construction.
+    #: The same admissions seen from the engine side (a miss is also a
+    #: plan compilation — the memory engine's closure plan, SQLite's
+    #: natively prepared statement).  There is one statement cache, so
+    #: ``plan_hits``/``plan_misses`` equal the ``prepared_*`` pair; they
+    #: stay as fields because the end-to-end harness reports them.
+    #: ``plan_evictions`` is that cache's only eviction ledger.
     plan_hits: int = 0
     plan_misses: int = 0
     plan_evictions: int = 0
@@ -91,6 +115,10 @@ class StatementCounts:
     wal_replays: int = 0
     fsyncs: int = 0
     checkpoints: int = 0
+    #: From-state probes (``StorageEngine._probe_transition``) that the
+    #: engine could not run: each one is a lifecycle edge left out of
+    #: ``transitions`` rather than guessed.  Zero on a healthy workload.
+    probe_failures: int = 0
     #: Per-table row traffic: ``{table: {verb: rows}}`` with lower-cased
     #: verb keys mirroring the scalar counters.
     tables: Dict[str, Dict[str, int]] = field(default_factory=dict)
@@ -131,82 +159,12 @@ class StatementCounts:
         )
 
     def snapshot(self) -> "StatementCounts":
-        """An independent copy for before/after deltas."""
-        return StatementCounts(
-            select=self.select,
-            insert=self.insert,
-            update=self.update,
-            delete=self.delete,
-            other=self.other,
-            commits=self.commits,
-            rollbacks=self.rollbacks,
-            statements=self.statements,
-            batches=self.batches,
-            prepared_hits=self.prepared_hits,
-            prepared_misses=self.prepared_misses,
-            plan_hits=self.plan_hits,
-            plan_misses=self.plan_misses,
-            plan_evictions=self.plan_evictions,
-            wal_appends=self.wal_appends,
-            wal_replays=self.wal_replays,
-            fsyncs=self.fsyncs,
-            checkpoints=self.checkpoints,
-            tables={table: dict(verbs) for table, verbs in self.tables.items()},
-            texts=dict(self.texts),
-            transitions={table: dict(edges)
-                         for table, edges in self.transitions.items()},
-        )
+        """An independent copy, ledgers included, for before/after deltas."""
+        return copy.deepcopy(self)
 
     def delta(self, earlier: "StatementCounts") -> "StatementCounts":
         """Counts accumulated since ``earlier``."""
-        texts = {
-            sql: count - earlier.texts.get(sql, 0)
-            for sql, count in self.texts.items()
-            if count - earlier.texts.get(sql, 0)
-        }
-        tables: Dict[str, Dict[str, int]] = {}
-        for table, verbs in self.tables.items():
-            old = earlier.tables.get(table, {})
-            diff = {
-                verb: count - old.get(verb, 0)
-                for verb, count in verbs.items()
-                if count - old.get(verb, 0)
-            }
-            if diff:
-                tables[table] = diff
-        transitions: Dict[str, Dict[str, int]] = {}
-        for table, edges in self.transitions.items():
-            old = earlier.transitions.get(table, {})
-            diff = {
-                edge: count - old.get(edge, 0)
-                for edge, count in edges.items()
-                if count - old.get(edge, 0)
-            }
-            if diff:
-                transitions[table] = diff
-        return StatementCounts(
-            select=self.select - earlier.select,
-            insert=self.insert - earlier.insert,
-            update=self.update - earlier.update,
-            delete=self.delete - earlier.delete,
-            other=self.other - earlier.other,
-            commits=self.commits - earlier.commits,
-            rollbacks=self.rollbacks - earlier.rollbacks,
-            statements=self.statements - earlier.statements,
-            batches=self.batches - earlier.batches,
-            prepared_hits=self.prepared_hits - earlier.prepared_hits,
-            prepared_misses=self.prepared_misses - earlier.prepared_misses,
-            plan_hits=self.plan_hits - earlier.plan_hits,
-            plan_misses=self.plan_misses - earlier.plan_misses,
-            plan_evictions=self.plan_evictions - earlier.plan_evictions,
-            wal_appends=self.wal_appends - earlier.wal_appends,
-            wal_replays=self.wal_replays - earlier.wal_replays,
-            fsyncs=self.fsyncs - earlier.fsyncs,
-            checkpoints=self.checkpoints - earlier.checkpoints,
-            tables=tables,
-            texts=texts,
-            transitions=transitions,
-        )
+        return self._combined(earlier, -1)
 
     def merge(self, other: "StatementCounts") -> "StatementCounts":
         """Combine two count sets (e.g. across shards or engines).
@@ -215,66 +173,48 @@ class StatementCounts:
         identity — the algebra the rollup reports rely on, pinned by
         property tests.
         """
-        tables = {table: dict(verbs) for table, verbs in self.tables.items()}
-        for table, verbs in other.tables.items():
-            mine = tables.setdefault(table, {})
-            for verb, count in verbs.items():
-                mine[verb] = mine.get(verb, 0) + count
-        texts = dict(self.texts)
-        for sql, count in other.texts.items():
-            texts[sql] = texts.get(sql, 0) + count
-        transitions = {table: dict(edges)
-                       for table, edges in self.transitions.items()}
-        for table, edges in other.transitions.items():
-            mine_edges = transitions.setdefault(table, {})
-            for edge, count in edges.items():
-                mine_edges[edge] = mine_edges.get(edge, 0) + count
+        return self._combined(other, +1)
+
+    def _combined(self, other: "StatementCounts",
+                  sign: int) -> "StatementCounts":
+        return StatementCounts(**{
+            spec.name: _combine(getattr(self, spec.name),
+                                getattr(other, spec.name), sign)
+            for spec in fields(self)
+        })
+
+    def mark(self) -> Tuple[int, ...]:
+        """The scalar counters as they stand now, for :meth:`since`.
+
+        The request path's cheap half of the snapshot/delta pair: the
+        cost model, the per-operation meter and budget enforcement read
+        only scalars, so bracketing a request copies no ledger.
+        """
+        return _scalars(self)
+
+    def since(self, mark: Tuple[int, ...]) -> "StatementCounts":
+        """Scalar counts accumulated since ``mark``; the ledgers are empty.
+
+        Equal to the scalar part of ``delta(snapshot())`` taken at the
+        same two moments (pinned by a property test).
+        """
         return StatementCounts(
-            select=self.select + other.select,
-            insert=self.insert + other.insert,
-            update=self.update + other.update,
-            delete=self.delete + other.delete,
-            other=self.other + other.other,
-            commits=self.commits + other.commits,
-            rollbacks=self.rollbacks + other.rollbacks,
-            statements=self.statements + other.statements,
-            batches=self.batches + other.batches,
-            prepared_hits=self.prepared_hits + other.prepared_hits,
-            prepared_misses=self.prepared_misses + other.prepared_misses,
-            plan_hits=self.plan_hits + other.plan_hits,
-            plan_misses=self.plan_misses + other.plan_misses,
-            plan_evictions=self.plan_evictions + other.plan_evictions,
-            wal_appends=self.wal_appends + other.wal_appends,
-            wal_replays=self.wal_replays + other.wal_replays,
-            fsyncs=self.fsyncs + other.fsyncs,
-            checkpoints=self.checkpoints + other.checkpoints,
-            tables=tables,
-            texts=texts,
-            transitions=transitions,
-        )
+            **dict(zip(SCALAR_FIELDS, map(sub, _scalars(self), mark))))
 
     # ------------------------------------------------------------------
     # recording
     # ------------------------------------------------------------------
     def record(self, verb: str, rows: int = 1) -> None:
         """Charge ``rows`` units of work to ``verb``."""
-        if verb == "SELECT":
-            self.select += rows
-        elif verb == "INSERT":
-            self.insert += rows
-        elif verb == "UPDATE":
-            self.update += rows
-        elif verb == "DELETE":
-            self.delete += rows
-        else:
-            self.other += rows
+        key = _VERB_KEYS.get(verb, "other")
+        setattr(self, key, getattr(self, key) + rows)
 
     def record_table(self, table: str, verb: str, rows: int) -> None:
         """Attribute ``rows`` of actual traffic for ``verb`` to ``table``."""
         if not table:
             return
         verbs = self.tables.setdefault(table, {})
-        key = verb.lower() if verb in ("SELECT",) + WRITE_VERBS else "other"
+        key = _VERB_KEYS.get(verb, "other")
         verbs[key] = verbs.get(key, 0) + rows
 
     def record_text(self, sql: str) -> None:
@@ -291,6 +231,13 @@ class StatementCounts:
         edges[key] = edges.get(key, 0) + rows
 
 
+#: The integer counters of :class:`StatementCounts`, in field order —
+#: everything :meth:`StatementCounts.mark` captures.
+SCALAR_FIELDS = tuple(
+    spec.name for spec in fields(StatementCounts) if spec.type == "int")
+_scalars = attrgetter(*SCALAR_FIELDS)
+
+
 _WORD = re.compile(r"'(?:[^']|'')*'|[A-Za-z_][A-Za-z0-9_]*|\(|\)")
 
 
@@ -304,7 +251,6 @@ def _words(sql: str):
             if not token.startswith("'")]
 
 
-@lru_cache(maxsize=1024)
 def statement_verb(sql: str) -> str:
     """The accounting verb of ``sql``, upper-cased ('' when blank).
 
@@ -312,9 +258,9 @@ def statement_verb(sql: str) -> str:
     prefix is skipped (by balanced-paren scanning) so a CTE-wrapped
     INSERT/SELECT classifies as its main verb rather than as ``WITH``.
 
-    Classification is a pure function of the SQL text and sits on the
-    per-dispatch hot path, so it is memoized — a set-oriented workload
-    converges on a tiny working set of statement strings.
+    Classification is a pure function of the SQL text; the engines
+    keep the result on the statement's cache entry
+    (``storage/statements.py``), so the dispatch path does not call this.
     """
     stripped = sql.lstrip()
     if not stripped:
@@ -341,7 +287,6 @@ def statement_verb(sql: str) -> str:
     return "WITH"
 
 
-@lru_cache(maxsize=1024)
 def statement_table(sql: str) -> str:
     """The principal table of ``sql`` ('' when there is none).
 

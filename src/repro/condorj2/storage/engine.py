@@ -5,17 +5,18 @@ the bean container and the application-logic services) programs against:
 statement execution with centralized accounting, batched execution, and
 explicit transaction control.  :class:`SqliteStorageEngine` is the bundled
 SQL-executing implementation — an in-process SQLite database executing the
-*real* SQL for every operation, with an LRU prepared-statement cache in
-front of it (DESIGN.md section 3).  A second, pure-Python implementation
+*real* SQL for every operation, with an LRU statement cache in front of
+it (DESIGN.md section 3).  A second, pure-Python implementation
 (:class:`~repro.condorj2.storage.memory.MemoryStorageEngine`) interprets
 the same dialect over dict-backed tables; the two are held equivalent by
 a differential fuzz harness.
 
 The accounting skeleton lives *in the base class*: every engine admits
-the statement to the shared prepared-statement cache, classifies its verb
-and principal table, and charges row work identically.  Subclasses only
-implement the raw execution hooks, so "equal :class:`StatementCounts` for
-equal workloads" is a property of the layer, not a per-engine discipline.
+the statement to the one statement cache — whose entry carries the verb,
+the principal table and the compiled plan — and charges row work
+identically.  Subclasses only implement the raw execution hooks, so
+"equal :class:`StatementCounts` for equal workloads" is a property of
+the layer, not a per-engine discipline.
 
 The paper used IBM DB2 UDB 8.2; swapping the DBMS means implementing this
 one small interface, which is the point of the abstraction.
@@ -27,19 +28,19 @@ import sqlite3
 from abc import ABC, abstractmethod
 from typing import Any, Iterable, List, Sequence, Tuple, Type
 
-from repro.condorj2.schema import BORN, LIFECYCLES
+from repro.condorj2.schema import BORN
 from repro.condorj2.storage.counters import (
+    WRITE_VERBS,
     StatementCounts,
-    statement_table,
     statement_verb,
 )
 from repro.condorj2.storage.planner import ExplainReport, PlanNode
-from repro.condorj2.storage.statements import PlanCache, PreparedStatementCache
-from repro.condorj2.storage.transitions import TransitionSpec, transition_spec
-
-#: Sentinel distinguishing "no cached probe plan" from a cached None
-#: (SQLite compiles natively, so its cached plan artifact *is* None).
-_UNCOMPILED = object()
+from repro.condorj2.storage.statements import (
+    Statement,
+    StatementCache,
+    describe,
+)
+from repro.condorj2.storage.transitions import TransitionSpec
 
 
 class DatabaseError(Exception):
@@ -50,9 +51,9 @@ class StorageEngine(ABC):
     """What a backing store must provide to host the operational data.
 
     Implementations own the connection and the raw execution hooks; the
-    statement accounting (:attr:`counts`), the prepared-statement cache
-    and the verb/table classification are shared base-class behaviour so
-    that every backend charges an identical workload identically.
+    statement accounting (:attr:`counts`), the statement cache and the
+    verb/table classification are shared base-class behaviour so that
+    every backend charges an identical workload identically.
     """
 
     #: Registry/config name of the backend ("sqlite", "memory", ...).
@@ -62,133 +63,128 @@ class StorageEngine(ABC):
     #: the base class wraps them in :class:`DatabaseError`.
     INTEGRITY_ERRORS: Tuple[Type[BaseException], ...] = ()
 
+    #: Every exception type with which the engine itself rejects a
+    #: statement (a superset of :attr:`INTEGRITY_ERRORS`).
+    ENGINE_ERRORS: Tuple[Type[BaseException], ...] = ()
+
     counts: StatementCounts
-    statement_cache: PreparedStatementCache
-    plan_cache: PlanCache
+    statement_cache: StatementCache
 
     def _init_accounting(self, statement_cache_size: int) -> None:
         self.counts = StatementCounts()
-        self.statement_cache = PreparedStatementCache(statement_cache_size)
-        self.plan_cache = PlanCache(statement_cache_size)
-        #: Side cache of compiled from-state probe plans (see
-        #: ``_probe_transition``) — deliberately not the shared plan
-        #: cache, whose hit/miss/eviction counters are pinned.
-        self._probe_plans: dict = {}
+        self.statement_cache = StatementCache(statement_cache_size)
 
     # -- statement execution -------------------------------------------
-    def _admit(self, sql: str) -> None:
-        hit = self.statement_cache.prepare(sql)
-        if hit:
-            self.counts.prepared_hits += 1
-        else:
-            self.counts.prepared_misses += 1
+    def _admit(self, sql: str) -> Statement:
+        """The cache entry for ``sql``, described and compiled on a miss.
 
-    def _admit_plan(self, sql: str) -> Any:
-        """Look up (or compile and admit) the compiled plan for ``sql``.
-
-        The ledger lives in :class:`StatementCounts` next to the
-        prepared-statement counters; both backends admit through this
-        one code path with an identically sized LRU, so equal workloads
-        produce equal plan-cache counts — the property the differential
+        The one text-keyed lookup of a dispatch, and the one place the
+        cache ledger in :class:`StatementCounts` is ticked; every backend
+        admits through it with an identically sized LRU, so equal
+        workloads produce equal ledgers — the property the differential
         fuzzer pins.
         """
-        hit, entry = self.plan_cache.lookup(sql)
-        if hit:
-            self.counts.plan_hits += 1
-            return entry.plan
-        self.counts.plan_misses += 1
-        plan = self._compile_plan(sql)
-        if self.plan_cache.store(sql, plan):
-            self.counts.plan_evictions += 1
-        return plan
+        counts = self.counts
+        entry = self.statement_cache.lookup(sql)
+        if entry is not None:
+            counts.prepared_hits += 1
+            counts.plan_hits += 1
+            return entry
+        counts.prepared_misses += 1
+        counts.plan_misses += 1
+        entry = describe(sql)
+        entry.plan = self._compile_plan(sql)
+        if entry.spec is not None and entry.spec.probes:
+            entry.probe_plan = self._compile_plan(entry.spec.probe_sql)
+        if self.statement_cache.store(entry):
+            counts.plan_evictions += 1
+        return entry
 
     def _compile_plan(self, sql: str) -> Any:
         """Compile ``sql`` into the engine's executable plan artifact.
 
         The default models engines that compile natively at prepare time
-        (SQLite): the cached artifact is just the admission marker; the
-        real compiled statement lives in the driver.
+        (SQLite): there is no artifact to keep; the real compiled
+        statement lives in the driver.
         """
         return None
 
     # -- lifecycle transition ledger -----------------------------------
-    def _classify_transition(self, sql: str,
-                             verb: str) -> "TransitionSpec | None":
-        """The statement's :class:`TransitionSpec`, cheaply gated."""
-        if verb not in ("INSERT", "UPDATE", "DELETE"):
-            return None
-        if statement_table(sql) not in LIFECYCLES:
-            return None
-        return transition_spec(sql)
-
-    def _probe_transition(self, spec: TransitionSpec,
+    def _probe_transition(self, entry: Statement,
                           params: Sequence[Any]) -> "dict | None":
         """The from-state distribution of the rows ``params`` selects.
 
-        An *uncounted* internal read: it bypasses the statement and
-        plan caches and every counter, so the ledger's observability
-        never perturbs the accounted workload the differential fuzzer
-        compares.  Compiled probe plans are memoized in a side cache.
-        Returns ``{state: rows}``, or None when the probe cannot run
-        (the edge is then left unattributed rather than guessed).
+        Runs *before* an UPDATE/DELETE (the pre-image is what names the
+        edge); the result is only folded into the ledger after the
+        statement succeeds.  An *uncounted* internal read: it is not
+        admitted to the statement cache and ticks no statement counter,
+        so the ledger's observability never perturbs the accounted
+        workload the differential fuzzer compares.
+
+        Returns ``{state: rows}``; None when no probe is needed
+        (``TransitionSpec.probes``), when the target state is a dynamic
+        expression (nothing to attribute), or when the engine rejects
+        the probe — the edge is then left unattributed rather than
+        guessed, and ``probe_failures`` says so.
         """
-        plan = self._probe_plans.get(spec.probe_sql, _UNCOMPILED)
-        if plan is _UNCOMPILED:
-            plan = self._compile_plan(spec.probe_sql)
-            self._probe_plans[spec.probe_sql] = plan
+        spec = entry.spec
+        if not spec.probes or spec.resolve_to(params) is None:
+            return None
         try:
             cursor = self._execute_raw(
-                spec.probe_sql, spec.probe_params(params), plan)
+                spec.probe_sql, spec.probe_params(params), entry.probe_plan)
             return {row["s"]: row["n"] for row in cursor.fetchall()}
-        except Exception:
+        except self.ENGINE_ERRORS:
+            self.counts.probe_failures += 1
             return None
 
-    def _stage_transition(self, spec: TransitionSpec,
-                          params: Sequence[Any]) -> "dict | None":
-        """Pre-resolve from-states for one UPDATE/DELETE parameter row.
+    def _settle_transitions(self, spec: TransitionSpec,
+                            rows: Sequence[Sequence[Any]],
+                            staged_rows: Sequence["dict | None"],
+                            affected: int) -> None:
+        """Fold one successful dispatch's edges into the ledger.
 
-        Runs *before* the statement (the pre-image is what names the
-        edge); the result is only folded into the ledger after the
-        statement succeeds.  Returns None on the lexical fast path — a
-        single-literal guard pins the from-state without a probe.
+        ``rows`` are the parameter rows dispatched (one for ``execute``),
+        ``staged_rows`` their probed pre-images and ``affected`` the
+        aggregate rowcount.
         """
+        record = self.counts.record_transition
         if spec.verb == "INSERT":
-            return None
-        if spec.single_guard is not None and not spec.dynamic_to:
-            return None
-        if spec.resolve_to(params) is None:
-            return None  # dynamic target expression: nothing to attribute
-        return self._probe_transition(spec, params)
-
-    def _settle_transition(self, spec: TransitionSpec, staged: "dict | None",
-                           params: Sequence[Any], rowcount: int) -> None:
-        """Fold one successful statement's edges into the ledger."""
-        target = spec.resolve_to(params)
-        if target is None:
-            return
-        affected = max(0, rowcount)
-        if spec.verb == "INSERT":
-            self.counts.record_transition(spec.table, BORN, target, affected)
-        elif staged is not None:
-            for source, rows in staged.items():
-                self.counts.record_transition(spec.table, source, target, rows)
-        elif spec.single_guard is not None:
-            self.counts.record_transition(
-                spec.table, spec.single_guard, target, affected)
+            # One target for everything written: the aggregate rowcount
+            # is exact even under OR IGNORE (ignored rows never count).
+            uniform = (spec.resolve_to(rows[0]) if len(rows) == 1
+                       else spec.to_state)
+            if uniform is not None:
+                record(spec.table, BORN, uniform, affected)
+            elif not spec.or_ignore:
+                for row in rows:
+                    target = spec.resolve_to(row)
+                    if target is not None:
+                        record(spec.table, BORN, target, 1)
+        elif not spec.probes:
+            # Lexical fast path: every matched row leaves the single
+            # guard state for the single literal target, so the
+            # aggregate rowcount attributes the whole dispatch at once.
+            record(spec.table, spec.single_guard, spec.to_state, affected)
+        else:
+            for row, staged in zip(rows, staged_rows):
+                target = spec.resolve_to(row)
+                if staged is None or target is None:
+                    continue
+                for source, rows_hit in staged.items():
+                    record(spec.table, source, target, rows_hit)
 
     def execute(self, sql: str, params: Sequence[Any] = ()) -> Any:
         """Run one counted statement; returns a cursor-like object."""
-        self._admit(sql)
-        verb = statement_verb(sql)
-        self.counts.statements += 1
-        self.counts.record_text(sql)
-        plan = self._admit_plan(sql)
-        spec = self._classify_transition(sql, verb)
-        staged = self._stage_transition(spec, params) if spec else None
+        entry = self._admit(sql)
+        counts, verb, spec = self.counts, entry.verb, entry.spec
+        counts.statements += 1
+        counts.record_text(sql)
+        staged = self._probe_transition(entry, params) if spec else None
         try:
-            cursor = self._execute_raw(sql, params, plan)
+            cursor = self._execute_raw(sql, params, entry.plan)
         except self.INTEGRITY_ERRORS as exc:
-            self.counts.record(verb)
+            counts.record(verb)
             raise DatabaseError(str(exc)) from exc
         # Set-oriented DML charges per affected row, so one
         # INSERT..SELECT costs the CPU model exactly what the
@@ -196,13 +192,13 @@ class StorageEngine(ABC):
         # indexed plans are priced per probe, not per fetched row.
         rows = 1
         affected = 1
-        if verb in ("INSERT", "UPDATE", "DELETE"):
+        if verb in WRITE_VERBS:
             rows = max(1, cursor.rowcount)
             affected = max(0, cursor.rowcount)
-        self.counts.record(verb, rows)
-        self.counts.record_table(statement_table(sql), verb, affected)
+        counts.record(verb, rows)
+        counts.record_table(entry.table, verb, affected)
         if spec is not None:
-            self._settle_transition(spec, staged, params, cursor.rowcount)
+            self._settle_transitions(spec, (params,), (staged,), affected)
         return cursor
 
     def executemany(self, sql: str, rows: Iterable[Sequence[Any]]) -> Any:
@@ -213,68 +209,33 @@ class StorageEngine(ABC):
         a single batch dispatch.
         """
         materialized: List[Sequence[Any]] = list(rows)
-        self._admit(sql)
-        verb = statement_verb(sql)
-        self.counts.record(verb, len(materialized))
-        self.counts.statements += 1
-        self.counts.batches += 1
-        self.counts.record_text(sql)
-        plan = self._admit_plan(sql)
-        spec = self._classify_transition(sql, verb)
-        staged_rows = None
-        if spec is not None and spec.verb != "INSERT":
+        entry = self._admit(sql)
+        counts, verb, spec = self.counts, entry.verb, entry.spec
+        counts.record(verb, len(materialized))
+        counts.statements += 1
+        counts.batches += 1
+        counts.record_text(sql)
+        staged_rows: Sequence["dict | None"] = ()
+        if spec is not None and spec.probes:
             # Per-row pre-images.  Probing the whole batch up front is
             # exact for the batches the services issue (distinct keys
             # per row); a batch whose later rows re-match earlier rows'
             # writes would attribute those edges to the stale pre-image.
-            staged_rows = [self._stage_transition(spec, row)
+            staged_rows = [self._probe_transition(entry, row)
                            for row in materialized]
         try:
-            cursor = self._executemany_raw(sql, materialized, plan)
+            cursor = self._executemany_raw(sql, materialized, entry.plan)
         except self.INTEGRITY_ERRORS as exc:
             raise DatabaseError(str(exc)) from exc
-        if verb in ("INSERT", "UPDATE", "DELETE"):
+        if verb in WRITE_VERBS:
             affected = max(0, cursor.rowcount)
         else:
             affected = len(materialized)
-        self.counts.record_table(statement_table(sql), verb, affected)
+        counts.record_table(entry.table, verb, affected)
         if spec is not None:
-            self._settle_batch(spec, staged_rows, materialized, affected)
+            self._settle_transitions(spec, materialized, staged_rows,
+                                     affected)
         return cursor
-
-    def _settle_batch(self, spec: TransitionSpec, staged_rows: "list | None",
-                      materialized: Sequence[Sequence[Any]],
-                      affected: int) -> None:
-        """Fold one successful batch's edges into the ledger."""
-        if spec.verb == "INSERT":
-            if spec.to_state is not None:
-                # Uniform target: the aggregate rowcount is exact even
-                # under OR IGNORE (ignored rows never count).
-                self.counts.record_transition(
-                    spec.table, BORN, spec.to_state, affected)
-            elif not spec.or_ignore:
-                for row in materialized:
-                    target = spec.resolve_to(row)
-                    if target is not None:
-                        self.counts.record_transition(
-                            spec.table, BORN, target, 1)
-            return
-        if spec.single_guard is not None and not spec.dynamic_to:
-            # Lexical fast path: every matched row leaves the single
-            # guard state for the single literal target, so the
-            # aggregate rowcount attributes the whole batch at once.
-            self.counts.record_transition(
-                spec.table, spec.single_guard, spec.resolve_to(()), affected)
-            return
-        for row, staged in zip(materialized, staged_rows or ()):
-            if staged is None:
-                continue
-            target = spec.resolve_to(row)
-            if target is None:
-                continue
-            for source, rows_hit in staged.items():
-                self.counts.record_transition(
-                    spec.table, source, target, rows_hit)
 
     @abstractmethod
     def _execute_raw(self, sql: str, params: Sequence[Any],
@@ -347,6 +308,7 @@ class SqliteStorageEngine(StorageEngine):
 
     name = "sqlite"
     INTEGRITY_ERRORS = (sqlite3.IntegrityError,)
+    ENGINE_ERRORS = (sqlite3.Error,)
 
     def __init__(self, path: str = ":memory:", statement_cache_size: int = 128):
         self._conn = sqlite3.connect(path)

@@ -2554,12 +2554,12 @@ def _statement_node(plan: Any) -> "pl.PlanNode":
 
 
 class _FailedPlan:
-    """Poisoned plan-cache artifact for statements that fail to compile.
+    """Poisoned statement-cache plan for statements that fail to compile.
 
-    SQLite defers compilation to execute time, so its plan cache admits
-    an entry for a bad statement and the error surfaces from the raw
-    execute.  Caching the failure keeps the two plan caches (and their
-    eviction counts in :class:`StatementCounts`) identical by
+    SQLite defers compilation to execute time, so its statement cache
+    admits an entry for a bad statement and the error surfaces from the
+    raw execute.  Caching the failure keeps the engines' caches (and
+    their eviction counts in :class:`StatementCounts`) identical by
     construction; re-raising at execute time keeps the error surface."""
 
     kind = "error"
@@ -2581,6 +2581,8 @@ class MemoryStorageEngine(StorageEngine):
 
     name = "memory"
     INTEGRITY_ERRORS = (MemoryIntegrityError,)
+    ENGINE_ERRORS = (MemoryEngineError, MemoryIntegrityError,
+                     sp.SqlSyntaxError)
 
     def __init__(self, path: str = ":memory:", statement_cache_size: int = 128):
         self._init_accounting(statement_cache_size)
@@ -2607,7 +2609,7 @@ class MemoryStorageEngine(StorageEngine):
     # statement execution (raw hooks for the accounted base class)
     # ------------------------------------------------------------------
     def _compile_plan(self, sql: str) -> Any:
-        """Compile ``sql`` for the shared plan cache (base class hook).
+        """Compile ``sql`` for its statement-cache entry (base class hook).
 
         Compile *errors* are cached too (see :class:`_FailedPlan`) so
         the cache contents — and with them the eviction counters — stay
@@ -2640,7 +2642,7 @@ class MemoryStorageEngine(StorageEngine):
         return cursor
 
     def _resolve_plan(self, sql: str, plan: Any) -> Any:
-        if plan is None:  # uncached call path (plan cache bypassed)
+        if plan is None:  # uncached call path (statement cache bypassed)
             plan = self._compile_plan(sql)
         if isinstance(plan, _FailedPlan):
             raise plan.error

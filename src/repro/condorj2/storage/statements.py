@@ -1,4 +1,4 @@
-"""LRU caches keyed by statement text.
+"""The statement cache: one LRU keyed by statement text.
 
 The container the paper ran on (JBoss over DB2) keeps a bounded cache of
 ``PreparedStatement`` handles per pooled connection; preparing a statement
@@ -8,34 +8,67 @@ compilation on misses and so the hit rate is observable — a healthy
 set-oriented workload converges on a tiny working set of SQL strings and
 a hit rate near 1.0.
 
-Next to it sits :class:`PlanCache` — the engine-side *compiled-plan*
-cache.  Where the prepared-statement cache models the container's JDBC
-handle cache, the plan cache holds the engine's compiled execution plan
-for the statement text (the memory engine's closure plan; SQLite's
-natively prepared statement).  Both are plain LRUs keyed by exact SQL
-text, admitted by the shared :class:`~repro.condorj2.storage.engine.
-StorageEngine` base class, so both ledgers are engine-neutral and a
-workload replayed on two backends produces identical hit/miss/eviction
-counts by construction.
+An entry (:class:`Statement`) holds everything an engine derives from
+the text alone: the accounting verb, the principal table, the lifecycle
+:class:`~repro.condorj2.storage.transitions.TransitionSpec`, and the
+engine's compiled plan for the statement and for its from-state probe.
+The shared :class:`~repro.condorj2.storage.engine.StorageEngine` base
+class admits every statement through this one cache, so the ledger is
+engine-neutral: a workload replayed on two backends produces identical
+hit/miss/eviction counts by construction.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Optional, Tuple
+from typing import Any, List, Optional
+
+from repro.condorj2.schema import LIFECYCLES
+from repro.condorj2.storage.counters import (
+    WRITE_VERBS,
+    statement_table,
+    statement_verb,
+)
+from repro.condorj2.storage.transitions import TransitionSpec, transition_spec
 
 
 @dataclass
-class PreparedStatement:
-    """One cached statement: the SQL text plus usage statistics."""
+class Statement:
+    """One cached statement: what its text implies, and usage."""
 
     sql: str
-    uses: int = 0
+    #: Accounting verb and principal table (``storage/counters.py``).
+    verb: str
+    table: str
+    #: How the statement moves a lifecycle table's state column; None
+    #: for reads and for writes no declared machine cares about.
+    spec: Optional[TransitionSpec] = None
+    #: The engine's compiled artifact for ``sql`` (None on engines that
+    #: compile natively) and for ``spec.probe_sql`` when a probe can run.
+    plan: Any = None
+    probe_plan: Any = None
+    #: Dispatches served, the admitting one included.
+    uses: int = 1
 
 
-class PreparedStatementCache:
-    """Bounded LRU cache keyed by exact SQL text."""
+def describe(sql: str) -> Statement:
+    """The :class:`Statement` for ``sql``, plans not yet compiled."""
+    verb = statement_verb(sql)
+    table = statement_table(sql)
+    spec = None
+    if verb in WRITE_VERBS and table in LIFECYCLES:
+        spec = transition_spec(sql)
+    return Statement(sql, verb, table, spec)
+
+
+class StatementCache:
+    """Bounded LRU of :class:`Statement` entries keyed by exact SQL text.
+
+    Entries survive data changes — everything on one is a function of
+    the text, and the planner's statistics snapshot is advisory, taken
+    at compile time.
+    """
 
     def __init__(self, capacity: int = 128):
         if capacity <= 0:
@@ -44,7 +77,7 @@ class PreparedStatementCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self._entries: "OrderedDict[str, PreparedStatement]" = OrderedDict()
+        self._entries: "OrderedDict[str, Statement]" = OrderedDict()
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -52,102 +85,40 @@ class PreparedStatementCache:
     def __contains__(self, sql: str) -> bool:
         return sql in self._entries
 
-    def prepare(self, sql: str) -> bool:
-        """Look up (or admit) ``sql``; returns True on a cache hit."""
+    def lookup(self, sql: str) -> Optional[Statement]:
+        """Counted lookup: the entry on a hit, None on a miss."""
         entry = self._entries.get(sql)
-        if entry is not None:
-            self.hits += 1
-            entry.uses += 1
-            self._entries.move_to_end(sql)
-            return True
-        self.misses += 1
-        self._entries[sql] = PreparedStatement(sql, uses=1)
+        if entry is None:
+            self.misses += 1
+            return None
+        self.hits += 1
+        entry.uses += 1
+        self._entries.move_to_end(sql)
+        return entry
+
+    def store(self, entry: Statement) -> bool:
+        """Admit ``entry`` after a miss; returns True when the admission
+        evicted the least-recently-used entry."""
+        self._entries[entry.sql] = entry
         if len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
             self.evictions += 1
+            return True
         return False
+
+    def peek(self, sql: str) -> Optional[Statement]:
+        """Uncounted lookup (observability)."""
+        return self._entries.get(sql)
 
     def hit_rate(self) -> float:
         """Fraction of lookups served from cache (0.0 when unused)."""
         lookups = self.hits + self.misses
         return self.hits / lookups if lookups else 0.0
 
-    def statements(self) -> list:
+    def entries(self) -> List[Statement]:
         """Cached statements, least- to most-recently used."""
         return list(self._entries.values())
 
     def clear(self) -> None:
         """Drop every cached statement (statistics are kept)."""
-        self._entries.clear()
-
-
-@dataclass
-class CachedPlan:
-    """One cached compiled plan: the SQL text, the engine's compiled
-    artifact, and usage statistics."""
-
-    sql: str
-    plan: Any = None
-    uses: int = 0
-
-
-class PlanCache:
-    """Bounded LRU compiled-plan cache keyed by exact SQL text.
-
-    Plans are keyed by statement text and survive data changes — the
-    planner's statistics snapshot is advisory, taken at compile time.
-    """
-
-    def __init__(self, capacity: int = 128):
-        if capacity <= 0:
-            raise ValueError("plan cache capacity must be positive")
-        self.capacity = capacity
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self._entries: "OrderedDict[str, CachedPlan]" = OrderedDict()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, sql: str) -> bool:
-        return sql in self._entries
-
-    def lookup(self, sql: str) -> Tuple[bool, Optional[CachedPlan]]:
-        """Counted lookup; returns ``(hit, entry-or-None)``."""
-        entry = self._entries.get(sql)
-        if entry is not None:
-            self.hits += 1
-            entry.uses += 1
-            self._entries.move_to_end(sql)
-            return True, entry
-        self.misses += 1
-        return False, None
-
-    def store(self, sql: str, plan: Any) -> bool:
-        """Admit a freshly compiled plan; returns True when the admission
-        evicted the least-recently-used entry."""
-        self._entries[sql] = CachedPlan(sql, plan, uses=1)
-        if len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-            self.evictions += 1
-            return True
-        return False
-
-    def peek(self, sql: str) -> Optional[Any]:
-        """Uncounted plan lookup (observability / out-of-band reuse)."""
-        entry = self._entries.get(sql)
-        return entry.plan if entry is not None else None
-
-    def hit_rate(self) -> float:
-        """Fraction of lookups served from cache (0.0 when unused)."""
-        lookups = self.hits + self.misses
-        return self.hits / lookups if lookups else 0.0
-
-    def entries(self) -> list:
-        """Cached plans, least- to most-recently used."""
-        return list(self._entries.values())
-
-    def clear(self) -> None:
-        """Drop every cached plan (statistics are kept)."""
         self._entries.clear()

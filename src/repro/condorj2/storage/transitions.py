@@ -18,25 +18,18 @@ The spec is shared by two consumers that must agree:
   extracted from the source tree into the statically-implied transition
   graph checked against the declaration.
 
-Classification is a pure function of the SQL text and sits on the write
-hot path, so it is memoized like the verb/table classifiers next door.
+Classification is a pure function of the SQL text; the engines keep the
+spec on the statement's cache entry (``storage/statements.py``), so the
+write path parses a text once per admission.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import repro.condorj2.storage.sqlparser as sp
-from repro.condorj2.schema import BORN, GONE, LIFECYCLES, TABLE_DEFS
-
-__all__ = [
-    "BORN",
-    "GONE",
-    "TransitionSpec",
-    "transition_spec",
-]
+from repro.condorj2.schema import GONE, LIFECYCLES, TABLE_DEFS
 
 
 @dataclass(frozen=True)
@@ -73,9 +66,14 @@ class TransitionSpec:
         return None
 
     @property
-    def dynamic_to(self) -> bool:
-        """Target state not known lexically (parameter or expression)."""
-        return self.to_state is None
+    def probes(self) -> bool:
+        """Whether naming the from-state can take the runtime probe.
+
+        False for INSERT (rows are born) and on the lexical fast path: a
+        single-literal guard with a literal target pins the whole edge.
+        """
+        return self.verb != "INSERT" and (
+            self.single_guard is None or self.to_state is None)
 
     def resolve_to(self, params: Any) -> Optional[str]:
         """The target state for one bound parameter row."""
@@ -197,7 +195,6 @@ def _to_fields(expr: Any) -> Dict[str, Any]:
     return {}  # dynamic expression: target unknown lexically
 
 
-@lru_cache(maxsize=1024)
 def transition_spec(sql: str) -> Optional[TransitionSpec]:
     """The :class:`TransitionSpec` for ``sql``, or None.
 
@@ -207,13 +204,15 @@ def transition_spec(sql: str) -> Optional[TransitionSpec]:
     """
     try:
         ast = sp.parse(sql)
-    except Exception:
+    except sp.SqlSyntaxError:
         return None
+    if not isinstance(ast, (sp.Update, sp.Delete, sp.Insert)):
+        return None
+    lifecycle = LIFECYCLES.get(ast.table)
+    if lifecycle is None:
+        return None
+    column = lifecycle.column
     if isinstance(ast, sp.Update):
-        lifecycle = LIFECYCLES.get(ast.table)
-        if lifecycle is None:
-            return None
-        column = lifecycle.column
         assignment = next(
             (expr for name, expr in ast.sets if name == column), None)
         if assignment is None:
@@ -228,10 +227,6 @@ def transition_spec(sql: str) -> Optional[TransitionSpec]:
             **_to_fields(assignment),
         )
     if isinstance(ast, sp.Delete):
-        lifecycle = LIFECYCLES.get(ast.table)
-        if lifecycle is None:
-            return None
-        column = lifecycle.column
         return TransitionSpec(
             table=ast.table,
             verb="DELETE",
@@ -239,24 +234,18 @@ def transition_spec(sql: str) -> Optional[TransitionSpec]:
             guard_states=_guard_literals(ast.where, ast.table, column),
             probe_sql=_probe_sql(ast.table, column, sql),
         )
-    if isinstance(ast, sp.Insert):
-        lifecycle = LIFECYCLES.get(ast.table)
-        if lifecycle is None:
-            return None
-        column = lifecycle.column
-        if ast.select is not None:
-            return None  # INSERT..SELECT: per-row states not resolvable
-        fields: Dict[str, Any] = {}
-        if ast.columns and column in ast.columns:
-            fields = _to_fields(ast.values[ast.columns.index(column)])
-        else:
-            default = _default_state(ast.table, column)
-            if default is not None:
-                fields = {"to_state": str(default)}
-        return TransitionSpec(
-            table=ast.table,
-            verb="INSERT",
-            or_ignore=ast.or_ignore,
-            **fields,
-        )
-    return None
+    if ast.select is not None:
+        return None  # INSERT..SELECT: per-row states not resolvable
+    fields: Dict[str, Any] = {}
+    if ast.columns and column in ast.columns:
+        fields = _to_fields(ast.values[ast.columns.index(column)])
+    else:
+        default = _default_state(ast.table, column)
+        if default is not None:
+            fields = {"to_state": str(default)}
+    return TransitionSpec(
+        table=ast.table,
+        verb="INSERT",
+        or_ignore=ast.or_ignore,
+        **fields,
+    )

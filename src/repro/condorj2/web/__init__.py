@@ -4,7 +4,6 @@ from repro.condorj2.web.services import WebServiceRegistry
 from repro.condorj2.web.site import PoolWebSite
 from repro.condorj2.web.soap import (
     ServiceFault,
-    SoapFault,
     decode_batch_response,
     decode_envelope,
     decode_request,
@@ -19,7 +18,6 @@ from repro.condorj2.web.soap import (
 __all__ = [
     "PoolWebSite",
     "ServiceFault",
-    "SoapFault",
     "WebServiceRegistry",
     "decode_batch_response",
     "decode_envelope",

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
+from repro.condorj2.database import DatabaseError
 from repro.condorj2.logic import ConfigService, ReportService
 from repro.metrics.report import ascii_table
 
@@ -189,46 +190,31 @@ class PoolWebSite:
         )
 
     def _caches_report(self) -> str:
-        """The two statement-text LRUs side by side: the container's
-        prepared-statement cache and the engine's compiled-plan cache.
-        Equal workloads produce equal rows here on every backend — the
-        shared-admission property the differential fuzzer pins."""
-        db = self.reports.db
-        rows = []
-        for label, cache in (
-            ("prepared statements", db.statement_cache),
-            ("compiled plans", db.plan_cache),
-        ):
-            rows.append([
-                label,
-                cache.capacity,
-                len(cache),
-                cache.hits,
-                cache.misses,
-                cache.evictions,
-                f"{cache.hit_rate():.3f}",
-            ])
+        """The statement cache: capacity, occupancy and its ledger.
+        Equal workloads produce an equal row here on every backend —
+        the shared-admission property the differential fuzzer pins."""
+        cache = self.reports.db.statement_cache
         return ascii_table(
-            ["cache", "capacity", "entries", "hits", "misses",
-             "evictions", "hit rate"],
-            rows, title="Statement Caches",
+            ["capacity", "entries", "hits", "misses", "evictions", "hit rate"],
+            [[cache.capacity, len(cache), cache.hits, cache.misses,
+              cache.evictions, f"{cache.hit_rate():.3f}"]],
+            title="Statement Cache",
         )
 
     def _hot_plan_report(self) -> Optional[str]:
-        """EXPLAIN for the most-executed cached plan, when the backend
-        supports it (both bundled engines do; explain is uncounted)."""
+        """EXPLAIN for the most-executed cached statement (uncounted)."""
         db = self.reports.db
-        entries = db.plan_cache.entries()
+        entries = db.statement_cache.entries()
         if not entries:
             return None
         hottest = max(entries, key=lambda entry: entry.uses)
         try:
-            report = db.explain(hottest.sql)
-        except Exception:
-            return None
+            plan = db.explain(hottest.sql).render()
+        except (NotImplementedError, DatabaseError) as exc:
+            plan = f"  explain unavailable: {exc}"
         return (f"Hottest Plan ({hottest.uses} uses, "
-                f"engine={report.engine})\n"
-                f"  {hottest.sql}\n" + report.render())
+                f"engine={db.engine.name})\n"
+                f"  {hottest.sql}\n" + plan)
 
     def _operations_report(self) -> Optional[str]:
         """Per-operation gateway meter: calls, faults, latency, charge."""

@@ -40,10 +40,6 @@ from repro.condorj2.api.faults import (
 
 Payload = Union[None, bool, int, float, str, List[Any], Dict[str, Any]]
 
-#: Backwards-compatible name: every fault the codec raises is a
-#: :class:`ServiceFault`; callers that catch ``SoapFault`` keep working.
-SoapFault = ServiceFault
-
 _PROLOGUE = (
     '<soap:Envelope xmlns:soap="http://schemas.xmlsoap.org/soap/envelope/">'
     "<soap:Body>"

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Generator
 
-from repro.condorj2.web.soap import SoapFault, envelope_size
+from repro.condorj2.web.soap import ServiceFault, envelope_size
 from repro.sim.kernel import Wait
 from repro.sim.network import RpcResult
 
@@ -22,7 +22,7 @@ def rpc_roundtrip(endpoint: Any, kind: str, envelope: str,
 
     ``endpoint`` is any network-registered daemon/client exposing
     ``network`` and ``cas_address``.  Transport failure (the message
-    never arrived) raises a typed ``SoapFault`` with the ``transport``
+    never arrived) raises a typed ``ServiceFault`` with the ``transport``
     subcode; application-level faults are whatever ``decoder`` does
     with the reply envelope.
     """
@@ -33,6 +33,6 @@ def rpc_roundtrip(endpoint: Any, kind: str, envelope: str,
     _, result = yield Wait(signal)
     assert isinstance(result, RpcResult)
     if not result.ok:
-        raise SoapFault(f"transport failure: {result.error!r}",
+        raise ServiceFault(f"transport failure: {result.error!r}",
                         subcode="transport")
     return decoder(result.value)

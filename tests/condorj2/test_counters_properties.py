@@ -35,41 +35,54 @@ INT_FIELDS = tuple(
     f.name for f in dataclasses.fields(StatementCounts) if f.type == "int"
 )
 
+#: The dict-valued ledgers, discovered the same way, so a ledger added
+#: to the class cannot be left out of the algebra either.
+LEDGER_FIELDS = tuple(
+    f.name for f in dataclasses.fields(StatementCounts)
+    if f.name not in INT_FIELDS
+)
+
 _EDGES = ("(new)->idle", "idle->matched", "matched->running",
           "running->(gone)", "alive->missing")
+_TEXTS = ("SELECT 1", "UPDATE jobs SET state = ?", "DELETE FROM matches")
 
-counts_strategy = st.builds(
-    StatementCounts,
-    tables=st.dictionaries(
+_LEDGER_STRATEGIES = {
+    "tables": st.dictionaries(
         st.sampled_from(_TABLES),
         st.dictionaries(st.sampled_from(_VERBS), st.integers(1, 100),
                         min_size=1),
         max_size=4,
     ),
-    transitions=st.dictionaries(
+    "texts": st.dictionaries(
+        st.sampled_from(_TEXTS), st.integers(1, 100), max_size=3),
+    "transitions": st.dictionaries(
         st.sampled_from(_TABLES),
         st.dictionaries(st.sampled_from(_EDGES), st.integers(1, 100),
                         min_size=1),
         max_size=3,
     ),
+}
+
+counts_strategy = st.builds(
+    StatementCounts,
+    **{name: _LEDGER_STRATEGIES[name] for name in LEDGER_FIELDS},
     **{name: st.integers(0, 1000) for name in INT_FIELDS},
 )
 
 
+def _pruned(ledger):
+    """A (nested) ledger with zero and empty entries dropped."""
+    if not isinstance(ledger, dict):
+        return ledger
+    pruned = {key: _pruned(value) for key, value in ledger.items()}
+    return {key: value for key, value in pruned.items() if value}
+
+
 def _canonical(counts):
-    """Counts as a comparable value with empty table entries dropped."""
-    tables = {
-        table: {verb: n for verb, n in verbs.items() if n}
-        for table, verbs in counts.tables.items()
-    }
-    transitions = {
-        table: {edge: n for edge, n in edges.items() if n}
-        for table, edges in counts.transitions.items()
-    }
+    """Counts as a comparable value with empty ledger entries dropped."""
     return (
         tuple(getattr(counts, name) for name in INT_FIELDS),
-        {table: verbs for table, verbs in tables.items() if verbs},
-        {table: edges for table, edges in transitions.items() if edges},
+        tuple(_pruned(getattr(counts, name)) for name in LEDGER_FIELDS),
     )
 
 
@@ -77,8 +90,11 @@ def test_int_field_discovery_sees_the_durability_ledger():
     """The dynamic field list includes the WAL counters (and will pick
     up any future ones), so every algebra property below covers them."""
     assert {"wal_appends", "wal_replays", "fsyncs", "checkpoints",
-            "commits", "plan_evictions"} <= set(INT_FIELDS)
+            "commits", "plan_evictions", "probe_failures"} <= set(INT_FIELDS)
     assert "tables" not in INT_FIELDS
+    assert set(LEDGER_FIELDS) == {"tables", "texts", "transitions"}
+    # every ledger has a generator, so none rides the properties empty
+    assert set(LEDGER_FIELDS) == set(_LEDGER_STRATEGIES)
 
 
 # ----------------------------------------------------------------------
@@ -121,8 +137,29 @@ def test_snapshot_is_independent(a):
     assert _canonical(snap) == _canonical(a)
     a.record("INSERT", 3)
     a.record_table("jobs", "INSERT", 3)
+    a.record_text("SELECT 1")
     a.record_transition("jobs", "(new)", "idle", 3)
     assert _canonical(snap) != _canonical(a)
+    later = _canonical(a.delta(snap))
+    assert later == _canonical(StatementCounts(
+        insert=3, tables={"jobs": {"insert": 3}}, texts={"SELECT 1": 1},
+        transitions={"jobs": {"(new)->idle": 3}}))
+
+
+@settings(max_examples=100, deadline=None)
+@given(counts_strategy, counts_strategy)
+def test_since_mark_is_the_scalar_part_of_delta(a, b):
+    """``since(mark())`` — the request path's pair — equals
+    ``delta(snapshot())`` on every scalar, and carries no ledger."""
+    live = a.snapshot()
+    mark, before = live.mark(), live.snapshot()
+    live = live.merge(b)
+    scalar, full = live.since(mark), live.delta(before)
+    for name in INT_FIELDS:
+        assert getattr(scalar, name) == getattr(full, name) == getattr(b, name)
+    for name in LEDGER_FIELDS:
+        assert getattr(scalar, name) == {}
+    assert scalar.total() == full.total()
 
 
 def test_record_transition_accumulates_and_ignores_nonpositive():

@@ -498,7 +498,9 @@ def test_failed_plans_never_reach_the_log(tmp_path):
         with pytest.raises(Exception):
             engine.execute(bad_sql, ("x",))
     # the poisoned artifact is cached (one miss, then hits) ...
-    assert isinstance(engine.plan_cache.peek(bad_sql), _FailedPlan)
+    poisoned = engine.statement_cache.peek(bad_sql)
+    assert isinstance(poisoned.plan, _FailedPlan) and poisoned.uses == 3
+    assert (engine.counts.plan_misses, engine.counts.plan_hits) == (1, 2)
     # ... but nothing was appended for it
     assert engine.counts.wal_appends == 0
     engine.execute(
@@ -512,15 +514,15 @@ def test_failed_plans_never_reach_the_log(tmp_path):
     assert recovered.counts.wal_replays == 1
     assert recovered.last_recovery.records_scanned == 1
     # recovery rebuilt state without ever compiling the poisoned SQL
-    assert recovered.plan_cache.peek(bad_sql) is None
+    assert recovered.statement_cache.peek(bad_sql) is None
     rows = recovered.execute("SELECT user_name FROM users").fetchall()
     assert [row[0] for row in rows] == ["ok"]
     recovered.close()
 
 
 def test_plan_cache_eviction_under_wal(tmp_path):
-    """Plan-cache eviction churn on the WAL engine must not disturb the
-    log: evicting and recompiling plans adds no records."""
+    """Statement-cache eviction churn on the WAL engine must not disturb
+    the log: evicting and recompiling plans adds no records."""
     engine = WalStorageEngine(str(tmp_path / "evict"), statement_cache_size=4)
     engine.execute(
         "INSERT INTO users (user_name, created_at) VALUES (?, ?)",
@@ -532,7 +534,8 @@ def test_plan_cache_eviction_under_wal(tmp_path):
         engine.execute(
             f"SELECT priority FROM users WHERE created_at < {index + 2}.0"
         )
-    assert engine.plan_cache.evictions > 0
+    assert engine.statement_cache.evictions > 0
+    assert engine.counts.plan_evictions == engine.statement_cache.evictions
     assert engine.counts.wal_appends == appends, (
         "read-only cache churn appended WAL records"
     )

@@ -181,3 +181,32 @@ def test_idle_pool_sql_shrinks_with_dirty_flag(backend):
     assert delta.statements == 3 * 50
     assert delta.select == 50
     assert heartbeat.matchinfo_selects_skipped >= 100
+
+
+# ----------------------------------------------------------------------
+# one statement cache, one ledger
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_cache_ledger_pairs_are_equal_by_construction(backend):
+    """``prepared_*`` and ``plan_*`` are ticked by the one admission, so
+    after any workload — evictions included — each pair is equal and the
+    scalar ledger agrees with the cache's own counters.  (What lets a
+    later benchmark change report one pair instead of two.)"""
+    container, submission, scheduling, lifecycle, heartbeat = \
+        build_services(backend)
+    register(heartbeat, "m1", vm_count=2)
+    submission.submit_jobs([JobSpec(owner="alice") for _ in range(4)], now=0.0)
+    for beat in range(3):
+        response = _beat(heartbeat, "m1", now=1.0 + beat)
+        for match in response.get("matches", ()):
+            lifecycle.accept_match(match["job_id"], match["vm_id"], now=2.0)
+    db = container.db
+    for index in range(db.statement_cache.capacity + 5):  # force evictions
+        db.execute(f"SELECT {index} FROM users")  # sql-ident: distinct texts
+    counts, cache = db.counts, db.statement_cache
+    assert counts.prepared_hits == counts.plan_hits == cache.hits > 0
+    assert counts.prepared_misses == counts.plan_misses == cache.misses > 0
+    assert counts.plan_evictions == cache.evictions >= 5
+    assert counts.statements == cache.hits + cache.misses
+    assert counts.probe_failures == 0

@@ -293,6 +293,73 @@ def test_batch_envelope_via_user_client():
     assert system.cas.requests_handled >= 1
 
 
+#: Per-op ``(sim_seconds, statements, row_work)`` and host seconds by
+#: tag for the envelope below, as the commit before the scalar marks
+#: (full snapshot/delta around every envelope and every op) charged them.
+_PINNED_OPS = {
+    "acceptMatch": (0.0023110937499999998, 1, 1),
+    "jobDetail": (0.00351109375, 2, 2),
+    "queueSummary": (0.0023110937499999998, 1, 1),
+    "submitJob": (0.006911093749999999, 2, 2),
+    "submitJobs": (0.0075110937499999995, 2, 3),
+}
+_PINNED_HOST = {"user": 0.018555468749999998, "system": 0.0018000000000000004,
+                "io": 0.004}
+#: The WAL engine also prices its log appends and forces.
+_PINNED_WAL = {"submitJob": 0.00899109375, "submitJobs": 0.00959109375,
+               "io": 0.00816}
+
+
+@pytest.mark.parametrize("backend", ["sqlite", "memory", "wal"])
+def test_request_path_copies_no_ledger_and_charges_the_same(backend,
+                                                            monkeypatch):
+    """The CAS and the meter bracket work with scalar marks: serving an
+    envelope never calls ``snapshot``/``delta``, and every simulated
+    charge is what the full-ledger pair produced."""
+    from repro.condorj2.costs import CasCostModel
+    from repro.condorj2.storage import StatementCounts
+
+    def copied(*args, **kwargs):
+        raise AssertionError("a ledger was copied on the request path")
+    monkeypatch.setattr(StatementCounts, "snapshot", copied)
+    monkeypatch.setattr(StatementCounts, "delta", copied)
+
+    system = small_system(costs=CasCostModel(storage_backend=backend))
+    process = system.sim.spawn(system.user.call_batch([
+        ("submitJob", {"owner": "alice", "run_seconds": 20.0}),
+        ("submitJobs", {"jobs": [{"owner": "bob", "run_seconds": 5.0},
+                                 {"owner": "bob", "run_seconds": 6.0}]}),
+        ("queueSummary", {}),
+        ("jobDetail", {"job_id": 424242}),
+        ("acceptMatch", {"job_id": 424242, "vm_id": "ghost"}),
+    ]))
+    system.sim.run(until=5.0)
+    assert process.done and process.error is None
+    assert isinstance(process.result[-1], ServiceFault)  # per-op, not fatal
+
+    wal = _PINNED_WAL if backend == "wal" else {}
+    stats = system.cas.gateway.stats
+    assert sorted(stats) == sorted(_PINNED_OPS)
+    for operation, (sim_seconds, statements, row_work) in _PINNED_OPS.items():
+        observed = stats[operation]
+        assert observed.sim_seconds == pytest.approx(
+            wal.get(operation, sim_seconds), abs=1e-12), operation
+        assert (observed.statements, observed.row_work) == (
+            statements, row_work), operation
+    meter = system.server_host.meter
+    for tag, seconds in _PINNED_HOST.items():
+        assert meter.total_seconds(tag) == pytest.approx(
+            wal.get(tag, seconds), abs=1e-12), tag
+    counts = system.cas.db.counts
+    assert (counts.statements, counts.total(), counts.commits) == (8, 9, 2)
+
+    # The periodic pass brackets its work the same way: still looping
+    # (a raised AssertionError would have ended the process).
+    loop = system.sim.spawn(system.cas._scheduler_loop())
+    system.sim.run(until=8.5)
+    assert not loop.done and system.cas.scheduling.passes == 3
+
+
 def test_statistics_page_surfaces_per_operation_stats():
     system = small_system()
     system.start()

@@ -39,6 +39,7 @@ from repro.condorj2.logic import (
     SubmissionService,
 )
 from repro.condorj2.schema import LIFECYCLES
+from repro.condorj2.storage.transitions import transition_spec
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 PACKAGE_ROOT = REPO_ROOT / "src" / "repro" / "condorj2"
@@ -237,6 +238,9 @@ def test_observed_transitions_subset_of_declared(backend, tmp_path):
     finally:
         db.close()
     assert observed, "workload recorded no transitions"
+    # No from-state probe was rejected, so no edge went unattributed:
+    # "observed" really is everything the workload walked.
+    assert db.counts.probe_failures == 0
     for table, edges in observed.items():
         lifecycle = LIFECYCLES[table]
         for edge, rows in edges.items():
@@ -251,6 +255,29 @@ def test_observed_transitions_subset_of_declared(backend, tmp_path):
     assert len(report["vms"]["covered"]) >= 3
     assert ("missing", "alive") in report["machines"]["covered"]
     assert ("valid", "stale") in report["dataset_replicas"]["covered"]
+
+
+@pytest.mark.parametrize("backend", ["sqlite", "memory", "wal"])
+def test_rejected_probe_is_counted_not_swallowed(backend, tmp_path):
+    """A from-state probe the engine rejects leaves its edge out of the
+    ledger and says so in ``probe_failures`` — identically everywhere."""
+    db = _backend_db(backend, tmp_path)
+    try:
+        with pytest.raises(db.engine.ENGINE_ERRORS):
+            db.execute("UPDATE jobs SET state = ? WHERE no_such_column = ?",
+                       ("held", 1))
+        assert db.counts.probe_failures == 1
+        assert db.counts.transitions == {}
+        db.execute("UPDATE jobs SET state = ? WHERE job_id = ?", ("held", 1))
+        assert db.counts.probe_failures == 1  # a probe that runs is silent
+    finally:
+        db.close()
+
+
+def test_unparseable_text_has_no_transition_spec():
+    """Outside the dialect is "not a lifecycle write", not an error."""
+    assert transition_spec("UPDATE jobs SET state = 'held' WHERE ???") is None
+    assert transition_spec("UPDATE jobs SET state = 'held'").to_state == "held"
 
 
 def test_transition_ledger_is_backend_invariant(tmp_path):

@@ -251,7 +251,7 @@ def test_cached_plan_returns_identical_rows(backend):
     assert db.counts.plan_hits == hits_before + 1
     assert warm == cold
     # Force a cold recompile of the same text and compare again.
-    db.plan_cache.clear()
+    db.statement_cache.clear()
     recompiled = [tuple(row) for row in db.query_all(sql, ("idle",))]
     assert recompiled == cold
 

@@ -11,7 +11,6 @@ from repro.condorj2.api.faults import (
     ValidationFault,
 )
 from repro.condorj2.web.soap import (
-    SoapFault,
     decode_batch_response,
     decode_envelope,
     decode_request,
@@ -80,17 +79,17 @@ def test_response_round_trip():
 
 def test_response_fault_raises():
     envelope = encode_response("op", None, fault="something broke")
-    with pytest.raises(SoapFault, match="something broke"):
+    with pytest.raises(ServiceFault, match="something broke"):
         decode_response(envelope)
 
 
 def test_decode_garbage_raises():
-    with pytest.raises(SoapFault):
+    with pytest.raises(ServiceFault):
         decode_request("<not-soap/>")
 
 
 def test_unserialisable_payload_raises():
-    with pytest.raises(SoapFault):
+    with pytest.raises(ServiceFault):
         encode_request("op", object())
 
 

@@ -3,7 +3,7 @@ scheduling pass.
 
 Covers the storage-layer contracts the cost model depends on:
 
-* prepared-statement cache hit/miss accounting (LRU semantics);
+* statement-cache hit/miss accounting (LRU semantics, one cache);
 * batched execution charging per-row verb counts plus one batch;
 * the one-statement scheduling pass producing exactly the matches the
   old row-at-a-time Python loop produced on a seeded workload;
@@ -27,8 +27,8 @@ from repro.condorj2.logic import (
 )
 from repro.condorj2.storage import (
     MemoryStorageEngine,
-    PreparedStatementCache,
     SqliteStorageEngine,
+    StatementCache,
     StatementCounts,
     StorageConfigError,
     WalStorageEngine,
@@ -36,6 +36,7 @@ from repro.condorj2.storage import (
     create_engine,
     parse_storage_url,
 )
+from repro.condorj2.storage.statements import describe
 
 
 @pytest.fixture
@@ -60,7 +61,7 @@ def register_machine(heartbeat, name="m1", vm_count=2, now=0.0):
 
 
 # ----------------------------------------------------------------------
-# prepared-statement cache
+# the statement cache
 # ----------------------------------------------------------------------
 def test_cache_hits_and_misses_are_counted(db):
     db.execute("SELECT 1")
@@ -71,22 +72,53 @@ def test_cache_hits_and_misses_are_counted(db):
     assert db.counts.prepared_misses == 2
     assert db.counts.prepared_hits == 1
     assert db.statement_cache.hit_rate() == pytest.approx(1 / 3)
+    # one cache, so the engine-side view of the ledger is the same pair
+    assert (db.counts.plan_hits, db.counts.plan_misses) == (1, 2)
+    entry = db.statement_cache.peek("SELECT 1")
+    assert (entry.verb, entry.table, entry.spec, entry.uses) == (
+        "SELECT", "", None, 2)
+
+
+def _touch(cache, sql):
+    """What engine admission does: counted lookup, store on a miss."""
+    hit = cache.lookup(sql) is not None
+    if not hit:
+        cache.store(describe(sql))
+    return hit
 
 
 def test_cache_evicts_least_recently_used():
-    cache = PreparedStatementCache(capacity=2)
-    cache.prepare("a")
-    cache.prepare("b")
-    cache.prepare("a")  # refresh a: b is now LRU
-    cache.prepare("c")  # evicts b
+    cache = StatementCache(capacity=2)
+    _touch(cache, "SELECT 'a'")
+    _touch(cache, "SELECT 'b'")
+    assert _touch(cache, "SELECT 'a'") is True  # refresh a: b is now LRU
+    _touch(cache, "SELECT 'c'")  # evicts b
     assert cache.evictions == 1
-    assert "a" in cache and "c" in cache and "b" not in cache
-    assert cache.prepare("b") is False  # re-admitted as a miss
+    assert "SELECT 'a'" in cache and "SELECT 'c'" in cache
+    assert "SELECT 'b'" not in cache
+    assert [entry.sql for entry in cache.entries()] == [
+        "SELECT 'a'", "SELECT 'c'"]  # least- to most-recently used
+    assert _touch(cache, "SELECT 'b'") is False  # re-admitted as a miss
+    assert (cache.hits, cache.misses, cache.evictions) == (1, 4, 2)
+    assert cache.peek("SELECT 'b'").uses == 1
+    assert cache.peek("SELECT 'a'") is None  # peek is uncounted
+    assert (cache.hits, cache.misses) == (1, 4)
 
 
 def test_cache_capacity_must_be_positive():
     with pytest.raises(ValueError):
-        PreparedStatementCache(capacity=0)
+        StatementCache(capacity=0)
+
+
+def test_cache_entry_holds_the_lifecycle_classification(db):
+    """What eviction re-computes: verb, table, transition spec, plans."""
+    sql = "UPDATE jobs SET state = ? WHERE job_id = ?"
+    db.execute(sql, ("held", 1))
+    entry = db.statement_cache.peek(sql)
+    assert (entry.verb, entry.table) == ("UPDATE", "jobs")
+    assert entry.spec.probes and entry.spec.to_param == 0
+    assert describe("SELECT state FROM jobs").spec is None
+    assert describe("UPDATE users SET priority = 1").spec is None
 
 
 def test_engine_cache_size_is_configurable():
@@ -96,6 +128,7 @@ def test_engine_cache_size_is_configurable():
         db.execute(f"SELECT {i}")  # sql-ident: distinct statement texts
     assert len(db.statement_cache) == 3
     assert db.statement_cache.evictions == 2
+    assert db.counts.plan_evictions == 2
     db.close()
 
 

@@ -140,10 +140,10 @@ def test_user_client_submit_via_web_service():
 
 
 def test_unknown_operation_returns_fault():
-    from repro.condorj2.web.soap import SoapFault
+    from repro.condorj2.web.soap import ServiceFault
 
     system = small_system()
     system.start()
     process = system.sim.spawn(system.user.call("noSuchOp", {}))
     system.sim.run(until=5.0)
-    assert isinstance(process.error, SoapFault)
+    assert isinstance(process.error, ServiceFault)

@@ -107,3 +107,58 @@ def test_statistics_page_transition_ledger_panel(stack):
     assert edges["jobs"].get("(new)->idle") == 1
     assert edges["jobs"].get("idle->matched") == 1
     assert edges["machines"].get("(new)->alive") == 1
+
+
+def test_statistics_page_cache_panel_is_one_row(stack):
+    """There is one statement cache, so the panel has one row, and it
+    shows the same ledger ``StatementCounts`` carries."""
+    container, submission, scheduling, heartbeat, site = stack
+    heartbeat.register_machine({"name": "m1", "vm_count": 1}, 0.0)
+    submission.submit_jobs([JobSpec()], now=1.0)
+    scheduling.run_pass(now=2.0)
+    panel = site._caches_report()
+    assert "Statement Cache" in panel
+    assert "compiled plans" not in panel and "prepared" not in panel
+    cache, counts = container.db.statement_cache, container.db.counts
+    assert (cache.hits, cache.misses) == (counts.plan_hits, counts.plan_misses)
+    figures = [str(cache.capacity), str(len(cache)), str(cache.hits),
+               str(cache.misses), str(cache.evictions),
+               f"{cache.hit_rate():.3f}"]
+    data_rows = [line.split() for line in panel.splitlines()
+                 if line.split()[:1] == figures[:1]]
+    assert data_rows == [figures]
+    assert panel in site.statistics_page()
+
+
+def test_hot_plan_panel_explains_or_says_why_not(stack, monkeypatch):
+    """The hottest-statement panel renders the engine's plan, and an
+    engine that cannot explain yields a visible line, not a missing
+    panel; anything else (a bug) is not swallowed."""
+    container, _, _, heartbeat, site = stack
+    assert site._hot_plan_report() is None  # nothing cached yet
+    heartbeat.register_machine({"name": "m1", "vm_count": 1}, 0.0)
+    for _ in range(5):
+        container.db.query_all("SELECT user_name FROM users")
+    panel = site._hot_plan_report()
+    assert panel.startswith("Hottest Plan (5 uses, engine=")
+    assert "SELECT user_name FROM users" in panel
+
+    engine = container.db.engine
+    rejection = engine.ENGINE_ERRORS[0]("no plan for you")
+    for error, shown in (
+        (NotImplementedError("no EXPLAIN here"), "no EXPLAIN here"),
+        (rejection, "no plan for you"),
+    ):
+        def explain(sql, params=None, error=error):
+            raise error
+        monkeypatch.setattr(engine, "explain", explain)
+        panel = site._hot_plan_report()
+        assert panel.startswith("Hottest Plan (5 uses, engine=")
+        assert f"explain unavailable: {shown}" in panel
+        assert panel in site.statistics_page()
+
+    def broken(sql, params=None):
+        raise KeyError("a bug, not a rejection")
+    monkeypatch.setattr(engine, "explain", broken)
+    with pytest.raises(KeyError):
+        site._hot_plan_report()
