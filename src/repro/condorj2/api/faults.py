@@ -58,6 +58,7 @@ FAULT_SUBCODES: Dict[str, Dict[str, str]] = {
         "non-string-key": "a struct payload carries a non-string key",
         "unserialisable": "a payload value has no wire representation",
         "missing-operation": "the request names no operation",
+        "too-deep": "elements nest deeper than the codec's fixed bound",
     },
     FaultCode.UNKNOWN_OP: {
         "unregistered": "no contract is registered under this name",

@@ -21,9 +21,14 @@ Two envelope families:
   elements in one HTTP round-trip, answered by a ``<batchResponse>``
   with per-op ``<opResponse>``/``<opFault>`` children in request order.
 
-Faults ride the wire as ``(code, subcode, detail)`` triples from the
-structured taxonomy in :mod:`repro.condorj2.api.faults`; the decoder
-reconstructs the typed exception.
+Decoding reads the envelope text exactly once.  :func:`_read` alone
+knows the grammar (tags, attributes, entities, nesting, the depth bound)
+and returns a small element tree; every public decoder is a walk over
+that tree that knows only the vocabulary.  Whatever either refuses is a
+typed ``MALFORMED`` fault, never a bare exception, so the CAS answers
+and meters it.  Faults ride the wire as ``(code, subcode, detail)``
+triples from the taxonomy in :mod:`repro.condorj2.api.faults`; the walk
+rebuilds the typed exception.
 """
 
 from __future__ import annotations
@@ -51,18 +56,22 @@ _EPILOGUE = "</soap:Body></soap:Envelope>"
 #: and silently corrupt the round-trip (struct keys, operation names).
 _ATTR_ENTITIES = {'"': "&quot;"}
 _ATTR_UNENTITIES = {"&quot;": '"'}
-_ATTR_RE = re.compile(r'([^\s=]+)="([^"]*)"')
+
+#: No element may sit deeper than this: five times what the protocol's
+#: payloads need, and far from the interpreter's recursion limit.
+MAX_DEPTH = 64
 
 
 def _escape_attr(value: str) -> str:
     return escape(value, _ATTR_ENTITIES)
 
 
-def _unescape_attr(value: str) -> str:
-    return unescape(value, _ATTR_UNENTITIES)
-
-
-def _encode_value(value: Payload, tag: str) -> str:
+def _encode_value(value: Payload, tag: str, depth: int = 1) -> str:
+    """Encode ``value`` as a ``tag`` element, ``depth`` levels into the
+    payload; Envelope/Body/batch/op are the four levels around it."""
+    if depth + 4 > MAX_DEPTH:
+        raise MalformedFault(f"elements nest deeper than {MAX_DEPTH}",
+                             subcode="too-deep")
     if value is None:
         return f'<{tag} xsi:nil="true"/>'
     if isinstance(value, bool):
@@ -74,7 +83,8 @@ def _encode_value(value: Payload, tag: str) -> str:
     if isinstance(value, str):
         return f'<{tag} type="string">{escape(value)}</{tag}>'
     if isinstance(value, list):
-        inner = "".join(_encode_value(item, "item") for item in value)
+        inner = "".join(_encode_value(item, "item", depth + 1)
+                        for item in value)
         return f'<{tag} type="array">{inner}</{tag}>'
     if isinstance(value, dict):
         parts = []
@@ -88,7 +98,7 @@ def _encode_value(value: Payload, tag: str) -> str:
                 )
             parts.append(
                 f'<entry key="{_escape_attr(key)}">'
-                f'{_encode_value(item, "value")}</entry>'
+                f'{_encode_value(item, "value", depth + 2)}</entry>'
             )
         return f'<{tag} type="struct">{"".join(parts)}</{tag}>'
     raise MalformedFault(
@@ -170,149 +180,148 @@ def encode_batch_response(
 
 
 # ----------------------------------------------------------------------
-# decoding: a tiny recursive-descent scan over the envelope text
+# decoding: one reader that knows the grammar, walks that know the words
 # ----------------------------------------------------------------------
-def _tag_at(text: str, tag: str, position: int) -> bool:
-    """Does an element named exactly ``tag`` open at ``position``?"""
-    if not text.startswith(f"<{tag}", position):
-        return False
-    follower = position + 1 + len(tag)
-    return follower < len(text) and text[follower] in " />\t\n"
+#: One parsed element: ``(tag, attributes, child elements, text)``.  An
+#: element holds children or text, never both; an empty one holds neither.
+Node = Tuple[str, Dict[str, str], List[Any], str]
+
+#: An element or attribute name.
+_NAME = r'[^\s<>/="]+'
+#: The envelope as contiguous tokens: a start, end or empty-element tag
+#: with well-formed attributes, a run of character data, or -- a ``<``
+#: that opens none of those -- the lone character that condemns it.
+_TOKEN_RE = re.compile(
+    rf'<(/?)({_NAME})((?:\s+{_NAME}="[^"<]*")*)\s*(/?)>|([^<]+)|<'
+)
+_ATTR_RE = re.compile(rf'({_NAME})="([^"<]*)"')
 
 
-def _find_open(text: str, tag: str, start: int = 0) -> int:
-    """Index of the next ``<tag``, matching the tag name exactly."""
-    cursor = start
-    needle = f"<{tag}"
-    while True:
-        open_at = text.find(needle, cursor)
-        if open_at < 0:
-            return -1
-        if _tag_at(text, tag, open_at):
-            return open_at
-        cursor = open_at + 1
+def _read(envelope: str) -> Node:
+    """Scan ``envelope`` once, left to right, into its element tree.
 
-
-def _find_tag(text: str, tag: str, start: int = 0) -> Tuple[int, int, Dict[str, str]]:
-    """Locate ``<tag ...>``; returns (content_start, content_end, attrs)."""
-    open_at = _find_open(text, tag, start)
-    if open_at < 0:
-        raise MalformedFault(f"missing <{tag}> element")
-    head_end = text.find(">", open_at)
-    if head_end < 0:
-        raise MalformedFault("malformed envelope")
-    head = text[open_at + 1 + len(tag):head_end]
-    attrs: Dict[str, str] = {
-        name: _unescape_attr(raw)
-        for name, raw in _ATTR_RE.findall(head)
-    }
-    if text[head_end - 1] == "/":  # self-closing
-        return head_end + 1, head_end + 1, attrs
-    close = _matching_close(text, tag, head_end + 1)
-    return head_end + 1, close, attrs
-
-
-def _matching_close(text: str, tag: str, start: int) -> int:
-    """Index of the matching ``</tag>`` handling nested same-name tags."""
-    depth = 1
-    cursor = start
-    while depth > 0:
-        next_open = _find_open(text, tag, cursor)
-        next_close = text.find(f"</{tag}>", cursor)
-        if next_close < 0:
-            raise MalformedFault(f"unbalanced <{tag}>")
-        if 0 <= next_open < next_close:
-            head_end = text.find(">", next_open)
-            if text[head_end - 1] != "/":
-                depth += 1
-            cursor = head_end + 1
+    The only function that looks at envelope text.  It checks nesting,
+    close-tag names, attribute syntax and depth as it goes, and raises
+    :class:`MalformedFault` unless the text is exactly one element.
+    """
+    top: List[Node] = []
+    siblings = top  # the children of the innermost open element
+    open_elements: List[Tuple[str, Dict[str, str], List[Node]]] = []
+    text = ""
+    for token in _TOKEN_RE.finditer(envelope):
+        closing, tag, attr_text, empty, run = token.groups()
+        if run is not None:
+            text = unescape(run) if "&" in run else run
+        elif closing:
+            if attr_text or empty or not open_elements:
+                break
+            open_tag, attrs, parent = open_elements.pop()
+            if open_tag != tag or (text and siblings):
+                break
+            parent.append((tag, attrs, siblings, text))
+            siblings, text = parent, ""
+        elif tag is None or text:
+            break  # a stray "<", or text beside a child or outside the root
         else:
-            depth -= 1
-            if depth == 0:
-                return next_close
-            cursor = next_close + len(tag) + 3
-    raise MalformedFault(f"unbalanced <{tag}>")  # pragma: no cover
+            if len(open_elements) >= MAX_DEPTH:
+                raise MalformedFault(f"elements nest deeper than {MAX_DEPTH}",
+                                     subcode="too-deep")
+            pairs = _ATTR_RE.findall(attr_text)
+            if "&" in attr_text:
+                pairs = [(name, unescape(raw, _ATTR_UNENTITIES))
+                         for name, raw in pairs]
+            attrs = dict(pairs)
+            if len(attrs) != len(pairs):
+                break
+            if empty:
+                siblings.append((tag, attrs, [], ""))
+            else:
+                open_elements.append((tag, attrs, siblings))
+                siblings = []
+    else:
+        if len(top) == 1 and not open_elements and not text:
+            return top[0]
+        raise MalformedFault("envelope is not one complete element")
+    raise MalformedFault(f"envelope malformed at offset {token.start()}")
 
 
-def _decode_value(text: str) -> Payload:
-    head_end = text.find(">")
-    head = text[1:head_end]
-    if 'xsi:nil="true"' in head:
-        return None
-    if 'type="boolean"' in head:
-        return text[head_end + 1:text.rfind("<")] == "true"
-    if 'type="int"' in head:
-        return int(text[head_end + 1:text.rfind("<")])
-    if 'type="double"' in head:
-        return float(text[head_end + 1:text.rfind("<")])
-    if 'type="string"' in head:
-        return unescape(text[head_end + 1:text.rfind("<")])
-    if 'type="array"' in head:
-        inner = text[head_end + 1:text.rfind("<")]
-        return [_decode_value(chunk) for chunk in _split_elements(inner, "item")]
-    if 'type="struct"' in head:
-        inner = text[head_end + 1:text.rfind("<")]
+def _body(envelope: str) -> Node:
+    """Read ``envelope`` -- the one call to the reader a decoder makes --
+    and return the single element inside ``soap:Envelope/soap:Body``."""
+    node = _read(envelope)
+    for wrapper in ("soap:Envelope", "soap:Body"):
+        tag, _, children, _ = node
+        if tag != wrapper or len(children) != 1:
+            raise MalformedFault(f"<{tag}> is not <{wrapper}> around a child")
+        node = children[0]
+    return node
+
+
+_NIL = {"xsi:nil": "true"}
+_SCALARS = {"string": str, "int": int, "double": float,
+            "boolean": {"true": True, "false": False}.__getitem__}
+
+
+def _decode_value(node: Node, expected: str) -> Payload:
+    """Decode the value element ``node``, which must be tagged ``expected``."""
+    tag, attrs, children, text = node
+    kind = attrs.get("type")
+    if tag != expected:
+        pass
+    elif kind == "struct":
         result: Dict[str, Payload] = {}
-        for entry in _split_elements(inner, "entry"):
-            key_start = entry.find('key="') + 5
-            key = _unescape_attr(entry[key_start:entry.find('"', key_start)])
-            value_start, value_end, _ = _find_tag(entry, "value")
-            open_at = entry.rfind("<value", 0, value_start)
-            result[key] = _decode_value(entry[open_at:value_end + len("</value>")])
-        return result
-    raise MalformedFault(f"undecodable element head {head!r}",
+        for entry, keyed, values, _ in children:
+            if entry != "entry" or "key" not in keyed or len(values) != 1:
+                break
+            result[keyed["key"]] = _decode_value(values[0], "value")
+        else:
+            if not text and len(result) == len(children):
+                return result
+    elif kind == "array":
+        if not text:
+            return [_decode_value(child, "item") for child in children]
+    elif kind in _SCALARS and not children:
+        try:
+            return _SCALARS[kind](text)
+        except (KeyError, ValueError):
+            pass
+    elif attrs == _NIL and not (children or text):
+        return None
+    raise MalformedFault(f"undecodable <{tag}> element {attrs!r}",
                          subcode="bad-element")
 
 
-def _split_elements(text: str, tag: str) -> List[str]:
-    """Split concatenated sibling elements named ``tag``."""
-    return [element for _, element in _split_multi(text, (tag,))]
+def _decode_carrier(node: Node, expected: str) -> Tuple[str, Payload]:
+    """Decode an ``<op>`` or ``<opResponse>`` into (name, payload)."""
+    tag, attrs, children, text = node
+    if tag != expected or text or len(children) > 1:
+        raise MalformedFault(
+            f"<{tag}> is not <{expected}> holding at most one <payload>"
+        )
+    payload = _decode_value(children[0], "payload") if children else None
+    return attrs.get("name", ""), payload
 
 
-def _split_multi(text: str, tags: Sequence[str]) -> List[Tuple[str, str]]:
-    """Split ordered sibling elements drawn from several tag names.
-
-    Returns ``(tag, element_text)`` pairs in document order — the shape
-    of a batch response's mixed ``opResponse``/``opFault`` children.
-    """
-    chunks: List[Tuple[str, str]] = []
-    cursor = 0
-    while True:
-        candidates = [
-            (open_at, tag)
-            for tag in tags
-            if (open_at := _find_open(text, tag, cursor)) >= 0
-        ]
-        if not candidates:
-            return chunks
-        open_at, tag = min(candidates)
-        head_end = text.find(">", open_at)
-        if text[head_end - 1] == "/":
-            chunks.append((tag, text[open_at:head_end + 1]))
-            cursor = head_end + 1
-            continue
-        close = _matching_close(text, tag, head_end + 1)
-        end = close + len(tag) + 3
-        chunks.append((tag, text[open_at:end]))
-        cursor = end
-
-
-def _decode_op(element: str) -> Tuple[str, Payload]:
-    """Decode one ``<op>`` element into (operation, payload)."""
-    start, end, attrs = _find_tag(element, "op")
-    operation = attrs.get("name", "")
+def _decode_op(node: Node) -> Tuple[str, Payload]:
+    operation, payload = _decode_carrier(node, "op")
     if not operation:
         raise MalformedFault("request missing operation name",
                              subcode="missing-operation")
-    inner = element[start:end]
-    payload_start = inner.find("<payload")
-    payload = _decode_value(inner[payload_start:]) if payload_start >= 0 else None
     return operation, payload
+
+
+def _batch_items(node: Node, expected: str) -> List[Node]:
+    """The children of a ``<batch>``/``<batchResponse>``, count checked."""
+    tag, attrs, children, text = node
+    if tag != expected or text or attrs.get("n") != str(len(children)):
+        raise MalformedFault(f"<{tag}> {attrs!r} is not <{expected}> "
+                             f"counting its {len(children)} children")
+    return children
 
 
 def is_batch_request(envelope: str) -> bool:
     """Does the envelope carry a multiplexed batch?"""
-    return _find_open(envelope, "batch") >= 0
+    return _body(envelope)[0] == "batch"
 
 
 def decode_envelope(envelope: str) -> Tuple[bool, List[Tuple[str, Payload]]]:
@@ -321,12 +330,10 @@ def decode_envelope(envelope: str) -> Tuple[bool, List[Tuple[str, Payload]]]:
     Returns ``(is_batch, calls)`` where ``calls`` is a list of
     ``(operation, payload)`` pairs — length 1 for single-op envelopes.
     """
-    _, _, _ = _find_tag(envelope, "soap:Body")
-    if not is_batch_request(envelope):
-        return False, [_decode_op(envelope)]
-    start, end, _ = _find_tag(envelope, "batch")
-    inner = envelope[start:end]
-    calls = [_decode_op(element) for element in _split_elements(inner, "op")]
+    body = _body(envelope)
+    if body[0] != "batch":
+        return False, [_decode_op(body)]
+    calls = [_decode_op(child) for child in _batch_items(body, "batch")]
     if not calls:
         raise MalformedFault("batch envelope carries no operations")
     return True, calls
@@ -336,37 +343,34 @@ def decode_request(envelope: str) -> Tuple[str, Payload]:
     """Extract (operation, payload) from a single-op request envelope."""
     is_batch, calls = decode_envelope(envelope)
     if is_batch:
-        raise MalformedFault(
-            "batch envelope where a single operation was expected"
-        )
+        raise MalformedFault("batch envelope where one operation was expected")
     return calls[0]
 
 
-def _decode_fault(element: str) -> ServiceFault:
-    """Rebuild the typed fault a ``<soap:Fault>``-style element carries."""
-    start, end, _ = _find_tag(element, "faultstring")
-    detail = unescape(element[start:end])
-    try:
-        code_start, code_end, _ = _find_tag(element, "faultcode")
-        code = unescape(element[code_start:code_end])
-        sub_start, sub_end, _ = _find_tag(element, "faultsub")
-        subcode = unescape(element[sub_start:sub_end])
-    except ServiceFault:
-        # Legacy envelope: no structured code; collapse to INTERNAL.
-        return ServiceFault(detail)
-    return fault_from_code(code, detail, subcode)
+def _decode_fault(node: Node) -> ServiceFault:
+    """Rebuild the typed fault of a ``<soap:Fault>`` (code and subcode in
+    child elements) or an ``<opFault>`` (code and subcode in attributes).
+
+    A fault without a structured code collapses to ``INTERNAL``.
+    """
+    _, attrs, children, _ = node
+    fields = {tag: text for tag, _, _, text in children}
+    if "faultstring" not in fields:
+        raise MalformedFault("fault element carries no <faultstring>")
+    return fault_from_code(
+        fields.get("faultcode", attrs.get("code", "")),
+        fields["faultstring"],
+        fields.get("faultsub", attrs.get("subcode", "")),
+        operation=attrs.get("name", ""),
+    )
 
 
 def decode_response(envelope: str) -> Payload:
     """Extract the payload from a response envelope, raising on faults."""
-    if "<soap:Fault>" in envelope:
-        raise _decode_fault(envelope)
-    start, end, _ = _find_tag(envelope, "opResponse")
-    inner = envelope[start:end]
-    payload_start = inner.find("<payload")
-    if payload_start < 0:
-        return None
-    return _decode_value(inner[payload_start:])
+    body = _body(envelope)
+    if body[0] == "soap:Fault":
+        raise _decode_fault(body)
+    return _decode_carrier(body, "opResponse")[1]
 
 
 def decode_batch_response(envelope: str) -> List[Union[Payload, ServiceFault]]:
@@ -377,28 +381,14 @@ def decode_batch_response(envelope: str) -> List[Union[Payload, ServiceFault]]:
     envelope-level ``<soap:Fault>`` (the whole batch was rejected) is
     raised, as in :func:`decode_response`.
     """
-    if "<soap:Fault>" in envelope:
-        raise _decode_fault(envelope)
-    start, end, _ = _find_tag(envelope, "batchResponse")
-    inner = envelope[start:end]
-    results: List[Union[Payload, ServiceFault]] = []
-    for tag, element in _split_multi(inner, ("opResponse", "opFault")):
-        if tag == "opFault":
-            _, _, attrs = _find_tag(element, "opFault")
-            detail_start, detail_end, _ = _find_tag(element, "faultstring")
-            results.append(fault_from_code(
-                attrs.get("code", ""),
-                unescape(element[detail_start:detail_end]),
-                attrs.get("subcode", ""),
-                operation=attrs.get("name", ""),
-            ))
-        else:
-            payload_start = element.find("<payload")
-            results.append(
-                _decode_value(element[payload_start:element.rfind("</opResponse>")])
-                if payload_start >= 0 else None
-            )
-    return results
+    body = _body(envelope)
+    if body[0] == "soap:Fault":
+        raise _decode_fault(body)
+    return [
+        _decode_fault(child) if child[0] == "opFault"
+        else _decode_carrier(child, "opResponse")[1]
+        for child in _batch_items(body, "batchResponse")
+    ]
 
 
 def envelope_size(envelope: str) -> int:

@@ -8,6 +8,7 @@ from repro.condorj2.api import FaultCode, ServiceFault, ValidationFault
 from repro.condorj2.api.gateway import MALFORMED_OP
 from repro.condorj2.web.soap import encode_request
 from repro.workload import fixed_length_batch
+from tests.condorj2.test_soap import MALFORMED_ENVELOPES
 
 
 def small_system(**kwargs):
@@ -147,6 +148,15 @@ def _raw_call(system, envelope):
          "unregistered"),
         (lambda: encode_request("acceptMatch", {"job_id": 1}),
          FaultCode.VALIDATION, "missing-field"),
+        # Every envelope the rescanning decoder mis-read (accepted, or
+        # crashed on with ValueError/RecursionError, which the client saw
+        # as INTERNAL/transport: "requeue and retry").
+        *[
+            pytest.param(lambda envelope=envelope: envelope,
+                         FaultCode.MALFORMED, subcode, id=name)
+            for name, (envelope, subcode)
+            in sorted(MALFORMED_ENVELOPES.items())
+        ],
     ],
 )
 def test_fault_paths_end_to_end(envelope_factory, expected_code,
@@ -167,6 +177,9 @@ def test_fault_paths_end_to_end(envelope_factory, expected_code,
     # The fault consumed real simulated CPU: parse + encode at minimum.
     assert (system.server_host.meter.total_seconds("user")
             > user_cpu_before)
+    if expected_code == FaultCode.MALFORMED:
+        # ...and an undecodable envelope's share lands on the pseudo-op.
+        assert system.cas.gateway.stats[MALFORMED_OP].sim_seconds > 0.0
 
 
 def test_malformed_envelopes_are_metered():
@@ -179,6 +192,16 @@ def test_malformed_envelopes_are_metered():
     assert stats.fault_codes == {FaultCode.MALFORMED: 1}
     # The garbage still consumed parse + encode CPU, and it shows.
     assert stats.sim_seconds > 0.0
+    # Non-numeric text in a numeric element is metered the same way: it
+    # used to leave the CAS as an untyped ValueError, so no fault was
+    # counted and nothing was charged to the pseudo-op.
+    charged = stats.sim_seconds
+    faults_before = system.cas.faults_returned
+    _send_raw(system, MALFORMED_ENVELOPES["int-text"][0])
+    system.sim.run(until=15.0)
+    assert stats.fault_codes == {FaultCode.MALFORMED: 2}
+    assert stats.sim_seconds > charged
+    assert system.cas.faults_returned == faults_before + 1
 
 
 def test_unknown_ops_never_create_raw_stats_rows():

@@ -1,7 +1,7 @@
 """Unit tests for the SOAP envelope codec."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, note, settings, strategies as st
 
 from repro.condorj2.api.faults import (
     ConflictFault,
@@ -10,7 +10,9 @@ from repro.condorj2.api.faults import (
     ServiceFault,
     ValidationFault,
 )
+from repro.condorj2.web import soap
 from repro.condorj2.web.soap import (
+    MAX_DEPTH,
     decode_batch_response,
     decode_envelope,
     decode_request,
@@ -86,6 +88,107 @@ def test_response_fault_raises():
 def test_decode_garbage_raises():
     with pytest.raises(ServiceFault):
         decode_request("<not-soap/>")
+
+
+_HEAD, _TAIL = soap._PROLOGUE, soap._EPILOGUE
+
+
+def _op_envelope(inner):
+    return f'{_HEAD}<op name="x">{inner}</op>{_TAIL}'
+
+
+#: Envelopes the rescanning decoder accepted (or crashed on untyped);
+#: the comment on each row is what it used to produce.
+MALFORMED_ENVELOPES = {
+    # bare ValueError out of decode_envelope
+    "int-text": (_op_envelope('<payload type="int">abc</payload>'),
+                 "bad-element"),
+    "double-text": (_op_envelope('<payload type="double">zz</payload>'),
+                    "bad-element"),
+    # ('x', 'a</payload><payload type="int">2')
+    "second-payload": (
+        _op_envelope('<payload type="string">a</payload>'
+                     '<payload type="int">2</payload>'),
+        "bad-envelope"),
+    # ('x', 1)
+    "mismatched-close": (_op_envelope('<payload type="int">1</wrong>'),
+                         "bad-envelope"),
+    # ('x', False)
+    "boolean-text": (_op_envelope('<payload type="boolean">maybe</payload>'),
+                     "bad-element"),
+    # a one-op batch
+    "batch-count": (
+        f'{_HEAD}<batch n="2"><op name="x"><payload type="int">1'
+        f'</payload></op></batch>{_TAIL}',
+        "bad-envelope"),
+    # ('x', 1)
+    "valueless-attribute": (
+        _op_envelope('<payload type="int" junk>1</payload>'),
+        "bad-envelope"),
+    # ('y', 1)
+    "duplicate-attribute": (
+        f'{_HEAD}<op name="x" name="y"><payload type="int">1</payload>'
+        f'</op>{_TAIL}',
+        "bad-envelope"),
+    # ('x', [1])
+    "text-beside-child": (
+        _op_envelope('<payload type="array">stray'
+                     '<item type="int">1</item></payload>'),
+        "bad-envelope"),
+    # ('x', 1)
+    "text-after-root": (_op_envelope('<payload type="int">1</payload>')
+                        + "trailing", "bad-envelope"),
+    # ('x', {'k': 2})
+    "duplicate-key": (
+        _op_envelope('<payload type="struct">'
+                     '<entry key="k"><value type="int">1</value></entry>'
+                     '<entry key="k"><value type="int">2</value></entry>'
+                     '</payload>'),
+        "bad-element"),
+    # RecursionError
+    "deep-nesting": (
+        _op_envelope('<payload type="array">' + '<item type="array">' * 1200
+                     + '</item>' * 1200 + '</payload>'),
+        "too-deep"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_ENVELOPES))
+def test_malformed_envelopes_raise_typed_faults(name):
+    envelope, subcode = MALFORMED_ENVELOPES[name]
+    with pytest.raises(MalformedFault) as excinfo:
+        decode_envelope(envelope)
+    assert excinfo.value.subcode == subcode
+
+
+def _nested_list(depth):
+    value = []
+    for _ in range(depth - 1):
+        value = [value]
+    return value
+
+
+def test_depth_bound_is_shared_by_encoder_and_decoder():
+    """A 1,200-deep array used to crash both halves with RecursionError.
+    Both now refuse with the typed fault, and whatever the encoders
+    accept -- in either envelope family -- the decoders read back."""
+    with pytest.raises(MalformedFault) as excinfo:
+        encode_request("op", _nested_list(1200))
+    assert excinfo.value.subcode == "too-deep"
+    accepted = 0
+    for depth in range(MAX_DEPTH - 8, MAX_DEPTH + 2):
+        payload = _nested_list(depth)
+        try:
+            single = encode_request("op", payload)
+            batch = encode_batch_request([("op", payload)])
+            response = encode_batch_response([("op", payload, None)])
+        except MalformedFault:
+            continue
+        accepted += 1
+        assert decode_request(single) == ("op", payload)
+        assert decode_envelope(batch) == (True, [("op", payload)])
+        assert decode_batch_response(response) == [payload]
+    assert 0 < accepted < 10  # the bound falls inside the sampled range
 
 
 def test_unserialisable_payload_raises():
@@ -269,3 +372,77 @@ def test_batch_response_codec_round_trips(payloads):
              for index, payload in enumerate(payloads)]
     decoded = decode_batch_response(encode_batch_response(items))
     assert decoded == payloads
+
+
+# ----------------------------------------------------------------------
+# decoder totality: damaged envelopes decode or raise a typed fault
+# ----------------------------------------------------------------------
+def _fault_items(calls):
+    return [
+        (operation, payload,
+         ConflictFault("no <such> job", operation=operation)
+         if index % 2 else None)
+        for index, (operation, payload) in enumerate(calls)
+    ]
+
+
+#: (encoder over a list of (operation, payload) calls, its decoder).
+CODEC_PAIRS = [
+    (lambda calls: encode_request(*calls[0]), decode_envelope),
+    (lambda calls: encode_response(*calls[0]), decode_response),
+    (lambda calls: encode_response(calls[0][0], None,
+                                   fault=ValidationFault("bad & wrong")),
+     decode_response),
+    (encode_batch_request, decode_envelope),
+    (lambda calls: encode_batch_response(_fault_items(calls)),
+     decode_batch_response),
+]
+
+
+@given(
+    st.sampled_from(CODEC_PAIRS),
+    st.lists(st.tuples(operation_names, json_like), min_size=1, max_size=3),
+    st.data(),
+)
+@settings(deadline=None)
+def test_damaged_envelopes_decode_or_raise_typed_faults(pair, calls, data):
+    """Property: every proper prefix and every single-character
+    substitution of a valid envelope of any family either decodes or
+    raises a ServiceFault -- never ValueError, IndexError, KeyError,
+    RecursionError or anything else the CAS does not catch."""
+    encode, decode = pair
+    envelope = encode(calls)
+    cut = data.draw(st.integers(0, len(envelope) - 1), label="cut")
+    replacement = data.draw(
+        st.sampled_from('<>/="& \'x0-\n\u00e9'), label="replacement")
+    for damaged in (
+        envelope[:cut],
+        envelope[:cut] + replacement + envelope[cut + 1:],
+    ):
+        note(damaged)
+        try:
+            decode(damaged)
+        except ServiceFault:
+            pass
+
+
+def test_a_hundred_op_batch_is_read_once(monkeypatch):
+    """Each decoder calls the element reader exactly once per envelope,
+    however many operations it carries: a slice-and-reparse decoder
+    cannot come back unnoticed."""
+    reads = []
+    read = soap._read
+
+    def counting_read(envelope):
+        reads.append(len(envelope))
+        return read(envelope)
+
+    monkeypatch.setattr(soap, "_read", counting_read)
+    calls = [("acceptMatch", {"job_id": index, "vm_id": f"vm{index}@n"})
+             for index in range(100)]
+    request = encode_batch_request(calls)
+    response = encode_batch_response(_fault_items(calls))
+    assert decode_envelope(request) == (True, calls)
+    assert len(decode_batch_response(response)) == 100
+    assert is_batch_request(request)
+    assert reads == [len(request), len(response), len(request)]
