@@ -16,8 +16,11 @@ flag: match tuples can only appear through writes to ``matches``, and the
 storage layer's per-table statistics expose a monotonic write counter for
 exactly that table.  When a machine's pending set was observed empty and
 the counter has not moved since, the per-beat MATCHINFO SELECT is skipped
-entirely — the idle pool costs a fixed three statements per beat instead
-of five.
+entirely, before and after the inline pass.  An idle beat is then a fixed
+three statements, or four when it reports VM states: the machine refresh,
+the batched VM UPDATE, the idle-VM probe, and the scheduling pass's own
+probe — which finds no idle job and stops the pass there, so an idle
+pool issues no INSERT at all.
 """
 
 from __future__ import annotations

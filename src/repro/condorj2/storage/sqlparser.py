@@ -3,9 +3,10 @@
 The CondorJ2 services issue a small, closed SQL dialect: parameterized
 single-table DML, SELECTs with inner/left joins, correlated EXISTS
 anti-joins, IN (list | subquery), aggregates with GROUP BY / HAVING,
-``ROW_NUMBER() OVER (ORDER BY ...)`` window numbering, ``CASE WHEN``,
-``CAST``, string concatenation/LIKE, the ``json_each`` table function,
-and ``INSERT ... SELECT``.  This module turns that dialect into a small
+``ROW_NUMBER() OVER (ORDER BY ...)`` window numbering, ``LIMIT ...
+OFFSET``, ``CASE WHEN``, ``CAST``, ``COALESCE``, string
+concatenation/LIKE, the ``json_each`` table function, and ``INSERT ...
+SELECT``.  This module turns that dialect into a small
 AST that :mod:`repro.condorj2.storage.memory` interprets; SQLite parses
 the same text natively.  Keeping the grammar explicit is what makes the
 engine contract falsifiable — an engine supports exactly what parses.
@@ -208,6 +209,7 @@ class Select:
     having: Any = None
     order_by: List[Tuple[Any, bool]] = field(default_factory=list)  # (expr, desc)
     limit: Any = None
+    offset: Any = None
     distinct: bool = False
 
 
@@ -383,9 +385,11 @@ class _Parser:
                 group_by.append(self.parse_expr())
         having = self.parse_expr() if self.accept_keyword("HAVING") else None
         order_by = self.parse_order_by() if self.accept_keyword("ORDER") else []
-        limit = None
+        limit = offset = None
         if self.accept_keyword("LIMIT"):
             limit = self.parse_expr()
+            if self.accept_keyword("OFFSET"):
+                offset = self.parse_expr()
         return Select(
             items=items,
             sources=sources,
@@ -394,6 +398,7 @@ class _Parser:
             having=having,
             order_by=order_by,
             limit=limit,
+            offset=offset,
             distinct=distinct,
         )
 
@@ -473,6 +478,12 @@ class _Parser:
                 join = "inner"
             elif self.accept_keyword("JOIN"):
                 join = "inner"
+            elif self.accept_keyword("CROSS"):
+                # SQLite reads CROSS JOIN as "keep this source order";
+                # this engine never reorders a FROM list, so it is a
+                # plain inner join here.
+                self.expect_keyword("JOIN")
+                join = "inner"
             if join is None:
                 break
             source = self.parse_source(join, None)
@@ -505,7 +516,7 @@ class _Parser:
         token = self.peek()
         if token.kind == "ident" and token.upper not in (
             "WHERE", "GROUP", "HAVING", "ORDER", "LIMIT", "JOIN", "LEFT",
-            "INNER", "ON", "AS", "SELECT",
+            "INNER", "CROSS", "ON", "AS", "SELECT",
         ):
             return self.next().value
         return None

@@ -103,6 +103,10 @@ def _conjuncts(node: Any) -> List[Any]:
 
 
 def _is_state_col(node: Any, table: str, column: str) -> bool:
+    if isinstance(node, sp.Un) and node.op == "+":
+        # ``+state = 'x'`` guards exactly as ``state = 'x'`` does; the
+        # no-op plus only keeps SQLite from driving the scan by it.
+        node = node.operand
     return (isinstance(node, sp.Col) and node.name == column
             and node.table in (None, table))
 

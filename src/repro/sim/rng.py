@@ -9,9 +9,20 @@ and is what makes the experiment suite exactly reproducible.
 
 from __future__ import annotations
 
-import hashlib
 import random
 from typing import Dict
+
+# The interpreter's built-in SHA-2, reached the way ``random`` itself
+# reaches it: ``import hashlib`` loads OpenSSL, 3.7 MB resident in every
+# simulation process, for one digest per stream.  Same function, same
+# digests, so every seeded stream is unchanged.
+try:
+    from _sha2 import sha256  # CPython >= 3.12
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython <= 3.11
+    except ImportError:
+        from hashlib import sha256
 
 
 class RngRegistry:
@@ -31,12 +42,12 @@ class RngRegistry:
         existing = self._streams.get(name)
         if existing is not None:
             return existing
-        digest = hashlib.sha256(f"{self.seed}:{name}".encode("utf-8")).digest()
+        digest = sha256(f"{self.seed}:{name}".encode("utf-8")).digest()
         stream = random.Random(int.from_bytes(digest[:8], "big"))
         self._streams[name] = stream
         return stream
 
     def fork(self, name: str) -> "RngRegistry":
         """Derive a child registry (used to isolate sub-simulations)."""
-        digest = hashlib.sha256(f"{self.seed}:fork:{name}".encode("utf-8")).digest()
+        digest = sha256(f"{self.seed}:fork:{name}".encode("utf-8")).digest()
         return RngRegistry(int.from_bytes(digest[:8], "big"))

@@ -1,7 +1,8 @@
 """Cost-shape invariants pinned on *every* storage backend.
 
 The claims that make CondorJ2's scalability story: the scheduling pass is
-two statement dispatches regardless of queue depth, and an idle heartbeat
+three statement dispatches regardless of queue depth (one when its probe
+finds no idle job or no free slot), and an idle heartbeat
 costs a fixed, small number of statements (the per-beat MATCHINFO SELECT
 is skipped when the server-side per-machine dirty flag says nothing is
 pending).  Each invariant is parametrized over the engines — SQLite,
@@ -39,7 +40,7 @@ def register(heartbeat, name="m1", vm_count=4, now=0.0):
 
 
 # ----------------------------------------------------------------------
-# the 2-statements-per-pass invariant
+# the statements-per-pass invariant (the test keeps its pre-gate name)
 # ----------------------------------------------------------------------
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -55,10 +56,12 @@ def test_scheduling_pass_is_two_statements(backend, depth):
     created = scheduling.run_pass(now=1.0)
     delta = container.db.counts.delta(before)
     assert created == 16
-    assert delta.statements == 2  # one INSERT..SELECT, one set UPDATE
+    assert delta.statements == 3, (
+        "a placing pass is the probe, one INSERT..SELECT and one set "
+        "UPDATE at every depth (2 before the pass was gated on its probe)")
     assert delta.commits == 1
     assert delta.insert == 16 and delta.update == 16  # per-row charges
-    assert delta.total() == 32
+    assert delta.total() == 33  # the probe is one more unit of row work
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -67,8 +70,9 @@ def test_empty_pass_is_one_statement(backend):
     before = container.db.counts.snapshot()
     assert scheduling.run_pass(now=1.0) == 0
     delta = container.db.counts.delta(before)
-    assert delta.statements == 1  # the probe INSERT found nothing
+    assert delta.statements == 1  # the probe found no idle job
     assert delta.total() == 1
+    assert delta.commits == 0  # a gated pass opens no transaction
     # The per-table ledger records *actual* rows, so the no-op pass
     # writes zero match rows — which is exactly what lets the heartbeat
     # dirty flag treat it as "nothing changed".
@@ -88,7 +92,8 @@ def _beat(heartbeat, machine, now):
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_idle_beat_statement_count_is_pinned(backend):
     """Steady-state idle beats skip the MATCHINFO SELECT: 3 statements
-    (machine refresh, idle-VM probe, no-op pass INSERT) instead of 5."""
+    (machine refresh, idle-VM probe, the gated pass's probe) instead of
+    5."""
     container, _, scheduling, _, heartbeat = build_services(backend)
     register(heartbeat, "m1", vm_count=2)
     _beat(heartbeat, "m1", now=1.0)  # first beat pays the full price
@@ -98,7 +103,9 @@ def test_idle_beat_statement_count_is_pinned(backend):
     delta = container.db.counts.delta(before)
     assert response["status"] == "OK"
     assert delta.statements == 3
-    assert delta.select == 1  # only the idle-VM probe
+    assert delta.select == 2, (
+        "the idle-VM probe and the pass's own probe, which replaced the "
+        "no-op INSERT..SELECT")
     assert heartbeat.matchinfo_selects_skipped == skipped_before + 2
 
 
@@ -179,7 +186,9 @@ def test_idle_pool_sql_shrinks_with_dirty_flag(backend):
         _beat(heartbeat, "m1", now=1.0 + beat)
     delta = container.db.counts.delta(before)
     assert delta.statements == 3 * 50
-    assert delta.select == 50
+    assert delta.select == 2 * 50, (
+        "per beat: the idle-VM probe and the gated pass's probe (the "
+        "latter was a no-op INSERT..SELECT before the gate)")
     assert heartbeat.matchinfo_selects_skipped >= 100
 
 

@@ -7,9 +7,9 @@ Three layers of assurance beyond the differential fuzzer:
   both implementations (affinity, rowcounts, lastrowid, constraint
   errors, transactional rollback, OR IGNORE, cascades, the dialect's
   harder corners);
-* a property-based test that the memory engine's secondary indexes stay
-  exactly consistent with table contents under interleaved
-  insert/update/delete/rollback;
+* a property-based test that the memory engine's secondary indexes
+  (equality, unique and ordered composite) stay exactly consistent with
+  table contents under interleaved insert/update/delete/rollback;
 * a structural test that the engine-neutral ``TABLE_DEFS`` description
   agrees with the SQLite DDL, via catalog introspection — the two forms
   of the schema cannot drift apart silently.
@@ -23,6 +23,7 @@ from hypothesis import given, settings
 
 from repro.condorj2.database import Database, DatabaseError
 from repro.condorj2.schema import SCHEMA_STATEMENTS, TABLE_DEFS, TABLES
+from repro.condorj2.storage.memory import sql_sort_key
 from repro.condorj2.storage import (
     MemoryStorageEngine,
     SqliteStorageEngine,
@@ -308,6 +309,87 @@ def test_limit_zero_returns_no_rows(db):
         "SELECT user_name FROM users ORDER BY user_name LIMIT 0")) == 0
 
 
+def _seed_owner_queue(db):
+    for owner, priority in (("ann", 0.5), ("bob", 0.5), ("cy", 0.25)):
+        db.execute("INSERT INTO users (user_name, priority, created_at) "
+                   "VALUES (?, ?, 0)", (owner, priority))
+    db.executemany(
+        "INSERT INTO jobs (owner, cmd, run_seconds, state, submitted_at) "
+        "VALUES (?, 'c', 1.0, ?, 0)",
+        [(("ann", "bob", "cy")[i % 3], "held" if i % 5 == 4 else "idle")
+         for i in range(30)])
+
+
+def test_limit_offset_windows(db):
+    """OFFSET skips before LIMIT counts — on the streaming, sorted and
+    ROW_NUMBER-fused paths, with a negative OFFSET read as 0 — and an
+    EXISTS over a window is existence *inside* the window."""
+    _seed_owner_queue(db)
+    for sql in (
+        "SELECT job_id FROM jobs LIMIT 4 OFFSET 3",
+        "SELECT job_id FROM jobs ORDER BY owner, job_id LIMIT 4 OFFSET 3",
+        "SELECT job_id FROM jobs ORDER BY job_id DESC LIMIT -1 OFFSET 25",
+        "SELECT job_id FROM jobs ORDER BY job_id LIMIT 2 OFFSET -5",
+        "SELECT job_id FROM jobs ORDER BY job_id LIMIT 3 OFFSET 100",
+        "SELECT job_id, ROW_NUMBER() OVER (ORDER BY job_id) AS slot "
+        "FROM jobs ORDER BY job_id LIMIT 3 OFFSET 2",
+        "SELECT u.user_name FROM users u WHERE EXISTS ("
+        "SELECT 1 FROM jobs j WHERE j.owner = u.user_name "
+        "LIMIT 1 OFFSET 9) ORDER BY u.user_name",
+    ):
+        rows = [tuple(row) for row in db.query_all(sql)]
+        reference = Database(backend="sqlite")
+        _seed_owner_queue(reference)
+        assert rows == [tuple(r) for r in reference.query_all(sql)], sql
+    assert [tuple(r) for r in db.query_all(
+        "SELECT job_id, ROW_NUMBER() OVER (ORDER BY job_id) AS slot "
+        "FROM jobs ORDER BY job_id LIMIT 2 OFFSET 2")] == [(3, 3), (4, 4)]
+
+
+def test_index_walks_and_range_probes_match_sqlite(db):
+    """Every shape the ordered composite index serves — a bounded last
+    column, ORDER BY the last column under LIMIT/OFFSET, a correlated
+    bound behind CROSS JOIN, COALESCE over an empty bound, unary plus as
+    a no-op — returns SQLite's rows in SQLite's order."""
+    _seed_owner_queue(db)
+    reference = Database(backend="sqlite")
+    _seed_owner_queue(reference)
+    kth = ("(SELECT c.job_id FROM jobs c WHERE c.state = 'idle' "
+           "AND c.owner = u.user_name ORDER BY c.job_id LIMIT 1 OFFSET ?)")
+    for sql, params in (
+        ("SELECT job_id FROM jobs WHERE state = 'idle' AND owner = ? "
+         "AND job_id <= ? AND job_id > ?", ("ann", 19, "4")),
+        ("SELECT job_id FROM jobs WHERE state = 'idle' AND owner = ? "
+         "AND 22 > job_id", ("bob",)),
+        ("SELECT job_id FROM jobs WHERE state = 'idle' AND owner = ? "
+         "AND job_id < ?", ("bob", None)),
+        ("SELECT job_id, cmd FROM jobs WHERE state = ? AND owner = ? "
+         "ORDER BY job_id LIMIT 3 OFFSET 2", ("idle", "cy")),
+        ("SELECT job_id FROM jobs WHERE state = 'idle' AND owner = ? "
+         "ORDER BY job_id DESC LIMIT 2", ("cy",)),
+        ("SELECT COUNT(*), MIN(job_id) FROM jobs WHERE state = 'idle' "
+         "AND owner = ? ORDER BY job_id", ("ann",)),
+        ("SELECT u.user_name, j.job_id FROM users u CROSS JOIN jobs j "
+         "WHERE j.state = 'idle' AND j.owner = u.user_name AND j.job_id <= "
+         f"COALESCE({kth}, 9223372036854775807) "
+         "ORDER BY u.priority, j.job_id", (3,)),
+        ("SELECT u.user_name, j.job_id FROM users u CROSS JOIN jobs j "
+         "WHERE j.state = 'idle' AND j.owner = u.user_name AND j.job_id <= "
+         f"COALESCE({kth}, 9223372036854775807) "
+         "ORDER BY u.priority, j.job_id", (50,)),
+        ("SELECT u.user_name, j.job_id FROM users u JOIN jobs j "
+         f"ON j.owner = u.user_name AND j.job_id < {kth} "
+         "WHERE j.state = 'idle' ORDER BY j.job_id", (2,)),
+        ("SELECT job_id FROM jobs WHERE +state = 'held' AND +owner = ? "
+         "ORDER BY job_id", ("ann",)),
+        ("SELECT COALESCE(NULL, requirements, 'none') FROM jobs "
+         "WHERE job_id = 1", ()),
+    ):
+        rows = [tuple(row) for row in db.query_all(sql, params)]
+        assert rows == [tuple(r) for r in reference.query_all(sql, params)], \
+            sql
+
+
 def test_three_valued_logic_yields_sqlite_integers(db):
     """FALSE AND NULL is 0 (not NULL), TRUE OR NULL is 1, and projected
     boolean results are integers on both backends."""
@@ -465,6 +547,15 @@ def _assert_indexes_consistent(table):
             assert values not in rebuilt, "duplicate slipped past UNIQUE"
             rebuilt[values] = key
         assert mapping == rebuilt, f"unique map on {cols} diverged"
+    for name, ordered in table.ordered.items():
+        rebuilt = {}
+        for key, row in table.rows.items():
+            rebuilt.setdefault(
+                tuple(row[c] for c in ordered.prefix), []
+            ).append((sql_sort_key(row[ordered.last]), key))
+        assert ordered.buckets == {
+            prefix: sorted(entries) for prefix, entries in rebuilt.items()
+        }, f"ordered index {name} diverged"
     assert sorted(table.rows) == table.scan_keys()
 
 

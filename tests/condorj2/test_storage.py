@@ -424,8 +424,10 @@ def test_run_pass_statement_count_flat_in_queue_length():
     deep = _statements_for_queue_depth(2000)
     assert shallow == deep
     statements, row_work, commits = deep
-    assert statements == 2  # one INSERT..SELECT, one set UPDATE
-    assert row_work == 32  # per-row CPU accounting: 16 inserts + 16 updates
+    assert statements == 3, (
+        "probe + INSERT..SELECT + set UPDATE, flat in queue depth (2 "
+        "before the pass was gated on its probe)")
+    assert row_work == 33  # per-row CPU accounting: probe + 16 + 16
     assert commits == 1
 
 
@@ -440,7 +442,8 @@ def test_set_dml_charges_per_affected_row(services):
     assert created == 4
     assert delta.insert == 4  # one INSERT..SELECT, four match rows
     assert delta.update == 4  # one set UPDATE, four jobs flipped
-    assert delta.statements == 2
+    assert delta.select == 1  # the probe that bound :limit to 4 free slots
+    assert delta.statements == 3, "probe + INSERT..SELECT + set UPDATE"
 
 
 def test_idle_pass_executes_single_statement(services):
@@ -448,8 +451,10 @@ def test_idle_pass_executes_single_statement(services):
     before = container.db.counts.snapshot()
     assert scheduling.run_pass(now=1.0) == 0
     delta = container.db.counts.delta(before)
-    assert delta.statements == 1  # the INSERT..SELECT found nothing; no UPDATE
-    assert delta.total() == 1  # a no-op statement still costs one probe
+    assert delta.statements == 1, (
+        "an empty queue stops the pass at its probe: no INSERT, no UPDATE")
+    assert delta.total() == 1  # the probe is one unit of row work
+    assert delta.select == 1 and delta.commits == 0
 
 
 # ----------------------------------------------------------------------
