@@ -66,15 +66,15 @@ TIMED_REGIME_PASSES = 10
 FLATNESS_BUDGET = 1.5
 
 #: CI budget for the memory engine: its cold scheduling pass at 50k
-#: queued jobs must stay within this multiple of SQLite's.  Both are flat
-#: in depth now (about 6 ms against 2 ms — 3.0x to 4.2x run to run, half
-#: of memory's share being parsing and plan compilation in Python), so
-#: the gate sits at the deep end, where a memory plan that stops walking
-#: the index reads 40x or worse.  The
+#: queued jobs must stay within this multiple of SQLite's.  The
 #: perf-smoke CI job fails beyond this; apply the `perf-override` PR
 #: label to land a known, accepted regression (see
-#: .github/workflows/ci.yml).
-PERF_RATIO_BUDGET = 6.0
+#: .github/workflows/ci.yml).  NOT MET since the pass became flat in
+#: depth on both engines: SQLite fell further (8.3 -> 2.0 ms at 10k)
+#: than memory (18 -> 6.7 ms), whose floor is parsing and compiling the
+#: statement in Python, so the ratio reads 3.0x to 4.2x at every depth.
+#: The budget is kept, not re-based; see ROADMAP item 1.
+PERF_RATIO_BUDGET = 2.5
 PERF_RATIO_DEPTH = 50_000
 
 BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_scheduling.json"

@@ -321,21 +321,16 @@ class _OrderedIndex:
             del self.buckets[prefix]
 
     def scan(self, rows: Dict[Any, Dict[str, Any]], prefix: Tuple[Any, ...],
-             lower: Optional[Tuple[Any, bool]],
              upper: Optional[Tuple[Any, bool]]):
-        """Rows under ``prefix`` in index order, lazily.  ``lower`` and
-        ``upper`` are ``(value, inclusive)`` bounds on the last column;
-        a bounded scan skips NULLs, which satisfy no comparison."""
+        """Rows under ``prefix`` in index order, lazily.  ``upper`` is a
+        ``(value, inclusive)`` bound on the last column; a bounded scan
+        skips NULLs, which satisfy no comparison."""
         bucket = self.buckets.get(prefix)
         if not bucket:
             return ()
         lo, hi = 0, len(bucket)
-        if lower is not None or upper is not None:
-            lo = bisect_right(bucket, _NULL_KEY, key=_entry_key)
-        if lower is not None:
-            cut = bisect_left if lower[1] else bisect_right
-            lo = max(lo, cut(bucket, sql_sort_key(lower[0]), key=_entry_key))
         if upper is not None:
+            lo = bisect_right(bucket, _NULL_KEY, key=_entry_key)
             cut = bisect_right if upper[1] else bisect_left
             hi = cut(bucket, sql_sort_key(upper[0]), key=_entry_key)
         return (rows[bucket[at][1]] for at in range(lo, hi))
@@ -379,7 +374,9 @@ class MemoryTable:
         self._probe_cache: Dict[str, Dict[Any, List[Any]]] = {
             col: {} for col in indexed
         }
-        # range access paths: one per declared composite index
+        # range access paths: one per declared composite index, kept
+        # on every write whether or not a statement reads it yet — a
+        # lazy build would sort the whole table inside a first pass
         self.ordered: Dict[str, _OrderedIndex] = {
             index.name: _OrderedIndex(tuple(index.columns))
             for index in tdef.indexes if len(index.columns) >= 2
@@ -738,11 +735,6 @@ def _register_bin_ops() -> None:
 _register_bin_ops()
 
 
-#: Comparison operators an ordered index can serve, each mapped to the
-#: operator that holds with its operands swapped.
-_MIRRORED = {"=": "=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
-
-
 #: Correlated-EXISTS executions served by the original probing plan
 #: before the decorrelated hash semi-join builds its key set.  Small
 #: outer sides never pay the build; big ones amortize it immediately.
@@ -946,9 +938,9 @@ class _Compiler:
                 first.table, first.alias, own, scope, set(), stats,
                 order_column)
             if ordered is not None:
-                driver, taken = ordered
+                driver, taken, walked = ordered
                 absorbed |= taken
-                walks_in_order = order_column is not None
+                walks_in_order = walked == order_column
                 first.est_rows = None
             elif best is not None:
                 driver_position = best.position
@@ -1161,7 +1153,7 @@ class _Compiler:
                                  if _local_aliases(c, scope) <= reach],
                     scope, set(bound), stats)
                 if ordered is not None:
-                    plan.probe, taken = ordered
+                    plan.probe, taken, _ = ordered
                     absorbed |= taken
             residual = []
             for conjunct in conjuncts:
@@ -1200,7 +1192,8 @@ class _Compiler:
                 column = self._probe_column(col_side, table, alias, scope)
                 if column is None:
                     continue
-                if _local_aliases(other, scope) - allowed_local:
+                if _local_aliases(other, scope) - allowed_local \
+                        or self._coerces_column(col_side, other, scope):
                     continue
                 return ("eq", column, other)
         if isinstance(conjunct, (sp.InList, sp.InSelect)) and not conjunct.negated:
@@ -1288,38 +1281,40 @@ class _Compiler:
                         conjuncts: Sequence[Any], scope: _Scope,
                         allowed_local: set, stats: Dict,
                         order_column: Optional[str] = None
-                        ) -> Optional[Tuple[Tuple, set]]:
+                        ) -> Optional[Tuple[Tuple, set, str]]:
         """An index-walk access path for ``alias`` out of ``conjuncts``.
 
         Looks for ``alias.c = expr`` on every column of a declared
-        index but its last, and on the last either ``alias.c <op> expr``
-        bounds or ``order_column`` (see
+        index but its last, and on the last either an ``alias.c <= expr``
+        / ``alias.c < expr`` bound or ``order_column`` (see
         :func:`planner.match_ordered_index`); ``expr`` may mention only
-        ``allowed_local`` aliases, outer scopes and parameters.  Returns
-        the ``("ordered", index, prefix, lower, upper)`` access tuple —
-        every ``expr`` compiled, so a correlated bound is evaluated once
-        per scan, not once per row — and the ids of the conjuncts it
-        replaces; None when no declared index fits.
+        ``allowed_local`` aliases, outer scopes and parameters, and a
+        comparison whose affinity would coerce the *column* is left a
+        filter — the index holds the stored values.  Returns the
+        ``("ordered", index, prefix, upper)`` access tuple — every
+        ``expr`` compiled, so a correlated bound is evaluated once per
+        scan, not once per row — the ids of the conjuncts it replaces,
+        and the index's last column (the order the walk yields); None
+        when no declared index fits.
         """
-        pinned: Dict[str, Tuple[Any, Any]] = {}
-        bounds: Dict[str, Dict[str, Tuple[Any, str, Any]]] = {}
+        pinned: Dict[str, Tuple[Any, sp.Bin]] = {}
+        bounds: Dict[str, Tuple[Any, sp.Bin]] = {}
         for conjunct in conjuncts:
             if not isinstance(conjunct, sp.Bin) \
-                    or conjunct.op not in _MIRRORED:
+                    or conjunct.op not in ("=", "<", "<="):
                 continue
-            for column_side, other, op in (
-                    (conjunct.left, conjunct.right, conjunct.op),
-                    (conjunct.right, conjunct.left, _MIRRORED[conjunct.op])):
+            sides = [(conjunct.left, conjunct.right)]
+            if conjunct.op == "=":
+                sides.append((conjunct.right, conjunct.left))
+            for column_side, other in sides:
                 column = self._own_column(column_side, alias, scope)
                 if column is None \
-                        or _local_aliases(other, scope) - allowed_local:
+                        or _local_aliases(other, scope) - allowed_local \
+                        or self._coerces_column(column_side, other, scope):
                     continue
-                if op == "=":
-                    pinned.setdefault(column, (conjunct, other))
-                else:
-                    bounds.setdefault(column, {}).setdefault(
-                        "upper" if op in ("<", "<=") else "lower",
-                        (conjunct, op, other))
+                compared = sp.Bin(conjunct.op, column_side, other)
+                (pinned if conjunct.op == "=" else bounds).setdefault(
+                    column, (conjunct, compared))
                 break
         declared = {name: index.columns
                     for name, index in table.ordered.items()}
@@ -1331,26 +1326,25 @@ class _Compiler:
                     break
         if name is None:
             return None
+
+        def value_fn(compared: sp.Bin) -> Callable:
+            # with the comparison affinity the filter form would apply
+            return self._affinity_wrap(
+                compared, scope, None,
+                self.compile_expr(compared.right, scope, stats))[1]
+
         taken = set()
         prefix = []
         for column in declared[name][:-1]:
-            conjunct, other = pinned[column]
+            conjunct, compared = pinned[column]
             taken.add(id(conjunct))
-            prefix.append((self.compile_expr(other, scope, stats),
-                           table.affinities[column]))
-        ends: Dict[str, Optional[Tuple[Callable, bool]]] = {
-            "lower": None, "upper": None}
-        for end, (conjunct, op, other) in bounds.get(last, {}).items():
-            # The comparison affinity the filter form would apply; a
-            # comparison that coerces the *column* cannot use its index.
-            column_fn, bound_fn = self._affinity_wrap(
-                sp.Bin(op, sp.Col(alias, last), other), scope,
-                None, self.compile_expr(other, scope, stats))
-            if column_fn is None:
-                taken.add(id(conjunct))
-                ends[end] = (bound_fn, op in ("<=", ">="))
-        return ("ordered", name, tuple(prefix),
-                ends["lower"], ends["upper"]), taken
+            prefix.append((value_fn(compared), table.affinities[column]))
+        upper = None
+        if last in bounds:
+            conjunct, compared = bounds[last]
+            taken.add(id(conjunct))
+            upper = (value_fn(compared), compared.op == "<=")
+        return ("ordered", name, tuple(prefix), upper), taken, last
 
     def _try_join_probe(self, conjunct: Any, plan: "_SourcePlan",
                         scope: _Scope, bound: List[str],
@@ -1371,7 +1365,8 @@ class _Compiler:
             if _local_aliases(other, scope) - set(bound):
                 continue
             if plan.kind == "table":
-                if col_side.name not in plan.table.eq_indexes:
+                if col_side.name not in plan.table.eq_indexes \
+                        or self._coerces_column(col_side, other, scope):
                     continue
                 fn = self.compile_expr(other, scope, stats)
                 return ("index", col_side.name, fn)
@@ -1739,6 +1734,14 @@ class _Compiler:
             left = _wrap(left, _coerce_text)
         return left, right
 
+    def _coerces_column(self, column: sp.Col, other: Any,
+                        scope: _Scope) -> bool:
+        """Would comparing ``column`` with ``other`` convert the column
+        side?  An index holds stored values, so such a comparison stays
+        a filter."""
+        return self._affinity_wrap(
+            sp.Bin("=", column, other), scope, None, None)[0] is not None
+
     def _operand_affinity(self, node: Any, scope: _Scope) -> Optional[str]:
         if isinstance(node, sp.Col):
             return scope.column_affinity(node.table, node.name)
@@ -2073,25 +2076,22 @@ class _SourcePlan:
     def _ordered_rows(self, rt: _Rt, access: Tuple):
         """Rows of an ordered-index walk, lazily and in index order.
 
-        Each bound is evaluated here, once per walk; NULL anywhere in
-        the prefix or a bound compares true with nothing."""
-        _, name, prefix, lower, upper = access
+        The bound is evaluated here, once per walk; NULL anywhere in
+        the prefix or the bound compares true with nothing."""
+        _, name, prefix, upper = access
         key = []
         for fn, affinity in prefix:
             value = fn(rt)
             if value is None:
                 return ()
             key.append(apply_affinity(value, affinity))
-        ends = []
-        for end in (lower, upper):
-            if end is not None:
-                value = end[0](rt)
-                if value is None:
-                    return ()
-                end = (value, end[1])
-            ends.append(end)
+        if upper is not None:
+            value = upper[0](rt)
+            if value is None:
+                return ()
+            upper = (value, upper[1])
         table = self.table
-        return table.ordered[name].scan(table.rows, tuple(key), *ends)
+        return table.ordered[name].scan(table.rows, tuple(key), upper)
 
     def joined_rows(self, rt: _Rt) -> List[Dict[str, Any]]:
         """Candidate rows for a joined source given the bound frames."""
@@ -2770,9 +2770,9 @@ def _attach_profile(node: "pl.PlanNode", plan: Any) -> None:
 
 
 def _ordered_detail(access: Tuple, table: MemoryTable) -> str:
-    _, name, _prefix, lower, upper = access
+    _, name, _prefix, upper = access
     columns = table.ordered[name].columns
-    shape = "range" if lower or upper else "walk"
+    shape = "range" if upper else "walk"
     return f"index {shape} on {name}({', '.join(columns)})"
 
 

@@ -390,6 +390,49 @@ def test_index_walks_and_range_probes_match_sqlite(db):
             sql
 
 
+def _seed_shuffled_queue(db):
+    """Two owners whose ``submitted_at`` order differs from job_id
+    order, and a user whose name reads as its numeric priority."""
+    for owner, priority in (("ann", 0.5), ("bob", 0.5), ("5", 5.0)):
+        db.execute("INSERT INTO users (user_name, priority, created_at) "
+                   "VALUES (?, ?, 0)", (owner, priority))
+    db.executemany(
+        "INSERT INTO jobs (owner, cmd, run_seconds, state, submitted_at) "
+        "VALUES (?, 'c', 1.0, 'idle', ?)",
+        [(("ann", "bob", "5")[i % 3], float((i * 7) % 24))
+         for i in range(24)])
+
+
+def test_index_walk_keeps_an_order_by_it_does_not_serve(db):
+    """The ordered index matched on a *bounded* column yields that
+    column's order; an ORDER BY on any other column is still sorted —
+    with LIMIT that is a different set of rows, not just another order —
+    and an equality whose affinity would coerce the indexed column stays
+    a filter instead of becoming the walk's prefix."""
+    _seed_shuffled_queue(db)
+    reference = Database(backend="sqlite")
+    _seed_shuffled_queue(reference)
+    bounded = ("SELECT job_id FROM jobs WHERE state = 'idle' AND owner = ? "
+               "AND job_id <= ? ORDER BY ")
+    for sql, params in (
+        (bounded + "submitted_at", ("ann", 15)),
+        (bounded + "submitted_at LIMIT 3", ("ann", 15)),
+        (bounded + "submitted_at, job_id LIMIT 2 OFFSET 1", ("bob", 20)),
+        (bounded + "job_id LIMIT 3", ("ann", 15)),
+        ("SELECT u.user_name, j.job_id FROM users u JOIN jobs j "
+         "ON j.owner = u.priority AND j.job_id <= ? "
+         "WHERE j.state = 'idle' ORDER BY j.job_id", (20,)),
+        ("SELECT job_id FROM jobs WHERE state = 'idle' AND owner = ? "
+         "AND job_id <= ? ORDER BY job_id", (5, "12")),
+    ):
+        rows = [tuple(row) for row in db.query_all(sql, params)]
+        assert rows == [tuple(r) for r in reference.query_all(sql, params)], \
+            sql
+    by_time = [row[0] for row in db.query_all(
+        bounded + "submitted_at LIMIT 3", ("ann", 15))]
+    assert by_time != sorted(by_time), "the seed must tell the orders apart"
+
+
 def test_three_valued_logic_yields_sqlite_integers(db):
     """FALSE AND NULL is 0 (not NULL), TRUE OR NULL is 1, and projected
     boolean results are integers on both backends."""
