@@ -213,9 +213,8 @@ class _Checker:
             self._check_expr(select.having, scope, alias_set)
         for expr, _desc in select.order_by:
             self._check_expr(expr, scope, alias_set)
-        for bound in (select.limit, select.offset):
-            if bound is not None:
-                self._check_expr(bound, scope)
+        if select.limit is not None:
+            self._check_expr(select.limit, scope)
         return tuple(output) if output_known else None
 
     def _expand_star(self, star: sp.Star, scope: _Scope

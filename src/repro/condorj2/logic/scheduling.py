@@ -5,14 +5,15 @@ database for scheduling algorithm; CAS inserts match tuple, updates related
 job tuple in db."
 
 Where Condor's negotiator pulls every ad into memory and iterates, the
-CondorJ2 scheduler is **at most three SQL statements whose cost is
-governed by indexes and by what the pass places, not by queue length** —
-that difference is exactly why Figure 13's collapse (Condor) has no
-CondorJ2 counterpart.  One probe counts the free slots and stops the
-pass when there is no idle job or no free slot; one ``INSERT INTO
-matches ... SELECT`` pairs the ranked idle VMs with the ranked eligible
-jobs via window functions; and one set ``UPDATE`` flips the matched jobs'
-state.  There is no Python loop over jobs or VMs anywhere in the pass.
+CondorJ2 scheduler is **at most three SQL statements at any queue
+length, their cost governed by indexes** — that difference is exactly
+why Figure 13's collapse (Condor) has no CondorJ2 counterpart.  One
+probe counts the free slots and stops the pass when there is no idle
+job or no free slot, so an idle or saturated pool pays for nothing
+else; one ``INSERT INTO matches ... SELECT`` pairs the ranked idle VMs
+with the ranked eligible jobs via window functions; and one set
+``UPDATE`` flips the matched jobs' state.  There is no Python loop over
+jobs or VMs anywhere in the pass.
 
 Jobs are matched FIFO within user priority; a dependency edge in
 ``job_dependencies`` holds a job back while its prerequisite is still
@@ -52,14 +53,8 @@ WHERE EXISTS (SELECT 1 FROM jobs WHERE state = 'idle')
 #: The entire scheduling pass, as one set-oriented statement.  Both
 #: ranked sides are numbered with ROW_NUMBER over their scheduling order
 #: and joined on the slot number, so the i-th best job lands on the i-th
-#: idle VM — the relational form of the old Python ``zip``.
-#:
-#: The job side walks ``idx_jobs_state_owner`` once per user instead of
-#: ranking the whole queue: a job in the global top ``:limit`` by
-#: (priority, job_id) is among its owner's first ``:limit`` eligible
-#: jobs, so each owner's candidates stop at that owner's ``:limit``-th
-#: eligible job_id (no bound when the owner has fewer).  CROSS JOIN pins
-#: ``users`` as the outer loop on SQLite.
+#: idle VM — the relational form of the old Python ``zip``.  ``:limit``
+#: is the probe's free-slot count: neither side ranks past it.
 MATCH_INSERT_SQL = """
 INSERT INTO matches (job_id, vm_id, created_at)
 SELECT ranked_jobs.job_id, ranked_vms.vm_id, :now
@@ -72,24 +67,9 @@ FROM (
 JOIN (
     SELECT j.job_id,
            ROW_NUMBER() OVER (ORDER BY u.priority ASC, j.job_id ASC) AS slot
-    FROM users u
-    CROSS JOIN jobs j
+    FROM jobs j
+    JOIN users u ON u.user_name = j.owner
     WHERE j.state = 'idle'
-      AND j.owner = u.user_name
-      AND j.job_id <= COALESCE((
-          SELECT c.job_id
-          FROM jobs c
-          WHERE c.state = 'idle'
-            AND c.owner = u.user_name
-            AND NOT EXISTS (
-                SELECT 1
-                FROM job_dependencies d
-                JOIN jobs p ON p.job_id = d.depends_on_job_id
-                WHERE d.job_id = c.job_id
-            )
-          ORDER BY c.job_id
-          LIMIT 1 OFFSET :limit - 1
-      ), 9223372036854775807)
       AND NOT EXISTS (
           SELECT 1
           FROM job_dependencies d

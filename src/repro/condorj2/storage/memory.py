@@ -2,15 +2,13 @@
 
 ``MemoryStorageEngine`` holds every table as a dict of rows keyed by
 rowid (or primary key for WITHOUT ROWID tables), maintains equality
-indexes over the hot predicate columns and an ordered range index per
-declared composite index, enforces the schema's constraints (NOT NULL,
-CHECK, UNIQUE, foreign keys with ``ON DELETE CASCADE``), and interprets
-the access layer's SQL dialect
+indexes over the hot predicate columns, enforces the schema's
+constraints (NOT NULL, CHECK, UNIQUE, foreign keys with
+``ON DELETE CASCADE``), and interprets the access layer's SQL dialect
 (:mod:`repro.condorj2.storage.sqlparser`) — including the
-``INSERT INTO matches ... SELECT`` ROW_NUMBER slot join with its
-per-owner index walk and the ``json_each`` completion batch, so
-``SchedulingService.run_pass`` issues the same statements, at a cost
-flat in queue depth, on this backend too.
+``INSERT INTO matches ... SELECT`` ROW_NUMBER slot join and the
+``json_each`` completion batch, so ``SchedulingService.run_pass``
+issues the same statements per pass on this backend too.
 
 Fidelity targets (asserted by the cross-backend differential fuzzer):
 
@@ -35,7 +33,6 @@ import heapq
 import json
 import re
 import time
-from bisect import bisect_left, bisect_right, insort
 from operator import itemgetter
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -287,58 +284,8 @@ class MemoryCursor:
 # tables
 # ----------------------------------------------------------------------
 
-_entry_key = itemgetter(0)
-_NULL_KEY = sql_sort_key(None)
-
-
-class _OrderedIndex:
-    """A declared composite index ``(c1 .. cn)`` as a range access path.
-
-    Rows are bucketed by the equality prefix ``(c1 .. c(n-1))``; each
-    bucket is a list of ``(sort key of cn, rowkey)`` kept sorted — the
-    order SQLite's own index holds them in — so ``cn <= x`` is a bisect
-    and ``ORDER BY cn`` is a walk.
-    """
-
-    __slots__ = ("columns", "prefix", "last", "buckets")
-
-    def __init__(self, columns: Tuple[str, ...]):
-        self.columns = columns
-        self.prefix = columns[:-1]
-        self.last = columns[-1]
-        self.buckets: Dict[Tuple[Any, ...], List[Tuple[Any, Any]]] = {}
-
-    def add(self, key: Any, row: Dict[str, Any]) -> None:
-        insort(self.buckets.setdefault(
-            tuple(row[c] for c in self.prefix), []),
-            (sql_sort_key(row[self.last]), key))
-
-    def remove(self, key: Any, row: Dict[str, Any]) -> None:
-        prefix = tuple(row[c] for c in self.prefix)
-        bucket = self.buckets[prefix]
-        del bucket[bisect_left(bucket, (sql_sort_key(row[self.last]), key))]
-        if not bucket:
-            del self.buckets[prefix]
-
-    def scan(self, rows: Dict[Any, Dict[str, Any]], prefix: Tuple[Any, ...],
-             upper: Optional[Tuple[Any, bool]]):
-        """Rows under ``prefix`` in index order, lazily.  ``upper`` is a
-        ``(value, inclusive)`` bound on the last column; a bounded scan
-        skips NULLs, which satisfy no comparison."""
-        bucket = self.buckets.get(prefix)
-        if not bucket:
-            return ()
-        lo, hi = 0, len(bucket)
-        if upper is not None:
-            lo = bisect_right(bucket, _NULL_KEY, key=_entry_key)
-            cut = bisect_right if upper[1] else bisect_left
-            hi = cut(bucket, sql_sort_key(upper[0]), key=_entry_key)
-        return (rows[bucket[at][1]] for at in range(lo, hi))
-
-
 class MemoryTable:
-    """One table: rows, rowid assignment, equality and ordered indexes,
-    constraints."""
+    """One table: rows, rowid assignment, equality indexes, constraints."""
 
     def __init__(self, tdef: TableDef):
         self.tdef = tdef
@@ -373,13 +320,6 @@ class MemoryTable:
         # Cached lists are shared — callers must not mutate them.
         self._probe_cache: Dict[str, Dict[Any, List[Any]]] = {
             col: {} for col in indexed
-        }
-        # range access paths: one per declared composite index, kept
-        # on every write whether or not a statement reads it yet — a
-        # lazy build would sort the whole table inside a first pass
-        self.ordered: Dict[str, _OrderedIndex] = {
-            index.name: _OrderedIndex(tuple(index.columns))
-            for index in tdef.indexes if len(index.columns) >= 2
         }
         # unique value maps: cols tuple -> values tuple -> rowkey
         self.unique_maps: Dict[Tuple[str, ...], Dict[Tuple[Any, ...], Any]] = {}
@@ -482,15 +422,11 @@ class MemoryTable:
         self.rows[key] = row
         self._sorted_keys = None
         self._index_add(key, row)
-        for index in self.ordered.values():
-            index.add(key, row)
 
     def raw_delete(self, key: Any) -> Dict[str, Any]:
         row = self.rows.pop(key)
         self._sorted_keys = None
         self._index_remove(key, row)
-        for index in self.ordered.values():
-            index.remove(key, row)
         return row
 
     def raw_update(self, key: Any, new_row: Dict[str, Any]) -> Dict[str, Any]:
@@ -498,10 +434,6 @@ class MemoryTable:
         self._index_remove(key, old)
         self.rows[key] = new_row
         self._index_add(key, new_row)
-        for index in self.ordered.values():
-            if any(old[c] != new_row[c] for c in index.columns):
-                index.remove(key, old)
-                index.add(key, new_row)
         return old
 
     # -- constraint helpers ---------------------------------------------
@@ -879,42 +811,29 @@ class _Compiler:
         self._subs.append([])
         source_plans: List[_SourcePlan] = []
         bound: List[str] = []
-        where_conjuncts = _split_conjuncts(ast.where)
-        #: ids of the conjuncts an ordered-index access path absorbed
-        absorbed: set = set()
-        final = len(ast.sources) - 1
         for position, src in enumerate(ast.sources):
-            # Only the last source sees the WHERE clause: every alias a
-            # conjunct can mention is in scope by then.
-            plan = self._compile_source(
-                src, scope, bound, position, stats,
-                where_conjuncts if 0 < position == final else (), absorbed)
+            plan = self._compile_source(src, scope, bound, position, stats)
             source_plans.append(plan)
             scope.add(plan.alias, plan.columns, plan.affinities,
                       slot=position)
             bound.append(plan.alias)
 
         # WHERE: split into pushdown (first source only) and post-join.
-        # An equality prefix of a declared composite index whose last
-        # column is bounded, or is the select's whole ORDER BY, drives
-        # the scan as an index walk.  Otherwise every probe-able
-        # pushdown conjunct is priced against the live statistics and
-        # the cheapest becomes the scan driver; the rest stay filters,
-        # so the choice is always correct.
+        # Among the pushdown conjuncts, every probe-able one is priced
+        # against the live statistics and the cheapest becomes the scan
+        # driver; the rest stay filters, so the choice is always correct.
+        where_conjuncts = _split_conjuncts(ast.where)
         pushdown: List[Callable] = []
         post: List[Callable] = []
         driver = None
         driver_position = None
-        walks_in_order = False
         first = source_plans[0] if source_plans else None
         if first is not None and first.kind == "table":
-            own = []
             candidates = []
             infos: Dict[int, Tuple] = {}
             for position, conjunct in enumerate(where_conjuncts):
                 if not (_local_aliases(conjunct, scope) <= {first.alias}):
                     continue
-                own.append(conjunct)
                 info = self._probe_candidate(
                     conjunct, first.table, first.alias, scope, set())
                 if info is not None:
@@ -923,32 +842,13 @@ class _Compiler:
                         position, info[0], info[1],
                         self._estimate_probe(first.table, info)))
             best = pl.choose_driver(candidates)
-            order_column = None
-            if final == 0 and len(ast.order_by) == 1 \
-                    and not ast.order_by[0][1]:
-                order_column = self._own_column(
-                    ast.order_by[0][0], first.alias, scope)
-            # Equality on a unique column finds one row whatever the
-            # statistics say; nothing else outranks a range walk.
-            ordered = None if any(
-                c.kind == "eq" and self._is_unique_column(first.table,
-                                                          c.column)
-                for c in candidates
-            ) else self._ordered_access(
-                first.table, first.alias, own, scope, set(), stats,
-                order_column)
-            if ordered is not None:
-                driver, taken, walked = ordered
-                absorbed |= taken
-                walks_in_order = walked == order_column
-                first.est_rows = None
-            elif best is not None:
+            if best is not None:
                 driver_position = best.position
                 driver = self._compile_probe(
                     infos[driver_position], scope, stats)
                 first.est_rows = best.est_rows
         for position, conjunct in enumerate(where_conjuncts):
-            if position == driver_position or id(conjunct) in absorbed:
+            if position == driver_position:
                 continue
             local = _local_aliases(conjunct, scope)
             cstats = _new_stats()
@@ -1061,19 +961,10 @@ class _Compiler:
                      if ast.having is not None else None)
         order_specs = [(compile_output_expr(e), desc)
                        for e, desc in ast.order_by]
-        limit_fn = offset_fn = None
+        limit_fn = None
         if ast.limit is not None:
-            limit_fn = self.compile_expr(ast.limit, _Scope(scope),
-                                         _new_stats())
-        if ast.offset is not None:
-            offset_fn = self.compile_expr(ast.offset, _Scope(scope),
-                                          _new_stats())
-        # The index walk already yields the rows in ORDER BY order, so a
-        # plain select streams and LIMIT/OFFSET stop it early.
-        order_by_index = walks_in_order and not (
-            has_agg or windows or group_fns or ast.distinct)
-        if order_by_index:
-            order_specs = []
+            lstats = _new_stats()
+            limit_fn = self.compile_expr(ast.limit, _Scope(scope), lstats)
 
         lookup: Dict[str, int] = {}
         for index, name in enumerate(names):
@@ -1089,7 +980,6 @@ class _Compiler:
             having_fn=having_fn,
             order_specs=order_specs,
             limit_fn=limit_fn,
-            offset_fn=offset_fn,
             distinct=ast.distinct,
             has_agg=has_agg,
             windows=windows,
@@ -1098,23 +988,16 @@ class _Compiler:
                    if fused_positions and not has_agg else None),
         )
         plan.xsubs = self._subs.pop()
-        plan.order_by_index = order_by_index
         est = source_plans[0].est_rows if source_plans else 1.0
-        if est is not None and isinstance(ast.limit, sp.Lit) and isinstance(
+        if isinstance(ast.limit, sp.Lit) and isinstance(
                 ast.limit.value, (int, float)):
             est = min(est, float(ast.limit.value))
         plan.est_rows = est
         return plan
 
     def _compile_source(self, src: sp.Source, scope: _Scope,
-                        bound: List[str], position: int, stats: Dict,
-                        where_pool: Sequence[Any],
-                        absorbed: set) -> "_SourcePlan":
-        """Compile one FROM source and its join access path.
-
-        ``where_pool`` holds the select's WHERE conjuncts when this is
-        the source that may absorb some of them into an index range
-        probe; the ids of those it takes are added to ``absorbed``."""
+                        bound: List[str], position: int,
+                        stats: Dict) -> "_SourcePlan":
         if src.kind == "table":
             table = self._table(src.name)
             plan = self._source_cls(src.alias, "table", src.join,
@@ -1137,28 +1020,12 @@ class _Compiler:
             arg_fn = self.compile_expr(src.arg, scope, stats)
             plan = self._source_cls(src.alias, "json_each", src.join,
                                     arg_fn=arg_fn, columns=("key", "value"))
-        conjuncts = _split_conjuncts(src.on)
-        if conjuncts or where_pool:
+        if src.on is not None:
             scope.add(plan.alias, plan.columns, plan.affinities,
                       slot=position)  # temporarily visible for ON
-            taken: set = set()
-            if plan.kind == "table" and src.join == "inner":
-                # ON and WHERE are one predicate for an inner join: a
-                # bounded column behind an equality prefix of a declared
-                # index makes the join a range probe per outer row.
-                reach = set(bound) | {plan.alias}
-                ordered = self._ordered_access(
-                    plan.table, plan.alias,
-                    conjuncts + [c for c in where_pool
-                                 if _local_aliases(c, scope) <= reach],
-                    scope, set(bound), stats)
-                if ordered is not None:
-                    plan.probe, taken, _ = ordered
-                    absorbed |= taken
+            conjuncts = _split_conjuncts(src.on)
             residual = []
             for conjunct in conjuncts:
-                if id(conjunct) in taken:
-                    continue
                 if plan.probe is None:
                     probe = self._try_join_probe(conjunct, plan, scope,
                                                  bound, stats)
@@ -1192,8 +1059,7 @@ class _Compiler:
                 column = self._probe_column(col_side, table, alias, scope)
                 if column is None:
                     continue
-                if _local_aliases(other, scope) - allowed_local \
-                        or self._coerces_column(col_side, other, scope):
+                if _local_aliases(other, scope) - allowed_local:
                     continue
                 return ("eq", column, other)
         if isinstance(conjunct, (sp.InList, sp.InSelect)) and not conjunct.negated:
@@ -1259,9 +1125,8 @@ class _Compiler:
         self._register_sub("IN-SELECT DRIVER", sub)
         return ("in-select", column, sub)
 
-    @staticmethod
-    def _own_column(node: Any, alias: str, scope: _Scope) -> Optional[str]:
-        """The column name when ``node`` is a reference to ``alias``."""
+    def _probe_column(self, node: Any, table: MemoryTable, alias: str,
+                      scope: _Scope) -> Optional[str]:
         if not isinstance(node, sp.Col):
             return None
         try:
@@ -1270,81 +1135,9 @@ class _Compiler:
             return None
         if depth != 0 or resolved != alias:
             return None
-        return node.name
-
-    def _probe_column(self, node: Any, table: MemoryTable, alias: str,
-                      scope: _Scope) -> Optional[str]:
-        name = self._own_column(node, alias, scope)
-        return name if name in table.eq_indexes else None
-
-    def _ordered_access(self, table: MemoryTable, alias: str,
-                        conjuncts: Sequence[Any], scope: _Scope,
-                        allowed_local: set, stats: Dict,
-                        order_column: Optional[str] = None
-                        ) -> Optional[Tuple[Tuple, set, str]]:
-        """An index-walk access path for ``alias`` out of ``conjuncts``.
-
-        Looks for ``alias.c = expr`` on every column of a declared
-        index but its last, and on the last either an ``alias.c <= expr``
-        / ``alias.c < expr`` bound or ``order_column`` (see
-        :func:`planner.match_ordered_index`); ``expr`` may mention only
-        ``allowed_local`` aliases, outer scopes and parameters, and a
-        comparison whose affinity would coerce the *column* is left a
-        filter — the index holds the stored values.  Returns the
-        ``("ordered", index, prefix, upper)`` access tuple — every
-        ``expr`` compiled, so a correlated bound is evaluated once per
-        scan, not once per row — the ids of the conjuncts it replaces,
-        and the index's last column (the order the walk yields); None
-        when no declared index fits.
-        """
-        pinned: Dict[str, Tuple[Any, sp.Bin]] = {}
-        bounds: Dict[str, Tuple[Any, sp.Bin]] = {}
-        for conjunct in conjuncts:
-            if not isinstance(conjunct, sp.Bin) \
-                    or conjunct.op not in ("=", "<", "<="):
-                continue
-            sides = [(conjunct.left, conjunct.right)]
-            if conjunct.op == "=":
-                sides.append((conjunct.right, conjunct.left))
-            for column_side, other in sides:
-                column = self._own_column(column_side, alias, scope)
-                if column is None \
-                        or _local_aliases(other, scope) - allowed_local \
-                        or self._coerces_column(column_side, other, scope):
-                    continue
-                compared = sp.Bin(conjunct.op, column_side, other)
-                (pinned if conjunct.op == "=" else bounds).setdefault(
-                    column, (conjunct, compared))
-                break
-        declared = {name: index.columns
-                    for name, index in table.ordered.items()}
-        name = None
-        for last in [*bounds, order_column]:
-            if last is not None:
-                name = pl.match_ordered_index(declared, pinned, last)
-                if name is not None:
-                    break
-        if name is None:
+        if node.name not in table.eq_indexes:
             return None
-
-        def value_fn(compared: sp.Bin) -> Callable:
-            # with the comparison affinity the filter form would apply
-            return self._affinity_wrap(
-                compared, scope, None,
-                self.compile_expr(compared.right, scope, stats))[1]
-
-        taken = set()
-        prefix = []
-        for column in declared[name][:-1]:
-            conjunct, compared = pinned[column]
-            taken.add(id(conjunct))
-            prefix.append((value_fn(compared), table.affinities[column]))
-        upper = None
-        if last in bounds:
-            conjunct, compared = bounds[last]
-            taken.add(id(conjunct))
-            upper = (value_fn(compared), compared.op == "<=")
-        return ("ordered", name, tuple(prefix), upper), taken, last
+        return node.name
 
     def _try_join_probe(self, conjunct: Any, plan: "_SourcePlan",
                         scope: _Scope, bound: List[str],
@@ -1365,8 +1158,7 @@ class _Compiler:
             if _local_aliases(other, scope) - set(bound):
                 continue
             if plan.kind == "table":
-                if col_side.name not in plan.table.eq_indexes \
-                        or self._coerces_column(col_side, other, scope):
+                if col_side.name not in plan.table.eq_indexes:
                     continue
                 fn = self.compile_expr(other, scope, stats)
                 return ("index", col_side.name, fn)
@@ -1734,14 +1526,6 @@ class _Compiler:
             left = _wrap(left, _coerce_text)
         return left, right
 
-    def _coerces_column(self, column: sp.Col, other: Any,
-                        scope: _Scope) -> bool:
-        """Would comparing ``column`` with ``other`` convert the column
-        side?  An index holds stored values, so such a comparison stays
-        a filter."""
-        return self._affinity_wrap(
-            sp.Bin("=", column, other), scope, None, None)[0] is not None
-
     def _operand_affinity(self, node: Any, scope: _Scope) -> Optional[str]:
         if isinstance(node, sp.Col):
             return scope.column_affinity(node.table, node.name)
@@ -1750,16 +1534,6 @@ class _Compiler:
     def _compile_func(self, node: sp.Func, scope: _Scope,
                       stats: Dict) -> Callable:
         name = node.name
-        if name == "COALESCE" and len(node.args) >= 2 and not node.distinct:
-            options = [self.compile_expr(a, scope, stats) for a in node.args]
-
-            def coalesce_fn(rt):
-                for option in options:
-                    value = option(rt)
-                    if value is not None:
-                        return value
-                return None
-            return coalesce_fn
         if name not in sp.AGGREGATES:
             raise MemoryEngineError(f"unsupported function {name}")
         stats["agg"] = True
@@ -1903,9 +1677,8 @@ def _local_aliases(node: Any, scope: _Scope) -> set:
                 walk(g)
             for e, _ in n.order_by:
                 walk(e)
-            for bound in (n.limit, n.offset):
-                if bound is not None:
-                    walk(bound)
+            if n.limit is not None:
+                walk(n.limit)
             return
         if isinstance(n, sp.Bin):
             walk(n.left)
@@ -2053,8 +1826,6 @@ class _SourcePlan:
         """Rows for the first source, honouring the WHERE driver."""
         if self.driver is None or self.kind != "table":
             return self.base_rows(rt)
-        if self.driver[0] == "ordered":
-            return self._ordered_rows(rt, self.driver)
         kind, column, payload = self.driver
         table = self.table
         if kind == "eq":
@@ -2073,32 +1844,10 @@ class _SourcePlan:
         rows = table.rows
         return [rows[key] for key in sorted(found)]
 
-    def _ordered_rows(self, rt: _Rt, access: Tuple):
-        """Rows of an ordered-index walk, lazily and in index order.
-
-        The bound is evaluated here, once per walk; NULL anywhere in
-        the prefix or the bound compares true with nothing."""
-        _, name, prefix, upper = access
-        key = []
-        for fn, affinity in prefix:
-            value = fn(rt)
-            if value is None:
-                return ()
-            key.append(apply_affinity(value, affinity))
-        if upper is not None:
-            value = upper[0](rt)
-            if value is None:
-                return ()
-            upper = (value, upper[1])
-        table = self.table
-        return table.ordered[name].scan(table.rows, tuple(key), upper)
-
     def joined_rows(self, rt: _Rt) -> List[Dict[str, Any]]:
         """Candidate rows for a joined source given the bound frames."""
         if self.probe is None:
             return self.base_rows(rt)
-        if self.probe[0] == "ordered":
-            return self._ordered_rows(rt, self.probe)
         kind, column, fn = self.probe
         if kind == "index":
             return self.table.probe_rows(column, fn(rt))
@@ -2142,8 +1891,8 @@ class _SelectPlan:
     """
 
     def __init__(self, sources, post_where, item_fns, names, lookup,
-                 group_fns, having_fn, order_specs, limit_fn, offset_fn,
-                 distinct, has_agg, windows, outer_depth, fused=None):
+                 group_fns, having_fn, order_specs, limit_fn, distinct,
+                 has_agg, windows, outer_depth, fused=None):
         self.sources = sources
         self.post_where = post_where
         self.where_check = _combine_filters(post_where)
@@ -2154,7 +1903,6 @@ class _SelectPlan:
         self.having_fn = having_fn
         self.order_specs = order_specs
         self.limit_fn = limit_fn
-        self.offset_fn = offset_fn
         self.distinct = distinct
         self.has_agg = has_agg
         self.windows = windows
@@ -2166,8 +1914,6 @@ class _SelectPlan:
         self.fused = fused
         self.est_rows: Optional[float] = None
         self.xsubs: List[Tuple[str, "_SelectPlan"]] = []
-        #: the driver's index walk stands in for the ORDER BY
-        self.order_by_index = False
         #: references escape this select's own frame
         self.correlated = outer_depth >= 1
         self._needs_buffer = bool(
@@ -2247,19 +1993,11 @@ class _SelectPlan:
         value = int(value)
         return None if value < 0 else value
 
-    def _offset(self, rt: _Rt) -> int:
-        """Rows to drop ahead of the LIMIT window (negative reads as 0)."""
-        if self.offset_fn is None:
-            return 0
-        value = self.offset_fn(rt)
-        return max(0, int(value)) if value is not None else 0
-
     # -- execution ------------------------------------------------------
     def execute(self, rt: _Rt) -> List[MemoryRow]:
         limit = self._limit(rt)
-        offset = self._offset(rt)
         if self.fused is not None:
-            return self._execute_fused(rt, limit, offset)
+            return self._execute_fused(rt, limit)
         if not self._needs_buffer:
             outputs: List[MemoryRow] = []
             if limit == 0:
@@ -2268,9 +2006,6 @@ class _SelectPlan:
             stream = self._stream(rt)
             for env in stream:
                 if check is not None and not check(rt):
-                    continue
-                if offset:
-                    offset -= 1
                     continue
                 values = tuple(fn(rt) for fn in self.item_fns)
                 outputs.append(MemoryRow(self.names, values, self.lookup))
@@ -2317,21 +2052,17 @@ class _SelectPlan:
             )
 
         if limit is not None:
-            decorated = decorated[offset:offset + limit]
-        elif offset:
-            decorated = decorated[offset:]
+            decorated = decorated[:limit]
         return [MemoryRow(self.names, values, self.lookup)
                 for values, _ in decorated]
 
-    def _execute_fused(self, rt: _Rt, limit: Optional[int], offset: int
+    def _execute_fused(self, rt: _Rt, limit: Optional[int]
                        ) -> List[MemoryRow]:
         """Single-sort path for ROW_NUMBER windows fused with the outer
         ORDER BY: rank == output position, so environments are never
         buffered — each streamed row reduces to (sort key, values)."""
         if limit == 0:
             return []
-        if limit is not None:
-            limit += offset  # ranks count from the first row, not the window
         check = self.where_check
         key_of = self._order_key
         plain = self._plain_items
@@ -2446,7 +2177,7 @@ class _SelectPlan:
             for position in fused:
                 values[position] = rank
             outputs.append(MemoryRow(names, tuple(values), lookup))
-        return outputs[offset:]
+        return outputs
 
     def _apply_windows(self, envs: List[List[Any]], rt: _Rt) -> None:
         win_base = self.win_base
@@ -2716,17 +2447,8 @@ class _ProfiledSourcePlan(_SourcePlan):
         prof = self.prof
         prof["seconds"] += time.perf_counter() - start
         prof["loops"] += 1
-        if isinstance(rows, (list, tuple)):
-            prof["rows"] += len(rows)
-            return rows
-        return self._counted(rows)
-
-    def _counted(self, rows):
-        """A lazy index walk: count the rows the consumer takes."""
-        prof = self.prof
-        for row in rows:
-            prof["rows"] += 1
-            yield row
+        prof["rows"] += len(rows)
+        return rows
 
     def first_rows(self, rt: _Rt) -> List[Dict[str, Any]]:
         return self._timed(super().first_rows, rt)
@@ -2769,18 +2491,9 @@ def _attach_profile(node: "pl.PlanNode", plan: Any) -> None:
         node.seconds = prof["seconds"]
 
 
-def _ordered_detail(access: Tuple, table: MemoryTable) -> str:
-    _, name, _prefix, upper = access
-    columns = table.ordered[name].columns
-    shape = "range" if upper else "walk"
-    return f"index {shape} on {name}({', '.join(columns)})"
-
-
-def _driver_detail(driver: Optional[Tuple], table: MemoryTable) -> str:
+def _driver_detail(driver: Optional[Tuple]) -> str:
     if driver is None:
         return "scan"
-    if driver[0] == "ordered":
-        return _ordered_detail(driver, table)
     kind, column, _payload = driver
     return f"{kind} probe on {column}"
 
@@ -2791,13 +2504,8 @@ def _source_node(src: _SourcePlan) -> "pl.PlanNode":
         label = name if name == src.alias else f"{name} AS {src.alias}"
         if src.driver is not None:
             node = pl.PlanNode(
-                op="PROBE",
-                detail=f"{label} ({_driver_detail(src.driver, src.table)})",
+                op="PROBE", detail=f"{label} ({_driver_detail(src.driver)})",
                 est_rows=src.est_rows)
-        elif src.probe is not None and src.probe[0] == "ordered":
-            node = pl.PlanNode(
-                op="PROBE",
-                detail=f"{label} ({_ordered_detail(src.probe, src.table)})")
         elif src.probe is not None and src.probe[0] == "index":
             node = pl.PlanNode(
                 op="PROBE", detail=f"{label} (index on {src.probe[1]})",
@@ -2832,9 +2540,6 @@ def _select_node(plan: _SelectPlan, label: str = "SELECT") -> "pl.PlanNode":
     elif plan.order_specs:
         node.children.append(pl.PlanNode(
             op="SORT", detail=f"{len(plan.order_specs)} key(s)"))
-    elif plan.order_by_index:
-        node.children.append(pl.PlanNode(
-            op="NO-SORT", detail="ORDER BY served by the index walk"))
     if plan.group_fns or plan.has_agg:
         node.children.append(pl.PlanNode(op="AGGREGATE"))
     for sub_label, subplan in plan.xsubs:
@@ -2859,8 +2564,7 @@ def _statement_node(plan: Any) -> "pl.PlanNode":
         root = pl.PlanNode(op="STATEMENT", detail=verb)
         node = pl.PlanNode(
             op=verb,
-            detail=f"{plan.table.name} "
-                   f"({_driver_detail(plan.driver, plan.table)})",
+            detail=f"{plan.table.name} ({_driver_detail(plan.driver)})",
             est_rows=plan.est_rows)
         root.children.append(node)
     for sub_label, subplan in plan.xsubs:

@@ -12,9 +12,7 @@ halves:
   scan (:func:`choose_driver`), whether a correlated EXISTS can be
   rewritten into a hash semi-join (:func:`decorrelate_exists`), what
   order an order-insensitive join tree should run in
-  (:func:`order_sources_by_cardinality`), whether a declared composite
-  index turns an equality prefix plus a bounded or ordered column into a
-  range walk (:func:`match_ordered_index`), and whether a ROW_NUMBER
+  (:func:`order_sources_by_cardinality`), and whether a ROW_NUMBER
   window can be fused with the outer ORDER BY/LIMIT into a single top-K
   sort (:func:`fusable_window_items`).
 
@@ -310,29 +308,6 @@ def advise_equality_access(
                                 supported=name, suggested_columns=())
     return AccessAdvice(table=table, eq_columns=eq, supported=None,
                         suggested_columns=eq)
-
-
-def match_ordered_index(
-    indexes: Mapping[str, Sequence[str]],
-    eq_columns: Iterable[str],
-    ordered_column: str,
-) -> Optional[str]:
-    """The declared index that turns an equality prefix plus one ordered
-    column into a range walk.
-
-    An index ``(c1 .. cn)`` serves when every one of ``c1 .. c(n-1)`` is
-    pinned by an equality conjunct and ``cn`` is the column the caller
-    bounds (``cn <= x``) or reads in order (``ORDER BY cn``): its
-    entries for that prefix are then contiguous and sorted by ``cn``.
-    Names are tried in sorted order so the choice is stable.
-    """
-    pinned = set(eq_columns)
-    for name in sorted(indexes):
-        columns = indexes[name]
-        if (len(columns) >= 2 and columns[-1] == ordered_column
-                and all(column in pinned for column in columns[:-1])):
-            return name
-    return None
 
 
 # ----------------------------------------------------------------------

@@ -3,10 +3,9 @@
 The CondorJ2 services issue a small, closed SQL dialect: parameterized
 single-table DML, SELECTs with inner/left joins, correlated EXISTS
 anti-joins, IN (list | subquery), aggregates with GROUP BY / HAVING,
-``ROW_NUMBER() OVER (ORDER BY ...)`` window numbering, ``LIMIT ...
-OFFSET``, ``CASE WHEN``, ``CAST``, ``COALESCE``, string
-concatenation/LIKE, the ``json_each`` table function, and ``INSERT ...
-SELECT``.  This module turns that dialect into a small
+``ROW_NUMBER() OVER (ORDER BY ...)`` window numbering, ``CASE WHEN``,
+``CAST``, string concatenation/LIKE, the ``json_each`` table function,
+and ``INSERT ... SELECT``.  This module turns that dialect into a small
 AST that :mod:`repro.condorj2.storage.memory` interprets; SQLite parses
 the same text natively.  Keeping the grammar explicit is what makes the
 engine contract falsifiable — an engine supports exactly what parses.
@@ -209,7 +208,6 @@ class Select:
     having: Any = None
     order_by: List[Tuple[Any, bool]] = field(default_factory=list)  # (expr, desc)
     limit: Any = None
-    offset: Any = None
     distinct: bool = False
 
 
@@ -385,11 +383,9 @@ class _Parser:
                 group_by.append(self.parse_expr())
         having = self.parse_expr() if self.accept_keyword("HAVING") else None
         order_by = self.parse_order_by() if self.accept_keyword("ORDER") else []
-        limit = offset = None
+        limit = None
         if self.accept_keyword("LIMIT"):
             limit = self.parse_expr()
-            if self.accept_keyword("OFFSET"):
-                offset = self.parse_expr()
         return Select(
             items=items,
             sources=sources,
@@ -398,7 +394,6 @@ class _Parser:
             having=having,
             order_by=order_by,
             limit=limit,
-            offset=offset,
             distinct=distinct,
         )
 
@@ -478,12 +473,6 @@ class _Parser:
                 join = "inner"
             elif self.accept_keyword("JOIN"):
                 join = "inner"
-            elif self.accept_keyword("CROSS"):
-                # SQLite reads CROSS JOIN as "keep this source order";
-                # this engine never reorders a FROM list, so it is a
-                # plain inner join here.
-                self.expect_keyword("JOIN")
-                join = "inner"
             if join is None:
                 break
             source = self.parse_source(join, None)
@@ -516,7 +505,7 @@ class _Parser:
         token = self.peek()
         if token.kind == "ident" and token.upper not in (
             "WHERE", "GROUP", "HAVING", "ORDER", "LIMIT", "JOIN", "LEFT",
-            "INNER", "CROSS", "ON", "AS", "SELECT",
+            "INNER", "ON", "AS", "SELECT",
         ):
             return self.next().value
         return None

@@ -7,9 +7,9 @@ Three layers of assurance beyond the differential fuzzer:
   both implementations (affinity, rowcounts, lastrowid, constraint
   errors, transactional rollback, OR IGNORE, cascades, the dialect's
   harder corners);
-* a property-based test that the memory engine's secondary indexes
-  (equality, unique and ordered composite) stay exactly consistent with
-  table contents under interleaved insert/update/delete/rollback;
+* a property-based test that the memory engine's secondary indexes stay
+  exactly consistent with table contents under interleaved
+  insert/update/delete/rollback;
 * a structural test that the engine-neutral ``TABLE_DEFS`` description
   agrees with the SQLite DDL, via catalog introspection — the two forms
   of the schema cannot drift apart silently.
@@ -23,7 +23,6 @@ from hypothesis import given, settings
 
 from repro.condorj2.database import Database, DatabaseError
 from repro.condorj2.schema import SCHEMA_STATEMENTS, TABLE_DEFS, TABLES
-from repro.condorj2.storage.memory import sql_sort_key
 from repro.condorj2.storage import (
     MemoryStorageEngine,
     SqliteStorageEngine,
@@ -307,130 +306,20 @@ def test_limit_zero_returns_no_rows(db):
     assert db.query_all("SELECT user_name FROM users LIMIT ?", (0,)) == []
     assert len(db.query_all(
         "SELECT user_name FROM users ORDER BY user_name LIMIT 0")) == 0
+    # EXISTS over a window is existence *inside* the window.
+    assert db.query_all(
+        "SELECT 1 FROM users u WHERE EXISTS "
+        "(SELECT 1 FROM users v WHERE v.user_name = u.user_name LIMIT 0)"
+    ) == []
 
 
-def _seed_owner_queue(db):
-    for owner, priority in (("ann", 0.5), ("bob", 0.5), ("cy", 0.25)):
-        db.execute("INSERT INTO users (user_name, priority, created_at) "
-                   "VALUES (?, ?, 0)", (owner, priority))
-    db.executemany(
-        "INSERT INTO jobs (owner, cmd, run_seconds, state, submitted_at) "
-        "VALUES (?, 'c', 1.0, ?, 0)",
-        [(("ann", "bob", "cy")[i % 3], "held" if i % 5 == 4 else "idle")
-         for i in range(30)])
-
-
-def test_limit_offset_windows(db):
-    """OFFSET skips before LIMIT counts — on the streaming, sorted and
-    ROW_NUMBER-fused paths, with a negative OFFSET read as 0 — and an
-    EXISTS over a window is existence *inside* the window."""
-    _seed_owner_queue(db)
-    for sql in (
-        "SELECT job_id FROM jobs LIMIT 4 OFFSET 3",
-        "SELECT job_id FROM jobs ORDER BY owner, job_id LIMIT 4 OFFSET 3",
-        "SELECT job_id FROM jobs ORDER BY job_id DESC LIMIT -1 OFFSET 25",
-        "SELECT job_id FROM jobs ORDER BY job_id LIMIT 2 OFFSET -5",
-        "SELECT job_id FROM jobs ORDER BY job_id LIMIT 3 OFFSET 100",
-        "SELECT job_id, ROW_NUMBER() OVER (ORDER BY job_id) AS slot "
-        "FROM jobs ORDER BY job_id LIMIT 3 OFFSET 2",
-        "SELECT u.user_name FROM users u WHERE EXISTS ("
-        "SELECT 1 FROM jobs j WHERE j.owner = u.user_name "
-        "LIMIT 1 OFFSET 9) ORDER BY u.user_name",
-    ):
-        rows = [tuple(row) for row in db.query_all(sql)]
-        reference = Database(backend="sqlite")
-        _seed_owner_queue(reference)
-        assert rows == [tuple(r) for r in reference.query_all(sql)], sql
-    assert [tuple(r) for r in db.query_all(
-        "SELECT job_id, ROW_NUMBER() OVER (ORDER BY job_id) AS slot "
-        "FROM jobs ORDER BY job_id LIMIT 2 OFFSET 2")] == [(3, 3), (4, 4)]
-
-
-def test_index_walks_and_range_probes_match_sqlite(db):
-    """Every shape the ordered composite index serves — a bounded last
-    column, ORDER BY the last column under LIMIT/OFFSET, a correlated
-    bound behind CROSS JOIN, COALESCE over an empty bound, unary plus as
-    a no-op — returns SQLite's rows in SQLite's order."""
-    _seed_owner_queue(db)
-    reference = Database(backend="sqlite")
-    _seed_owner_queue(reference)
-    kth = ("(SELECT c.job_id FROM jobs c WHERE c.state = 'idle' "
-           "AND c.owner = u.user_name ORDER BY c.job_id LIMIT 1 OFFSET ?)")
-    for sql, params in (
-        ("SELECT job_id FROM jobs WHERE state = 'idle' AND owner = ? "
-         "AND job_id <= ? AND job_id > ?", ("ann", 19, "4")),
-        ("SELECT job_id FROM jobs WHERE state = 'idle' AND owner = ? "
-         "AND 22 > job_id", ("bob",)),
-        ("SELECT job_id FROM jobs WHERE state = 'idle' AND owner = ? "
-         "AND job_id < ?", ("bob", None)),
-        ("SELECT job_id, cmd FROM jobs WHERE state = ? AND owner = ? "
-         "ORDER BY job_id LIMIT 3 OFFSET 2", ("idle", "cy")),
-        ("SELECT job_id FROM jobs WHERE state = 'idle' AND owner = ? "
-         "ORDER BY job_id DESC LIMIT 2", ("cy",)),
-        ("SELECT COUNT(*), MIN(job_id) FROM jobs WHERE state = 'idle' "
-         "AND owner = ? ORDER BY job_id", ("ann",)),
-        ("SELECT u.user_name, j.job_id FROM users u CROSS JOIN jobs j "
-         "WHERE j.state = 'idle' AND j.owner = u.user_name AND j.job_id <= "
-         f"COALESCE({kth}, 9223372036854775807) "
-         "ORDER BY u.priority, j.job_id", (3,)),
-        ("SELECT u.user_name, j.job_id FROM users u CROSS JOIN jobs j "
-         "WHERE j.state = 'idle' AND j.owner = u.user_name AND j.job_id <= "
-         f"COALESCE({kth}, 9223372036854775807) "
-         "ORDER BY u.priority, j.job_id", (50,)),
-        ("SELECT u.user_name, j.job_id FROM users u JOIN jobs j "
-         f"ON j.owner = u.user_name AND j.job_id < {kth} "
-         "WHERE j.state = 'idle' ORDER BY j.job_id", (2,)),
-        ("SELECT job_id FROM jobs WHERE +state = 'held' AND +owner = ? "
-         "ORDER BY job_id", ("ann",)),
-        ("SELECT COALESCE(NULL, requirements, 'none') FROM jobs "
-         "WHERE job_id = 1", ()),
-    ):
-        rows = [tuple(row) for row in db.query_all(sql, params)]
-        assert rows == [tuple(r) for r in reference.query_all(sql, params)], \
-            sql
-
-
-def _seed_shuffled_queue(db):
-    """Two owners whose ``submitted_at`` order differs from job_id
-    order, and a user whose name reads as its numeric priority."""
-    for owner, priority in (("ann", 0.5), ("bob", 0.5), ("5", 5.0)):
-        db.execute("INSERT INTO users (user_name, priority, created_at) "
-                   "VALUES (?, ?, 0)", (owner, priority))
-    db.executemany(
-        "INSERT INTO jobs (owner, cmd, run_seconds, state, submitted_at) "
-        "VALUES (?, 'c', 1.0, 'idle', ?)",
-        [(("ann", "bob", "5")[i % 3], float((i * 7) % 24))
-         for i in range(24)])
-
-
-def test_index_walk_keeps_an_order_by_it_does_not_serve(db):
-    """The ordered index matched on a *bounded* column yields that
-    column's order; an ORDER BY on any other column is still sorted —
-    with LIMIT that is a different set of rows, not just another order —
-    and an equality whose affinity would coerce the indexed column stays
-    a filter instead of becoming the walk's prefix."""
-    _seed_shuffled_queue(db)
-    reference = Database(backend="sqlite")
-    _seed_shuffled_queue(reference)
-    bounded = ("SELECT job_id FROM jobs WHERE state = 'idle' AND owner = ? "
-               "AND job_id <= ? ORDER BY ")
-    for sql, params in (
-        (bounded + "submitted_at", ("ann", 15)),
-        (bounded + "submitted_at LIMIT 3", ("ann", 15)),
-        (bounded + "submitted_at, job_id LIMIT 2 OFFSET 1", ("bob", 20)),
-        (bounded + "job_id LIMIT 3", ("ann", 15)),
-        ("SELECT u.user_name, j.job_id FROM users u JOIN jobs j "
-         "ON j.owner = u.priority AND j.job_id <= ? "
-         "WHERE j.state = 'idle' ORDER BY j.job_id", (20,)),
-        ("SELECT job_id FROM jobs WHERE state = 'idle' AND owner = ? "
-         "AND job_id <= ? ORDER BY job_id", (5, "12")),
-    ):
-        rows = [tuple(row) for row in db.query_all(sql, params)]
-        assert rows == [tuple(r) for r in reference.query_all(sql, params)], \
-            sql
-    by_time = [row[0] for row in db.query_all(
-        bounded + "submitted_at LIMIT 3", ("ann", 15))]
-    assert by_time != sorted(by_time), "the seed must tell the orders apart"
+def test_unary_plus_is_a_no_op(db):
+    """``+column`` is the column's stored value, text included — the
+    scheduling pass guards its set UPDATE with ``+state = 'idle'``."""
+    db.execute("INSERT INTO users (user_name, created_at) VALUES ('7up', 0)")
+    assert [tuple(row) for row in db.query_all(
+        "SELECT +user_name, +priority FROM users "
+        "WHERE +user_name = '7up'")] == [("7up", 0.5)]
 
 
 def test_three_valued_logic_yields_sqlite_integers(db):
@@ -590,15 +479,6 @@ def _assert_indexes_consistent(table):
             assert values not in rebuilt, "duplicate slipped past UNIQUE"
             rebuilt[values] = key
         assert mapping == rebuilt, f"unique map on {cols} diverged"
-    for name, ordered in table.ordered.items():
-        rebuilt = {}
-        for key, row in table.rows.items():
-            rebuilt.setdefault(
-                tuple(row[c] for c in ordered.prefix), []
-            ).append((sql_sort_key(row[ordered.last]), key))
-        assert ordered.buckets == {
-            prefix: sorted(entries) for prefix, entries in rebuilt.items()
-        }, f"ordered index {name} diverged"
     assert sorted(table.rows) == table.scan_keys()
 
 

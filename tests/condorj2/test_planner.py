@@ -218,35 +218,6 @@ class TestFusableWindowItems:
         assert not pl.contains_window(select.where)
 
 
-class TestOrderedIndexMatch:
-    INDEXES = {
-        "idx_jobs_state_owner": ("state", "owner", "job_id"),
-        "idx_jobs_owner": ("owner",),
-        "idx_jobs_workflow": ("workflow_id",),
-    }
-
-    def test_full_prefix_and_last_column(self):
-        assert pl.match_ordered_index(
-            self.INDEXES, {"state", "owner"}, "job_id"
-        ) == "idx_jobs_state_owner"
-
-    def test_extra_equalities_do_not_matter(self):
-        assert pl.match_ordered_index(
-            self.INDEXES, ["owner", "cmd", "state"], "job_id"
-        ) == "idx_jobs_state_owner"
-
-    def test_partial_prefix_is_not_a_contiguous_run(self):
-        assert pl.match_ordered_index(
-            self.INDEXES, {"state"}, "job_id") is None
-
-    def test_ordered_column_must_be_the_last(self):
-        assert pl.match_ordered_index(
-            self.INDEXES, {"state", "job_id"}, "owner") is None
-
-    def test_single_column_indexes_are_left_to_the_equality_probe(self):
-        assert pl.match_ordered_index(self.INDEXES, set(), "owner") is None
-
-
 # ----------------------------------------------------------------------
 # compiled-plan cache semantics
 # ----------------------------------------------------------------------

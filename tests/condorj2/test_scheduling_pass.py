@@ -1,21 +1,21 @@
-"""The gated, index-walking scheduling pass against the pass it replaced.
+"""The gated, slot-bounded scheduling pass against the pass it replaced.
 
 ``ORACLE_INSERT_SQL`` / ``ORACLE_UPDATE_SQL`` are the statements
-``SchedulingService.run_pass`` executed before it was gated on its probe
-and before the job side was reshaped: both sides ranked in full, ``:limit``
-a constant 1000, one transaction per call.  Two pools of the *same*
-backend are driven in lockstep through the differential harness — one by
-``run_pass``, one by the oracle — and must hold byte-identical ``matches``
-and ``jobs`` tables and return the same count after every pass, on all
-three backends.  That pins both soundness arguments in DESIGN.md:
+``SchedulingService.run_pass`` executed before it was gated on its
+probe: ``:limit`` a constant 1000, one transaction per call.  Two pools
+of the *same* backend are driven in lockstep through the differential
+harness — one by ``run_pass``, one by the oracle — and must hold
+byte-identical ``matches`` and ``jobs`` tables and return the same count
+after every pass, on all three backends.  That pins both soundness
+arguments in DESIGN.md:
 
 * the probe is a necessary condition of the INSERT's own WHERE clauses
   (a pass it stops would have placed nothing);
-* the global top-K by (priority, job_id) is a subset of the union of the
-  per-owner top-Ks (the index walk finds the same K jobs).
+* the slot join keeps min(free slots, eligible jobs) rows, so ranking
+  either side past the free-slot count changes nothing.
 
-The plan pins at the end hold the *reason* the reshape exists: neither
-engine may rank the whole queue again.
+The plan pins at the end hold what the probe and the set UPDATE may not
+do on SQLite: walk the idle queue.
 """
 
 import random
@@ -24,7 +24,6 @@ import pytest
 
 from repro.cluster import JobSpec
 from repro.condorj2.logic.scheduling import (
-    MATCH_INSERT_SQL,
     MATCH_UPDATE_SQL,
     PASS_PROBE_SQL,
 )
@@ -227,15 +226,14 @@ def test_gated_pass_leaves_the_wal_untouched(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# (ii) reshape exactness
+# (ii) the free-slot bound is exact
 # ----------------------------------------------------------------------
 
 @pytest.mark.parametrize("free_slots", (1, 2, 3, 4, 5, 8))
 def test_equal_priority_owners_interleave_by_job_id(pair, free_slots):
     """alice and bob share a priority and alternate ids; carol is ahead
     of both with two jobs.  K sweeps below, at and above every per-owner
-    count (2, 3 and 3), so each owner's bound is hit, missed (the
-    COALESCE arm) and irrelevant in turn."""
+    count (2, 3 and 3) and the queue's length."""
     register(pair, "m1", vm_count=free_slots)
     specs = [JobSpec(owner=owner) for owner in
              ("alice", "bob", "alice", "carol", "bob", "alice", "carol",
@@ -257,7 +255,7 @@ def test_equal_priority_owners_interleave_by_job_id(pair, free_slots):
 @pytest.mark.parametrize("free_slots", (1, 2, 3))
 def test_dependencies_disqualify_an_owners_first_ids(pair, free_slots):
     """alice's first three ids wait on a live parent of bob's, so her
-    K-th *eligible* id lies beyond her K-th id: the bound must count
+    K-th *eligible* id lies beyond her K-th id: the bound counts
     eligible jobs, not idle ones."""
     register(pair, "m1", vm_count=free_slots)
     blocker = JobSpec(owner="bob")
@@ -275,7 +273,7 @@ def test_dependencies_disqualify_an_owners_first_ids(pair, free_slots):
 
 
 @pytest.mark.parametrize("seed", (3, 11, 42))
-def test_reshaped_job_side_on_random_queues(pair, seed):
+def test_bounded_pass_on_random_queues(pair, seed):
     """Random owners, priorities and dependency edges; several passes
     with VMs freed in between, so K varies pass to pass."""
     rng = random.Random(seed)
@@ -311,7 +309,7 @@ def test_reshaped_job_side_on_random_queues(pair, seed):
 
 
 # ----------------------------------------------------------------------
-# plan pins: neither engine ranks the whole queue
+# plan pins: the probe and the set UPDATE do not walk the idle queue
 # ----------------------------------------------------------------------
 
 def _plan_nodes(report):
@@ -322,30 +320,12 @@ def _plan_nodes(report):
         stack.extend(node.children)
 
 
-def _queued_pool(backend, owners=5, jobs=60):
-    pool = Pool(backend)
-    pool.heartbeat.register_machine({"name": "m1", "vm_count": 4}, 0.0)
-    pool.submission.submit_jobs(
-        [JobSpec(owner=f"user{i % owners}") for i in range(jobs)], 0.0)
-    return pool
-
-
-def test_sqlite_plan_walks_the_job_index_per_owner():
-    pool = _queued_pool("sqlite")
+def test_sqlite_probe_and_update_do_not_walk_the_queue():
+    pool = Pool("sqlite")
     try:
-        steps = [node.detail for node in _plan_nodes(pool.db.explain(
-            MATCH_INSERT_SQL, {"now": 1.0, "limit": 4}))]
-        scans = [step for step in steps if step.startswith("SCAN")]
-        assert not any(step.split()[1] in ("j", "c", "p", "jobs")
-                       for step in scans), (
-            f"a full SCAN of jobs is back in the pass: {scans}")
-        assert ("SEARCH j USING COVERING INDEX idx_jobs_state_owner "
-                "(state=? AND owner=? AND job_id<?)") in steps, (
-            "the job side must be range-bounded per owner — that bound "
-            "is what keeps the ORDER BY's temp B-tree at owners x K rows "
-            f"instead of the whole queue: {steps}")
-        assert ("SEARCH c USING COVERING INDEX idx_jobs_state_owner "
-                "(state=? AND owner=?)") in steps
+        pool.heartbeat.register_machine({"name": "m1", "vm_count": 4}, 0.0)
+        pool.submission.submit_jobs(
+            [JobSpec(owner=f"user{i % 5}") for i in range(60)], 0.0)
         update = [node.detail for node in _plan_nodes(
             pool.db.explain(MATCH_UPDATE_SQL))]
         assert "SEARCH jobs USING INTEGER PRIMARY KEY (rowid=?)" in update, (
@@ -353,32 +333,5 @@ def test_sqlite_plan_walks_the_job_index_per_owner():
         probe = [node.detail for node in _plan_nodes(
             pool.db.explain(PASS_PROBE_SQL))]
         assert not any(step.startswith("SCAN jobs") for step in probe)
-    finally:
-        pool.close()
-
-
-def test_memory_plan_range_probes_jobs_once_per_user():
-    owners = 5
-    pool = _queued_pool("memory", owners=owners)
-    try:
-        nodes = list(_plan_nodes(pool.db.explain(
-            MATCH_INSERT_SQL, {"now": 1.0, "limit": 4})))
-        index = "idx_jobs_state_owner(state, owner, job_id)"
-        job_side = [n for n in nodes if n.detail.startswith("jobs AS j")]
-        assert [n.detail for n in job_side] == \
-            [f"jobs AS j (index range on {index})"]
-        assert job_side[0].actual_loops == owners
-        assert job_side[0].actual_rows == owners * 4  # K per owner, no more
-        bound = [n for n in nodes if n.op == "SCALAR-SELECT"]
-        assert len(bound) == 1 and bound[0].actual_loops == owners, (
-            "the correlated bound is evaluated once per users row, not "
-            "once per candidate job")
-        walk = [n for n in nodes if n.detail.startswith("jobs AS c")]
-        assert [n.detail for n in walk] == \
-            [f"jobs AS c (index walk on {index})"]
-        assert walk[0].actual_rows == owners * 4  # stops at the K-th id
-        assert any(n.op == "NO-SORT" for n in nodes)
-        assert not any(n.op == "SCAN" and n.detail.startswith("jobs")
-                       for n in nodes)
     finally:
         pool.close()
