@@ -1051,7 +1051,9 @@ class _Compiler:
                          allowed_local: set) -> Optional[Tuple]:
         """Detect a WHERE-clause driver shape without compiling it:
         `alias.col = expr` or `alias.col IN (...)` with ``expr`` free of
-        disallowed local references.  Returns ``(kind, column, payload
+        disallowed local references, and of an affinity that leaves the
+        column as stored (the index holds stored values; see
+        :func:`_comparison_coercions`).  Returns ``(kind, column, payload
         AST)`` for :meth:`_estimate_probe` / :meth:`_compile_probe`."""
         if isinstance(conjunct, sp.Bin) and conjunct.op == "=":
             for col_side, other in ((conjunct.left, conjunct.right),
@@ -1060,6 +1062,9 @@ class _Compiler:
                 if column is None:
                     continue
                 if _local_aliases(other, scope) - allowed_local:
+                    continue
+                if _converts_left(table.affinities[column],
+                                  self._operand_affinity(other, scope)):
                     continue
                 return ("eq", column, other)
         if isinstance(conjunct, (sp.InList, sp.InSelect)) and not conjunct.negated:
@@ -1071,6 +1076,9 @@ class _Compiler:
                     return None
                 return ("in-list", column, conjunct.items)
             if _select_is_correlated(conjunct.select):
+                return None
+            if _converts_left(table.affinities[column],
+                              self._first_item_affinity(conjunct.select)):
                 return None
             return ("in-select", column, conjunct.select)
         return None
@@ -1142,7 +1150,10 @@ class _Compiler:
     def _try_join_probe(self, conjunct: Any, plan: "_SourcePlan",
                         scope: _Scope, bound: List[str],
                         stats: Dict) -> Optional[Tuple]:
-        """ON-clause probe: `new.col = expr(bound aliases | outer)`."""
+        """ON-clause probe: `new.col = expr(bound aliases | outer)`.
+
+        An index probe is declined when the comparison would convert the
+        indexed column; a hash probe coerces its keys instead."""
         if not (isinstance(conjunct, sp.Bin) and conjunct.op == "="):
             return None
         for col_side, other in ((conjunct.left, conjunct.right),
@@ -1157,14 +1168,23 @@ class _Compiler:
                 continue
             if _local_aliases(other, scope) - set(bound):
                 continue
+            other_aff = self._operand_affinity(other, scope)
             if plan.kind == "table":
                 if col_side.name not in plan.table.eq_indexes:
+                    continue
+                if _converts_left(plan.table.affinities[col_side.name],
+                                  other_aff):
                     continue
                 fn = self.compile_expr(other, scope, stats)
                 return ("index", col_side.name, fn)
             if plan.kind == "subquery":
+                # The buckets are built here, so both sides can take
+                # their coercion: (kind, column, probe fn, key coercion).
+                co_key, co_other = _comparison_coercions(None, other_aff)
                 fn = self.compile_expr(other, scope, stats)
-                return ("hash", col_side.name, fn)
+                if co_other is not None:
+                    fn = _wrap(fn, co_other)
+                return ("hash", col_side.name, fn, co_key)
         return None
 
     # -- correlated EXISTS -> hash semi-join ---------------------------
@@ -1200,33 +1220,12 @@ class _Compiler:
             return None  # safety net: residual snuck in an outer ref
         self._register_sub("SEMI-JOIN BUILD", build_plan)
 
-        def local_affinity(expr: Any) -> Optional[str]:
-            if not isinstance(expr, sp.Col):
-                return None
-            if expr.table is not None:
-                owner = own_tables.get(expr.table)
-            else:
-                owner = next(
-                    (own_tables[a] for a, cols in own_columns.items()
-                     if expr.name in cols), None)
-            return owner.affinities.get(expr.name) if owner else None
-
         probe_parts: List[Tuple[Callable, Optional[Callable]]] = []
         build_coerces: List[Optional[Callable]] = []
         for local_expr, outer_expr in deco.pairs:
-            local_aff = local_affinity(local_expr)
-            outer_aff = self._operand_affinity(outer_expr, scope)
-            co_local = co_outer = None
-            if local_aff in _NUMERIC_AFFINITIES \
-                    and outer_aff not in _NUMERIC_AFFINITIES:
-                co_outer = _coerce_numeric
-            elif outer_aff in _NUMERIC_AFFINITIES \
-                    and local_aff not in _NUMERIC_AFFINITIES:
-                co_local = _coerce_numeric
-            elif local_aff == "TEXT" and outer_aff is None:
-                co_outer = _coerce_text
-            elif outer_aff == "TEXT" and local_aff is None:
-                co_local = _coerce_text
+            co_local, co_outer = _comparison_coercions(
+                self._select_column_affinity(select, local_expr),
+                self._operand_affinity(outer_expr, scope))
             outer_fn = self.compile_expr(outer_expr, scope, stats)
             probe_parts.append((outer_fn, co_outer))
             build_coerces.append(co_local)
@@ -1419,12 +1418,12 @@ class _Compiler:
                                else "IN-SELECT", sub)
             stats["outer"] = max(stats["outer"], sub.outer_depth - 1)
             negated = node.negated
-            needle_aff = self._operand_affinity(node.needle, scope)
-            coerce = None
-            if needle_aff in _NUMERIC_AFFINITIES:
-                coerce = _coerce_numeric
-            elif needle_aff == "TEXT":
-                coerce = _coerce_text
+            # `x IN (SELECT y ...)` compares as `x = y` does.
+            co_needle, coerce = _comparison_coercions(
+                self._operand_affinity(node.needle, scope),
+                self._first_item_affinity(node.select))
+            if co_needle is not None:
+                needle = _wrap(needle, co_needle)
             key = id(node)
             def in_select_fn(rt):
                 value = needle(rt)
@@ -1511,25 +1510,40 @@ class _Compiler:
 
     def _affinity_wrap(self, node: sp.Bin, scope: _Scope,
                        left: Callable, right: Callable):
-        """SQLite comparison affinity: a numeric-affinity column pulls a
-        text comparand to a number; a TEXT column pulls an affinity-less
-        numeric comparand to text."""
-        left_aff = self._operand_affinity(node.left, scope)
-        right_aff = self._operand_affinity(node.right, scope)
-        if left_aff in _NUMERIC_AFFINITIES and                 right_aff not in _NUMERIC_AFFINITIES:
-            right = _wrap(right, _coerce_numeric)
-        elif right_aff in _NUMERIC_AFFINITIES and                 left_aff not in _NUMERIC_AFFINITIES:
-            left = _wrap(left, _coerce_numeric)
-        elif left_aff == "TEXT" and right_aff is None:
-            right = _wrap(right, _coerce_text)
-        elif right_aff == "TEXT" and left_aff is None:
-            left = _wrap(left, _coerce_text)
+        """Apply SQLite's comparison affinity to a compiled pair."""
+        co_left, co_right = _comparison_coercions(
+            self._operand_affinity(node.left, scope),
+            self._operand_affinity(node.right, scope))
+        if co_left is not None:
+            left = _wrap(left, co_left)
+        if co_right is not None:
+            right = _wrap(right, co_right)
         return left, right
 
     def _operand_affinity(self, node: Any, scope: _Scope) -> Optional[str]:
         if isinstance(node, sp.Col):
             return scope.column_affinity(node.table, node.name)
         return None
+
+    def _select_column_affinity(self, select: sp.Select,
+                                expr: Any) -> Optional[str]:
+        """Affinity of ``expr`` when it names a column of one of
+        ``select``'s own table sources; None for anything else."""
+        if not isinstance(expr, sp.Col):
+            return None
+        for src in select.sources:
+            table = (self.engine.tables.get(src.name)
+                     if src.kind == "table" else None)
+            if table is None:
+                continue
+            if expr.table == (src.alias or src.name) or (
+                    expr.table is None and expr.name in table.columns):
+                return table.affinities.get(expr.name)
+        return None
+
+    def _first_item_affinity(self, select: sp.Select) -> Optional[str]:
+        """Affinity of the values ``x IN (SELECT y ...)`` compares with."""
+        return self._select_column_affinity(select, select.items[0].expr)
 
     def _compile_func(self, node: sp.Func, scope: _Scope,
                       stats: Dict) -> Callable:
@@ -1621,6 +1635,30 @@ def _wrap(fn: Callable, coerce: Callable) -> Callable:
 
 #: Affinities that pull text operands to numbers in comparisons.
 _NUMERIC_AFFINITIES = ("INTEGER", "REAL", "NUMERIC")
+
+
+def _comparison_coercions(left_aff: Optional[str],
+                          right_aff: Optional[str]) -> Tuple:
+    """SQLite comparison affinity as ``(coerce left, coerce right)``, at
+    most one of them set: a numeric-affinity column pulls a text
+    comparand to a number; a TEXT column pulls an affinity-less numeric
+    comparand to text."""
+    if left_aff in _NUMERIC_AFFINITIES:
+        if right_aff not in _NUMERIC_AFFINITIES:
+            return None, _coerce_numeric
+    elif right_aff in _NUMERIC_AFFINITIES:
+        return _coerce_numeric, None
+    elif left_aff == "TEXT" and right_aff is None:
+        return None, _coerce_text
+    elif right_aff == "TEXT" and left_aff is None:
+        return _coerce_text, None
+    return None, None
+
+
+def _converts_left(left_aff: Optional[str], right_aff: Optional[str]) -> bool:
+    """Would comparing convert the left operand?  Then an index over its
+    stored values cannot answer the comparison."""
+    return _comparison_coercions(left_aff, right_aff)[0] is not None
 
 
 def _coerce_numeric(value: Any) -> Any:
@@ -1848,10 +1886,11 @@ class _SourcePlan:
         """Candidate rows for a joined source given the bound frames."""
         if self.probe is None:
             return self.base_rows(rt)
-        kind, column, fn = self.probe
-        if kind == "index":
+        if self.probe[0] == "index":
+            _, column, fn = self.probe
             return self.table.probe_rows(column, fn(rt))
         # hash join over a materialized source
+        _, column, fn, coerce = self.probe
         cache_key = (id(self), "hash")
         buckets = rt.cache.get(cache_key)
         if buckets is None:
@@ -1860,6 +1899,8 @@ class _SourcePlan:
                 key = row[column]
                 if key is None:
                     continue
+                if coerce is not None:
+                    key = coerce(key)
                 buckets.setdefault(_probe_norm(key), []).append(row)
             rt.cache[cache_key] = buckets
         value = fn(rt)

@@ -29,6 +29,14 @@ typed ``MALFORMED`` fault, never a bare exception, so the CAS answers
 and meters it.  Faults ride the wire as ``(code, subcode, detail)``
 triples from the taxonomy in :mod:`repro.condorj2.api.faults`; the walk
 rebuilds the typed exception.
+
+The protocol says the same few dozen things over and over -- ``<value
+type="int">``, ``<entry key="vm_id">``, ``</entry>`` -- so both halves
+remember what they have already worked out, in two small module memos
+that are emptied when they reach their bound: the reader keeps each tag
+head it has parsed (the tag regex, the one statement of tag syntax,
+reads only heads it has not seen), the encoder each struct key it has
+escaped.  Neither changes a byte on the wire or a node in the tree.
 """
 
 from __future__ import annotations
@@ -84,45 +92,83 @@ def _escape_attr(value: str) -> str:
     return escape(value).replace('"', "&quot;")
 
 
-def _encode_value(value: Payload, tag: str, depth: int = 1) -> str:
-    """Encode ``value`` as a ``tag`` element, ``depth`` levels into the
-    payload; Envelope/Body/batch/op are the four levels around it."""
-    if depth + 4 > MAX_DEPTH:
-        raise MalformedFault(f"elements nest deeper than {MAX_DEPTH}",
-                             subcode="too-deep")
-    if value is None:
-        return f'<{tag} xsi:nil="true"/>'
-    if isinstance(value, bool):
-        return f'<{tag} type="boolean">{"true" if value else "false"}</{tag}>'
-    if isinstance(value, int):
-        return f'<{tag} type="int">{value}</{tag}>'
-    if isinstance(value, float):
-        return f'<{tag} type="double">{value!r}</{tag}>'
-    if isinstance(value, str):
-        return f'<{tag} type="string">{escape(value)}</{tag}>'
-    if isinstance(value, list):
-        inner = "".join(_encode_value(item, "item", depth + 1)
-                        for item in value)
-        return f'<{tag} type="array">{inner}</{tag}>'
-    if isinstance(value, dict):
-        parts = []
-        for key, item in value.items():
-            if not isinstance(key, str):
-                # str(key) here would break round-tripping: {1: "x"}
-                # would come back as {"1": "x"}.  Reject loudly instead.
-                raise MalformedFault(
-                    f"struct key {key!r} is {type(key).__name__}, not str",
-                    subcode="non-string-key",
-                )
-            parts.append(
-                f'<entry key="{_escape_attr(key)}">'
-                f'{_encode_value(item, "value", depth + 2)}</entry>'
-            )
-        return f'<{tag} type="struct">{"".join(parts)}</{tag}>'
+#: The types a payload value travels as.  An instance of a subclass
+#: travels as its base (bool is its own, so it never reads as int).
+_WIRE_TYPES = (str, int, dict, list, type(None), bool, float)
+
+#: ``<entry key="...">`` for struct keys already escaped.  The protocol
+#: has a few dozen; past the bound the memo is emptied, like ``_HEADS``.
+_ENTRY_OPENINGS: Dict[str, str] = {}
+_ENTRY_OPENINGS_BOUND = 256
+
+
+def _wire_type(value: Any) -> type:
+    for base in _WIRE_TYPES:
+        if isinstance(value, base):
+            return base
     raise MalformedFault(
         f"unserialisable value of type {type(value).__name__}",
         subcode="unserialisable",
     )
+
+
+def _entry_opening(key: Any) -> str:
+    if not isinstance(key, str):
+        # str(key) here would break round-tripping: {1: "x"} would come
+        # back as {"1": "x"}.  Reject loudly instead.
+        raise MalformedFault(
+            f"struct key {key!r} is {type(key).__name__}, not str",
+            subcode="non-string-key",
+        )
+    if len(_ENTRY_OPENINGS) >= _ENTRY_OPENINGS_BOUND:
+        _ENTRY_OPENINGS.clear()
+    opening = _ENTRY_OPENINGS[key] = f'<entry key="{_escape_attr(key)}">'
+    return opening
+
+
+def _append_value(parts: List[str], value: Payload, tag: str,
+                  depth: int) -> None:
+    """Append ``value`` as a ``tag`` element, ``depth`` levels into the
+    payload; Envelope/Body/batch/op are the four levels around it."""
+    if depth + 4 > MAX_DEPTH:
+        raise MalformedFault(f"elements nest deeper than {MAX_DEPTH}",
+                             subcode="too-deep")
+    exact = type(value)
+    kind = exact if exact in _WIRE_TYPES else _wire_type(value)
+    if kind is str:
+        # escape() is also what makes a plain str of a subclass instance
+        # (a str-mixin Enum would format as its member name).
+        if exact is not str or "&" in value or "<" in value or ">" in value:
+            value = escape(value)
+        parts.append(f'<{tag} type="string">{value}</{tag}>')
+    elif kind is int:
+        parts.append(f'<{tag} type="int">{value}</{tag}>')
+    elif kind is dict:
+        parts.append(f'<{tag} type="struct">')
+        openings = _ENTRY_OPENINGS.get
+        for key, item in value.items():
+            parts.append(openings(key) or _entry_opening(key))
+            _append_value(parts, item, "value", depth + 2)
+            parts.append("</entry>")
+        parts.append(f"</{tag}>")
+    elif kind is list:
+        parts.append(f'<{tag} type="array">')
+        for item in value:
+            _append_value(parts, item, "item", depth + 1)
+        parts.append(f"</{tag}>")
+    elif value is None:
+        parts.append(f'<{tag} xsi:nil="true"/>')
+    elif kind is bool:
+        parts.append(
+            f'<{tag} type="boolean">{"true" if value else "false"}</{tag}>')
+    else:
+        parts.append(f'<{tag} type="double">{value!r}</{tag}>')
+
+
+def _encode_value(value: Payload, tag: str) -> str:
+    parts: List[str] = []
+    _append_value(parts, value, tag, 1)
+    return "".join(parts)
 
 
 def _encode_op(operation: str, payload: Payload) -> str:
@@ -206,13 +252,53 @@ Node = Tuple[str, Dict[str, str], List[Any], str]
 
 #: An element or attribute name.
 _NAME = r'[^\s<>/="]+'
-#: The envelope as contiguous tokens: a start, end or empty-element tag
-#: with well-formed attributes, a run of character data, or -- a ``<``
-#: that opens none of those -- the lone character that condemns it.
-_TOKEN_RE = re.compile(
-    rf'<(/?)({_NAME})((?:\s+{_NAME}="[^"<]*")*)\s*(/?)>|([^<]+)|<'
+#: What may follow a ``<``: a start, end or empty-element tag with
+#: well-formed attributes, through its ``>``.  The only place tag syntax
+#: is written down; a ``<`` this does not match condemns the envelope.
+_TAG_RE = re.compile(
+    rf'(/?)({_NAME})((?:\s+{_NAME}="[^"<]*")*)\s*(/?)>'
 )
 _ATTR_RE = re.compile(rf'({_NAME})="([^"<]*)"')
+
+#: Tag heads ``_TAG_RE`` has already read -- the text between a ``<`` and
+#: the first ``>`` after it, such as ``value type="int"`` or ``/entry`` --
+#: each with its ``(closing, tag, attrs, empty)``.  The protocol has a
+#: few dozen; a client that invents more than the bound empties the memo
+#: and is read at the regex's speed.  The ``attrs`` dicts are shared by
+#: every element with that head: read them, never hand them out.
+_HEADS: Dict[str, Tuple[str, str, Optional[Dict[str, str]], str]] = {}
+_HEADS_BOUND = 256
+
+
+def _read_tag(chunk: str, head: str) -> Optional[tuple]:
+    """Parse the tag that opens ``chunk`` (envelope text from just after
+    a ``<`` up to the next one): ``(closing, tag, attrs, empty, text
+    after the tag)``, or None when no tag does.  ``attrs`` is None for
+    an end tag, and for a start tag that repeats an attribute name."""
+    match = _TAG_RE.match(chunk)
+    if match is None:
+        return None
+    closing, tag, attr_text, empty = match.groups()
+    attrs = None
+    if closing:
+        if attr_text or empty:
+            return None
+    else:
+        pairs = _ATTR_RE.findall(attr_text)
+        if "&" in attr_text:
+            pairs = [(name, unescape(raw, quoted=True))
+                     for name, raw in pairs]
+        attrs = dict(pairs)
+        if len(attrs) != len(pairs):
+            attrs = None
+    end = match.end()
+    # Remember the head only when the tag is exactly ``<head>``: a ">"
+    # inside an attribute value ends ``head`` early.
+    if end == len(head) + 1 and (closing or attrs is not None):
+        if len(_HEADS) >= _HEADS_BOUND:
+            _HEADS.clear()
+        _HEADS[head] = (closing, tag, attrs, empty)
+    return closing, tag, attrs, empty, chunk[end:]
 
 
 def _read(envelope: str) -> Node:
@@ -225,42 +311,47 @@ def _read(envelope: str) -> Node:
     top: List[Node] = []
     siblings = top  # the children of the innermost open element
     open_elements: List[Tuple[str, Dict[str, str], List[Node]]] = []
-    text = ""
-    for token in _TOKEN_RE.finditer(envelope):
-        closing, tag, attr_text, empty, run = token.groups()
-        if run is not None:
-            text = unescape(run) if "&" in run else run
-        elif closing:
-            if attr_text or empty or not open_elements:
+    known = _HEADS.get
+    chunks = iter(envelope.split("<"))
+    text = next(chunks)  # whatever precedes the first "<"
+    for chunk in chunks:
+        head, found, tail = chunk.partition(">")
+        parsed = known(head) if found else None
+        if parsed is not None:
+            closing, tag, attrs, empty = parsed
+        else:
+            parsed = _read_tag(chunk, head)
+            if parsed is None:
+                break  # no tag opens at this "<"
+            closing, tag, attrs, empty, tail = parsed
+        if closing:
+            if not open_elements:
                 break
             open_tag, attrs, parent = open_elements.pop()
             if open_tag != tag or (text and siblings):
                 break
             parent.append((tag, attrs, siblings, text))
-            siblings, text = parent, ""
-        elif tag is None or text:
-            break  # a stray "<", or text beside a child or outside the root
+            siblings = parent
+        elif text:
+            break  # text beside a child or outside the root
+        elif len(open_elements) >= MAX_DEPTH:
+            raise MalformedFault(f"elements nest deeper than {MAX_DEPTH}",
+                                 subcode="too-deep")
+        elif attrs is None:
+            break  # an attribute name repeats
+        elif empty:
+            siblings.append((tag, attrs, [], ""))
         else:
-            if len(open_elements) >= MAX_DEPTH:
-                raise MalformedFault(f"elements nest deeper than {MAX_DEPTH}",
-                                     subcode="too-deep")
-            pairs = _ATTR_RE.findall(attr_text)
-            if "&" in attr_text:
-                pairs = [(name, unescape(raw, quoted=True))
-                         for name, raw in pairs]
-            attrs = dict(pairs)
-            if len(attrs) != len(pairs):
-                break
-            if empty:
-                siblings.append((tag, attrs, [], ""))
-            else:
-                open_elements.append((tag, attrs, siblings))
-                siblings = []
+            open_elements.append((tag, attrs, siblings))
+            siblings = []
+        text = unescape(tail) if "&" in tail else tail
     else:
         if len(top) == 1 and not open_elements and not text:
             return top[0]
         raise MalformedFault("envelope is not one complete element")
-    raise MalformedFault(f"envelope malformed at offset {token.start()}")
+    offset = len(envelope) - len(chunk) - 1 - sum(
+        len(rest) + 1 for rest in chunks)
+    raise MalformedFault(f"envelope malformed at offset {offset}")
 
 
 def _body(envelope: str) -> Node:

@@ -1,29 +1,22 @@
 """Event queue primitives for the discrete-event kernel.
 
-The queue is a binary heap ordered by ``(time, sequence)``. The sequence
-number makes execution order deterministic for events scheduled at the same
-instant: whichever was scheduled first fires first. Determinism matters
-because every experiment in the reproduction must be exactly repeatable from
-its seed.
+The queue is a binary heap of ``(time, sequence, handle)`` tuples. The
+sequence number makes execution order deterministic for events scheduled at
+the same instant: whichever was scheduled first fires first. It is also
+unique, so comparing two entries is decided by the time or the sequence and
+never reaches the handle, whose callback and arguments need not be
+orderable; tuples of a float and an int compare without calling back into
+Python. Determinism matters because every experiment in the reproduction
+must be exactly repeatable from its seed.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 from repro.sim.errors import SchedulingError
-
-
-@dataclass(order=True)
-class _HeapEntry:
-    """Internal heap record; comparison uses time then sequence only."""
-
-    time: float
-    seq: int
-    handle: "EventHandle" = field(compare=False)
 
 
 class EventHandle:
@@ -77,35 +70,44 @@ class EventQueue:
     """A deterministic priority queue of timestamped callbacks."""
 
     def __init__(self) -> None:
-        self._heap: list[_HeapEntry] = []
+        self._heap: list[tuple[float, int, EventHandle]] = []
         self._counter = itertools.count()
 
     def __len__(self) -> int:
         """Number of pending (non-cancelled) events."""
-        return sum(1 for entry in self._heap if entry.handle.pending)
+        return sum(1 for _, _, handle in self._heap if handle.pending)
 
     def push(self, time: float, callback: Callable[..., Any], args: tuple = ()) -> EventHandle:
         """Schedule ``callback(*args)`` at simulated ``time``."""
         handle = EventHandle(time, callback, args)
-        heapq.heappush(self._heap, _HeapEntry(time, next(self._counter), handle))
+        heapq.heappush(self._heap, (time, next(self._counter), handle))
         return handle
 
     def peek_time(self) -> Optional[float]:
         """Timestamp of the next live event, or None when empty."""
-        self._drop_cancelled()
-        if not self._heap:
-            return None
-        return self._heap[0].time
+        entry = self._next_live()
+        return None if entry is None else entry[0]
 
-    def pop(self) -> Optional[EventHandle]:
-        """Remove and return the next live event handle (None when empty)."""
-        self._drop_cancelled()
-        if not self._heap:
-            return None
-        entry = heapq.heappop(self._heap)
-        entry.handle._fired = True
-        return entry.handle
+    def pop(self, until: Optional[float] = None) -> Optional[EventHandle]:
+        """Remove and return the next live event handle.
 
-    def _drop_cancelled(self) -> None:
-        while self._heap and self._heap[0].handle.cancelled:
-            heapq.heappop(self._heap)
+        None when the queue is empty or, given ``until``, when the next
+        live event is later than that; it then stays queued.
+        """
+        entry = self._next_live()
+        if entry is None or (until is not None and entry[0] > until):
+            return None
+        heapq.heappop(self._heap)
+        handle = entry[2]
+        handle._fired = True
+        return handle
+
+    def _next_live(self) -> Optional[tuple[float, int, EventHandle]]:
+        """The heap's first entry once cancelled ones are dropped."""
+        heap = self._heap
+        while heap:
+            entry = heap[0]
+            if not entry[2]._cancelled:
+                return entry
+            heapq.heappop(heap)
+        return None

@@ -321,7 +321,11 @@ class Simulator:
     # ------------------------------------------------------------------
     def step(self) -> bool:
         """Fire the next pending event.  Returns False when none remain."""
-        handle = self._queue.pop()
+        return self._fire_next(None)
+
+    def _fire_next(self, until: Optional[float]) -> bool:
+        """Fire the next pending event unless it is later than ``until``."""
+        handle = self._queue.pop(until)
         if handle is None:
             return False
         if handle.time < self.now:
@@ -344,12 +348,8 @@ class Simulator:
                 raise SimulationLimitExceeded(
                     f"exceeded {max_events} events at simulated time {self.now:.3f}"
                 )
-            next_time = self._queue.peek_time()
-            if next_time is None:
+            if not self._fire_next(until):
                 break
-            if until is not None and next_time > until:
-                break
-            self.step()
         if until is not None and until > self.now:
             self.now = until
 

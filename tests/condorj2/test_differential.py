@@ -36,6 +36,24 @@ from repro.condorj2.schema import TABLES
 
 BACKENDS = ("sqlite", "memory")
 
+#: Two owners are numbers in text that is not how the engine would print
+#: them: "0.50" equals the default ``users.priority`` and "016" the default
+#: ``jobs.image_size_mb`` once comparison affinity has converted the text,
+#: and equals neither as text.
+OWNERS = ("user0", "user1", "user2", "user3", "0.50", "016")
+
+#: A TEXT column with an index against numeric columns, in the three
+#: places an equality can become a probe.  Comparison affinity converts
+#: the *text* side, so an index over the stored text cannot answer these.
+CROSS_AFFINITY_SQL = (
+    "SELECT u.user_name, j.job_id FROM users u"
+    " JOIN jobs j ON j.owner = u.priority",
+    "SELECT j.job_id FROM jobs j"
+    " WHERE j.owner IN (SELECT k.image_size_mb FROM jobs k)",
+    "SELECT u.user_name FROM users u"
+    " WHERE EXISTS (SELECT 1 FROM jobs j WHERE j.owner = u.priority)",
+)
+
 #: Number of seeded traces the fuzzer replays (acceptance floor: 50).
 TRACE_COUNT = 50
 #: Operations per trace.
@@ -122,7 +140,7 @@ class TraceRunner:
         specs = []
         for _ in range(self.rng.randint(1, 6)):
             spec = JobSpec(
-                owner=f"user{self.rng.randint(0, 3)}",
+                owner=self.rng.choice(OWNERS),
                 run_seconds=round(self.rng.uniform(5.0, 120.0), 3),
             )
             if self.submitted_ids and self.rng.random() < 0.4:
@@ -220,6 +238,16 @@ class TraceRunner:
         for pool in self.pools:
             pool.config.set(name, value, self.now, changed_by="fuzzer")
 
+    def op_cross_affinity(self):
+        sql = self.rng.choice(CROSS_AFFINITY_SQL)
+        answers = [
+            sorted(tuple(row) for row in pool.db.query_all(sql))
+            for pool in self.pools
+        ]
+        assert all(answer == answers[0] for answer in answers), (
+            f"engines disagree on {sql!r}: {answers}"
+        )
+
     OPS = (
         ("register", 1, op_register_machine),
         ("submit", 3, op_submit_batch),
@@ -231,6 +259,7 @@ class TraceRunner:
         ("remove", 1, op_remove_job),
         ("missing", 1, op_mark_missing),
         ("config", 1, op_config_change),
+        ("affinity", 1, op_cross_affinity),
     )
 
     def run(self, steps):

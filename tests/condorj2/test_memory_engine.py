@@ -405,6 +405,48 @@ def test_comparison_affinity_coerces_text_parameters(db):
     ) == 5
 
 
+#: ``jobs.owner`` is TEXT and indexed, ``users.priority`` REAL: comparing
+#: them converts the *text* side ('1' -> 1 = 1.0), so an index over the
+#: stored text must not answer.  (sql, rows SQLite returns)
+_CROSS_AFFINITY_SHAPES = [
+    ("SELECT j.job_id FROM users u JOIN jobs j ON j.owner = u.priority", 3),
+    ("SELECT j.job_id FROM jobs j"
+     " WHERE j.owner IN (SELECT u.priority FROM users u)", 3),
+    ("SELECT u.user_name FROM users u WHERE EXISTS"
+     " (SELECT 1 FROM jobs j WHERE j.owner = u.priority)", 1),
+    # the same comparisons, negated
+    ("SELECT j.job_id FROM jobs j"
+     " WHERE j.owner NOT IN (SELECT u.priority FROM users u)", 0),
+    ("SELECT u.user_name FROM users u WHERE NOT EXISTS"
+     " (SELECT 1 FROM jobs j WHERE j.owner = u.priority)", 0),
+    # an affinity-less needle against a numeric column
+    ("SELECT j.job_id FROM jobs j"
+     " WHERE '1' IN (SELECT u.priority FROM users u)", 3),
+    # a hash join over a subquery coerces its keys instead
+    ("SELECT u.user_name FROM users u"
+     " JOIN (SELECT owner AS o FROM jobs) s ON s.o = u.priority", 3),
+    # a probe from a correlated scalar subquery
+    ("SELECT j.job_id FROM jobs j WHERE (SELECT COUNT(*) FROM users u"
+     " WHERE u.user_name = j.run_seconds) > 0", 3),
+    # conversions that fall on the other side keep their probe
+    ("SELECT u.user_name FROM users u"
+     " WHERE u.priority IN (SELECT j.owner FROM jobs j)", 1),
+    ("SELECT j.job_id FROM jobs j WHERE j.owner = 1", 3),
+    ("SELECT j.job_id FROM jobs j WHERE j.owner = 1.0", 0),
+]
+
+
+@pytest.mark.parametrize("sql, expected", _CROSS_AFFINITY_SHAPES)
+def test_equality_probes_respect_comparison_affinity(db, sql, expected):
+    db.execute("INSERT INTO users (user_name, priority, created_at)"
+               " VALUES ('1', 1.0, 0)")
+    for job_id in (1, 2, 3):
+        db.execute(
+            "INSERT INTO jobs (job_id, owner, cmd, run_seconds, submitted_at)"
+            " VALUES (?, '1', 'c', 1, 0)", (job_id,))
+    assert len(db.query_all(sql)) == expected
+
+
 # ----------------------------------------------------------------------
 # memory-engine index maintenance under interleaved mutation
 # ----------------------------------------------------------------------

@@ -351,6 +351,24 @@ def test_memory_explain_chooses_index_probe():
     assert "est=" in rendered
 
 
+def test_memory_declines_a_probe_that_would_convert_the_indexed_column():
+    """``jobs.owner`` is TEXT: against a TEXT column the index answers,
+    against a REAL one comparison affinity converts ``owner`` itself and
+    the stored text is the wrong key -- the join falls back to a scan."""
+    db = _seeded_db("memory")
+    join = "SELECT j.job_id FROM users u JOIN jobs j ON j.owner = u.{column}"
+    assert "PROBE jobs AS j (index on owner)" in db.explain(
+        join.format(column="user_name")).render()
+    assert "SCAN jobs AS j" in db.explain(
+        join.format(column="priority")).render()
+    member = ("SELECT j.job_id FROM jobs j"
+              " WHERE j.owner IN (SELECT u.{column} FROM users u)")
+    assert "in-select probe on owner" in db.explain(
+        member.format(column="user_name")).render()
+    assert "PROBE" not in db.explain(
+        member.format(column="priority")).render()
+
+
 def test_memory_explain_profiles_actual_rows():
     db = _seeded_db("memory")
     report = db.explain(

@@ -1,5 +1,7 @@
 """Unit tests for the SOAP envelope codec."""
 
+import re
+
 import pytest
 from hypothesis import given, note, settings, strategies as st
 
@@ -424,6 +426,183 @@ def test_damaged_envelopes_decode_or_raise_typed_faults(pair, calls, data):
             decode(damaged)
         except ServiceFault:
             pass
+
+
+# ----------------------------------------------------------------------
+# reader equivalence: the split-and-memo reader against the token loop
+# ----------------------------------------------------------------------
+_NAME = r'[^\s<>/="]+'
+_TOKEN_RE = re.compile(
+    rf'<(/?)({_NAME})((?:\s+{_NAME}="[^"<]*")*)\s*(/?)>|([^<]+)|<'
+)
+_ATTR_RE = re.compile(rf'({_NAME})="([^"<]*)"')
+
+
+def _reference_read(envelope):
+    """The reader ``soap._read`` replaced: one regex token per tag or
+    run of text, five Python iterations per struct field.  Kept here,
+    and only here, as the oracle for what every envelope text means."""
+    top = []
+    siblings = top
+    open_elements = []
+    text = ""
+    for token in _TOKEN_RE.finditer(envelope):
+        closing, tag, attr_text, empty, run = token.groups()
+        if run is not None:
+            text = soap.unescape(run) if "&" in run else run
+        elif closing:
+            if attr_text or empty or not open_elements:
+                break
+            open_tag, attrs, parent = open_elements.pop()
+            if open_tag != tag or (text and siblings):
+                break
+            parent.append((tag, attrs, siblings, text))
+            siblings, text = parent, ""
+        elif tag is None or text:
+            break
+        else:
+            if len(open_elements) >= MAX_DEPTH:
+                raise MalformedFault(f"elements nest deeper than {MAX_DEPTH}",
+                                     subcode="too-deep")
+            pairs = _ATTR_RE.findall(attr_text)
+            if "&" in attr_text:
+                pairs = [(name, soap.unescape(raw, quoted=True))
+                         for name, raw in pairs]
+            attrs = dict(pairs)
+            if len(attrs) != len(pairs):
+                break
+            if empty:
+                siblings.append((tag, attrs, [], ""))
+            else:
+                open_elements.append((tag, attrs, siblings))
+                siblings = []
+    else:
+        if len(top) == 1 and not open_elements and not text:
+            return top[0]
+        raise MalformedFault("envelope is not one complete element")
+    raise MalformedFault(f"envelope malformed at offset {token.start()}")
+
+
+def _outcome(read, envelope):
+    """The tree ``read`` returns, or the fault it raises."""
+    try:
+        return read(envelope)
+    except MalformedFault as fault:
+        return fault.subcode, fault.detail
+
+
+def _assert_reads_like_the_reference(envelope):
+    expected = _outcome(_reference_read, envelope)
+    soap._HEADS.clear()
+    assert _outcome(soap._read, envelope) == expected  # every head parsed
+    assert _outcome(soap._read, envelope) == expected  # every head recalled
+    assert len(soap._HEADS) <= soap._HEADS_BOUND
+
+
+@given(
+    st.sampled_from(CODEC_PAIRS),
+    st.lists(st.tuples(operation_names, json_like), min_size=1, max_size=3),
+    st.data(),
+)
+@settings(deadline=None)
+def test_read_equals_the_reference_reader(pair, calls, data):
+    """Property: over every family of encoded envelope, each proper
+    prefix and each single-character substitution, ``_read`` returns the
+    tree the token loop returned or raises the fault it raised."""
+    envelope = pair[0](calls)
+    cut = data.draw(st.integers(0, len(envelope) - 1), label="cut")
+    replacement = data.draw(
+        st.sampled_from('<>/="& \'x0-\n\u00e9'), label="replacement")
+    for text in (
+        envelope,
+        envelope[:cut],
+        envelope[:cut] + replacement + envelope[cut + 1:],
+    ):
+        note(text)
+        _assert_reads_like_the_reference(text)
+
+
+_DEEP = 1200
+
+HAND_ENVELOPES = {
+    "gt-in-attribute": '<a b="x>y">t</a>',
+    "gt-in-attribute-then-text-gt": '<a b="x>y" c=">">t>u</a>',
+    "gt-in-text": "<a>x>y</a>",
+    "gt-after-close": "<a><b/>></a>",
+    "space-before-gt": '<a b="c" >t</a >',
+    "space-before-empty": '<a b="c" /><a\n/>',
+    "newline-between-attributes": '<a b="c"\n\td="e"/>',
+    "entity-attributes": '<a b="&quot;q&quot;" c="&amp;lt;" d="&gt;&amp;"/>',
+    "entity-text": "<a>&amp;lt; &lt;b&gt; &quot;</a>",
+    "duplicate-attribute": '<a b="1" b="2"/>',
+    "duplicate-attribute-open": '<a b="1" b="2">t</a>',
+    "valueless-attribute": "<a b/>",
+    "unquoted-attribute": "<a b=c/>",
+    "close-with-attributes": '<a></a b="c">',
+    "close-and-empty": "<a></a/>",
+    "close-with-space": "<a></ a>",
+    "close-without-open": "</a>",
+    "close-of-another": "<a><b></a></b>",
+    "text-before-root": "x<a/>",
+    "text-after-root": "<a/>x",
+    "space-after-root": "<a/> ",
+    "text-before-child": "<a>x<b/></a>",
+    "text-after-child": "<a><b/>x</a>",
+    "text-between-children": "<a><b/>x<c/></a>",
+    "two-roots": "<a/><b/>",
+    "unclosed-root": "<a><b/>",
+    "empty": "",
+    "no-tag-at-all": "plain text & more",
+    "lone-lt": "<a><</a>",
+    "lt-then-space": "<a>< b></a>",
+    "tag-cut-short": "<a></a",
+    "tag-cut-short-after-its-twin": "<a><a></a></a",
+    "open-cut-short": '<a b="c"',
+    "open-cut-short-after-its-twin": '<a b="c"><a b="c"',
+    "quote-in-name": '<a"b/>',
+    "deep": "<a>" * _DEEP + "</a>" * _DEEP,
+    "deep-empty-element": "<a>" * MAX_DEPTH + "<b/>",
+    "deep-duplicate-attribute": "<a>" * MAX_DEPTH + '<b c="1" c="2">',
+    "deep-text-first": "<a>" * MAX_DEPTH + "x<b>",
+    "deepest-allowed": "<a>" * MAX_DEPTH + "</a>" * MAX_DEPTH,
+}
+
+
+@pytest.mark.parametrize("name", sorted(HAND_ENVELOPES))
+def test_read_equals_the_reference_reader_by_hand(name):
+    _assert_reads_like_the_reference(HAND_ENVELOPES[name])
+
+
+def test_hand_envelopes_that_must_be_refused_are():
+    # Depth is judged before a tag's own attributes, after stray text.
+    for name in ("deep", "deep-empty-element", "deep-duplicate-attribute"):
+        assert _outcome(soap._read, HAND_ENVELOPES[name])[0] == "too-deep"
+    for name in ("deep-text-first", "close-with-attributes",
+                 "duplicate-attribute", "text-before-root", "tag-cut-short"):
+        assert _outcome(soap._read, HAND_ENVELOPES[name])[0] == "bad-envelope"
+    tag, attrs, children, text = soap._read(HAND_ENVELOPES["gt-in-attribute"])
+    assert (tag, attrs, children, text) == ("a", {"b": "x>y"}, [], "t")
+
+
+def test_more_heads_than_the_memo_holds_changes_nothing():
+    """An envelope with more distinct tag heads than ``_HEADS_BOUND``
+    empties the memo on the way and still reads like the reference; a
+    second decode of the same text is equal and shares no payload object
+    with the first, although equal heads share their parsed attributes
+    inside the reader."""
+    keys = [f"key{index}" for index in range(soap._HEADS_BOUND + 40)]
+    payload = {key: {"n": index, "tags": [key]}
+               for index, key in enumerate(keys)}
+    envelope = encode_request("op", payload)
+    assert envelope.count('<entry key="key') > soap._HEADS_BOUND
+    _assert_reads_like_the_reference(envelope)
+    first = decode_request(envelope)
+    second = decode_request(envelope)
+    assert first == second == ("op", payload)
+    first[1]["key0"]["tags"].append("mine")
+    first[1]["extra"] = 1
+    assert second == ("op", payload)
+    assert decode_request(envelope) == ("op", payload)
 
 
 def test_a_hundred_op_batch_is_read_once(monkeypatch):

@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.cluster import ClusterSpec, RELIABLE_EXECUTION
+from repro.cluster import (
+    RELIABLE_EXECUTION,
+    ClusterSpec,
+    ExecutionModel,
+    JobSpec,
+)
 from repro.condorj2 import CondorJ2System
 from repro.condorj2.startd import StartdConfig
 from repro.workload import fixed_length_batch, mixed_batch, two_stage_workflow
@@ -56,21 +61,45 @@ def test_pull_model_no_server_initiated_messages():
     assert startd_bound == []
 
 
-def test_jobs_survive_drops_and_complete():
-    from repro.cluster import ExecutionModel
+#: Set-up that often outlasts its timeout: drops, retries, cancelled timers.
+FLAKY_EXECUTION = ExecutionModel(
+    setup_cpu_seconds=0.2, setup_disk_seconds=0.3,
+    teardown_cpu_seconds=0.1, teardown_disk_seconds=0.1,
+    timeout_seconds=0.9, jitter_fraction=0.8,
+    heavy_tail_prob=0.2, heavy_tail_factor=3.0,
+    churn_disk_seconds_per_start=0.0,
+)
 
-    flaky = ExecutionModel(
-        setup_cpu_seconds=0.2, setup_disk_seconds=0.3,
-        teardown_cpu_seconds=0.1, teardown_disk_seconds=0.1,
-        timeout_seconds=0.9, jitter_fraction=0.8,
-        heavy_tail_prob=0.2, heavy_tail_factor=3.0,
-        churn_disk_seconds_per_start=0.0,
-    )
-    system = small_system(execution=flaky, seed=9)
+
+def test_jobs_survive_drops_and_complete():
+    system = small_system(execution=FLAKY_EXECUTION, seed=9)
     system.submit_at(0.0, fixed_length_batch(12, 20.0))
     system.run_until_complete(expected_jobs=12, max_seconds=7200.0)
     assert system.completed_count() == 12
     assert system.log.count("job_dropped") > 0  # drops happened and healed
+
+
+def test_seeded_pool_is_pinned_event_for_event():
+    """The same simulation, pinned: a kernel, wire or scheduling change
+    that reorders equal-time events, or moves one envelope's size, moves
+    these numbers -- and so would move every figure.  Measured at the
+    commit before the event heap took tuple entries; equal on all three
+    storage backends."""
+    system = small_system(execution=FLAKY_EXECUTION, seed=9)
+    # Ids from here, not the process-wide counter: an id's digits are
+    # bytes on the wire, and bytes are simulated transport time.
+    system.submit_at(0.0, [
+        JobSpec(job_id=index + 1, owner=f"user{index % 3}",
+                run_seconds=20.0 if index % 6 else 60.0)
+        for index in range(36)
+    ])
+    system.run_until_complete(expected_jobs=36, max_seconds=7200.0)
+    db = system.cas.db
+    assert system.log.count("job_dropped") > 0  # timeouts and cancels ran
+    assert (
+        system.sim.events_processed, system.sim.now, db.counts.statements,
+        db.table_count("job_history"), system.cas.scheduling.matches_created,
+    ) == (2880, 210.0, 1612, 36, 48)
 
 
 def test_mixed_workload_dependency_free_ordering():

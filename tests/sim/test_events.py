@@ -89,3 +89,47 @@ def test_handle_state_transitions():
     assert handle.pending and not handle.fired and not handle.cancelled
     queue.pop()
     assert handle.fired and not handle.pending
+
+
+def test_same_time_order_survives_interleaved_cancels():
+    queue = EventQueue()
+    fired = []
+    handles = [queue.push(5.0, fired.append, (label,)) for label in "abcdefgh"]
+    handles[0].cancel()
+    handles[3].cancel()
+    late = queue.push(5.0, fired.append, ("i",))
+    handles[7].cancel()
+    queue.push(5.0, fired.append, ("j",))
+    late.cancel()
+    assert len(queue) == 6
+    while (handle := queue.pop()) is not None:
+        handle.callback(*handle.args)
+    assert fired == list("bcefgj")
+    assert len(queue) == 0
+
+
+def test_entries_at_one_timestamp_need_not_be_orderable():
+    """The sequence number decides every tie, so neither the callbacks
+    nor their arguments are ever compared."""
+    queue = EventQueue()
+    payloads = [object(), {"a": 1}, None, lambda: None, 3, "x", {1, 2}]
+    for payload in payloads:
+        queue.push(1.0, (lambda value: value), (payload,))
+    popped = []
+    while (handle := queue.pop()) is not None:
+        popped.append(handle.args[0])
+    assert popped == payloads
+
+
+def test_pop_until_leaves_later_events_queued():
+    queue = EventQueue()
+    early = queue.push(1.0, lambda: None)
+    cancelled = queue.push(2.0, lambda: None)
+    late = queue.push(3.0, lambda: None)
+    cancelled.cancel()
+    assert queue.pop(until=0.5) is None
+    assert queue.pop(until=1.0) is early
+    assert queue.pop(until=2.5) is None  # the cancelled one is no event
+    assert late.pending and queue.peek_time() == 3.0 and len(queue) == 1
+    assert queue.pop(until=3.0) is late
+    assert queue.pop(until=9.0) is None

@@ -61,6 +61,24 @@ def test_run_until_includes_boundary_events():
     assert seen == ["boundary"]
 
 
+def test_run_until_skips_cancelled_and_counts_what_fired():
+    sim = Simulator()
+    seen = []
+    sim.schedule(1.0, seen.append, "cancelled").cancel()
+    sim.schedule(2.0, lambda: sim.schedule(0.0, seen.append, "child"))
+    sim.schedule(2.0, seen.append, "sibling")
+    sim.schedule(3.0, seen.append, "late")
+    sim.run(until=2.0)
+    # The child was scheduled at the boundary instant: same run, after
+    # everything scheduled there before it.
+    assert seen == ["sibling", "child"]
+    assert (sim.now, sim.events_processed) == (2.0, 3)
+    assert sim.step() is True
+    assert (seen[-1], sim.now, sim.events_processed) == ("late", 3.0, 4)
+    assert sim.step() is False
+    assert sim.events_processed == 4
+
+
 def test_max_events_guard():
     sim = Simulator()
 
