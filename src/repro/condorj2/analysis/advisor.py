@@ -28,13 +28,6 @@ from repro.condorj2.analysis.findings import Finding, make_finding
 from repro.condorj2.storage import planner, sqlparser as sp
 
 
-def _conjuncts(expr) -> List:
-    """Flatten an AND tree into its conjuncts."""
-    if isinstance(expr, sp.Bin) and expr.op == "AND":
-        return _conjuncts(expr.left) + _conjuncts(expr.right)
-    return [expr] if expr is not None else []
-
-
 def _owner(col: sp.Col, locals_: List[Tuple[str, schema.TableDef]]
            ) -> Optional[str]:
     """Which local table source a column reference belongs to."""
@@ -104,9 +97,9 @@ def _advise_scope(sources: List[sp.Source], where, catalog, file: str,
                 locals_.append((source.alias, table))
     if not locals_:
         return []
-    conjuncts = _conjuncts(where)
+    conjuncts = sp.split_conjuncts(where)
     for source in sources:
-        conjuncts.extend(_conjuncts(source.on))
+        conjuncts.extend(sp.split_conjuncts(source.on))
 
     findings: List[Finding] = []
     for alias, table in locals_:

@@ -330,8 +330,6 @@ class _Checker:
     # -- expressions ----------------------------------------------------
     def _check_expr(self, node, scope: Optional[_Scope],
                     aliases: FrozenSet[str] = frozenset()) -> None:
-        if node is None or isinstance(node, (sp.Lit, sp.Param)):
-            return
         if isinstance(node, sp.Col):
             self._resolve(node, scope, aliases)
             return
@@ -339,55 +337,14 @@ class _Checker:
             if node.table is not None and scope is not None:
                 self._expand_star(node, scope)
             return
-        if isinstance(node, sp.Bin):
-            self._check_expr(node.left, scope, aliases)
-            self._check_expr(node.right, scope, aliases)
-            if node.op in _COMPARE_OPS:
-                self._check_comparison(node, scope, aliases)
-            return
-        if isinstance(node, sp.Un):
-            self._check_expr(node.operand, scope, aliases)
-            return
-        if isinstance(node, sp.InList):
-            self._check_expr(node.needle, scope, aliases)
-            for item in node.items:
-                self._check_expr(item, scope, aliases)
+        for child in sp.children(node, nested=False):
+            self._check_expr(child, scope, aliases)
+        if isinstance(node, (sp.InSelect, sp.Exists, sp.ScalarSelect)):
+            self._check_select(node.select, scope)
+        elif isinstance(node, sp.Bin) and node.op in _COMPARE_OPS:
+            self._check_comparison(node, scope, aliases)
+        elif isinstance(node, sp.InList):
             self._check_domain_inlist(node, scope, aliases)
-            return
-        if isinstance(node, sp.InSelect):
-            self._check_expr(node.needle, scope, aliases)
-            self._check_select(node.select, scope)
-            return
-        if isinstance(node, sp.Exists):
-            self._check_select(node.select, scope)
-            return
-        if isinstance(node, sp.IsNull):
-            self._check_expr(node.operand, scope, aliases)
-            return
-        if isinstance(node, sp.Like):
-            self._check_expr(node.operand, scope, aliases)
-            self._check_expr(node.pattern, scope, aliases)
-            return
-        if isinstance(node, sp.Case):
-            for condition, result in node.whens:
-                self._check_expr(condition, scope, aliases)
-                self._check_expr(result, scope, aliases)
-            self._check_expr(node.default, scope, aliases)
-            return
-        if isinstance(node, sp.Cast):
-            self._check_expr(node.operand, scope, aliases)
-            return
-        if isinstance(node, sp.Func):
-            for arg in node.args:
-                self._check_expr(arg, scope, aliases)
-            return
-        if isinstance(node, sp.WindowFunc):
-            for expr, _desc in node.order_by:
-                self._check_expr(expr, scope, aliases)
-            return
-        if isinstance(node, sp.ScalarSelect):
-            self._check_select(node.select, scope)
-            return
 
     def _column_of(self, node, scope, aliases) -> Optional[schema.ColumnDef]:
         """The ColumnDef a side of a comparison refers to, if any.

@@ -27,6 +27,7 @@ from repro.condorj2.analysis.findings import (
 from repro.condorj2.analysis.lifecycle import (
     build_graphs, check_lifecycles, graphs_to_dot, graphs_to_json,
 )
+from repro.condorj2.analysis.source import SourceTree
 from repro.condorj2.analysis.txn import check_transactions
 
 
@@ -38,14 +39,15 @@ def analyze(root: Path, catalog: Optional[Catalog] = None
     cross-statement lifecycle pass, the transaction-boundary pass and
     the dispatch-complexity pass.
     """
-    corpus = extract_corpus(root)
+    source = SourceTree.of(root)  # parsed once, shared by every tier
+    corpus = extract_corpus(source)
     catalog = catalog or Catalog()
     findings: List[Finding] = list(corpus.findings)
     for statement in corpus.statements:
         findings.extend(check_extracted(statement, catalog))
     findings.extend(check_lifecycles(corpus))
-    findings.extend(check_transactions(root))
-    findings.extend(check_dispatch(root))
+    findings.extend(check_transactions(source))
+    findings.extend(check_dispatch(source))
     return corpus, sort_findings(findings)
 
 

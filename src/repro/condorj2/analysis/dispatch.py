@@ -68,15 +68,12 @@ import ast
 import builtins
 import re
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.condorj2.analysis.extract import EXECUTE_METHODS
 from repro.condorj2.analysis.findings import Finding, make_finding
-from repro.condorj2.analysis.txn import (
-    _EXCLUDED_FILES,
-    _EXCLUDED_PARTS,
-    _functions_of,
+from repro.condorj2.analysis.source import (
+    FunctionIndex, SourceTree, functions_of,
 )
 from repro.condorj2.schema import BOUNDED_ITERABLES
 
@@ -359,20 +356,14 @@ def _pragma_lines(source: str) -> Set[int]:
 
 
 @dataclass
-class DispatchModel:
+class DispatchModel(FunctionIndex):
     """The scanned tree's functions, call graph and complexity classes."""
 
-    functions: Dict[str, DispatchInfo] = field(default_factory=dict)
-    #: Bare name -> qualnames defining it (call-resolution index).
-    by_name: Dict[str, List[str]] = field(default_factory=dict)
     #: Functions that dispatch (directly or through callees).
     dispatching: Set[str] = field(default_factory=set)
     #: qualname -> loop depth (int), UNKNOWN_RECURSION, or None when the
     #: function can reach no dispatch at all.
     depth: Dict[str, object] = field(default_factory=dict)
-
-    def resolve(self, name: str) -> List[str]:
-        return self.by_name.get(name, [])
 
     def complexity(self, qualname: str) -> str:
         """The function's class on the complexity lattice."""
@@ -386,39 +377,20 @@ class DispatchModel:
         return "O(n·m)"
 
 
-def _scan_files(root: Path) -> List[Path]:
-    files = []
-    for path in sorted(root.rglob("*.py")):
-        relative = path.relative_to(root)
-        if any(part in _EXCLUDED_PARTS for part in relative.parts):
-            continue
-        if relative.name in _EXCLUDED_FILES + _DRIVER_FILES:
-            continue
-        files.append(path)
-    return files
-
-
-def build_dispatch_model(root: Path) -> DispatchModel:
-    """Parse the tree, collect loop-annotated sites, classify functions."""
+def build_dispatch_model(root) -> DispatchModel:
+    """Collect loop-annotated sites and classify every function;
+    ``root`` is a directory or a loaded :class:`SourceTree`."""
     model = DispatchModel()
-    for path in _scan_files(root):
-        try:
-            source = path.read_text()
-            tree = ast.parse(source)
-        except (SyntaxError, UnicodeDecodeError):
-            continue
-        relative = str(path.relative_to(root))
-        pragmas = _pragma_lines(source)
-        for qualname, node in _functions_of(tree):
-            info = DispatchInfo(qualname=f"{relative}:{qualname}",
-                                file=relative, line=node.lineno)
+    for module in SourceTree.of(root).application_modules(
+            but=_DRIVER_FILES):
+        pragmas = _pragma_lines(module.source)
+        for qualname, node in functions_of(module.tree):
+            info = DispatchInfo(qualname=f"{module.rel}:{qualname}",
+                                file=module.rel, line=node.lineno)
             scan = _DispatchScan(info, pragmas, _local_assignments(node))
             for statement in node.body:
                 scan.visit(statement)
-            model.functions[info.qualname] = info
-            model.by_name.setdefault(qualname.rsplit(".", 1)[-1],
-                                     []).append(info.qualname)
-
+            model.add(info)
     _dispatching_fixpoint(model)
     _depth_walk(model)
     return model
@@ -520,19 +492,16 @@ def _const(node: Optional[ast.expr], default=None):
     return default
 
 
-def read_declared_budgets(root: Path) -> List[DeclaredBudget]:
-    """Parse ``api/contracts.py`` for per-operation budget declarations.
+def read_declared_budgets(root) -> List[DeclaredBudget]:
+    """The per-operation budget declarations in ``api/contracts.py``.
 
     Reads the *scanned tree*, not the installed package, so seeded-
     mutation tests and out-of-tree roots behave like the real gate.
     """
-    path = Path(root) / "api" / "contracts.py"
-    if not path.exists():
+    module = SourceTree.of(root).module("api/contracts.py")
+    if module is None:
         return []
-    try:
-        tree = ast.parse(path.read_text())
-    except SyntaxError:
-        return []
+    tree = module.tree
     budgets: List[DeclaredBudget] = []
     for node in ast.walk(tree):
         if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
@@ -578,17 +547,14 @@ def read_declared_budgets(root: Path) -> List[DeclaredBudget]:
     return budgets
 
 
-def _handler_map(root: Path) -> Dict[str, str]:
+def _handler_map(root) -> Dict[str, str]:
     """operation -> handler method name, from the binding dict literal
     in ``web/services.py`` (``{"heartbeat": self._op_heartbeat, ...}``).
     """
-    path = Path(root) / "web" / "services.py"
-    if not path.exists():
+    module = SourceTree.of(root).module("web/services.py")
+    if module is None:
         return {}
-    try:
-        tree = ast.parse(path.read_text())
-    except SyntaxError:
-        return {}
+    tree = module.tree
     best: Dict[str, str] = {}
     for node in ast.walk(tree):
         if not isinstance(node, ast.Dict):
@@ -618,8 +584,9 @@ def _worst_complexity(model: DispatchModel, candidates: List[str]) -> str:
 # ----------------------------------------------------------------------
 # findings
 # ----------------------------------------------------------------------
-def check_dispatch(root: Path) -> List[Finding]:
+def check_dispatch(root) -> List[Finding]:
     """All dispatch-complexity findings for the tree under ``root``."""
+    root = SourceTree.of(root)
     model = build_dispatch_model(root)
     findings: List[Finding] = []
     for qualname in sorted(model.functions):
@@ -660,12 +627,13 @@ def _site_findings(file: str, function: str, line: int,
     return []
 
 
-def _budget_findings(root: Path, model: DispatchModel) -> List[Finding]:
-    budgets = read_declared_budgets(Path(root))
+def _budget_findings(root: SourceTree,
+                     model: DispatchModel) -> List[Finding]:
+    budgets = read_declared_budgets(root)
     if not budgets:
         return []
     file = "api/contracts.py"
-    handlers = _handler_map(Path(root))
+    handlers = _handler_map(root)
     findings: List[Finding] = []
     for budget in budgets:
         if not budget.declared:
@@ -704,14 +672,14 @@ def _budget_findings(root: Path, model: DispatchModel) -> List[Finding]:
 # ----------------------------------------------------------------------
 # the budgets report (cli --report budgets)
 # ----------------------------------------------------------------------
-def budgets_report(root: Path) -> Dict[str, object]:
+def budgets_report(root) -> Dict[str, object]:
     """The declared-vs-derived budget document, one entry per operation.
 
     ``consistent`` is True when the budget's shape matches the handler's
     complexity class, False when it does not, and None when the budget
     or the handler could not be resolved statically.
     """
-    root = Path(root)
+    root = SourceTree.of(root)
     model = build_dispatch_model(root)
     handlers = _handler_map(root)
     operations: List[Dict[str, object]] = []
@@ -751,7 +719,7 @@ def budgets_report(root: Path) -> Dict[str, object]:
     }
     return {
         "version": 1,
-        "root": str(root),
+        "root": str(root.root),
         "operations": operations,
         "dispatching_functions": functions,
     }

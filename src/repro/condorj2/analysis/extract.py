@@ -44,6 +44,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.condorj2 import schema
 from repro.condorj2.analysis.findings import Finding, make_finding
+from repro.condorj2.analysis.source import SourceTree
 
 #: Methods whose first argument is SQL text.
 EXECUTE_METHODS = ("execute", "executemany", "query_all", "query_one",
@@ -605,30 +606,19 @@ def _one_line(text: str, limit: int = 120) -> str:
 # entry point
 # ----------------------------------------------------------------------
 
-def iter_python_files(root: Path) -> List[Path]:
-    return sorted(p for p in Path(root).rglob("*.py"))
-
-
-def extract_corpus(root: Path) -> Corpus:
-    """Extract the full SQL corpus beneath ``root``.
+def extract_corpus(root) -> Corpus:
+    """Extract the full SQL corpus beneath ``root`` (a directory or a
+    loaded :class:`SourceTree`).
 
     File provenance is reported relative to ``root`` so baselines do not
     depend on where the tree is checked out.
     """
-    root = Path(root)
-    corpus = Corpus(root=root)
-    parsed: List[Tuple[str, ast.Module]] = []
-    for path in iter_python_files(root):
-        rel = path.relative_to(root).as_posix()
-        try:
-            tree = ast.parse(path.read_text(), filename=str(path))
-        except SyntaxError:
-            continue
-        parsed.append((rel, tree))
-    corpus.files_scanned = len(parsed)
-    corpus.beans = scan_beans(tree for _, tree in parsed)
-    for rel, tree in parsed:
-        extractor = _ModuleExtractor(tree, rel, corpus.beans)
+    source = SourceTree.of(root)
+    corpus = Corpus(root=source.root)
+    corpus.files_scanned = len(source.modules)
+    corpus.beans = scan_beans(module.tree for module in source.modules)
+    for module in source.modules:
+        extractor = _ModuleExtractor(module.tree, module.rel, corpus.beans)
         extractor.run()
         corpus.statements.extend(extractor.statements)
         corpus.findings.extend(extractor.findings)

@@ -48,10 +48,12 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.condorj2.analysis.findings import Finding, make_finding
+from repro.condorj2.analysis.source import (
+    FunctionIndex, SourceTree, functions_of,
+)
 from repro.condorj2.schema import LIFECYCLES
 from repro.condorj2.storage.counters import statement_table, statement_verb
 from repro.condorj2.storage.transitions import transition_spec
@@ -65,11 +67,6 @@ _WRITE_VERBS = ("INSERT", "UPDATE", "DELETE", "REPLACE")
 #: the target is unknown statically, so all such writes share one
 #: conservative bucket when counting distinct tables.
 DYNAMIC_TABLE = "<dynamic>"
-
-#: Files/directories that *are* the storage and analysis machinery; the
-#: pass audits the layers above them.
-_EXCLUDED_PARTS = ("storage", "analysis")
-_EXCLUDED_FILES = ("database.py",)
 
 
 @dataclass(frozen=True)
@@ -213,19 +210,13 @@ class _FunctionScan(ast.NodeVisitor):
 
 
 @dataclass
-class TxnModel:
+class TxnModel(FunctionIndex):
     """The scanned tree's functions, call graph and fixpoint results."""
 
-    functions: Dict[str, FunctionInfo] = field(default_factory=dict)
-    #: Bare name -> qualnames defining it (call-resolution index).
-    by_name: Dict[str, List[str]] = field(default_factory=dict)
     #: qualname -> exposed table set (writes reachable outside scopes).
     exposure: Dict[str, Set[str]] = field(default_factory=dict)
     #: qualname -> externally-protected verdict.
     protected: Dict[str, bool] = field(default_factory=dict)
-
-    def resolve(self, name: str) -> List[str]:
-        return self.by_name.get(name, [])
 
 
 def _module_constants(tree: ast.Module) -> Dict[str, str]:
@@ -241,58 +232,25 @@ def _module_constants(tree: ast.Module) -> Dict[str, str]:
     return constants
 
 
-def _scan_files(root: Path) -> List[Path]:
-    files = []
-    for path in sorted(root.rglob("*.py")):
-        relative = path.relative_to(root)
-        if any(part in _EXCLUDED_PARTS for part in relative.parts):
-            continue
-        if relative.name in _EXCLUDED_FILES:
-            continue
-        files.append(path)
-    return files
-
-
-def build_txn_model(root: Path) -> TxnModel:
-    """Parse the tree and run both interprocedural fixpoints."""
-    model = TxnModel()
+def build_txn_model(root) -> TxnModel:
+    """Scan the application modules and run both interprocedural
+    fixpoints; ``root`` is a directory or a loaded :class:`SourceTree`."""
+    modules = SourceTree.of(root).application_modules()
     constants: Dict[str, str] = {}
-    parsed: List[Tuple[str, ast.Module]] = []
-    for path in _scan_files(root):
-        try:
-            tree = ast.parse(path.read_text())
-        except SyntaxError:
-            continue
-        constants.update(_module_constants(tree))
-        parsed.append((str(path.relative_to(root)), tree))
-
-    for relative, tree in parsed:
-        for qualname, node in _functions_of(tree):
-            info = FunctionInfo(qualname=f"{relative}:{qualname}",
-                                file=relative, line=node.lineno)
+    for module in modules:
+        constants.update(_module_constants(module.tree))
+    model = TxnModel()
+    for module in modules:
+        for qualname, node in functions_of(module.tree):
+            info = FunctionInfo(qualname=f"{module.rel}:{qualname}",
+                                file=module.rel, line=node.lineno)
             scan = _FunctionScan(info, constants)
             for statement in node.body:
                 scan.visit(statement)
-            model.functions[info.qualname] = info
-            model.by_name.setdefault(qualname.rsplit(".", 1)[-1],
-                                     []).append(info.qualname)
-
+            model.add(info)
     _exposure_fixpoint(model)
     _protection_fixpoint(model)
     return model
-
-
-def _functions_of(tree: ast.Module):
-    """(qualname, node) for every function/method in ``tree``."""
-    def walk(nodes, prefix):
-        for node in nodes:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                name = f"{prefix}{node.name}"
-                yield name, node
-                yield from walk(node.body, f"{name}.")
-            elif isinstance(node, ast.ClassDef):
-                yield from walk(node.body, f"{prefix}{node.name}.")
-    yield from walk(tree.body, "")
 
 
 def _exposure_fixpoint(model: TxnModel) -> None:
@@ -348,7 +306,7 @@ def _protection_fixpoint(model: TxnModel) -> None:
     return
 
 
-def check_transactions(root: Path) -> List[Finding]:
+def check_transactions(root) -> List[Finding]:
     """All transaction-boundary findings for the tree under ``root``."""
     model = build_txn_model(root)
     findings: List[Finding] = []

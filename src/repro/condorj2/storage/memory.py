@@ -30,6 +30,7 @@ KEY aliases the rowid) and primary-key order for WITHOUT ROWID tables.
 from __future__ import annotations
 
 import heapq
+import itertools
 import json
 import re
 import time
@@ -525,32 +526,9 @@ class _Scope:
         del self.affinities[alias]
         del self.slots[alias]
 
-    def column_affinity(self, qualifier: Optional[str],
-                        name: str) -> Optional[str]:
-        """Affinity of the column ``node`` resolves to, None when the
-        name does not resolve or resolves to an affinity-less source."""
-        scope = self
-        while scope is not None:
-            if qualifier is not None:
-                if qualifier in scope.aliases:
-                    mapping = scope.affinities.get(qualifier)
-                    return mapping.get(name) if mapping else None
-            else:
-                for alias, columns in scope.aliases.items():
-                    if name in columns:
-                        mapping = scope.affinities.get(alias)
-                        return mapping.get(name) if mapping else None
-            scope = scope.parent
-        return None
-
-    def resolve(self, qualifier: Optional[str], name: str
-                ) -> Tuple[int, str]:
-        depth, alias, _slot = self.resolve_entry(qualifier, name)
-        return depth, alias
-
-    def resolve_entry(self, qualifier: Optional[str], name: str
-                      ) -> Tuple[int, str, int]:
-        """(depth, alias, frame slot) for a column reference."""
+    def _find(self, qualifier: Optional[str], name: str
+              ) -> Tuple[int, "_Scope", str]:
+        """(depth, defining scope, alias) for a column reference."""
         depth, scope = 0, self
         while scope is not None:
             if qualifier is not None:
@@ -559,20 +537,31 @@ class _Scope:
                     if name not in columns:
                         raise MemoryEngineError(
                             f"no such column: {qualifier}.{name}")
-                    return depth, qualifier, scope.slots[qualifier]
+                    return depth, scope, qualifier
             else:
                 for alias, columns in scope.aliases.items():
                     if name in columns:
-                        return depth, alias, scope.slots[alias]
+                        return depth, scope, alias
             depth, scope = depth + 1, scope.parent
         raise MemoryEngineError(
             f"no such column: {(qualifier + '.') if qualifier else ''}{name}")
 
+    def resolve(self, qualifier: Optional[str], name: str
+                ) -> Tuple[int, str, int]:
+        """(depth, alias, frame slot) for a column reference."""
+        depth, scope, alias = self._find(qualifier, name)
+        return depth, alias, scope.slots[alias]
 
-def _split_conjuncts(node: Any) -> List[Any]:
-    if isinstance(node, sp.Bin) and node.op == "AND":
-        return _split_conjuncts(node.left) + _split_conjuncts(node.right)
-    return [node] if node is not None else []
+    def column_affinity(self, qualifier: Optional[str],
+                        name: str) -> Optional[str]:
+        """Affinity of the column the reference resolves to, None when
+        it does not resolve or resolves to an affinity-less source."""
+        try:
+            _depth, scope, alias = self._find(qualifier, name)
+        except MemoryEngineError:
+            return None
+        mapping = scope.affinities[alias]
+        return mapping.get(name) if mapping else None
 
 
 def _combine_filters(filters: Sequence[Callable]) -> Optional[Callable]:
@@ -692,6 +681,8 @@ class _Compiler:
         #: (EXISTS, IN (SELECT), scalar subqueries, semi-join builds)
         #: attach to the select/statement being compiled.
         self._subs: List[List[Tuple[str, "_SelectPlan"]]] = []
+        #: ``rt.cache`` slots for per-execution subquery results
+        self._cache_keys = itertools.count()
 
     def _register_sub(self, label: str, subplan: "_SelectPlan") -> None:
         if self._subs:
@@ -758,48 +749,56 @@ class _Compiler:
             if col not in table.columns:
                 raise MemoryEngineError(f"no such column: {ast.table}.{col}")
             sets.append((col, self.compile_expr(expr, scope, stats)))
-        driver, filters, est = self._compile_single_table_where(
-            table, ast.table, ast.where, scope)
-        plan = _UpdatePlan(table, ast.table, sets, driver, filters)
-        plan.est_rows = est
-        return plan
+        return _UpdatePlan(table, sets, *self._compile_dml_where(
+            table, ast.table, ast.where, scope))
 
     def compile_delete(self, ast: sp.Delete) -> "_DeletePlan":
         table = self._table(ast.table)
         scope = _Scope()
         scope.add(ast.table, table.columns, table.affinities)
-        driver, filters, est = self._compile_single_table_where(
-            table, ast.table, ast.where, scope)
-        plan = _DeletePlan(table, ast.table, driver, filters)
-        plan.est_rows = est
-        return plan
+        return _DeletePlan(table, *self._compile_dml_where(
+            table, ast.table, ast.where, scope))
 
-    def _compile_single_table_where(self, table, alias, where, scope):
-        """Driver selection for single-table DML: price every probe-able
-        conjunct against the live statistics and keep the cheapest; the
-        rest compile to filters, so any choice is correct and a stale
-        estimate can only cost time."""
-        conjuncts = _split_conjuncts(where)
+    def _compile_dml_where(self, table, alias, where, scope):
+        """``(access path, filters, estimated rows)`` for the WHERE of
+        an UPDATE/DELETE: the chosen driver, or a key-order scan."""
+        conjuncts = sp.split_conjuncts(where)
         stats = _new_stats()
+        driver_position, access, est = self._choose_driver(
+            table, alias, conjuncts, scope, stats)
+        filters = [self.compile_expr(conjunct, scope, stats)
+                   for position, conjunct in enumerate(conjuncts)
+                   if position != driver_position]
+        if access is None:
+            access = _Access(keys=lambda rt: table.scan_keys())
+            est = float(len(table.rows))
+        return access, filters, est
+
+    def _choose_driver(self, table: MemoryTable, alias: str,
+                       conjuncts: List[Any], scope: _Scope, stats: Dict):
+        """Driver selection for one scan of ``table`` — a SELECT's first
+        source or the target of an UPDATE/DELETE: price every conjunct
+        that can probe an index against the live statistics and bind the
+        cheapest as the access path.  The others stay filters, so any
+        choice is correct and a stale estimate can only cost time.
+        Returns ``(conjunct position, access path, estimated rows)``,
+        all None when no conjunct can drive."""
         candidates = []
-        infos: Dict[int, Tuple] = {}
+        binders: Dict[int, Callable] = {}
         for position, conjunct in enumerate(conjuncts):
-            info = self._probe_candidate(conjunct, table, alias, scope, set())
-            if info is not None:
-                infos[position] = info
-                candidates.append(pl.DriverCandidate(
-                    position, info[0], info[1],
-                    self._estimate_probe(table, info)))
-        best = pl.choose_driver(candidates)
-        driver = None
-        filters = []
-        for position, conjunct in enumerate(conjuncts):
-            if best is not None and position == best.position:
-                driver = self._compile_probe(infos[position], scope, stats)
+            if not (_local_aliases(conjunct, scope) <= {alias}):
                 continue
-            filters.append(self.compile_expr(conjunct, scope, stats))
-        est = best.est_rows if best is not None else float(len(table.rows))
-        return driver, filters, est
+            found = self._driver_candidate(conjunct, table, alias, scope)
+            if found is not None:
+                kind, column, est, binders[position] = found
+                candidates.append(
+                    pl.DriverCandidate(position, kind, column, est))
+        best = pl.choose_driver(candidates)
+        if best is None:
+            return None, None, None
+        access = binders[best.position](stats)
+        access.label = f"{best.kind} probe on {best.column}"
+        return best.position, access, best.est_rows
 
     # ------------------------------------------------------------------
     # SELECT
@@ -818,35 +817,19 @@ class _Compiler:
                       slot=position)
             bound.append(plan.alias)
 
-        # WHERE: split into pushdown (first source only) and post-join.
-        # Among the pushdown conjuncts, every probe-able one is priced
-        # against the live statistics and the cheapest becomes the scan
-        # driver; the rest stay filters, so the choice is always correct.
-        where_conjuncts = _split_conjuncts(ast.where)
+        # WHERE: split into pushdown (first source only) and post-join;
+        # one pushdown conjunct may become the first source's driver.
+        where_conjuncts = sp.split_conjuncts(ast.where)
         pushdown: List[Callable] = []
         post: List[Callable] = []
-        driver = None
         driver_position = None
         first = source_plans[0] if source_plans else None
         if first is not None and first.kind == "table":
-            candidates = []
-            infos: Dict[int, Tuple] = {}
-            for position, conjunct in enumerate(where_conjuncts):
-                if not (_local_aliases(conjunct, scope) <= {first.alias}):
-                    continue
-                info = self._probe_candidate(
-                    conjunct, first.table, first.alias, scope, set())
-                if info is not None:
-                    infos[position] = info
-                    candidates.append(pl.DriverCandidate(
-                        position, info[0], info[1],
-                        self._estimate_probe(first.table, info)))
-            best = pl.choose_driver(candidates)
-            if best is not None:
-                driver_position = best.position
-                driver = self._compile_probe(
-                    infos[driver_position], scope, stats)
-                first.est_rows = best.est_rows
+            driver_position, access, est = self._choose_driver(
+                first.table, first.alias, where_conjuncts, scope, stats)
+            if access is not None:
+                first.access = access
+                first.est_rows = est
         for position, conjunct in enumerate(where_conjuncts):
             if position == driver_position:
                 continue
@@ -859,9 +842,7 @@ class _Compiler:
             else:
                 post.append(fn)
         if first is not None:
-            first.driver = driver
-            first.pushdown = pushdown
-            first.pushdown_check = _combine_filters(pushdown)
+            first.check = _combine_filters(pushdown)
 
         # ROW_NUMBER windows whose order equals the select's ORDER BY
         # fuse into the final (top-K) sort: rank = output position.
@@ -874,9 +855,7 @@ class _Compiler:
         names: List[str] = []
         alias_exprs: Dict[str, Any] = {}
         windows: List[Tuple[Any, List[Tuple[Callable, bool]]]] = []
-        istats = _new_stats()
-        istats["windows"] = windows
-        istats["win_base"] = len(source_plans)
+        istats = _new_stats(windows, len(source_plans))
         for ast_index, item in enumerate(ast.items):
             if ast_index in fused_ast_set:
                 fused_positions.append(len(item_fns))
@@ -904,51 +883,21 @@ class _Compiler:
         has_agg = istats["agg"]
         stats["outer"] = max(stats["outer"], istats["outer"])
 
-        def rewrite_aliases(expr):
-            """Column-first, select-alias-fallback resolution, applied
-            recursively (HAVING/ORDER BY may nest alias references inside
-            larger expressions, e.g. ``HAVING valid_replicas < d.k_safety``).
-            Subqueries keep their own scopes and are left untouched."""
-            if isinstance(expr, sp.Col) and expr.table is None:
+        def alias_for(node):
+            """Column-first, select-alias-fallback resolution, wherever
+            in a HAVING/GROUP BY/ORDER BY expression the name appears
+            (``HAVING valid_replicas < d.k_safety``)."""
+            if isinstance(node, sp.Col) and node.table is None \
+                    and node.name in alias_exprs:
                 try:
-                    scope.resolve(None, expr.name)
+                    scope.resolve(None, node.name)
                 except MemoryEngineError:
-                    if expr.name in alias_exprs:
-                        return alias_exprs[expr.name]
-                return expr
-            if isinstance(expr, sp.Bin):
-                return sp.Bin(expr.op, rewrite_aliases(expr.left),
-                              rewrite_aliases(expr.right))
-            if isinstance(expr, sp.Un):
-                return sp.Un(expr.op, rewrite_aliases(expr.operand))
-            if isinstance(expr, sp.IsNull):
-                return sp.IsNull(rewrite_aliases(expr.operand), expr.negated)
-            if isinstance(expr, sp.Like):
-                return sp.Like(rewrite_aliases(expr.operand),
-                               rewrite_aliases(expr.pattern), expr.negated)
-            if isinstance(expr, sp.Case):
-                return sp.Case(
-                    [(rewrite_aliases(c), rewrite_aliases(v))
-                     for c, v in expr.whens],
-                    rewrite_aliases(expr.default)
-                    if expr.default is not None else None)
-            if isinstance(expr, sp.Cast):
-                return sp.Cast(rewrite_aliases(expr.operand), expr.to_type)
-            if isinstance(expr, sp.InList):
-                return sp.InList(rewrite_aliases(expr.needle),
-                                 [rewrite_aliases(i) for i in expr.items],
-                                 expr.negated)
-            if isinstance(expr, sp.Func):
-                return sp.Func(expr.name,
-                               [rewrite_aliases(a) for a in expr.args],
-                               expr.distinct, expr.star)
-            return expr
+                    return alias_exprs[node.name]
+            return None
 
         def compile_output_expr(expr):
-            expr = rewrite_aliases(expr)
-            ostats = _new_stats()
-            ostats["windows"] = windows
-            ostats["win_base"] = len(source_plans)
+            expr = sp.rewrite(expr, alias_for)
+            ostats = _new_stats(windows, len(source_plans))
             fn = self.compile_expr(expr, scope, ostats)
             stats["outer"] = max(stats["outer"], ostats["outer"])
             if ostats["agg"]:
@@ -963,8 +912,8 @@ class _Compiler:
                        for e, desc in ast.order_by]
         limit_fn = None
         if ast.limit is not None:
-            lstats = _new_stats()
-            limit_fn = self.compile_expr(ast.limit, _Scope(scope), lstats)
+            # No column is visible to LIMIT, an outer one included.
+            limit_fn = self.compile_expr(ast.limit, _Scope(), _new_stats())
 
         lookup: Dict[str, int] = {}
         for index, name in enumerate(names):
@@ -1023,65 +972,88 @@ class _Compiler:
         if src.on is not None:
             scope.add(plan.alias, plan.columns, plan.affinities,
                       slot=position)  # temporarily visible for ON
-            conjuncts = _split_conjuncts(src.on)
             residual = []
-            for conjunct in conjuncts:
-                if plan.probe is None:
-                    probe = self._try_join_probe(conjunct, plan, scope,
-                                                 bound, stats)
-                    if probe is not None:
-                        plan.probe = probe
+            for conjunct in sp.split_conjuncts(src.on):
+                if plan.access.label is None:
+                    access = self._try_join_probe(conjunct, plan, scope,
+                                                  bound, stats)
+                    if access is not None:
+                        plan.access = access
                         continue
                 residual.append(self.compile_expr(conjunct, scope, stats))
-            plan.residual_on = residual
-            plan.residual_check = _combine_filters(residual)
+            plan.check = _combine_filters(residual)
             scope.remove(plan.alias)  # re-added by caller in order
-            if plan.kind == "table" and plan.probe is not None \
-                    and plan.probe[0] == "index":
-                table = plan.table
-                column = plan.probe[1]
-                plan.est_rows = pl.estimate_eq_rows(
-                    len(table.rows), len(table.eq_indexes.get(column, ())),
-                    self._is_unique_column(table, column))
         return plan
 
     # -- probe extraction ----------------------------------------------
-    def _probe_candidate(self, conjunct: Any, table: MemoryTable,
-                         alias: str, scope: _Scope,
-                         allowed_local: set) -> Optional[Tuple]:
-        """Detect a WHERE-clause driver shape without compiling it:
-        `alias.col = expr` or `alias.col IN (...)` with ``expr`` free of
-        disallowed local references, and of an affinity that leaves the
-        column as stored (the index holds stored values; see
-        :func:`_comparison_coercions`).  Returns ``(kind, column, payload
-        AST)`` for :meth:`_estimate_probe` / :meth:`_compile_probe`."""
+    def _driver_candidate(self, conjunct: Any, table: MemoryTable,
+                          alias: str, scope: _Scope) -> Optional[Tuple]:
+        """Recognise a WHERE conjunct that can drive the scan of
+        ``alias``: ``alias.col = expr`` or ``alias.col IN (...)`` over an
+        indexed column, the other side reading no row of this select and
+        of an affinity that leaves the column as stored (the index holds
+        stored values; see :func:`_comparison_coercions`).  An ``IN
+        (SELECT ...)`` qualifies when its compiled plan references
+        nothing outside itself: it runs once, before any row is bound.
+
+        Returns ``(kind, column, estimated rows, bind)`` — the estimate
+        from the live statistics (row count, per-index distinct count),
+        ``bind(stats)`` compiling the payload into the access path — or
+        None.  Payloads compile against the caller's ``stats`` so outer
+        references keep marking the select as correlated."""
+        rows = float(len(table.rows))
         if isinstance(conjunct, sp.Bin) and conjunct.op == "=":
             for col_side, other in ((conjunct.left, conjunct.right),
                                     (conjunct.right, conjunct.left)):
-                column = self._probe_column(col_side, table, alias, scope)
-                if column is None:
-                    continue
-                if _local_aliases(other, scope) - allowed_local:
+                column = self._own_column(col_side, alias, scope)
+                if column not in table.eq_indexes \
+                        or _local_aliases(other, scope):
                     continue
                 if _converts_left(table.affinities[column],
                                   self._operand_affinity(other, scope)):
                     continue
-                return ("eq", column, other)
-        if isinstance(conjunct, (sp.InList, sp.InSelect)) and not conjunct.negated:
-            column = self._probe_column(conjunct.needle, table, alias, scope)
-            if column is None:
+                return ("eq", column, self._estimate_eq(table, column),
+                        lambda stats: _lookup_access(
+                            table, column,
+                            self.compile_expr(other, scope, stats)))
+        if not isinstance(conjunct, (sp.InList, sp.InSelect)) \
+                or conjunct.negated:
+            return None
+        column = self._own_column(conjunct.needle, alias, scope)
+        if column not in table.eq_indexes:
+            return None
+        eq_est = self._estimate_eq(table, column)
+        if isinstance(conjunct, sp.InList):
+            items = conjunct.items
+            if any(_local_aliases(item, scope) for item in items):
                 return None
-            if isinstance(conjunct, sp.InList):
-                if any(_local_aliases(i, scope) for i in conjunct.items):
-                    return None
-                return ("in-list", column, conjunct.items)
-            if _select_is_correlated(conjunct.select):
-                return None
-            if _converts_left(table.affinities[column],
-                              self._first_item_affinity(conjunct.select)):
-                return None
-            return ("in-select", column, conjunct.select)
-        return None
+
+            def bind_list(stats):
+                fns = [self.compile_expr(item, scope, stats)
+                       for item in items]
+                return _union_access(
+                    table, column, lambda rt: [fn(rt) for fn in fns])
+
+            return ("in-list", column,
+                    min(rows, eq_est * max(1, len(items))), bind_list)
+        if _converts_left(table.affinities[column],
+                          self._first_item_affinity(conjunct.select)):
+            return None
+        sub = self.compile_select(conjunct.select, scope)
+        if sub.correlated:
+            return None
+        # One probe per distinct subquery value; the value count is
+        # estimated from the subquery's first table source.
+        head = sub.sources[0] if sub.sources else None
+        sub_rows = (float(len(head.table.rows))
+                    if head is not None and head.kind == "table" else rows)
+
+        def bind_select(stats):
+            self._register_sub("IN-SELECT DRIVER", sub)
+            return _union_access(table, column, sub.first_column_values)
+
+        return ("in-select", column, min(rows, eq_est * sub_rows),
+                bind_select)
 
     @staticmethod
     def _is_unique_column(table: MemoryTable, column: str) -> bool:
@@ -1093,98 +1065,58 @@ class _Compiler:
         return any(len(cols) == 1 and cols[0] == column
                    for cols in table.tdef.unique)
 
-    def _estimate_probe(self, table: MemoryTable,
-                        candidate: Tuple) -> float:
-        """Expected driven rows for a probe candidate, from the live
-        table statistics (row count, per-index distinct count)."""
-        kind, column, payload = candidate
-        rows = len(table.rows)
-        eq_est = pl.estimate_eq_rows(
-            rows, len(table.eq_indexes.get(column, ())),
+    def _estimate_eq(self, table: MemoryTable, column: str) -> float:
+        """Expected rows of one equality lookup on ``column``."""
+        return pl.estimate_eq_rows(
+            len(table.rows), len(table.eq_indexes.get(column, ())),
             self._is_unique_column(table, column))
-        if kind == "eq":
-            return eq_est
-        if kind == "in-list":
-            return min(float(rows), eq_est * max(1, len(payload)))
-        # in-select: probe once per distinct subquery value; estimate the
-        # value count from the subquery's first table source.
-        sub_rows = float(rows)
-        if payload.sources:
-            src = payload.sources[0]
-            if src.kind == "table":
-                sub_table = self.engine.tables.get(src.name)
-                if sub_table is not None:
-                    sub_rows = float(len(sub_table.rows))
-        return min(float(rows), eq_est * sub_rows)
 
-    def _compile_probe(self, candidate: Tuple, scope: _Scope,
-                       stats: Dict) -> Tuple:
-        """Compile a probe candidate into the executable driver tuple.
-
-        Probe expressions are compiled against the caller's ``stats`` so
-        outer-scope references keep marking the select as correlated."""
-        kind, column, payload = candidate
-        if kind == "eq":
-            return ("eq", column, self.compile_expr(payload, scope, stats))
-        if kind == "in-list":
-            return ("in-list", column,
-                    [self.compile_expr(i, scope, stats) for i in payload])
-        sub = self.compile_select(payload, scope)
-        self._register_sub("IN-SELECT DRIVER", sub)
-        return ("in-select", column, sub)
-
-    def _probe_column(self, node: Any, table: MemoryTable, alias: str,
-                      scope: _Scope) -> Optional[str]:
+    @staticmethod
+    def _own_column(node: Any, alias: str, scope: _Scope) -> Optional[str]:
+        """The column's name when ``node`` is a column of ``alias``, a
+        source of the select being compiled; None for anything else."""
         if not isinstance(node, sp.Col):
             return None
         try:
-            depth, resolved = scope.resolve(node.table, node.name)
+            depth, resolved, _slot = scope.resolve(node.table, node.name)
         except MemoryEngineError:
             return None
-        if depth != 0 or resolved != alias:
-            return None
-        if node.name not in table.eq_indexes:
-            return None
-        return node.name
+        return node.name if depth == 0 and resolved == alias else None
 
     def _try_join_probe(self, conjunct: Any, plan: "_SourcePlan",
                         scope: _Scope, bound: List[str],
-                        stats: Dict) -> Optional[Tuple]:
-        """ON-clause probe: `new.col = expr(bound aliases | outer)`.
+                        stats: Dict) -> Optional["_Access"]:
+        """ON-clause access path: `new.col = expr(bound aliases | outer)`.
 
-        An index probe is declined when the comparison would convert the
-        indexed column; a hash probe coerces its keys instead."""
+        A table source is probed through its index, unless the
+        comparison would convert the indexed column; a subquery source
+        is hash-joined, its keys coerced instead."""
         if not (isinstance(conjunct, sp.Bin) and conjunct.op == "="):
             return None
         for col_side, other in ((conjunct.left, conjunct.right),
                                 (conjunct.right, conjunct.left)):
-            if not isinstance(col_side, sp.Col):
-                continue
-            try:
-                depth, resolved = scope.resolve(col_side.table, col_side.name)
-            except MemoryEngineError:
-                continue
-            if depth != 0 or resolved != plan.alias:
-                continue
-            if _local_aliases(other, scope) - set(bound):
+            column = self._own_column(col_side, plan.alias, scope)
+            if column is None or _local_aliases(other, scope) - set(bound):
                 continue
             other_aff = self._operand_affinity(other, scope)
             if plan.kind == "table":
-                if col_side.name not in plan.table.eq_indexes:
+                if column not in plan.table.eq_indexes:
                     continue
-                if _converts_left(plan.table.affinities[col_side.name],
-                                  other_aff):
+                if _converts_left(plan.table.affinities[column], other_aff):
                     continue
-                fn = self.compile_expr(other, scope, stats)
-                return ("index", col_side.name, fn)
+                plan.est_rows = self._estimate_eq(plan.table, column)
+                return _lookup_access(
+                    plan.table, column,
+                    self.compile_expr(other, scope, stats),
+                    f"index on {column}")
             if plan.kind == "subquery":
                 # The buckets are built here, so both sides can take
-                # their coercion: (kind, column, probe fn, key coercion).
+                # their coercion.
                 co_key, co_other = _comparison_coercions(None, other_aff)
                 fn = self.compile_expr(other, scope, stats)
                 if co_other is not None:
                     fn = _wrap(fn, co_other)
-                return ("hash", col_side.name, fn, co_key)
+                return _hash_access(plan, column, fn, co_key)
         return None
 
     # -- correlated EXISTS -> hash semi-join ---------------------------
@@ -1289,11 +1221,8 @@ class _Compiler:
                 return rt.named[_n]
             return named_fn
         if isinstance(node, sp.Col):
-            depth, alias, slot = scope.resolve_entry(node.table, node.name)
-            if depth > 0:
-                stats["outer"] = max(stats["outer"], depth)
-            else:
-                stats["local"].add(alias)
+            depth, _alias, slot = scope.resolve(node.table, node.name)
+            stats["outer"] = max(stats["outer"], depth)
             index = -1 - depth
             name = node.name
             def col_fn(rt, _i=index, _s=slot, _n=name):
@@ -1424,7 +1353,7 @@ class _Compiler:
                 self._first_item_affinity(node.select))
             if co_needle is not None:
                 needle = _wrap(needle, co_needle)
-            key = id(node)
+            key = next(self._cache_keys)
             def in_select_fn(rt):
                 value = needle(rt)
                 if value is None:
@@ -1444,7 +1373,7 @@ class _Compiler:
             stats["outer"] = max(stats["outer"], sub.outer_depth - 1)
             negated = node.negated
             label = "NOT-EXISTS" if negated else "EXISTS"
-            key = id(node)
+            key = next(self._cache_keys)
             if not sub.correlated:
                 self._register_sub(label, sub)
                 def exists_fn(rt):
@@ -1617,7 +1546,8 @@ class _Compiler:
         return max_fn
 
 
-def _new_stats() -> Dict[str, Any]:
+def _new_stats(windows: Optional[List] = None,
+               win_base: int = 0) -> Dict[str, Any]:
     # "outer" is the maximum frame depth any compiled reference reaches,
     # relative to the current select (0 = local only).  A nested
     # subquery's depth-1 references resolve to *this* select's frame, so
@@ -1625,8 +1555,8 @@ def _new_stats() -> Dict[str, Any]:
     # depth >= 1 after that still escapes this select.
     # "win_base" is the first window slot in the flat environment list:
     # source rows occupy slots [0, len(sources)), window values follow.
-    return {"agg": False, "outer": 0, "local": set(), "windows": [],
-            "win_base": 0}
+    return {"agg": False, "outer": 0, "win_base": win_base,
+            "windows": [] if windows is None else windows}
 
 
 def _wrap(fn: Callable, coerce: Callable) -> Callable:
@@ -1686,133 +1616,103 @@ def _probe_norm(value: Any) -> Any:
 
 
 def _local_aliases(node: Any, scope: _Scope) -> set:
-    """Depth-0 aliases referenced by ``node`` (subqueries included)."""
+    """Depth-0 aliases ``node`` may reference, subqueries included.  A
+    bare name inside a subquery is resolved in ``scope`` too, so the set
+    can only be too large — which costs a probe, never an answer."""
     found: set = set()
-
-    def walk(n: Any) -> None:
+    for n in sp.walk(node):
         if isinstance(n, sp.Col):
             try:
-                depth, alias = scope.resolve(n.table, n.name)
+                depth, alias, _slot = scope.resolve(n.table, n.name)
             except MemoryEngineError:
-                return
+                continue
             if depth == 0:
                 found.add(alias)
-            return
-        if isinstance(n, (sp.Select,)):
-            for item in n.items:
-                if not isinstance(item.expr, sp.Star):
-                    walk(item.expr)
-            for src in n.sources:
-                if src.on is not None:
-                    walk(src.on)
-                if src.kind == "json_each":
-                    walk(src.arg)
-            if n.where is not None:
-                walk(n.where)
-            if n.having is not None:
-                walk(n.having)
-            for g in n.group_by:
-                walk(g)
-            for e, _ in n.order_by:
-                walk(e)
-            if n.limit is not None:
-                walk(n.limit)
-            return
-        if isinstance(n, sp.Bin):
-            walk(n.left)
-            walk(n.right)
-        elif isinstance(n, sp.Un):
-            walk(n.operand)
-        elif isinstance(n, sp.IsNull):
-            walk(n.operand)
-        elif isinstance(n, sp.Like):
-            walk(n.operand)
-            walk(n.pattern)
-        elif isinstance(n, sp.Case):
-            for c, v in n.whens:
-                walk(c)
-                walk(v)
-            if n.default is not None:
-                walk(n.default)
-        elif isinstance(n, sp.Cast):
-            walk(n.operand)
-        elif isinstance(n, sp.InList):
-            walk(n.needle)
-            for i in n.items:
-                walk(i)
-        elif isinstance(n, sp.InSelect):
-            walk(n.needle)
-            walk(n.select)
-        elif isinstance(n, sp.Exists):
-            walk(n.select)
-        elif isinstance(n, sp.ScalarSelect):
-            walk(n.select)
-        elif isinstance(n, sp.Func):
-            for a in n.args:
-                walk(a)
-        elif isinstance(n, sp.WindowFunc):
-            for e, _ in n.order_by:
-                walk(e)
-
-    if node is not None:
-        walk(node)
     return found
-
-
-def _select_is_correlated(select: sp.Select) -> bool:
-    """Conservative correlation test on the raw AST: any qualified column
-    whose qualifier is not one of the select's own aliases."""
-    own = set()
-    for src in select.sources:
-        own.add(src.alias or src.name)
-
-    class _Found(Exception):
-        pass
-
-    def walk_expr(n: Any) -> None:
-        if isinstance(n, sp.Col):
-            if n.table is not None and n.table not in own:
-                raise _Found
-            return
-        for attr in ("left", "right", "operand", "pattern", "needle"):
-            child = getattr(n, attr, None)
-            if child is not None and not isinstance(child, (str, bool)):
-                walk_expr(child)
-        if isinstance(n, sp.Case):
-            for c, v in n.whens:
-                walk_expr(c)
-                walk_expr(v)
-            if n.default is not None:
-                walk_expr(n.default)
-        if isinstance(n, sp.InList):
-            for i in n.items:
-                walk_expr(i)
-        if isinstance(n, (sp.InSelect, sp.Exists, sp.ScalarSelect)):
-            if _select_is_correlated(n.select):
-                raise _Found
-        if isinstance(n, sp.Func):
-            for a in n.args:
-                walk_expr(a)
-
-    try:
-        for item in select.items:
-            if not isinstance(item.expr, sp.Star):
-                walk_expr(item.expr)
-        for src in select.sources:
-            if src.on is not None:
-                walk_expr(src.on)
-        if select.where is not None:
-            walk_expr(select.where)
-        if select.having is not None:
-            walk_expr(select.having)
-    except _Found:
-        return True
-    return False
 
 
 # ----------------------------------------------------------------------
 # execution plans
 # ----------------------------------------------------------------------
+
+class _Access:
+    """One access path, bound at compile time: how a FROM source — or
+    the target of an UPDATE/DELETE — produces its candidates.
+
+    ``rows(rt)`` returns the candidate rows in key order, ``keys(rt)``
+    their row keys (drivers only; DML matches by key).  ``label`` is the
+    EXPLAIN annotation, None for a plain scan.  ``eq`` is ``(table,
+    column, value fn)`` when the path is a single equality lookup in an
+    index: the scheduling pass's nested loop and EXISTS go to the index
+    with it directly.
+    """
+
+    __slots__ = ("rows", "keys", "label", "eq")
+
+    def __init__(self, rows: Optional[Callable] = None,
+                 keys: Optional[Callable] = None,
+                 label: Optional[str] = None,
+                 eq: Optional[Tuple] = None):
+        self.rows = rows
+        self.keys = keys
+        self.label = label
+        self.eq = eq
+
+
+def _lookup_access(table: MemoryTable, column: str, fn: Callable,
+                   label: Optional[str] = None) -> _Access:
+    """One equality lookup in ``table``'s index on ``column``."""
+    probe_rows, probe = table.probe_rows, table.probe
+    return _Access(lambda rt: probe_rows(column, fn(rt)),
+                   lambda rt: probe(column, fn(rt)),
+                   label, (table, column, fn))
+
+
+def _union_access(table: MemoryTable, column: str,
+                  values: Callable) -> _Access:
+    """One lookup per non-NULL value of ``values(rt)``, merged in key
+    order (``col IN (...)``)."""
+    probe = table.probe
+
+    def keys(rt):
+        found = set()
+        for value in values(rt):
+            if value is not None:
+                found.update(probe(column, value))
+        return sorted(found)
+
+    def rows(rt):
+        table_rows = table.rows
+        return [table_rows[key] for key in keys(rt)]
+
+    return _Access(rows, keys)
+
+
+def _hash_access(src: "_SourcePlan", column: str, fn: Callable,
+                 coerce: Optional[Callable]) -> _Access:
+    """Hash join over a materialized source: ``src``'s rows bucketed by
+    ``column`` once per execution, then one bucket per ``fn(rt)``."""
+    cache_key = (id(src), "hash")
+
+    def rows(rt):
+        buckets = rt.cache.get(cache_key)
+        if buckets is None:
+            buckets = {}
+            for row in src.base_rows(rt):
+                key = row[column]
+                if key is None:
+                    continue
+                if coerce is not None:
+                    key = coerce(key)
+                buckets.setdefault(_probe_norm(key), []).append(row)
+            rt.cache[cache_key] = buckets
+        value = fn(rt)
+        if value is None:
+            return []
+        return buckets.get(_probe_norm(value), [])
+
+    return _Access(rows, label=f"build key {column}")
+
 
 class _SourcePlan:
     """One FROM source with its access path (scan / index / hash)."""
@@ -1830,12 +1730,12 @@ class _SourcePlan:
         self.arg_fn = arg_fn
         self.columns = columns
         self.affinities: Optional[Dict[str, str]] = None
-        self.probe: Optional[Tuple] = None       # join access path
-        self.residual_on: List[Callable] = []
-        self.residual_check: Optional[Callable] = None
-        self.driver: Optional[Tuple] = None      # first-source WHERE driver
-        self.pushdown: List[Callable] = []
-        self.pushdown_check: Optional[Callable] = None
+        #: WHERE driver (first source) or ON probe (joined source);
+        #: until the compiler binds one, a scan
+        self.access = _Access(self.base_rows)
+        #: what the access path left over: the pushed-down WHERE
+        #: conjuncts on the first source, the rest of ON on a joined one
+        self.check: Optional[Callable] = None
         self.est_rows: Optional[float] = None    # advisory, compile-time
 
     # -- row production -------------------------------------------------
@@ -1860,53 +1760,9 @@ class _SourcePlan:
         return [{"key": index, "value": value}
                 for index, value in enumerate(values)]
 
-    def first_rows(self, rt: _Rt) -> List[Dict[str, Any]]:
-        """Rows for the first source, honouring the WHERE driver."""
-        if self.driver is None or self.kind != "table":
-            return self.base_rows(rt)
-        kind, column, payload = self.driver
-        table = self.table
-        if kind == "eq":
-            return table.probe_rows(column, payload(rt))
-        if kind == "in-list":
-            found = set()
-            for fn in payload:
-                value = fn(rt)
-                if value is not None:
-                    found.update(table.probe(column, value))
-        else:  # in-select
-            found = set()
-            for value in payload.first_column_values(rt):
-                if value is not None:
-                    found.update(table.probe(column, value))
-        rows = table.rows
-        return [rows[key] for key in sorted(found)]
-
-    def joined_rows(self, rt: _Rt) -> List[Dict[str, Any]]:
-        """Candidate rows for a joined source given the bound frames."""
-        if self.probe is None:
-            return self.base_rows(rt)
-        if self.probe[0] == "index":
-            _, column, fn = self.probe
-            return self.table.probe_rows(column, fn(rt))
-        # hash join over a materialized source
-        _, column, fn, coerce = self.probe
-        cache_key = (id(self), "hash")
-        buckets = rt.cache.get(cache_key)
-        if buckets is None:
-            buckets = {}
-            for row in self.base_rows(rt):
-                key = row[column]
-                if key is None:
-                    continue
-                if coerce is not None:
-                    key = coerce(key)
-                buckets.setdefault(_probe_norm(key), []).append(row)
-            rt.cache[cache_key] = buckets
-        value = fn(rt)
-        if value is None:
-            return []
-        return buckets.get(_probe_norm(value), [])
+    def rows(self, rt: _Rt) -> List[Dict[str, Any]]:
+        """Candidate rows given the frames bound so far."""
+        return self.access.rows(rt)
 
 
 def _make_sort_key(fns: Tuple[Callable, ...]) -> Callable:
@@ -1919,6 +1775,16 @@ def _make_sort_key(fns: Tuple[Callable, ...]) -> Callable:
         f0, f1 = fns
         return lambda rt: (sql_sort_key(f0(rt)), sql_sort_key(f1(rt)))
     return lambda rt: tuple(sql_sort_key(fn(rt)) for fn in fns)
+
+
+def _order_by(items: List[Any], keys_of: Callable,
+              descs: Sequence[bool]) -> None:
+    """ORDER BY, in place: ``keys_of(item)`` is the item's tuple of sort
+    keys, ``descs`` each key's direction.  One stable pass per key, the
+    last key first, so ties keep stream order as SQLite's do."""
+    for position in range(len(descs) - 1, -1, -1):
+        items.sort(key=lambda item, _p=position: keys_of(item)[_p],
+                   reverse=descs[position])
 
 
 class _SelectPlan:
@@ -1960,14 +1826,13 @@ class _SelectPlan:
         self._needs_buffer = bool(
             windows or group_fns or has_agg or order_specs or distinct
         )
+        self._order_descs = tuple(desc for _, desc in order_specs)
+        self._order_key = _make_sort_key(tuple(fn for fn, _ in order_specs))
         if fused:
             fused_set = set(fused)
             self._plain_items = tuple(
                 (index, fn) for index, fn in enumerate(item_fns)
                 if index not in fused_set)
-            self._order_descs = tuple(desc for _, desc in order_specs)
-            self._order_key = _make_sort_key(
-                tuple(fn for fn, _ in order_specs))
 
     # -- env production -------------------------------------------------
     def _stream(self, rt: _Rt):
@@ -1984,46 +1849,22 @@ class _SelectPlan:
     def _level(self, index: int, env: List[Any], rt: _Rt):
         src = self.sources[index]
         last = index == len(self.sources) - 1
-        if index == 0:
-            check = src.pushdown_check
-            for row in src.first_rows(rt):
-                env[0] = row
-                if check is None or check(rt):
-                    if last:
-                        yield env
-                    else:
-                        yield from self._level(1, env, rt)
-            return
-        rows = src.joined_rows(rt)
-        check = src.residual_check
-        if src.join == "left":
-            matched = False
-            for row in rows:
-                env[index] = row
-                if check is None or check(rt):
-                    matched = True
-                    if last:
-                        yield env
-                    else:
-                        yield from self._level(index + 1, env, rt)
-            if not matched:
-                env[index] = None
-                if last:
-                    yield env
-                else:
-                    yield from self._level(index + 1, env, rt)
-            return
-        for row in rows:
+        check = src.check
+        matched = False
+        for row in src.rows(rt):
             env[index] = row
             if check is None or check(rt):
+                matched = True
                 if last:
                     yield env
                 else:
                     yield from self._level(index + 1, env, rt)
-
-    def _passes_where(self, rt: _Rt) -> bool:
-        check = self.where_check
-        return check is None or check(rt)
+        if not matched and src.join == "left":
+            env[index] = None
+            if last:
+                yield env
+            else:
+                yield from self._level(index + 1, env, rt)
 
     def _limit(self, rt: _Rt) -> Optional[int]:
         if self.limit_fn is None:
@@ -2070,7 +1911,7 @@ class _SelectPlan:
                 rt.frames.append(env)
                 try:
                     values = tuple(fn(rt) for fn in self.item_fns)
-                    keys = [fn(rt) for fn, _ in self.order_specs]
+                    keys = self._order_key(rt)
                 finally:
                     rt.frames.pop()
                 decorated.append((values, keys))
@@ -2085,12 +1926,7 @@ class _SelectPlan:
                     unique.append((values, keys))
             decorated = unique
 
-        for position in range(len(self.order_specs) - 1, -1, -1):
-            descending = self.order_specs[position][1]
-            decorated.sort(
-                key=lambda pair, _p=position: sql_sort_key(pair[1][_p]),
-                reverse=descending,
-            )
+        _order_by(decorated, itemgetter(1), self._order_descs)
 
         if limit is not None:
             decorated = decorated[:limit]
@@ -2111,79 +1947,40 @@ class _SelectPlan:
         decorated: List[Tuple[Tuple, List[Any]]] = []
         append = decorated.append
         sources = self.sources
-        if 1 <= len(sources) <= 2 and all(
-            src.join == "inner" for src in sources[1:]
-        ):
-            # The dominant fused shapes (driver scan/probe, optionally
-            # one inner index/hash join) run as plain nested loops —
-            # no generator resumption per candidate row.
+        eq = (sources[1].access.eq
+              if len(sources) == 2 and sources[1].join == "inner" else None)
+        if eq is not None:
+            # The scheduling pass's shape — a driven source, one inner
+            # index-probe join — runs as a plain nested loop with the
+            # lookup bound inside it: no generator resumption and no
+            # access-path dispatch per candidate row.
+            table, probe_col, probe_fn = eq
+            probe_rows = table.probe_rows
             first = sources[0]
-            first_check = first.pushdown_check
-            second = sources[1] if len(sources) == 2 else None
+            first_check = first.check
+            second_check = sources[1].check
+            solo = plain[0] if len(plain) == 1 else None
             env: List[Any] = [None] * self.env_width
             rt.frames.append(env)
             try:
-                if second is None:
-                    for row in first.first_rows(rt):
-                        env[0] = row
-                        if first_check is not None and not first_check(rt):
+                for row in first.rows(rt):
+                    env[0] = row
+                    if first_check is not None and not first_check(rt):
+                        continue
+                    for joined in probe_rows(probe_col, probe_fn(rt)):
+                        env[1] = joined
+                        if second_check is not None and \
+                                not second_check(rt):
                             continue
                         if check is not None and not check(rt):
                             continue
                         values = [None] * width
-                        for index, fn in plain:
-                            values[index] = fn(rt)
+                        if solo is not None:
+                            values[solo[0]] = solo[1](rt)
+                        else:
+                            for index, fn in plain:
+                                values[index] = fn(rt)
                         append((key_of(rt), values))
-                else:
-                    second_check = second.residual_check
-                    solo = plain[0] if len(plain) == 1 else None
-                    probe = second.probe
-                    if probe is not None and probe[0] == "index":
-                        # Pre-bound index probe: the inner loop calls
-                        # the memoized table probe directly instead of
-                        # dispatching through joined_rows per outer row.
-                        _, probe_col, probe_fn = probe
-                        probe_table_rows = second.table.probe_rows
-                        for row in first.first_rows(rt):
-                            env[0] = row
-                            if first_check is not None and \
-                                    not first_check(rt):
-                                continue
-                            for joined in probe_table_rows(
-                                    probe_col, probe_fn(rt)):
-                                env[1] = joined
-                                if second_check is not None and \
-                                        not second_check(rt):
-                                    continue
-                                if check is not None and not check(rt):
-                                    continue
-                                values = [None] * width
-                                if solo is not None:
-                                    values[solo[0]] = solo[1](rt)
-                                else:
-                                    for index, fn in plain:
-                                        values[index] = fn(rt)
-                                append((key_of(rt), values))
-                    else:
-                        for row in first.first_rows(rt):
-                            env[0] = row
-                            if first_check is not None and \
-                                    not first_check(rt):
-                                continue
-                            for joined in second.joined_rows(rt):
-                                env[1] = joined
-                                if second_check is not None and \
-                                        not second_check(rt):
-                                    continue
-                                if check is not None and not check(rt):
-                                    continue
-                                values = [None] * width
-                                if solo is not None:
-                                    values[solo[0]] = solo[1](rt)
-                                else:
-                                    for index, fn in plain:
-                                        values[index] = fn(rt)
-                                append((key_of(rt), values))
             finally:
                 rt.frames.pop()
         else:
@@ -2195,20 +1992,13 @@ class _SelectPlan:
                     values[index] = fn(rt)
                 append((key_of(rt), values))
         descs = self._order_descs
-        if not any(descs):
-            if limit is not None:
-                # Top-K selection; nsmallest is stable (equivalent to
-                # sorted(...)[:k]), so ties keep stream order exactly
-                # like the general path's stable sorts.
-                decorated = heapq.nsmallest(
-                    limit, decorated, key=itemgetter(0))
-            else:
-                decorated.sort(key=itemgetter(0))
+        if limit is not None and not any(descs):
+            # Top-K selection; nsmallest is stable (equivalent to
+            # sorted(...)[:k]), so ties keep stream order exactly
+            # like the general path's stable sorts.
+            decorated = heapq.nsmallest(limit, decorated, key=itemgetter(0))
         else:
-            for position in range(len(descs) - 1, -1, -1):
-                decorated.sort(
-                    key=lambda pair, _p=position: pair[0][_p],
-                    reverse=descs[position])
+            _order_by(decorated, itemgetter(0), descs)
             if limit is not None:
                 decorated = decorated[:limit]
         fused = self.fused
@@ -2223,20 +2013,17 @@ class _SelectPlan:
     def _apply_windows(self, envs: List[List[Any]], rt: _Rt) -> None:
         win_base = self.win_base
         for wid, order in enumerate(self.windows):
-            ranked = list(range(len(envs)))
-            keyed: List[List[Any]] = []
+            key_of = _make_sort_key(tuple(fn for fn, _ in order))
+            keyed: List[Tuple] = []
             for env in envs:
                 rt.frames.append(env)
                 try:
-                    keyed.append([fn(rt) for fn, _ in order])
+                    keyed.append(key_of(rt))
                 finally:
                     rt.frames.pop()
-            for position in range(len(order) - 1, -1, -1):
-                descending = order[position][1]
-                ranked.sort(
-                    key=lambda i, _p=position: sql_sort_key(keyed[i][_p]),
-                    reverse=descending,
-                )
+            ranked = list(range(len(envs)))
+            _order_by(ranked, keyed.__getitem__,
+                      [desc for _, desc in order])
             for rank, env_index in enumerate(ranked, start=1):
                 envs[env_index][win_base + wid] = rank
 
@@ -2262,7 +2049,7 @@ class _SelectPlan:
                         not _is_true(self.having_fn(rt)):
                     continue
                 values = tuple(fn(rt) for fn in self.item_fns)
-                keys = [fn(rt) for fn, _ in self.order_specs]
+                keys = self._order_key(rt)
             finally:
                 rt.group = None
                 rt.frames.pop()
@@ -2306,13 +2093,13 @@ class _SelectPlan:
         check = self.where_check
         sources = self.sources
         if check is None and len(sources) == 1:
-            # EXISTS over one equality probe is the index's to answer.
+            # EXISTS over one equality lookup is the index's to answer.
             src = sources[0]
-            if src.driver is not None and src.driver[0] == "eq" \
-                    and src.pushdown_check is None:
+            if src.access.eq is not None and src.check is None:
+                table, column, fn = src.access.eq
                 rt.frames.append([None] * self.env_width)
                 try:
-                    return src.table.has(src.driver[1], src.driver[2](rt))
+                    return table.has(column, fn(rt))
                 finally:
                     rt.frames.pop()
         stream = self._stream(rt)
@@ -2366,30 +2153,27 @@ class _InsertPlan:
         return MemoryCursor(rowcount=inserted, lastrowid=lastrowid)
 
 
-class _UpdatePlan:
-    kind = "update"
+class _KeyedDml:
+    """UPDATE/DELETE: match row keys through the access path and the
+    remaining filters, then mutate."""
 
-    def __init__(self, table: MemoryTable, alias: str,
-                 sets: List[Tuple[str, Callable]],
-                 driver: Optional[Tuple], filters: List[Callable]):
+    def __init__(self, table: MemoryTable, access: _Access,
+                 filters: List[Callable], est_rows: float):
         self.table = table
-        self.alias = alias
-        self.sets = sets
-        self.driver = driver
-        self.filters = filters
+        self.access = access
         self.check = _combine_filters(filters)
-        self.est_rows: Optional[float] = None
+        self.est_rows = est_rows
 
-    def _matched_keys(self, rt: _Rt, table: MemoryTable) -> List[Any]:
+    def _matched_keys(self, rt: _Rt) -> List[Any]:
         env: List[Any] = [None]
         rt.frames.append(env)
         check = self.check
         try:
-            keys = _driver_keys(self.driver, table, rt)
+            keys = self.access.keys(rt)
             if check is None:
                 return list(keys)
             matched = []
-            rows = table.rows
+            rows = self.table.rows
             for key in keys:
                 env[0] = rows[key]
                 if check(rt):
@@ -2398,9 +2182,18 @@ class _UpdatePlan:
         finally:
             rt.frames.pop()
 
+
+class _UpdatePlan(_KeyedDml):
+    kind = "update"
+
+    def __init__(self, table: MemoryTable,
+                 sets: List[Tuple[str, Callable]], *where):
+        super().__init__(table, *where)
+        self.sets = sets
+
     def run(self, engine: "MemoryStorageEngine", rt: _Rt) -> MemoryCursor:
         table = self.table
-        matched = self._matched_keys(rt, table)
+        matched = self._matched_keys(rt)
         env: List[Any] = [None]
         rt.frames.append(env)
         try:
@@ -2413,115 +2206,50 @@ class _UpdatePlan:
         return MemoryCursor(rowcount=len(matched))
 
 
-class _DeletePlan:
+class _DeletePlan(_KeyedDml):
     kind = "delete"
 
-    def __init__(self, table: MemoryTable, alias: str,
-                 driver: Optional[Tuple], filters: List[Callable]):
-        self.table = table
-        self.alias = alias
-        self.driver = driver
-        self.filters = filters
-        self.check = _combine_filters(filters)
-        self.est_rows: Optional[float] = None
-
     def run(self, engine: "MemoryStorageEngine", rt: _Rt) -> MemoryCursor:
-        table = self.table
-        env: List[Any] = [None]
-        rt.frames.append(env)
-        check = self.check
-        try:
-            keys = _driver_keys(self.driver, table, rt)
-            if check is None:
-                matched = list(keys)
-            else:
-                matched = []
-                rows = table.rows
-                for key in keys:
-                    env[0] = rows[key]
-                    if check(rt):
-                        matched.append(key)
-        finally:
-            rt.frames.pop()
+        matched = self._matched_keys(rt)
         for key in matched:
-            engine._delete_key(table, key)
+            engine._delete_key(self.table, key)
         return MemoryCursor(rowcount=len(matched))
-
-
-def _driver_keys(driver: Optional[Tuple], table: MemoryTable,
-                 rt: _Rt) -> List[Any]:
-    if driver is None:
-        return list(table.scan_keys())
-    kind, column, payload = driver
-    if kind == "eq":
-        return table.probe(column, payload(rt))
-    if kind == "in-list":
-        found = set()
-        for fn in payload:
-            value = fn(rt)
-            if value is not None:
-                found.update(table.probe(column, value))
-        return sorted(found)
-    found = set()
-    for value in payload.first_column_values(rt):
-        if value is not None:
-            found.update(table.probe(column, value))
-    return sorted(found)
 
 
 # ----------------------------------------------------------------------
 # profiled plan nodes and the EXPLAIN tree
 # ----------------------------------------------------------------------
 
-class _ProfiledSourcePlan(_SourcePlan):
-    """Source plan with per-operator row/loop/time accounting.  Only
-    ``explain`` compiles these — cached hot plans stay uninstrumented,
+class _Profiled:
+    """Per-operator row/loop/time accounting, mixed into the plan
+    classes ``explain`` compiles — cached hot plans stay uninstrumented,
     so profiling has zero cost on the serving path."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.prof = {"rows": 0, "loops": 0, "seconds": 0.0}
 
-    def _timed(self, producer, rt):
+    def _timed(self, operator: Callable, rt: _Rt) -> Any:
         start = time.perf_counter()
-        rows = producer(rt)
+        result = operator(rt)
         prof = self.prof
         prof["seconds"] += time.perf_counter() - start
         prof["loops"] += 1
-        prof["rows"] += len(rows)
-        return rows
-
-    def first_rows(self, rt: _Rt) -> List[Dict[str, Any]]:
-        return self._timed(super().first_rows, rt)
-
-    def joined_rows(self, rt: _Rt) -> List[Dict[str, Any]]:
-        return self._timed(super().joined_rows, rt)
+        prof["rows"] += result if isinstance(result, bool) else len(result)
+        return result
 
 
-class _ProfiledSelectPlan(_SelectPlan):
-    """Select plan with whole-operator accounting (see above)."""
+class _ProfiledSourcePlan(_Profiled, _SourcePlan):
+    def rows(self, rt: _Rt) -> List[Dict[str, Any]]:
+        return self._timed(super().rows, rt)
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.prof = {"rows": 0, "loops": 0, "seconds": 0.0}
 
+class _ProfiledSelectPlan(_Profiled, _SelectPlan):
     def execute(self, rt: _Rt) -> List[MemoryRow]:
-        start = time.perf_counter()
-        rows = super().execute(rt)
-        prof = self.prof
-        prof["seconds"] += time.perf_counter() - start
-        prof["loops"] += 1
-        prof["rows"] += len(rows)
-        return rows
+        return self._timed(super().execute, rt)
 
     def any(self, rt: _Rt) -> bool:
-        start = time.perf_counter()
-        found = super().any(rt)
-        prof = self.prof
-        prof["seconds"] += time.perf_counter() - start
-        prof["loops"] += 1
-        prof["rows"] += int(found)
-        return found
+        return self._timed(super().any, rt)
 
 
 def _attach_profile(node: "pl.PlanNode", plan: Any) -> None:
@@ -2532,34 +2260,22 @@ def _attach_profile(node: "pl.PlanNode", plan: Any) -> None:
         node.seconds = prof["seconds"]
 
 
-def _driver_detail(driver: Optional[Tuple]) -> str:
-    if driver is None:
-        return "scan"
-    kind, column, _payload = driver
-    return f"{kind} probe on {column}"
-
-
 def _source_node(src: _SourcePlan) -> "pl.PlanNode":
+    path = src.access.label
     if src.kind == "table":
         name = src.table.name
         label = name if name == src.alias else f"{name} AS {src.alias}"
-        if src.driver is not None:
-            node = pl.PlanNode(
-                op="PROBE", detail=f"{label} ({_driver_detail(src.driver)})",
-                est_rows=src.est_rows)
-        elif src.probe is not None and src.probe[0] == "index":
-            node = pl.PlanNode(
-                op="PROBE", detail=f"{label} (index on {src.probe[1]})",
-                est_rows=src.est_rows)
+        if path is not None:
+            node = pl.PlanNode(op="PROBE", detail=f"{label} ({path})",
+                               est_rows=src.est_rows)
         else:
             node = pl.PlanNode(op="SCAN", detail=label,
                                est_rows=src.est_rows)
     elif src.kind == "subquery":
-        if src.probe is not None and src.probe[0] == "hash":
-            node = pl.PlanNode(
-                op="HASH-JOIN",
-                detail=f"{src.alias} (build key {src.probe[1]})",
-                est_rows=src.est_rows)
+        if path is not None:
+            node = pl.PlanNode(op="HASH-JOIN",
+                               detail=f"{src.alias} ({path})",
+                               est_rows=src.est_rows)
         else:
             node = pl.PlanNode(op="SUBQUERY", detail=src.alias,
                                est_rows=src.est_rows)
@@ -2605,7 +2321,7 @@ def _statement_node(plan: Any) -> "pl.PlanNode":
         root = pl.PlanNode(op="STATEMENT", detail=verb)
         node = pl.PlanNode(
             op=verb,
-            detail=f"{plan.table.name} ({_driver_detail(plan.driver)})",
+            detail=f"{plan.table.name} ({plan.access.label or 'scan'})",
             est_rows=plan.est_rows)
         root.children.append(node)
     for sub_label, subplan in plan.xsubs:
@@ -2752,18 +2468,6 @@ class MemoryStorageEngine(StorageEngine):
                 self._undo = outer
         return pl.ExplainReport(sql=sql, engine=self.name,
                                 root=_statement_node(plan))
-
-    def table_stats(self) -> Dict[str, Dict[str, Any]]:
-        """The planner's advisory statistics: live row counts and
-        per-index distinct-value counts."""
-        return {
-            name: {
-                "rows": len(table.rows),
-                "distinct": {column: len(index)
-                             for column, index in table.eq_indexes.items()},
-            }
-            for name, table in self.tables.items()
-        }
 
     # ------------------------------------------------------------------
     # transactions

@@ -113,86 +113,39 @@ class ExplainReport:
 
 
 # ----------------------------------------------------------------------
-# AST walking helpers
+# expression predicates
 # ----------------------------------------------------------------------
-
-def _children(node: Any) -> Iterator[Any]:
-    """Direct sub-expressions of ``node`` (not descending into nested
-    SELECTs — callers decide how to treat subquery boundaries)."""
-    if isinstance(node, sp.Bin):
-        yield node.left
-        yield node.right
-    elif isinstance(node, sp.Un):
-        yield node.operand
-    elif isinstance(node, sp.IsNull):
-        yield node.operand
-    elif isinstance(node, sp.Like):
-        yield node.operand
-        yield node.pattern
-    elif isinstance(node, sp.Case):
-        for cond, value in node.whens:
-            yield cond
-            yield value
-        if node.default is not None:
-            yield node.default
-    elif isinstance(node, sp.Cast):
-        yield node.operand
-    elif isinstance(node, sp.InList):
-        yield node.needle
-        for item in node.items:
-            yield item
-    elif isinstance(node, sp.InSelect):
-        yield node.needle
-    elif isinstance(node, sp.Func):
-        for arg in node.args:
-            yield arg
-    elif isinstance(node, sp.WindowFunc):
-        for expr, _desc in node.order_by:
-            yield expr
-
-
-def walk_expr(node: Any) -> Iterator[Any]:
-    """Depth-first traversal of one expression tree, subqueries excluded."""
-    stack = [node]
-    while stack:
-        current = stack.pop()
-        yield current
-        stack.extend(_children(current))
-
+# All of them stay inside one query's own expressions
+# (``sp.walk(..., nested=False)``): a window or an aggregate inside a
+# subquery belongs to that subquery.
 
 def contains_subselect(node: Any) -> bool:
     return any(
         isinstance(n, (sp.InSelect, sp.Exists, sp.ScalarSelect))
-        for n in walk_expr(node)
+        for n in sp.walk(node, nested=False)
     )
 
 
 def contains_window(node: Any) -> bool:
-    return any(isinstance(n, sp.WindowFunc) for n in walk_expr(node))
+    return any(isinstance(n, sp.WindowFunc)
+               for n in sp.walk(node, nested=False))
 
 
 def contains_aggregate(node: Any) -> bool:
     return any(
         isinstance(n, sp.Func) and n.name in sp.AGGREGATES
-        for n in walk_expr(node)
+        for n in sp.walk(node, nested=False)
     )
 
 
 def column_refs(node: Any) -> Iterator[sp.Col]:
-    for n in walk_expr(node):
+    for n in sp.walk(node, nested=False):
         if isinstance(n, sp.Col):
             yield n
 
 
-def split_conjuncts(node: Any) -> List[Any]:
-    """Flatten a WHERE/ON tree over AND into its conjunct list."""
-    if isinstance(node, sp.Bin) and node.op == "AND":
-        return split_conjuncts(node.left) + split_conjuncts(node.right)
-    return [node] if node is not None else []
-
-
 def conjoin(conjuncts: Sequence[Any]) -> Optional[Any]:
-    """Inverse of :func:`split_conjuncts`."""
+    """Inverse of :func:`sqlparser.split_conjuncts`."""
     result: Optional[Any] = None
     for conjunct in conjuncts:
         result = conjunct if result is None else sp.Bin("AND", result, conjunct)
@@ -361,7 +314,7 @@ def order_sources_by_cardinality(
 
     pool: List[Any] = list(conjuncts)
     for src in sources:
-        pool.extend(split_conjuncts(src.on))
+        pool.extend(sp.split_conjuncts(src.on))
 
     # Map each conjunct to the set of local aliases it references; give
     # up on anything that nests a subquery (its correlation structure is
@@ -487,7 +440,7 @@ def decorrelate_exists(
         return "local"  # column-free sides build/probe a constant key
 
     for src in select.sources:
-        for conjunct in split_conjuncts(src.on):
+        for conjunct in sp.split_conjuncts(src.on):
             if contains_subselect(conjunct) or contains_window(conjunct):
                 return None
             if side_scope(conjunct) != "local":
@@ -495,7 +448,7 @@ def decorrelate_exists(
 
     pairs: List[Tuple[Any, Any]] = []
     residual: List[Any] = []
-    for conjunct in split_conjuncts(select.where):
+    for conjunct in sp.split_conjuncts(select.where):
         if contains_subselect(conjunct) or contains_window(conjunct):
             return None
         scope = side_scope(conjunct)

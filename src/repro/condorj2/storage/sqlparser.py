@@ -19,7 +19,7 @@ from __future__ import annotations
 import dataclasses
 import re
 from dataclasses import dataclass, field
-from typing import Any, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 
 class SqlSyntaxError(Exception):
@@ -730,34 +730,91 @@ def parse(sql: str) -> Any:
 
 
 # ----------------------------------------------------------------------
-# parse-only / analysis API
+# the AST's shape, stated once
 # ----------------------------------------------------------------------
-# The static-analysis subsystem (:mod:`repro.condorj2.analysis`) needs to
-# look at statements without executing them: a generic walker over the
-# AST dataclasses above (descending into nested SELECTs, unlike the
-# planner's expression-local helpers) and a parse entry point that also
-# reports the statement's bind-parameter surface.
+# Which fields of a node hold sub-expressions is read off the dataclass
+# declarations above, here and nowhere else: the planner, the compiler
+# and the static analyzer (:mod:`repro.condorj2.analysis`) all traverse,
+# rewrite and split statements through these four functions, so a new
+# node kind is covered everywhere the day it is declared.
 
-def walk(node: Any) -> Iterator[Any]:
-    """Depth-first traversal of a statement AST, nested SELECTs included.
+_NODE_FIELDS: Dict[type, Tuple[str, ...]] = {}
 
-    Works structurally off the dataclass fields, so new node shapes are
-    covered without registration; plain lists/tuples of nodes are
-    descended into, scalars are yielded as-is only when they are AST
-    dataclasses.
+
+def _node_fields(cls: type) -> Tuple[str, ...]:
+    """Field names of node class ``cls`` (none for a non-node)."""
+    names = _NODE_FIELDS.get(cls)
+    if names is None:
+        names = _NODE_FIELDS[cls] = tuple(
+            f.name for f in dataclasses.fields(cls)
+        ) if dataclasses.is_dataclass(cls) else ()
+    return names
+
+
+def children(node: Any, nested: bool = True) -> List[Any]:
+    """The nodes directly below ``node``, in declaration order.
+
+    Lists and tuples inside a field (``Case.whens``, ``order_by`` pairs)
+    are flattened; scalars are dropped.  With ``nested=False`` a child
+    that is a :class:`Select` is left out, so a traversal stays inside
+    one query's own expressions — subquery boundaries are where name
+    scopes change, and the caller says whether to cross them.
     """
-    stack = [node]
+    found: List[Any] = []
+
+    def collect(value: Any) -> None:
+        if isinstance(value, (list, tuple)):
+            for item in value:
+                collect(item)
+        elif dataclasses.is_dataclass(value) and (
+                nested or not isinstance(value, Select)):
+            found.append(value)
+
+    for name in _node_fields(type(node)):
+        collect(getattr(node, name))
+    return found
+
+
+def walk(node: Any, nested: bool = True) -> Iterator[Any]:
+    """Depth-first traversal of the nodes at and below ``node``;
+    ``nested`` as for :func:`children`."""
+    stack = [node] if dataclasses.is_dataclass(node) else []
     while stack:
         current = stack.pop()
-        if isinstance(current, (list, tuple)):
-            stack.extend(current)
-            continue
-        if not dataclasses.is_dataclass(current):
-            continue
         yield current
-        for field_def in dataclasses.fields(current):
-            stack.append(getattr(current, field_def.name))
+        stack.extend(children(current, nested))
 
+
+def rewrite(node: Any, fn: Callable[[Any], Any]) -> Any:
+    """A copy of the expression at ``node`` with ``fn`` applied top-down.
+
+    Where ``fn(node)`` returns a node, that replaces the subtree as is;
+    where it returns None the node is rebuilt over its rewritten
+    children.  Nested selects keep their own name scopes and are shared
+    with the original, not rewritten.
+    """
+    if isinstance(node, (list, tuple)):
+        return type(node)(rewrite(item, fn) for item in node)
+    if not dataclasses.is_dataclass(node) or isinstance(node, Select):
+        return node
+    replacement = fn(node)
+    if replacement is not None:
+        return replacement
+    return dataclasses.replace(node, **{
+        name: rewrite(getattr(node, name), fn)
+        for name in _node_fields(type(node))})
+
+
+def split_conjuncts(node: Any) -> List[Any]:
+    """Flatten a WHERE/ON tree over AND into its conjunct list."""
+    if isinstance(node, Bin) and node.op == "AND":
+        return split_conjuncts(node.left) + split_conjuncts(node.right)
+    return [node] if node is not None else []
+
+
+# ----------------------------------------------------------------------
+# parse-only API
+# ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class ParsedStatement:

@@ -95,13 +95,6 @@ class TransitionSpec:
         return tuple(params)[self.probe_param_start:]
 
 
-def _conjuncts(node: Any) -> List[Any]:
-    """The top-level AND-chain of a WHERE expression."""
-    if isinstance(node, sp.Bin) and node.op.upper() == "AND":
-        return _conjuncts(node.left) + _conjuncts(node.right)
-    return [node]
-
-
 def _is_state_col(node: Any, table: str, column: str) -> bool:
     if isinstance(node, sp.Un) and node.op == "+":
         # ``+state = 'x'`` guards exactly as ``state = 'x'`` does; the
@@ -116,7 +109,7 @@ def _guard_literals(where: Any, table: str,
     """Literal states a WHERE clause pins the row's state to, if any."""
     if where is None:
         return None
-    for conjunct in _conjuncts(where):
+    for conjunct in sp.split_conjuncts(where):
         if isinstance(conjunct, sp.Bin) and conjunct.op == "=":
             left, right = conjunct.left, conjunct.right
             if _is_state_col(left, table, column) and isinstance(right, sp.Lit):

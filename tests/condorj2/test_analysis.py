@@ -1,6 +1,6 @@
 """Tier-1 tests for the schema-aware SQL static analyzer.
 
-Four properties are enforced here:
+Five properties are enforced here:
 
 * **the gate** — the committed tree has zero findings the committed
   baseline does not absorb (and zero errors outright), which is the
@@ -12,10 +12,20 @@ Four properties are enforced here:
   the extracted corpus shows the analyzer accounts for (and parses) at
   least 95% of the SQL the system actually executes;
 * **rules** — each checker rule and the planner-backed index advisor
-  fire on targeted statements and stay silent on correct ones.
+  fire on targeted statements and stay silent on correct ones;
+* **no SQL built from values** — the ``fstring-value-interpolation``
+  rule over the whole source tree, wider than the analyzer's default
+  package root.  The pre-refactor scheduler gated dependencies with
+  ``f"SELECT COUNT(*) ... IN ({depends_on})"``; the normalized
+  ``job_dependencies`` table removed it and this keeps it from coming
+  back.  The allow-list (``SLOT_CATEGORIES`` — the bean container's
+  schema-constant identifiers and placeholder lists — plus per-file
+  exemptions for the parser's diagnostics) is pinned here.
 """
 
+import ast
 import json
+import textwrap
 from pathlib import Path
 
 from repro.cluster import JobSpec
@@ -23,7 +33,12 @@ from repro.condorj2.analysis import RULES, Baseline, Catalog, analyze
 from repro.condorj2.analysis.check import check_extracted
 from repro.condorj2.analysis.cli import main
 from repro.condorj2.analysis.extract import (
-    ExtractedStatement, SqlTemplate, extract_corpus,
+    ALLOWED_BY_FILE_SUFFIX,
+    SLOT_CATEGORIES,
+    SQL_MARKERS,
+    ExtractedStatement,
+    SqlTemplate,
+    extract_corpus,
 )
 from repro.condorj2.beans import BeanContainer
 from repro.condorj2.database import Database
@@ -41,7 +56,8 @@ from repro.condorj2.storage import planner
 from repro.condorj2.storage import sqlparser
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
-PACKAGE_ROOT = REPO_ROOT / "src" / "repro" / "condorj2"
+SRC_ROOT = REPO_ROOT / "src" / "repro"
+PACKAGE_ROOT = SRC_ROOT / "condorj2"
 BASELINE_PATH = REPO_ROOT / "ANALYSIS_BASELINE.json"
 
 
@@ -468,3 +484,74 @@ def test_cli_write_and_use_baseline(tmp_path, capsys):
     assert main(["--root", str(tmp_path), "--baseline",
                  str(baseline)]) == 1
     capsys.readouterr()
+
+
+# ----------------------------------------------------------------------
+# no SQL built by interpolating values into f-strings
+# ----------------------------------------------------------------------
+
+def _violations(root):
+    corpus = extract_corpus(root)
+    return [f for f in corpus.findings
+            if f.rule == "fstring-value-interpolation"]
+
+
+def test_no_value_interpolation_into_sql():
+    violations = _violations(SRC_ROOT)
+    assert violations == [], (
+        "SQL must be parameterized (or the identifier expression "
+        "reviewed and allow-listed in SLOT_CATEGORIES):\n"
+        + "\n".join(v.render() for v in violations)
+    )
+
+
+def test_lint_catches_the_original_offender(tmp_path):
+    """The exact pattern removed from scheduling.py:71 must be flagged."""
+    (tmp_path / "offender.py").write_text(textwrap.dedent('''
+        def gate(db, depends_on):
+            return db.scalar(
+                f"SELECT COUNT(*) FROM jobs WHERE job_id IN ({depends_on})"
+            )
+        '''))
+    violations = _violations(tmp_path)
+    assert len(violations) == 1
+    violation = violations[0]
+    assert violation.severity == "error"
+    assert violation.file == "offender.py"
+    assert "'depends_on'" in violation.message
+    assert "depends_on" not in SLOT_CATEGORIES
+
+
+def test_allow_lists_match_the_bean_container_idiom():
+    """The allow-list is exactly the reviewed identifier expressions."""
+    assert set(SLOT_CATEGORIES) == {
+        "self.TABLE", "self.PK", "bean_class.TABLE", "bean_class.PK",
+        "assignments", "columns", "column_list", "placeholders",
+        "where", "order_by", "int(limit)", "table",
+    }
+    assert ALLOWED_BY_FILE_SUFFIX == {
+        "storage/sqlparser.py": {
+            "self.sql", "self.peek().value", "token.value",
+        },
+        # the transition probe interpolates LifecycleDef identifiers (a
+        # schema-bounded set) plus the statement's own WHERE text
+        "storage/transitions.py": {"column", "table", "suffix"},
+        # finding messages quote lifecycle table/column names
+        "analysis/lifecycle.py": {"lifecycle.table", "lifecycle.column"},
+    }
+
+
+def test_scheduling_module_has_no_fstring_sql():
+    """The scheduling pass is pure parameterized SQL, no f-strings at all."""
+    path = SRC_ROOT / "condorj2" / "logic" / "scheduling.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.JoinedStr):
+            continue
+        literal = "".join(
+            part.value for part in node.values
+            if isinstance(part, ast.Constant) and isinstance(part.value, str)
+        )
+        assert not any(marker in literal for marker in SQL_MARKERS), (
+            f"scheduling.py:{node.lineno} builds SQL with an f-string"
+        )

@@ -54,6 +54,14 @@ CROSS_AFFINITY_SQL = (
     " WHERE EXISTS (SELECT 1 FROM jobs j WHERE j.owner = u.priority)",
 )
 
+#: An IN-subquery that names the outer row's column with no qualifier
+#: (``job_dependencies`` has no ``attempts``): it must be re-evaluated
+#: per outer row, as a SELECT's filter and as an UPDATE's.
+OUTER_COLUMN_PREDICATE = (
+    "job_id IN (SELECT d.job_id FROM job_dependencies d"
+    " WHERE d.depends_on_job_id % 2 = attempts % 2)"
+)
+
 #: Number of seeded traces the fuzzer replays (acceptance floor: 50).
 TRACE_COUNT = 50
 #: Operations per trace.
@@ -248,6 +256,26 @@ class TraceRunner:
             f"engines disagree on {sql!r}: {answers}"
         )
 
+    def op_outer_column_subquery(self):
+        selected = [
+            sorted(tuple(row) for row in pool.db.query_all(
+                "SELECT j.job_id FROM jobs j WHERE j."
+                + OUTER_COLUMN_PREDICATE))
+            for pool in self.pools
+        ]
+        assert all(rows == selected[0] for rows in selected), (
+            f"engines disagree on the correlated IN-subquery: {selected}"
+        )
+        updated = {
+            pool.db.execute(
+                "UPDATE jobs SET cmd = 'fuzz' WHERE " + OUTER_COLUMN_PREDICATE
+            ).rowcount
+            for pool in self.pools
+        }
+        assert updated == {len(selected[0])}, (
+            f"UPDATE matched {updated}, SELECT {len(selected[0])}"
+        )
+
     OPS = (
         ("register", 1, op_register_machine),
         ("submit", 3, op_submit_batch),
@@ -260,6 +288,7 @@ class TraceRunner:
         ("missing", 1, op_mark_missing),
         ("config", 1, op_config_change),
         ("affinity", 1, op_cross_affinity),
+        ("outer-column", 1, op_outer_column_subquery),
     )
 
     def run(self, steps):

@@ -448,6 +448,176 @@ def test_equality_probes_respect_comparison_affinity(db, sql, expected):
 
 
 # ----------------------------------------------------------------------
+# IN (SELECT ...) naming an outer column; what LIMIT and HAVING may see
+# ----------------------------------------------------------------------
+
+def _seed_dependencies(db):
+    """jobs 1..3 run 2, 1 and 9 seconds; 1 depends on 2 and 2 on 1."""
+    db.execute("INSERT INTO users (user_name, created_at) VALUES ('u', 0)")
+    for job_id, seconds in ((1, 2.0), (2, 1.0), (3, 9.0)):
+        db.execute(
+            "INSERT INTO jobs (job_id, owner, cmd, run_seconds, submitted_at)"
+            " VALUES (?, 'u', 'c', ?, 0)", (job_id, seconds))
+    db.executemany(
+        "INSERT INTO job_dependencies (job_id, depends_on_job_id)"
+        " VALUES (?, ?)", [(1, 2), (2, 1)])
+
+
+#: The subquery reads the outer row's ``run_seconds`` -- with no
+#: qualifier, then with one.  Only the outer row can supply it: an
+#: engine that runs the subquery once, ahead of the scan, reads NULL.
+_DEPENDS_ON_OWN_RUN_SECONDS = (
+    "job_id IN (SELECT d.job_id FROM job_dependencies d"
+    " WHERE d.depends_on_job_id = {outer})")
+
+
+@pytest.mark.parametrize("outer", ["run_seconds", "j.run_seconds"])
+def test_select_in_subquery_reads_the_outer_row(db, outer):
+    _seed_dependencies(db)
+    rows = db.query_all(
+        "SELECT j.job_id FROM jobs j WHERE j."
+        + _DEPENDS_ON_OWN_RUN_SECONDS.format(outer=outer))
+    assert [tuple(row) for row in rows] == [(1,), (2,)]
+
+
+@pytest.mark.parametrize("outer", ["run_seconds", "jobs.run_seconds"])
+def test_update_in_subquery_reads_the_outer_row(db, outer):
+    _seed_dependencies(db)
+    cursor = db.execute(
+        "UPDATE jobs SET cmd = 'x' WHERE "
+        + _DEPENDS_ON_OWN_RUN_SECONDS.format(outer=outer))
+    assert cursor.rowcount == 2
+    assert [tuple(row) for row in db.query_all(
+        "SELECT job_id, cmd FROM jobs ORDER BY job_id")] == [
+            (1, "x"), (2, "x"), (3, "c")]
+
+
+def test_only_a_self_contained_in_subquery_drives_the_scan():
+    """A bare name is the subquery's own column where it has one
+    (``MATCH_UPDATE_SQL``) and the outer row's where it has not."""
+    from repro.condorj2.logic.scheduling import MATCH_UPDATE_SQL
+
+    database = Database(backend="memory")
+    _seed_dependencies(database)
+    correlated = database.explain(
+        "SELECT j.job_id FROM jobs j WHERE j."
+        + _DEPENDS_ON_OWN_RUN_SECONDS.format(outer="run_seconds")).render()
+    assert "in-select probe" not in correlated
+    assert "SCAN jobs AS j" in correlated
+    assert "UPDATE jobs (in-select probe on job_id)" in database.explain(
+        MATCH_UPDATE_SQL).render()
+    database.close()
+
+
+def test_limit_sees_no_column(db):
+    """SQLite rejects a column in LIMIT, an outer one included; so does
+    the memory engine, when it compiles the statement and with one of
+    its own ``ENGINE_ERRORS`` -- not an ``IndexError`` from the row loop."""
+    _seed_dependencies(db)
+    sql = ("SELECT j.job_id FROM jobs j WHERE j.job_id IN"
+           " (SELECT d.job_id FROM job_dependencies d"
+           "  ORDER BY d.job_id LIMIT attempts + 1)")
+    with pytest.raises(db.engine.ENGINE_ERRORS, match="no such column"):
+        db.query_all(sql)
+    with pytest.raises(DatabaseError, match="no such column"):
+        db.explain(sql)
+
+
+def test_having_alias_as_in_subquery_needle(db):
+    _seed_dependencies(db)
+    rows = db.query_all(
+        "SELECT owner, COUNT(*) AS n FROM jobs GROUP BY owner"
+        " HAVING n IN (SELECT d.job_id + 2 FROM job_dependencies d)")
+    assert [tuple(row) for row in rows] == [("u", 3)]
+
+
+# ----------------------------------------------------------------------
+# executor shapes nothing else runs, row for row against SQLite
+# ----------------------------------------------------------------------
+
+def _seed_ranked_pool(db):
+    """Three users of distinct priority, twelve jobs with distinct run
+    times (three held), two dependencies on every third job."""
+    for index, name in enumerate(("ann", "bob", "cy")):
+        db.execute(
+            "INSERT INTO users (user_name, priority, created_at)"
+            " VALUES (?, ?, 0)", (name, 1.0 + index))
+    for job_id in range(1, 13):
+        db.execute(
+            "INSERT INTO jobs (job_id, owner, cmd, state, run_seconds,"
+            " submitted_at) VALUES (?, ?, ?, ?, ?, 0)",
+            (job_id, ("ann", "bob", "cy")[job_id % 3],
+             f"/bin/{job_id % 2}", "held" if job_id in (4, 8, 11) else "idle",
+             float((job_id * 7) % 13)))
+    db.executemany(
+        "INSERT INTO job_dependencies (job_id, depends_on_job_id)"
+        " VALUES (?, ?)",
+        [(job_id, parent) for job_id in (3, 6, 9, 12)
+         for parent in (1, 2)])
+
+
+_EXECUTOR_SHAPES = {
+    "fused ROW_NUMBER over one source": (
+        "SELECT j.job_id, ROW_NUMBER() OVER (ORDER BY j.run_seconds) AS r"
+        " FROM jobs j WHERE j.state = 'idle'"
+        " ORDER BY j.run_seconds LIMIT 5"),
+    "fused, no LIMIT": (
+        "SELECT j.job_id, u.user_name,"
+        " ROW_NUMBER() OVER (ORDER BY u.priority, j.job_id) AS r"
+        " FROM jobs j JOIN users u ON u.user_name = j.owner"
+        " ORDER BY u.priority, j.job_id"),
+    "fused over a hash-joined FROM-subquery": (
+        "SELECT u.user_name, s.n,"
+        " ROW_NUMBER() OVER (ORDER BY s.n, u.user_name) AS r"
+        " FROM users u JOIN (SELECT owner AS o, COUNT(*) AS n FROM jobs"
+        "                    WHERE state = 'idle' GROUP BY owner) s"
+        "   ON s.o = u.user_name"
+        " ORDER BY s.n, u.user_name LIMIT 5"),
+    "fused over a LEFT JOIN": (
+        "SELECT j.job_id, d.depends_on_job_id, ROW_NUMBER() OVER"
+        " (ORDER BY j.job_id, d.depends_on_job_id) AS r"
+        " FROM jobs j LEFT JOIN job_dependencies d ON d.job_id = j.job_id"
+        " ORDER BY j.job_id, d.depends_on_job_id LIMIT 9"),
+    "fused over three sources": (
+        "SELECT j.job_id, u.user_name, d.depends_on_job_id,"
+        " ROW_NUMBER() OVER"
+        " (ORDER BY u.priority, j.job_id, d.depends_on_job_id) AS r"
+        " FROM jobs j JOIN users u ON u.user_name = j.owner"
+        " JOIN job_dependencies d ON d.job_id = j.job_id"
+        " ORDER BY u.priority, j.job_id, d.depends_on_job_id LIMIT 6"),
+    "fused with a DESC key": (
+        "SELECT j.job_id, u.user_name,"
+        " ROW_NUMBER() OVER (ORDER BY u.priority DESC, j.job_id) AS r"
+        " FROM jobs j JOIN users u ON u.user_name = j.owner"
+        " ORDER BY u.priority DESC, j.job_id LIMIT 7"),
+    "ROW_NUMBER ranked apart from the ORDER BY": (
+        "SELECT j.job_id,"
+        " ROW_NUMBER() OVER (ORDER BY j.run_seconds DESC) AS r"
+        " FROM jobs j ORDER BY j.job_id"),
+    "two-key correlated EXISTS past the semi-join threshold": (
+        "SELECT j.job_id FROM jobs j WHERE EXISTS"
+        " (SELECT 1 FROM jobs o WHERE o.owner = j.owner"
+        "  AND o.cmd = j.cmd AND o.state = 'held')"
+        " ORDER BY j.job_id"),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_EXECUTOR_SHAPES))
+def test_executor_shape_matches_sqlite(shape):
+    """Each of these is the only implementation of a dialect feature
+    the planner offers and no service statement takes its path."""
+    rows = {}
+    for backend in BACKENDS:
+        database = Database(backend=backend)
+        _seed_ranked_pool(database)
+        rows[backend] = [tuple(row) for row in database.query_all(
+            _EXECUTOR_SHAPES[shape])]
+        database.close()
+    assert rows["memory"] == rows["sqlite"]
+    assert len(rows["memory"]) >= 3
+
+
+# ----------------------------------------------------------------------
 # memory-engine index maintenance under interleaved mutation
 # ----------------------------------------------------------------------
 

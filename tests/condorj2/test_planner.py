@@ -83,14 +83,14 @@ class TestOrderSourcesByCardinality:
         select = self._parse(
             "SELECT a.x FROM big a JOIN small b ON b.k = a.k")
         result = pl.order_sources_by_cardinality(
-            select.sources, pl.split_conjuncts(select.where),
+            select.sources, sp.split_conjuncts(select.where),
             self.OWN, {"a": 10_000.0, "b": 2.0})
         assert result is not None
         sources, conjuncts = result
         assert [src.alias for src in sources] == ["b", "a"]
         # The ON conjunct is re-attached so the plan stays an eq join.
         assert len(conjuncts) + sum(
-            len(pl.split_conjuncts(src.on)) for src in sources) == 1
+            len(sp.split_conjuncts(src.on)) for src in sources) == 1
 
     def test_already_optimal_returns_none(self):
         select = self._parse(
@@ -111,7 +111,7 @@ class TestOrderSourcesByCardinality:
             "SELECT a.x FROM big a JOIN small b ON b.k = a.k "
             "WHERE a.k = outer_t.k")
         assert pl.order_sources_by_cardinality(
-            select.sources, pl.split_conjuncts(select.where),
+            select.sources, sp.split_conjuncts(select.where),
             self.OWN, {"a": 10_000.0, "b": 2.0}) is None
 
 
