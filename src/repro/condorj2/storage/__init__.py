@@ -19,6 +19,15 @@ Public surface:
   unknown backend name, carrying the offending name and the registered
   alternatives.
 
+Which file owns what inside the memory engine (DESIGN.md section 3 has
+the full map): ``sqlparser`` the dialect's grammar and the one statement
+of the AST's shape (``children`` / ``walk`` / ``rewrite`` /
+``split_conjuncts``); ``planner`` the pure planning rules and the
+EXPLAIN tree; ``scalars`` SQLite's value semantics; ``store`` tables,
+indexes, constraints and row mutations with their undo/redo entries;
+``expressions`` and ``compiler`` the closure compiler; ``plans`` the
+executors; ``memory`` the engine shell; ``wal`` durability on top of it.
+
 Engine selection accepts either a bare backend name (``"sqlite"``,
 ``"memory"``, ``"wal"``) or a URL (``"sqlite:///var/pool.db"``,
 ``"memory://"``, ``"wal:///var/pool-wal"``); the

@@ -1,8 +1,9 @@
 """Rule-based query planning for the memory engine.
 
 This module is the optimization layer between the dialect parser
-(:mod:`repro.condorj2.storage.sqlparser`) and the interpreting executor
-(:mod:`repro.condorj2.storage.memory`).  It is deliberately split in two
+(:mod:`repro.condorj2.storage.sqlparser`) and the memory engine's
+compiler and executors (:mod:`repro.condorj2.storage.compiler`,
+:mod:`repro.condorj2.storage.plans`).  It is deliberately split in two
 halves:
 
 * **Pure AST analysis** — everything here operates on parser dataclasses

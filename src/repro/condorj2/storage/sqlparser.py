@@ -6,8 +6,8 @@ anti-joins, IN (list | subquery), aggregates with GROUP BY / HAVING,
 ``ROW_NUMBER() OVER (ORDER BY ...)`` window numbering, ``CASE WHEN``,
 ``CAST``, string concatenation/LIKE, the ``json_each`` table function,
 and ``INSERT ... SELECT``.  This module turns that dialect into a small
-AST that :mod:`repro.condorj2.storage.memory` interprets; SQLite parses
-the same text natively.  Keeping the grammar explicit is what makes the
+AST that the memory engine compiles (:mod:`.compiler`,
+:mod:`.expressions`); SQLite parses the same text natively.  Keeping the grammar explicit is what makes the
 engine contract falsifiable — an engine supports exactly what parses.
 
 The parser is deliberately strict: SQL outside the dialect raises

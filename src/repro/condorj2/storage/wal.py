@@ -71,10 +71,8 @@ from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.condorj2.storage.engine import DatabaseError
-from repro.condorj2.storage.memory import (
-    MemoryEngineError,
-    MemoryStorageEngine,
-)
+from repro.condorj2.storage.memory import MemoryStorageEngine
+from repro.condorj2.storage.store import MemoryEngineError
 
 __all__ = [
     "CrashInjector",
