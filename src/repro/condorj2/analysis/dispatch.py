@@ -382,7 +382,7 @@ def build_dispatch_model(root) -> DispatchModel:
     ``root`` is a directory or a loaded :class:`SourceTree`."""
     model = DispatchModel()
     for module in SourceTree.of(root).application_modules(
-            but=_DRIVER_FILES):
+            skip=_DRIVER_FILES):
         pragmas = _pragma_lines(module.source)
         for qualname, node in functions_of(module.tree):
             info = DispatchInfo(qualname=f"{module.rel}:{qualname}",

@@ -59,15 +59,16 @@ class SourceTree:
     def module(self, rel: str) -> Optional[Module]:
         return next((m for m in self.modules if m.rel == rel), None)
 
-    def application_modules(self, but: Tuple[str, ...] = ()) -> List[Module]:
+    def application_modules(self, skip: Tuple[str, ...] = ()
+                            ) -> List[Module]:
         """The modules above the storage/analysis machinery, less the
-        files named in ``but``."""
+        files named in ``skip``."""
         kept = []
         for module in self.modules:
             path = PurePosixPath(module.rel)
             if any(part in _MACHINERY_PARTS for part in path.parts):
                 continue
-            if path.name in _MACHINERY_FILES + but:
+            if path.name in _MACHINERY_FILES + skip:
                 continue
             kept.append(module)
         return kept

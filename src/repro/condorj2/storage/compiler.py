@@ -351,7 +351,7 @@ class _Compiler(_ExprCompiler):
                       slot=position)  # temporarily visible for ON
             residual = []
             for conjunct in sp.split_conjuncts(src.on):
-                if plan.access.label is None:
+                if plan.access.label is None:  # still a scan: may probe
                     access = self._try_join_probe(conjunct, plan, scope,
                                                   bound, stats)
                     if access is not None:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import heapq
 import json
 import time
+from dataclasses import dataclass
 from operator import itemgetter
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -155,6 +156,7 @@ def _combine_filters(filters: Sequence[Callable]) -> Optional[Callable]:
 # execution plans
 # ----------------------------------------------------------------------
 
+@dataclass
 class _Access:
     """One access path, bound at compile time: how a FROM source — or
     the target of an UPDATE/DELETE — produces its candidates.
@@ -167,16 +169,10 @@ class _Access:
     with it directly.
     """
 
-    __slots__ = ("rows", "keys", "label", "eq")
-
-    def __init__(self, rows: Optional[Callable] = None,
-                 keys: Optional[Callable] = None,
-                 label: Optional[str] = None,
-                 eq: Optional[Tuple] = None):
-        self.rows = rows
-        self.keys = keys
-        self.label = label
-        self.eq = eq
+    rows: Optional[Callable] = None
+    keys: Optional[Callable] = None
+    label: Optional[str] = None
+    eq: Optional[Tuple] = None
 
 
 def _lookup_access(table: MemoryTable, column: str, fn: Callable,
@@ -707,8 +703,9 @@ class _UpdatePlan(_KeyedDml):
     kind = "update"
 
     def __init__(self, table: MemoryTable,
-                 sets: List[Tuple[str, Callable]], *where):
-        super().__init__(table, *where)
+                 sets: List[Tuple[str, Callable]], access: _Access,
+                 filters: List[Callable], est_rows: float):
+        super().__init__(table, access, filters, est_rows)
         self.sets = sets
 
     def run(self, engine: TableStore, rt: _Rt) -> MemoryCursor:
@@ -749,13 +746,14 @@ class _Profiled:
         super().__init__(*args, **kwargs)
         self.prof = {"rows": 0, "loops": 0, "seconds": 0.0}
 
-    def _timed(self, operator: Callable, rt: _Rt) -> Any:
+    def _timed(self, operator: Callable, rt: _Rt,
+               count: Callable = len) -> Any:
         start = time.perf_counter()
         result = operator(rt)
         prof = self.prof
         prof["seconds"] += time.perf_counter() - start
         prof["loops"] += 1
-        prof["rows"] += result if isinstance(result, bool) else len(result)
+        prof["rows"] += count(result)
         return result
 
 
@@ -769,7 +767,7 @@ class _ProfiledSelectPlan(_Profiled, _SelectPlan):
         return self._timed(super().execute, rt)
 
     def any(self, rt: _Rt) -> bool:
-        return self._timed(super().any, rt)
+        return self._timed(super().any, rt, count=int)
 
 
 def _attach_profile(node: "pl.PlanNode", plan: Any) -> None:
@@ -782,26 +780,20 @@ def _attach_profile(node: "pl.PlanNode", plan: Any) -> None:
 
 def _source_node(src: _SourcePlan) -> "pl.PlanNode":
     path = src.access.label
-    if src.kind == "table":
-        name = src.table.name
-        label = name if name == src.alias else f"{name} AS {src.alias}"
-        if path is not None:
-            node = pl.PlanNode(op="PROBE", detail=f"{label} ({path})",
-                               est_rows=src.est_rows)
-        else:
-            node = pl.PlanNode(op="SCAN", detail=label,
-                               est_rows=src.est_rows)
-    elif src.kind == "subquery":
-        if path is not None:
-            node = pl.PlanNode(op="HASH-JOIN",
-                               detail=f"{src.alias} ({path})",
-                               est_rows=src.est_rows)
-        else:
-            node = pl.PlanNode(op="SUBQUERY", detail=src.alias,
-                               est_rows=src.est_rows)
-        node.children.append(_select_node(src.subplan, "SELECT"))
-    else:
+    if src.kind == "json_each":
         node = pl.PlanNode(op="JSON-EACH", detail=src.alias)
+    else:
+        if src.kind == "table":
+            name = src.table.name
+            label = name if name == src.alias else f"{name} AS {src.alias}"
+            op = "PROBE" if path else "SCAN"
+        else:
+            label = src.alias
+            op = "HASH-JOIN" if path else "SUBQUERY"
+        node = pl.PlanNode(op=op, est_rows=src.est_rows,
+                           detail=f"{label} ({path})" if path else label)
+        if src.kind == "subquery":
+            node.children.append(_select_node(src.subplan, "SELECT"))
     _attach_profile(node, src)
     return node
 

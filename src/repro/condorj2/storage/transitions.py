@@ -107,8 +107,6 @@ def _is_state_col(node: Any, table: str, column: str) -> bool:
 def _guard_literals(where: Any, table: str,
                     column: str) -> Optional[Tuple[str, ...]]:
     """Literal states a WHERE clause pins the row's state to, if any."""
-    if where is None:
-        return None
     for conjunct in sp.split_conjuncts(where):
         if isinstance(conjunct, sp.Bin) and conjunct.op == "=":
             left, right = conjunct.left, conjunct.right

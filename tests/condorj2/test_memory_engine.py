@@ -22,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 
 from repro.condorj2.database import Database, DatabaseError
+from repro.condorj2.logic.scheduling import MATCH_UPDATE_SQL
 from repro.condorj2.schema import SCHEMA_STATEMENTS, TABLE_DEFS, TABLES
 from repro.condorj2.storage import (
     MemoryStorageEngine,
@@ -495,8 +496,6 @@ def test_update_in_subquery_reads_the_outer_row(db, outer):
 def test_only_a_self_contained_in_subquery_drives_the_scan():
     """A bare name is the subquery's own column where it has one
     (``MATCH_UPDATE_SQL``) and the outer row's where it has not."""
-    from repro.condorj2.logic.scheduling import MATCH_UPDATE_SQL
-
     database = Database(backend="memory")
     _seed_dependencies(database)
     correlated = database.explain(
