@@ -2,8 +2,9 @@
 
 The paper's thesis is that cluster state lives in a database and every
 daemon interaction is a SQL statement; this package turns that design
-into a checkable property.  It extracts the complete statement corpus
-from the Python sources (:mod:`extract`), validates each statement
+into a checkable property.  It reads and parses the sources once
+(:mod:`source`), extracts the complete statement corpus from them
+(:mod:`extract`), validates each statement
 against the declared schema with the engines' own parser
 (:mod:`check`), applies the planner's costing rules to flag
 index-less equality access (:mod:`advisor`), reasons across statements
