@@ -88,10 +88,9 @@ ALLOWED_BY_FILE_SUFFIX: Dict[str, Set[str]] = {
     "storage/sqlparser.py": {
         "self.sql", "self.peek().value", "token.value"
     },
-    # The transition probe is built from LifecycleDef table/column names
-    # (a schema-bounded identifier set) plus the statement's own WHERE
-    # text — never caller-supplied values.
-    "storage/transitions.py": {"column", "table", "suffix"},
+    # The ledger's trigger DDL is built from LifecycleDef table/column
+    # names — a schema-bounded identifier set, never a value.
+    "schema.py": {"column"},
     # Finding messages quote lifecycle table/column names; that is
     # diagnostics, not statement construction.
     "analysis/lifecycle.py": {"lifecycle.table", "lifecycle.column"},

@@ -784,3 +784,38 @@ LIFECYCLES: Dict[str, LifecycleDef] = {
          "transferring": {"valid", "stale"}},
         create=("valid", "transferring")),
 }
+
+
+def _ledger_triggers(lifecycle: LifecycleDef) -> Tuple[str, str]:
+    table, column = lifecycle.table, lifecycle.column
+    return (
+        f"CREATE TEMP TRIGGER IF NOT EXISTS ledger_update_{table} "
+        f"AFTER UPDATE OF {column} ON {table} BEGIN "
+        f"SELECT lifecycle_edge('{table}', OLD.{column}, NEW.{column}); END",
+        f"CREATE TEMP TRIGGER IF NOT EXISTS ledger_delete_{table} "
+        f"AFTER DELETE ON {table} BEGIN "
+        f"SELECT lifecycle_edge('{table}', OLD.{column}); END",
+    )
+
+
+#: How SQLite feeds the runtime transition ledger: two triggers per
+#: lifecycle table, created after ``SCHEMA_STATEMENTS`` on every
+#: connection.  The row write itself reports its edge to
+#: ``lifecycle_edge``, a scalar function the engine registers on the
+#: connection (two arguments mean ``-> GONE``).  ``UPDATE OF`` fires
+#: whenever the statement assigns the column, changed or not, which is
+#: exactly when the memory engine's ``TableStore._update_row`` records.
+#: TEMP, because triggers and function both belong to one connection:
+#: the database file stays usable by a connection that has neither.
+#:
+#: There is deliberately no ``AFTER INSERT`` trigger (and no insert hook
+#: in ``TableStore``): INSERT is attributed ``BORN -> state`` x rowcount
+#: from the statement text and never needed the row, while a trigger per
+#: inserted job read +3.7 % ``wall_s_per_sim_hour`` on
+#: ``submit_monitor_sqlite`` when this was prototyped (34.8 -> 36.1,
+#: 0/4 pairs better; 17,820 inserts an episode).
+#: That leaves ``INSERT .. SELECT`` into a lifecycle table as the one
+#: write the ledger does not attribute; the corpus has none.
+LEDGER_TRIGGER_STATEMENTS: Tuple[str, ...] = tuple(
+    statement for lifecycle in LIFECYCLES.values()
+    for statement in _ledger_triggers(lifecycle))

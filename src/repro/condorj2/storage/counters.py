@@ -115,10 +115,6 @@ class StatementCounts:
     wal_replays: int = 0
     fsyncs: int = 0
     checkpoints: int = 0
-    #: From-state probes (``StorageEngine._probe_transition``) that the
-    #: engine could not run: each one is a lifecycle edge left out of
-    #: ``transitions`` rather than guessed.  Zero on a healthy workload.
-    probe_failures: int = 0
     #: Per-table row traffic: ``{table: {verb: rows}}`` with lower-cased
     #: verb keys mirroring the scalar counters.
     tables: Dict[str, Dict[str, int]] = field(default_factory=dict)
@@ -131,10 +127,13 @@ class StatementCounts:
     #: Lifecycle transition ledger: ``{table: {"from->to": rows}}`` —
     #: the actual (from-state, to-state) edges DML walked on the four
     #: lifecycle tables, including the ``(new)``/``(gone)`` pseudo-state
-    #: edges for row creation/deletion.  Recorded by the shared engine
-    #: base class (see ``storage/transitions.py``), so equal workloads
-    #: produce equal ledgers on every backend; a tier-1 test asserts the
-    #: observed edges are a subset of the declared ``LIFECYCLES`` graph.
+    #: edges for row creation/deletion.  UPDATE and DELETE edges are
+    #: captured where each engine writes the row and folded in by the
+    #: shared base class once the statement succeeds; INSERT is read off
+    #: the text (``storage/transitions.py``).  Equal workloads produce
+    #: equal ledgers on every backend; tier-1 asserts the ledger equals
+    #: the per-key diff of the tables and that the observed edges are a
+    #: subset of the declared ``LIFECYCLES`` graph.
     transitions: Dict[str, Dict[str, int]] = field(default_factory=dict)
 
     def total(self) -> int:

@@ -26,9 +26,9 @@ from __future__ import annotations
 
 import sqlite3
 from abc import ABC, abstractmethod
-from typing import Any, Iterable, List, Sequence, Tuple, Type
+from typing import Any, Iterable, List, Optional, Sequence, Tuple, Type
 
-from repro.condorj2.schema import BORN
+from repro.condorj2.schema import BORN, GONE, LEDGER_TRIGGER_STATEMENTS
 from repro.condorj2.storage.counters import (
     WRITE_VERBS,
     StatementCounts,
@@ -73,6 +73,12 @@ class StorageEngine(ABC):
     def _init_accounting(self, statement_cache_size: int) -> None:
         self.counts = StatementCounts()
         self.statement_cache = StatementCache(statement_cache_size)
+        #: ``(table, from, to)`` per lifecycle row the raw call in flight
+        #: has updated or deleted.  The engine appends where it writes
+        #: the row; ``execute``/``executemany`` empty it (in place: the
+        #: writers hold the list) before the raw call and fold it into
+        #: ``counts.transitions`` only when the call returns.
+        self._edges: List[Tuple[str, str, str]] = []
 
     # -- statement execution -------------------------------------------
     def _admit(self, sql: str) -> Statement:
@@ -94,8 +100,6 @@ class StorageEngine(ABC):
         counts.plan_misses += 1
         entry = describe(sql)
         entry.plan = self._compile_plan(sql)
-        if entry.spec is not None and entry.spec.probes:
-            entry.probe_plan = self._compile_plan(entry.spec.probe_sql)
         if self.statement_cache.store(entry):
             counts.plan_evictions += 1
         return entry
@@ -110,69 +114,38 @@ class StorageEngine(ABC):
         return None
 
     # -- lifecycle transition ledger -----------------------------------
-    def _probe_transition(self, entry: Statement,
-                          params: Sequence[Any]) -> "dict | None":
-        """The from-state distribution of the rows ``params`` selects.
-
-        Runs *before* an UPDATE/DELETE (the pre-image is what names the
-        edge); the result is only folded into the ledger after the
-        statement succeeds.  An *uncounted* internal read: it is not
-        admitted to the statement cache and ticks no statement counter,
-        so the ledger's observability never perturbs the accounted
-        workload the differential fuzzer compares.
-
-        Returns ``{state: rows}``; None when no probe is needed
-        (``TransitionSpec.probes``), when the target state is a dynamic
-        expression (nothing to attribute), or when the engine rejects
-        the probe — the edge is then left unattributed rather than
-        guessed, and ``probe_failures`` says so.
-        """
-        spec = entry.spec
-        if not spec.probes or spec.resolve_to(params) is None:
-            return None
-        try:
-            cursor = self._execute_raw(
-                spec.probe_sql, spec.probe_params(params), entry.probe_plan)
-            return {row["s"]: row["n"] for row in cursor.fetchall()}
-        except self.ENGINE_ERRORS:
-            self.counts.probe_failures += 1
-            return None
-
-    def _settle_transitions(self, spec: TransitionSpec,
+    def _settle_transitions(self, spec: Optional[TransitionSpec],
                             rows: Sequence[Sequence[Any]],
-                            staged_rows: Sequence["dict | None"],
                             affected: int) -> None:
         """Fold one successful dispatch's edges into the ledger.
 
-        ``rows`` are the parameter rows dispatched (one for ``execute``),
-        ``staged_rows`` their probed pre-images and ``affected`` the
-        aggregate rowcount.
+        UPDATE and DELETE edges are whatever the raw call left in
+        ``_edges``: one per row written, read off the write's own
+        pre-image, so nothing is asked of the table and nothing is
+        inferred from the text.  A statement that raised never gets
+        here — its edges are dropped with the next dispatch's reset —
+        and a rollback does not revert what was folded.
+
+        INSERT is attributed from the text (``spec``): ``rows`` are the
+        parameter rows dispatched (one for ``execute``) and ``affected``
+        the aggregate rowcount.
         """
         record = self.counts.record_transition
-        if spec.verb == "INSERT":
-            # One target for everything written: the aggregate rowcount
-            # is exact even under OR IGNORE (ignored rows never count).
-            uniform = (spec.resolve_to(rows[0]) if len(rows) == 1
-                       else spec.to_state)
-            if uniform is not None:
-                record(spec.table, BORN, uniform, affected)
-            elif not spec.or_ignore:
-                for row in rows:
-                    target = spec.resolve_to(row)
-                    if target is not None:
-                        record(spec.table, BORN, target, 1)
-        elif not spec.probes:
-            # Lexical fast path: every matched row leaves the single
-            # guard state for the single literal target, so the
-            # aggregate rowcount attributes the whole dispatch at once.
-            record(spec.table, spec.single_guard, spec.to_state, affected)
-        else:
-            for row, staged in zip(rows, staged_rows):
+        for edge in self._edges:
+            record(*edge)
+        if spec is None or spec.verb != "INSERT":
+            return
+        # One target for everything written: the aggregate rowcount is
+        # exact even under OR IGNORE (ignored rows never count).
+        uniform = (spec.resolve_to(rows[0]) if len(rows) == 1
+                   else spec.to_state)
+        if uniform is not None:
+            record(spec.table, BORN, uniform, affected)
+        elif not spec.or_ignore:
+            for row in rows:
                 target = spec.resolve_to(row)
-                if staged is None or target is None:
-                    continue
-                for source, rows_hit in staged.items():
-                    record(spec.table, source, target, rows_hit)
+                if target is not None:
+                    record(spec.table, BORN, target, 1)
 
     def execute(self, sql: str, params: Sequence[Any] = ()) -> Any:
         """Run one counted statement; returns a cursor-like object."""
@@ -180,7 +153,8 @@ class StorageEngine(ABC):
         counts, verb, spec = self.counts, entry.verb, entry.spec
         counts.statements += 1
         counts.record_text(sql)
-        staged = self._probe_transition(entry, params) if spec else None
+        edges = self._edges
+        edges.clear()
         try:
             cursor = self._execute_raw(sql, params, entry.plan)
         except self.INTEGRITY_ERRORS as exc:
@@ -197,8 +171,8 @@ class StorageEngine(ABC):
             affected = max(0, cursor.rowcount)
         counts.record(verb, rows)
         counts.record_table(entry.table, verb, affected)
-        if spec is not None:
-            self._settle_transitions(spec, (params,), (staged,), affected)
+        if edges or spec is not None:
+            self._settle_transitions(spec, (params,), affected)
         return cursor
 
     def executemany(self, sql: str, rows: Iterable[Sequence[Any]]) -> Any:
@@ -215,14 +189,8 @@ class StorageEngine(ABC):
         counts.statements += 1
         counts.batches += 1
         counts.record_text(sql)
-        staged_rows: Sequence["dict | None"] = ()
-        if spec is not None and spec.probes:
-            # Per-row pre-images.  Probing the whole batch up front is
-            # exact for the batches the services issue (distinct keys
-            # per row); a batch whose later rows re-match earlier rows'
-            # writes would attribute those edges to the stale pre-image.
-            staged_rows = [self._probe_transition(entry, row)
-                           for row in materialized]
+        edges = self._edges
+        edges.clear()
         try:
             cursor = self._executemany_raw(sql, materialized, entry.plan)
         except self.INTEGRITY_ERRORS as exc:
@@ -232,9 +200,8 @@ class StorageEngine(ABC):
         else:
             affected = len(materialized)
         counts.record_table(entry.table, verb, affected)
-        if spec is not None:
-            self._settle_transitions(spec, materialized, staged_rows,
-                                     affected)
+        if edges or spec is not None:
+            self._settle_transitions(spec, materialized, affected)
         return cursor
 
     @abstractmethod
@@ -316,6 +283,12 @@ class SqliteStorageEngine(StorageEngine):
         self._conn.isolation_level = None  # explicit transaction control
         self._conn.execute("PRAGMA foreign_keys = ON")
         self._init_accounting(statement_cache_size)
+        edges = self._edges
+        self._conn.create_function(
+            "lifecycle_edge", -1,
+            lambda table, old, new=GONE: edges.append((table, old, new)))
+        if self._conn.execute("PRAGMA schema_version").fetchone()[0]:
+            self._arm_ledger()  # a reopened file: the schema is there
 
     # ------------------------------------------------------------------
     # raw execution hooks
@@ -331,6 +304,17 @@ class SqliteStorageEngine(StorageEngine):
 
     def run_script(self, statements: Sequence[str]) -> None:
         for statement in statements:
+            self._conn.execute(statement)
+        self._arm_ledger()
+
+    def _arm_ledger(self) -> None:
+        """Put the ledger's triggers on the lifecycle tables.
+
+        TEMP triggers live and die with the connection, so every open
+        arms them: after the schema script on a fresh database, at
+        connect time on a file that already holds the schema.
+        """
+        for statement in LEDGER_TRIGGER_STATEMENTS:
             self._conn.execute(statement)
 
     def explain(self, sql: str, params: Sequence[Any] = None) -> ExplainReport:

@@ -11,7 +11,7 @@ a hit rate near 1.0.
 An entry (:class:`Statement`) holds everything an engine derives from
 the text alone: the accounting verb, the principal table, the lifecycle
 :class:`~repro.condorj2.storage.transitions.TransitionSpec`, and the
-engine's compiled plan for the statement and for its from-state probe.
+engine's compiled plan for the statement.
 The shared :class:`~repro.condorj2.storage.engine.StorageEngine` base
 class admits every statement through this one cache, so the ledger is
 engine-neutral: a workload replayed on two backends produces identical
@@ -45,9 +45,8 @@ class Statement:
     #: for reads and for writes no declared machine cares about.
     spec: Optional[TransitionSpec] = None
     #: The engine's compiled artifact for ``sql`` (None on engines that
-    #: compile natively) and for ``spec.probe_sql`` when a probe can run.
+    #: compile natively).
     plan: Any = None
-    probe_plan: Any = None
     #: Dispatches served, the admitting one included.
     uses: int = 1
 

@@ -5,9 +5,10 @@
 memoized probes, unique maps and constraint checks; :class:`TableStore`
 holds all of them and applies the row mutations — INSERT with rowid
 assignment and OR IGNORE, UPDATE, DELETE with ``ON DELETE CASCADE`` —
-recording an undo entry for rollback and a redo entry for the
-write-ahead log (:mod:`.wal`) per row touched.  Nothing here knows SQL
-text: plans (:mod:`.plans`) arrive with keys and values.
+recording an undo entry for rollback, a redo entry for the write-ahead
+log (:mod:`.wal`) and, on a lifecycle table, the edge for the transition
+ledger per row touched.  Nothing here knows SQL text: plans
+(:mod:`.plans`) arrive with keys and values.
 
 Scan order mirrors SQLite's: rowid order for ordinary tables (insertion
 order when the key is hidden, primary-key order when an INTEGER PRIMARY
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.condorj2.schema import TABLE_DEFS, TableDef
+from repro.condorj2.schema import GONE, LIFECYCLES, TABLE_DEFS, TableDef
 from repro.condorj2.storage.scalars import apply_affinity
 
 
@@ -55,6 +56,10 @@ class MemoryTable:
         self._sorted_keys: Optional[List[Any]] = None
         # the rowid-aliasing INTEGER PRIMARY KEY, if any
         self.ipk = tdef.integer_primary_key
+        # the column a declared lifecycle machine governs, if any
+        lifecycle = LIFECYCLES.get(tdef.name)
+        self.lifecycle: Optional[str] = (
+            lifecycle.column if lifecycle else None)
         # equality indexes: column -> value -> set of rowkeys
         indexed = set()
         if tdef.primary_key:
@@ -247,6 +252,15 @@ class TableStore:
     around statements and transactions, and compiled plans call the
     mutations below."""
 
+    #: Lifecycle capture point, the accounting shell's list
+    #: (``StorageEngine._init_accounting``): ``(table, from, to)`` per
+    #: UPDATE that assigns a lifecycle column and per DELETE from a
+    #: lifecycle table, appended where the pre-image is in hand.
+    #: ``_replay`` and WAL recovery go through the ``raw_*`` mutations
+    #: and record nothing.  INSERT is not captured (see
+    #: ``schema.LEDGER_TRIGGER_STATEMENTS``).
+    _edges: List[Tuple[str, str, str]]
+
     def __init__(self) -> None:
         self.tables: Dict[str, MemoryTable] = {
             tdef.name: MemoryTable(tdef) for tdef in TABLE_DEFS
@@ -363,6 +377,9 @@ class TableStore:
             self._undo.append(("update", table, key, old))
         if self._redo is not None:
             self._redo.append(("upd", table.name, key, new))
+        lifecycle = table.lifecycle  # None (no machine) is never a key
+        if lifecycle in changes:
+            self._edges.append((table.name, old[lifecycle], new[lifecycle]))
 
     def _delete_key(self, table: MemoryTable, key: Any) -> None:
         if key not in table.rows:
@@ -384,6 +401,8 @@ class TableStore:
             self._undo.append(("delete", table, key, row))
         if self._redo is not None:
             self._redo.append(("del", table.name, key))
+        if table.lifecycle is not None:
+            self._edges.append((table.name, row[table.lifecycle], GONE))
 
     def _check_fks(self, table: MemoryTable, row: Dict[str, Any],
                    old_row: Optional[Dict[str, Any]]) -> None:

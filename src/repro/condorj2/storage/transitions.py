@@ -4,19 +4,22 @@
 statement touches the ``state`` column of one of the
 :data:`~repro.condorj2.schema.LIFECYCLES` tables and, if so, what can be
 known lexically: the target state (literal, parameter position, or the
-column default), the ``state = .. / state IN (..)`` guard literals in
-the WHERE clause, and the uncounted *probe* query that resolves the
-from-state distribution at runtime when the guard does not pin it.
+column default) and the ``state = .. / state IN (..)`` guard literals in
+the WHERE clause.
 
-The spec is shared by two consumers that must agree:
+The spec has two consumers:
 
-* the storage engines' runtime transition ledger
-  (:attr:`StatementCounts.transitions`) — every engine records through
-  the same base-class path, so equal workloads produce equal ledgers;
 * the static analyzer's lifecycle pass
-  (``repro.condorj2.analysis.lifecycle``), which turns the same specs
+  (``repro.condorj2.analysis.lifecycle``), which turns the specs
   extracted from the source tree into the statically-implied transition
-  graph checked against the declaration.
+  graph checked against the declaration;
+* the storage engines' runtime transition ledger
+  (:attr:`StatementCounts.transitions`), for INSERT only: rows are born
+  in the state the text names, times the rowcount.  UPDATE and DELETE
+  edges are not inferred from text at all — each engine reports them
+  from the row write itself (``TableStore._update_row`` /
+  ``_delete_key``, SQLite's ``LEDGER_TRIGGER_STATEMENTS``), where the
+  pre-image is in hand.
 
 Classification is a pure function of the SQL text; the engines keep the
 spec on the statement's cache entry (``storage/statements.py``), so the
@@ -26,7 +29,7 @@ write path parses a text once per admission.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 import repro.condorj2.storage.sqlparser as sp
 from repro.condorj2.schema import GONE, LIFECYCLES, TABLE_DEFS
@@ -50,30 +53,8 @@ class TransitionSpec:
     #: Literal ``state =``/``state IN`` guard in the WHERE clause;
     #: ``None`` means the write is unguarded.
     guard_states: Optional[Tuple[str, ...]] = None
-    #: Uncounted from-state probe (UPDATE/DELETE); ``None`` for INSERT.
-    probe_sql: Optional[str] = None
-    #: Index into the positional parameter list where the WHERE clause's
-    #: parameters begin (SET parameters precede them in bind order).
-    probe_param_start: int = 0
     #: INSERT OR IGNORE — affected-row attribution is aggregate only.
     or_ignore: bool = False
-
-    @property
-    def single_guard(self) -> Optional[str]:
-        """The sole guard literal, when the guard pins one from-state."""
-        if self.guard_states is not None and len(self.guard_states) == 1:
-            return self.guard_states[0]
-        return None
-
-    @property
-    def probes(self) -> bool:
-        """Whether naming the from-state can take the runtime probe.
-
-        False for INSERT (rows are born) and on the lexical fast path: a
-        single-literal guard with a literal target pins the whole edge.
-        """
-        return self.verb != "INSERT" and (
-            self.single_guard is None or self.to_state is None)
 
     def resolve_to(self, params: Any) -> Optional[str]:
         """The target state for one bound parameter row."""
@@ -87,12 +68,6 @@ class TransitionSpec:
         except (IndexError, KeyError, TypeError):
             return None
         return None
-
-    def probe_params(self, params: Any) -> Any:
-        """The parameters the probe statement binds."""
-        if isinstance(params, dict):
-            return params
-        return tuple(params)[self.probe_param_start:]
 
 
 def _is_state_col(node: Any, table: str, column: str) -> bool:
@@ -119,56 +94,6 @@ def _guard_literals(where: Any, table: str,
                 and all(isinstance(item, sp.Lit) for item in conjunct.items)):
             return tuple(str(item.value) for item in conjunct.items)
     return None
-
-
-def _positional_params(*nodes: Any) -> int:
-    count = 0
-    for node in nodes:
-        for child in sp.walk(node):
-            if isinstance(child, sp.Param) and child.index is not None:
-                count += 1
-    return count
-
-
-def _where_text(sql: str) -> Optional[str]:
-    """The statement's top-level WHERE clause text, lexically.
-
-    Scans outside string literals at parenthesis depth zero, so a WHERE
-    inside a subquery (always parenthesized in this dialect) or inside a
-    quoted string cannot be mistaken for the statement's own.
-    """
-    upper = sql.upper()
-    index, depth, length = 0, 0, len(sql)
-    while index < length:
-        char = sql[index]
-        if char == "'":
-            index += 1
-            while index < length:
-                if sql[index] == "'":
-                    if index + 1 < length and sql[index + 1] == "'":
-                        index += 2
-                        continue
-                    break
-                index += 1
-        elif char == "(":
-            depth += 1
-        elif char == ")":
-            depth -= 1
-        elif (depth == 0 and upper.startswith("WHERE", index)
-              and (index == 0 or not (sql[index - 1].isalnum()
-                                      or sql[index - 1] == "_"))
-              and (index + 5 == length
-                   or not (sql[index + 5].isalnum() or sql[index + 5] == "_"))):
-            return sql[index + 5:].strip() or None
-        index += 1
-    return None
-
-
-def _probe_sql(table: str, column: str, sql: str) -> str:
-    where = _where_text(sql)
-    suffix = f" WHERE {where}" if where else ""
-    return (f"SELECT {column} AS s, COUNT(*) AS n FROM {table}"
-            f"{suffix} GROUP BY {column}")
 
 
 def _default_state(table: str, column: str) -> Optional[str]:
@@ -216,9 +141,6 @@ def transition_spec(sql: str) -> Optional[TransitionSpec]:
             table=ast.table,
             verb="UPDATE",
             guard_states=_guard_literals(ast.where, ast.table, column),
-            probe_sql=_probe_sql(ast.table, column, sql),
-            probe_param_start=_positional_params(
-                *(expr for _, expr in ast.sets)),
             **_to_fields(assignment),
         )
     if isinstance(ast, sp.Delete):
@@ -227,7 +149,6 @@ def transition_spec(sql: str) -> Optional[TransitionSpec]:
             verb="DELETE",
             to_state=GONE,
             guard_states=_guard_literals(ast.where, ast.table, column),
-            probe_sql=_probe_sql(ast.table, column, sql),
         )
     if ast.select is not None:
         return None  # INSERT..SELECT: per-row states not resolvable

@@ -533,9 +533,9 @@ def test_allow_lists_match_the_bean_container_idiom():
         "storage/sqlparser.py": {
             "self.sql", "self.peek().value", "token.value",
         },
-        # the transition probe interpolates LifecycleDef identifiers (a
-        # schema-bounded set) plus the statement's own WHERE text
-        "storage/transitions.py": {"column", "table", "suffix"},
+        # the ledger's trigger DDL interpolates LifecycleDef identifiers
+        # (a schema-bounded set)
+        "schema.py": {"column"},
         # finding messages quote lifecycle table/column names
         "analysis/lifecycle.py": {"lifecycle.table", "lifecycle.column"},
     }

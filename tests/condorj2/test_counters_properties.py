@@ -90,7 +90,7 @@ def test_int_field_discovery_sees_the_durability_ledger():
     """The dynamic field list includes the WAL counters (and will pick
     up any future ones), so every algebra property below covers them."""
     assert {"wal_appends", "wal_replays", "fsyncs", "checkpoints",
-            "commits", "plan_evictions", "probe_failures"} <= set(INT_FIELDS)
+            "commits", "plan_evictions"} <= set(INT_FIELDS)
     assert "tables" not in INT_FIELDS
     assert set(LEDGER_FIELDS) == {"tables", "texts", "transitions"}
     # every ledger has a generator, so none rides the properties empty

@@ -218,4 +218,3 @@ def test_cache_ledger_pairs_are_equal_by_construction(backend):
     assert counts.prepared_misses == counts.plan_misses == cache.misses > 0
     assert counts.plan_evictions == cache.evictions >= 5
     assert counts.statements == cache.hits + cache.misses
-    assert counts.probe_failures == 0

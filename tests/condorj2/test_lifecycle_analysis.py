@@ -238,9 +238,6 @@ def test_observed_transitions_subset_of_declared(backend, tmp_path):
     finally:
         db.close()
     assert observed, "workload recorded no transitions"
-    # No from-state probe was rejected, so no edge went unattributed:
-    # "observed" really is everything the workload walked.
-    assert db.counts.probe_failures == 0
     for table, edges in observed.items():
         lifecycle = LIFECYCLES[table]
         for edge, rows in edges.items():
@@ -258,18 +255,30 @@ def test_observed_transitions_subset_of_declared(backend, tmp_path):
 
 
 @pytest.mark.parametrize("backend", ["sqlite", "memory", "wal"])
-def test_rejected_probe_is_counted_not_swallowed(backend, tmp_path):
-    """A from-state probe the engine rejects leaves its edge out of the
-    ledger and says so in ``probe_failures`` — identically everywhere."""
+def test_rejected_write_records_no_edge_and_runs_nothing_else(
+        backend, tmp_path, monkeypatch):
+    """A lifecycle write the engine rejects is the only thing the engine
+    runs for it (there is no from-state read to fail beside it) and
+    leaves the ledger alone — identically everywhere."""
     db = _backend_db(backend, tmp_path)
+    engine_class = type(db.engine)
+    raw_calls = []
+    original = engine_class._execute_raw
+
+    def counted(engine, sql, params, plan=None):
+        raw_calls.append(sql)
+        return original(engine, sql, params, plan)
+    monkeypatch.setattr(engine_class, "_execute_raw", counted)
+    rejected = "UPDATE jobs SET state = ? WHERE no_such_column = ?"
     try:
         with pytest.raises(db.engine.ENGINE_ERRORS):
-            db.execute("UPDATE jobs SET state = ? WHERE no_such_column = ?",
-                       ("held", 1))
-        assert db.counts.probe_failures == 1
+            db.execute(rejected, ("held", 1))
+        assert raw_calls == [rejected]
+        assert db.counts.statements == 1
         assert db.counts.transitions == {}
         db.execute("UPDATE jobs SET state = ? WHERE job_id = ?", ("held", 1))
-        assert db.counts.probe_failures == 1  # a probe that runs is silent
+        assert len(raw_calls) == db.counts.statements == 2
+        assert db.counts.transitions == {}  # no row matched: still no edge
     finally:
         db.close()
 

@@ -111,12 +111,12 @@ def test_cache_capacity_must_be_positive():
 
 
 def test_cache_entry_holds_the_lifecycle_classification(db):
-    """What eviction re-computes: verb, table, transition spec, plans."""
+    """What eviction re-computes: verb, table, transition spec, plan."""
     sql = "UPDATE jobs SET state = ? WHERE job_id = ?"
     db.execute(sql, ("held", 1))
     entry = db.statement_cache.peek(sql)
     assert (entry.verb, entry.table) == ("UPDATE", "jobs")
-    assert entry.spec.probes and entry.spec.to_param == 0
+    assert entry.spec.to_param == 0 and entry.spec.guard_states is None
     assert describe("SELECT state FROM jobs").spec is None
     assert describe("UPDATE users SET priority = 1").spec is None
 
