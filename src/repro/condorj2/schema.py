@@ -811,9 +811,9 @@ def _ledger_triggers(lifecycle: LifecycleDef) -> Tuple[str, str]:
 #: There is deliberately no ``AFTER INSERT`` trigger (and no insert hook
 #: in ``TableStore``): INSERT is attributed ``BORN -> state`` x rowcount
 #: from the statement text and never needed the row, while a trigger per
-#: inserted job read +3.7 % ``wall_s_per_sim_hour`` on
-#: ``submit_monitor_sqlite`` when this was prototyped (34.8 -> 36.1,
-#: 0/4 pairs better; 17,820 inserts an episode).
+#: inserted job measured +3.9 % ``wall_s_per_sim_hour`` on
+#: ``submit_monitor_sqlite`` (35.1 -> 36.5 reference s, 0/4 pairs
+#: better; 17,820 inserts an episode).
 #: That leaves ``INSERT .. SELECT`` into a lifecycle table as the one
 #: write the ledger does not attribute; the corpus has none.
 LEDGER_TRIGGER_STATEMENTS: Tuple[str, ...] = tuple(
