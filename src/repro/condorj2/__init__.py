@@ -28,7 +28,7 @@ from repro.condorj2.api import (
 )
 from repro.condorj2.cas import CondorJ2ApplicationServer
 from repro.condorj2.costs import CasCostModel
-from repro.condorj2.database import ConnectionPool, Database, DatabaseError
+from repro.condorj2.database import Database, DatabaseError
 from repro.condorj2.startd import CondorJ2Startd, StartdConfig
 from repro.condorj2.storage import (
     SqliteStorageEngine,
@@ -43,7 +43,6 @@ __all__ = [
     "CondorJ2ApplicationServer",
     "CondorJ2Startd",
     "CondorJ2System",
-    "ConnectionPool",
     "ContractRegistry",
     "Database",
     "DatabaseError",

@@ -28,8 +28,8 @@ if its leading constant text starts with a dialect verb, which excludes
 
 Identifier templates are *rendered* into concrete statements the checker
 can parse: bean-anchored slots render once per registered bean (the
-classes declaring ``TABLE``/``PK``/``FIELDS``), and the bare ``table``
-slot renders once per schema table.  Rendering is what makes the generic
+classes whose ``TABLE`` constant names a schema table), and the bare
+``table`` slot renders once per schema table.  Rendering is what makes the generic
 ``EntityBean`` plumbing checkable against every table it actually
 serves.
 """
@@ -143,18 +143,17 @@ class SqlTemplate:
 
 @dataclass(frozen=True)
 class BeanInfo:
-    """A class declaring TABLE/PK/FIELDS constants."""
+    """A class whose TABLE constant names a schema table."""
 
     name: str
     table: str
     pk: str
+    #: Every column but the key, in declaration order.
     fields: Tuple[str, ...]
 
     @property
     def insert_columns(self) -> Tuple[str, ...]:
-        columns = (self.pk,) + tuple(
-            f for f in self.fields if f != self.pk)
-        return columns
+        return (self.pk,) + self.fields
 
 
 @dataclass
@@ -252,36 +251,23 @@ def _class_str_const(node: ast.ClassDef, name: str) -> Optional[str]:
     return None
 
 
-def _class_str_tuple(node: ast.ClassDef, name: str) -> Optional[Tuple[str, ...]]:
-    for statement in node.body:
-        if isinstance(statement, ast.Assign):
-            for target in statement.targets:
-                if isinstance(target, ast.Name) and target.id == name:
-                    value = statement.value
-                    if isinstance(value, (ast.Tuple, ast.List)):
-                        items = []
-                        for element in value.elts:
-                            if isinstance(element, ast.Constant) and \
-                                    isinstance(element.value, str):
-                                items.append(element.value)
-                            else:
-                                return None
-                        return tuple(items)
-    return None
-
-
 def scan_beans(trees: Iterable[ast.Module]) -> List[BeanInfo]:
-    """Collect classes that declare non-empty TABLE/PK/FIELDS."""
+    """Collect classes whose ``TABLE`` constant names a schema table.
+
+    Key and fields come from the table's declaration, exactly as
+    ``EntityBean.__init_subclass__`` fills them at import time; a table
+    with a composite key has no bean.
+    """
     beans: List[BeanInfo] = []
     for tree in trees:
         for node in ast.walk(tree):
             if not isinstance(node, ast.ClassDef):
                 continue
-            table = _class_str_const(node, "TABLE")
-            pk = _class_str_const(node, "PK")
-            fields = _class_str_tuple(node, "FIELDS")
-            if table and pk and fields is not None:
-                beans.append(BeanInfo(node.name, table, pk, fields))
+            tdef = schema.TABLE_BY_NAME.get(_class_str_const(node, "TABLE"))
+            if tdef is not None and len(tdef.primary_key) == 1:
+                beans.append(BeanInfo(node.name, tdef.name,
+                                      tdef.primary_key[0],
+                                      tdef.non_key_columns))
     return beans
 
 
@@ -483,8 +469,7 @@ class _ModuleExtractor:
                 count = len(columns) if columns else 1
                 pieces.append(", ".join("?" for _ in range(count)))
             elif category == "assignments":
-                names = [f for f in (bean.fields if bean else ())
-                         if bean and f != bean.pk] or ["rowid"]
+                names = (bean.fields if bean else ()) or ("rowid",)
                 pieces.append(", ".join(f"{name} = ?" for name in names))
             elif category == "fragment":
                 pieces.append("1=1")

@@ -1,4 +1,4 @@
-"""The service gateway: a middleware pipeline over the contract registry.
+"""The service gateway: a fixed pipeline over the contract registry.
 
 Dispatch used to be one dict lookup handing raw payloads to handlers;
 it is now the pipeline the paper's container stack implies::
@@ -6,8 +6,9 @@ it is now the pipeline the paper's container stack implies::
     decode -> validate request -> meter -> handler -> validate response -> encode
 
 The envelope codec (decode/encode) stays at the transport boundary in
-``web/soap.py``; everything between lives here, as composable middleware
-over :class:`~repro.condorj2.api.contracts.ContractRegistry`:
+``web/soap.py``; everything between lives here, four stages over
+:class:`~repro.condorj2.api.contracts.ContractRegistry`, each calling
+the next:
 
 * **validate** — the request payload is checked against the operation's
   request schema (defaults applied), and batch membership is checked
@@ -113,12 +114,6 @@ class BatchItem:
         return self.fault is None
 
 
-#: A middleware takes the invocation and the next stage; the innermost
-#: stage is the bound handler itself.
-Stage = Callable[[Invocation], Any]
-Middleware = Callable[[Invocation, Stage], Any]
-
-
 class ServiceGateway:
     """Validated, metered dispatch over the contract registry."""
 
@@ -138,26 +133,6 @@ class ServiceGateway:
         self.costs = costs
         self.clock = clock
         self.stats: Dict[str, OperationStats] = {}
-        #: The pipeline between decode and encode, outermost first.
-        self.middleware: List[Middleware] = [
-            self._validate_request,
-            self._meter,
-            self._translate_errors,
-        ]
-        # Composed once: dispatch is the hottest server path, and the
-        # chain only changes if `middleware` is edited (call
-        # `rebuild_pipeline` after doing so).
-        self._pipeline = self._compose()
-
-    def _compose(self) -> Stage:
-        stage: Stage = self._call_handler
-        for middleware in reversed(self.middleware):
-            stage = _bind(middleware, stage)
-        return stage
-
-    def rebuild_pipeline(self) -> None:
-        """Recompose the stage chain after editing ``middleware``."""
-        self._pipeline = self._compose()
 
     # ------------------------------------------------------------------
     # dispatch
@@ -175,7 +150,7 @@ class ServiceGateway:
             self._record_fault(UNKNOWN_OP, UnknownOperationFault.code)
             raise
         invocation = Invocation(operation, contract, payload, now, in_batch)
-        return self._pipeline(invocation)
+        return self._validate_request(invocation)
 
     def dispatch_batch(self, calls: Sequence[Tuple[str, Any]],
                        now: float, in_batch: bool = True) -> List[BatchItem]:
@@ -197,9 +172,9 @@ class ServiceGateway:
         return items
 
     # ------------------------------------------------------------------
-    # pipeline stages
+    # pipeline stages, outermost first; each calls the next
     # ------------------------------------------------------------------
-    def _validate_request(self, invocation: Invocation, nxt: Stage) -> Any:
+    def _validate_request(self, invocation: Invocation) -> Any:
         contract = invocation.contract
         if invocation.in_batch and not contract.batchable:
             self._record_fault(invocation.operation, ValidationFault.code)
@@ -214,9 +189,9 @@ class ServiceGateway:
         except ValidationFault:
             self._record_fault(invocation.operation, ValidationFault.code)
             raise
-        return nxt(invocation)
+        return self._meter(invocation)
 
-    def _meter(self, invocation: Invocation, nxt: Stage) -> Any:
+    def _meter(self, invocation: Invocation) -> Any:
         stats = self._stats_for(invocation.operation)
         stats.attempts += 1
         stats.calls += 1
@@ -226,7 +201,7 @@ class ServiceGateway:
         started = self.clock()
         dispatched = 0
         try:
-            result = nxt(invocation)
+            result = self._translate_errors(invocation)
         except ServiceFault as fault:
             stats.faults += 1
             stats.fault_codes[fault.code] = (
@@ -287,9 +262,9 @@ class ServiceGateway:
         )
         raise fault
 
-    def _translate_errors(self, invocation: Invocation, nxt: Stage) -> Any:
+    def _translate_errors(self, invocation: Invocation) -> Any:
         try:
-            return nxt(invocation)
+            return self._call_handler(invocation)
         except ServiceFault:
             raise
         except BeanNotFound as exc:
@@ -356,7 +331,3 @@ class ServiceGateway:
             for operation, stats in self.stats.items()
             if stats.calls
         }
-
-
-def _bind(middleware: Middleware, nxt: Stage) -> Stage:
-    return lambda invocation: middleware(invocation, nxt)

@@ -21,6 +21,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Type, TypeVar
 
 from repro.condorj2.database import Database, DatabaseError
+from repro.condorj2.schema import TABLE_BY_NAME
 
 
 class BeanStateError(DatabaseError):
@@ -41,13 +42,20 @@ B = TypeVar("B", bound="EntityBean")
 class EntityBean:
     """Base class: one instance mirrors one tuple.
 
-    Subclasses set ``TABLE``, ``PK`` and ``FIELDS`` (all column names
-    excluding the primary key) and may override :meth:`check_invariants`.
+    Subclasses set ``TABLE`` and may override :meth:`check_invariants`;
+    ``PK`` and ``FIELDS`` (all column names excluding the primary key)
+    are read from the table's declaration in ``schema.TABLE_DEFS``.
     """
 
     TABLE: str = ""
     PK: str = ""
     FIELDS: Tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        tdef = TABLE_BY_NAME[cls.TABLE]
+        (cls.PK,) = tdef.primary_key  # a bean mirrors a single-column key
+        cls.FIELDS = tdef.non_key_columns
 
     def __init__(self, container: "BeanContainer", row: Dict[str, Any]):
         self._container = container

@@ -21,8 +21,6 @@ class UserBean(EntityBean):
     """A pool user with a fair-share priority and accumulated usage."""
 
     TABLE = "users"
-    PK = "user_name"
-    FIELDS = ("priority", "accumulated_usage_seconds", "created_at")
 
     def charge_usage(self, wall_seconds: float) -> None:
         """Accumulate resource usage (drives fair-share priority)."""
@@ -45,8 +43,6 @@ class WorkflowBean(EntityBean):
     """A named group of jobs submitted together."""
 
     TABLE = "workflows"
-    PK = "workflow_id"
-    FIELDS = ("owner", "name", "submitted_at")
 
 
 class JobBean(EntityBean):
@@ -58,12 +54,6 @@ class JobBean(EntityBean):
     """
 
     TABLE = "jobs"
-    PK = "job_id"
-    FIELDS = (
-        "owner", "workflow_id", "cmd", "args", "state", "run_seconds",
-        "image_size_mb", "requirements", "rank",
-        "submitted_at", "attempts",
-    )
 
     def transition(self, new_state: str) -> None:
         """Move the job through its lifecycle, validating the edge."""
@@ -112,11 +102,6 @@ class MachineBean(EntityBean):
     """A physical execute machine as seen by the server."""
 
     TABLE = "machines"
-    PK = "machine_name"
-    FIELDS = (
-        "arch", "opsys", "cores", "memory_mb", "vm_count", "state",
-        "last_heartbeat", "boot_count",
-    )
 
     def heartbeat(self, now: float) -> None:
         """Record a heartbeat; a missing machine comes back alive."""
@@ -155,8 +140,6 @@ class VmBean(EntityBean):
     """A virtual machine (scheduling slot) tuple."""
 
     TABLE = "vms"
-    PK = "vm_id"
-    FIELDS = ("machine_name", "state", "last_update")
 
     def set_state(self, state: str, now: float) -> None:
         """Record the slot's execution state as reported by the startd."""
@@ -172,16 +155,12 @@ class MatchBean(EntityBean):
     """
 
     TABLE = "matches"
-    PK = "match_id"
-    FIELDS = ("job_id", "vm_id", "created_at")
 
 
 class RunBean(EntityBean):
     """An in-flight execution (replaces Condor's shadow process state)."""
 
     TABLE = "runs"
-    PK = "run_id"
-    FIELDS = ("job_id", "vm_id", "started_at")
 
 
 class PolicyBean(EntityBean):
@@ -193,8 +172,6 @@ class PolicyBean(EntityBean):
     """
 
     TABLE = "config_policies"
-    PK = "policy_name"
-    FIELDS = ("policy_value", "scope", "updated_at", "updated_by")
 
     def change_value(self, new_value: str, now: float, changed_by: str = "admin") -> None:
         """Update the policy and append to config_history."""

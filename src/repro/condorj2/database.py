@@ -22,7 +22,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Any, Iterable, Iterator, List, Optional, Sequence
 
-from repro.condorj2.schema import SCHEMA_STATEMENTS
+from repro.condorj2.schema import SCHEMA_STATEMENTS, TABLE_BY_NAME
 from repro.condorj2.storage import (
     DatabaseError,
     StatementCache,
@@ -32,7 +32,6 @@ from repro.condorj2.storage import (
 )
 
 __all__ = [
-    "ConnectionPool",
     "Database",
     "DatabaseError",
     "StatementCounts",
@@ -159,50 +158,13 @@ class Database:
     # introspection helpers
     # ------------------------------------------------------------------
     def table_count(self, table: str) -> int:
-        """Row count of ``table`` (identifier validated against schema)."""
-        if not table.replace("_", "").isalnum():
-            raise DatabaseError(f"invalid table name {table!r}")
+        """Row count of ``table``, which must be one the schema declares
+        (checked before anything is dispatched, so every backend refuses
+        the same names the same way)."""
+        if table not in TABLE_BY_NAME:
+            raise DatabaseError(f"no such table {table!r}")
         return int(self.scalar(f"SELECT COUNT(*) FROM {table}"))  # sql-ident: table
 
     def close(self) -> None:
         """Close the underlying engine."""
         self.engine.close()
-
-
-class ConnectionPool:
-    """Bookkeeping model of the container's JDBC connection pool.
-
-    SQLite is in-process so there is nothing to actually pool; what the
-    reproduction needs is the *limit* (concurrent transactions queue when
-    the pool is exhausted) and the acquisition statistics that back the
-    paper's claim that pooling "reduces the required number of
-    simultaneous open connections".  The CAS wires ``resource`` to a
-    simulated FIFO resource so acquisition costs simulated time.
-    """
-
-    def __init__(self, database: Database, size: int = 20):
-        if size <= 0:
-            raise DatabaseError("pool size must be positive")
-        self.database = database
-        self.size = size
-        self.acquisitions = 0
-        self.peak_in_use = 0
-        self._in_use = 0
-
-    @contextmanager
-    def connection(self) -> Iterator[Database]:
-        """Borrow the database handle, tracking concurrency statistics."""
-        if self._in_use >= self.size:
-            raise DatabaseError("connection pool exhausted (synchronous use)")
-        self._in_use += 1
-        self.acquisitions += 1
-        self.peak_in_use = max(self.peak_in_use, self._in_use)
-        try:
-            yield self.database
-        finally:
-            self._in_use -= 1
-
-    @property
-    def in_use(self) -> int:
-        """Connections currently borrowed."""
-        return self._in_use

@@ -27,238 +27,19 @@ the job into history).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, FrozenSet, Mapping, Optional, Tuple
-
-#: Ordered DDL statements; executed once at database creation.
-SCHEMA_STATEMENTS = [
-    """
-    CREATE TABLE users (
-        user_name     TEXT PRIMARY KEY,
-        priority      REAL NOT NULL DEFAULT 0.5,
-        accumulated_usage_seconds REAL NOT NULL DEFAULT 0.0,
-        created_at    REAL NOT NULL
-    )
-    """,
-    """
-    CREATE TABLE workflows (
-        workflow_id   INTEGER PRIMARY KEY,
-        owner         TEXT NOT NULL REFERENCES users(user_name),
-        name          TEXT NOT NULL DEFAULT 'workflow',
-        submitted_at  REAL NOT NULL
-    )
-    """,
-    """
-    CREATE TABLE jobs (
-        job_id        INTEGER PRIMARY KEY,
-        owner         TEXT NOT NULL REFERENCES users(user_name),
-        workflow_id   INTEGER REFERENCES workflows(workflow_id),
-        cmd           TEXT NOT NULL,
-        args          TEXT NOT NULL DEFAULT '',
-        state         TEXT NOT NULL DEFAULT 'idle'
-                      CHECK (state IN ('idle','matched','running','completed','removed','held')),
-        run_seconds   REAL NOT NULL,
-        image_size_mb INTEGER NOT NULL DEFAULT 16,
-        requirements  TEXT,
-        rank          TEXT,
-        submitted_at  REAL NOT NULL,
-        attempts      INTEGER NOT NULL DEFAULT 0
-    )
-    """,
-    # Covering index for the scheduling pass's hot predicate: eligible
-    # idle jobs joined to users by owner, scanned in (state, job_id)
-    # order without touching the base table.
-    "CREATE INDEX idx_jobs_state_owner ON jobs(state, owner, job_id)",
-    "CREATE INDEX idx_jobs_owner ON jobs(owner)",
-    "CREATE INDEX idx_jobs_workflow ON jobs(workflow_id)",
-    """
-    CREATE TABLE job_dependencies (
-        job_id            INTEGER NOT NULL
-                          REFERENCES jobs(job_id) ON DELETE CASCADE,
-        depends_on_job_id INTEGER NOT NULL,
-        PRIMARY KEY (job_id, depends_on_job_id)
-    ) WITHOUT ROWID
-    """,
-    # Reverse edge for "who is waiting on job X" queries; the forward
-    # (job_id, depends_on_job_id) order is the primary key itself.
-    "CREATE INDEX idx_job_dependencies_parent "
-    "ON job_dependencies(depends_on_job_id, job_id)",
-    """
-    CREATE TABLE machines (
-        machine_name  TEXT PRIMARY KEY,
-        arch          TEXT NOT NULL DEFAULT 'INTEL',
-        opsys         TEXT NOT NULL DEFAULT 'LINUX',
-        cores         INTEGER NOT NULL DEFAULT 1,
-        memory_mb     REAL NOT NULL DEFAULT 512,
-        vm_count      INTEGER NOT NULL DEFAULT 1,
-        state         TEXT NOT NULL DEFAULT 'alive'
-                      CHECK (state IN ('alive','missing','offline')),
-        last_heartbeat REAL NOT NULL DEFAULT 0,
-        boot_count    INTEGER NOT NULL DEFAULT 0
-    )
-    """,
-    # The liveness sweep updates machines by state (alive -> missing past
-    # the heartbeat deadline); the leading state column lets that pass
-    # probe instead of scanning the whole machine table.
-    "CREATE INDEX idx_machines_state ON machines(state, last_heartbeat)",
-    """
-    CREATE TABLE vms (
-        vm_id         TEXT PRIMARY KEY,
-        machine_name  TEXT NOT NULL REFERENCES machines(machine_name),
-        state         TEXT NOT NULL DEFAULT 'idle'
-                      CHECK (state IN ('idle','claiming','busy','offline')),
-        last_update   REAL NOT NULL DEFAULT 0
-    )
-    """,
-    "CREATE INDEX idx_vms_machine ON vms(machine_name)",
-    # Covering index for the idle-VM side of the scheduling pass: state
-    # probe resolves machine and vm_id from the index alone.
-    "CREATE INDEX idx_vms_state ON vms(state, machine_name, vm_id)",
-    """
-    CREATE TABLE matches (
-        match_id      INTEGER PRIMARY KEY AUTOINCREMENT,
-        job_id        INTEGER NOT NULL UNIQUE REFERENCES jobs(job_id),
-        vm_id         TEXT NOT NULL UNIQUE REFERENCES vms(vm_id),
-        created_at    REAL NOT NULL
-    )
-    """,
-    # Covering index: MATCHINFO assembly reads (vm_id -> job_id) without
-    # the base table (the UNIQUE constraint indexes vm_id alone).
-    "CREATE INDEX idx_matches_vm_job ON matches(vm_id, job_id)",
-    """
-    CREATE TABLE runs (
-        run_id        INTEGER PRIMARY KEY AUTOINCREMENT,
-        job_id        INTEGER NOT NULL UNIQUE REFERENCES jobs(job_id),
-        vm_id         TEXT NOT NULL UNIQUE REFERENCES vms(vm_id),
-        started_at    REAL NOT NULL
-    )
-    """,
-    "CREATE INDEX idx_runs_vm_job ON runs(vm_id, job_id)",
-    """
-    CREATE TABLE job_history (
-        job_id        INTEGER PRIMARY KEY,
-        owner         TEXT NOT NULL,
-        workflow_id   INTEGER,
-        cmd           TEXT NOT NULL,
-        run_seconds   REAL NOT NULL,
-        submitted_at  REAL NOT NULL,
-        started_at    REAL,
-        completed_at  REAL,
-        final_state   TEXT NOT NULL,
-        vm_id         TEXT,
-        attempts      INTEGER NOT NULL DEFAULT 0
-    )
-    """,
-    "CREATE INDEX idx_job_history_owner ON job_history(owner)",
-    # Throughput-by-minute reports scan completions in time order.
-    "CREATE INDEX idx_job_history_completed ON job_history(completed_at)",
-    # Failure reports probe by outcome (drops-by-machine filters
-    # final_state = 'dropped'); covering (vm_id) so the group key comes
-    # from the index too.  Flagged by the static index advisor before it
-    # existed.
-    "CREATE INDEX idx_job_history_state ON job_history(final_state, vm_id)",
-    """
-    CREATE TABLE machine_boot_history (
-        boot_id       INTEGER PRIMARY KEY AUTOINCREMENT,
-        machine_name  TEXT NOT NULL,
-        booted_at     REAL NOT NULL,
-        arch          TEXT NOT NULL,
-        opsys         TEXT NOT NULL,
-        cores         INTEGER NOT NULL,
-        memory_mb     REAL NOT NULL
-    )
-    """,
-    "CREATE INDEX idx_boot_history_machine ON machine_boot_history(machine_name)",
-    """
-    CREATE TABLE machine_history (
-        sample_id     INTEGER PRIMARY KEY AUTOINCREMENT,
-        machine_name  TEXT NOT NULL,
-        sampled_at    REAL NOT NULL,
-        state         TEXT NOT NULL,
-        busy_vms      INTEGER NOT NULL DEFAULT 0
-    )
-    """,
-    """
-    CREATE TABLE config_policies (
-        policy_name   TEXT PRIMARY KEY,
-        policy_value  TEXT NOT NULL,
-        scope         TEXT NOT NULL DEFAULT 'pool',
-        updated_at    REAL NOT NULL,
-        updated_by    TEXT NOT NULL DEFAULT 'admin'
-    )
-    """,
-    """
-    CREATE TABLE config_history (
-        change_id     INTEGER PRIMARY KEY AUTOINCREMENT,
-        policy_name   TEXT NOT NULL,
-        old_value     TEXT,
-        new_value     TEXT NOT NULL,
-        changed_at    REAL NOT NULL,
-        changed_by    TEXT NOT NULL
-    )
-    """,
-    # Per-policy audit trail: history/value_at probe by policy_name and
-    # order by change_id — (policy_name, change_id) serves both from one
-    # index.  Flagged by the static index advisor before it existed.
-    "CREATE INDEX idx_config_history_policy "
-    "ON config_history(policy_name, change_id)",
-    """
-    CREATE TABLE accounting (
-        record_id     INTEGER PRIMARY KEY AUTOINCREMENT,
-        owner         TEXT NOT NULL,
-        job_id        INTEGER NOT NULL,
-        vm_id         TEXT,
-        wall_seconds  REAL NOT NULL,
-        recorded_at   REAL NOT NULL
-    )
-    """,
-    "CREATE INDEX idx_accounting_owner ON accounting(owner)",
-    """
-    CREATE TABLE datasets (
-        dataset_id    INTEGER PRIMARY KEY AUTOINCREMENT,
-        name          TEXT NOT NULL UNIQUE,
-        owner         TEXT NOT NULL,
-        size_mb       REAL NOT NULL DEFAULT 0,
-        k_safety      INTEGER NOT NULL DEFAULT 1,
-        created_at    REAL NOT NULL
-    )
-    """,
-    """
-    CREATE TABLE dataset_replicas (
-        replica_id    INTEGER PRIMARY KEY AUTOINCREMENT,
-        dataset_id    INTEGER NOT NULL REFERENCES datasets(dataset_id),
-        machine_name  TEXT NOT NULL,
-        state         TEXT NOT NULL DEFAULT 'valid'
-                      CHECK (state IN ('valid','stale','transferring')),
-        created_at    REAL NOT NULL,
-        UNIQUE (dataset_id, machine_name)
-    )
-    """,
-    """
-    CREATE TABLE provenance (
-        prov_id       INTEGER PRIMARY KEY AUTOINCREMENT,
-        output_name   TEXT NOT NULL,
-        job_id        INTEGER NOT NULL,
-        executable    TEXT NOT NULL,
-        executable_version TEXT NOT NULL DEFAULT '',
-        input_names   TEXT NOT NULL DEFAULT '',
-        input_versions TEXT NOT NULL DEFAULT '',
-        recorded_at   REAL NOT NULL
-    )
-    """,
-    "CREATE INDEX idx_provenance_output ON provenance(output_name)",
-    # executables_used probes provenance by job id sets (json_each).
-    "CREATE INDEX idx_provenance_job ON provenance(job_id)",
-]
+from typing import Any, Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 # ----------------------------------------------------------------------
-# Engine-neutral schema description
+# The declaration
 # ----------------------------------------------------------------------
-# ``SCHEMA_STATEMENTS`` above is SQLite DDL; storage engines that do not
-# parse DDL (the dict-backed ``MemoryStorageEngine``) consume the
-# structured description below instead.  The two are a single logical
-# schema: a conformance test introspects the SQLite catalog (PRAGMA
-# table_info / foreign_key_list / index_list) and asserts the
-# descriptions agree, so they cannot drift silently.
+# ``TABLE_DEFS`` below is the schema, said once.  The pure-Python engines
+# build their tables from it directly; SQLite gets ``SCHEMA_STATEMENTS``,
+# which is ``render_ddl`` applied to it; ``TABLES``, ``VM_STATES``, the
+# lifecycle state domains, each entity bean's key and fields and the
+# analyzer's bean registry are all read back from it.  A column, an index
+# or a table is therefore one edit here.  (Rendered, not introspected out
+# of SQLite: CHECK domains, AUTOINCREMENT and WITHOUT ROWID are in no
+# PRAGMA, and the memory and wal engines boot without ``sqlite3``.)
 
 
 _NO_DEFAULT = object()
@@ -324,6 +105,12 @@ class TableDef:
         raise KeyError(name)
 
     @property
+    def non_key_columns(self) -> Tuple[str, ...]:
+        """Every column outside the primary key, in declaration order."""
+        return tuple(col.name for col in self.columns
+                     if col.name not in self.primary_key)
+
+    @property
     def integer_primary_key(self) -> Optional[str]:
         """The rowid-aliasing INTEGER PRIMARY KEY column, when present."""
         if (
@@ -339,8 +126,7 @@ def _col(name, affinity, not_null=False, default=_NO_DEFAULT, check_in=None):
     return ColumnDef(name, affinity, not_null, default, check_in)
 
 
-#: The whole schema as data — what ``SCHEMA_STATEMENTS`` says, in a form
-#: any backend can consume.
+#: The whole schema as data, in creation order.
 TABLE_DEFS: Tuple[TableDef, ...] = (
     TableDef(
         name="users",
@@ -387,6 +173,9 @@ TABLE_DEFS: Tuple[TableDef, ...] = (
             ForeignKeyDef("workflow_id", "workflows", "workflow_id"),
         ),
         indexes=(
+            # Covering index for the scheduling pass's hot predicate:
+            # eligible idle jobs joined to users by owner, scanned in
+            # (state, job_id) order without touching the base table.
             IndexDef("idx_jobs_state_owner", ("state", "owner", "job_id")),
             IndexDef("idx_jobs_owner", ("owner",)),
             IndexDef("idx_jobs_workflow", ("workflow_id",)),
@@ -404,6 +193,9 @@ TABLE_DEFS: Tuple[TableDef, ...] = (
             ForeignKeyDef("job_id", "jobs", "job_id", on_delete="cascade"),
         ),
         indexes=(
+            # Reverse edge for "who is waiting on job X" queries; the
+            # forward (job_id, depends_on_job_id) order is the primary
+            # key itself.
             IndexDef("idx_job_dependencies_parent",
                      ("depends_on_job_id", "job_id")),
         ),
@@ -424,6 +216,10 @@ TABLE_DEFS: Tuple[TableDef, ...] = (
         ),
         primary_key=("machine_name",),
         indexes=(
+            # The liveness sweep updates machines by state (alive ->
+            # missing past the heartbeat deadline); the leading state
+            # column lets that pass probe instead of scanning the whole
+            # machine table.
             IndexDef("idx_machines_state", ("state", "last_heartbeat")),
         ),
     ),
@@ -440,6 +236,8 @@ TABLE_DEFS: Tuple[TableDef, ...] = (
         foreign_keys=(ForeignKeyDef("machine_name", "machines", "machine_name"),),
         indexes=(
             IndexDef("idx_vms_machine", ("machine_name",)),
+            # Covering index for the idle-VM side of the scheduling pass:
+            # state probe resolves machine and vm_id from the index alone.
             IndexDef("idx_vms_state", ("state", "machine_name", "vm_id")),
         ),
     ),
@@ -458,7 +256,12 @@ TABLE_DEFS: Tuple[TableDef, ...] = (
             ForeignKeyDef("job_id", "jobs", "job_id"),
             ForeignKeyDef("vm_id", "vms", "vm_id"),
         ),
-        indexes=(IndexDef("idx_matches_vm_job", ("vm_id", "job_id")),),
+        indexes=(
+            # Covering index: MATCHINFO assembly reads (vm_id -> job_id)
+            # without the base table (the UNIQUE constraint indexes vm_id
+            # alone).
+            IndexDef("idx_matches_vm_job", ("vm_id", "job_id")),
+        ),
     ),
     TableDef(
         name="runs",
@@ -495,7 +298,12 @@ TABLE_DEFS: Tuple[TableDef, ...] = (
         primary_key=("job_id",),
         indexes=(
             IndexDef("idx_job_history_owner", ("owner",)),
+            # Throughput-by-minute reports scan completions in time order.
             IndexDef("idx_job_history_completed", ("completed_at",)),
+            # Failure reports probe by outcome (drops-by-machine filters
+            # final_state = 'dropped'); covering (vm_id) so the group key
+            # comes from the index too.  Flagged by the static index
+            # advisor before it existed.
             IndexDef("idx_job_history_state", ("final_state", "vm_id")),
         ),
     ),
@@ -550,6 +358,10 @@ TABLE_DEFS: Tuple[TableDef, ...] = (
         primary_key=("change_id",),
         autoincrement=True,
         indexes=(
+            # Per-policy audit trail: history/value_at probe by
+            # policy_name and order by change_id — (policy_name,
+            # change_id) serves both from one index.  Flagged by the
+            # static index advisor before it existed.
             IndexDef("idx_config_history_policy",
                      ("policy_name", "change_id")),
         ),
@@ -613,18 +425,71 @@ TABLE_DEFS: Tuple[TableDef, ...] = (
         autoincrement=True,
         indexes=(
             IndexDef("idx_provenance_output", ("output_name",)),
+            # executables_used probes provenance by job id sets
+            # (json_each).
             IndexDef("idx_provenance_job", ("job_id",)),
         ),
     ),
 )
 
+#: Each declaration by table name.
+TABLE_BY_NAME: Dict[str, TableDef] = {tdef.name: tdef for tdef in TABLE_DEFS}
+
 #: Tables in the operational schema, in creation order.
-TABLES = [
-    "users", "workflows", "jobs", "job_dependencies", "machines", "vms",
-    "matches", "runs", "job_history", "machine_boot_history",
-    "machine_history", "config_policies", "config_history", "accounting",
-    "datasets", "dataset_replicas", "provenance",
-]
+TABLES = list(TABLE_BY_NAME)
+
+
+def _literal(value: Any) -> str:
+    """A DEFAULT or CHECK value as a SQL literal (the one quoting rule)."""
+    if isinstance(value, str):
+        return "'" + value.replace("'", "''") + "'"
+    return repr(value)
+
+
+def render_ddl(tdef: TableDef) -> List[str]:
+    """SQLite DDL for one declaration: the table, then its indexes.
+
+    Column constraints go inline; a composite PRIMARY KEY and a
+    multi-column UNIQUE become table constraints.
+    """
+    foreign_keys = {fk.column: fk for fk in tdef.foreign_keys}
+    lines = []
+    for col in tdef.columns:
+        parts = [col.name, col.affinity]
+        if (col.name,) == tdef.primary_key:
+            parts.append("PRIMARY KEY")
+            if tdef.autoincrement:
+                parts.append("AUTOINCREMENT")
+        if col.not_null:
+            parts.append("NOT NULL")
+        if (col.name,) in tdef.unique:
+            parts.append("UNIQUE")
+        if col.has_default:
+            parts.append("DEFAULT " + _literal(col.default))
+        if col.check_in is not None:
+            members = ", ".join(_literal(member) for member in col.check_in)
+            parts.append(f"CHECK ({col.name} IN ({members}))")
+        fk = foreign_keys.get(col.name)
+        if fk is not None:
+            parts.append(f"REFERENCES {fk.ref_table}({fk.ref_column})")
+            if fk.on_delete == "cascade":
+                parts.append("ON DELETE CASCADE")
+        lines.append(" ".join(parts))
+    if len(tdef.primary_key) > 1:
+        lines.append(f"PRIMARY KEY ({', '.join(tdef.primary_key)})")
+    lines.extend(f"UNIQUE ({', '.join(columns)})"
+                 for columns in tdef.unique if len(columns) > 1)
+    body = ",\n    ".join(lines)
+    suffix = "" if tdef.rowid else " WITHOUT ROWID"
+    return [f"CREATE TABLE {tdef.name} (\n    {body}\n){suffix}"] + [
+        f"CREATE INDEX {index.name} ON {tdef.name}({', '.join(index.columns)})"
+        for index in tdef.indexes
+    ]
+
+
+#: Ordered DDL statements; executed once at database creation.
+SCHEMA_STATEMENTS = [
+    statement for tdef in TABLE_DEFS for statement in render_ddl(tdef)]
 
 #: Module-level iterables the dispatch-complexity analyzer treats as
 #: O(1)-bounded: their cardinality is fixed by the schema/contract
@@ -636,7 +501,6 @@ TABLES = [
 BOUNDED_ITERABLES: Tuple[str, ...] = (
     "TABLE_DEFS",
     "TABLES",
-    "JOB_STATES",
     "VM_STATES",
     "JOB_TRANSITIONS",
     "LIFECYCLES",
@@ -647,12 +511,9 @@ BOUNDED_ITERABLES: Tuple[str, ...] = (
     "SEVERITIES",
 )
 
-#: Job states permitted by the CHECK constraint, mirroring JobState.
-JOB_STATES = ("idle", "matched", "running", "completed", "removed", "held")
-
-#: VM slot states permitted by the CHECK constraint; the single source of
-#: truth for the bean layer and the heartbeat service.
-VM_STATES = ("idle", "claiming", "busy", "offline")
+#: VM slot states: the ``vms.state`` CHECK domain, which the bean layer,
+#: the heartbeat service and the heartbeat contract all validate against.
+VM_STATES = TABLE_BY_NAME["vms"].column("state").check_in
 
 #: Valid job state transitions enforced by the JobBean.
 JOB_TRANSITIONS = {
@@ -731,7 +592,7 @@ class LifecycleDef:
 def _lifecycle(table: str, transitions: Dict[str, set],
                create: Tuple[str, ...],
                delete: Tuple[str, ...] = ()) -> LifecycleDef:
-    column = next(td for td in TABLE_DEFS if td.name == table).column("state")
+    column = TABLE_BY_NAME[table].column("state")
     return LifecycleDef(
         table=table,
         column="state",

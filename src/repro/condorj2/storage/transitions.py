@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
 import repro.condorj2.storage.sqlparser as sp
-from repro.condorj2.schema import GONE, LIFECYCLES, TABLE_DEFS
+from repro.condorj2.schema import GONE, LIFECYCLES, TABLE_BY_NAME
 
 
 @dataclass(frozen=True)
@@ -97,11 +97,8 @@ def _guard_literals(where: Any, table: str,
 
 
 def _default_state(table: str, column: str) -> Optional[str]:
-    for table_def in TABLE_DEFS:
-        if table_def.name == table:
-            col = table_def.column(column)
-            return col.default if col.has_default else None
-    return None
+    col = TABLE_BY_NAME[table].column(column)
+    return col.default if col.has_default else None
 
 
 def _to_fields(expr: Any) -> Dict[str, Any]:

@@ -10,6 +10,7 @@ diagnostics wrappers, or arguments it cannot resolve.
 import textwrap
 
 from repro.condorj2.analysis.extract import extract_corpus
+from repro.condorj2.schema import TABLE_BY_NAME
 from repro.condorj2.storage import sqlparser
 
 
@@ -93,8 +94,9 @@ def test_allowed_fstring_slots_render_per_bean(tmp_path):
     corpus = _extract(tmp_path, '''
         class WidgetBean:
             TABLE = "jobs"
-            PK = "job_id"
-            FIELDS = ("owner", "cmd")
+
+        class NotABean:
+            TABLE = "widgets"
 
         class Container:
             def find(self, bean_class, pk):
@@ -104,7 +106,13 @@ def test_allowed_fstring_slots_render_per_bean(tmp_path):
                     (pk,),
                 )
         ''')
+    # a bean is a class whose TABLE names a schema table; key and fields
+    # come from the declaration, not from the class body
     assert [bean.name for bean in corpus.beans] == ["WidgetBean"]
+    (bean,) = corpus.beans
+    assert bean.pk == "job_id"
+    assert bean.insert_columns == tuple(
+        col.name for col in TABLE_BY_NAME["jobs"].columns)
     assert len(corpus.statements) == 1
     statement = corpus.statements[0]
     assert not statement.constant

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.condorj2.database import ConnectionPool, Database, DatabaseError
+from repro.condorj2.database import Database, DatabaseError
 from repro.condorj2.schema import TABLES
 
 
@@ -114,29 +114,15 @@ def test_unique_match_per_vm(db):
         )
 
 
-def test_table_count_rejects_bad_identifier(db):
-    with pytest.raises(DatabaseError):
-        db.table_count("users; DROP TABLE users")
-
-
-def test_connection_pool_statistics(db):
-    pool = ConnectionPool(db, size=2)
-    with pool.connection():
-        with pool.connection():
-            assert pool.in_use == 2
-    assert pool.in_use == 0
-    assert pool.acquisitions == 2
-    assert pool.peak_in_use == 2
-
-
-def test_connection_pool_exhaustion(db):
-    pool = ConnectionPool(db, size=1)
-    with pool.connection():
-        with pytest.raises(DatabaseError):
-            with pool.connection():
-                pass
-
-
-def test_connection_pool_rejects_zero_size(db):
-    with pytest.raises(DatabaseError):
-        ConnectionPool(db, size=0)
+def test_table_count_rejects_bad_identifier():
+    """Only declared tables are counted: every backend refuses the same
+    names with the same error, before anything is dispatched."""
+    for backend in ("sqlite", "memory", "wal"):
+        db = Database(backend=backend)
+        before = db.counts.statements
+        for name in ("users; DROP TABLE users", "sqlite_master", "nosuch"):
+            with pytest.raises(DatabaseError):
+                db.table_count(name)
+        assert db.counts.statements == before, backend
+        assert db.table_count("users") == 0
+        db.close()

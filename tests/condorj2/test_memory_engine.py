@@ -10,11 +10,14 @@ Three layers of assurance beyond the differential fuzzer:
 * a property-based test that the memory engine's secondary indexes stay
   exactly consistent with table contents under interleaved
   insert/update/delete/rollback;
-* a structural test that the engine-neutral ``TABLE_DEFS`` description
-  agrees with the SQLite DDL, via catalog introspection — the two forms
-  of the schema cannot drift apart silently.
+* a round trip of the one schema declaration: ``TABLE_DEFS`` rendered to
+  DDL, run by SQLite and read back out of its catalog must equal the
+  declaration attribute for attribute — so what SQLite builds and what
+  the memory engine builds from the same ``TableDef`` cannot differ.
 """
 
+import dataclasses
+import re
 import sqlite3
 
 import hypothesis.strategies as st
@@ -23,7 +26,16 @@ from hypothesis import given, settings
 
 from repro.condorj2.database import Database, DatabaseError
 from repro.condorj2.logic.scheduling import MATCH_UPDATE_SQL
-from repro.condorj2.schema import SCHEMA_STATEMENTS, TABLE_DEFS, TABLES
+from repro.condorj2.schema import (
+    SCHEMA_STATEMENTS,
+    TABLE_BY_NAME,
+    TABLE_DEFS,
+    ColumnDef,
+    ForeignKeyDef,
+    IndexDef,
+    TableDef,
+    render_ddl,
+)
 from repro.condorj2.storage import (
     MemoryStorageEngine,
     SqliteStorageEngine,
@@ -33,6 +45,7 @@ from repro.condorj2.storage import (
     parse_storage_url,
     register_engine,
 )
+from repro.condorj2.storage.store import MemoryTable
 
 BACKENDS = ("sqlite", "memory")
 
@@ -694,56 +707,134 @@ def _assert_indexes_consistent(table):
 
 
 # ----------------------------------------------------------------------
-# the neutral schema description matches the SQLite DDL
+# the declaration round-trips through SQLite: render -> catalog -> TableDef
 # ----------------------------------------------------------------------
 
-def test_table_defs_cover_all_tables():
-    assert [tdef.name for tdef in TABLE_DEFS] == TABLES
+def _canonical(tdef):
+    """UNIQUE constraints and foreign keys are sets; everything else in a
+    TableDef (columns, key columns, indexes) is compared in order."""
+    return dataclasses.replace(
+        tdef,
+        unique=tuple(sorted(tdef.unique)),
+        foreign_keys=tuple(sorted(tdef.foreign_keys,
+                                  key=dataclasses.astuple)),
+    )
+
+
+def _sqlite(statements):
+    conn = sqlite3.connect(":memory:")
+    conn.row_factory = sqlite3.Row
+    for statement in statements:
+        conn.execute(statement)
+    return conn
+
+
+def _read_back(conn, name):
+    """The TableDef SQLite holds for ``name``, every attribute of it.
+
+    PRAGMAs where one exists; literals (defaults, CHECK members) are
+    unquoted by SQLite itself (``SELECT <literal>``); WITHOUT ROWID by
+    asking for the rowid; the CHECK domain and AUTOINCREMENT, which no
+    PRAGMA reports, from the statement text SQLite stored."""
+    sql = conn.execute(
+        "SELECT sql FROM sqlite_master WHERE name = ?", (name,)
+    ).fetchone()[0]
+    checks = {
+        column: tuple(conn.execute(f"SELECT {members}").fetchone())
+        for column, members in re.findall(
+            r"CHECK \((\w+) IN \((.*?)\)\)", sql)
+    }
+    info = conn.execute(f"PRAGMA table_xinfo({name})").fetchall()
+    columns = tuple(
+        ColumnDef(
+            row["name"], row["type"], bool(row["notnull"]),
+            check_in=checks.get(row["name"]),
+            **({} if row["dflt_value"] is None else {"default": conn.execute(
+                f"SELECT {row['dflt_value']}").fetchone()[0]}),
+        )
+        for row in info
+    )
+    try:
+        conn.execute(f"SELECT rowid FROM {name}")
+        rowid = True
+    except sqlite3.OperationalError:
+        rowid = False
+    # index_list answers newest first; seq descending is creation order
+    index_list = sorted(conn.execute(f"PRAGMA index_list({name})"),
+                        key=lambda row: -row["seq"])
+
+    def index_columns(index):
+        return tuple(row["name"] for row in
+                     conn.execute(f"PRAGMA index_info({index['name']})"))
+
+    actions = {"CASCADE": "cascade", "NO ACTION": "restrict"}
+    return _canonical(TableDef(
+        name=name,
+        columns=columns,
+        primary_key=tuple(
+            row["name"] for row in sorted(info, key=lambda row: row["pk"])
+            if row["pk"]),
+        rowid=rowid,
+        autoincrement=" AUTOINCREMENT" in sql,
+        unique=tuple(index_columns(index) for index in index_list
+                     if index["origin"] == "u"),
+        foreign_keys=tuple(
+            ForeignKeyDef(row["from"], row["table"], row["to"],
+                          actions[row["on_delete"]])
+            for row in conn.execute(f"PRAGMA foreign_key_list({name})")),
+        indexes=tuple(IndexDef(index["name"], index_columns(index))
+                      for index in index_list if index["origin"] == "c"),
+    ))
 
 
 def test_table_defs_agree_with_sqlite_catalog():
-    conn = sqlite3.connect(":memory:")
-    conn.row_factory = sqlite3.Row
-    for statement in SCHEMA_STATEMENTS:
-        conn.execute(statement)
+    conn = _sqlite(SCHEMA_STATEMENTS)
+    created = [row["name"] for row in conn.execute(
+        "SELECT name FROM sqlite_master WHERE type = 'table' "
+        "AND name NOT LIKE 'sqlite_%' ORDER BY rowid")]
+    assert created == [tdef.name for tdef in TABLE_DEFS]
     for tdef in TABLE_DEFS:
-        info = conn.execute(f"PRAGMA table_info({tdef.name})").fetchall()
-        declared = {row["name"]: row for row in info}
-        assert list(declared) == [c.name for c in tdef.columns], tdef.name
-        pk_cols = [row["name"] for row in
-                   sorted(info, key=lambda r: r["pk"]) if row["pk"]]
-        assert pk_cols == list(tdef.primary_key), tdef.name
-        for col in tdef.columns:
-            catalog = declared[col.name]
-            catalog_type = catalog["type"].upper()
-            assert col.affinity in catalog_type, (tdef.name, col.name)
-            implicit_pk_not_null = (
-                col.name in tdef.primary_key and not tdef.rowid
-            )
-            assert bool(catalog["notnull"]) or implicit_pk_not_null \
-                == (col.not_null or implicit_pk_not_null), (tdef.name, col.name)
-            if col.has_default and col.default is not None:
-                assert catalog["dflt_value"] is not None, (tdef.name, col.name)
-        fks = conn.execute(
-            f"PRAGMA foreign_key_list({tdef.name})"
-        ).fetchall()
-        catalog_fks = {
-            (row["from"], row["table"], row["to"] or "?"):
-                row["on_delete"].lower()
-            for row in fks
-        }
-        for fk in tdef.foreign_keys:
-            match = [
-                action for (frm, tbl, _to), action in catalog_fks.items()
-                if frm == fk.column and tbl == fk.ref_table
-            ]
-            assert match, (tdef.name, fk.column)
-            expected = "cascade" if fk.on_delete == "cascade" else "no action"
-            assert match[0] == expected, (tdef.name, fk.column)
-        assert len(catalog_fks) == len(tdef.foreign_keys), tdef.name
-        autoinc = conn.execute(
-            "SELECT COUNT(*) FROM sqlite_master WHERE name = ?"
-            " AND sql LIKE '%AUTOINCREMENT%'", (tdef.name,)
-        ).fetchone()[0]
-        assert bool(autoinc) == tdef.autoincrement, tdef.name
+        assert _read_back(conn, tdef.name) == _canonical(tdef), tdef.name
     conn.close()
+
+
+def test_defaults_and_check_members_are_quoted_once():
+    awkward = TableDef(
+        name="awkward",
+        columns=(
+            ColumnDef("id", "INTEGER"),
+            ColumnDef("note", "TEXT", not_null=True, default="it's"),
+            ColumnDef("state", "TEXT", not_null=True, default="o'clock",
+                      check_in=("o'clock", "plain", "'quoted'")),
+        ),
+        primary_key=("id",),
+    )
+    conn = _sqlite(render_ddl(awkward))
+    assert _read_back(conn, "awkward") == awkward
+    conn.execute("INSERT INTO awkward (id) VALUES (1)")
+    assert tuple(conn.execute("SELECT note, state FROM awkward").fetchone()) \
+        == ("it's", "o'clock")
+    conn.execute("UPDATE awkward SET state = ?", ("'quoted'",))
+    with pytest.raises(sqlite3.IntegrityError):
+        conn.execute("UPDATE awkward SET state = 'quoted'")
+    conn.close()
+
+
+def test_a_column_and_an_index_are_one_edit():
+    jobs = TABLE_BY_NAME["jobs"]
+    edited = dataclasses.replace(
+        jobs,
+        columns=jobs.columns + (
+            ColumnDef("niceness", "INTEGER", not_null=True, default=10),),
+        indexes=jobs.indexes + (
+            IndexDef("idx_jobs_niceness", ("niceness", "job_id")),),
+    )
+    conn = _sqlite(render_ddl(edited))
+    assert _read_back(conn, "jobs") == _canonical(edited)
+    assert _read_back(conn, "jobs") != _canonical(jobs)
+    conn.close()
+    table = MemoryTable(edited)
+    assert table.columns[-1] == "niceness"
+    assert table.affinities["niceness"] == "INTEGER"
+    assert "niceness" in table.eq_indexes
+    assert "niceness" not in MemoryTable(jobs).eq_indexes
