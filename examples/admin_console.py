@@ -74,7 +74,8 @@ def main() -> None:
 
     # 5. Per-operation web-service statistics: the gateway meter shows
     # calls, fault rates and latency for every contract-dispatched op
-    # (acceptMatch/beginExecute arrive in multiplexed batch envelopes).
+    # (acceptMatch arrives in multiplexed batch envelopes; "execution
+    # began" is a heartbeat event, so beginExecute has no row).
     print()
     print(system.cas.site.statistics_page())
 

@@ -34,7 +34,7 @@ from repro.condorj2.schema import VM_STATES
 #: (safe to retry, shardable to replicas), ``write`` operations do.
 SIDE_EFFECTS = ("read", "write")
 
-#: Event kinds a heartbeat may embed (Table 2's steps 12-15).
+#: Event kinds a heartbeat may embed (Table 2's steps 11-15).
 HEARTBEAT_EVENT_KINDS = ("completed", "dropped", "started")
 
 
@@ -251,16 +251,17 @@ CONTRACTS: Tuple[OperationContract, ...] = (
             f_str("vm_id"),
         )),
         routing_key="vm_id",
-        statement_budget=StatementBudget(10),
+        statement_budget=StatementBudget(8),
     ),
     _contract(
         "beginExecute", "1.1",
-        "The starter launched the job payload; the VM is busy.",
+        "The starter launched the job payload; the VM is busy (Table 2, "
+        "step 11: a heartbeat's `started` event as a call of its own).",
         "write",
         (f_str("machine"), f_int("job_id"), f_str("vm_id")),
         _STATUS_ONLY,
         routing_key="machine",
-        statement_budget=StatementBudget(10),
+        statement_budget=StatementBudget(1),
     ),
     _contract(
         "reportDrop", "1.0",

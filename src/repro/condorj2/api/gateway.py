@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.condorj2.api.contracts import ContractRegistry, OperationContract
 from repro.condorj2.api.faults import (
@@ -117,21 +117,14 @@ class BatchItem:
 class ServiceGateway:
     """Validated, metered dispatch over the contract registry."""
 
-    def __init__(
-        self,
-        registry: ContractRegistry,
-        counts=None,
-        costs=None,
-        clock: Callable[[], float] = time.perf_counter,
-    ):
+    def __init__(self, registry: ContractRegistry, counts, costs):
         self.registry = registry
-        #: The storage engine's :class:`StatementCounts`, when metering
-        #: should attribute statement work per operation.
+        #: The storage engine's :class:`StatementCounts`: metering
+        #: attributes statement work per operation.
         self.counts = counts
-        #: The :class:`CasCostModel`, when metering should convert that
-        #: work into simulated seconds.
+        #: The :class:`CasCostModel`: metering converts that work into
+        #: simulated seconds.
         self.costs = costs
-        self.clock = clock
         self.stats: Dict[str, OperationStats] = {}
 
     # ------------------------------------------------------------------
@@ -197,9 +190,8 @@ class ServiceGateway:
         stats.calls += 1
         # A scalar mark, not a snapshot: everything read below (budget,
         # row work, the cost model) is a scalar, so no ledger is copied.
-        mark = self.counts.mark() if self.counts is not None else None
-        started = self.clock()
-        dispatched = 0
+        mark = self.counts.mark()
+        started = time.perf_counter()
         try:
             result = self._translate_errors(invocation)
         except ServiceFault as fault:
@@ -209,23 +201,20 @@ class ServiceGateway:
             )
             raise
         finally:
-            elapsed = self.clock() - started
+            elapsed = time.perf_counter() - started
             stats.handler_seconds += elapsed
             stats.max_handler_seconds = max(stats.max_handler_seconds,
                                             elapsed)
-            if mark is not None:
-                delta = self.counts.since(mark)
-                dispatched = delta.statements
-                stats.statements += delta.statements
-                stats.max_statements = max(stats.max_statements,
-                                           delta.statements)
-                stats.row_work += delta.total()
-                if self.costs is not None:
-                    stats.sim_seconds += (
-                        self.costs.contract_validate_seconds
-                        + self.costs.sql_cost_seconds(delta)
-                        + self.costs.io_cost_seconds(delta)
-                    )
+            delta = self.counts.since(mark)
+            dispatched = delta.statements
+            stats.statements += dispatched
+            stats.max_statements = max(stats.max_statements, dispatched)
+            stats.row_work += delta.total()
+            stats.sim_seconds += (
+                self.costs.contract_validate_seconds
+                + self.costs.sql_cost_seconds(delta)
+                + self.costs.io_cost_seconds(delta)
+            )
         # Enforced on the success path only, after the finally block:
         # raising from inside `finally` would swallow a handler fault,
         # and a faulted call already reports its own (likelier root)
@@ -244,7 +233,7 @@ class ServiceGateway:
         is wired in.
         """
         budget = invocation.contract.statement_budget
-        if budget is None or self.counts is None:
+        if budget is None:
             return
         limit = budget.limit(budget.batch_size(invocation.payload))
         if dispatched <= limit:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Any, List, Optional
 
 from repro.condorj2.beans.base import BeanConsistencyError, EntityBean
-from repro.condorj2.schema import JOB_TRANSITIONS, VM_STATES
+from repro.condorj2.schema import LIFECYCLES, VM_STATES
 
 
 class UserBean(EntityBean):
@@ -58,9 +58,8 @@ class JobBean(EntityBean):
     def transition(self, new_state: str) -> None:
         """Move the job through its lifecycle, validating the edge."""
         current = self["state"]
-        allowed = JOB_TRANSITIONS.get(current, set())
         self.require(
-            new_state in allowed,
+            new_state in LIFECYCLES["jobs"].transitions[current],
             f"illegal transition {current!r} -> {new_state!r}",
         )
         self.update(state=new_state)

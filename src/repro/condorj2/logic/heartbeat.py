@@ -1,9 +1,9 @@
 """Heartbeat processing: the startd-facing pulse of the pull model.
 
 Every interaction an execute node has with the system rides on the
-heartbeat web service (Table 2, steps 3-4, 7-8, 12-15): machine liveness,
-VM status, embedded job events (completions, drops) and, in the response,
-MATCHINFO for idle VMs.  "Execute nodes in CondorJ2 always initiate any
+heartbeat web service (Table 2, steps 3-4, 7-8, 11-15): machine liveness,
+VM status, embedded job events (starts, completions, drops) and, in the
+response, MATCHINFO for idle VMs.  "Execute nodes in CondorJ2 always initiate any
 interaction they have with the CAS" (section 5.2.1).
 
 A heartbeat is set-oriented on the server side: the machine refresh is
@@ -42,16 +42,10 @@ class HeartbeatService:
         container: BeanContainer,
         scheduling: SchedulingService,
         lifecycle: LifecycleService,
-        inline_scheduling: bool = True,
     ):
         self.container = container
         self.scheduling = scheduling
         self.lifecycle = lifecycle
-        #: Run an opportunistic scheduling pass while handling a heartbeat
-        #: that freed VMs, so the response can carry fresh MATCHINFO.  The
-        #: server still only ever *reacts* to client-initiated events —
-        #: the defining property of the pull model.
-        self.inline_scheduling = inline_scheduling
         self.heartbeats_processed = 0
         #: machine -> (matches write counter, rollback counter) when its
         #: pending-match set was last observed empty.  While neither has
@@ -130,7 +124,7 @@ class HeartbeatService:
                     f"cannot revive a quarantined machine"
                 )
             # Job events first: completions free VMs for new matches.
-            self._apply_events(payload.get("events", ()), now)
+            self.apply_events(payload.get("events", ()), now)
             vm_updates: List[Tuple[str, float, str]] = []
             for vm_info in payload.get("vms", ()):
                 state = vm_info["state"]
@@ -148,7 +142,10 @@ class HeartbeatService:
                     vm_updates,
                 )
         matches = self._pending_matches(machine_name)
-        if not matches and self.inline_scheduling and self._has_idle_vm(machine_name):
+        if not matches and self._has_idle_vm(machine_name):
+            # An opportunistic pass, so the response to a beat that freed
+            # VMs can carry fresh MATCHINFO.  The server still only ever
+            # *reacts* to client-initiated events — the pull model.
             self.scheduling.run_pass(now)
             matches = self._pending_matches(machine_name)
         if matches:
@@ -187,8 +184,15 @@ class HeartbeatService:
             )
         )
 
-    def _apply_events(self, events: Any, now: float) -> None:
-        """Apply embedded job events, batching completions and drops."""
+    def apply_events(self, events: Any, now: float) -> None:
+        """Apply job events in one transaction (the caller's, if it has
+        one), batching each kind into its own statements.
+
+        Starts go first, so a job that began and ended between two beats
+        still walks its slot ``claiming -> busy -> idle``.  A replayed
+        ``started`` is harmless: the guard leaves a slot that has since
+        gone idle (or offline) as it is.
+        """
         completions: List[Tuple[int, str]] = []
         drops: List[Tuple[int, str, str]] = []
         started_vms: List[Tuple[float, str]] = []
@@ -201,21 +205,22 @@ class HeartbeatService:
                     (event["job_id"], event["vm_id"], event.get("reason", ""))
                 )
             elif kind == "started":
-                # Informational: the job is already 'running' after
+                # Table 2, step 11.  The job is already 'running' after
                 # acceptMatch; record the slot as busy.
                 started_vms.append((now, event["vm_id"]))
             else:
                 raise ValueError(f"unknown heartbeat event kind {kind!r}")
-        if completions:
-            self.lifecycle.complete_jobs(completions, now)
-        if drops:
-            self.lifecycle.report_drops(drops, now)
-        if started_vms:
-            self.container.db.executemany(
-                "UPDATE vms SET state = 'busy', last_update = ? "
-                "WHERE vm_id = ? AND state IN ('claiming', 'busy')",
-                started_vms,
-            )
+        with self.container.db.transaction():
+            if started_vms:
+                self.container.db.executemany(
+                    "UPDATE vms SET state = 'busy', last_update = ? "
+                    "WHERE vm_id = ? AND state IN ('claiming', 'busy')",
+                    started_vms,
+                )
+            if completions:
+                self.lifecycle.complete_jobs(completions, now)
+            if drops:
+                self.lifecycle.report_drops(drops, now)
 
     # ------------------------------------------------------------------
     # liveness sweep (server-side)

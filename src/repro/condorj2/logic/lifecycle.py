@@ -37,15 +37,12 @@ class LifecycleService:
     def accept_match(self, job_id: int, vm_id: str, now: float) -> dict:
         """The startd accepted a match: match -> run, job -> running."""
         with self.container.db.transaction():
-            row = self.container.db.query_one(
-                "SELECT match_id FROM matches WHERE job_id = ? AND vm_id = ?",
+            matched = self.container.db.execute(
+                "DELETE FROM matches WHERE job_id = ? AND vm_id = ?",
                 (job_id, vm_id),
             )
-            if row is None:
+            if matched.rowcount == 0:
                 raise BeanNotFound(f"no match for job {job_id} on {vm_id}")
-            self.container.db.execute(
-                "DELETE FROM matches WHERE match_id = ?", (row["match_id"],)
-            )
             self.container.db.execute(
                 "INSERT INTO runs (job_id, vm_id, started_at) VALUES (?, ?, ?)",
                 (job_id, vm_id, now),

@@ -502,7 +502,6 @@ BOUNDED_ITERABLES: Tuple[str, ...] = (
     "TABLE_DEFS",
     "TABLES",
     "VM_STATES",
-    "JOB_TRANSITIONS",
     "LIFECYCLES",
     "DEFAULT_POLICIES",
     "HEARTBEAT_EVENT_KINDS",
@@ -514,16 +513,6 @@ BOUNDED_ITERABLES: Tuple[str, ...] = (
 #: VM slot states: the ``vms.state`` CHECK domain, which the bean layer,
 #: the heartbeat service and the heartbeat contract all validate against.
 VM_STATES = TABLE_BY_NAME["vms"].column("state").check_in
-
-#: Valid job state transitions enforced by the JobBean.
-JOB_TRANSITIONS = {
-    "idle": {"matched", "removed", "held"},
-    "matched": {"running", "idle", "removed"},
-    "running": {"completed", "idle", "removed"},
-    "completed": set(),
-    "removed": set(),
-    "held": {"idle", "removed"},
-}
 
 
 # ----------------------------------------------------------------------
@@ -606,10 +595,11 @@ def _lifecycle(table: str, transitions: Dict[str, set],
 
 #: The four lifecycle machines of section 4.2.3, keyed by table.
 #:
-#: * jobs — the paper's job state machine (JOB_TRANSITIONS verbatim).
-#:   Rows are born idle; the operational tuple is deleted on completion
-#:   (from ``running``, archived to ``job_history``) or removal (from
-#:   ``removed``, via the bean path).
+#: * jobs — the paper's job state machine, which ``JobBean.transition``
+#:   enforces from this declaration.  Rows are born idle; the
+#:   operational tuple is deleted on completion (from ``running``,
+#:   archived to ``job_history``) or removal (from ``removed``, via the
+#:   bean path).
 #: * machines — liveness: heartbeats keep a machine ``alive``, the sweep
 #:   moves it to ``missing``, and ``offline`` is an administrative
 #:   quarantine an operator may impose from either live state and that
@@ -623,8 +613,12 @@ def _lifecycle(table: str, transitions: Dict[str, set],
 #:   (or back to ``stale`` on a failed transfer).
 LIFECYCLES: Dict[str, LifecycleDef] = {
     "jobs": _lifecycle(
-        "jobs", JOB_TRANSITIONS, create=("idle",),
-        delete=("running", "removed")),
+        "jobs",
+        {"idle": {"matched", "removed", "held"},
+         "matched": {"running", "idle", "removed"},
+         "running": {"completed", "idle", "removed"},
+         "held": {"idle", "removed"}},
+        create=("idle",), delete=("running", "removed")),
     "machines": _lifecycle(
         "machines",
         {"alive": {"missing", "offline"},

@@ -10,9 +10,9 @@ VMs.  The protocol is Table 2's:
   states and any completions/drops;
 * when the response says MATCHINFO, accept every match in **one
   multiplexed batch envelope** (one round-trip for N acceptMatch ops,
-  where the original protocol paid N), spawn a starter per accepted job,
-  and let the beginExecute notifications ride the *next* heartbeat's
-  envelope instead of costing their own round-trips.
+  where the original protocol paid N) and spawn a starter per accepted
+  job; "execution began" (step 11) is a ``started`` event on the *next*
+  heartbeat, like every other job event.
 
 "Execute nodes in CondorJ2 always initiate any interaction they have with
 the CAS" — there is no server-push path anywhere below.
@@ -79,9 +79,6 @@ class CondorJ2Startd:
         self.log = log if log is not None else EventLog()
         self.address = f"startd@{node.name}"
         self._pending_events: List[Dict[str, Any]] = []
-        #: Operations queued to ride the next heartbeat's batch envelope
-        #: (beginExecute notifications — no dedicated round-trips).
-        self._pending_ops: List[Tuple[str, Dict[str, Any]]] = []
         self._wake: Signal = Signal(f"{self.address}.wake")
         self._jobs_by_id: Dict[int, JobSpec] = {}
         self._last_reported: Dict[str, str] = {}
@@ -166,34 +163,8 @@ class CondorJ2Startd:
         failures = 0
         while self.running:
             payload = self._heartbeat_payload()
-            riders, self._pending_ops = self._pending_ops, []
             try:
-                if riders:
-                    # Queued beginExecute notifications ride the same
-                    # envelope as the heartbeat: one round-trip total.
-                    try:
-                        results = yield from self._call_batch(
-                            riders + [("heartbeat", payload)]
-                        )
-                    except ServiceFault:
-                        # Transport failure: the envelope never arrived,
-                        # so the riders were not executed — requeue them
-                        # for the next beat.
-                        self._pending_ops = riders + self._pending_ops
-                        raise
-                    # The envelope was delivered, so every rider is
-                    # settled — even if the heartbeat op below faulted.
-                    # Rider faults are not retried (the server refused
-                    # them; replaying cannot help) but they are counted.
-                    self.rpc_failures += sum(
-                        1 for item in results[:-1]
-                        if isinstance(item, ServiceFault)
-                    )
-                    response = results[-1]
-                    if isinstance(response, ServiceFault):
-                        raise response
-                else:
-                    response = yield from self._call("heartbeat", payload)
+                response = yield from self._call("heartbeat", payload)
                 failures = 0
             except ServiceFault:
                 # Requeue the events we drained so the next beat resends
@@ -221,7 +192,7 @@ class CondorJ2Startd:
 
     def _accept_matches(self, matches) -> Generator:
         """Accept every usable match in one batch envelope, then spawn
-        starters; beginExecute notifications ride the next heartbeat.
+        starters; each start is a ``started`` event on the next heartbeat.
 
         Where the original protocol paid one round-trip per match, the
         multiplexed envelope pays one for the whole MATCHINFO response —
@@ -265,13 +236,10 @@ class CondorJ2Startd:
             )
             yield Spawn(self._starter(vm, spec), f"starter:{spec.job_id}")
             # Table 2, step 11: the startd tells the CAS execution has
-            # begun — as a rider on the next heartbeat envelope, not as
-            # a round-trip of its own.
-            self._pending_ops.append((
-                "beginExecute",
-                {"machine": self.node.name, "job_id": spec.job_id,
-                 "vm_id": vm.vm_id},
-            ))
+            # begun — on the next heartbeat, not a round-trip of its own.
+            self._pending_events.append(
+                {"kind": "started", "job_id": spec.job_id, "vm_id": vm.vm_id}
+            )
 
     def _starter(self, vm: VirtualMachine, spec: JobSpec) -> Generator:
         """The starter: run the job environment and report the outcome."""

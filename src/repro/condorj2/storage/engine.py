@@ -206,7 +206,7 @@ class StorageEngine(ABC):
 
     @abstractmethod
     def _execute_raw(self, sql: str, params: Sequence[Any],
-                     plan: Any = None) -> Any:
+                     plan: Any) -> Any:
         """Execute one statement; returns a cursor-like object.
 
         ``plan`` is the artifact `_compile_plan` produced for this SQL
@@ -215,7 +215,7 @@ class StorageEngine(ABC):
 
     @abstractmethod
     def _executemany_raw(self, sql: str, rows: Sequence[Sequence[Any]],
-                         plan: Any = None) -> Any:
+                         plan: Any) -> Any:
         """Execute one statement over many parameter rows."""
 
     @abstractmethod
@@ -294,11 +294,11 @@ class SqliteStorageEngine(StorageEngine):
     # raw execution hooks
     # ------------------------------------------------------------------
     def _execute_raw(self, sql: str, params: Sequence[Any],
-                     plan: Any = None) -> sqlite3.Cursor:
+                     plan: Any) -> sqlite3.Cursor:
         return self._conn.execute(sql, params)
 
     def _executemany_raw(
-        self, sql: str, rows: Sequence[Sequence[Any]], plan: Any = None
+        self, sql: str, rows: Sequence[Sequence[Any]], plan: Any
     ) -> sqlite3.Cursor:
         return self._conn.executemany(sql, rows)
 

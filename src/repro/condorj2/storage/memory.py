@@ -114,20 +114,16 @@ class MemoryStorageEngine(TableStore, StorageEngine):
             outer.extend(entries)
         return cursor
 
-    def _resolve_plan(self, sql: str, plan: Any) -> Any:
-        if plan is None:  # uncached call path (statement cache bypassed)
-            plan = self._compile_plan(sql)
+    def _execute_raw(self, sql: str, params: Sequence[Any],
+                     plan: Any) -> MemoryCursor:
         if isinstance(plan, _FailedPlan):
             raise plan.error
-        return plan
-
-    def _execute_raw(self, sql: str, params: Sequence[Any],
-                     plan: Any = None) -> MemoryCursor:
-        return self._run_statement(self._resolve_plan(sql, plan), params)
+        return self._run_statement(plan, params)
 
     def _executemany_raw(self, sql: str, rows: Sequence[Sequence[Any]],
-                         plan: Any = None) -> MemoryCursor:
-        plan = self._resolve_plan(sql, plan)
+                         plan: Any) -> MemoryCursor:
+        if isinstance(plan, _FailedPlan):
+            raise plan.error
         total = 0
         lastrowid = None
         for params in rows:

@@ -445,7 +445,7 @@ class WalStorageEngine(MemoryStorageEngine):
                     self._commit_point()
         return cursor
 
-    def _executemany_raw(self, sql: str, rows, plan: Any = None):
+    def _executemany_raw(self, sql: str, rows, plan: Any):
         self._check_crashed()
         if not self._wal_active:
             return super()._executemany_raw(sql, rows, plan)

@@ -19,7 +19,7 @@ validated against the response schema before they reach the wire.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from repro.cluster.job import JobSpec
 from repro.condorj2.api.contracts import ContractRegistry
@@ -50,7 +50,7 @@ class WebServiceRegistry:
         lifecycle: LifecycleService,
         reports: ReportService,
         config: ConfigService,
-        costs: Optional[Any] = None,
+        costs: Any,
     ):
         self.submission = submission
         self.scheduling = scheduling
@@ -80,9 +80,7 @@ class WebServiceRegistry:
             self.contracts.bind(name, handler)
         self.contracts.assert_fully_bound()
         self.gateway = ServiceGateway(
-            self.contracts,
-            counts=submission.container.db.counts,
-            costs=costs,
+            self.contracts, submission.container.db.counts, costs
         )
 
     @property
@@ -112,19 +110,11 @@ class WebServiceRegistry:
         return self.lifecycle.accept_match(payload["job_id"], payload["vm_id"], now)
 
     def _op_begin_execute(self, payload: Any, now: float) -> Any:
-        # The startd signals the starter has launched the payload.
-        self.heartbeat.process(
-            {
-                "machine": payload["machine"],
-                "vms": [],
-                "events": [
-                    {
-                        "kind": "started",
-                        "job_id": payload["job_id"],
-                        "vm_id": payload["vm_id"],
-                    }
-                ],
-            },
+        # Table 2, step 11 for a client that is not on the pulse: the
+        # same ``started`` event a heartbeat carries, alone.
+        self.heartbeat.apply_events(
+            [{"kind": "started", "job_id": payload["job_id"],
+              "vm_id": payload["vm_id"]}],
             now,
         )
         return {"status": "OK"}

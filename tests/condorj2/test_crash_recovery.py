@@ -286,9 +286,11 @@ def test_crash_recovery_randomized_kill_points(seed, tmp_path):
     committed-prefix equivalence after every recovery."""
     total, commits, dumps = _seed_data(seed)
     assert commits, "trace produced no commit records — not a useful trace"
-    for kill in _kill_points(seed, total, commits):
+    # The trial's index is in its label: a short log can draw one
+    # offset twice, and each trial needs a directory of its own.
+    for trial, kill in enumerate(_kill_points(seed, total, commits)):
         _run_trial(
-            seed, dumps, tmp_path, f"kill{kill}",
+            seed, dumps, tmp_path, f"kill{kill}-{trial}",
             injector=CrashInjector(crash_after_bytes=kill),
         )
 

@@ -3,8 +3,8 @@
 The paper's thesis — cluster state is just data — is falsifiable only if
 the CAS logic is correct against *any* conformant store.  This harness
 makes the claim testable: seeded random workload traces (submission
-batches with random DAG edges, heartbeats, completions, drops, failures,
-scheduling passes, liveness sweeps) are replayed in lockstep against the
+batches with random DAG edges, heartbeats, starts, completions, drops,
+failures, scheduling passes, liveness sweeps) are replayed in lockstep against the
 SQLite engine and the dict-backed memory engine, asserting after every
 step that
 
@@ -212,6 +212,24 @@ class TraceRunner:
         for pool in self.pools:
             pool.heartbeat.process(dict(payload), self.now)
 
+    def op_start_jobs(self):
+        """Table 2's step 11 as the startd sends it: ``started`` events
+        on a heartbeat, some in one payload with the same job's end."""
+        events = []
+        for row in self._observed("SELECT job_id, vm_id FROM runs"):
+            if self.rng.random() < 0.5:
+                ids = {"job_id": row["job_id"], "vm_id": row["vm_id"]}
+                events.append({"kind": "started", **ids})
+                ending = self.rng.choice((None, None, "completed", "dropped"))
+                if ending:
+                    events.append({"kind": ending, **ids})
+        if not events:
+            return
+        machine = events[0]["vm_id"].split("@", 1)[1]
+        payload = {"machine": machine, "vms": [], "events": events}
+        for pool in self.pools:
+            pool.heartbeat.process(dict(payload), self.now)
+
     def op_drop_job(self):
         runs = self._observed("SELECT job_id, vm_id FROM runs")
         if not runs:
@@ -282,6 +300,7 @@ class TraceRunner:
         ("pass", 3, op_scheduling_pass),
         ("heartbeat", 2, op_heartbeat),
         ("accept", 3, op_accept_matches),
+        ("start", 2, op_start_jobs),
         ("complete", 3, op_complete_jobs),
         ("drop", 1, op_drop_job),
         ("remove", 1, op_remove_job),

@@ -113,7 +113,6 @@ def test_idle_beat_statement_count_is_pinned(backend):
 def test_dirty_flag_never_hides_fresh_matches(backend):
     """A match created by any path re-arms the machine's MATCHINFO probe."""
     container, submission, scheduling, _, heartbeat = build_services(backend)
-    heartbeat.inline_scheduling = False
     register(heartbeat, "m1", vm_count=1)
     register(heartbeat, "m2", vm_count=1)
     assert _beat(heartbeat, "m1", now=1.0)["status"] == "OK"  # marked clean

@@ -224,75 +224,126 @@ def test_unknown_ops_never_create_raw_stats_rows():
 # ----------------------------------------------------------------------
 # the batch envelope in the wild: fewer simulated round-trips
 # ----------------------------------------------------------------------
-def test_accept_and_begin_ride_the_batch_envelope():
-    """Regression: the startd's accept/begin sequences must multiplex.
-
-    Four jobs matched onto one 4-VM machine used to cost four
-    acceptMatch round-trips (and begin notifications would have cost
-    four more); the batch envelope carries all of them in at most a
-    couple of envelopes, with zero single-op acceptMatch messages.
-    """
-    system = CondorJ2System(
+def _four_vm_system(**kwargs):
+    return CondorJ2System(
         ClusterSpec(physical_nodes=1, vms_per_node=4,
                     dual_core_fraction=0.0, speed_jitter=0.0),
-        seed=5, execution=RELIABLE_EXECUTION, record_trace=True,
+        seed=5, execution=RELIABLE_EXECUTION, **kwargs,
     )
+
+
+def _vm_states(system):
+    return {row["vm_id"]: row["state"] for row in system.cas.db.query_all(
+        "SELECT vm_id, state FROM vms ORDER BY vm_id")}
+
+
+def test_accepts_ride_one_batch_and_starts_ride_the_heartbeat():
+    """Four jobs matched onto one 4-VM machine: the accepts go out as
+    one batch envelope (not four round-trips), and "execution began" is
+    a ``started`` event on the next heartbeat — no envelope, batch or
+    single, carries a beginExecute."""
+    system = _four_vm_system(record_trace=True)
     system.submit_at(0.0, fixed_length_batch(4, 15.0))
+    system.start()
+    system.sim.run(until=10.0)  # accepted and started; 15 s jobs still run
+    assert set(_vm_states(system).values()) == {"busy"}
+    assert system.cas.db.counts.transitions["vms"]["claiming->busy"] == 4
+
     system.run_until_complete(expected_jobs=4, max_seconds=600.0)
     assert system.completed_count() == 4
-
-    calls = system.cas.registry.calls
-    assert calls.get("acceptMatch") == 4
-    assert calls.get("beginExecute") == 4
-    # No single-op envelopes for the accept sequence...
+    assert system.cas.registry.calls.get("acceptMatch") == 4
     assert system.trace.count("acceptMatch") == 0
+    assert system.trace.count("batch") == 1
+    # Every op of every envelope is metered as an attempt, so this also
+    # covers the inside of the batch.
+    assert "beginExecute" not in system.cas.gateway.stats
     assert system.trace.count("beginExecute") == 0
-    # ...and strictly fewer envelopes than the 8 op round-trips they
-    # replace (4 accepts in one batch; begins ride heartbeat batches).
-    batches = system.trace.count("batch")
-    assert 1 <= batches < 8
 
 
-def test_settled_riders_are_not_replayed_when_heartbeat_faults():
-    """Regression: a delivered batch settles its riders.
-
-    When the heartbeat op in a rider-carrying envelope faults at the
-    application level, the beginExecute riders in the same envelope
-    already executed — requeueing them (as the client once did) replays
-    committed operations, which the server then rejects as conflicts.
-    """
+def test_faulted_heartbeat_requeues_its_started_events():
+    """A heartbeat that commits and then faults at the application level
+    is resent with the same events, ``started`` included, ahead of
+    anything newer; the replay leaves every slot as it was."""
     from repro.condorj2.api import ConflictFault
 
-    system = CondorJ2System(
-        ClusterSpec(physical_nodes=1, vms_per_node=4,
-                    dual_core_fraction=0.0, speed_jitter=0.0),
-        seed=5, execution=RELIABLE_EXECUTION,
-    )
+    system = _four_vm_system()
     gateway = system.cas.gateway
     original = gateway.registry.handler("heartbeat")
-    state = {"injected": False}
+    seen = []  # (events, slot states once applied), from the fault on
 
     def flaky(payload, now):
-        # Fault exactly one heartbeat that shares its envelope with
-        # riders: within a batch the riders dispatch first, so the
-        # first heartbeat after any beginExecute call is the one in
-        # that rider-carrying envelope.
-        begin = gateway.stats.get("beginExecute")
-        if begin and begin.calls and not state["injected"]:
-            state["injected"] = True
+        response = original(payload, now)
+        events = [dict(event) for event in payload["events"]]
+        if seen or events:
+            seen.append((events, _vm_states(system)))
+        if len(seen) == 1:
             raise ConflictFault("injected heartbeat fault",
                                 subcode="injected-test")
-        return original(payload, now)
+        return response
 
     gateway.registry.bind("heartbeat", flaky)
     system.submit_at(0.0, fixed_length_batch(4, 15.0))
     system.run_until_complete(expected_jobs=4, max_seconds=600.0)
     assert system.completed_count() == 4
-    assert state["injected"], "the fault injection never fired"
-    begin = gateway.stats["beginExecute"]
-    # Replayed riders would show up as extra (conflicting) attempts.
-    assert begin.attempts == 4
-    assert begin.faults == 0
+    assert system.startds[0].rpc_failures == 1
+
+    (lost, before), (replayed, after) = seen[:2]
+    assert len(lost) == 4
+    assert {event["kind"] for event in lost} == {"started"}
+    assert replayed[:4] == lost
+    assert set(before.values()) == {"busy"} and after == before
+    vms = system.cas.db.counts.transitions["vms"]
+    assert vms["claiming->busy"] == 4 and vms["busy->idle"] == 4
+
+
+def accepted_job(backend):
+    """A pool on ``backend`` with one job accepted onto one slot."""
+    from repro.condorj2.costs import CasCostModel
+
+    system = small_system(costs=CasCostModel(storage_backend=backend))
+    dispatch = system.cas.registry.dispatch
+    machine = system.nodes[0].name
+    dispatch("registerMachine", system.nodes[0].describe(), 0.0)
+    dispatch("submitJob", {"owner": "alice", "run_seconds": 1.0}, 0.0)
+    response = dispatch("heartbeat", {"machine": machine}, 1.0)
+    match = response["matches"][0]
+    ids = {"job_id": match["job_id"], "vm_id": match["vm_id"]}
+    dispatch("acceptMatch", ids, 1.0)
+    return system, machine, ids
+
+
+@pytest.mark.parametrize("backend", ["sqlite", "memory", "wal"])
+def test_job_that_starts_and_ends_between_beats_walks_every_edge(backend):
+    """One payload carries both events; whatever their order in it, the
+    start is applied first, so the slot walks claiming -> busy -> idle
+    instead of skipping straight home."""
+    system, machine, ids = accepted_job(backend)
+    system.cas.registry.dispatch("heartbeat", {
+        "machine": machine,
+        "events": [{"kind": "completed", **ids}, {"kind": "started", **ids}],
+    }, 3.0)
+    vms = system.cas.db.counts.transitions["vms"]
+    assert vms["claiming->busy"] == 1 and vms["busy->idle"] == 1
+    assert "claiming->idle" not in vms
+    assert system.cas.db.table_count("job_history") == 1
+
+
+@pytest.mark.parametrize("backend", ["sqlite", "memory", "wal"])
+def test_begin_execute_is_one_guarded_statement(backend):
+    """beginExecute stays on the wire for a client that is not on the
+    pulse, and costs what its one ``started`` event costs: no machine
+    refresh, no MATCHINFO probe, no scheduling pass."""
+    system, machine, ids = accepted_job(backend)
+    passes = system.cas.scheduling.passes
+    beats = system.cas.heartbeat.heartbeats_processed
+    reply = system.cas.registry.dispatch(
+        "beginExecute", {"machine": machine, **ids}, 2.0)
+    assert reply == {"status": "OK"}
+    stats = system.cas.gateway.stats["beginExecute"]
+    assert (stats.calls, stats.statements, stats.max_statements) == (1, 1, 1)
+    assert _vm_states(system)[ids["vm_id"]] == "busy"
+    assert system.cas.scheduling.passes == passes
+    assert system.cas.heartbeat.heartbeats_processed == beats
 
 
 def test_batch_envelope_via_user_client():
@@ -318,15 +369,19 @@ def test_batch_envelope_via_user_client():
 
 #: Per-op ``(sim_seconds, statements, row_work)`` and host seconds by
 #: tag for the envelope below, as the commit before the scalar marks
-#: (full snapshot/delta around every envelope and every op) charged them.
+#: (full snapshot/delta around every envelope and every op) charged them
+#: — but for acceptMatch, whose miss has since become a DELETE that
+#: removes nothing where it was a SELECT that found nothing (one
+#: ``delete_seconds`` for one ``select_seconds``: +0.0001 s, here and
+#: in the host's user time).
 _PINNED_OPS = {
-    "acceptMatch": (0.0023110937499999998, 1, 1),
+    "acceptMatch": (0.00241109375, 1, 1),
     "jobDetail": (0.00351109375, 2, 2),
     "queueSummary": (0.0023110937499999998, 1, 1),
     "submitJob": (0.006911093749999999, 2, 2),
     "submitJobs": (0.0075110937499999995, 2, 3),
 }
-_PINNED_HOST = {"user": 0.018555468749999998, "system": 0.0018000000000000004,
+_PINNED_HOST = {"user": 0.01865546875, "system": 0.0018000000000000004,
                 "io": 0.004}
 #: The WAL engine also prices its log appends and forces.
 _PINNED_WAL = {"submitJob": 0.00899109375, "submitJobs": 0.00959109375,

@@ -162,7 +162,7 @@ def test_txn_model_protection_fixpoint_on_real_tree():
     protected = {
         "beans/entities.py:MachineBean.record_boot",
         "beans/entities.py:PolicyBean.change_value",
-        "logic/heartbeat.py:HeartbeatService._apply_events",
+        "logic/heartbeat.py:HeartbeatService.apply_events",
     }
     for qualname in protected:
         assert model.protected[qualname], qualname

@@ -307,18 +307,6 @@ def test_heartbeat_returns_matchinfo(services):
     assert response["matches"][0]["run_seconds"] == 10.0
 
 
-def test_heartbeat_without_inline_scheduling_waits_for_pass(services):
-    container, submission, scheduling, lifecycle, heartbeat, *_ = services
-    heartbeat.inline_scheduling = False
-    register_machine(heartbeat, "m1", vm_count=1)
-    submission.submit_job(JobSpec(), now=0.0)
-    response = heartbeat.process({"machine": "m1", "vms": [], "events": []}, now=1.0)
-    assert response["status"] == "OK"
-    scheduling.run_pass(now=2.0)
-    response = heartbeat.process({"machine": "m1", "vms": [], "events": []}, now=3.0)
-    assert response["status"] == "MATCHINFO"
-
-
 def test_heartbeat_completion_event_flow(services):
     container, submission, scheduling, lifecycle, heartbeat, *_ = services
     job_id, vm_id = full_cycle(services)

@@ -14,6 +14,7 @@ from repro.cluster import ClusterSpec, RELIABLE_EXECUTION
 from repro.condorj2 import CondorJ2System
 from repro.condorj2.api import (
     CONTRACTS,
+    ConflictFault,
     ContractRegistry,
     FaultCode,
     InternalFault,
@@ -22,8 +23,10 @@ from repro.condorj2.api import (
 )
 from repro.condorj2.api.fields import SchemaDef, f_int, f_list, f_str
 from repro.condorj2.api.gateway import ServiceGateway
+from repro.condorj2.costs import CasCostModel
 from repro.condorj2.database import Database
 from repro.workload import fixed_length_batch
+from tests.condorj2.test_gateway import accepted_job
 
 BACKENDS = ("sqlite", "memory", "wal")
 
@@ -81,7 +84,7 @@ def _probe_gateway(backend, budget):
         return {"status": "OK"}
 
     registry.bind("probe", handler)
-    return ServiceGateway(registry, counts=db.counts)
+    return ServiceGateway(registry, db.counts, CasCostModel())
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -141,7 +144,7 @@ def test_handler_faults_are_not_double_counted_as_overruns():
         raise ValueError("handler bug")
 
     registry.bind("probe", handler)
-    gateway = ServiceGateway(registry, counts=db.counts)
+    gateway = ServiceGateway(registry, db.counts, CasCostModel())
     with pytest.raises(Exception) as excinfo:
         gateway.dispatch("probe", {}, 0.0)
     # The handler's own fault wins; the budget is only asserted on the
@@ -178,6 +181,22 @@ def test_full_workload_stays_inside_every_declared_budget():
         contract = system.cas.gateway.registry.contract(operation)
         budget = contract.statement_budget
         assert stats.max_statements <= budget.limit(0), operation
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_accept_is_four_guarded_writes_under_a_budget_of_eight(backend):
+    """acceptMatch: the DELETE that consumes the match is its own guard
+    (no SELECT ahead of it), then the run INSERT and the two guarded
+    UPDATEs — and a miss stops at the first statement."""
+    system, _machine, ids = accepted_job(backend)
+    stats = system.cas.gateway.stats["acceptMatch"]
+    assert stats.max_statements == 4
+    contract = system.cas.gateway.registry.contract("acceptMatch")
+    assert contract.statement_budget.limit() == 8
+    with pytest.raises(ConflictFault) as excinfo:
+        system.cas.registry.dispatch("acceptMatch", ids, 2.0)  # match gone
+    assert excinfo.value.subcode == "not-found"
+    assert stats.statements == 5
 
 
 def test_statistics_page_shows_budget_headroom_panel():
