@@ -24,8 +24,8 @@ of a busy pool) and *empty queue* (idle VMs, nothing to place).
 Results are also written machine-readably to ``BENCH_scheduling.json``
 at the repo root (per-engine µs/pass at every depth and regime plus
 plan-cache hit rates); CI uploads it as an artifact and a separate smoke
-job pins the memory/sqlite cold-pass ratio at 50k jobs to
-``PERF_RATIO_BUDGET``.
+job pins the memory/sqlite ratio at 50k jobs, cold pass and one free
+slot alike, to ``PERF_RATIO_BUDGET``.
 """
 
 import json
@@ -57,17 +57,21 @@ TIMED_WARM_PASSES = 10
 #: regimes.
 TIMED_REGIME_PASSES = 10
 
-#: CI budget for the memory engine: its cold scheduling pass at 50k
-#: queued jobs must stay within this multiple of SQLite's.  The
-#: perf-smoke CI job fails beyond this; apply the `perf-override` PR
-#: label to land a known, accepted regression (see
-#: .github/workflows/ci.yml).  NOT MET at this depth: the pass's job
-#: side ranks the whole idle queue, which SQLite does in a C sorter
-#: (25-31 ms at 50k) and the memory engine in Python under a growing
-#: heap of tracked objects (140-180 ms): 5.3x to 5.6x.  At the old
-#: depth of 10k it reads 2.8x to 2.9x (2.1x before the pass was gated:
-#: SQLite's pass fell 10.5 -> 7.0 ms, memory's 22.4 -> 19.7).  The
-#: budget is kept, not re-based; see ROADMAP item 1.
+#: CI budget for the memory engine: at 50k queued jobs its cold
+#: scheduling pass (64 free slots, plans compiled) and its one-free-slot
+#: pass (K = 1 — what a busy pool's every placing pass looks like, and
+#: what the cold K = 64 pass does not represent) must each stay within
+#: this multiple of SQLite's.  The perf-smoke CI job fails beyond this;
+#: apply the `perf-override` PR label to land a known, accepted
+#: regression (see .github/workflows/ci.yml).  MET since the job side
+#: stopped keeping what it visits: both engines still walk every idle
+#: job (ROADMAP item 1(b)), SQLite through a C sorter bounded by LIMIT
+#: (33-40 ms at 50k on the box that wrote this), the memory engine
+#: through a Python loop that holds at most max(2 * LIMIT, 64)
+#: candidates (61-66 ms cold, 69-72 ms with one free slot): 1.6x to
+#: 1.9x cold, 1.8x to 2.2x one free slot, four runs.  Keeping every
+#: candidate until the top K is taken reads 6.7x to 7.8x on both, same
+#: test, same box: that is what a failure here most likely means.
 PERF_RATIO_BUDGET = 2.5
 PERF_RATIO_DEPTH = 50_000
 
@@ -297,27 +301,33 @@ def test_scheduling_cold_warm_split_and_json(benchmark):
 
 
 def test_memory_engine_within_perf_budget():
-    """CI perf-regression smoke: the memory engine's cold scheduling
-    pass at 50k queued jobs stays within ``PERF_RATIO_BUDGET``x SQLite.
+    """CI perf-regression smoke: at 50k queued jobs the memory engine's
+    cold scheduling pass (K = 64) and its one-free-slot pass (K = 1, the
+    steady state of a busy pool) each stay within ``PERF_RATIO_BUDGET``x
+    SQLite's.
 
     Run by the dedicated perf-smoke CI job; apply the `perf-override`
     PR label to skip the gate for a known, accepted regression.
     """
-    sqlite = _measure_backend("sqlite", PERF_RATIO_DEPTH, cold_samples=3)
-    memory = _measure_backend("memory", PERF_RATIO_DEPTH, cold_samples=3)
-    ratio = memory["cold_pass_us"] / sqlite["cold_pass_us"]
-    print(
-        f"\ncold pass at {PERF_RATIO_DEPTH} jobs: "
-        f"sqlite {sqlite['cold_pass_us']:.0f} µs, "
-        f"memory {memory['cold_pass_us']:.0f} µs "
-        f"({ratio:.2f}x, budget {PERF_RATIO_BUDGET}x)"
-    )
-    assert ratio <= PERF_RATIO_BUDGET, (
-        f"memory engine regression: {ratio:.2f}x sqlite at "
-        f"{PERF_RATIO_DEPTH} jobs exceeds the {PERF_RATIO_BUDGET}x budget "
-        f"(sqlite {sqlite['cold_pass_us']:.0f} µs, "
-        f"memory {memory['cold_pass_us']:.0f} µs)"
-    )
+    pass_us = {}
+    for backend in BACKENDS:
+        cold = _measure_backend(backend, PERF_RATIO_DEPTH, cold_samples=3)
+        pass_us[backend, "cold"] = cold["cold_pass_us"]
+        pass_us[backend, "one_free_slot"] = next(
+            row["pass_us"]
+            for row in _measure_regimes(backend, PERF_RATIO_DEPTH)
+            if row["regime"] == "one_free_slot")
+    print()
+    over = []
+    for regime in ("cold", "one_free_slot"):
+        sqlite, memory = pass_us["sqlite", regime], pass_us["memory", regime]
+        line = (f"{regime} pass at {PERF_RATIO_DEPTH} jobs: "
+                f"sqlite {sqlite:.0f} µs, memory {memory:.0f} µs "
+                f"({memory / sqlite:.2f}x, budget {PERF_RATIO_BUDGET}x)")
+        print(line)
+        if memory / sqlite > PERF_RATIO_BUDGET:
+            over.append(line)
+    assert not over, f"memory engine regression: {over}"
 
 
 def test_scheduling_pass_backend_comparison(benchmark):

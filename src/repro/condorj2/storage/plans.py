@@ -22,9 +22,11 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.condorj2.storage import planner as pl
 from repro.condorj2.storage.scalars import (
-    _is_true, _numeric_from_text, _probe_norm, sql_sort_key,
+    _is_true, _numeric_from_text, _probe_norm, apply_affinity, sql_sort_key,
 )
-from repro.condorj2.storage.store import MemoryTable, TableStore
+from repro.condorj2.storage.store import (
+    MemoryIntegrityError, MemoryTable, TableStore,
+)
 
 
 # ----------------------------------------------------------------------
@@ -293,6 +295,12 @@ def _make_sort_key(fns: Tuple[Callable, ...]) -> Callable:
     return lambda rt: tuple(sql_sort_key(fn(rt)) for fn in fns)
 
 
+#: The fused top-K path's buffer is cut back to ``limit`` rows when it
+#: reaches twice that, and never before it holds this many — a LIMIT 1
+#: must not pay one reduction per improving row.
+_TOPK_MIN_BUFFER = 64
+
+
 def _order_by(items: List[Any], keys_of: Callable,
               descs: Sequence[bool]) -> None:
     """ORDER BY, in place: ``keys_of(item)`` is the item's tuple of sort
@@ -385,10 +393,12 @@ class _SelectPlan:
     def _limit(self, rt: _Rt) -> Optional[int]:
         if self.limit_fn is None:
             return None
-        value = self.limit_fn(rt)
-        if value is None:
-            return None
-        value = int(value)
+        # SQLite's rule: INTEGER affinity, then an integer or nothing —
+        # 2.0 and '2' pass; 2.7, NULL and 'abc' do not, and the refusal
+        # is an integrity error there (SQLITE_MISMATCH).
+        value = apply_affinity(self.limit_fn(rt), "INTEGER")
+        if type(value) is not int:
+            raise MemoryIntegrityError("datatype mismatch")
         return None if value < 0 else value
 
     # -- execution ------------------------------------------------------
@@ -453,15 +463,39 @@ class _SelectPlan:
                        ) -> List[MemoryRow]:
         """Single-sort path for ROW_NUMBER windows fused with the outer
         ORDER BY: rank == output position, so environments are never
-        buffered — each streamed row reduces to (sort key, values)."""
+        buffered — a streamed row is reduced to its sort key, and to
+        (sort key, values) only if it can still make the output."""
         if limit == 0:
             return []
         check = self.where_check
         key_of = self._order_key
         plain = self._plain_items
         width = len(self.item_fns)
-        decorated: List[Tuple[Tuple, List[Any]]] = []
-        append = decorated.append
+        descs = self._order_descs
+        # Ascending keys under a LIMIT keep a bounded buffer: once it
+        # fills it is cut to the `limit` smallest and its last key
+        # becomes the bar a later row must beat.  nsmallest is stable
+        # (sorted(...)[:k]) and the buffer stays in stream order behind
+        # its sorted head, so ties keep stream order exactly as the
+        # full stable sort's do.  Any DESC key, or no LIMIT, keeps all.
+        bounded = limit is not None and not any(descs)
+        cap = max(2 * limit, _TOPK_MIN_BUFFER) if bounded else None
+        kept: List[Tuple[Tuple, List[Any]]] = []
+        bar = None
+
+        def offer():
+            nonlocal kept, bar
+            key = key_of(rt)
+            if bar is not None and key >= bar:
+                return
+            values = [None] * width
+            for index, fn in plain:
+                values[index] = fn(rt)
+            kept.append((key, values))
+            if len(kept) == cap:
+                kept = heapq.nsmallest(limit, kept, key=itemgetter(0))
+                bar = kept[-1][0]
+
         sources = self.sources
         eq = (sources[1].access.eq
               if len(sources) == 2 and sources[1].join == "inner" else None)
@@ -469,13 +503,18 @@ class _SelectPlan:
             # The scheduling pass's shape — a driven source, one inner
             # index-probe join — runs as a plain nested loop with the
             # lookup bound inside it: no generator resumption and no
-            # access-path dispatch per candidate row.
+            # access-path dispatch per candidate row.  The joined bucket
+            # is looked up once per distinct probe value: the select is
+            # materialised before any DML writes and probe lists are
+            # never mutated in place.  Only exact str and int values are
+            # memoized — for those, equal means identical, whereas
+            # 2 == 2.0 land in different buckets of a TEXT column.
             table, probe_col, probe_fn = eq
             probe_rows = table.probe_rows
+            buckets: Dict[Any, List[Dict[str, Any]]] = {}
             first = sources[0]
             first_check = first.check
             second_check = sources[1].check
-            solo = plain[0] if len(plain) == 1 else None
             env: List[Any] = [None] * self.env_width
             rt.frames.append(env)
             try:
@@ -483,44 +522,38 @@ class _SelectPlan:
                     env[0] = row
                     if first_check is not None and not first_check(rt):
                         continue
-                    for joined in probe_rows(probe_col, probe_fn(rt)):
+                    value = probe_fn(rt)
+                    kind = type(value)
+                    if kind is str or kind is int:
+                        bucket = buckets.get(value)
+                        if bucket is None:
+                            bucket = buckets[value] = probe_rows(
+                                probe_col, value)
+                    else:
+                        bucket = probe_rows(probe_col, value)
+                    for joined in bucket:
                         env[1] = joined
                         if second_check is not None and \
                                 not second_check(rt):
                             continue
-                        if check is not None and not check(rt):
-                            continue
-                        values = [None] * width
-                        if solo is not None:
-                            values[solo[0]] = solo[1](rt)
-                        else:
-                            for index, fn in plain:
-                                values[index] = fn(rt)
-                        append((key_of(rt), values))
+                        if check is None or check(rt):
+                            offer()
             finally:
                 rt.frames.pop()
         else:
             for _env in self._stream(rt):
-                if check is not None and not check(rt):
-                    continue
-                values = [None] * width
-                for index, fn in plain:
-                    values[index] = fn(rt)
-                append((key_of(rt), values))
-        descs = self._order_descs
-        if limit is not None and not any(descs):
-            # Top-K selection; nsmallest is stable (equivalent to
-            # sorted(...)[:k]), so ties keep stream order exactly
-            # like the general path's stable sorts.
-            decorated = heapq.nsmallest(limit, decorated, key=itemgetter(0))
+                if check is None or check(rt):
+                    offer()
+        if bounded:
+            kept = heapq.nsmallest(limit, kept, key=itemgetter(0))
         else:
-            _order_by(decorated, itemgetter(0), descs)
+            _order_by(kept, itemgetter(0), descs)
             if limit is not None:
-                decorated = decorated[:limit]
+                kept = kept[:limit]
         fused = self.fused
         names, lookup = self.names, self.lookup
         outputs = []
-        for rank, (_key, values) in enumerate(decorated, start=1):
+        for rank, (_key, values) in enumerate(kept, start=1):
             for position in fused:
                 values[position] = rank
             outputs.append(MemoryRow(names, tuple(values), lookup))

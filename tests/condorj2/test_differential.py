@@ -24,7 +24,7 @@ import pytest
 
 from repro.cluster import JobSpec
 from repro.condorj2.beans import BeanContainer
-from repro.condorj2.database import Database
+from repro.condorj2.database import Database, DatabaseError
 from repro.condorj2.logic import (
     ConfigService,
     HeartbeatService,
@@ -358,6 +358,45 @@ def test_differential_trace(seed):
     finally:
         for pool in pools:
             pool.close()
+
+
+#: (LIMIT operand, as a literal, rows of five returned; None = refused).
+#: SQLite applies INTEGER affinity and then wants an integer: 2.0 and '2'
+#: are 2, a negative count is no limit, anything else is a mismatch.
+LIMIT_OPERANDS = [
+    (2.7, "2.7", None),
+    (None, "NULL", None),
+    ("abc", "'abc'", None),
+    (2.0, "2.0", 2),
+    ("2", "'2'", 2),
+    (-1, "-1", 5),
+]
+
+
+@pytest.mark.parametrize("operand, literal, expected", LIMIT_OPERANDS)
+def test_limit_operand_is_an_integer_or_a_mismatch(operand, literal, expected):
+    """Bound or spelled in the text, streamed or sorted, a LIMIT that is
+    no integer is refused on every backend the way SQLite refuses it:
+    the same error out of ``Database.execute``, the same counts after."""
+    counts = {}
+    for backend in ("sqlite", "memory", "wal"):
+        db = Database(backend=backend)
+        db.executemany(
+            "INSERT INTO users (user_name, created_at) VALUES (?, 0)",
+            [(f"user{n}",) for n in range(5)])
+        for select in ("SELECT user_name FROM users",
+                       "SELECT user_name FROM users ORDER BY user_name DESC"):
+            for sql, params in ((f"{select} LIMIT ?", (operand,)),
+                                (f"{select} LIMIT {literal}", ())):
+                if expected is None:
+                    with pytest.raises(DatabaseError,
+                                       match="datatype mismatch"):
+                        db.execute(sql, params)
+                else:
+                    assert len(db.query_all(sql, params)) == expected, backend
+        counts[backend] = db.counts
+        db.close()
+    assert counts["memory"] == counts["sqlite"]
 
 
 def test_trace_count_meets_acceptance_floor():

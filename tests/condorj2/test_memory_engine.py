@@ -19,6 +19,7 @@ Three layers of assurance beyond the differential fuzzer:
 import dataclasses
 import re
 import sqlite3
+from unittest import mock
 
 import hypothesis.strategies as st
 import pytest
@@ -45,6 +46,7 @@ from repro.condorj2.storage import (
     parse_storage_url,
     register_engine,
 )
+from repro.condorj2.storage import plans
 from repro.condorj2.storage.store import MemoryTable
 
 BACKENDS = ("sqlite", "memory")
@@ -627,6 +629,171 @@ def test_executor_shape_matches_sqlite(shape):
         database.close()
     assert rows["memory"] == rows["sqlite"]
     assert len(rows["memory"]) >= 3
+
+
+# ----------------------------------------------------------------------
+# the fused path's bounded top-K and its once-per-key join lookup
+# ----------------------------------------------------------------------
+
+def _sqlite_rank(value):
+    """SQLite's ORDER BY classes, spelled apart from the engine's own."""
+    if value is None:
+        return (0,)
+    return (2, value) if isinstance(value, str) else (1, value)
+
+
+#: (sql, positions of its ORDER BY keys in a seeded row); ``{d0}`` and
+#: ``{d1}`` take the first two keys' directions.  A seeded row is
+#: (job_id, priority, rank, run_seconds, parent).
+_TOPK_SHAPES = {
+    "inner index join": (
+        "SELECT j.job_id, ROW_NUMBER() OVER"
+        " (ORDER BY u.priority{d0}, j.rank{d1}, j.run_seconds) AS r"
+        " FROM jobs j JOIN users u ON u.user_name = j.owner"
+        " ORDER BY u.priority{d0}, j.rank{d1}, j.run_seconds LIMIT ?",
+        (1, 2, 3)),
+    "single source": (
+        "SELECT j.job_id, ROW_NUMBER() OVER"
+        " (ORDER BY j.rank{d0}, j.run_seconds{d1}) AS r"
+        " FROM jobs j ORDER BY j.rank{d0}, j.run_seconds{d1} LIMIT ?",
+        (2, 3)),
+    "left join": (
+        "SELECT j.job_id, ROW_NUMBER() OVER"
+        " (ORDER BY d.depends_on_job_id{d0}, j.run_seconds{d1}) AS r"
+        " FROM jobs j LEFT JOIN job_dependencies d ON d.job_id = j.job_id"
+        " ORDER BY d.depends_on_job_id{d0}, j.run_seconds{d1} LIMIT ?",
+        (4, 3)),
+}
+
+_topk_rows = st.lists(
+    st.tuples(
+        st.sampled_from([0.5, 1.0]),               # the owner's priority
+        st.sampled_from([None, "a", "b"]),         # jobs.rank: NULLs, ties
+        # jobs.run_seconds is REAL: text that is no number stays text
+        st.sampled_from([1.0, 2.5, 7.0, "x", "y"]),
+        st.booleans(),                             # depends on job 1?
+    ),
+    min_size=1, max_size=24)
+
+
+def _seed_topk(db, rows):
+    db.executemany(
+        "INSERT INTO users (user_name, priority, created_at) VALUES (?, ?, 0)",
+        [("u0.5", 0.5), ("u1.0", 1.0)])
+    db.executemany(
+        "INSERT INTO jobs (job_id, owner, cmd, rank, run_seconds,"
+        " submitted_at) VALUES (?, ?, 'c', ?, ?, 0)",
+        [(job_id, f"u{priority}", rank, seconds)
+         for job_id, (priority, rank, seconds, _) in enumerate(rows, 1)])
+    db.executemany(
+        "INSERT INTO job_dependencies (job_id, depends_on_job_id)"
+        " VALUES (?, 1)",
+        [(job_id,) for job_id, row in enumerate(rows, 1) if row[3]])
+
+
+def _topk_expected(rows, positions, descs, limit):
+    """``sorted(rows, key=...)[:limit]``, ties in stream (job_id) order:
+    one stable pass per key, the last key first."""
+    seeded = [(job_id, priority, rank, seconds, 1 if held else None)
+              for job_id, (priority, rank, seconds, held)
+              in enumerate(rows, 1)]
+    descs = descs + (False,) * (len(positions) - len(descs))
+    for position, desc in reversed(list(zip(positions, descs))):
+        seeded.sort(key=lambda row: _sqlite_rank(row[position]),
+                    reverse=desc)
+    return [(row[0], rank) for rank, row in enumerate(seeded[:limit], 1)]
+
+
+@pytest.mark.parametrize("descs", [(False, False), (True, False),
+                                   (False, True)],
+                         ids=["asc", "desc-first", "mixed"])
+@pytest.mark.parametrize("shape", sorted(_TOPK_SHAPES))
+@settings(max_examples=40, deadline=None)
+@given(rows=_topk_rows, data=st.data())
+def test_fused_top_k_is_the_stable_sorted_prefix(shape, descs, rows, data):
+    """Whatever the bound drops could not have been in the output: on
+    both fused branches, for keys with ties, NULLs and numbers beside
+    text, every LIMIT around n returns the stable sorted prefix and
+    SQLite's rows.  The buffer is shrunk to 2 so that two dozen rows
+    refill it many times; DESC keys take the full sort."""
+    sql, positions = _TOPK_SHAPES[shape]
+    sql = sql.format(d0=" DESC" if descs[0] else "",
+                     d1=" DESC" if descs[1] else "")
+    n = len(rows)
+    limit = data.draw(st.sampled_from(
+        [0, 1, 2, n // 4, max(n - 1, 0), n, n + 5]))
+    got = {}
+    with mock.patch.object(plans, "_TOPK_MIN_BUFFER", 2):
+        for backend in BACKENDS:
+            database = Database(backend=backend)
+            _seed_topk(database, rows)
+            got[backend] = [tuple(row)
+                            for row in database.query_all(sql, (limit,))]
+            database.close()
+    assert got["memory"] == _topk_expected(rows, positions, descs, limit)
+    assert got["memory"] == got["sqlite"]
+
+
+@pytest.mark.parametrize("shape", sorted(_TOPK_SHAPES))
+def test_fused_top_k_refills_at_its_real_size(shape):
+    """n far above LIMIT, keys falling in tied runs of three: most rows
+    pass the bar, so the buffer fills and is cut again and again."""
+    rows = [(1.0, "a", float((600 - i) // 3), False) for i in range(600)]
+    sql, positions = _TOPK_SHAPES[shape]
+    sql = sql.format(d0="", d1="")
+    database = Database(backend="memory")
+    _seed_topk(database, rows)
+    assert "TOPK-SORT" in database.explain(sql).render()
+    for limit in (1, 3, 40):
+        assert [tuple(row) for row in database.query_all(sql, (limit,))] \
+            == _topk_expected(rows, positions, (False, False), limit)
+    database.close()
+
+
+@pytest.mark.parametrize("backend", ["memory", "wal"])
+def test_join_lookup_memo_keeps_affinity_apart(backend):
+    """One execution probes a TEXT column and an INTEGER column with
+    2, 2.0 and '2'.  As text the first two are '2' and '2.0', different
+    buckets; as Python dict keys they are one (2 == 2.0, same hash), so
+    a per-execution memo keyed by the raw value returns the wrong rows."""
+    probe = ("CASE WHEN w.workflow_id % 3 = {0} THEN 2"
+             " WHEN w.workflow_id % 3 = {1} THEN 2.0 ELSE '2' END")
+    text = ("SELECT w.workflow_id, u.user_name,"
+            " ROW_NUMBER() OVER (ORDER BY w.workflow_id) AS r"
+            " FROM workflows w JOIN users u ON u.user_name = " + probe +
+            " ORDER BY w.workflow_id LIMIT 50")
+    integer = ("SELECT w.workflow_id, j.job_id,"
+               " ROW_NUMBER() OVER (ORDER BY w.workflow_id) AS r"
+               " FROM workflows w JOIN jobs j ON j.job_id = " + probe +
+               " ORDER BY w.workflow_id LIMIT 50")
+    # either of 2 and 2.0 is probed first in one of the two orders
+    statements = [sql.format(*order) for sql in (text, integer)
+                  for order in ((1, 2), (2, 1))]
+    rows = {}
+    for name in ("sqlite", backend):
+        database = Database(backend=name)
+        database.executemany(
+            "INSERT INTO users (user_name, created_at) VALUES (?, 0)",
+            [("2",), ("2.0",)])
+        database.executemany(
+            "INSERT INTO workflows (workflow_id, owner, submitted_at)"
+            " VALUES (?, '2', 0)", [(n,) for n in range(1, 7)])
+        database.execute(
+            "INSERT INTO jobs (job_id, owner, cmd, run_seconds,"
+            " submitted_at) VALUES (2, '2', 'c', 1, 0)")
+        rows[name] = [[tuple(row) for row in database.query_all(sql)]
+                      for sql in statements]
+        if name != "sqlite":
+            for sql in statements:
+                plan = database.explain(sql).render()
+                assert "PROBE" in plan and "TOPK-SORT" in plan
+        database.close()
+    assert rows[backend] == rows["sqlite"]
+    assert [row[1] for row in rows[backend][0]] == [
+        "2", "2.0", "2", "2", "2.0", "2"]
+    assert [row[1] for row in rows[backend][1]] == [
+        "2.0", "2", "2", "2.0", "2", "2"]
+    assert [row[1] for row in rows[backend][2]] == [2] * 6
 
 
 # ----------------------------------------------------------------------

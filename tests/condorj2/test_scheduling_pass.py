@@ -18,6 +18,7 @@ The plan pins at the end hold what the probe and the set UPDATE may not
 do on SQLite: walk the idle queue.
 """
 
+import gc
 import random
 
 import pytest
@@ -311,6 +312,39 @@ def test_bounded_pass_on_random_queues(pair, seed):
 # ----------------------------------------------------------------------
 # plan pins: the probe and the set UPDATE do not walk the idle queue
 # ----------------------------------------------------------------------
+
+def test_a_placing_pass_does_not_hoard_the_queue():
+    """One free slot, 10,000 idle jobs, memory engine: the job side
+    visits every idle job and keeps a buffer's worth.  A kept candidate
+    is tracked containers (a key tuple, a values list), so keeping all
+    of them shows as gen-0 collections — about 60 in a pass at this
+    depth — and a bounded buffer as next to none."""
+    pool = Pool("memory")
+
+    def placing_pass(now):
+        gc.collect()
+        collections = gc.get_stats()[0]["collections"]
+        statements = pool.db.counts.statements
+        assert pool.scheduling.run_pass(now) == 1
+        statements = pool.db.counts.statements - statements
+        collections = gc.get_stats()[0]["collections"] - collections
+        match = pool.db.query_one("SELECT job_id, vm_id FROM matches")
+        pool.lifecycle.accept_match(match["job_id"], match["vm_id"], now + 0.2)
+        pool.lifecycle.complete_job(match["job_id"], match["vm_id"], now + 0.4)
+        return statements, collections
+
+    try:
+        pool.heartbeat.register_machine({"name": "m1", "vm_count": 1}, 0.0)
+        pool.submission.submit_jobs(
+            [JobSpec(owner=f"user{i % 13}") for i in range(10_000)], 0.0)
+        placing_pass(1.0)  # compiles the plans
+        statements, collections = placing_pass(2.0)
+        assert statements == 3
+        assert collections <= 8, (
+            f"{collections} gen-0 collections in one placing pass")
+    finally:
+        pool.close()
+
 
 def _plan_nodes(report):
     stack = [report.root]
