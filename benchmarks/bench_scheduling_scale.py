@@ -184,7 +184,7 @@ def _measure_backend(backend, depth, cold_samples=3):
         "cold_pass_us": round(min(cold_seconds) * 1e6, 1),
         "warm_pass_us": round(warm_seconds * 1e6, 1),
         "plan_cache_hit_rate": round(
-            container.db.statement_cache.hit_rate(), 4
+            container.db.counts.hit_rate(), 4
         ),
     }
 

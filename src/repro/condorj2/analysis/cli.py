@@ -29,6 +29,7 @@ from repro.condorj2.analysis.lifecycle import (
 )
 from repro.condorj2.analysis.source import SourceTree
 from repro.condorj2.analysis.txn import check_transactions
+from repro.condorj2.schema import BORN
 
 
 def analyze(root: Path, catalog: Optional[Catalog] = None
@@ -109,10 +110,11 @@ def _transitions_report(args: argparse.Namespace) -> int:
             if (source, target) in implied:
                 status = "implemented at " + "; ".join(
                     implied[source, target])
-            elif source in entry["dynamic_sources"]:
+            elif source in entry["dynamic_sources"] or (
+                    source == BORN and entry["dynamic_creates"]):
                 status = "dynamic (parameter-bound write)"
             else:
-                status = "declared only (runtime-ledger covered)"
+                status = "declared only"
             print(f"  {source} -> {target}  [{status}]")
         for (source, target), sites in sorted(implied.items()):
             if [source, target] not in entry["declared"] and source != target:

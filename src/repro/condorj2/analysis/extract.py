@@ -10,13 +10,13 @@ Resolution follows the shapes the codebase actually uses:
 
 * plain string constants (adjacent literals fold into one constant),
 * f-strings, whose interpolations become slots classified by the
-  identifier allow-list (``self.TABLE``, ``columns``, ``placeholders``,
-  ...) — anything else is a *value* slot, the injection signal,
+  identifier allow-list (``bean_class.TABLE``, ``columns``,
+  ``placeholders``, ...) — anything else is a *value* slot, the
+  injection signal,
 * ``+`` concatenation of resolvable pieces,
-* names bound by a single plain assignment in the enclosing function or
-  at module scope (``MATCH_INSERT_SQL``); ``sql += ...`` augmented
-  assignments mark the template *open ended* (a constant prefix with an
-  optional suffix, e.g. ``find_where``'s ORDER BY / LIMIT tail).
+* names bound by a single assignment in the enclosing function or at
+  module scope (``MATCH_INSERT_SQL``); a name that is assigned twice or
+  grown by ``sql += ...`` is not resolved.
 
 Calls whose first argument cannot be resolved are *skipped*, not
 flagged: the storage layer forwards SQL through variables
@@ -29,9 +29,9 @@ if its leading constant text starts with a dialect verb, which excludes
 Identifier templates are *rendered* into concrete statements the checker
 can parse: bean-anchored slots render once per registered bean (the
 classes whose ``TABLE`` constant names a schema table), and the bare
-``table`` slot renders once per schema table.  Rendering is what makes the generic
-``EntityBean`` plumbing checkable against every table it actually
-serves.
+``table`` slot renders once per schema table.  Rendering is what makes
+the container's generic create / find checkable — by the schema rules
+and by the lifecycle pass alike — against every table it serves.
 """
 
 from __future__ import annotations
@@ -63,21 +63,14 @@ SQL_MARKERS = (
 
 #: Allow-listed f-string interpolations and what they interpolate.
 #: ``table``/``pk`` render per bean (or per schema table for the bare
-#: ``table`` identifier), ``columns``/``placeholders``/``assignments``
-#: render from the bean's field list, ``fragment`` is a caller-supplied
-#: clause body, ``int`` is coerced to an integer literal by the caller.
+#: ``table`` identifier), ``columns``/``placeholders`` render from the
+#: bean's column list.
 SLOT_CATEGORIES: Dict[str, str] = {
-    "self.TABLE": "table",
     "bean_class.TABLE": "table",
-    "self.PK": "pk",
     "bean_class.PK": "pk",
     "columns": "columns",
     "column_list": "columns",
     "placeholders": "placeholders",
-    "assignments": "assignments",
-    "where": "fragment",
-    "order_by": "fragment",
-    "int(limit)": "int",
     "table": "table",
 }
 
@@ -97,8 +90,7 @@ ALLOWED_BY_FILE_SUFFIX: Dict[str, Set[str]] = {
 }
 
 #: Categories the renderer knows how to substitute.
-_RENDERABLE = {"table", "pk", "columns", "placeholders", "assignments",
-               "fragment", "int"}
+_RENDERABLE = set(SLOT_CATEGORIES.values())
 
 
 @dataclass(frozen=True)
@@ -114,14 +106,10 @@ class SqlTemplate:
     """Constant text parts interleaved with slots."""
 
     parts: Tuple[Union[str, Slot], ...]
-    #: True when the statement grows by ``sql += ...`` after the base
-    #: assignment; renders and coverage patterns allow a suffix.
-    open_ended: bool = False
 
     @property
     def constant(self) -> bool:
-        return not self.open_ended and all(
-            isinstance(part, str) for part in self.parts)
+        return all(isinstance(part, str) for part in self.parts)
 
     @property
     def slots(self) -> List[Slot]:
@@ -186,8 +174,6 @@ class ExtractedStatement:
                 pieces.append(re.escape(part))
             else:
                 pieces.append(r".+?")
-        if self.template.open_ended:
-            pieces.append(r"(?:\s.*)?")
         return re.compile("^" + "".join(pieces) + "$", re.DOTALL)
 
 
@@ -290,7 +276,8 @@ class _ModuleExtractor:
     @staticmethod
     def _collect_assigns(scope: ast.AST, module_level: bool = False
                          ) -> Dict[str, List[ast.AST]]:
-        """name -> list of assigned value nodes (AugAssign kept as-is)."""
+        """name -> list of assigned value nodes (an AugAssign as itself:
+        it makes the name a second assignment, hence unresolvable)."""
         env: Dict[str, List[ast.AST]] = {}
         nodes = scope.body if module_level else list(ast.walk(scope))
         for node in nodes:
@@ -306,21 +293,16 @@ class _ModuleExtractor:
         return env
 
     def _lookup(self, name: str, local_env: Dict[str, List[ast.AST]]
-                ) -> Tuple[Optional[ast.AST], bool]:
-        """Resolve a name to its single plain assignment.
-
-        Returns (value_node, open_ended).  AugAssigns do not replace the
-        base assignment; they mark the template open ended.
-        """
+                ) -> Optional[ast.AST]:
+        """Resolve a name to its single assignment, innermost scope
+        first; None when it has several (``sql += ...`` is one more)."""
         for env in (local_env, self.module_env):
             if name in env:
                 nodes = env[name]
-                plain = [n for n in nodes if not isinstance(n, ast.AugAssign)]
-                augmented = any(isinstance(n, ast.AugAssign) for n in nodes)
-                if len(plain) == 1:
-                    return plain[0], augmented
-                return None, False
-        return None, False
+                single = len(nodes) == 1 and not isinstance(
+                    nodes[0], ast.AugAssign)
+                return nodes[0] if single else None
+        return None
 
     def _resolve_template(self, node: ast.AST,
                           local_env: Dict[str, List[ast.AST]],
@@ -343,10 +325,6 @@ class _ModuleExtractor:
                 elif isinstance(value, ast.FormattedValue):
                     expr = ast.unparse(value.value)
                     category = SLOT_CATEGORIES.get(expr, "value")
-                    if expr in self.allowed and category == "value":
-                        # per-file exemption: treated as a fragment so
-                        # the template is not reported as an injection
-                        category = "fragment"
                     parts.append(Slot(expr=expr, category=category))
             return SqlTemplate(parts=_fold(parts))
         if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
@@ -355,18 +333,11 @@ class _ModuleExtractor:
             if left is None or right is None:
                 return None
             return SqlTemplate(
-                parts=_fold(list(left.parts) + list(right.parts)),
-                open_ended=left.open_ended or right.open_ended,
-            )
+                parts=_fold(list(left.parts) + list(right.parts)))
         if isinstance(node, ast.Name):
-            value, augmented = self._lookup(node.id, local_env)
-            if value is None:
-                return None
-            resolved = self._resolve_template(value, local_env, seen)
-            if resolved is None:
-                return None
-            return SqlTemplate(parts=resolved.parts,
-                               open_ended=resolved.open_ended or augmented)
+            value = self._lookup(node.id, local_env)
+            if value is not None:
+                return self._resolve_template(value, local_env, seen)
         return None
 
     # -- call-site parameters ------------------------------------------
@@ -406,8 +377,8 @@ class _ModuleExtractor:
                     return None, None, False
             return None, tuple(keys), False
         if isinstance(node, ast.Name):
-            value, _ = self._lookup(node.id, local_env)
-            if value is not None and not isinstance(value, ast.AugAssign):
+            value = self._lookup(node.id, local_env)
+            if value is not None:
                 return self._tuple_arity(value, local_env, depth + 1)
         return None, None, False
 
@@ -424,8 +395,8 @@ class _ModuleExtractor:
             lengths = {len(e.elts) for e in node.elts}
             return lengths.pop() if len(lengths) == 1 else None
         if isinstance(node, ast.Name):
-            value, _ = self._lookup(node.id, local_env)
-            if value is not None and not isinstance(value, ast.AugAssign):
+            value = self._lookup(node.id, local_env)
+            if value is not None:
                 return self._row_arity(value, local_env, depth + 1)
         return None
 
@@ -437,8 +408,7 @@ class _ModuleExtractor:
         if not categories <= _RENDERABLE:
             return []
         bean_anchored = any(
-            slot.expr.startswith(("self.", "bean_class."))
-            for slot in template.slots
+            slot.expr.startswith("bean_class.") for slot in template.slots
         )
         if bean_anchored:
             return [self._render_one(template, bean) for bean in self.beans]
@@ -468,13 +438,6 @@ class _ModuleExtractor:
             elif category == "placeholders":
                 count = len(columns) if columns else 1
                 pieces.append(", ".join("?" for _ in range(count)))
-            elif category == "assignments":
-                names = (bean.fields if bean else ()) or ("rowid",)
-                pieces.append(", ".join(f"{name} = ?" for name in names))
-            elif category == "fragment":
-                pieces.append("1=1")
-            elif category == "int":
-                pieces.append("1")
         return "".join(pieces)
 
     # -- walking --------------------------------------------------------

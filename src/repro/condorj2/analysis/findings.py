@@ -86,8 +86,8 @@ RULES: Dict[str, Tuple[str, str]] = {
         "error", "UPDATE writes a lifecycle state column with no "
                  "state=/state IN predicate in WHERE"),
     "unimplemented-transition": (
-        "advice", "declared lifecycle transition no constant statement "
-                  "implements (bean-layer paths are runtime-checked)"),
+        "advice", "declared lifecycle transition no statement "
+                  "implements"),
     "dead-state": (
         "advice", "declared lifecycle state no statement can write"),
     # -- dispatch-complexity tier (DESIGN.md section 9.2) --------------

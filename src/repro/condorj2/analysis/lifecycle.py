@@ -4,7 +4,7 @@ PR 6's checker validates each SQL statement against the schema in
 isolation; this pass reasons about the *set* of statements.  For every
 declared lifecycle machine (:data:`repro.condorj2.schema.LIFECYCLES`) it
 builds the statically-implied transition graph from the extracted
-corpus — each constant ``UPDATE … SET state = …`` with a literal
+corpus — each ``UPDATE … SET state = …`` with a literal
 ``state``/``state IN`` guard implies the edges guard-state → target,
 a guarded DELETE implies edges into the ``(gone)`` pseudo-state, and an
 INSERT's literal or default state implies a creation edge out of
@@ -16,18 +16,18 @@ INSERT's literal or default state implies a creation edge out of
   with no ``state =``/``state IN`` predicate in its WHERE clause, so
   the from-state is unconstrained and *every* transition is possible;
 * ``unimplemented-transition`` (advice) — a declared state-to-state
-  edge no constant statement implements (bean-layer templated writes
-  are Python-guarded and excluded; a dynamic parameter-bound write
-  whose guard covers the source state discharges the edge);
+  edge no statement implements (a parameter-bound write whose guard
+  covers the source state discharges the edge);
 * ``dead-state`` (advice) — a state no statement can ever write.
 
-Templated (non-constant) statements are deliberately skipped: the bean
-layer's ``UPDATE {table} SET {assignments}`` renders are guarded in
-Python (``JobBean.transition``/``VmBean.set_state``) and their actual
-edges are covered by the runtime transition ledger instead
+Every render of every statement is read: a constant text is its own
+render, an identifier template (the container's generic INSERT) is
+rendered once per bean, so a write to a lifecycle column is judged by
+these rules wherever it is spelled.  The runtime transition ledger
 (``StatementCounts.transitions`` — observed ⊆ declared is a tier-1
-test).  The graphs feed the CLI's ``--report transitions`` mode and the
-DOT/JSON exports next to the findings.
+test) checks the same declaration from the other side.  The graphs feed
+the CLI's ``--report transitions`` mode and the DOT/JSON exports next to
+the findings.
 """
 
 from __future__ import annotations
@@ -172,14 +172,12 @@ def build_graphs(corpus: Corpus) -> Tuple[Dict[str, TableGraph],
               for table, lifecycle in LIFECYCLES.items()}
     findings: List[Finding] = []
     for statement in corpus.statements:
-        if not statement.constant or not statement.renders:
-            continue
-        spec = transition_spec(statement.renders[0])
-        if spec is None:
-            continue
-        findings.extend(_spec_findings(
-            graphs[spec.table], spec, statement.file, statement.line,
-            statement.renders[0]))
+        for sql in statement.renders:
+            spec = transition_spec(sql)
+            if spec is not None:
+                findings.extend(_spec_findings(
+                    graphs[spec.table], spec, statement.file,
+                    statement.line, sql))
     return graphs, findings
 
 
@@ -193,9 +191,8 @@ def check_lifecycles(corpus: Corpus) -> List[Finding]:
             edges = ", ".join(f"{s}->{t}" for s, t in missing)
             findings.append(make_finding(
                 "unimplemented-transition", "schema.py", 1,
-                f"{table}: declared transitions no constant SQL implements: "
-                f"{edges} (bean-layer Python-guarded paths are covered by "
-                f"the runtime ledger instead)"))
+                f"{table}: declared transitions no statement implements: "
+                f"{edges}"))
         dead = graph.dead_states()
         if dead:
             findings.append(make_finding(

@@ -2,7 +2,7 @@
 
 Every operation the CAS exposes — daemon-facing and client-facing alike —
 is registered here as **data**: name, version, side-effect class,
-request/response schemas, batchability and a routing-key extractor.  The
+request/response schemas, batchability and a routing key.  The
 dispatch pipeline (:mod:`repro.condorj2.api.gateway`) validates against
 these specs, API.md is generated from them, and the ROADMAP's sharding
 item gets its seam: the routing key names the request field whose value
@@ -92,42 +92,6 @@ class OperationContract:
     #: Declared ceiling on statement dispatches per call; None means
     #: unmetered (the analyzer's ``budget-undeclared`` advisory).
     statement_budget: Optional[StatementBudget] = None
-
-    def routing_key_value(self, payload: Any) -> Any:
-        """Extract the routing-key value from a request payload.
-
-        Returns None when the contract declares no key or the path does
-        not resolve (a validation concern, not a routing one).
-        """
-        if self.routing_key is None:
-            return None
-        value = payload
-        for step in _split_path(self.routing_key):
-            try:
-                if isinstance(step, int):
-                    value = value[step]
-                else:
-                    value = value.get(step)
-            except (TypeError, AttributeError, IndexError, KeyError):
-                return None
-            if value is None:
-                return None
-        return value
-
-
-def _split_path(path: str) -> List[Any]:
-    """``"jobs[0].owner"`` -> ``["jobs", 0, "owner"]``."""
-    steps: List[Any] = []
-    for chunk in path.split("."):
-        while "[" in chunk:
-            head, _, rest = chunk.partition("[")
-            if head:
-                steps.append(head)
-            index, _, chunk = rest.partition("]")
-            steps.append(int(index))
-        if chunk:
-            steps.append(chunk)
-    return steps
 
 
 # ----------------------------------------------------------------------
@@ -309,7 +273,7 @@ CONTRACTS: Tuple[OperationContract, ...] = (
         (f_int("job_id"),),
         _STATUS_ONLY,
         routing_key="job_id",
-        statement_budget=StatementBudget(8),
+        statement_budget=StatementBudget(3),
     ),
     _contract(
         "queueSummary", "1.0",

@@ -1,7 +1,8 @@
 """The persistence layer: entity beans with container-managed persistence.
 
 See section 4.1 of the paper: one bean class per persistent-object type,
-one bean instance per tuple, fine-grained validated operations.
+created and found by key through the container.  Only what ``logic/``
+calls lives here; lifecycle writes are that tier's guarded statements.
 """
 
 from repro.condorj2.beans.base import (

@@ -2,34 +2,34 @@
 
 The paper's persistence layer consists of "entity beans that represent the
 persistent objects ... There is a one-to-one correspondence between entity
-bean objects and tuples in the underlying database" (section 4.1).  Every
-fine-grained operation a bean exposes follows the same discipline:
+bean objects and tuples in the underlying database" (section 4.1), with
+footnote 1 adding that there need not be an in-memory bean per tuple.  This
+layer keeps exactly what the logic tier calls: a bean class per table that
+reads its key and fields from the schema declaration, a container that
+creates and finds tuples by key, and the invariants :meth:`create` checks
+before it hands a new bean out (the paper's rule c).
 
-  a) verify the object is in a state in which the call is valid,
-  b) perform the requested operation (a SQL statement), and
-  c) verify the invocation did not leave the object inconsistent.
-
-:class:`EntityBean` implements that discipline once; concrete beans declare
-their table/fields and add domain operations (state transitions, policy
-updates).  Beans are instantiated on demand — the paper's footnote 1 is
-explicit that there need not be an in-memory bean per tuple — and the
-container hands them out via finder methods.
+What is deliberately not here is a generic UPDATE or DELETE.  A row's
+lifecycle ``state`` moves only through the guarded, constant statements of
+``logic/`` — the guard is the validity check (rule a), in the statement
+that performs the change — so the static analyzer reads every writer of a
+lifecycle column and the bean path cannot be one.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Type, TypeVar
+from typing import Any, Dict, Optional, Sequence, Tuple, Type, TypeVar
 
 from repro.condorj2.database import Database, DatabaseError
 from repro.condorj2.schema import TABLE_BY_NAME
 
 
 class BeanStateError(DatabaseError):
-    """A service call was invoked on a bean in an invalid state (rule a)."""
+    """A service call found its tuple in a state that forbids it (rule a)."""
 
 
 class BeanConsistencyError(DatabaseError):
-    """A service call left a bean violating its invariants (rule c)."""
+    """A tuple violates its bean's invariants (rule c)."""
 
 
 class BeanNotFound(DatabaseError):
@@ -61,9 +61,6 @@ class EntityBean:
         self._container = container
         self._row = dict(row)
 
-    # ------------------------------------------------------------------
-    # container plumbing
-    # ------------------------------------------------------------------
     @property
     def db(self) -> Database:
         """The container's database handle."""
@@ -78,58 +75,8 @@ class EntityBean:
         """Read a cached field value."""
         return self._row[field]
 
-    def get(self, field: str, default: Any = None) -> Any:
-        """Read a cached field value with a default."""
-        return self._row.get(field, default)
-
-    # ------------------------------------------------------------------
-    # persistence operations (the fine-grained service vocabulary)
-    # ------------------------------------------------------------------
-    def refresh(self) -> None:
-        """Reload the tuple from the database."""
-        row = self.db.query_one(
-            f"SELECT * FROM {self.TABLE} WHERE {self.PK} = ?", (self.pk_value,)
-        )
-        if row is None:
-            raise BeanNotFound(f"{self.TABLE}[{self.pk_value!r}] vanished")
-        self._row = dict(row)
-
-    def update(self, **changes: Any) -> None:
-        """UPDATE the tuple, enforcing rule (c) afterwards."""
-        if not changes:
-            return
-        unknown = set(changes) - set(self.FIELDS)
-        if unknown:
-            raise DatabaseError(f"unknown fields for {self.TABLE}: {sorted(unknown)}")
-        # Canonical FIELDS order, not kwargs order: the same change set
-        # always renders the same statement text, so it hits one
-        # prepared-statement-cache entry instead of one per call-site
-        # keyword ordering.
-        ordered = [field for field in self.FIELDS if field in changes]
-        assignments = ", ".join(f"{field} = ?" for field in ordered)
-        params = [changes[field] for field in ordered] + [self.pk_value]
-        self.db.execute(
-            f"UPDATE {self.TABLE} SET {assignments} WHERE {self.PK} = ?", params
-        )
-        self._row.update(changes)
-        self.check_invariants()
-
-    def remove(self) -> None:
-        """DELETE the tuple."""
-        self.db.execute(
-            f"DELETE FROM {self.TABLE} WHERE {self.PK} = ?", (self.pk_value,)
-        )
-
-    # ------------------------------------------------------------------
-    # validation hooks
-    # ------------------------------------------------------------------
     def check_invariants(self) -> None:
-        """Override to assert consistency after mutations (rule c)."""
-
-    def require(self, condition: bool, message: str) -> None:
-        """Rule (a): raise :class:`BeanStateError` unless ``condition``."""
-        if not condition:
-            raise BeanStateError(f"{self.TABLE}[{self.pk_value!r}]: {message}")
+        """Override to assert what SQL constraints do not (rule c)."""
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.PK}={self.pk_value!r}>"
@@ -148,9 +95,6 @@ class BeanContainer:
         self.db = db
         self.instantiations = 0
 
-    # ------------------------------------------------------------------
-    # generic CMP operations
-    # ------------------------------------------------------------------
     def create(self, bean_class: Type[B], **fields: Any) -> B:
         """INSERT a tuple and return its bean."""
         columns = ", ".join(fields)
@@ -213,31 +157,3 @@ class BeanContainer:
             return self.find(bean_class, pk)
         except BeanNotFound:
             return None
-
-    def find_where(
-        self,
-        bean_class: Type[B],
-        where: str,
-        params: Sequence[Any] = (),
-        order_by: str = "",
-        limit: Optional[int] = None,
-    ) -> List[B]:
-        """Finder method: load all beans matching a WHERE clause."""
-        sql = f"SELECT * FROM {bean_class.TABLE} WHERE {where}"
-        if order_by:
-            sql += f" ORDER BY {order_by}"
-        if limit is not None:
-            sql += f" LIMIT {int(limit)}"
-        rows = self.db.query_all(sql, params)
-        self.instantiations += len(rows)
-        return [bean_class(self, dict(row)) for row in rows]
-
-    def count_where(
-        self, bean_class: Type[B], where: str = "1=1", params: Sequence[Any] = ()
-    ) -> int:
-        """COUNT(*) matching a WHERE clause (no bean instantiation)."""
-        return int(
-            self.db.scalar(
-                f"SELECT COUNT(*) FROM {bean_class.TABLE} WHERE {where}", params
-            )
-        )

@@ -128,7 +128,13 @@ class CondorJ2ApplicationServer:
             return
         self._started = True
         self.config.install_defaults(
-            self.sim.now, extra={"storage_backend": self.db.engine.name}
+            self.sim.now,
+            {
+                "storage_backend": self.db.engine.name,
+                "scheduling_interval_seconds": str(
+                    self.costs.scheduling_interval_seconds
+                ),
+            },
         )
         self.sim.spawn(self._startup(), name="cas.startup")
         self.sim.spawn(self._scheduler_loop(), name="cas.scheduler")

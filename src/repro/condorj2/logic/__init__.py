@@ -5,7 +5,7 @@ that wraps the persistence layer ... All interaction with the system goes
 through this application logic layer" (section 4.1).
 """
 
-from repro.condorj2.logic.config import ConfigService, DEFAULT_POLICIES
+from repro.condorj2.logic.config import ConfigService
 from repro.condorj2.logic.heartbeat import HeartbeatService
 from repro.condorj2.logic.lifecycle import LifecycleService
 from repro.condorj2.logic.queries import ReportService
@@ -14,7 +14,6 @@ from repro.condorj2.logic.submission import SubmissionService
 
 __all__ = [
     "ConfigService",
-    "DEFAULT_POLICIES",
     "HeartbeatService",
     "LifecycleService",
     "ReportService",

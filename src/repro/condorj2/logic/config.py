@@ -13,45 +13,25 @@ from typing import Any, Dict, List, Optional
 from repro.condorj2.beans import BeanContainer, PolicyBean
 
 
-#: Policies every pool starts with (scope 'pool').
-DEFAULT_POLICIES = {
-    "scheduling_interval_seconds": "2.0",
-    "heartbeat_interval_seconds": "60.0",
-    "idle_poll_interval_seconds": "2.0",
-    "machine_missing_timeout_seconds": "900.0",
-    "max_matches_per_pass": "1000",
-}
-
-
 class ConfigService:
     """Typed access to configuration policies with change history."""
 
     def __init__(self, container: BeanContainer):
         self.container = container
 
-    def install_defaults(
-        self, now: float, extra: Optional[Dict[str, str]] = None
-    ) -> None:
-        """Create any missing default policies.
+    def install_defaults(self, now: float, defaults: Dict[str, str]) -> None:
+        """Create any missing default policies (scope 'pool').
 
-        ``extra`` supplies deployment-determined defaults on top of
-        :data:`DEFAULT_POLICIES` — the CAS records the active storage
-        backend this way so the admin console can report it.
+        The values are the deployment's own: the CAS passes what it
+        actually runs on (storage backend, scheduling interval), so the
+        admin console reports the configuration in force.
         """
-        defaults = dict(DEFAULT_POLICIES)
-        if extra:
-            defaults.update(extra)
-        with self.container.db.transaction():
-            for name, value in defaults.items():
-                if self.container.find_optional(PolicyBean, name) is None:
-                    self.container.create(
-                        PolicyBean,
-                        policy_name=name,
-                        policy_value=value,
-                        scope="pool",
-                        updated_at=now,
-                        updated_by="system",
-                    )
+        self.container.db.executemany(
+            "INSERT OR IGNORE INTO config_policies "
+            "(policy_name, policy_value, scope, updated_at, updated_by) "
+            "VALUES (?, ?, 'pool', ?, 'system')",
+            [(name, value, now) for name, value in defaults.items()],
+        )
 
     def get(self, name: str, default: Optional[str] = None) -> Optional[str]:
         """Current value of a policy (None/default when absent)."""

@@ -119,16 +119,3 @@ class ReportService:
             """
         )
         return [dict(row) for row in rows]
-
-    def drops_by_machine(self) -> List[Dict[str, Any]]:
-        """Machines that reported dropped jobs (input to Figure 8)."""
-        rows = self.db.query_all(
-            """
-            SELECT v.machine_name, COUNT(*) AS drops
-            FROM job_history h
-            JOIN vms v ON v.vm_id = h.vm_id
-            WHERE h.final_state = 'dropped'
-            GROUP BY v.machine_name
-            """
-        )
-        return [dict(row) for row in rows]

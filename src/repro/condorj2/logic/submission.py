@@ -14,7 +14,7 @@ from typing import List, Sequence
 
 from repro.cluster.job import JobSpec
 from repro.condorj2.beans import BeanContainer, JobBean, UserBean, WorkflowBean
-from repro.condorj2.beans.base import BeanStateError
+from repro.condorj2.beans.base import BeanNotFound, BeanStateError
 
 #: OR IGNORE: a duplicate id in a spec's depends_on tuple is harmless
 #: (the edge set is what gates scheduling), and must not abort the batch.
@@ -99,12 +99,22 @@ class SubmissionService:
 
     def remove_job(self, job_id: int) -> None:
         """User-initiated removal of a queued (not running) job."""
-        with self.container.db.transaction():
-            job = self.container.find(JobBean, job_id)
-            if job["state"] not in ("idle", "matched", "held"):
-                raise BeanStateError(
-                    f"cannot remove job {job_id} in state {job['state']!r}"
+        db = self.container.db
+        with db.transaction():
+            db.execute("DELETE FROM matches WHERE job_id = ?", (job_id,))
+            removed = db.execute(
+                "DELETE FROM jobs WHERE job_id = ? "
+                "AND state IN ('idle', 'matched', 'held')",
+                (job_id,),
+            )
+            if removed.rowcount == 0:
+                # Guard miss: only this path pays the disambiguating
+                # SELECT, and raising rolls the match delete back.
+                state = db.scalar(
+                    "SELECT state FROM jobs WHERE job_id = ?", (job_id,)
                 )
-            self.container.db.execute("DELETE FROM matches WHERE job_id = ?", (job_id,))
-            job.transition("removed")
-            job.remove()
+                if state is None:
+                    raise BeanNotFound(f"jobs[{job_id!r}] not found")
+                raise BeanStateError(
+                    f"cannot remove job {job_id} in state {state!r}"
+                )

@@ -300,11 +300,6 @@ TABLE_DEFS: Tuple[TableDef, ...] = (
             IndexDef("idx_job_history_owner", ("owner",)),
             # Throughput-by-minute reports scan completions in time order.
             IndexDef("idx_job_history_completed", ("completed_at",)),
-            # Failure reports probe by outcome (drops-by-machine filters
-            # final_state = 'dropped'); covering (vm_id) so the group key
-            # comes from the index too.  Flagged by the static index
-            # advisor before it existed.
-            IndexDef("idx_job_history_state", ("final_state", "vm_id")),
         ),
     ),
     TableDef(
@@ -495,7 +490,7 @@ SCHEMA_STATEMENTS = [
 #: O(1)-bounded: their cardinality is fixed by the schema/contract
 #: declarations at import time, never by operational data, so a loop
 #: over one of them (directly, through ``.items()``-style views, or
-#: through a single local rebinding such as ``dict(DEFAULT_POLICIES)``)
+#: through a single local rebinding such as ``tables = sorted(TABLES)``)
 #: contributes nothing to a function's dispatch complexity.  See
 #: ``analysis/dispatch.py`` and DESIGN.md section 9.2.
 BOUNDED_ITERABLES: Tuple[str, ...] = (
@@ -503,15 +498,14 @@ BOUNDED_ITERABLES: Tuple[str, ...] = (
     "TABLES",
     "VM_STATES",
     "LIFECYCLES",
-    "DEFAULT_POLICIES",
     "HEARTBEAT_EVENT_KINDS",
     "CONTRACTS",
     "FAULT_CODES",
     "SEVERITIES",
 )
 
-#: VM slot states: the ``vms.state`` CHECK domain, which the bean layer,
-#: the heartbeat service and the heartbeat contract all validate against.
+#: VM slot states: the ``vms.state`` CHECK domain, which the heartbeat
+#: service and the heartbeat contract both validate against.
 VM_STATES = TABLE_BY_NAME["vms"].column("state").check_in
 
 
@@ -595,11 +589,10 @@ def _lifecycle(table: str, transitions: Dict[str, set],
 
 #: The four lifecycle machines of section 4.2.3, keyed by table.
 #:
-#: * jobs — the paper's job state machine, which ``JobBean.transition``
-#:   enforces from this declaration.  Rows are born idle; the
+#: * jobs — the paper's job state machine.  Rows are born idle; the
 #:   operational tuple is deleted on completion (from ``running``,
-#:   archived to ``job_history``) or removal (from ``removed``, via the
-#:   bean path).
+#:   archived to ``job_history``) or by ``removeJob`` (from any queued
+#:   state: ``idle``, ``matched`` or ``held``).
 #: * machines — liveness: heartbeats keep a machine ``alive``, the sweep
 #:   moves it to ``missing``, and ``offline`` is an administrative
 #:   quarantine an operator may impose from either live state and that
@@ -614,11 +607,11 @@ def _lifecycle(table: str, transitions: Dict[str, set],
 LIFECYCLES: Dict[str, LifecycleDef] = {
     "jobs": _lifecycle(
         "jobs",
-        {"idle": {"matched", "removed", "held"},
-         "matched": {"running", "idle", "removed"},
-         "running": {"completed", "idle", "removed"},
-         "held": {"idle", "removed"}},
-        create=("idle",), delete=("running", "removed")),
+        {"idle": {"matched", "held"},
+         "matched": {"running", "idle"},
+         "running": {"completed", "idle"},
+         "held": {"idle"}},
+        create=("idle",), delete=("idle", "matched", "running", "held")),
     "machines": _lifecycle(
         "machines",
         {"alive": {"missing", "offline"},

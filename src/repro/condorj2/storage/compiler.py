@@ -28,7 +28,7 @@ from repro.condorj2.storage.plans import (
     _union_access,
 )
 from repro.condorj2.storage.scalars import (
-    _comparison_coercions, _converts_left,
+    _comparison_coercions, _converts_left, _probe_coercion,
 )
 from repro.condorj2.storage.store import (
     MemoryEngineError, MemoryTable, TableStore,
@@ -315,8 +315,9 @@ class _Compiler(_ExprCompiler):
         )
         plan.xsubs = self._subs.pop()
         est = source_plans[0].est_rows if source_plans else 1.0
-        if isinstance(ast.limit, sp.Lit) and isinstance(
-                ast.limit.value, (int, float)):
+        # A json_each source has no estimate for a literal LIMIT to cap.
+        if est is not None and isinstance(ast.limit, sp.Lit) \
+                and isinstance(ast.limit.value, (int, float)):
             est = min(est, float(ast.limit.value))
         plan.est_rows = est
         return plan
@@ -346,6 +347,7 @@ class _Compiler(_ExprCompiler):
             arg_fn = self.compile_expr(src.arg, scope, stats)
             plan = self._source_cls(src.alias, "json_each", src.join,
                                     arg_fn=arg_fn, columns=("key", "value"))
+            plan.affinities = {"key": "BLOB", "value": "BLOB"}
         if src.on is not None:
             scope.add(plan.alias, plan.columns, plan.affinities,
                       slot=position)  # temporarily visible for ON
@@ -392,7 +394,8 @@ class _Compiler(_ExprCompiler):
                 return ("eq", column, self._estimate_eq(table, column),
                         lambda stats: _lookup_access(
                             table, column,
-                            self.compile_expr(other, scope, stats)))
+                            self._compile_probe(table, column, other,
+                                                scope, stats)))
         if not isinstance(conjunct, (sp.InList, sp.InSelect)) \
                 or conjunct.negated:
             return None
@@ -406,15 +409,15 @@ class _Compiler(_ExprCompiler):
                 return None
 
             def bind_list(stats):
-                fns = [self.compile_expr(item, scope, stats)
+                fns = [self._compile_probe(table, column, item, scope, stats)
                        for item in items]
                 return _union_access(
                     table, column, lambda rt: [fn(rt) for fn in fns])
 
             return ("in-list", column,
                     min(rows, eq_est * max(1, len(items))), bind_list)
-        if _converts_left(table.affinities[column],
-                          self._first_item_affinity(conjunct.select)):
+        item_aff = self._first_item_affinity(conjunct.select)
+        if _converts_left(table.affinities[column], item_aff):
             return None
         sub = self.compile_select(conjunct.select, scope)
         if sub.correlated:
@@ -427,10 +430,21 @@ class _Compiler(_ExprCompiler):
 
         def bind_select(stats):
             self._register_sub("IN-SELECT DRIVER", sub)
-            return _union_access(table, column, sub.first_column_values)
+            return _union_access(
+                table, column, sub.first_column_values,
+                _probe_coercion(table.affinities[column], item_aff))
 
         return ("in-select", column, min(rows, eq_est * sub_rows),
                 bind_select)
+
+    def _compile_probe(self, table: MemoryTable, column: str, other: Any,
+                       scope: _Scope, stats: Dict) -> Callable:
+        """``other`` compiled as the value ``table``'s index on
+        ``column`` is probed with (see :func:`_probe_coercion`)."""
+        fn = self.compile_expr(other, scope, stats)
+        coerce = _probe_coercion(table.affinities[column],
+                                 self._operand_affinity(other, scope))
+        return fn if coerce is None else _wrap(fn, coerce)
 
     @staticmethod
     def _is_unique_column(table: MemoryTable, column: str) -> bool:
@@ -484,7 +498,8 @@ class _Compiler(_ExprCompiler):
                 plan.est_rows = self._estimate_eq(plan.table, column)
                 return _lookup_access(
                     plan.table, column,
-                    self.compile_expr(other, scope, stats),
+                    self._compile_probe(plan.table, column, other,
+                                        scope, stats),
                     f"index on {column}")
             if plan.kind == "subquery":
                 # The buckets are built here, so both sides can take

@@ -136,6 +136,12 @@ class StatementCounts:
     #: subset of the declared ``LIFECYCLES`` graph.
     transitions: Dict[str, Dict[str, int]] = field(default_factory=dict)
 
+    def hit_rate(self) -> float:
+        """Fraction of admissions the statement cache served (0.0 when
+        nothing was admitted)."""
+        lookups = self.plan_hits + self.plan_misses
+        return self.plan_hits / lookups if lookups else 0.0
+
     def total(self) -> int:
         """All verb work — row touches, not dispatches (commits excluded).
 

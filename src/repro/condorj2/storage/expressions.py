@@ -31,8 +31,8 @@ from repro.condorj2.storage.store import (
 
 class _Scope:
     """Compile-time name resolution: alias -> visible columns (plus the
-    column affinities for table sources — subquery and json_each columns
-    have no affinity, exactly as in SQLite).
+    column affinities for table sources — subquery columns have none and
+    json_each's have BLOB affinity, exactly as in SQLite).
 
     Each alias also carries its frame *slot*: runtime environments are
     flat lists indexed by source position (plus trailing window slots),
@@ -476,10 +476,14 @@ class _ExprCompiler:
     def _select_column_affinity(self, select: sp.Select,
                                 expr: Any) -> Optional[str]:
         """Affinity of ``expr`` when it names a column of one of
-        ``select``'s own table sources; None for anything else."""
+        ``select``'s own table or ``json_each`` sources; None for
+        anything else."""
         if not isinstance(expr, sp.Col):
             return None
         for src in select.sources:
+            if src.kind == "json_each" and expr.table in (None, src.alias) \
+                    and expr.name in ("key", "value"):
+                return "BLOB"
             table = (self.engine.tables.get(src.name)
                      if src.kind == "table" else None)
             if table is None:

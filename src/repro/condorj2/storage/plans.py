@@ -186,11 +186,17 @@ def _lookup_access(table: MemoryTable, column: str, fn: Callable,
                    label, (table, column, fn))
 
 
-def _union_access(table: MemoryTable, column: str,
-                  values: Callable) -> _Access:
-    """One lookup per non-NULL value of ``values(rt)``, merged in key
-    order (``col IN (...)``)."""
+def _union_access(table: MemoryTable, column: str, values: Callable,
+                  coerce: Optional[Callable] = None) -> _Access:
+    """One lookup per non-NULL value of ``values(rt)`` (each through
+    ``coerce`` first, when given), merged in key order
+    (``col IN (...)``)."""
     probe = table.probe
+    if coerce is not None:
+        raw = values
+
+        def values(rt):
+            return map(coerce, raw(rt))
 
     def keys(rt):
         found = set()

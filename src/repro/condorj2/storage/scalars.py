@@ -231,7 +231,9 @@ def _comparison_coercions(left_aff: Optional[str],
     """SQLite comparison affinity as ``(coerce left, coerce right)``, at
     most one of them set: a numeric-affinity column pulls a text
     comparand to a number; a TEXT column pulls an affinity-less numeric
-    comparand to text."""
+    comparand to text — affinity-less, not BLOB: ``json_each``'s columns
+    are declared untyped, which is BLOB affinity, and meet a TEXT column
+    unconverted."""
     if left_aff in _NUMERIC_AFFINITIES:
         if right_aff not in _NUMERIC_AFFINITIES:
             return None, _coerce_numeric
@@ -264,6 +266,21 @@ def _coerce_text(value: Any) -> Any:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         return str(value)
     return value
+
+
+def _text_or_null(value: Any) -> Any:
+    return value if isinstance(value, str) else None
+
+
+def _probe_coercion(col_aff: str, other_aff: Optional[str]):
+    """What an index probe owes its comparand beyond the column affinity
+    :meth:`MemoryTable.probe` applies by itself — nothing, but for a
+    TEXT column meeting a BLOB-affinity comparand: SQLite converts
+    neither side, so a number there equals no stored text, while the
+    probe's own TEXT affinity would find ``'2'`` for ``2``."""
+    if col_aff == "TEXT" and other_aff == "BLOB":
+        return _text_or_null
+    return None
 
 
 def _probe_norm(value: Any) -> Any:

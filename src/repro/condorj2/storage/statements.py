@@ -6,7 +6,9 @@ costs a round of SQL compilation, re-executing a cached one does not.  The
 reproduction models that cache explicitly so the cost model can charge
 compilation on misses and so the hit rate is observable — a healthy
 set-oriented workload converges on a tiny working set of SQL strings and
-a hit rate near 1.0.
+a hit rate near 1.0.  Hits, misses and evictions are counted on
+:class:`~repro.condorj2.storage.counters.StatementCounts` by the one
+admission that consults this cache; the cache itself keeps no counts.
 
 An entry (:class:`Statement`) holds everything an engine derives from
 the text alone: the accounting verb, the principal table, the lifecycle
@@ -73,9 +75,6 @@ class StatementCache:
         if capacity <= 0:
             raise ValueError("statement cache capacity must be positive")
         self.capacity = capacity
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
         self._entries: "OrderedDict[str, Statement]" = OrderedDict()
 
     def __len__(self) -> int:
@@ -85,14 +84,11 @@ class StatementCache:
         return sql in self._entries
 
     def lookup(self, sql: str) -> Optional[Statement]:
-        """Counted lookup: the entry on a hit, None on a miss."""
+        """The entry on a hit (now most recently used), None on a miss."""
         entry = self._entries.get(sql)
-        if entry is None:
-            self.misses += 1
-            return None
-        self.hits += 1
-        entry.uses += 1
-        self._entries.move_to_end(sql)
+        if entry is not None:
+            entry.uses += 1
+            self._entries.move_to_end(sql)
         return entry
 
     def store(self, entry: Statement) -> bool:
@@ -101,23 +97,17 @@ class StatementCache:
         self._entries[entry.sql] = entry
         if len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
-            self.evictions += 1
             return True
         return False
 
     def peek(self, sql: str) -> Optional[Statement]:
-        """Uncounted lookup (observability)."""
+        """Lookup that leaves recency and ``uses`` alone (observability)."""
         return self._entries.get(sql)
-
-    def hit_rate(self) -> float:
-        """Fraction of lookups served from cache (0.0 when unused)."""
-        lookups = self.hits + self.misses
-        return self.hits / lookups if lookups else 0.0
 
     def entries(self) -> List[Statement]:
         """Cached statements, least- to most-recently used."""
         return list(self._entries.values())
 
     def clear(self) -> None:
-        """Drop every cached statement (statistics are kept)."""
+        """Drop every cached statement."""
         self._entries.clear()

@@ -110,7 +110,7 @@ class PoolWebSite:
             ["batches", counts.batches],
             ["commits", counts.commits],
             ["row work", counts.total()],
-            ["cache hit rate", f"{db.statement_cache.hit_rate():.3f}"],
+            ["cache hit rate", f"{counts.hit_rate():.3f}"],
         ]
         engine_report = ascii_table(
             ["metric", "value"], engine_rows, title="Storage Engine",
@@ -194,10 +194,11 @@ class PoolWebSite:
         Equal workloads produce an equal row here on every backend —
         the shared-admission property the differential fuzzer pins."""
         cache = self.reports.db.statement_cache
+        counts = self.reports.db.counts
         return ascii_table(
             ["capacity", "entries", "hits", "misses", "evictions", "hit rate"],
-            [[cache.capacity, len(cache), cache.hits, cache.misses,
-              cache.evictions, f"{cache.hit_rate():.3f}"]],
+            [[cache.capacity, len(cache), counts.plan_hits, counts.plan_misses,
+              counts.plan_evictions, f"{counts.hit_rate():.3f}"]],
             title="Statement Cache",
         )
 

@@ -204,18 +204,6 @@ def test_conflict_faults_carry_state_subcodes(registry):
 # ----------------------------------------------------------------------
 # routing keys: the sharding seam
 # ----------------------------------------------------------------------
-def test_routing_keys_extract_shard_values():
-    by_name = {contract.name: contract for contract in CONTRACTS}
-    assert by_name["heartbeat"].routing_key_value(
-        {"machine": "node007"}) == "node007"
-    assert by_name["acceptMatch"].routing_key_value(
-        {"job_id": 3, "vm_id": "vm0@n1"}) == "vm0@n1"
-    assert by_name["submitJobs"].routing_key_value(
-        {"jobs": [{"owner": "alice"}, {"owner": "bob"}]}) == "alice"
-    assert by_name["submitJobs"].routing_key_value({"jobs": []}) is None
-    assert by_name["poolStatus"].routing_key_value({}) is None
-
-
 def test_write_operations_declare_routing_keys_where_shardable():
     """Every startd-facing write routes by machine or VM — the seam the
     ROADMAP's sharding item needs."""

@@ -3,16 +3,14 @@
 import pytest
 
 from repro.condorj2.beans import (
+    BeanConsistencyError,
     BeanContainer,
     BeanNotFound,
-    BeanStateError,
     JobBean,
     MachineBean,
     PolicyBean,
     UserBean,
-    VmBean,
 )
-from repro.condorj2.beans.base import BeanConsistencyError
 from repro.condorj2.database import Database, DatabaseError
 
 
@@ -48,119 +46,6 @@ def test_find_missing_raises(container):
     assert container.find_optional(UserBean, "nobody") is None
 
 
-def test_update_writes_through(container):
-    user = make_user(container)
-    user.update(priority=0.25)
-    fresh = container.find(UserBean, "alice")
-    assert fresh["priority"] == 0.25
-
-
-def test_update_unknown_field_rejected(container):
-    user = make_user(container)
-    with pytest.raises(DatabaseError):
-        user.update(bogus_field=1)
-
-
-def test_remove_deletes_tuple(container):
-    user = make_user(container)
-    user.remove()
-    assert container.find_optional(UserBean, "alice") is None
-
-
-def test_refresh_reloads(container):
-    user = make_user(container)
-    container.db.execute(
-        "UPDATE users SET priority = 0.9 WHERE user_name = 'alice'"
-    )
-    user.refresh()
-    assert user["priority"] == 0.9
-
-
-def test_refresh_after_delete_raises(container):
-    user = make_user(container)
-    container.db.execute("DELETE FROM users WHERE user_name = 'alice'")
-    with pytest.raises(BeanNotFound):
-        user.refresh()
-
-
-def test_find_where_and_count(container):
-    make_user(container, "a")
-    make_user(container, "b")
-    beans = container.find_where(UserBean, "user_name != ?", ("a",))
-    assert [b["user_name"] for b in beans] == ["b"]
-    assert container.count_where(UserBean) == 2
-
-
-def test_find_where_order_and_limit(container):
-    for name in ("c", "a", "b"):
-        make_user(container, name)
-    beans = container.find_where(UserBean, "1=1", order_by="user_name", limit=2)
-    assert [b["user_name"] for b in beans] == ["a", "b"]
-
-
-def test_user_charge_usage_accumulates(container):
-    user = make_user(container)
-    user.charge_usage(10.0)
-    user.charge_usage(5.0)
-    assert user["accumulated_usage_seconds"] == 15.0
-
-
-def test_user_negative_charge_rejected(container):
-    user = make_user(container)
-    with pytest.raises(BeanStateError):
-        user.charge_usage(-1.0)
-
-
-def test_user_priority_bounds(container):
-    user = make_user(container)
-    user.set_priority(0.0)
-    user.set_priority(1.0)
-    with pytest.raises(BeanStateError):
-        user.set_priority(1.5)
-
-
-def test_job_legal_lifecycle(container):
-    job = make_job(container)
-    job.mark_matched()
-    job.mark_running()
-    assert job["attempts"] == 1
-    job.mark_completed()
-    fresh = container.find(JobBean, job.pk_value)
-    assert fresh["state"] == "completed"
-
-
-def test_job_illegal_transition_rejected(container):
-    job = make_job(container)
-    with pytest.raises(BeanStateError):
-        job.mark_running()  # idle -> running skips matched
-    job.mark_matched()
-    job.mark_running()
-    with pytest.raises(BeanStateError):
-        job.mark_matched()  # running -> matched is illegal
-
-
-def test_job_drop_cycle(container):
-    job = make_job(container)
-    job.mark_matched()
-    job.mark_running()
-    job.mark_idle_again()
-    assert job["state"] == "idle"
-    job.mark_matched()
-    job.mark_running()
-    assert job["attempts"] == 2
-
-
-def test_job_dependency_edges(container):
-    job = make_job(container)
-    container.db.executemany(
-        "INSERT INTO job_dependencies (job_id, depends_on_job_id) VALUES (?, ?)",
-        [(job.pk_value, dep) for dep in (5, 3, 9)],
-    )
-    assert job.depends_on_ids() == [3, 5, 9]
-    lone = make_job(container)
-    assert lone.depends_on_ids() == []
-
-
 def test_create_batch_inserts_without_beans(container):
     before = container.instantiations
     created = container.create_batch(
@@ -172,7 +57,7 @@ def test_create_batch_inserts_without_beans(container):
     )
     assert created == 2
     assert container.instantiations == before  # footnote 1: no bean per tuple
-    assert container.count_where(UserBean) == 2
+    assert container.db.table_count("users") == 2
     assert container.db.counts.batches >= 1
 
 
@@ -195,12 +80,6 @@ def test_create_batch_rejects_unknown_columns(container):
         )
 
 
-def test_job_invariant_rejects_bad_update(container):
-    job = make_job(container)
-    with pytest.raises(BeanConsistencyError):
-        job.update(attempts=-1)
-
-
 def test_machine_heartbeat_and_boot_history(container):
     machine = container.create(
         MachineBean, machine_name="m1", cores=2, memory_mb=512, vm_count=4,
@@ -213,31 +92,8 @@ def test_machine_heartbeat_and_boot_history(container):
         "SELECT * FROM machine_boot_history WHERE machine_name = 'm1'"
     )
     assert len(rows) == 2
-    machine.heartbeat(123.0)
-    assert machine["last_heartbeat"] == 123.0
-
-
-def test_machine_missing_transition(container):
-    machine = container.create(
-        MachineBean, machine_name="m1", state="alive", last_heartbeat=0.0,
-    )
-    machine.mark_missing()
-    assert machine["state"] == "missing"
-    with pytest.raises(BeanStateError):
-        machine.mark_missing()
-    machine.heartbeat(5.0)
-    assert machine["state"] == "alive"
-
-
-def test_vm_state_validation(container):
-    container.create(MachineBean, machine_name="m1", last_heartbeat=0.0)
-    vm = container.create(
-        VmBean, vm_id="vm0@m1", machine_name="m1", state="idle", last_update=0.0
-    )
-    vm.set_state("busy", 4.0)
-    assert vm["state"] == "busy"
-    with pytest.raises(BeanStateError):
-        vm.set_state("exploded", 5.0)
+    stored = container.find(MachineBean, "m1")
+    assert (stored["boot_count"], stored["last_heartbeat"]) == (2, 100.0)
 
 
 def test_policy_change_writes_history(container):
@@ -252,11 +108,23 @@ def test_policy_change_writes_history(container):
     )
     assert [(r["old_value"], r["new_value"]) for r in history] == [("1", "2"), ("2", "3")]
     assert policy["policy_value"] == "3"
+    stored = container.find(PolicyBean, "p")
+    assert (stored["policy_value"], stored["updated_at"]) == ("3", 20.0)
 
 
 def test_container_counts_instantiations(container):
     make_user(container, "a")
     before = container.instantiations
     container.find(UserBean, "a")
-    container.find_where(UserBean, "1=1")
+    container.find_optional(UserBean, "a")
+    container.find_optional(UserBean, "nobody")
     assert container.instantiations == before + 2
+
+
+def test_create_checks_invariants_sql_constraints_do_not_cover(container):
+    """Rule (c) runs once, where a bean is handed out for a new tuple."""
+    with pytest.raises(BeanConsistencyError):
+        make_job(container, attempts=-1)
+    with pytest.raises(BeanConsistencyError):
+        make_job(container, run_seconds=0.0)
+

@@ -536,8 +536,8 @@ def test_plan_cache_eviction_under_wal(tmp_path):
         engine.execute(
             f"SELECT priority FROM users WHERE created_at < {index + 2}.0"
         )
-    assert engine.statement_cache.evictions > 0
-    assert engine.counts.plan_evictions == engine.statement_cache.evictions
+    assert engine.counts.plan_evictions > 0
+    assert len(engine.statement_cache) == 4
     assert engine.counts.wal_appends == appends, (
         "read-only cache churn appended WAL records"
     )

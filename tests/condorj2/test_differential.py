@@ -23,7 +23,7 @@ import random
 import pytest
 
 from repro.cluster import JobSpec
-from repro.condorj2.beans import BeanContainer
+from repro.condorj2.beans import BeanContainer, BeanNotFound, BeanStateError
 from repro.condorj2.database import Database, DatabaseError
 from repro.condorj2.logic import (
     ConfigService,
@@ -32,7 +32,7 @@ from repro.condorj2.logic import (
     SchedulingService,
     SubmissionService,
 )
-from repro.condorj2.schema import TABLES
+from repro.condorj2.schema import LIFECYCLES, TABLES
 
 BACKENDS = ("sqlite", "memory")
 
@@ -241,14 +241,18 @@ class TraceRunner:
             )
 
     def op_remove_job(self):
-        idle = self._observed(
-            "SELECT job_id FROM jobs WHERE state = 'idle'"
-        )
-        if not idle:
+        """Any job in the table: a queued one goes (its match with it),
+        a running one is refused the same way everywhere."""
+        jobs = self._observed("SELECT job_id, state FROM jobs")
+        if not jobs:
             return
-        job_id = self.rng.choice(idle)["job_id"]
+        job = self.rng.choice(sorted(jobs, key=lambda row: row["job_id"]))
         for pool in self.pools:
-            pool.submission.remove_job(job_id)
+            if job["state"] == "running":
+                with pytest.raises(BeanStateError, match="'running'"):
+                    pool.submission.remove_job(job["job_id"])
+            else:
+                pool.submission.remove_job(job["job_id"])
 
     def op_mark_missing(self):
         timeout = self.rng.uniform(10.0, 200.0)
@@ -259,7 +263,7 @@ class TraceRunner:
         assert len(marked) == 1, "engines disagree on missing machines"
 
     def op_config_change(self):
-        name = self.rng.choice(["max_matches_per_pass", "fuzz_knob"])
+        name = self.rng.choice(["scheduling_interval_seconds", "fuzz_knob"])
         value = str(self.rng.randint(1, 1000))
         for pool in self.pools:
             pool.config.set(name, value, self.now, changed_by="fuzzer")
@@ -397,6 +401,125 @@ def test_limit_operand_is_an_integer_or_a_mismatch(operand, literal, expected):
         counts[backend] = db.counts
         db.close()
     assert counts["memory"] == counts["sqlite"]
+
+
+#: (statement, parameters) whose answers must not depend on the engine.
+#: ``json_each``'s columns are declared untyped — BLOB affinity — so a
+#: TEXT column meets them unconverted (``'2'`` is not ``2``) while a
+#: numeric column still pulls their text to a number, through an index
+#: probe and through a filter alike; and a ``json_each`` source has no
+#: row estimate for a literal LIMIT to cap.
+JSON_EACH_CASES = [
+    ("SELECT value FROM json_each(?) LIMIT 2", ("[1, 2, 3]",)),
+    ("SELECT key, value FROM json_each('[5, 6, 7]') ORDER BY key DESC LIMIT 1",
+     ()),
+    ("SELECT user_name FROM users"
+     " WHERE user_name IN (SELECT value FROM json_each('[2]'))", ()),
+    ("SELECT user_name FROM users"
+     " WHERE user_name IN (SELECT value FROM json_each(?))",
+     ('[2, "2", "user1", 7]',)),
+    ("SELECT user_name FROM users, json_each('[2]')"
+     " WHERE user_name = json_each.value", ()),
+    ("SELECT user_name FROM users JOIN json_each(?)"
+     " ON user_name = json_each.value", ('["2", 2, "user0"]',)),
+    ("SELECT u.user_name FROM json_each(?) j JOIN users u"
+     " ON u.user_name = j.value", ('[2, "user0"]',)),
+    ("SELECT user_name FROM users WHERE user_name IN (2, '7')", ()),
+    ("SELECT job_id FROM jobs"
+     " WHERE job_id IN (SELECT value FROM json_each(?))", ('["1", 2, "x"]',)),
+    ("SELECT j.job_id FROM json_each(?) e JOIN jobs j ON j.job_id = e.value",
+     ('["3", 1]',)),
+    ("SELECT job_id FROM jobs WHERE owner IN (SELECT value FROM json_each(?))",
+     ("[2]",)),
+]
+
+
+@pytest.mark.parametrize("sql, params", JSON_EACH_CASES)
+def test_json_each_columns_have_no_text_affinity_and_no_estimate(sql, params):
+    answers = {}
+    for backend in ("sqlite", "memory", "wal"):
+        db = Database(backend=backend)
+        db.executemany(
+            "INSERT INTO users (user_name, created_at) VALUES (?, 0)",
+            [("2",), ("7",), ("user0",), ("user1",)])
+        db.executemany(
+            "INSERT INTO jobs (job_id, owner, cmd, run_seconds, submitted_at)"
+            " VALUES (?, ?, 'x', 1.0, 0)",
+            [(1, "2"), (2, "user0"), (3, "7")])
+        answers[backend] = [tuple(row) for row in db.query_all(sql, params)]
+        db.close()
+    assert answers["memory"] == answers["wal"] == answers["sqlite"], sql
+
+
+def _queued_matched_and_running(backend):
+    """One pool with job 1 running, job 2 matched, job 3 idle and held
+    back by an edge on job 2, job 4 idle."""
+    pool = Pool(backend)
+    pool.heartbeat.register_machine({"name": "m1", "vm_count": 2}, 0.0)
+    pool.submission.submit_jobs(
+        [JobSpec(job_id=1), JobSpec(job_id=2),
+         JobSpec(job_id=3, depends_on=(2,)), JobSpec(job_id=4)], 1.0)
+    assert pool.scheduling.run_pass(2.0) == 2
+    vm_id = pool.db.scalar("SELECT vm_id FROM matches WHERE job_id = 1")
+    pool.lifecycle.accept_match(1, vm_id, 3.0)
+    return pool
+
+
+def test_remove_job_is_two_guarded_statements_on_every_backend():
+    """A removal is ``DELETE matches`` + one guarded ``DELETE jobs``; a
+    refusal pays one disambiguating SELECT, keeps the match, and faults
+    the way it always has.  Counts, ledger and tables equal everywhere."""
+    outcomes = {}
+    for backend in ("sqlite", "memory", "wal"):
+        pool = _queued_matched_and_running(backend)
+        db = pool.db
+        steps = []
+        for job_id, error in ((2, None), (3, None), (1, BeanStateError),
+                              (2, BeanNotFound), (99, BeanNotFound)):
+            mark, edges = db.counts.mark(), dict(
+                db.counts.transitions.get("jobs", {}))
+            if error is None:
+                pool.submission.remove_job(job_id)
+            else:
+                with pytest.raises(error):
+                    pool.submission.remove_job(job_id)
+            walked = {edge: count - edges.get(edge, 0) for edge, count
+                      in db.counts.transitions["jobs"].items()
+                      if count != edges.get(edge, 0)}
+            steps.append((db.counts.since(mark).statements, walked))
+        assert steps == [
+            (2, {"matched->(gone)": 1}), (2, {"idle->(gone)": 1}),
+            (3, {}), (3, {}), (3, {}),
+        ], backend
+        declared = set(LIFECYCLES["jobs"].edges())
+        assert all(tuple(edge.split("->")) in declared
+                   for edge in db.counts.transitions["jobs"])
+        # the running job and its (vanished) match: untouched by the refusal
+        assert db.scalar("SELECT state FROM jobs WHERE job_id = 1") == "running"
+        outcomes[backend] = (
+            {table: repr(rows) for table, rows in dump_tables(db).items()
+             if table in ("matches", "jobs", "job_dependencies", "runs")},
+            db.counts.statements, db.counts.tables, db.counts.transitions)
+        pool.close()
+    assert outcomes["memory"] == outcomes["wal"] == outcomes["sqlite"]
+    tables = outcomes["sqlite"][0]
+    assert tables["matches"] == "[]"           # job 2's match went with it
+    assert tables["job_dependencies"] == "[]"  # job 3's edge went with it
+
+
+@pytest.mark.parametrize("backend", ("sqlite", "memory", "wal"))
+def test_refused_removal_rolls_the_match_delete_back(backend):
+    """The guard misses *after* the match is deleted — a state the fuzzer
+    cannot reach (``matches`` and ``'matched'`` move together), parked
+    here with raw SQL — so the refusal must put the match back."""
+    pool = _queued_matched_and_running(backend)
+    pool.db.execute("UPDATE jobs SET state = 'completed' WHERE job_id = 2")
+    before = dump_tables(pool.db)
+    with pytest.raises(BeanStateError, match="'completed'"):
+        pool.submission.remove_job(2)
+    assert pool.db.table_count("matches") == 1
+    assert dump_tables(pool.db) == before
+    pool.close()
 
 
 def test_trace_count_meets_acceptance_floor():

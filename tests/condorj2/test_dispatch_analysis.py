@@ -25,7 +25,7 @@ from pathlib import Path
 
 from repro.condorj2.analysis.cli import main
 from repro.condorj2.analysis.dispatch import budgets_report, check_dispatch
-from repro.condorj2.beans import BeanContainer, UserBean
+from repro.condorj2.beans import BeanContainer
 from repro.condorj2.database import Database
 from repro.condorj2.datamgmt import DatasetService
 from repro.condorj2.logic import (
@@ -270,23 +270,6 @@ def test_heartbeat_drop_events_dispatch_flat_statement_counts():
         return container.db.counts.delta(before).statements
 
     assert beat(2) == beat(20)
-
-
-def test_bean_update_statement_text_is_canonical():
-    container = BeanContainer(Database())
-    container.create(UserBean, user_name="alice", created_at=0.0)
-    container.create(UserBean, user_name="bob", created_at=0.0)
-    alice = container.find(UserBean, "alice")
-    bob = container.find(UserBean, "bob")
-    cache = container.db.statement_cache
-    alice.update(priority=0.5, accumulated_usage_seconds=1.0)
-    entries_after_first = len(cache)
-    misses_after_first = container.db.counts.prepared_misses
-    # Reversed keyword order must render the same canonical SQL text:
-    # same cache entry, no new compilation.
-    bob.update(accumulated_usage_seconds=2.0, priority=0.25)
-    assert len(cache) == entries_after_first
-    assert container.db.counts.prepared_misses == misses_after_first
 
 
 # ----------------------------------------------------------------------

@@ -198,9 +198,10 @@ def test_idle_pool_sql_shrinks_with_dirty_flag(backend):
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_cache_ledger_pairs_are_equal_by_construction(backend):
     """``prepared_*`` and ``plan_*`` are ticked by the one admission, so
-    after any workload — evictions included — each pair is equal and the
-    scalar ledger agrees with the cache's own counters.  (What lets a
-    later benchmark change report one pair instead of two.)"""
+    after any workload — evictions included — each pair is equal, every
+    statement was admitted exactly once, and the eviction count is what
+    the cache's occupancy implies.  (What lets a later benchmark change
+    report one pair instead of two; the cache keeps no third copy.)"""
     container, submission, scheduling, lifecycle, heartbeat = \
         build_services(backend)
     register(heartbeat, "m1", vm_count=2)
@@ -213,7 +214,9 @@ def test_cache_ledger_pairs_are_equal_by_construction(backend):
     for index in range(db.statement_cache.capacity + 5):  # force evictions
         db.execute(f"SELECT {index} FROM users")  # sql-ident: distinct texts
     counts, cache = db.counts, db.statement_cache
-    assert counts.prepared_hits == counts.plan_hits == cache.hits > 0
-    assert counts.prepared_misses == counts.plan_misses == cache.misses > 0
-    assert counts.plan_evictions == cache.evictions >= 5
-    assert counts.statements == cache.hits + cache.misses
+    assert counts.prepared_hits == counts.plan_hits > 0
+    assert counts.prepared_misses == counts.plan_misses > 0
+    assert counts.statements == counts.plan_hits + counts.plan_misses
+    # every miss admitted one entry; what is not resident was evicted
+    assert len(cache) == cache.capacity
+    assert counts.plan_evictions == counts.plan_misses - len(cache) >= 5

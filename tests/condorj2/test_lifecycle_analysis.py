@@ -7,7 +7,8 @@ Four properties are enforced here:
   fixpoint reaches the verdicts the code is written against
   (``record_boot``/``change_value`` are protected by their callers);
 * **sensitivity** — seeded mutations (an illegal transition target, a
-  stripped state guard, a transition split across two transaction
+  stripped state guard, a parameter-bound state write put back on the
+  bean path or in a service, a transition split across two transaction
   scopes) are each caught by exactly the intended rule with exact
   file:line provenance;
 * **runtime cross-check** — a full service workload's observed
@@ -50,9 +51,11 @@ PACKAGE_ROOT = REPO_ROOT / "src" / "repro" / "condorj2"
 # ----------------------------------------------------------------------
 
 def _copy_logic(tmp_path):
-    """An analyzable tree holding a private copy of ``logic/``."""
+    """An analyzable tree holding a private copy of ``logic/`` and of
+    the ``beans/`` it calls."""
     root = tmp_path / "tree"
     shutil.copytree(PACKAGE_ROOT / "logic", root / "logic")
+    shutil.copytree(PACKAGE_ROOT / "beans", root / "beans")
     return root
 
 
@@ -98,6 +101,81 @@ def test_seeded_unguarded_state_write_is_caught(tmp_path):
     line = _line_of(root, "claimed = self.container.db.execute(")
     assert ("unguarded-state-write", "logic/lifecycle.py", line) \
         in _error_sites(root)
+
+
+_BEAN_STATE_WRITE = '''
+
+    def set_state(self, bean_class, pk, state):
+        """Seeded defect: the row-at-a-time state write, back on the
+        bean path and as generic as it ever was."""
+        self.db.execute(  # seeded-bean-state-write
+            f"UPDATE {bean_class.TABLE} SET state = ? "
+            f"WHERE {bean_class.PK} = ?",
+            (state, pk),
+        )
+
+    def remove(self, bean_class, pk):
+        self.db.execute(  # seeded-bean-delete
+            f"DELETE FROM {bean_class.TABLE} WHERE {bean_class.PK} = ?",
+            (pk,),
+        )
+'''
+
+
+def test_seeded_parameter_bound_state_write_is_caught_on_the_bean_path(
+        tmp_path):
+    """The lifecycle pass reads every render of a template, so a generic
+    ``UPDATE {table} SET state = ?`` on the container is an unguarded
+    write of each lifecycle table a bean serves, and a generic DELETE an
+    illegal transition of the one whose rows are never deleted."""
+    root = _copy_logic(tmp_path)
+    target = root / "beans" / "base.py"
+    target.write_text(target.read_text() + _BEAN_STATE_WRITE)
+    _corpus, findings = analyze(root)
+    write = _line_of(root, "# seeded-bean-state-write", "beans/base.py")
+    blind = {(f.file, f.line, f.message.split()[1]) for f in findings
+             if f.rule == "unguarded-state-write"}
+    assert blind == {("beans/base.py", write, table)
+                     for table in ("jobs", "machines", "vms")}
+    delete = _line_of(root, "# seeded-bean-delete", "beans/base.py")
+    illegal = [f.message for f in findings if f.line == delete
+               and f.rule == "illegal-transition"]
+    assert len(illegal) == 2 and all(  # machines and vms
+        "declares no deletable states" in message for message in illegal)
+
+
+def test_seeded_parameter_bound_state_write_is_caught_in_logic(tmp_path):
+    """removeJob's old walk, spelled the way the bean path dispatched
+    it: the target bound as a parameter, the key the only predicate."""
+    root = _copy_logic(tmp_path)
+    _mutate(root,
+            '"DELETE FROM jobs WHERE job_id = ? "\n'
+            "                \"AND state IN ('idle', 'matched', 'held')\",\n"
+            "                (job_id,),",
+            '"UPDATE jobs SET state = ? WHERE job_id = ?",\n'
+            '                ("removed", job_id),',
+            filename="logic/submission.py")
+    line = _line_of(root, "removed = db.execute(", "logic/submission.py")
+    assert ("unguarded-state-write", "logic/submission.py", line) \
+        in _error_sites(root)
+
+
+def test_every_lifecycle_update_and_delete_in_the_tree_is_constant_text():
+    """What makes the declaration enforceable: outside INSERT, no
+    template renders a statement that touches a lifecycle column, and
+    every constant one that does carries a literal guard."""
+    corpus, _findings = analyze(PACKAGE_ROOT)
+    writers = []
+    for statement in corpus.statements:
+        for sql in statement.renders:
+            spec = transition_spec(sql)
+            if spec is None or spec.verb == "INSERT":
+                continue
+            assert statement.constant, (statement.file, statement.line, sql)
+            assert spec.guard_states, (statement.file, statement.line, sql)
+            writers.append((spec.table, statement.file.split("/")[0]))
+    assert {layer for table, layer in writers if table == "jobs"} == {"logic"}
+    assert {table for table, _ in writers} == set(LIFECYCLES)
 
 
 _SPLIT_FUNCTION = '''

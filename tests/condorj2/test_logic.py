@@ -14,6 +14,7 @@ from repro.condorj2.logic import (
     SchedulingService,
     SubmissionService,
 )
+from repro.condorj2.schema import TABLE_BY_NAME
 
 
 @pytest.fixture
@@ -72,6 +73,27 @@ def test_remove_idle_job(services):
     assert container.db.table_count("jobs") == 0
 
 
+def test_remove_matched_job_takes_its_match_and_frees_the_slot(services):
+    container, submission, scheduling, _, heartbeat, *_ = services
+    register_machine(heartbeat, vm_count=1)
+    first = submission.submit_job(JobSpec(), now=0.0)
+    second = submission.submit_job(JobSpec(), now=0.0)
+    assert scheduling.run_pass(now=1.0) == 1
+    submission.remove_job(first)
+    assert container.db.table_count("matches") == 0
+    assert scheduling.run_pass(now=2.0) == 1  # the slot goes to the next job
+    assert container.db.scalar("SELECT job_id FROM matches") == second
+
+
+def test_remove_unknown_or_already_removed_job_is_not_found(services):
+    _, submission, *_ = services
+    job_id = submission.submit_job(JobSpec(), now=0.0)
+    submission.remove_job(job_id)
+    for missing in (job_id, 10 ** 9):
+        with pytest.raises(BeanNotFound):
+            submission.remove_job(missing)
+
+
 def test_remove_running_job_rejected(services):
     container, submission, scheduling, lifecycle, heartbeat, *_ = services
     register_machine(heartbeat)
@@ -79,8 +101,9 @@ def test_remove_running_job_rejected(services):
     scheduling.run_pass(now=1.0)
     match = container.db.query_one("SELECT vm_id FROM matches WHERE job_id = ?", (job_id,))
     lifecycle.accept_match(job_id, match["vm_id"], now=2.0)
-    with pytest.raises(BeanStateError):
+    with pytest.raises(BeanStateError, match="in state 'running'"):
         submission.remove_job(job_id)
+    assert container.db.table_count("runs") == 1
 
 
 # ----------------------------------------------------------------------
@@ -264,6 +287,25 @@ def test_drop_requeues_job(services):
     assert vm["state"] == "idle"
 
 
+def test_history_records_completions_only_and_reports_nothing_else(services):
+    """A drop requeues the job and writes no history row, so no report
+    filters ``job_history`` by outcome and no index is kept for one
+    (drop statistics come from the event log: ``drop_stats``)."""
+    container, lifecycle, reports = services[0], services[3], services[5]
+    job_id, vm_id = full_cycle(services)
+    lifecycle.accept_match(job_id, vm_id, now=2.0)
+    lifecycle.report_drop(job_id, vm_id, now=3.0, reason="setup-timeout")
+    assert container.db.table_count("job_history") == 0
+    services[2].run_pass(now=4.0)
+    lifecycle.accept_match(job_id, vm_id, now=5.0)
+    lifecycle.complete_job(job_id, vm_id, now=65.0)
+    outcomes = container.db.query_all("SELECT final_state FROM job_history")
+    assert [row["final_state"] for row in outcomes] == ["completed"]
+    assert not hasattr(reports, "drops_by_machine")
+    assert [index.name for index in TABLE_BY_NAME["job_history"].indexes] == [
+        "idx_job_history_owner", "idx_job_history_completed"]
+
+
 # ----------------------------------------------------------------------
 # heartbeat
 # ----------------------------------------------------------------------
@@ -430,8 +472,11 @@ def test_accounting_by_user_aggregates(services):
 # ----------------------------------------------------------------------
 def test_config_defaults_and_typed_access(services):
     config = services[6]
-    config.install_defaults(now=0.0)
-    assert config.get("scheduling_interval_seconds") == "2.0"
+    config.install_defaults(0.0, {"scheduling_interval_seconds": "2.0"})
+    config.install_defaults(5.0, {"scheduling_interval_seconds": "9.0",
+                                  "storage_backend": "sqlite"})
+    assert config.get("scheduling_interval_seconds") == "2.0"  # kept
+    assert config.get("storage_backend") == "sqlite"  # only the missing one
     assert config.get_float("scheduling_interval_seconds", 99.0) == 2.0
     assert config.get("missing-policy") is None
     assert config.get("missing-policy", "fallback") == "fallback"

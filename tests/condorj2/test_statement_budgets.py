@@ -199,6 +199,28 @@ def test_accept_is_four_guarded_writes_under_a_budget_of_eight(backend):
     assert stats.statements == 5
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_remove_is_two_guarded_deletes_under_a_budget_of_three(backend):
+    """removeJob: the match DELETE, then one DELETE of the job that is
+    its own guard; only a refusal pays the SELECT that names the fault."""
+    system, _machine, ids = accepted_job(backend)
+    dispatch = system.cas.registry.dispatch
+    queued = dispatch("submitJob", {"owner": "alice"}, 2.0)["job_id"]
+    assert dispatch("removeJob", {"job_id": queued}, 3.0) == {"status": "OK"}
+    stats = system.cas.gateway.stats["removeJob"]
+    assert (stats.calls, stats.statements, stats.max_statements) == (1, 2, 2)
+    contract = system.cas.gateway.registry.contract("removeJob")
+    assert contract.statement_budget.limit() == 3
+    for job_id, subcode in ((ids["job_id"], "illegal-state"),  # running
+                            (queued, "not-found"),     # already removed
+                            (10 ** 9, "not-found")):   # never existed
+        with pytest.raises(ConflictFault) as excinfo:
+            dispatch("removeJob", {"job_id": job_id}, 4.0)
+        assert excinfo.value.subcode == subcode, job_id
+    assert (stats.faults, stats.statements, stats.budget_overruns) == (3, 11, 0)
+    assert system.cas.db.table_count("runs") == 1
+
+
 def test_statistics_page_shows_budget_headroom_panel():
     system = _small_system()
     system.start()

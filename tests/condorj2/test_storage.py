@@ -67,11 +67,9 @@ def test_cache_hits_and_misses_are_counted(db):
     db.execute("SELECT 1")
     db.execute("SELECT 1")
     db.execute("SELECT 2")
-    assert db.statement_cache.misses == 2
-    assert db.statement_cache.hits == 1
     assert db.counts.prepared_misses == 2
     assert db.counts.prepared_hits == 1
-    assert db.statement_cache.hit_rate() == pytest.approx(1 / 3)
+    assert db.counts.hit_rate() == pytest.approx(1 / 3)
     # one cache, so the engine-side view of the ledger is the same pair
     assert (db.counts.plan_hits, db.counts.plan_misses) == (1, 2)
     entry = db.statement_cache.peek("SELECT 1")
@@ -80,29 +78,27 @@ def test_cache_hits_and_misses_are_counted(db):
 
 
 def _touch(cache, sql):
-    """What engine admission does: counted lookup, store on a miss."""
-    hit = cache.lookup(sql) is not None
-    if not hit:
-        cache.store(describe(sql))
-    return hit
+    """What engine admission does: lookup, store on a miss.  Returns
+    ``(hit, evicted)`` — the two facts admission ticks its ledger by."""
+    if cache.lookup(sql) is not None:
+        return True, False
+    return False, cache.store(describe(sql))
 
 
 def test_cache_evicts_least_recently_used():
     cache = StatementCache(capacity=2)
     _touch(cache, "SELECT 'a'")
-    _touch(cache, "SELECT 'b'")
-    assert _touch(cache, "SELECT 'a'") is True  # refresh a: b is now LRU
-    _touch(cache, "SELECT 'c'")  # evicts b
-    assert cache.evictions == 1
+    assert _touch(cache, "SELECT 'b'") == (False, False)
+    assert _touch(cache, "SELECT 'a'") == (True, False)  # b is now LRU
+    assert _touch(cache, "SELECT 'c'") == (False, True)  # evicts b
     assert "SELECT 'a'" in cache and "SELECT 'c'" in cache
     assert "SELECT 'b'" not in cache
     assert [entry.sql for entry in cache.entries()] == [
         "SELECT 'a'", "SELECT 'c'"]  # least- to most-recently used
-    assert _touch(cache, "SELECT 'b'") is False  # re-admitted as a miss
-    assert (cache.hits, cache.misses, cache.evictions) == (1, 4, 2)
+    assert _touch(cache, "SELECT 'b'") == (False, True)  # a miss again
     assert cache.peek("SELECT 'b'").uses == 1
-    assert cache.peek("SELECT 'a'") is None  # peek is uncounted
-    assert (cache.hits, cache.misses) == (1, 4)
+    assert cache.peek("SELECT 'a'") is None
+    assert cache.peek("SELECT 'c'").uses == 1  # peek counts no use
 
 
 def test_cache_capacity_must_be_positive():
@@ -127,7 +123,6 @@ def test_engine_cache_size_is_configurable():
     for i in range(5):
         db.execute(f"SELECT {i}")  # sql-ident: distinct statement texts
     assert len(db.statement_cache) == 3
-    assert db.statement_cache.evictions == 2
     assert db.counts.plan_evictions == 2
     db.close()
 
@@ -217,9 +212,9 @@ def test_completion_batch_sizes_share_statement_text(services):
         lifecycle.complete_jobs(pairs, now=3.0)
 
     run_batch([JobSpec()])
-    misses_before = container.db.statement_cache.misses
+    misses_before = container.db.counts.plan_misses
     run_batch([JobSpec(), JobSpec(), JobSpec()])
-    assert container.db.statement_cache.misses == misses_before
+    assert container.db.counts.plan_misses == misses_before
 
 
 # ----------------------------------------------------------------------

@@ -9,6 +9,7 @@ from repro.cluster import (
     JobSpec,
 )
 from repro.condorj2 import CondorJ2System
+from repro.condorj2.costs import CasCostModel
 from repro.condorj2.startd import StartdConfig
 from repro.workload import fixed_length_batch, mixed_batch, two_stage_workflow
 
@@ -46,6 +47,22 @@ def test_machines_register_and_heartbeat():
     last = system.cas.db.scalar("SELECT MIN(last_heartbeat) FROM machines")
     system.sim.run(until=200.0)
     assert system.cas.db.scalar("SELECT MIN(last_heartbeat) FROM machines") > last
+
+
+def test_boot_policies_state_the_configuration_in_force():
+    """What the admin console reports is what the pool runs on: every
+    policy installed at boot is read off the live deployment."""
+    costs = CasCostModel(scheduling_interval_seconds=3.0)
+    system = small_system(costs=costs)
+    system.start()
+    policies = {row["policy_name"]: row["policy_value"] for row in
+                system.cas.db.query_all("SELECT * FROM config_policies")}
+    assert policies == {
+        "storage_backend": system.cas.db.engine.name,
+        "scheduling_interval_seconds": "3.0",
+    }
+    page = system.cas.site.config_page(["scheduling_interval_seconds"])
+    assert "3.0" in page
 
 
 def test_pull_model_no_server_initiated_messages():
@@ -88,7 +105,9 @@ def test_seeded_pool_is_pinned_event_for_event():
     not: 1612 -> 1513 when "execution began" became a ``started`` event
     on the heartbeat (beginExecute was a whole heartbeat of its own per
     job start), 1513 -> 1465 when acceptMatch's DELETE became its own
-    guard (one SELECT fewer for each of the 48 accepts)."""
+    guard (one SELECT fewer for each of the 48 accepts), 1465 -> 1448
+    when boot stopped installing four policies nothing runs on and
+    installed the other two in one batch (18 statements -> 1)."""
     system = small_system(execution=FLAKY_EXECUTION, seed=9)
     # Ids from here, not the process-wide counter: an id's digits are
     # bytes on the wire, and bytes are simulated transport time.
@@ -103,7 +122,7 @@ def test_seeded_pool_is_pinned_event_for_event():
     assert (
         system.sim.events_processed, system.sim.now, db.counts.statements,
         db.table_count("job_history"), system.cas.scheduling.matches_created,
-    ) == (2880, 210.0, 1465, 36, 48)
+    ) == (2880, 210.0, 1448, 36, 48)
 
 
 def test_mixed_workload_dependency_free_ordering():

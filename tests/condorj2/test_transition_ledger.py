@@ -26,8 +26,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cluster import ClusterSpec, JobSpec
 from repro.condorj2 import CondorJ2System
-from repro.condorj2.beans import BeanContainer
-from repro.condorj2.beans.entities import JobBean
 from repro.condorj2.costs import CasCostModel
 from repro.condorj2.database import Database, DatabaseError
 from repro.condorj2.schema import (
@@ -301,9 +299,10 @@ def test_refresh_that_reasserts_the_state_is_a_self_loop(db):
 
 
 def test_unguarded_bean_delete_names_the_state_it_removed(db):
-    job = BeanContainer(db).find(JobBean, 2)
-    job.transition("removed")
-    job.remove()  # DELETE .. WHERE job_id = ?: no guard in the text
+    """The by-key DELETE the bean path used to issue (``EntityBean.remove``
+    is gone; the shape is what the ledger must still attribute)."""
+    db.execute("UPDATE jobs SET state = ? WHERE job_id = ?", ("removed", 2))
+    db.execute("DELETE FROM jobs WHERE job_id = ?", (2,))  # no guard in the text
     assert _ledger(db.counts) == {
         "jobs": {"idle->removed": 1, f"removed->{GONE}": 1}}
 

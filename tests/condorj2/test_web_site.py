@@ -120,10 +120,10 @@ def test_statistics_page_cache_panel_is_one_row(stack):
     assert "Statement Cache" in panel
     assert "compiled plans" not in panel and "prepared" not in panel
     cache, counts = container.db.statement_cache, container.db.counts
-    assert (cache.hits, cache.misses) == (counts.plan_hits, counts.plan_misses)
-    figures = [str(cache.capacity), str(len(cache)), str(cache.hits),
-               str(cache.misses), str(cache.evictions),
-               f"{cache.hit_rate():.3f}"]
+    assert counts.plan_hits > 0 and counts.plan_misses == len(cache)
+    figures = [str(cache.capacity), str(len(cache)), str(counts.plan_hits),
+               str(counts.plan_misses), str(counts.plan_evictions),
+               f"{counts.hit_rate():.3f}"]
     data_rows = [line.split() for line in panel.splitlines()
                  if line.split()[:1] == figures[:1]]
     assert data_rows == [figures]
