@@ -135,14 +135,13 @@ _HEARTBEAT_RESPONSE = SchemaDef(
 
 def _contract(name, version, summary, side_effect, request_fields,
               response, batchable=True, routing_key=None,
-              request_allow_extra=False, statement_budget=None):
+              statement_budget=None):
     return OperationContract(
         name=name,
         version=version,
         summary=summary,
         side_effect=side_effect,
-        request=SchemaDef(f"{name}Request", tuple(request_fields),
-                          allow_extra=request_allow_extra),
+        request=SchemaDef(f"{name}Request", tuple(request_fields)),
         response=response,
         batchable=batchable,
         routing_key=routing_key,

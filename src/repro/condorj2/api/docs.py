@@ -39,9 +39,6 @@ def _kind_label(field: FieldDef) -> str:
     if field.kind == "list":
         inner = _kind_label(field.item) if field.item else "any"
         return f"list&lt;{inner}&gt;"
-    if field.kind == "map":
-        inner = _kind_label(field.item) if field.item else "any"
-        return f"map&lt;str, {inner}&gt;"
     if field.kind == "struct":
         return "struct"
     return field.kind
@@ -73,7 +70,7 @@ def _field_rows(fields, prefix: str = "") -> List[str]:
         nested = ()
         if field.kind == "struct":
             nested = field.fields
-        elif field.kind in ("list", "map") and field.item is not None \
+        elif field.kind == "list" and field.item is not None \
                 and field.item.kind == "struct":
             nested = field.item.fields
         if nested:

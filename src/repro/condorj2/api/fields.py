@@ -21,8 +21,8 @@ from typing import Any, Dict, Optional, Tuple
 
 from repro.condorj2.api.faults import ValidationFault
 
-#: Field kinds, mirroring the SOAP codec's value space.
-KINDS = ("int", "float", "str", "bool", "list", "struct", "map", "any")
+#: Field kinds: the part of the SOAP codec's value space the contracts use.
+KINDS = ("int", "float", "str", "list", "struct")
 
 _NO_DEFAULT = object()
 
@@ -33,23 +33,19 @@ class FieldDef:
 
     name: str
     #: One of :data:`KINDS`.  ``float`` accepts ints (numeric widening);
-    #: ``int`` rejects bools; ``any`` accepts any JSON-like value.
+    #: ``int`` rejects bools.
     kind: str
     required: bool = True
     #: Default filled in when an optional field is absent.
     default: Any = _NO_DEFAULT
     #: May the value be None even though the kind says otherwise?
     nullable: bool = False
-    #: Item descriptor for ``list`` kinds and value descriptor for
-    #: ``map`` kinds (maps have arbitrary string keys).
+    #: Item descriptor for ``list`` kinds.
     item: Optional["FieldDef"] = None
     #: Nested fields for ``struct`` kinds.
     fields: Tuple["FieldDef", ...] = ()
     #: Permitted values for enumerated string fields.
     enum: Tuple[str, ...] = ()
-    #: Structs only: tolerate undeclared keys (row-shaped payloads whose
-    #: exact column set is the storage schema's business, not the API's).
-    allow_extra: bool = False
 
     @property
     def has_default(self) -> bool:
@@ -66,18 +62,14 @@ class SchemaDef:
 
     name: str
     fields: Tuple[FieldDef, ...] = ()
+    #: Tolerate undeclared keys (row-shaped payloads whose exact column
+    #: set is the storage schema's business, not the API's).
     allow_extra: bool = False
     nullable: bool = False
     #: When set, the payload is not a fixed struct but a map with
     #: arbitrary string keys whose values all match this descriptor
     #: (e.g. the per-state counters of ``queueSummary``).
     map_item: Optional[FieldDef] = None
-
-    def field(self, name: str) -> FieldDef:
-        for f in self.fields:
-            if f.name == name:
-                return f
-        raise KeyError(name)
 
     def validate(self, payload: Any, operation: str = "") -> Any:
         """Check ``payload`` against the schema; returns the normalised
@@ -140,13 +132,6 @@ def _validate_value(value: Any, f: FieldDef, path: str, operation: str) -> Any:
             return None
         _fail("wrong-type", path, "value must not be null", operation)
     kind = f.kind
-    if kind == "any":
-        return value
-    if kind == "bool":
-        if not isinstance(value, bool):
-            _fail("wrong-type", path,
-                  f"expected bool, got {type(value).__name__}", operation)
-        return value
     if kind == "int":
         if isinstance(value, bool) or not isinstance(value, int):
             _fail("wrong-type", path,
@@ -175,19 +160,8 @@ def _validate_value(value: Any, f: FieldDef, path: str, operation: str) -> Any:
             _validate_value(item, f.item, f"{path}[{index}]", operation)
             for index, item in enumerate(value)
         ]
-    if kind == "map":
-        if not isinstance(value, dict):
-            _fail("wrong-type", path,
-                  f"expected map, got {type(value).__name__}", operation)
-        if f.item is None:
-            return value
-        return {
-            key: _validate_value(item, f.item, f"{path}[{key!r}]", operation)
-            for key, item in value.items()
-        }
     if kind == "struct":
-        return _validate_struct(value, f.fields, f.allow_extra, path,
-                                operation)
+        return _validate_struct(value, f.fields, False, path, operation)
     raise AssertionError(f"unknown field kind {kind!r}")  # pragma: no cover
 
 
@@ -206,23 +180,11 @@ def f_str(name, required=True, default=_NO_DEFAULT, nullable=False, enum=()):
     return FieldDef(name, "str", required, default, nullable, enum=tuple(enum))
 
 
-def f_bool(name, required=True, default=_NO_DEFAULT):
-    return FieldDef(name, "bool", required, default)
-
-
 def f_list(name, item, required=True, default=_NO_DEFAULT):
     return FieldDef(name, "list", required, default, item=item)
 
 
-def f_map(name, item, required=True, default=_NO_DEFAULT):
-    return FieldDef(name, "map", required, default, item=item)
-
-
 def f_struct(name, fields, required=True, default=_NO_DEFAULT,
-             nullable=False, allow_extra=False):
+             nullable=False):
     return FieldDef(name, "struct", required, default, nullable,
-                    fields=tuple(fields), allow_extra=allow_extra)
-
-
-def f_any(name, required=True, default=_NO_DEFAULT, nullable=True):
-    return FieldDef(name, "any", required, default, nullable)
+                    fields=tuple(fields))

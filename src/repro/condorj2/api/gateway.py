@@ -312,11 +312,3 @@ class ServiceGateway:
         its host."""
         if seconds > 0:
             self._stats_for(operation).sim_seconds += seconds
-
-    def call_counts(self) -> Dict[str, int]:
-        """Operation -> successful-dispatch-attempt count (legacy view)."""
-        return {
-            operation: stats.calls
-            for operation, stats in self.stats.items()
-            if stats.calls
-        }

@@ -71,18 +71,9 @@ class CondorJ2ApplicationServer:
         self.network = network
         self.address = address
         self.costs = costs or CasCostModel()
-        # The engine's statement cache size and backend choice are
-        # container configuration, so the cost model owns both.
+        # The backend is deployment configuration the cost model carries.
         self.db = database or Database(
-            statement_cache_size=self.costs.prepared_statement_cache_size,
-            backend=self.costs.storage_backend or None,
-        )
-        # Durability is container configuration too: a WAL-backed engine
-        # adopts the cost model's priced fsync policy (other engines
-        # have no durability seam and are left alone).
-        configure = getattr(self.db.engine, "configure_durability", None)
-        if configure is not None:
-            configure(self.costs.fsync_policy())
+            backend=self.costs.storage_backend or None)
         self.log = log if log is not None else EventLog()
 
         # container plumbing

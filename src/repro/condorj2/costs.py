@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.condorj2.storage import FsyncPolicy, StatementCounts
+from repro.condorj2.storage import StatementCounts
 
 
 @dataclass
@@ -64,12 +64,9 @@ class CasCostModel:
     statement_prepare_seconds: float = 0.0003
 
     # -- storage engine ----------------------------------------------------
-    #: Capacity of the engine's LRU prepared-statement cache (the
-    #: container's PreparedStatement cache in the paper's stack).
-    prepared_statement_cache_size: int = 128
-    #: Storage backend name/URL for the operational store ("sqlite",
-    #: "memory", "wal", ...); empty string defers to the environment
-    #: default (``CONDORJ2_STORAGE_ENGINE``), then SQLite in memory.
+    #: Storage spec for the operational store, ``backend[://path]``
+    #: ("sqlite", "memory", "wal:///var/pool-wal"); empty string defers to
+    #: ``CONDORJ2_STORAGE_ENGINE``, then SQLite in memory.
     storage_backend: str = ""
 
     # -- durability (WAL engine) ------------------------------------------
@@ -82,12 +79,6 @@ class CasCostModel:
     #: Disk time for one checkpoint cycle (snapshot write + rename +
     #: segment rotation).
     wal_checkpoint_io_seconds: float = 0.0400
-    #: When the WAL engine forces its log: "commit" (every commit,
-    #: full durability), "interval" (every ``wal_fsync_interval``-th
-    #: commit — the group-commit precursor) or "never".
-    wal_fsync_mode: str = "commit"
-    #: Commits per log force under ``wal_fsync_mode="interval"``.
-    wal_fsync_interval: int = 8
 
     # -- container -------------------------------------------------------
     #: Concurrent request-handling threads in the web/EJB containers.
@@ -141,10 +132,9 @@ class CasCostModel:
         appends, forces and checkpoints — in ``delta``.
 
         The durability counters are zero on sqlite/memory backends, so
-        their charge is exactly the old ``commits`` term there; the WAL
-        engine's durability work is priced on top, which is what makes
-        ``wal_fsync_mode`` a real throughput/durability trade rather
-        than a cosmetic flag.
+        there the charge is the ``commits`` term alone; the WAL engine's
+        durability work is priced on top, so an engine built with a
+        laxer ``FsyncPolicy`` is charged for fewer forces.
         """
         return (
             delta.commits * self.commit_io_seconds
@@ -152,9 +142,3 @@ class CasCostModel:
             + delta.fsyncs * self.wal_fsync_io_seconds
             + delta.checkpoints * self.wal_checkpoint_io_seconds
         )
-
-    def fsync_policy(self) -> FsyncPolicy:
-        """The durability policy the configured mode/interval describe —
-        what the CAS hands a WAL engine at construction."""
-        return FsyncPolicy(mode=self.wal_fsync_mode,
-                           interval=self.wal_fsync_interval)

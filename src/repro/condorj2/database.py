@@ -41,32 +41,19 @@ __all__ = [
 class Database:
     """The operational store, backed by a pluggable :class:`StorageEngine`.
 
-    Backend resolution, most specific first:
-
-    * ``engine`` — a ready-made :class:`StorageEngine` instance;
-    * ``backend`` — a registry name or URL (``"memory"``,
-      ``"sqlite:///var/pool.db"``), resolved via
-      :func:`repro.condorj2.storage.create_engine`;
-    * ``path`` — a storage URL or SQLite path (``"memory://"`` selects
-      the dict-backed engine, anything else is a SQLite location);
-    * the ``CONDORJ2_STORAGE_ENGINE`` environment variable, then SQLite
-      in memory.
+    ``engine`` is a ready-made engine; otherwise ``backend`` is a spec,
+    ``backend[://path]``, built by
+    :func:`repro.condorj2.storage.create_engine` (``None`` defers to
+    ``CONDORJ2_STORAGE_ENGINE``, then SQLite in memory).
     """
 
     def __init__(
         self,
-        path: str = ":memory:",
-        engine: Optional[StorageEngine] = None,
-        statement_cache_size: int = 128,
         backend: Optional[str] = None,
+        engine: Optional[StorageEngine] = None,
     ):
         if engine is None:
-            spec = backend
-            if spec is None and path != ":memory:":
-                spec = path
-            engine = create_engine(
-                spec, path=path, statement_cache_size=statement_cache_size
-            )
+            engine = create_engine(backend)
         self.engine = engine
         self._in_transaction = False
         self.engine.run_script(SCHEMA_STATEMENTS)
@@ -137,8 +124,8 @@ class Database:
         if self._in_transaction:
             yield self
             return
-        self._in_transaction = True
         self.engine.begin()
+        self._in_transaction = True
         try:
             yield self
         except BaseException:

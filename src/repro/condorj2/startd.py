@@ -136,7 +136,9 @@ class CondorJ2Startd:
     def _vm_states_payload(self) -> List[Dict[str, Any]]:
         """Changed VM states since the last beat (full table every Nth)."""
         self._beats += 1
-        full = (self._beats % max(1, self.config.full_state_every_beats)) == 1
+        # Beats 1, N+1, 2N+1, ...: the first beat is always full.
+        every = max(1, self.config.full_state_every_beats)
+        full = (self._beats - 1) % every == 0
         payload: List[Dict[str, Any]] = []
         for vm in self.node.vms:
             state = vm.state.value

@@ -70,9 +70,9 @@ class StorageEngine(ABC):
     counts: StatementCounts
     statement_cache: StatementCache
 
-    def _init_accounting(self, statement_cache_size: int) -> None:
+    def _init_accounting(self) -> None:
         self.counts = StatementCounts()
-        self.statement_cache = StatementCache(statement_cache_size)
+        self.statement_cache = StatementCache()
         #: ``(table, from, to)`` per lifecycle row the raw call in flight
         #: has updated or deleted.  The engine appends where it writes
         #: the row; ``execute``/``executemany`` empty it (in place: the
@@ -277,12 +277,12 @@ class SqliteStorageEngine(StorageEngine):
     INTEGRITY_ERRORS = (sqlite3.IntegrityError,)
     ENGINE_ERRORS = (sqlite3.Error,)
 
-    def __init__(self, path: str = ":memory:", statement_cache_size: int = 128):
+    def __init__(self, path: str = ":memory:"):
         self._conn = sqlite3.connect(path)
         self._conn.row_factory = sqlite3.Row
         self._conn.isolation_level = None  # explicit transaction control
         self._conn.execute("PRAGMA foreign_keys = ON")
-        self._init_accounting(statement_cache_size)
+        self._init_accounting()
         edges = self._edges
         self._conn.create_function(
             "lifecycle_edge", -1,

@@ -73,8 +73,8 @@ class MemoryStorageEngine(TableStore, StorageEngine):
     ENGINE_ERRORS = (MemoryEngineError, MemoryIntegrityError,
                      sp.SqlSyntaxError)
 
-    def __init__(self, path: str = ":memory:", statement_cache_size: int = 128):
-        self._init_accounting(statement_cache_size)
+    def __init__(self, path: str = ":memory:"):
+        self._init_accounting()
         TableStore.__init__(self)
         self._compiler = _Compiler(self)
 

@@ -68,7 +68,8 @@ class StatementCache:
 
     Entries survive data changes — everything on one is a function of
     the text, and the planner's statistics snapshot is advisory, taken
-    at compile time.
+    at compile time.  Every engine holds one at the default capacity, so
+    equal workloads evict equally on every backend.
     """
 
     def __init__(self, capacity: int = 128):

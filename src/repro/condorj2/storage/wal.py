@@ -25,9 +25,10 @@ payload — of four kinds:
   any bracket is an autocommit statement and is its own commit point.
 
 **Durability.**  :class:`FsyncPolicy` decides when appended records are
-forced to the OS (every commit point, every N-th, or never); the CAS
-cost model prices each force as commit disk time
-(:meth:`repro.condorj2.costs.CasCostModel.fsync_policy`).  The
+forced to the OS (every commit point, the default; every N-th; or
+never), fixed when the engine is built; the CAS cost model prices each
+force as commit disk time
+(:meth:`repro.condorj2.costs.CasCostModel.io_cost_seconds`).  The
 simulation counts forces in :class:`~repro.condorj2.storage.counters.
 StatementCounts` rather than paying real ``os.fsync`` latency unless
 ``os_sync=True``.
@@ -300,7 +301,7 @@ class WalStorageEngine(MemoryStorageEngine):
 
     name = "wal"
 
-    def __init__(self, path: str = ":memory:", statement_cache_size: int = 128,
+    def __init__(self, path: str = ":memory:",
                  *, fsync_policy: Optional[FsyncPolicy] = None,
                  checkpoint_interval_bytes: int = 256 * 1024,
                  injector: Optional[CrashInjector] = None,
@@ -310,7 +311,7 @@ class WalStorageEngine(MemoryStorageEngine):
         #: must not re-log itself) and after a simulated crash.
         self._wal_active = False
         self._crashed = False
-        super().__init__(path, statement_cache_size)
+        super().__init__(path)
         if not path or path == ":memory:":
             self.directory = tempfile.mkdtemp(prefix="condorj2-wal-")
             self._ephemeral = True
@@ -347,13 +348,6 @@ class WalStorageEngine(MemoryStorageEngine):
         self._recover()
         self._open_segment()
         self._wal_active = True
-
-    # ------------------------------------------------------------------
-    # configuration seam (the CAS wires the cost model's policy here)
-    # ------------------------------------------------------------------
-    def configure_durability(self, policy: FsyncPolicy) -> None:
-        """Adopt the container's priced fsync policy."""
-        self.fsync_policy = policy
 
     # ------------------------------------------------------------------
     # log appends

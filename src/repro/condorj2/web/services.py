@@ -19,7 +19,7 @@ validated against the response schema before they reach the wire.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List
+from typing import Any, Dict
 
 from repro.cluster.job import JobSpec
 from repro.condorj2.api.contracts import ContractRegistry
@@ -82,19 +82,6 @@ class WebServiceRegistry:
         self.gateway = ServiceGateway(
             self.contracts, submission.container.db.counts, costs
         )
-
-    @property
-    def calls(self) -> Dict[str, int]:
-        """Operation -> dispatched-call count (the legacy meter view)."""
-        return self.gateway.call_counts()
-
-    def operations(self) -> List[str]:
-        """Names of all exposed operations (the service WSDL, in spirit)."""
-        return self.contracts.operations()
-
-    def dispatch(self, operation: str, payload: Any, now: float) -> Any:
-        """Route one decoded request through the gateway pipeline."""
-        return self.gateway.dispatch(operation, payload, now)
 
     # ------------------------------------------------------------------
     # startd-facing handlers

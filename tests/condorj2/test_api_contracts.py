@@ -47,7 +47,7 @@ def test_every_operation_has_a_complete_contract():
 
 def test_contract_table_covers_exactly_the_service_surface():
     system = small_system()
-    assert system.cas.registry.operations() == sorted(
+    assert system.cas.registry.contracts.operations() == sorted(
         contract.name for contract in CONTRACTS
     )
     assert len(CONTRACTS) == 14
@@ -81,11 +81,11 @@ def test_every_handler_response_validates():
     *is* the conformance proof.
     """
     system = small_system()
-    registry = system.cas.registry
+    gateway = system.cas.gateway
     now = 0.0
 
     def call(operation, payload):
-        return registry.dispatch(operation, payload, now)
+        return gateway.dispatch(operation, payload, now)
 
     call("registerMachine", system.nodes[0].describe())
     call("registerMachine", system.nodes[1].describe())
@@ -133,57 +133,57 @@ def test_every_handler_response_validates():
 # request validation: precise faults, applied defaults
 # ----------------------------------------------------------------------
 @pytest.fixture
-def registry():
-    return small_system().cas.registry
+def gateway():
+    return small_system().cas.gateway
 
 
-def _fault(registry, operation, payload):
+def _fault(gateway, operation, payload):
     with pytest.raises(ValidationFault) as excinfo:
-        registry.dispatch(operation, payload, 0.0)
+        gateway.dispatch(operation, payload, 0.0)
     return excinfo.value
 
 
-def test_missing_required_field(registry):
-    fault = _fault(registry, "acceptMatch", {"job_id": 1})
+def test_missing_required_field(gateway):
+    fault = _fault(gateway, "acceptMatch", {"job_id": 1})
     assert fault.subcode == "missing-field"
     assert "vm_id" in fault.detail
 
 
-def test_wrong_type(registry):
-    fault = _fault(registry, "acceptMatch", {"job_id": "one", "vm_id": "v"})
+def test_wrong_type(gateway):
+    fault = _fault(gateway, "acceptMatch", {"job_id": "one", "vm_id": "v"})
     assert fault.subcode == "wrong-type"
 
 
-def test_unknown_field(registry):
-    fault = _fault(registry, "removeJob", {"job_id": 1, "force": True})
+def test_unknown_field(gateway):
+    fault = _fault(gateway, "removeJob", {"job_id": 1, "force": True})
     assert fault.subcode == "unknown-field"
     assert "force" in fault.detail
 
 
-def test_enum_violation(registry):
-    fault = _fault(registry, "heartbeat", {
+def test_enum_violation(gateway):
+    fault = _fault(gateway, "heartbeat", {
         "machine": "m", "vms": [{"vm_id": "v", "state": "exploded"}],
     })
     assert fault.subcode == "bad-value"
     assert "exploded" in fault.detail
 
 
-def test_non_struct_payload(registry):
-    fault = _fault(registry, "poolStatus", [1, 2, 3])
+def test_non_struct_payload(gateway):
+    fault = _fault(gateway, "poolStatus", [1, 2, 3])
     assert fault.subcode == "not-a-struct"
 
 
-def test_bool_is_not_an_int(registry):
-    fault = _fault(registry, "jobDetail", {"job_id": True})
+def test_bool_is_not_an_int(gateway):
+    fault = _fault(gateway, "jobDetail", {"job_id": True})
     assert fault.subcode == "wrong-type"
 
 
 def test_defaults_are_contract_owned():
     """submitJob with an empty payload gets every contract default."""
     system = small_system()
-    system.cas.registry.dispatch("registerMachine",
-                                 system.nodes[0].describe(), 0.0)
-    response = system.cas.registry.dispatch("submitJob", {}, 0.0)
+    system.cas.gateway.dispatch("registerMachine",
+                                system.nodes[0].describe(), 0.0)
+    response = system.cas.gateway.dispatch("submitJob", {}, 0.0)
     detail = system.cas.reports.job_detail(response["job_id"])
     assert detail["owner"] == "user"
     assert detail["cmd"] == "/bin/science"
@@ -191,13 +191,13 @@ def test_defaults_are_contract_owned():
     assert detail["image_size_mb"] == 16
 
 
-def test_conflict_faults_carry_state_subcodes(registry):
+def test_conflict_faults_carry_state_subcodes(gateway):
     with pytest.raises(ConflictFault) as excinfo:
-        registry.dispatch("acceptMatch", {"job_id": 404, "vm_id": "vm0@x"},
-                          0.0)
+        gateway.dispatch("acceptMatch", {"job_id": 404, "vm_id": "vm0@x"},
+                         0.0)
     assert excinfo.value.subcode == "not-found"
     with pytest.raises(ConflictFault) as excinfo:
-        registry.dispatch("heartbeat", {"machine": "never-registered"}, 0.0)
+        gateway.dispatch("heartbeat", {"machine": "never-registered"}, 0.0)
     assert excinfo.value.subcode == "not-found"
 
 

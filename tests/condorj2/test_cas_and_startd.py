@@ -79,7 +79,7 @@ def test_cas_db_background_runs_on_schedule():
 
 def test_registry_exposes_paper_operations():
     system = small_system()
-    operations = system.cas.registry.operations()
+    operations = system.cas.registry.contracts.operations()
     for op in ("heartbeat", "acceptMatch", "beginExecute", "submitJob",
                "registerMachine", "queueSummary", "setPolicy"):
         assert op in operations
@@ -89,8 +89,9 @@ def test_dispatch_counts_calls_per_operation():
     system = small_system()
     system.start()
     system.sim.run(until=10.0)
-    assert system.cas.registry.calls.get("registerMachine") == 2
-    assert system.cas.registry.calls.get("heartbeat", 0) >= 2
+    stats = system.cas.gateway.stats
+    assert stats["registerMachine"].calls == 2
+    assert stats["heartbeat"].calls >= 2
 
 
 # ----------------------------------------------------------------------
@@ -110,13 +111,16 @@ def test_startd_delta_vm_reporting():
     assert third[0]["state"] == "busy"
 
 
-def test_startd_full_refresh_every_n_beats():
-    config = StartdConfig(full_state_every_beats=3)
+@pytest.mark.parametrize("every, sizes", [
+    # beats 1 and 4 are full (2 VMs); the rest are deltas (0 changes)
+    (3, [2, 0, 0, 2, 0, 0]),
+    (1, [2, 2, 2, 2, 2, 2]),
+])
+def test_startd_full_refresh_every_n_beats(every, sizes):
+    config = StartdConfig(full_state_every_beats=every)
     system = small_system(startd_config=config)
     startd = system.startds[0]
-    sizes = [len(startd._vm_states_payload()) for _ in range(6)]
-    # beats 1 and 4 are full (2 VMs); the rest are deltas (0 changes).
-    assert sizes == [2, 0, 0, 2, 0, 0]
+    assert [len(startd._vm_states_payload()) for _ in range(6)] == sizes
 
 
 def test_startd_stop_halts_heartbeats():
@@ -157,4 +161,4 @@ def test_jobs_flow_through_small_pool_quickly():
     system.run_until_complete(expected_jobs=8, max_seconds=600.0)
     assert system.completed_count() == 8
     # Pull model: jobs were delivered via heartbeat MATCHINFO + accept.
-    assert system.cas.registry.calls.get("acceptMatch", 0) == 8
+    assert system.cas.gateway.stats["acceptMatch"].calls == 8

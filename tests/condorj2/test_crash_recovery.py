@@ -525,19 +525,20 @@ def test_failed_plans_never_reach_the_log(tmp_path):
 def test_plan_cache_eviction_under_wal(tmp_path):
     """Statement-cache eviction churn on the WAL engine must not disturb
     the log: evicting and recompiling plans adds no records."""
-    engine = WalStorageEngine(str(tmp_path / "evict"), statement_cache_size=4)
+    engine = WalStorageEngine(str(tmp_path / "evict"))
     engine.execute(
         "INSERT INTO users (user_name, created_at) VALUES (?, ?)",
         ("u", 1.0),
     )
     appends = engine.counts.wal_appends
-    # churn the tiny cache with distinct SELECT texts
-    for index in range(12):
+    # churn the cache with more distinct SELECT texts than it holds
+    capacity = engine.statement_cache.capacity
+    for index in range(capacity + 8):
         engine.execute(
             f"SELECT priority FROM users WHERE created_at < {index + 2}.0"
         )
     assert engine.counts.plan_evictions > 0
-    assert len(engine.statement_cache) == 4
+    assert len(engine.statement_cache) == capacity
     assert engine.counts.wal_appends == appends, (
         "read-only cache churn appended WAL records"
     )

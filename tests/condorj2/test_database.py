@@ -75,6 +75,30 @@ def test_nested_transactions_join_outer(db):
     assert db.table_count("users") == 2
 
 
+@pytest.mark.parametrize("backend", ["sqlite", "memory", "wal"])
+def test_failed_begin_opens_no_transaction(backend, monkeypatch):
+    """A ``begin()`` that raises (WAL's SimulatedCrash, SQLite's nested
+    BEGIN) leaves no scope behind, so the next scope is a real one and
+    rolls its writes back instead of joining a transaction that never
+    began."""
+    db = Database(backend=backend)
+
+    def refuse():
+        raise DatabaseError("begin refused")
+    monkeypatch.setattr(db.engine, "begin", refuse)
+    with pytest.raises(DatabaseError):
+        with db.transaction():
+            pass
+    assert not db.in_transaction
+    monkeypatch.undo()
+    with pytest.raises(RuntimeError):
+        with db.transaction():
+            db.execute("INSERT INTO users (user_name, created_at) VALUES ('x', 0)")
+            raise RuntimeError("abort")
+    assert db.table_count("users") == 0
+    db.close()
+
+
 def test_integrity_error_wrapped(db):
     db.execute("INSERT INTO users (user_name, created_at) VALUES ('x', 0)")
     with pytest.raises(DatabaseError):

@@ -28,10 +28,9 @@ def small_system(**kwargs):
 def test_meter_records_calls_faults_and_latency():
     system = small_system()
     gateway = system.cas.gateway
-    system.cas.registry.dispatch("registerMachine",
-                                 system.nodes[0].describe(), 0.0)
+    gateway.dispatch("registerMachine", system.nodes[0].describe(), 0.0)
     with pytest.raises(ServiceFault):
-        system.cas.registry.dispatch(
+        gateway.dispatch(
             "acceptMatch", {"job_id": 404, "vm_id": "vm0@x"}, 0.0
         )
     register = gateway.stats["registerMachine"]
@@ -50,7 +49,7 @@ def test_meter_records_calls_faults_and_latency():
 def test_validation_failures_meter_without_counting_a_call():
     system = small_system()
     with pytest.raises(ValidationFault):
-        system.cas.registry.dispatch("acceptMatch", {"job_id": 1}, 0.0)
+        system.cas.gateway.dispatch("acceptMatch", {"job_id": 1}, 0.0)
     stats = system.cas.gateway.stats["acceptMatch"]
     assert stats.calls == 0
     assert stats.fault_codes == {FaultCode.VALIDATION: 1}
@@ -64,10 +63,10 @@ def test_fault_rate_shares_a_denominator_across_fault_kinds():
     the same attempts denominator — 1 success + 2 validation faults is
     a 2/3 fault rate, never 2.0 or 0.0."""
     system = small_system()
-    system.cas.registry.dispatch("submitJob", {"owner": "a"}, 0.0)
+    system.cas.gateway.dispatch("submitJob", {"owner": "a"}, 0.0)
     for _ in range(2):
         with pytest.raises(ValidationFault):
-            system.cas.registry.dispatch("submitJob", {"owner": 7}, 0.0)
+            system.cas.gateway.dispatch("submitJob", {"owner": 7}, 0.0)
     stats = system.cas.gateway.stats["submitJob"]
     assert stats.attempts == 3
     assert stats.calls == 1
@@ -77,9 +76,9 @@ def test_fault_rate_shares_a_denominator_across_fault_kinds():
 
 def test_meter_attributes_statement_work_per_operation():
     system = small_system()
-    system.cas.registry.dispatch("registerMachine",
-                                 system.nodes[0].describe(), 0.0)
-    system.cas.registry.dispatch("submitJob", {"owner": "a"}, 0.0)
+    system.cas.gateway.dispatch("registerMachine",
+                                system.nodes[0].describe(), 0.0)
+    system.cas.gateway.dispatch("submitJob", {"owner": "a"}, 0.0)
     stats = system.cas.gateway.stats
     assert stats["submitJob"].row_work > 0
     assert stats["submitJob"].sim_seconds > 0.0
@@ -112,7 +111,7 @@ def test_non_batchable_operation_is_refused_in_batch():
     assert items[0].fault.code == FaultCode.VALIDATION
     assert items[0].fault.subcode == "not-batchable"
     # ...but it is fine as a single-op envelope.
-    assert system.cas.registry.dispatch(
+    assert system.cas.gateway.dispatch(
         "registerMachine", system.nodes[0].describe(), 0.0
     )["status"] == "OK"
 
@@ -251,7 +250,7 @@ def test_accepts_ride_one_batch_and_starts_ride_the_heartbeat():
 
     system.run_until_complete(expected_jobs=4, max_seconds=600.0)
     assert system.completed_count() == 4
-    assert system.cas.registry.calls.get("acceptMatch") == 4
+    assert system.cas.gateway.stats["acceptMatch"].calls == 4
     assert system.trace.count("acceptMatch") == 0
     assert system.trace.count("batch") == 1
     # Every op of every envelope is metered as an attempt, so this also
@@ -301,7 +300,7 @@ def accepted_job(backend):
     from repro.condorj2.costs import CasCostModel
 
     system = small_system(costs=CasCostModel(storage_backend=backend))
-    dispatch = system.cas.registry.dispatch
+    dispatch = system.cas.gateway.dispatch
     machine = system.nodes[0].name
     dispatch("registerMachine", system.nodes[0].describe(), 0.0)
     dispatch("submitJob", {"owner": "alice", "run_seconds": 1.0}, 0.0)
@@ -318,7 +317,7 @@ def test_job_that_starts_and_ends_between_beats_walks_every_edge(backend):
     start is applied first, so the slot walks claiming -> busy -> idle
     instead of skipping straight home."""
     system, machine, ids = accepted_job(backend)
-    system.cas.registry.dispatch("heartbeat", {
+    system.cas.gateway.dispatch("heartbeat", {
         "machine": machine,
         "events": [{"kind": "completed", **ids}, {"kind": "started", **ids}],
     }, 3.0)
@@ -336,7 +335,7 @@ def test_begin_execute_is_one_guarded_statement(backend):
     system, machine, ids = accepted_job(backend)
     passes = system.cas.scheduling.passes
     beats = system.cas.heartbeat.heartbeats_processed
-    reply = system.cas.registry.dispatch(
+    reply = system.cas.gateway.dispatch(
         "beginExecute", {"machine": machine, **ids}, 2.0)
     assert reply == {"status": "OK"}
     stats = system.cas.gateway.stats["beginExecute"]

@@ -302,7 +302,7 @@ def _drive_workload(db):
 
 def _backend_db(backend, tmp_path):
     if backend == "wal":
-        return Database(path=str(tmp_path / "pool-wal"), backend="wal")
+        return Database(f"wal://{tmp_path / 'pool-wal'}")
     if backend == "sqlite":
         return Database()
     return Database(backend="memory")

@@ -37,15 +37,7 @@ from repro.condorj2.schema import (
     TableDef,
     render_ddl,
 )
-from repro.condorj2.storage import (
-    MemoryStorageEngine,
-    SqliteStorageEngine,
-    available_engines,
-    create_engine,
-    default_backend,
-    parse_storage_url,
-    register_engine,
-)
+from repro.condorj2.storage import MemoryStorageEngine
 from repro.condorj2.storage import plans
 from repro.condorj2.storage.store import MemoryTable
 
@@ -66,64 +58,6 @@ def _seed_machine(db, name="m1", vms=2):
             "INSERT INTO vms (vm_id, machine_name) VALUES (?, ?)",
             (f"vm{index}@{name}", name),
         )
-
-
-# ----------------------------------------------------------------------
-# engine registry / selection
-# ----------------------------------------------------------------------
-
-def test_registry_lists_both_backends():
-    assert {"sqlite", "memory"} <= set(available_engines())
-
-
-def test_parse_storage_url_forms():
-    assert parse_storage_url("memory") == ("memory", ":memory:")
-    assert parse_storage_url("memory://") == ("memory", ":memory:")
-    assert parse_storage_url("sqlite::memory:") == ("sqlite", ":memory:")
-    assert parse_storage_url("sqlite:///tmp/pool.db") == ("sqlite", "/tmp/pool.db")
-    assert parse_storage_url(":memory:") == ("sqlite", ":memory:")
-    assert parse_storage_url("/tmp/pool.db") == ("sqlite", "/tmp/pool.db")
-
-
-def test_create_engine_resolves_names_and_urls():
-    assert isinstance(create_engine("memory"), MemoryStorageEngine)
-    assert isinstance(create_engine("sqlite"), SqliteStorageEngine)
-    assert isinstance(create_engine("memory://"), MemoryStorageEngine)
-    with pytest.raises(DatabaseError):
-        create_engine("db2://cas")
-
-
-def test_database_accepts_memory_url_as_path():
-    database = Database(path="memory://")
-    assert database.engine.name == "memory"
-    database.close()
-
-
-def test_environment_selects_default_backend(monkeypatch):
-    monkeypatch.setenv("CONDORJ2_STORAGE_ENGINE", "memory")
-    assert default_backend() == "memory"
-    database = Database()
-    assert database.engine.name == "memory"
-    database.close()
-    monkeypatch.delenv("CONDORJ2_STORAGE_ENGINE")
-    assert default_backend() == "sqlite"
-
-
-def test_register_engine_extends_registry():
-    calls = []
-
-    def factory(path, statement_cache_size=128):
-        calls.append(path)
-        return MemoryStorageEngine(path, statement_cache_size=statement_cache_size)
-
-    register_engine("fuzz-double", factory)
-    try:
-        engine = create_engine("fuzz-double://anything")
-        assert isinstance(engine, MemoryStorageEngine)
-        assert calls == ["anything"]
-    finally:
-        import repro.condorj2.storage as storage
-        storage._ENGINE_REGISTRY.pop("fuzz-double", None)
 
 
 # ----------------------------------------------------------------------

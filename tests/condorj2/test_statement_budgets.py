@@ -194,7 +194,7 @@ def test_accept_is_four_guarded_writes_under_a_budget_of_eight(backend):
     contract = system.cas.gateway.registry.contract("acceptMatch")
     assert contract.statement_budget.limit() == 8
     with pytest.raises(ConflictFault) as excinfo:
-        system.cas.registry.dispatch("acceptMatch", ids, 2.0)  # match gone
+        system.cas.gateway.dispatch("acceptMatch", ids, 2.0)  # match gone
     assert excinfo.value.subcode == "not-found"
     assert stats.statements == 5
 
@@ -204,7 +204,7 @@ def test_remove_is_two_guarded_deletes_under_a_budget_of_three(backend):
     """removeJob: the match DELETE, then one DELETE of the job that is
     its own guard; only a refusal pays the SELECT that names the fault."""
     system, _machine, ids = accepted_job(backend)
-    dispatch = system.cas.registry.dispatch
+    dispatch = system.cas.gateway.dispatch
     queued = dispatch("submitJob", {"owner": "alice"}, 2.0)["job_id"]
     assert dispatch("removeJob", {"job_id": queued}, 3.0) == {"status": "OK"}
     stats = system.cas.gateway.stats["removeJob"]

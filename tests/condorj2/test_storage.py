@@ -32,9 +32,7 @@ from repro.condorj2.storage import (
     StatementCounts,
     StorageConfigError,
     WalStorageEngine,
-    available_engines,
     create_engine,
-    parse_storage_url,
 )
 from repro.condorj2.storage.statements import describe
 
@@ -115,31 +113,6 @@ def test_cache_entry_holds_the_lifecycle_classification(db):
     assert entry.spec.to_param == 0 and entry.spec.guard_states is None
     assert describe("SELECT state FROM jobs").spec is None
     assert describe("UPDATE users SET priority = 1").spec is None
-
-
-def test_engine_cache_size_is_configurable():
-    engine = SqliteStorageEngine(statement_cache_size=3)
-    db = Database(engine=engine)
-    for i in range(5):
-        db.execute(f"SELECT {i}")  # sql-ident: distinct statement texts
-    assert len(db.statement_cache) == 3
-    assert db.counts.plan_evictions == 2
-    db.close()
-
-
-def test_cost_model_wires_cache_size_into_cas():
-    from repro.condorj2 import CasCostModel as Costs
-    from repro.condorj2.cas import CondorJ2ApplicationServer
-    from repro.sim.cpu import quad_xeon
-    from repro.sim.kernel import Simulator
-    from repro.sim.network import Network
-
-    sim = Simulator(seed=0)
-    cas = CondorJ2ApplicationServer(
-        sim, quad_xeon(sim, "srv"), Network(sim),
-        costs=Costs(prepared_statement_cache_size=7),
-    )
-    assert cas.db.statement_cache.capacity == 7
 
 
 # ----------------------------------------------------------------------
@@ -453,40 +426,66 @@ def test_idle_pass_executes_single_statement(services):
 
 
 # ----------------------------------------------------------------------
-# engine factory / registry
+# engine selection: one grammar, backend[://path]
 # ----------------------------------------------------------------------
+ENGINES = {
+    "sqlite": SqliteStorageEngine,
+    "memory": MemoryStorageEngine,
+    "wal": WalStorageEngine,
+}
 
-def test_registry_lists_all_three_engines():
-    assert set(available_engines()) >= {"sqlite", "memory", "wal"}
+#: ``(spec, engine, what it leaves under the spec's directory)``; a spec
+#: without a path keeps its data private to the process.
+ACCEPTED_SPECS = (
+    ("sqlite", SqliteStorageEngine, []),
+    ("memory", MemoryStorageEngine, []),
+    ("wal", WalStorageEngine, []),
+    ("memory://", MemoryStorageEngine, []),
+    ("sqlite://{tmp}/pool.db", SqliteStorageEngine, ["pool.db"]),
+    ("wal://{tmp}/pool-wal", WalStorageEngine, ["pool-wal"]),
+)
+
+#: Unknown names and schemes, and the spellings only history used: bare
+#: SQLite paths, ``sqlite::memory:``, an empty scheme.
+REJECTED_SPECS = (
+    "postgres", "Wal", "", "postgres://somewhere/db", "db2://cas",
+    ":memory:", "{tmp}/pool.db", "sqlite::memory:", "://", "://{tmp}",
+)
 
 
-def test_create_engine_resolves_names_and_urls(tmp_path, monkeypatch):
-    for spec, expected in (
-        ("sqlite", SqliteStorageEngine),
-        ("memory", MemoryStorageEngine),
-        ("wal", WalStorageEngine),
-        ("memory://", MemoryStorageEngine),
-        (f"wal://{tmp_path}/pool-wal", WalStorageEngine),
-    ):
-        engine = create_engine(spec)
-        assert isinstance(engine, expected), spec
-        engine.close()
-    monkeypatch.setenv("CONDORJ2_STORAGE_ENGINE", "wal")
-    engine = create_engine()
-    assert isinstance(engine, WalStorageEngine)
-    engine.close()
+@pytest.mark.parametrize("spec, engine_class, files", ACCEPTED_SPECS)
+def test_spec_resolves_to_its_engine_and_path(spec, engine_class, files,
+                                              tmp_path):
+    database = Database(spec.format(tmp=tmp_path))
+    assert type(database.engine) is engine_class
+    database.execute("INSERT INTO users (user_name, created_at) "
+                     "VALUES ('u', 0)")
+    database.close()
+    assert sorted(path.name for path in tmp_path.iterdir()) == files
 
 
-def test_unknown_backend_raises_structured_fault():
+@pytest.mark.parametrize("name", [None, *ENGINES])
+def test_environment_names_the_default_engine(name, monkeypatch):
+    if name is None:
+        monkeypatch.delenv("CONDORJ2_STORAGE_ENGINE", raising=False)
+    else:
+        monkeypatch.setenv("CONDORJ2_STORAGE_ENGINE", name)
+    database = Database()
+    assert type(database.engine) is ENGINES[name or "sqlite"]
+    database.close()
+
+
+@pytest.mark.parametrize("spec", REJECTED_SPECS)
+def test_spec_naming_no_engine_raises_structured_fault(spec, tmp_path):
     """A typo'd backend name is a structured StorageConfigError naming
     the offender and the alternatives — never a silent SQLite file."""
-    for spec in ("postgres", "postgres://somewhere/db", "Wal"):
-        with pytest.raises(StorageConfigError) as excinfo:
-            create_engine(spec)
-        fault = excinfo.value
-        assert fault.backend in ("postgres", "Wal")
-        assert set(fault.available) >= {"memory", "sqlite", "wal"}
-        assert "registered engines" in str(fault)
+    spec = spec.format(tmp=tmp_path)
+    with pytest.raises(StorageConfigError) as excinfo:
+        create_engine(spec)
+    fault = excinfo.value
+    assert fault.backend == spec.partition("://")[0]
+    assert fault.available == tuple(ENGINES)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_unknown_env_default_raises_structured_fault(monkeypatch):
@@ -494,10 +493,3 @@ def test_unknown_env_default_raises_structured_fault(monkeypatch):
     with pytest.raises(StorageConfigError) as excinfo:
         create_engine()
     assert excinfo.value.backend == "bogus"
-
-
-def test_plain_paths_still_resolve_to_sqlite(tmp_path):
-    """Non-identifier specs keep the historical SQLite-path behavior."""
-    for spec in (":memory:", str(tmp_path / "pool.db"), "sqlite::memory:"):
-        backend, _ = parse_storage_url(spec)
-        assert backend == "sqlite", spec

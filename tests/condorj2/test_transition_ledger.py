@@ -365,15 +365,15 @@ def test_explain_sandbox_leaves_the_ledger_alone(backend):
 
 
 def test_wal_recovery_replays_rows_without_recording_edges(tmp_path):
-    directory = str(tmp_path / "pool-wal")
-    db = Database(path=directory, backend="wal")
+    spec = f"wal://{tmp_path / 'pool-wal'}"
+    db = Database(spec)
     db.execute("INSERT INTO users (user_name, created_at) VALUES ('alice', 0)")
     db.execute(
         "INSERT INTO jobs (job_id, owner, cmd, run_seconds, submitted_at)"
         " VALUES (1, 'alice', 'x', 1.0, 0)")
     db.execute("UPDATE jobs SET state = 'held' WHERE job_id = 1")
     db.close()
-    recovered = Database(path=directory, backend="wal")
+    recovered = Database(spec)
     try:
         assert recovered.counts.wal_replays == 3
         assert recovered.counts.transitions == {}
