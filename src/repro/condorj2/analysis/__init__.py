@@ -9,17 +9,15 @@ against the declared schema with the engines' own parser
 (:mod:`check`), applies the planner's costing rules to flag
 index-less equality access (:mod:`advisor`), reasons across statements
 about declared lifecycles (:mod:`lifecycle`) and transaction
-boundaries (:mod:`txn`), proves the dispatch complexity of every call
-site so the contracts' declared statement budgets are consistent with
-the code (:mod:`dispatch`), and gates CI on the result (:mod:`cli`,
-``python -m repro.condorj2.analysis``).
+boundaries (:mod:`txn`), flags every statement dispatched per row or
+inside an unbounded loop or recursion (:mod:`dispatch`), and gates CI
+on the result (:mod:`cli`, ``python -m repro.condorj2.analysis``).
 """
 
 from repro.condorj2.analysis.check import Catalog, check_extracted
 from repro.condorj2.analysis.cli import analyze, main
 from repro.condorj2.analysis.dispatch import (
-    DeclaredBudget, DispatchModel, budgets_report, build_dispatch_model,
-    check_dispatch,
+    DispatchModel, build_dispatch_model, check_dispatch,
 )
 from repro.condorj2.analysis.extract import (
     Corpus, ExtractedStatement, SqlTemplate, extract_corpus,
@@ -39,7 +37,6 @@ __all__ = [
     "Baseline",
     "Catalog",
     "Corpus",
-    "DeclaredBudget",
     "DispatchModel",
     "ExtractedStatement",
     "Finding",
@@ -49,7 +46,6 @@ __all__ = [
     "TableGraph",
     "TxnModel",
     "analyze",
-    "budgets_report",
     "build_dispatch_model",
     "build_graphs",
     "build_txn_model",

@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import repro.condorj2 as condorj2
 from repro.condorj2.analysis.check import Catalog, check_extracted
-from repro.condorj2.analysis.dispatch import budgets_report, check_dispatch
+from repro.condorj2.analysis.dispatch import check_dispatch
 from repro.condorj2.analysis.extract import Corpus, extract_corpus
 from repro.condorj2.analysis.findings import (
     SEVERITIES, Baseline, Finding, sort_findings,
@@ -123,35 +123,6 @@ def _transitions_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _budgets_report(args: argparse.Namespace) -> int:
-    """``--report budgets``: declared vs statically-derived budgets.
-
-    One line per operation: the declared statement budget, the handler
-    it is bound to, the handler's dispatch-complexity class and the
-    consistency verdict.  JSON is the :func:`budgets_report` document;
-    gating stays with the findings report (``budget-mismatch`` is an
-    error rule there), so this always exits 0.
-    """
-    document = budgets_report(args.root)
-    if args.output is not None:
-        args.output.write_text(json.dumps(document, indent=2) + "\n")
-    if args.format == "json":
-        print(json.dumps(document, indent=2))
-        return 0
-    for entry in document["operations"]:
-        verdict = {True: "consistent", False: "MISMATCH",
-                   None: "unresolved"}[entry["consistent"]]
-        print(f"{entry['operation']}: budget {entry['declared']}, "
-              f"handler {entry['handler'] or '(unbound)'} is "
-              f"{entry['complexity'] or '?'} [{verdict}]")
-    functions = document["dispatching_functions"]
-    flat = sum(1 for f in functions.values() if f["complexity"] == "O(1)")
-    print(f"{len(document['operations'])} operations; "
-          f"{len(functions)} dispatching functions "
-          f"({flat} O(1))")
-    return 0
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.condorj2.analysis",
@@ -177,11 +148,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         default="error",
         help="minimum new-finding severity that fails the run")
     parser.add_argument(
-        "--report", choices=("findings", "transitions", "budgets"),
+        "--report", choices=("findings", "transitions"),
         default="findings",
         help="'transitions' emits the per-table lifecycle transition "
-             "graphs, 'budgets' the declared-vs-derived statement "
-             "budgets, instead of gating on findings")
+             "graphs instead of gating on findings")
     parser.add_argument(
         "--dot", type=Path, default=None,
         help="also write the transition graphs as Graphviz DOT here")
@@ -189,8 +159,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     if args.report == "transitions":
         return _transitions_report(args)
-    if args.report == "budgets":
-        return _budgets_report(args)
 
     corpus, findings = analyze(args.root)
 

@@ -22,35 +22,26 @@ name-resolved call graph machinery (:mod:`txn`) to annotate
   through call edges (a loop around a call to a dispatching function is
   a loop around its dispatches).
 
-Loops are **bounded** (contribute nothing to complexity) when they
+Loops are **bounded** (never flagged) when they
 iterate a literal, a ``range()`` of constants, a name in
 ``schema.BOUNDED_ITERABLES`` (schema/contract declarations whose
 cardinality is fixed at import time — reachable through ``.items()``/
 ``sorted()``-style wrappers and single local rebindings), or when the
 loop header carries a ``# dispatch: bounded`` pragma (the escape hatch
 for bounds the analyzer cannot see, e.g. a depth-capped BFS).
-Everything else is data-dependent.  A memoized walk over the call graph
-then assigns every function a complexity class on the lattice
-
-    O(1)  <  O(n)  <  O(n·m)  <  unknown-recursion
-
-(depth saturates at two nested data loops; recursion that can reach a
-dispatch is unknown).  Three structural rules fall out:
+Everything else is data-dependent.  Two structural rules fall out:
 
 * ``per-row-dispatch`` (error) — a dispatch (or a call to a dispatching
   function) inside a data-dependent ``for``/comprehension;
-* ``unbounded-loop-dispatch`` (warning) — a dispatch inside a ``while``
-  with no pragma;
-* ``budget-undeclared`` (advice) / ``budget-mismatch`` (error) — the
-  static↔runtime bridge: every ``OperationContract`` declares a
-  ``statement_budget`` (constant, or affine ``a + b·|batch|``); the
-  analyzer parses the declarations out of ``api/contracts.py``, maps
-  operations to their handlers through the binding dict in
-  ``web/services.py``, and proves each budget's *shape* consistent with
-  the handler's complexity class (constant ⇔ O(1), affine ⇔ O(n)).
-  The gateway enforces the declared ceiling at runtime on every
-  backend (``BudgetExceeded`` faults), so the static claim and the
-  observed meter check each other.
+* ``unbounded-loop-dispatch`` (error) — a dispatch inside a ``while``
+  with no pragma, or a call that closes a cycle through dispatching
+  functions (recursion has no static bound either; the pragma on the
+  call line is the same escape hatch).
+
+Together they are the static half of the paper's claim; the runtime half
+is each ``OperationContract``'s constant ``statement_budget``, which the
+gateway meters on every live call on every backend (``budget-exceeded``
+faults).
 
 Like the transaction tier, call resolution is name-based and
 deliberately narrow; receivers may be ``self``, ``self.<attr>`` or a
@@ -79,12 +70,8 @@ from repro.condorj2.schema import BOUNDED_ITERABLES
 
 __all__ = [
     "DispatchModel",
-    "DeclaredBudget",
     "build_dispatch_model",
-    "budgets_report",
     "check_dispatch",
-    "COMPLEXITY_CLASSES",
-    "UNKNOWN_RECURSION",
 ]
 
 #: Simulation drivers: their event loops model wall-clock time, not
@@ -120,11 +107,8 @@ _TRANSPARENT_CALLS = frozenset({
 #: Dict-view methods through which boundedness is transparent.
 _VIEW_METHODS = frozenset({"items", "keys", "values"})
 
-#: The complexity lattice, least to greatest.
-UNKNOWN_RECURSION = "unknown-recursion"
-COMPLEXITY_CLASSES = ("O(1)", "O(n)", "O(n·m)", UNKNOWN_RECURSION)
-
-#: Loop-header pragma marking a bound the analyzer cannot derive.
+#: Loop-header (or recursive-call) pragma marking a bound the analyzer
+#: cannot derive.
 _PRAGMA = re.compile(r"#\s*dispatch:\s*bounded\b")
 
 
@@ -154,6 +138,8 @@ class DispatchCall:
     name: str
     line: int
     loops: Tuple[LoopCtx, ...]
+    #: The call line carries the pragma: a recursion through it is bounded.
+    bounded: bool = False
 
 
 @dataclass
@@ -165,11 +151,6 @@ class DispatchInfo:
     line: int
     sites: List[DispatchSite] = field(default_factory=list)
     calls: List[DispatchCall] = field(default_factory=list)
-
-
-def _data_depth(loops: Tuple[LoopCtx, ...]) -> int:
-    """Nested data-dependent loops around a site (saturates later)."""
-    return sum(1 for loop in loops if not loop.bounded)
 
 
 class _DispatchScan(ast.NodeVisitor):
@@ -298,16 +279,19 @@ class _DispatchScan(ast.NodeVisitor):
     def visit_Call(self, node: ast.Call) -> None:
         func = node.func
         loops = tuple(self._loops)
+        bounded = node.lineno in self.pragma_lines
         if isinstance(func, ast.Attribute):
             if func.attr in EXECUTE_METHODS:
                 self.info.sites.append(DispatchSite(
                     method=func.attr, line=node.lineno, loops=loops))
             elif self._resolvable(func):
                 self.info.calls.append(DispatchCall(
-                    name=func.attr, line=node.lineno, loops=loops))
+                    name=func.attr, line=node.lineno, loops=loops,
+                    bounded=bounded))
         elif isinstance(func, ast.Name) and func.id not in _BUILTIN_NAMES:
             self.info.calls.append(DispatchCall(
-                name=func.id, line=node.lineno, loops=loops))
+                name=func.id, line=node.lineno, loops=loops,
+                bounded=bounded))
         self.generic_visit(node)
 
     @staticmethod
@@ -357,28 +341,14 @@ def _pragma_lines(source: str) -> Set[int]:
 
 @dataclass
 class DispatchModel(FunctionIndex):
-    """The scanned tree's functions, call graph and complexity classes."""
+    """The scanned tree's functions and call graph."""
 
     #: Functions that dispatch (directly or through callees).
     dispatching: Set[str] = field(default_factory=set)
-    #: qualname -> loop depth (int), UNKNOWN_RECURSION, or None when the
-    #: function can reach no dispatch at all.
-    depth: Dict[str, object] = field(default_factory=dict)
-
-    def complexity(self, qualname: str) -> str:
-        """The function's class on the complexity lattice."""
-        value = self.depth.get(qualname)
-        if value == UNKNOWN_RECURSION:
-            return UNKNOWN_RECURSION
-        if value is None or value == 0:
-            return "O(1)"
-        if value == 1:
-            return "O(n)"
-        return "O(n·m)"
 
 
 def build_dispatch_model(root) -> DispatchModel:
-    """Collect loop-annotated sites and classify every function;
+    """Collect loop-annotated sites and the dispatching functions;
     ``root`` is a directory or a loaded :class:`SourceTree`."""
     model = DispatchModel()
     for module in SourceTree.of(root).application_modules(
@@ -392,7 +362,6 @@ def build_dispatch_model(root) -> DispatchModel:
                 scan.visit(statement)
             model.add(info)
     _dispatching_fixpoint(model)
-    _depth_walk(model)
     return model
 
 
@@ -414,171 +383,39 @@ def _dispatching_fixpoint(model: DispatchModel) -> None:
                     break
 
 
-def _depth_walk(model: DispatchModel) -> None:
-    """Memoized DFS assigning every function its loop depth.
+def _recursive_calls(model: DispatchModel
+                     ) -> List[Tuple[DispatchInfo, DispatchCall]]:
+    """The calls that close a cycle through dispatching functions.
 
-    A callee's dispatches inherit the call site's loop context; depth
-    saturates at 2 (O(n·m) is the lattice top below recursion).  A
-    cycle through a dispatching function is ``unknown-recursion``, which
-    propagates to every caller that can reach it.
+    A depth-first walk over the dispatching call graph; a call to a
+    function still on the walk's stack is a back edge.  Every such cycle
+    has one, so each recursion is reported once.  Pragma-marked calls
+    are not edges: the recursion through them is declared bounded.
     """
+    closing: List[Tuple[DispatchInfo, DispatchCall]] = []
     on_stack: Set[str] = set()
+    done: Set[str] = set()
 
-    def walk(qualname: str):
-        if qualname in model.depth:
-            return model.depth[qualname]
-        if qualname in on_stack:
-            # Cycle: the caller handles the verdict.
-            return UNKNOWN_RECURSION if qualname in model.dispatching \
-                else None
+    def walk(qualname: str) -> None:
         on_stack.add(qualname)
         info = model.functions[qualname]
-        depth: Optional[int] = None
-        unknown = False
-        for site in info.sites:
-            depth = max(depth or 0, min(2, _data_depth(site.loops)))
         for call in info.calls:
-            for target in model.resolve(call.name):
-                if target == qualname or target in on_stack:
-                    if target in model.dispatching:
-                        unknown = True
-                    continue
-                below = walk(target)
-                if below == UNKNOWN_RECURSION:
-                    unknown = True
-                elif below is not None:
-                    depth = max(depth or 0,
-                                min(2, _data_depth(call.loops) + below))
+            if call.bounded:
+                continue
+            targets = [t for t in model.resolve(call.name)
+                       if t in model.dispatching]
+            if any(target in on_stack for target in targets):
+                closing.append((info, call))
+            for target in targets:
+                if target not in on_stack and target not in done:
+                    walk(target)
         on_stack.discard(qualname)
-        result = UNKNOWN_RECURSION if unknown else depth
-        model.depth[qualname] = result
-        return result
+        done.add(qualname)
 
-    for qualname in model.functions:
-        walk(qualname)
-
-
-# ----------------------------------------------------------------------
-# declared budgets (static view of api/contracts.py)
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class DeclaredBudget:
-    """One contract's declared budget, as read from the source tree.
-
-    ``base`` is None when the contract declares no budget at all.
-    """
-
-    operation: str
-    line: int
-    base: Optional[int] = None
-    per_item: int = 0
-    batch_field: Optional[str] = None
-
-    @property
-    def declared(self) -> bool:
-        return self.base is not None
-
-    def render(self) -> str:
-        if not self.declared:
-            return "(undeclared)"
-        if not self.per_item:
-            return str(self.base)
-        return f"{self.base} + {self.per_item}·|{self.batch_field}|"
-
-
-def _const(node: Optional[ast.expr], default=None):
-    if isinstance(node, ast.Constant):
-        return node.value
-    return default
-
-
-def read_declared_budgets(root) -> List[DeclaredBudget]:
-    """The per-operation budget declarations in ``api/contracts.py``.
-
-    Reads the *scanned tree*, not the installed package, so seeded-
-    mutation tests and out-of-tree roots behave like the real gate.
-    """
-    module = SourceTree.of(root).module("api/contracts.py")
-    if module is None:
-        return []
-    tree = module.tree
-    budgets: List[DeclaredBudget] = []
-    for node in ast.walk(tree):
-        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                and node.func.id in ("_contract", "OperationContract")):
-            continue
-        name = None
-        if node.args:
-            name = _const(node.args[0])
-        for keyword in node.keywords:
-            if keyword.arg == "name":
-                name = _const(keyword.value, name)
-        if not isinstance(name, str):
-            continue
-        declared = None
-        for keyword in node.keywords:
-            if keyword.arg == "statement_budget":
-                declared = keyword.value
-        if declared is None or _const(declared) is None and not isinstance(
-                declared, ast.Call):
-            budgets.append(DeclaredBudget(operation=name, line=node.lineno))
-            continue
-        base = per_item = batch_field = None
-        if isinstance(declared, ast.Call):
-            args = list(declared.args)
-            base = _const(args[0]) if args else None
-            per_item = _const(args[1]) if len(args) > 1 else None
-            batch_field = _const(args[2]) if len(args) > 2 else None
-            for keyword in declared.keywords:
-                if keyword.arg == "base":
-                    base = _const(keyword.value)
-                elif keyword.arg == "per_item":
-                    per_item = _const(keyword.value)
-                elif keyword.arg == "batch_field":
-                    batch_field = _const(keyword.value)
-        if not isinstance(base, int):
-            budgets.append(DeclaredBudget(operation=name, line=node.lineno))
-            continue
-        budgets.append(DeclaredBudget(
-            operation=name, line=declared.lineno, base=base,
-            per_item=per_item if isinstance(per_item, int) else 0,
-            batch_field=batch_field if isinstance(batch_field, str) else None,
-        ))
-    return budgets
-
-
-def _handler_map(root) -> Dict[str, str]:
-    """operation -> handler method name, from the binding dict literal
-    in ``web/services.py`` (``{"heartbeat": self._op_heartbeat, ...}``).
-    """
-    module = SourceTree.of(root).module("web/services.py")
-    if module is None:
-        return {}
-    tree = module.tree
-    best: Dict[str, str] = {}
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Dict):
-            continue
-        mapping: Dict[str, str] = {}
-        for key, value in zip(node.keys, node.values):
-            if (isinstance(key, ast.Constant) and isinstance(key.value, str)
-                    and isinstance(value, ast.Attribute)
-                    and isinstance(value.value, ast.Name)
-                    and value.value.id == "self"):
-                mapping[key.value] = value.attr
-        if len(mapping) == len(node.keys) and len(mapping) > len(best):
-            best = mapping
-    return best
-
-
-def _worst_complexity(model: DispatchModel, candidates: List[str]) -> str:
-    rank = {cls: index for index, cls in enumerate(COMPLEXITY_CLASSES)}
-    worst = "O(1)"
-    for qualname in candidates:
-        cls = model.complexity(qualname)
-        if rank[cls] > rank[worst]:
-            worst = cls
-    return worst
+    for qualname in sorted(model.dispatching):
+        if qualname not in done:
+            walk(qualname)
+    return closing
 
 
 # ----------------------------------------------------------------------
@@ -586,7 +423,6 @@ def _worst_complexity(model: DispatchModel, candidates: List[str]) -> str:
 # ----------------------------------------------------------------------
 def check_dispatch(root) -> List[Finding]:
     """All dispatch-complexity findings for the tree under ``root``."""
-    root = SourceTree.of(root)
     model = build_dispatch_model(root)
     findings: List[Finding] = []
     for qualname in sorted(model.functions):
@@ -604,7 +440,13 @@ def check_dispatch(root) -> List[Finding]:
             findings.extend(_site_findings(
                 info.file, shortname, call.line, call.loops,
                 f"call to {call.name} (which dispatches statements)"))
-    findings.extend(_budget_findings(root, model))
+    for info, call in _recursive_calls(model):
+        findings.append(make_finding(
+            "unbounded-loop-dispatch", info.file, call.line,
+            f"{info.qualname.split(':', 1)[1]}: call to {call.name} "
+            f"closes a recursion through dispatching functions with no "
+            f"static bound; add a '# dispatch: bounded' pragma if the "
+            f"bound is real but invisible"))
     return findings
 
 
@@ -625,101 +467,3 @@ def _site_findings(file: str, function: str, line: int,
             f"bound; add a '# dispatch: bounded' pragma if the bound "
             f"is real but invisible")]
     return []
-
-
-def _budget_findings(root: SourceTree,
-                     model: DispatchModel) -> List[Finding]:
-    budgets = read_declared_budgets(root)
-    if not budgets:
-        return []
-    file = "api/contracts.py"
-    handlers = _handler_map(root)
-    findings: List[Finding] = []
-    for budget in budgets:
-        if not budget.declared:
-            findings.append(make_finding(
-                "budget-undeclared", file, budget.line,
-                f"{budget.operation}: operation contract declares no "
-                f"statement_budget"))
-            continue
-        attr = handlers.get(budget.operation)
-        if attr is None:
-            continue
-        candidates = model.resolve(attr)
-        if not candidates:
-            continue
-        complexity = _worst_complexity(model, candidates)
-        if complexity == UNKNOWN_RECURSION:
-            findings.append(make_finding(
-                "budget-mismatch", file, budget.line,
-                f"{budget.operation}: handler dispatch complexity is "
-                f"{UNKNOWN_RECURSION}; no finite budget can be proven"))
-        elif budget.per_item == 0 and complexity != "O(1)":
-            findings.append(make_finding(
-                "budget-mismatch", file, budget.line,
-                f"{budget.operation}: constant budget "
-                f"{budget.render()} but the handler dispatches "
-                f"{complexity} statements"))
-        elif budget.per_item > 0 and complexity == "O(1)":
-            findings.append(make_finding(
-                "budget-mismatch", file, budget.line,
-                f"{budget.operation}: affine budget {budget.render()} "
-                f"but the handler's dispatch count is constant "
-                f"(declare the tight constant budget instead)"))
-    return findings
-
-
-# ----------------------------------------------------------------------
-# the budgets report (cli --report budgets)
-# ----------------------------------------------------------------------
-def budgets_report(root) -> Dict[str, object]:
-    """The declared-vs-derived budget document, one entry per operation.
-
-    ``consistent`` is True when the budget's shape matches the handler's
-    complexity class, False when it does not, and None when the budget
-    or the handler could not be resolved statically.
-    """
-    root = SourceTree.of(root)
-    model = build_dispatch_model(root)
-    handlers = _handler_map(root)
-    operations: List[Dict[str, object]] = []
-    for budget in sorted(read_declared_budgets(root),
-                         key=lambda b: b.operation):
-        attr = handlers.get(budget.operation)
-        candidates = model.resolve(attr) if attr else []
-        complexity = _worst_complexity(model, candidates) \
-            if candidates else None
-        consistent: Optional[bool] = None
-        if budget.declared and complexity is not None:
-            if complexity == UNKNOWN_RECURSION:
-                consistent = False
-            elif budget.per_item == 0:
-                consistent = complexity == "O(1)"
-            else:
-                consistent = complexity == "O(n)"
-        operations.append({
-            "operation": budget.operation,
-            "budget": (
-                {"base": budget.base, "per_item": budget.per_item,
-                 "batch_field": budget.batch_field}
-                if budget.declared else None
-            ),
-            "declared": budget.render(),
-            "handler": candidates[0] if candidates else None,
-            "complexity": complexity,
-            "consistent": consistent,
-        })
-    functions = {
-        qualname: {
-            "complexity": model.complexity(qualname),
-            "dispatch_sites": len(info.sites),
-        }
-        for qualname, info in sorted(model.functions.items())
-        if info.sites
-    }
-    return {
-        "version": 1,
-        "root": str(root.root),
-        "operations": operations,
-        "dispatching_functions": functions,
-    }

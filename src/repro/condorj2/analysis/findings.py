@@ -95,14 +95,9 @@ RULES: Dict[str, Tuple[str, str]] = {
         "error", "statement dispatched per iteration of a data-dependent "
                  "loop where one set statement or executemany would do"),
     "unbounded-loop-dispatch": (
-        "warning", "statement dispatched inside a loop with no static "
-                   "bound (add a '# dispatch: bounded' pragma if the "
-                   "bound is real but invisible)"),
-    "budget-undeclared": (
-        "advice", "operation contract declares no statement_budget"),
-    "budget-mismatch": (
-        "error", "declared statement budget is inconsistent with the "
-                 "handler's statically-derived dispatch complexity"),
+        "error", "statement dispatched inside a while loop or a recursion "
+                 "with no static bound (add a '# dispatch: bounded' "
+                 "pragma if the bound is real but invisible)"),
     # -- transaction-boundary tier -------------------------------------
     "txn-unprotected-write": (
         "error", "multi-table write sequence can run outside any "

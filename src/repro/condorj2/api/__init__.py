@@ -20,7 +20,6 @@ from repro.condorj2.api.contracts import (
     CONTRACTS,
     ContractRegistry,
     OperationContract,
-    StatementBudget,
 )
 from repro.condorj2.api.faults import (
     FAULT_CODES,
@@ -53,7 +52,6 @@ __all__ = [
     "InternalFault",
     "MalformedFault",
     "OperationContract",
-    "StatementBudget",
     "OperationStats",
     "SchemaDef",
     "ServiceFault",

@@ -39,41 +39,6 @@ HEARTBEAT_EVENT_KINDS = ("completed", "dropped", "started")
 
 
 @dataclass(frozen=True)
-class StatementBudget:
-    """Upper bound on statement dispatches for one operation call.
-
-    ``limit = base + per_item * |payload[batch_field]|``.  A budget with
-    ``per_item == 0`` is *constant* — the paper's O(1)-statements-per-
-    interaction claim, made enforceable: the gateway meters every call
-    against it, and the dispatch-complexity analyzer
-    (:mod:`repro.condorj2.analysis.dispatch`) cross-checks that a
-    constant budget is only ever declared on a handler it can prove
-    dispatches O(1) statements (DESIGN.md section 9.2).
-    """
-
-    base: int
-    per_item: int = 0
-    batch_field: Optional[str] = None
-
-    def batch_size(self, payload: Any) -> int:
-        """Length of the request list the affine term scales with."""
-        if self.batch_field is None:
-            return 0
-        try:
-            return len(payload.get(self.batch_field) or ())
-        except (TypeError, AttributeError):
-            return 0
-
-    def limit(self, batch_size: int = 0) -> int:
-        return self.base + self.per_item * batch_size
-
-    def render(self) -> str:
-        if self.per_item == 0:
-            return str(self.base)
-        return f"{self.base} + {self.per_item}·|{self.batch_field}|"
-
-
-@dataclass(frozen=True)
 class OperationContract:
     """One operation's public contract, as pure data."""
 
@@ -83,15 +48,16 @@ class OperationContract:
     side_effect: str            # one of SIDE_EFFECTS
     request: SchemaDef
     response: SchemaDef
+    #: Ceiling on statement dispatches per call, however large the
+    #: request: the paper's bounded-statements-per-interaction claim,
+    #: which the gateway meters on every live call.
+    statement_budget: int
     #: May this operation ride a multiplexed batch envelope?
     batchable: bool = True
     #: Dotted path (with ``[index]`` steps) into the *request* payload
     #: naming the value a sharded deployment would route on; None means
     #: the operation is shard-agnostic (pure reads over the whole pool).
     routing_key: Optional[str] = None
-    #: Declared ceiling on statement dispatches per call; None means
-    #: unmetered (the analyzer's ``budget-undeclared`` advisory).
-    statement_budget: Optional[StatementBudget] = None
 
 
 # ----------------------------------------------------------------------
@@ -134,8 +100,8 @@ _HEARTBEAT_RESPONSE = SchemaDef(
 
 
 def _contract(name, version, summary, side_effect, request_fields,
-              response, batchable=True, routing_key=None,
-              statement_budget=None):
+              response, *, statement_budget, batchable=True,
+              routing_key=None):
     return OperationContract(
         name=name,
         version=version,
@@ -143,9 +109,9 @@ def _contract(name, version, summary, side_effect, request_fields,
         side_effect=side_effect,
         request=SchemaDef(f"{name}Request", tuple(request_fields)),
         response=response,
+        statement_budget=statement_budget,
         batchable=batchable,
         routing_key=routing_key,
-        statement_budget=statement_budget,
     )
 
 
@@ -170,7 +136,7 @@ CONTRACTS: Tuple[OperationContract, ...] = (
         # must not be reordered against other ops in one envelope.
         batchable=False,
         routing_key="name",
-        statement_budget=StatementBudget(12),
+        statement_budget=12,
     ),
     _contract(
         "heartbeat", "1.1",
@@ -200,7 +166,7 @@ CONTRACTS: Tuple[OperationContract, ...] = (
         ),
         _HEARTBEAT_RESPONSE,
         routing_key="machine",
-        statement_budget=StatementBudget(28),
+        statement_budget=28,
     ),
     _contract(
         "acceptMatch", "1.1",
@@ -214,7 +180,7 @@ CONTRACTS: Tuple[OperationContract, ...] = (
             f_str("vm_id"),
         )),
         routing_key="vm_id",
-        statement_budget=StatementBudget(8),
+        statement_budget=8,
     ),
     _contract(
         "beginExecute", "1.1",
@@ -224,7 +190,7 @@ CONTRACTS: Tuple[OperationContract, ...] = (
         (f_str("machine"), f_int("job_id"), f_str("vm_id")),
         _STATUS_ONLY,
         routing_key="machine",
-        statement_budget=StatementBudget(1),
+        statement_budget=1,
     ),
     _contract(
         "reportDrop", "1.0",
@@ -238,7 +204,7 @@ CONTRACTS: Tuple[OperationContract, ...] = (
         ),
         _STATUS_ONLY,
         routing_key="vm_id",
-        statement_budget=StatementBudget(8),
+        statement_budget=8,
     ),
     # -- client-facing services -----------------------------------------
     _contract(
@@ -251,7 +217,7 @@ CONTRACTS: Tuple[OperationContract, ...] = (
             f_int("job_id"),
         )),
         routing_key="owner",
-        statement_budget=StatementBudget(6),
+        statement_budget=6,
     ),
     _contract(
         "submitJobs", "1.0",
@@ -263,7 +229,7 @@ CONTRACTS: Tuple[OperationContract, ...] = (
             f_list("job_ids", f_int("job_id")),
         )),
         routing_key="jobs[0].owner",
-        statement_budget=StatementBudget(8),
+        statement_budget=8,
     ),
     _contract(
         "removeJob", "1.0",
@@ -272,7 +238,7 @@ CONTRACTS: Tuple[OperationContract, ...] = (
         (f_int("job_id"),),
         _STATUS_ONLY,
         routing_key="job_id",
-        statement_budget=StatementBudget(3),
+        statement_budget=3,
     ),
     _contract(
         "queueSummary", "1.0",
@@ -280,7 +246,7 @@ CONTRACTS: Tuple[OperationContract, ...] = (
         "read",
         (),
         SchemaDef("QueueSummaryResponse", map_item=f_int("n")),
-        statement_budget=StatementBudget(3),
+        statement_budget=3,
     ),
     _contract(
         "poolStatus", "1.0",
@@ -295,7 +261,7 @@ CONTRACTS: Tuple[OperationContract, ...] = (
             f_int("matches_pending"),
             f_int("runs_in_flight"),
         )),
-        statement_budget=StatementBudget(8),
+        statement_budget=8,
     ),
     _contract(
         "userSummary", "1.0",
@@ -310,7 +276,7 @@ CONTRACTS: Tuple[OperationContract, ...] = (
             f_float("usage_seconds"),
         )),
         routing_key="owner",
-        statement_budget=StatementBudget(6),
+        statement_budget=6,
     ),
     _contract(
         "jobDetail", "1.0",
@@ -321,7 +287,7 @@ CONTRACTS: Tuple[OperationContract, ...] = (
             f_str("source", enum=("queue", "history")),
         ), allow_extra=True, nullable=True),
         routing_key="job_id",
-        statement_budget=StatementBudget(5),
+        statement_budget=5,
     ),
     _contract(
         "setPolicy", "1.0",
@@ -333,7 +299,7 @@ CONTRACTS: Tuple[OperationContract, ...] = (
             f_str("changed_by", required=False, default="admin"),
         ),
         _STATUS_ONLY,
-        statement_budget=StatementBudget(8),
+        statement_budget=8,
     ),
     _contract(
         "getPolicy", "1.0",
@@ -344,7 +310,7 @@ CONTRACTS: Tuple[OperationContract, ...] = (
             f_str("name"),
             f_str("value", nullable=True),
         )),
-        statement_budget=StatementBudget(3),
+        statement_budget=3,
     ),
 )
 

@@ -113,8 +113,7 @@ def _operation_section(contract: OperationContract) -> List[str]:
         f"- batchable: **{'yes' if contract.batchable else 'no'}**",
         f"- routing key: "
         f"{'`' + contract.routing_key + '`' if contract.routing_key else '(shard-agnostic)'}",
-        f"- statement budget: "
-        f"{'`' + contract.statement_budget.render() + '`' if contract.statement_budget else '(unmetered)'}",
+        f"- statement budget: `{contract.statement_budget}`",
         "",
     ]
     lines.extend(_schema_section("Request", contract.request))

@@ -16,6 +16,7 @@ them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
@@ -141,6 +142,10 @@ def _validate_value(value: Any, f: FieldDef, path: str, operation: str) -> Any:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             _fail("wrong-type", path,
                   f"expected number, got {type(value).__name__}", operation)
+        if isinstance(value, float) and not math.isfinite(value):
+            # SQLite binds NaN as NULL and the simulation's clock cannot
+            # schedule at NaN or infinity: refuse them at the edge.
+            _fail("bad-value", path, f"{value!r} is not finite", operation)
         return value
     if kind == "str":
         if not isinstance(value, str):

@@ -226,23 +226,19 @@ class ServiceGateway:
                         stats: OperationStats, dispatched: int) -> None:
         """Assert the observed dispatch count against the declared budget.
 
-        This is the runtime half of the dispatch-complexity story
-        (DESIGN.md section 9.2): the analyzer proves the handler's
-        complexity class matches the budget's *shape*; the meter asserts
-        the *constant* on every live call, on whichever storage engine
-        is wired in.
+        This is the runtime half of the set-orientation story (DESIGN.md
+        section 9.2): the analyzer flags any dispatch inside a
+        data-dependent loop; the meter asserts the constant on every
+        live call, on whichever storage engine is wired in.
         """
         budget = invocation.contract.statement_budget
-        if budget is None:
-            return
-        limit = budget.limit(budget.batch_size(invocation.payload))
-        if dispatched <= limit:
+        if dispatched <= budget:
             return
         stats.budget_overruns += 1
         stats.faults += 1
         fault = InternalFault(
             f"{invocation.operation} dispatched {dispatched} statements "
-            f"against a budget of {limit} ({budget.render()})",
+            f"against a budget of {budget}",
             subcode="budget-exceeded",
             operation=invocation.operation,
         )

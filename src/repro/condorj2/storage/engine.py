@@ -34,6 +34,7 @@ from repro.condorj2.storage.counters import (
     StatementCounts,
     statement_verb,
 )
+from repro.condorj2.storage import sqlparser as sp
 from repro.condorj2.storage.planner import ExplainReport, PlanNode
 from repro.condorj2.storage.statements import (
     Statement,
@@ -328,12 +329,18 @@ class SqliteStorageEngine(StorageEngine):
         try:
             rows = self._conn.execute(
                 f"EXPLAIN QUERY PLAN {sql}", bind).fetchall()
-        except sqlite3.ProgrammingError:
+        except sqlite3.ProgrammingError as exc:
             # EXPLAIN QUERY PLAN wants the statement's parameters bound;
             # when explaining a cached statement text without its
-            # original arguments, bind NULL per placeholder (the plan
-            # shape does not depend on the values).
-            bind = (None,) * sql.count("?")
+            # original arguments, bind NULL per placeholder, positional
+            # or named, as the parser counts them (the plan shape does
+            # not depend on the values).
+            try:
+                info = sp.parse_info(sql)
+            except sp.SqlSyntaxError:
+                raise exc from None
+            bind = (dict.fromkeys(info.named_params) if info.named_params
+                    else (None,) * info.placeholder_count)
             rows = self._conn.execute(
                 f"EXPLAIN QUERY PLAN {sql}", bind).fetchall()
         nodes = {0: PlanNode(op="STATEMENT", detail=statement_verb(sql))}

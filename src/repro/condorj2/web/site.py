@@ -129,9 +129,9 @@ class PoolWebSite:
         operations_report = self._operations_report()
         if operations_report:
             report += "\n\n" + operations_report
-        budgets_report = self._budgets_report()
-        if budgets_report:
-            report += "\n\n" + budgets_report
+        budget_report = self._budget_report()
+        if budget_report:
+            report += "\n\n" + budget_report
         return report
 
     def _durability_report(self) -> Optional[str]:
@@ -244,7 +244,7 @@ class PoolWebSite:
             rows, title="Web-Service Operations",
         )
 
-    def _budgets_report(self) -> Optional[str]:
+    def _budget_report(self) -> Optional[str]:
         """Declared statement budgets vs observed per-call peaks.
 
         The admin-console face of DESIGN.md section 9.2: for every
@@ -260,18 +260,11 @@ class PoolWebSite:
             if operation.startswith("("):
                 continue  # protocol pseudo-ops have no contract
             stats = self.gateway.stats[operation]
-            contract = self.gateway.registry.contract(operation)
-            budget = contract.statement_budget
-            if budget is None:
-                declared, headroom = "(unmetered)", "-"
-            elif budget.per_item:
-                declared, headroom = budget.render(), "affine"
-            else:
-                declared = budget.render()
-                headroom = budget.limit(0) - stats.max_statements
+            budget = self.gateway.registry.contract(
+                operation).statement_budget
             rows.append([
-                operation, declared, stats.max_statements, headroom,
-                stats.budget_overruns,
+                operation, budget, stats.max_statements,
+                budget - stats.max_statements, stats.budget_overruns,
             ])
         if not rows:
             return None

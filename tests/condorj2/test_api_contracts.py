@@ -15,10 +15,12 @@ from repro.condorj2.api import (
     ConflictFault,
     FAULT_CODES,
     FAULT_SUBCODES,
+    FaultCode,
     ValidationFault,
 )
 from repro.condorj2.api.contracts import SIDE_EFFECTS, ContractRegistry
 from repro.condorj2.api.fields import SchemaDef
+from repro.condorj2.costs import CasCostModel
 
 
 def small_system(**kwargs):
@@ -166,6 +168,25 @@ def test_enum_violation(gateway):
     })
     assert fault.subcode == "bad-value"
     assert "exploded" in fault.detail
+
+
+@pytest.mark.parametrize("backend", ("sqlite", "memory", "wal"))
+@pytest.mark.parametrize("value", (float("nan"), float("inf"),
+                                   float("-inf")))
+def test_non_finite_double_is_a_bad_value(backend, value):
+    """SQLite would bind NaN as NULL (a server fault) and the other
+    engines would queue a job the simulated clock cannot schedule:
+    both are refused at the edge, identically on every engine."""
+    system = small_system(costs=CasCostModel(storage_backend=backend))
+    gateway = system.cas.gateway
+    fault = _fault(gateway, "submitJob", {"owner": "u", "run_seconds": value})
+    assert (fault.code, fault.subcode) == (FaultCode.VALIDATION, "bad-value")
+    assert "run_seconds" in fault.detail
+    fault = _fault(gateway, "registerMachine",
+                   {"name": "m1", "vm_count": 1, "memory_mb": value})
+    assert (fault.code, fault.subcode) == (FaultCode.VALIDATION, "bad-value")
+    assert system.cas.db.table_count("jobs") == 0
+    assert system.cas.db.table_count("machines") == 0
 
 
 def test_non_struct_payload(gateway):

@@ -1,30 +1,24 @@
 """Tier-1 tests for the dispatch-complexity analysis tier.
 
-Four properties are enforced here:
+Three properties are enforced here:
 
 * **static soundness** — the real tree yields zero ``per-row-dispatch``
   and ``unbounded-loop-dispatch`` findings (the codebase actually is
-  set-oriented), and every declared budget is provably consistent with
-  its handler's complexity class;
+  set-oriented);
 * **sensitivity** — seeded mutations (a per-row execute loop, the same
-  defect hidden behind a call edge, an unbounded while, a stripped
-  budget declaration, an affine budget on a flat handler) are each
-  caught by exactly the intended rule with exact file:line provenance;
+  defect hidden behind a call edge, an unbounded while in a real
+  handler, a handler that recurses into itself) are each reported as an
+  error by exactly the intended rule with exact file:line provenance,
+  and the ``# dispatch: bounded`` pragma suppresses the last two;
 * **runtime cross-check** — the batched code paths the analyzer
   certified really do dispatch a flat number of statements as the data
-  grows (repair plans, drop batches, lineage walks, heartbeat events),
-  and canonicalized UPDATE rendering keeps the prepared-statement cache
-  to one entry per change-set;
-* **CLI surface** — ``--report budgets`` emits the declared-vs-derived
-  document in text and JSON.
+  grows (repair plans, drop batches, lineage walks, heartbeat events).
 """
 
-import json
 import shutil
 from pathlib import Path
 
-from repro.condorj2.analysis.cli import main
-from repro.condorj2.analysis.dispatch import budgets_report, check_dispatch
+from repro.condorj2.analysis.dispatch import check_dispatch
 from repro.condorj2.beans import BeanContainer
 from repro.condorj2.database import Database
 from repro.condorj2.datamgmt import DatasetService
@@ -48,24 +42,6 @@ def test_real_tree_has_no_dispatch_errors_or_warnings():
     noisy = [f.render() for f in findings
              if f.severity in ("error", "warning")]
     assert noisy == []
-
-
-def test_real_tree_declares_all_budgets_consistently():
-    document = budgets_report(PACKAGE_ROOT)
-    operations = document["operations"]
-    assert len(operations) == 14
-    for entry in operations:
-        assert entry["budget"] is not None, entry["operation"]
-        assert entry["complexity"] == "O(1)", entry
-        assert entry["consistent"] is True, entry
-
-
-def test_dispatching_functions_are_classified():
-    functions = budgets_report(PACKAGE_ROOT)["dispatching_functions"]
-    assert functions, "no dispatching functions found at all"
-    assert {f["complexity"] for f in functions.values()} <= {
-        "O(1)", "O(n)", "O(n·m)"
-    }
 
 
 # ----------------------------------------------------------------------
@@ -96,6 +72,10 @@ def _line_of(root, needle, filename):
 def _sites(root, severities=("error", "warning")):
     return {(f.rule, f.file, f.line) for f in check_dispatch(root)
             if f.severity in severities}
+
+
+def _errors(root):
+    return _sites(root, severities=("error",))
 
 
 _PER_ROW_MODULE = '''\
@@ -165,40 +145,67 @@ class DrainService:
 '''
 
 
-def test_seeded_unbounded_while_dispatch_is_warned(tmp_path):
+def test_seeded_unbounded_while_dispatch_is_an_error(tmp_path):
     root = _copy_tree(tmp_path)
     (root / "logic" / "broken.py").write_text(
         _WHILE_MODULE.format(pragma=""))
     line = _line_of(root, "# seeded-while-dispatch", "logic/broken.py")
     assert ("unbounded-loop-dispatch", "logic/broken.py", line) \
-        in _sites(root)
+        in _errors(root)
 
 
-def test_bounded_pragma_suppresses_the_while_warning(tmp_path):
+def test_bounded_pragma_suppresses_the_while_error(tmp_path):
     root = _copy_tree(tmp_path)
     (root / "logic" / "broken.py").write_text(
         _WHILE_MODULE.format(pragma="  # dispatch: bounded"))
     assert _sites(root) == set()
 
 
-def test_stripped_budget_declaration_is_advised(tmp_path):
-    root = _copy_tree(tmp_path, parts=("logic", "api", "web"))
-    _mutate(root, "        statement_budget=StatementBudget(12),\n", "",
-            "api/contracts.py")
-    line = _line_of(root, '"registerMachine", "1.0",',
-                    "api/contracts.py") - 1
-    assert ("budget-undeclared", "api/contracts.py", line) \
-        in _sites(root, severities=("advice",))
+_HANDLER_WHILE = (
+    "            return []\n        db = self.container.db\n",
+    "            return []\n        db = self.container.db\n"
+    "        pending = list(specs)\n"
+    "        while pending:\n"
+    "            db.execute(  # seeded-handler-while\n"
+    "                \"DELETE FROM jobs WHERE job_id = ?\",\n"
+    "                (pending.pop().job_id,))\n",
+)
 
 
-def test_affine_budget_on_flat_handler_is_a_mismatch(tmp_path):
-    root = _copy_tree(tmp_path, parts=("logic", "api", "web"))
-    _mutate(root, "statement_budget=StatementBudget(28)",
-            'statement_budget=StatementBudget(4, per_item=2, '
-            'batch_field="events")',
-            "api/contracts.py")
-    line = _line_of(root, "per_item=2", "api/contracts.py")
-    assert ("budget-mismatch", "api/contracts.py", line) in _sites(root)
+def test_seeded_handler_while_dispatch_is_an_error(tmp_path):
+    root = _copy_tree(tmp_path)
+    old, new = _HANDLER_WHILE
+    _mutate(root, old, new, "logic/submission.py")
+    line = _line_of(root, "# seeded-handler-while", "logic/submission.py")
+    assert _errors(root) == {
+        ("unbounded-loop-dispatch", "logic/submission.py", line)}
+
+
+_RECURSION = (
+    "            return []\n        db = self.container.db\n",
+    "            return []\n"
+    "        if len(specs) > 1000:\n"
+    "            self.submit_jobs(specs[1000:], now){pragma}  # seeded-recursion\n"
+    "            specs = specs[:1000]\n"
+    "        db = self.container.db\n",
+)
+
+
+def test_seeded_recursive_dispatch_is_an_error_at_the_call(tmp_path):
+    root = _copy_tree(tmp_path)
+    old, new = _RECURSION
+    _mutate(root, old, new.format(pragma=""), "logic/submission.py")
+    line = _line_of(root, "# seeded-recursion", "logic/submission.py")
+    assert _errors(root) == {
+        ("unbounded-loop-dispatch", "logic/submission.py", line)}
+
+
+def test_bounded_pragma_suppresses_the_recursion_error(tmp_path):
+    root = _copy_tree(tmp_path)
+    old, new = _RECURSION
+    _mutate(root, old, new.format(pragma="  # dispatch: bounded"),
+            "logic/submission.py")
+    assert _sites(root) == set()
 
 
 def test_unmutated_copy_of_the_service_layer_is_clean(tmp_path):
@@ -270,27 +277,3 @@ def test_heartbeat_drop_events_dispatch_flat_statement_counts():
         return container.db.counts.delta(before).statements
 
     assert beat(2) == beat(20)
-
-
-# ----------------------------------------------------------------------
-# CLI surface
-# ----------------------------------------------------------------------
-
-def test_cli_budgets_report_text(capsys):
-    assert main(["--report", "budgets"]) == 0
-    out = capsys.readouterr().out
-    assert "heartbeat: budget 28" in out
-    assert "consistent" in out and "MISMATCH" not in out
-    assert "14 operations" in out
-
-
-def test_cli_budgets_report_json(tmp_path, capsys):
-    output = tmp_path / "dispatch-budgets.json"
-    assert main(["--report", "budgets", "--format", "json",
-                 "--output", str(output)]) == 0
-    capsys.readouterr()
-    document = json.loads(output.read_text())
-    assert document["version"] == 1
-    assert len(document["operations"]) == 14
-    assert all(entry["consistent"] for entry in document["operations"])
-    assert document["dispatching_functions"]

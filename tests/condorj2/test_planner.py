@@ -34,6 +34,7 @@ from repro.condorj2.logic import (
     SchedulingService,
     SubmissionService,
 )
+from repro.condorj2.logic.scheduling import MATCH_INSERT_SQL
 
 BACKENDS = ("sqlite", "memory")
 
@@ -341,6 +342,18 @@ def test_explain_is_uncounted(backend):
     delta = db.counts.delta(before)
     assert delta.statements == 0
     assert delta.plan_hits == 0 and delta.plan_misses == 0
+
+
+@pytest.mark.parametrize("backend", ("sqlite", "memory", "wal"))
+def test_explain_binds_every_placeholder_kind(backend):
+    """Explaining a cached statement text binds NULL per placeholder:
+    the scheduling statement's ``:now`` / ``:limit``, and a ``?``
+    inside a string literal is not one."""
+    db = Database(backend=backend)
+    assert db.explain(MATCH_INSERT_SQL).root.children
+    report = db.explain(
+        "SELECT job_id FROM jobs WHERE owner = '?' AND state = ?")
+    assert report.root.op == "STATEMENT"
 
 
 def test_memory_explain_chooses_index_probe():

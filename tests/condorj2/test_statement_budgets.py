@@ -19,9 +19,8 @@ from repro.condorj2.api import (
     FaultCode,
     InternalFault,
     OperationContract,
-    StatementBudget,
 )
-from repro.condorj2.api.fields import SchemaDef, f_int, f_list, f_str
+from repro.condorj2.api.fields import SchemaDef, f_int, f_str
 from repro.condorj2.api.gateway import ServiceGateway
 from repro.condorj2.costs import CasCostModel
 from repro.condorj2.database import Database
@@ -38,25 +37,14 @@ BACKENDS = ("sqlite", "memory", "wal")
 def test_every_contract_declares_a_constant_budget():
     for contract in CONTRACTS:
         budget = contract.statement_budget
-        assert budget is not None, f"{contract.name} has no budget"
-        # Every handler is statically O(1) (the analyzer proves it), so
-        # every declared budget must be constant.
-        assert budget.per_item == 0, contract.name
-        assert budget.base > 0, contract.name
+        assert type(budget) is int and budget > 0, contract.name
 
 
-def test_budget_arithmetic_and_rendering():
-    constant = StatementBudget(12)
-    assert constant.limit() == 12
-    assert constant.limit(500) == 12
-    assert constant.render() == "12"
-    assert constant.batch_size({"jobs": [1, 2, 3]}) == 0
-    affine = StatementBudget(4, per_item=2, batch_field="jobs")
-    assert affine.limit(affine.batch_size({"jobs": [1, 2, 3]})) == 10
-    assert affine.batch_size({}) == 0
-    assert affine.batch_size({"jobs": None}) == 0
-    assert affine.batch_size("not a struct") == 0
-    assert affine.render() == "4 + 2·|jobs|"
+def test_a_contract_without_a_budget_does_not_construct():
+    fields = {name: getattr(CONTRACTS[0], name) for name in (
+        "name", "version", "summary", "side_effect", "request", "response")}
+    with pytest.raises(TypeError, match="statement_budget"):
+        OperationContract(**fields)
 
 
 # ----------------------------------------------------------------------
@@ -69,10 +57,7 @@ def _probe_gateway(backend, budget):
     contract = OperationContract(
         name="probe", version="1.0", summary="budget probe",
         side_effect="read",
-        request=SchemaDef("ProbeRequest", (
-            f_int("statements"),
-            f_list("items", f_int("item"), required=False, default=()),
-        )),
+        request=SchemaDef("ProbeRequest", (f_int("statements"),)),
         response=SchemaDef("ProbeResponse", (f_str("status", enum=("OK",)),)),
         statement_budget=budget,
     )
@@ -89,7 +74,7 @@ def _probe_gateway(backend, budget):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_overrun_raises_budget_exceeded(backend):
-    gateway = _probe_gateway(backend, StatementBudget(2))
+    gateway = _probe_gateway(backend, 2)
     assert gateway.dispatch("probe", {"statements": 2}, 0.0) \
         == {"status": "OK"}
     with pytest.raises(InternalFault) as excinfo:
@@ -107,26 +92,6 @@ def test_overrun_raises_budget_exceeded(backend):
     assert stats.max_statements == 3
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_affine_budget_scales_with_the_declared_batch_field(backend):
-    budget = StatementBudget(1, per_item=1, batch_field="items")
-    gateway = _probe_gateway(backend, budget)
-    # 4 statements against 1 + 1*3 = 4: exactly at the limit, allowed.
-    payload = {"statements": 4, "items": [1, 2, 3]}
-    assert gateway.dispatch("probe", payload, 0.0) == {"status": "OK"}
-    with pytest.raises(InternalFault) as excinfo:
-        gateway.dispatch("probe", {"statements": 4, "items": [1]}, 1.0)
-    assert excinfo.value.subcode == "budget-exceeded"
-    assert gateway.stats["probe"].budget_overruns == 1
-
-
-def test_unmetered_contract_is_never_enforced():
-    gateway = _probe_gateway("memory", None)
-    assert gateway.dispatch("probe", {"statements": 50}, 0.0) \
-        == {"status": "OK"}
-    assert gateway.stats["probe"].budget_overruns == 0
-
-
 def test_handler_faults_are_not_double_counted_as_overruns():
     db = Database(backend="memory")
     contract = OperationContract(
@@ -134,7 +99,7 @@ def test_handler_faults_are_not_double_counted_as_overruns():
         side_effect="read",
         request=SchemaDef("ProbeRequest", ()),
         response=SchemaDef("ProbeResponse", (f_str("status", enum=("OK",)),)),
-        statement_budget=StatementBudget(1),
+        statement_budget=1,
     )
     registry = ContractRegistry([contract])
 
@@ -179,8 +144,7 @@ def test_full_workload_stays_inside_every_declared_budget():
     for operation, stats in system.cas.gateway.stats.items():
         assert stats.budget_overruns == 0, operation
         contract = system.cas.gateway.registry.contract(operation)
-        budget = contract.statement_budget
-        assert stats.max_statements <= budget.limit(0), operation
+        assert stats.max_statements <= contract.statement_budget, operation
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -192,7 +156,7 @@ def test_accept_is_four_guarded_writes_under_a_budget_of_eight(backend):
     stats = system.cas.gateway.stats["acceptMatch"]
     assert stats.max_statements == 4
     contract = system.cas.gateway.registry.contract("acceptMatch")
-    assert contract.statement_budget.limit() == 8
+    assert contract.statement_budget == 8
     with pytest.raises(ConflictFault) as excinfo:
         system.cas.gateway.dispatch("acceptMatch", ids, 2.0)  # match gone
     assert excinfo.value.subcode == "not-found"
@@ -210,7 +174,7 @@ def test_remove_is_two_guarded_deletes_under_a_budget_of_three(backend):
     stats = system.cas.gateway.stats["removeJob"]
     assert (stats.calls, stats.statements, stats.max_statements) == (1, 2, 2)
     contract = system.cas.gateway.registry.contract("removeJob")
-    assert contract.statement_budget.limit() == 3
+    assert contract.statement_budget == 3
     for job_id, subcode in ((ids["job_id"], "illegal-state"),  # running
                             (queued, "not-found"),     # already removed
                             (10 ** 9, "not-found")):   # never existed
