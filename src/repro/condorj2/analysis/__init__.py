@@ -4,9 +4,9 @@ The paper's thesis is that cluster state lives in a database and every
 daemon interaction is a SQL statement; this package turns that design
 into a checkable property.  It reads and parses the sources once
 (:mod:`source`), extracts the complete statement corpus from them
-(:mod:`extract`), validates each statement
-against the declared schema with the engines' own parser
-(:mod:`check`), applies the planner's costing rules to flag
+(:mod:`extract`), checks each statement against the declared schema
+for what an engine runs silently — literals outside a column's domain
+or affinity, omitted NOT NULL columns (:mod:`check`), applies the planner's costing rules to flag
 index-less equality access (:mod:`advisor`), reasons across statements
 about declared lifecycles (:mod:`lifecycle`) and transaction
 boundaries (:mod:`txn`), flags every statement dispatched per row or
@@ -14,7 +14,7 @@ inside an unbounded loop or recursion (:mod:`dispatch`), and gates CI
 on the result (:mod:`cli`, ``python -m repro.condorj2.analysis``).
 """
 
-from repro.condorj2.analysis.check import Catalog, check_extracted
+from repro.condorj2.analysis.check import check_extracted
 from repro.condorj2.analysis.cli import analyze, main
 from repro.condorj2.analysis.dispatch import (
     DispatchModel, build_dispatch_model, check_dispatch,
@@ -25,17 +25,13 @@ from repro.condorj2.analysis.extract import (
 from repro.condorj2.analysis.findings import (
     RULES, SEVERITIES, Baseline, Finding, sort_findings,
 )
-from repro.condorj2.analysis.lifecycle import (
-    TableGraph, build_graphs, check_lifecycles, graphs_to_dot,
-    graphs_to_json, transition_coverage,
-)
+from repro.condorj2.analysis.lifecycle import check_lifecycles
 from repro.condorj2.analysis.txn import (
     TxnModel, build_txn_model, check_transactions,
 )
 
 __all__ = [
     "Baseline",
-    "Catalog",
     "Corpus",
     "DispatchModel",
     "ExtractedStatement",
@@ -43,20 +39,15 @@ __all__ = [
     "RULES",
     "SEVERITIES",
     "SqlTemplate",
-    "TableGraph",
     "TxnModel",
     "analyze",
     "build_dispatch_model",
-    "build_graphs",
     "build_txn_model",
     "check_dispatch",
     "check_extracted",
     "check_lifecycles",
     "check_transactions",
     "extract_corpus",
-    "graphs_to_dot",
-    "graphs_to_json",
     "main",
     "sort_findings",
-    "transition_coverage",
 ]

@@ -87,12 +87,12 @@ def _eq_columns_for(alias: str, table: schema.TableDef, conjuncts: List,
     return columns
 
 
-def _advise_scope(sources: List[sp.Source], where, catalog, file: str,
-                  line: int, sql: str) -> List[Finding]:
+def _advise_scope(sources: List[sp.Source], where, file: str, line: int,
+                  sql: str) -> List[Finding]:
     locals_: List[Tuple[str, schema.TableDef]] = []
     for source in sources:
         if source.kind == "table":
-            table = catalog.table(source.name)
+            table = schema.TABLE_BY_NAME.get(source.name)
             if table is not None:
                 locals_.append((source.alias, table))
     if not locals_:
@@ -123,25 +123,16 @@ def _advise_scope(sources: List[sp.Source], where, catalog, file: str,
     return findings
 
 
-def advise(node, catalog, file: str, line: int, sql: str) -> List[Finding]:
+def advise(node, file: str, line: int, sql: str) -> List[Finding]:
     """Full-scan advisories for every (sub)query scope of a statement."""
     findings: List[Finding] = []
     for current in sp.walk(node):
         if isinstance(current, sp.Select):
             findings.extend(_advise_scope(
-                current.sources, current.where, catalog, file, line, sql))
-        elif isinstance(current, sp.Update):
-            table = catalog.table(current.table)
-            if table is not None:
-                source = sp.Source("table", current.table, None, None,
-                                   current.table, "first", None)
-                findings.extend(_advise_scope(
-                    [source], current.where, catalog, file, line, sql))
-        elif isinstance(current, sp.Delete):
-            table = catalog.table(current.table)
-            if table is not None:
-                source = sp.Source("table", current.table, None, None,
-                                   current.table, "first", None)
-                findings.extend(_advise_scope(
-                    [source], current.where, catalog, file, line, sql))
+                current.sources, current.where, file, line, sql))
+        elif isinstance(current, (sp.Update, sp.Delete)):
+            source = sp.Source("table", current.table, None, None,
+                               current.table, "first", None)
+            findings.extend(_advise_scope(
+                [source], current.where, file, line, sql))
     return findings

@@ -1,35 +1,33 @@
 """Schema-aware validation of extracted SQL statements.
 
 Every render of every extracted statement is parsed with the engines'
-own :mod:`sqlparser` (so "the analyzer accepts it" and "the engines
-execute it" are the same judgement) and then bound against
-``schema.TABLE_DEFS``:
+own :mod:`sqlparser` and bound against ``schema.TABLE_DEFS``.  What an
+engine rejects the first time a statement runs — text outside the
+dialect, an unknown table or column, an ambiguous name, an INSERT whose
+values miss its columns, a call binding the wrong parameters — is left
+to the engines: tier-1's two-way coverage test runs every extracted
+statement on SQLite and on the memory engine.  What is checked here is
+what runs *silently*:
 
-* name resolution — tables must exist, columns must be provided by an
-  in-scope source (table, subquery output list, ``json_each`` virtual
-  columns, or — in GROUP BY / HAVING / ORDER BY — a select-item alias),
-  with proper scoping for correlated subqueries;
-* write shape — INSERT column/value arity, NOT NULL coverage (a column
-  with a default, or the rowid-aliasing INTEGER PRIMARY KEY, is not
-  required), explicit NULLs into NOT NULL columns;
+* NOT NULL coverage — an INSERT omitting a NOT NULL column without a
+  default (a zero-row ``INSERT … SELECT`` or an ``OR IGNORE`` never
+  says so), or an explicit NULL written to one;
 * literal domains — values compared with or written to a
   ``CHECK (col IN (...))`` column must come from the declared domain;
 * type affinity — a TEXT column compared against a numeric literal (or
   a numeric column against a non-numeric string) can never match, which
   is an error; a write that affinity would coerce is a warning;
-* bind surface — the statement's placeholder count and named-parameter
-  set must match what the call site actually passes.
+* unused named parameters — a call-site dict key no ``:name`` binds.
 
-The binder is deliberately conservative: a source with an *unknown*
-output column set (a subquery selecting ``*`` from another subquery)
-suppresses unknown-column findings inside that scope rather than
-guessing.
+A column reference that does not resolve is skipped, not reported, and
+so is a source whose output columns are statically unknown (a subquery
+selecting ``*`` from another subquery).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, List, Optional, Sequence, Tuple
+from typing import FrozenSet, List, Optional, Tuple
 
 from repro.condorj2 import schema
 from repro.condorj2.analysis import advisor
@@ -46,16 +44,6 @@ _COMPARE_OPS = ("=", "==", "!=", "<>", "<", "<=", ">", ">=")
 _EQUALITY_OPS = ("=", "==", "!=", "<>")
 
 
-class Catalog:
-    """The schema the checker binds against."""
-
-    def __init__(self, table_defs: Sequence[schema.TableDef] = schema.TABLE_DEFS):
-        self.tables = {table.name: table for table in table_defs}
-
-    def table(self, name: str) -> Optional[schema.TableDef]:
-        return self.tables.get(name)
-
-
 @dataclass
 class _Source:
     """One FROM-clause source, resolved."""
@@ -64,6 +52,15 @@ class _Source:
     table: Optional[schema.TableDef]
     #: Output column names; None when statically unknown.
     columns: Optional[Tuple[str, ...]]
+
+    def column(self, name: str) -> Optional[schema.ColumnDef]:
+        if self.table is None or name not in (self.columns or ()):
+            return None
+        return self.table.column(name)
+
+
+def _table_source(table: schema.TableDef, alias: str) -> _Source:
+    return _Source(alias, table, tuple(c.name for c in table.columns))
 
 
 class _Scope:
@@ -74,9 +71,35 @@ class _Scope:
         self.parent = parent
 
 
+def _resolve(col: sp.Col, scope: Optional[_Scope],
+             aliases: FrozenSet[str] = frozenset()
+             ) -> Optional[schema.ColumnDef]:
+    """The :class:`ColumnDef` a column reference lands on.
+
+    None when it resolves to something without a schema type (subquery
+    output, json_each, a select alias in GROUP BY / HAVING / ORDER BY)
+    or does not resolve at all.
+    """
+    first_frame = True
+    while scope is not None:
+        if col.table is not None:
+            for source in scope.sources:
+                if source.alias == col.table:
+                    return source.column(col.name)
+        else:
+            for source in scope.sources:
+                if source.columns is not None and col.name in source.columns:
+                    return source.column(col.name)
+            if any(source.columns is None for source in scope.sources) or (
+                    first_frame and col.name in aliases):
+                return None
+        first_frame = False
+        scope = scope.parent
+    return None
+
+
 class _Checker:
-    def __init__(self, catalog: Catalog, file: str, line: int, sql: str):
-        self.catalog = catalog
+    def __init__(self, file: str, line: int, sql: str):
         self.file = file
         self.line = line
         self.sql = sql
@@ -92,90 +115,38 @@ class _Checker:
             self._check_select(node, None)
         elif isinstance(node, sp.Insert):
             self._check_insert(node)
-        elif isinstance(node, sp.Update):
-            self._check_update(node)
-        elif isinstance(node, sp.Delete):
-            self._check_delete(node)
-
-    # -- name resolution ------------------------------------------------
-    def _resolve(self, col: sp.Col, scope: Optional[_Scope],
-                 aliases: FrozenSet[str] = frozenset()
-                 ) -> Optional[schema.ColumnDef]:
-        """Resolve a column reference; emits findings on failure.
-
-        Returns the :class:`ColumnDef` when the reference lands on a
-        real table column, None when it resolves to something without a
-        schema type (subquery output, json_each, select alias) or does
-        not resolve at all.
-        """
-        if col.table is not None:
-            frame = scope
-            while frame is not None:
-                for source in frame.sources:
-                    if source.alias == col.table:
-                        if source.columns is None:
-                            return None
-                        if col.name in source.columns:
-                            if source.table is not None:
-                                return source.table.column(col.name)
-                            return None
-                        self.emit("unknown-column",
-                                  f"no column {col.name!r} in "
-                                  f"{source.alias!r}")
-                        return None
-                frame = frame.parent
-            self.emit("unknown-table",
-                      f"unknown table or alias {col.table!r}")
-            return None
-
-        first_frame = True
-        frame = scope
-        while frame is not None:
-            matches = [s for s in frame.sources
-                       if s.columns is not None and col.name in s.columns]
-            unknowns = [s for s in frame.sources if s.columns is None]
-            if len(matches) > 1:
-                self.emit("ambiguous-column",
-                          f"column {col.name!r} matches "
-                          f"{', '.join(s.alias for s in matches)}")
-                matches = matches[:1]
-            if matches:
-                source = matches[0]
-                if source.table is not None:
-                    return source.table.column(col.name)
-                return None
-            if unknowns:
-                return None
-            if first_frame and col.name in aliases:
-                return None
-            first_frame = False
-            frame = frame.parent
-        self.emit("unknown-column", f"unknown column {col.name!r}")
-        return None
+        elif isinstance(node, (sp.Update, sp.Delete)):
+            table = schema.TABLE_BY_NAME.get(node.table)
+            if table is None:
+                return
+            source = _table_source(table, node.table)
+            scope = _Scope([source], None)
+            if isinstance(node, sp.Update):
+                for name, expr in node.sets:
+                    column = source.column(name)
+                    if column is not None:
+                        self._check_write(table, column, expr)
+                    self._check_expr(expr, scope)
+            if node.where is not None:
+                self._check_expr(node.where, scope)
 
     # -- SELECT ---------------------------------------------------------
     def _check_select(self, select: sp.Select, parent: Optional[_Scope]
                       ) -> Optional[Tuple[str, ...]]:
-        """Bind a select; returns its output column names (or None)."""
+        """Check a select; returns its output column names (or None)."""
         sources: List[_Source] = []
         for source in select.sources:
             if source.kind == "table":
-                table = self.catalog.table(source.name)
-                if table is None:
-                    self.emit("unknown-table",
-                              f"unknown table {source.name!r}")
-                    sources.append(_Source(source.alias, None, None))
-                else:
-                    sources.append(_Source(
-                        source.alias, table,
-                        tuple(c.name for c in table.columns)))
+                table = schema.TABLE_BY_NAME.get(source.name)
+                sources.append(_table_source(table, source.alias)
+                               if table is not None
+                               else _Source(source.alias, None, None))
             elif source.kind == "json_each":
                 sources.append(_Source(
                     source.alias or "json_each", None, JSON_EACH_COLUMNS))
             else:  # subquery
                 output = self._check_select(source.subquery, parent)
-                sources.append(_Source(
-                    source.alias or "", None, output))
+                sources.append(_Source(source.alias or "", None, output))
         scope = _Scope(sources, parent)
 
         for source in select.sources:
@@ -185,24 +156,20 @@ class _Checker:
                 self._check_expr(source.on, scope)
 
         aliases = set()
-        output: List[str] = []
-        output_known = True
+        output: Optional[List[str]] = []
         for item in select.items:
             if isinstance(item.expr, sp.Star):
-                expanded = self._expand_star(item.expr, scope)
-                if expanded is None:
-                    output_known = False
-                else:
-                    output.extend(expanded)
+                expanded = _expand_star(item.expr, scope)
+                output = (None if output is None or expanded is None
+                          else output + expanded)
                 continue
             self._check_expr(item.expr, scope)
             if item.alias:
                 aliases.add(item.alias)
-                output.append(item.alias)
-            elif isinstance(item.expr, sp.Col):
-                output.append(item.expr.name)
-            else:
-                output.append(item.text)
+            if output is not None:
+                output.append(item.alias or (
+                    item.expr.name if isinstance(item.expr, sp.Col)
+                    else item.text))
         alias_set = frozenset(aliases)
 
         if select.where is not None:
@@ -215,35 +182,13 @@ class _Checker:
             self._check_expr(expr, scope, alias_set)
         if select.limit is not None:
             self._check_expr(select.limit, scope)
-        return tuple(output) if output_known else None
-
-    def _expand_star(self, star: sp.Star, scope: _Scope
-                     ) -> Optional[List[str]]:
-        if star.table is not None:
-            for source in scope.sources:
-                if source.alias == star.table:
-                    return list(source.columns) if source.columns else None
-            self.emit("unknown-table",
-                      f"unknown table or alias {star.table!r}")
-            return None
-        columns: List[str] = []
-        for source in scope.sources:
-            if source.columns is None:
-                return None
-            columns.extend(source.columns)
-        return columns
+        return tuple(output) if output is not None else None
 
     # -- writes ---------------------------------------------------------
     def _check_insert(self, insert: sp.Insert) -> None:
-        table = self.catalog.table(insert.table)
+        table = schema.TABLE_BY_NAME.get(insert.table)
         if table is None:
-            self.emit("unknown-table", f"unknown table {insert.table!r}")
             return
-        known = {column.name for column in table.columns}
-        for name in insert.columns:
-            if name not in known:
-                self.emit("unknown-column",
-                          f"no column {name!r} in {insert.table!r}")
         covered = set(insert.columns)
         for column in table.columns:
             if (column.not_null and not column.has_default
@@ -252,57 +197,18 @@ class _Checker:
                 self.emit("not-null-write",
                           f"insert into {insert.table!r} omits NOT NULL "
                           f"column {column.name!r} (no default)")
-
-        if insert.values is not None:
-            if len(insert.values) != len(insert.columns):
-                self.emit("insert-arity",
-                          f"insert into {insert.table!r} lists "
-                          f"{len(insert.columns)} columns but "
-                          f"{len(insert.values)} values")
-            for name, expr in zip(insert.columns, insert.values):
-                self._check_expr(expr, None)
-                if name in known:
-                    self._check_write(table, table.column(name), expr)
         if insert.select is not None:
-            output = self._check_select(insert.select, None)
-            if output is not None and len(output) != len(insert.columns):
-                self.emit("insert-arity",
-                          f"insert into {insert.table!r} lists "
-                          f"{len(insert.columns)} columns but its "
-                          f"select produces {len(output)}")
-            for name, item in zip(insert.columns, insert.select.items):
-                if name in known and isinstance(item.expr, sp.Lit):
-                    self._check_write(table, table.column(name), item.expr)
-
-    def _table_scope(self, table: schema.TableDef, alias: str) -> _Scope:
-        return _Scope([_Source(alias, table,
-                               tuple(c.name for c in table.columns))], None)
-
-    def _check_update(self, update: sp.Update) -> None:
-        table = self.catalog.table(update.table)
-        if table is None:
-            self.emit("unknown-table", f"unknown table {update.table!r}")
-            return
-        scope = self._table_scope(table, update.table)
-        known = {column.name for column in table.columns}
-        for name, expr in update.sets:
-            if name not in known:
-                self.emit("unknown-column",
-                          f"no column {name!r} in {update.table!r}")
-            else:
-                self._check_write(table, table.column(name), expr)
-            self._check_expr(expr, scope)
-        if update.where is not None:
-            self._check_expr(update.where, scope)
-
-    def _check_delete(self, delete: sp.Delete) -> None:
-        table = self.catalog.table(delete.table)
-        if table is None:
-            self.emit("unknown-table", f"unknown table {delete.table!r}")
-            return
-        if delete.where is not None:
-            self._check_expr(delete.where, self._table_scope(
-                table, delete.table))
+            self._check_select(insert.select, None)
+            written = [item.expr for item in insert.select.items]
+        else:
+            for expr in insert.values:
+                self._check_expr(expr, None)
+            written = insert.values
+        source = _table_source(table, insert.table)
+        for name, expr in zip(insert.columns, written):
+            column = source.column(name)
+            if column is not None:
+                self._check_write(table, column, expr)
 
     def _check_write(self, table: schema.TableDef,
                      column: schema.ColumnDef, expr) -> None:
@@ -330,13 +236,6 @@ class _Checker:
     # -- expressions ----------------------------------------------------
     def _check_expr(self, node, scope: Optional[_Scope],
                     aliases: FrozenSet[str] = frozenset()) -> None:
-        if isinstance(node, sp.Col):
-            self._resolve(node, scope, aliases)
-            return
-        if isinstance(node, sp.Star):
-            if node.table is not None and scope is not None:
-                self._expand_star(node, scope)
-            return
         for child in sp.children(node, nested=False):
             self._check_expr(child, scope, aliases)
         if isinstance(node, (sp.InSelect, sp.Exists, sp.ScalarSelect)):
@@ -346,21 +245,10 @@ class _Checker:
         elif isinstance(node, sp.InList):
             self._check_domain_inlist(node, scope, aliases)
 
-    def _column_of(self, node, scope, aliases) -> Optional[schema.ColumnDef]:
-        """The ColumnDef a side of a comparison refers to, if any.
-
-        Resolution findings were already emitted by the recursive
-        expression walk; this is a second, silent resolution.
-        """
-        if not isinstance(node, sp.Col):
-            return None
-        silent = _Checker(self.catalog, self.file, self.line, self.sql)
-        return silent._resolve(node, scope, aliases)
-
     def _check_comparison(self, node: sp.Bin, scope, aliases) -> None:
         for column_side, literal_side in (
                 (node.left, node.right), (node.right, node.left)):
-            column = self._column_of(column_side, scope, aliases)
+            column = _column_of(column_side, scope, aliases)
             if column is None or not isinstance(literal_side, sp.Lit):
                 continue
             value = literal_side.value
@@ -381,7 +269,7 @@ class _Checker:
                           f"{column.check_in}")
 
     def _check_domain_inlist(self, node: sp.InList, scope, aliases) -> None:
-        column = self._column_of(node.needle, scope, aliases)
+        column = _column_of(node.needle, scope, aliases)
         if column is None:
             return
         for item in node.items:
@@ -401,6 +289,25 @@ class _Checker:
                           f"{item.value!r} can never match")
 
 
+def _expand_star(star: sp.Star, scope: _Scope) -> Optional[List[str]]:
+    """The columns ``*`` or ``alias.*`` stands for; None when unknown."""
+    columns: List[str] = []
+    for source in scope.sources:
+        if star.table is None or source.alias == star.table:
+            if source.columns is None:
+                return None
+            columns.extend(source.columns)
+    if star.table is not None and not columns:
+        return None  # an alias no source has
+    return columns
+
+
+def _column_of(node, scope, aliases) -> Optional[schema.ColumnDef]:
+    """The ColumnDef a side of a comparison refers to, if any."""
+    return _resolve(node, scope, aliases) if isinstance(node, sp.Col) \
+        else None
+
+
 def _affinity_conflict(column: schema.ColumnDef, value) -> bool:
     """True when affinity conversion cannot reconcile column and value."""
     if isinstance(value, bool) or value is None:
@@ -418,73 +325,27 @@ def _affinity_conflict(column: schema.ColumnDef, value) -> bool:
 
 
 # ----------------------------------------------------------------------
-# call-site bind surface
-# ----------------------------------------------------------------------
-
-def _check_params(statement: ExtractedStatement,
-                  parsed: sp.ParsedStatement) -> List[Finding]:
-    findings: List[Finding] = []
-
-    def emit(rule: str, message: str) -> None:
-        findings.append(make_finding(
-            rule, statement.file, statement.line, message,
-            statement=parsed.sql))
-
-    if parsed.named_params:
-        if statement.arity is not None and statement.arity > 0:
-            emit("param-style",
-                 f"statement binds named parameters "
-                 f"{sorted(parsed.named_params)} but the call passes a "
-                 f"positional sequence")
-        elif statement.named is not None:
-            missing = sorted(set(parsed.named_params) - set(statement.named))
-            extra = sorted(set(statement.named) - set(parsed.named_params))
-            if missing:
-                emit("param-names",
-                     f"call omits named parameters {missing}")
-            if extra:
-                emit("param-extra",
-                     f"call passes unused named parameters {extra}")
-        elif statement.no_params:
-            emit("param-names",
-                 f"statement binds named parameters "
-                 f"{sorted(parsed.named_params)} but the call passes none")
-        return findings
-
-    if statement.named is not None:
-        emit("param-style",
-             f"statement uses positional placeholders but the call "
-             f"passes named parameters {sorted(statement.named)}")
-        return findings
-    if statement.arity is not None and \
-            statement.arity != parsed.placeholder_count:
-        emit("placeholder-arity",
-             f"statement has {parsed.placeholder_count} placeholders "
-             f"but the call binds {statement.arity} parameters")
-    return findings
-
-
-# ----------------------------------------------------------------------
 # entry point
 # ----------------------------------------------------------------------
 
-def check_extracted(statement: ExtractedStatement,
-                    catalog: Catalog) -> List[Finding]:
+def check_extracted(statement: ExtractedStatement) -> List[Finding]:
     """All findings for one extracted statement (every render)."""
     findings: List[Finding] = []
     for render in statement.renders:
         try:
             parsed = sp.parse_info(render)
-        except sp.SqlSyntaxError as exc:
-            findings.append(make_finding(
-                "sql-parse-error", statement.file, statement.line,
-                f"does not parse: {exc}", statement=render))
-            continue
-        checker = _Checker(catalog, statement.file, statement.line, render)
+        except sp.SqlSyntaxError:
+            continue  # the engines refuse it the first time it runs
+        checker = _Checker(statement.file, statement.line, render)
         checker.check(parsed.ast)
         findings.extend(checker.findings)
         findings.extend(advisor.advise(
-            parsed.ast, catalog, statement.file, statement.line, render))
-        if statement.constant:
-            findings.extend(_check_params(statement, parsed))
+            parsed.ast, statement.file, statement.line, render))
+        if statement.constant and statement.named is not None:
+            extra = sorted(set(statement.named) - set(parsed.named_params))
+            if extra:
+                findings.append(make_finding(
+                    "param-extra", statement.file, statement.line,
+                    f"call passes unused named parameters {extra}",
+                    statement=render))
     return findings

@@ -18,22 +18,18 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import repro.condorj2 as condorj2
-from repro.condorj2.analysis.check import Catalog, check_extracted
+from repro.condorj2.analysis.check import check_extracted
 from repro.condorj2.analysis.dispatch import check_dispatch
 from repro.condorj2.analysis.extract import Corpus, extract_corpus
 from repro.condorj2.analysis.findings import (
     SEVERITIES, Baseline, Finding, sort_findings,
 )
-from repro.condorj2.analysis.lifecycle import (
-    build_graphs, check_lifecycles, graphs_to_dot, graphs_to_json,
-)
+from repro.condorj2.analysis.lifecycle import check_lifecycles
 from repro.condorj2.analysis.source import SourceTree
 from repro.condorj2.analysis.txn import check_transactions
-from repro.condorj2.schema import BORN
 
 
-def analyze(root: Path, catalog: Optional[Catalog] = None
-            ) -> Tuple[Corpus, List[Finding]]:
+def analyze(root: Path) -> Tuple[Corpus, List[Finding]]:
     """Extract and check everything under ``root``.
 
     Runs all four tiers: the per-statement schema checks, the
@@ -42,10 +38,9 @@ def analyze(root: Path, catalog: Optional[Catalog] = None
     """
     source = SourceTree.of(root)  # parsed once, shared by every tier
     corpus = extract_corpus(source)
-    catalog = catalog or Catalog()
     findings: List[Finding] = list(corpus.findings)
     for statement in corpus.statements:
-        findings.extend(check_extracted(statement, catalog))
+        findings.extend(check_extracted(statement))
     findings.extend(check_lifecycles(corpus))
     findings.extend(check_transactions(source))
     findings.extend(check_dispatch(source))
@@ -83,46 +78,6 @@ def _gating(new_findings: Sequence[Finding], fail_on: str) -> List[Finding]:
     return [f for f in new_findings if f.severity in threshold]
 
 
-def _transitions_report(args: argparse.Namespace) -> int:
-    """``--report transitions``: emit the lifecycle transition graphs.
-
-    Text format prints one line per declared or implied edge, annotated
-    with its implementation status; JSON is the
-    :func:`graphs_to_json` document; ``--dot`` adds Graphviz output.
-    Always exits 0 — gating stays with the findings report.
-    """
-    corpus = extract_corpus(args.root)
-    graphs, _ = build_graphs(corpus)
-    document = graphs_to_json(graphs)
-    if args.output is not None:
-        args.output.write_text(json.dumps(document, indent=2) + "\n")
-    if args.dot is not None:
-        args.dot.write_text(graphs_to_dot(graphs))
-    if args.format == "json":
-        print(json.dumps(document, indent=2))
-        return 0
-    for entry in document["tables"]:
-        table = entry["table"]
-        implied = {(e["from"], e["to"]): e["sites"] for e in entry["implied"]}
-        print(f"{table} ({entry['column']}): "
-              f"states {', '.join(entry['states'])}")
-        for source, target in entry["declared"]:
-            if (source, target) in implied:
-                status = "implemented at " + "; ".join(
-                    implied[source, target])
-            elif source in entry["dynamic_sources"] or (
-                    source == BORN and entry["dynamic_creates"]):
-                status = "dynamic (parameter-bound write)"
-            else:
-                status = "declared only"
-            print(f"  {source} -> {target}  [{status}]")
-        for (source, target), sites in sorted(implied.items()):
-            if [source, target] not in entry["declared"] and source != target:
-                print(f"  {source} -> {target}  [ILLEGAL, implied at "
-                      f"{'; '.join(sites)}]")
-    return 0
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.condorj2.analysis",
@@ -147,18 +102,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--fail-on", choices=("error", "warning", "any", "none"),
         default="error",
         help="minimum new-finding severity that fails the run")
-    parser.add_argument(
-        "--report", choices=("findings", "transitions"),
-        default="findings",
-        help="'transitions' emits the per-table lifecycle transition "
-             "graphs instead of gating on findings")
-    parser.add_argument(
-        "--dot", type=Path, default=None,
-        help="also write the transition graphs as Graphviz DOT here")
     args = parser.parse_args(argv)
-
-    if args.report == "transitions":
-        return _transitions_report(args)
 
     corpus, findings = analyze(args.root)
 
@@ -175,9 +119,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     if args.output is not None:
         args.output.write_text(json.dumps(report, indent=2) + "\n")
-    if args.dot is not None:
-        graphs, _ = build_graphs(corpus)
-        args.dot.write_text(graphs_to_dot(graphs))
     if args.format == "json":
         print(json.dumps(report, indent=2))
     else:

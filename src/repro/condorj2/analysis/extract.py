@@ -156,12 +156,8 @@ class ExtractedStatement:
     #: itself, or one render per bean/table for identifier templates;
     #: empty when the template has value slots).
     renders: List[str] = field(default_factory=list)
-    #: Positional parameter count at the call site, if statically known.
-    arity: Optional[int] = None
     #: Named parameter keys at the call site, if a dict literal.
     named: Optional[Tuple[str, ...]] = None
-    #: True when the call passes no parameter argument at all.
-    no_params: bool = False
 
     @property
     def constant(self) -> bool:
@@ -341,64 +337,20 @@ class _ModuleExtractor:
         return None
 
     # -- call-site parameters ------------------------------------------
-    def _param_info(self, call: ast.Call, method: str,
+    def _named_keys(self, call: ast.Call, method: str,
                     local_env: Dict[str, List[ast.AST]]
-                    ) -> Tuple[Optional[int], Optional[Tuple[str, ...]], bool]:
-        """(positional arity, named keys, no-params) for a call."""
-        params_node: Optional[ast.AST] = None
-        if len(call.args) > 1:
-            params_node = call.args[1]
-        else:
-            for keyword in call.keywords:
-                if keyword.arg in ("params", "rows"):
-                    params_node = keyword.value
-        if params_node is None:
-            return (0, None, True) if method != "executemany" \
-                else (None, None, True)
-        if method == "executemany":
-            return self._row_arity(params_node, local_env), None, False
-        return self._tuple_arity(params_node, local_env)
-
-    def _tuple_arity(self, node: ast.AST,
-                     local_env: Dict[str, List[ast.AST]], depth: int = 0
-                     ) -> Tuple[Optional[int], Optional[Tuple[str, ...]], bool]:
-        if depth > 4:
-            return None, None, False
-        if isinstance(node, (ast.Tuple, ast.List)):
-            if any(isinstance(e, ast.Starred) for e in node.elts):
-                return None, None, False
-            return len(node.elts), None, False
-        if isinstance(node, ast.Dict):
-            keys = []
-            for key in node.keys:
-                if isinstance(key, ast.Constant) and isinstance(key.value, str):
-                    keys.append(key.value)
-                else:
-                    return None, None, False
-            return None, tuple(keys), False
-        if isinstance(node, ast.Name):
-            value = self._lookup(node.id, local_env)
-            if value is not None:
-                return self._tuple_arity(value, local_env, depth + 1)
-        return None, None, False
-
-    def _row_arity(self, node: ast.AST,
-                   local_env: Dict[str, List[ast.AST]], depth: int = 0
-                   ) -> Optional[int]:
-        if depth > 4:
+                    ) -> Optional[Tuple[str, ...]]:
+        """The keys of a dict-literal parameter argument, else None."""
+        if method == "executemany" or len(call.args) < 2:
             return None
-        if isinstance(node, ast.ListComp) and \
-                isinstance(node.elt, ast.Tuple):
-            return len(node.elt.elts)
-        if isinstance(node, (ast.List, ast.Tuple)) and node.elts and \
-                all(isinstance(e, ast.Tuple) for e in node.elts):
-            lengths = {len(e.elts) for e in node.elts}
-            return lengths.pop() if len(lengths) == 1 else None
+        node = call.args[1]
         if isinstance(node, ast.Name):
-            value = self._lookup(node.id, local_env)
-            if value is not None:
-                return self._row_arity(value, local_env, depth + 1)
-        return None
+            node = self._lookup(node.id, local_env)
+        if not isinstance(node, ast.Dict) or not all(
+                isinstance(key, ast.Constant) and isinstance(key.value, str)
+                for key in node.keys):
+            return None
+        return tuple(key.value for key in node.keys)
 
     # -- rendering ------------------------------------------------------
     def _render(self, template: SqlTemplate) -> List[str]:
@@ -474,16 +426,13 @@ class _ModuleExtractor:
             return
         if not _starts_with_verb(template.leading_text):
             return
-        arity, named, no_params = self._param_info(call, method, local_env)
         statement = ExtractedStatement(
             file=self.rel,
             line=call.lineno,
             method=method,
             template=template,
             renders=self._render(template),
-            arity=arity,
-            named=named,
-            no_params=no_params,
+            named=self._named_keys(call, method, local_env),
         )
         self.statements.append(statement)
         if not template.constant:

@@ -4,11 +4,15 @@ A :class:`Finding` is one diagnosed fact about one statement (or one
 interpolation site): a rule id, a severity, file:line provenance and a
 human message.  Severities mean exactly three things:
 
-* ``error`` — the statement is wrong: it cannot parse, references
-  schema objects that do not exist, binds the wrong number of
-  parameters, or interpolates values into SQL text.  Errors gate CI.
+* ``error`` — the statement is wrong in a way no run reports: it
+  compares or writes a literal its column can never hold, omits a NOT
+  NULL column, interpolates values into SQL text, walks a lifecycle
+  edge the declaration forbids, splits a transaction or dispatches per
+  row.  (What an engine rejects when the statement runs — a parse
+  error, an unknown name, a wrong bind — is the engines' to report;
+  tier-1 runs every extracted statement.)  Errors gate CI.
 * ``warning`` — the statement executes but something about it is
-  suspicious (ambiguous column resolution, affinity-coercing writes,
+  suspicious (affinity-coercing writes, unused named parameters,
   value-bearing dynamic text).  Reported, never gating.
 * ``advice`` — the statement is correct but could be better (a full
   scan that a declared index would turn into a probe, a bounded
@@ -36,16 +40,6 @@ SEVERITIES = ("error", "warning", "advice")
 #: renders this table; adding a rule means adding an entry here and
 #: emitting findings under its id (see DESIGN.md's "adding a rule").
 RULES: Dict[str, Tuple[str, str]] = {
-    "sql-parse-error": (
-        "error", "statement does not parse in the engine dialect"),
-    "unknown-table": (
-        "error", "statement references a table absent from TABLE_DEFS"),
-    "unknown-column": (
-        "error", "statement references a column its scope does not provide"),
-    "ambiguous-column": (
-        "warning", "unqualified column name matches more than one source"),
-    "insert-arity": (
-        "error", "INSERT value/select arity differs from its column list"),
     "not-null-write": (
         "error", "write violates a NOT NULL column without a default"),
     "check-domain": (
@@ -55,14 +49,6 @@ RULES: Dict[str, Tuple[str, str]] = {
                  "incompatible type affinity can never be true"),
     "affinity-write": (
         "warning", "write stores a literal the column affinity will coerce"),
-    "placeholder-arity": (
-        "error", "call-site parameter count differs from the statement's "
-                 "placeholder count"),
-    "param-style": (
-        "error", "positional parameters bound to a named-placeholder "
-                 "statement (or vice versa)"),
-    "param-names": (
-        "error", "call site omits a named placeholder the statement binds"),
     "param-extra": (
         "warning", "call site supplies named parameters the statement "
                    "never binds"),

@@ -68,7 +68,11 @@ class _Compiler(_ExprCompiler):
     # ------------------------------------------------------------------
     # statements
     # ------------------------------------------------------------------
-    def compile(self, ast: Any) -> Any:
+    def compile(self, sql: str) -> Any:
+        """The plan for ``sql``, carrying its bind surface as ``bind``:
+        (positional placeholder count, ``:name`` parameters)."""
+        info = sp.parse_info(sql)
+        ast = info.ast
         # Fresh registry stack per statement: a failed compile must not
         # leave stale frames behind (the engine reuses one compiler).
         self._subs = [[]]
@@ -88,6 +92,7 @@ class _Compiler(_ExprCompiler):
             xsubs = self._subs[0]
             self._subs = []
         plan.xsubs = xsubs
+        plan.bind = (info.placeholder_count, info.named_params)
         return plan
 
     def _table(self, name: str) -> MemoryTable:

@@ -59,7 +59,11 @@ class _Scope:
 
     def _find(self, qualifier: Optional[str], name: str
               ) -> Tuple[int, "_Scope", str]:
-        """(depth, defining scope, alias) for a column reference."""
+        """(depth, defining scope, alias) for a column reference.
+
+        An unqualified name binds in the innermost scope that provides
+        it, and, as in SQLite, is an error when two sources of that
+        scope both do."""
         depth, scope = 0, self
         while scope is not None:
             if qualifier is not None:
@@ -70,9 +74,12 @@ class _Scope:
                             f"no such column: {qualifier}.{name}")
                     return depth, scope, qualifier
             else:
-                for alias, columns in scope.aliases.items():
-                    if name in columns:
-                        return depth, scope, alias
+                found = [alias for alias, columns in scope.aliases.items()
+                         if name in columns]
+                if len(found) > 1:
+                    raise MemoryEngineError(f"ambiguous column name: {name}")
+                if found:
+                    return depth, scope, found[0]
             depth, scope = depth + 1, scope.parent
         raise MemoryEngineError(
             f"no such column: {(qualifier + '.') if qualifier else ''}{name}")
@@ -225,20 +232,11 @@ class _ExprCompiler:
             value = node.value
             return lambda rt: value
         if isinstance(node, sp.Param):
-            if node.index is not None:
-                index = node.index
-                def param_fn(rt, _i=index):
-                    if rt.seq is None:
-                        raise MemoryEngineError("positional parameter "
-                                                "without a sequence")
-                    return rt.seq[_i]
-                return param_fn
-            name = node.name
-            def named_fn(rt, _n=name):
-                if rt.named is None or _n not in rt.named:
-                    raise MemoryEngineError(f"missing named parameter :{_n}")
-                return rt.named[_n]
-            return named_fn
+            # The bind surface was checked once, before the run.
+            index, name = node.index, node.name
+            if index is not None:
+                return lambda rt: rt.seq[index]
+            return lambda rt: rt.named[name]
         if isinstance(node, sp.Col):
             depth, _alias, slot = scope.resolve(node.table, node.name)
             stats["outer"] = max(stats["outer"], depth)

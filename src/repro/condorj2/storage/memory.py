@@ -89,21 +89,47 @@ class MemoryStorageEngine(TableStore, StorageEngine):
         identical to SQLite's, which admits a cache entry before its
         deferred native compile fails at execute time."""
         try:
-            return self._compiler.compile(sp.parse(sql))
+            return self._compiler.compile(sql)
         except self.ENGINE_ERRORS as exc:  # surfaces from _execute_raw
             return _FailedPlan(exc)
 
-    def _make_rt(self, params: Any) -> _Rt:
+    @staticmethod
+    def _make_rt(plan: Any, params: Any) -> _Rt:
+        """The runtime context for one run of ``plan``, after SQLite's
+        bind checks: a mapping must name every ``:name`` and may not
+        meet a ``?``; a sequence must match the ``?`` count exactly.
+        Python 3.11's ``sqlite3`` binds a sequence to ``:name``
+        placeholders by position (3.14 refuses it); this engine refuses
+        it already."""
+        positional, named = plan.bind
         if isinstance(params, dict):
+            if positional:
+                raise MemoryEngineError(
+                    "a positional placeholder has no name, but a mapping "
+                    "was supplied")
+            for name in named:
+                if name not in params:
+                    raise MemoryEngineError(
+                        f"no value supplied for binding parameter :{name}")
             return _Rt(None, params)
-        return _Rt(list(params), None)
+        if named:
+            raise MemoryEngineError(
+                f"named parameters {list(named)} need a mapping, not a "
+                f"sequence")
+        seq = list(params)
+        if len(seq) != positional:
+            raise MemoryEngineError(
+                f"incorrect number of bindings supplied: the statement "
+                f"uses {positional}, and there are {len(seq)} supplied")
+        return _Rt(seq, None)
 
     def _run_statement(self, plan: Any, params: Any) -> MemoryCursor:
         """Run one statement with statement-level atomicity."""
+        rt = self._make_rt(plan, params)
         outer = self._undo
         self._undo = []
         try:
-            cursor = plan.run(self, self._make_rt(params))
+            cursor = plan.run(self, rt)
         except Exception:
             self._replay(self._undo)
             self._undo = outer
@@ -149,13 +175,13 @@ class MemoryStorageEngine(TableStore, StorageEngine):
         profiled plan nodes, filling actual row counts and per-operator
         timings.  DML executes inside an undo sandbox that is always
         rolled back, so profiling is side-effect free."""
-        compiler = _Compiler(self, profiled=True)
-        plan = compiler.compile(sp.parse(sql))
+        plan = _Compiler(self, profiled=True).compile(sql)
         if params is not None:
+            rt = self._make_rt(plan, params)
             outer = self._undo
             self._undo = []
             try:
-                plan.run(self, self._make_rt(params))
+                plan.run(self, rt)
             finally:
                 self._replay(self._undo)
                 self._undo = outer

@@ -119,9 +119,9 @@ class PoolWebSite:
         durability_report = self._durability_report()
         if durability_report:
             report += "\n\n" + durability_report
-        transitions_report = self._transitions_report()
-        if transitions_report:
-            report += "\n\n" + transitions_report
+        lifecycle_report = self._lifecycle_report()
+        if lifecycle_report:
+            report += "\n\n" + lifecycle_report
         report += "\n\n" + self._caches_report()
         explain_report = self._hot_plan_report()
         if explain_report:
@@ -168,13 +168,13 @@ class PoolWebSite:
             )
         return report
 
-    def _transitions_report(self) -> Optional[str]:
+    def _lifecycle_report(self) -> Optional[str]:
         """The runtime lifecycle-transition ledger, per table and edge.
 
-        The operational face of the static lifecycle graphs: every
-        ``from->to`` edge the storage layer attributed to this store's
-        workload, with affected-row counts.  A tier-1 test asserts the
-        edges shown here are always a subset of the declared machines.
+        Every ``from->to`` edge the storage layer attributed to this
+        store's workload, with affected-row counts.  A tier-1 test
+        asserts the edges shown here are always a subset of the declared
+        machines.
         """
         transitions = self.reports.db.counts.transitions
         rows = []

@@ -34,7 +34,7 @@ def test_triple_quoted_statement(tmp_path):
         ''')
     assert len(corpus.statements) == 1
     statement = corpus.statements[0]
-    assert statement.constant and statement.arity == 1
+    assert statement.constant
     sqlparser.parse(statement.renders[0])
 
 
@@ -87,7 +87,6 @@ def test_module_level_constant_is_resolved(tmp_path):
     assert len(corpus.statements) == 1
     statement = corpus.statements[0]
     assert statement.method == "executemany"
-    assert statement.arity == 2  # list-comp row tuples resolved
 
 
 def test_allowed_fstring_slots_render_per_bean(tmp_path):
@@ -178,15 +177,6 @@ def test_unresolvable_first_argument_is_skipped(tmp_path):
     assert corpus.findings == []
 
 
-def test_no_params_call_is_arity_zero(tmp_path):
-    corpus = _extract(tmp_path, '''
-        def sweep(db):
-            db.execute("DELETE FROM matches")
-        ''')
-    statement = corpus.statements[0]
-    assert statement.no_params and statement.arity == 0
-
-
 def test_named_dict_parameters_are_captured(tmp_path):
     corpus = _extract(tmp_path, '''
         SQL = "UPDATE jobs SET state = :state WHERE job_id = :job_id"
@@ -196,4 +186,3 @@ def test_named_dict_parameters_are_captured(tmp_path):
         ''')
     statement = corpus.statements[0]
     assert sorted(statement.named) == ["job_id", "state"]
-    assert statement.arity is None

@@ -451,6 +451,83 @@ def test_json_each_columns_have_no_text_affinity_and_no_estimate(sql, params):
     assert answers["memory"] == answers["wal"] == answers["sqlite"], sql
 
 
+#: (statement, parameters) whose bind surface SQLite refuses.  The memory
+#: engine used to let the first through, raise a bare ``IndexError`` on
+#: the second, and check the third only when a row reached the predicate.
+BIND_SURFACE_ERRORS = [
+    ("SELECT user_name FROM users WHERE user_name = ?", ("a", "b")),
+    ("SELECT user_name FROM users WHERE user_name = ? AND created_at = ?",
+     ("a",)),
+    ("SELECT user_name FROM users WHERE user_name = :name", {"nme": "a"}),
+]
+
+
+@pytest.mark.parametrize("populated", (False, True))
+@pytest.mark.parametrize("sql, params", BIND_SURFACE_ERRORS)
+def test_bind_surface_is_checked_before_any_row(sql, params, populated):
+    """A statement bound with too many, too few or misnamed parameters is
+    rejected by every engine, whether or not a row would reach the
+    placeholder; an executemany keeps the rows before the bad one."""
+    users, counts = {}, {}
+    for backend in ("sqlite", "memory", "wal"):
+        db = Database(backend=backend)
+        if populated:
+            db.execute("INSERT INTO users (user_name, created_at) "
+                       "VALUES ('a', 0)")
+        with pytest.raises(db.engine.ENGINE_ERRORS):
+            db.execute(sql, params)
+        with pytest.raises(db.engine.ENGINE_ERRORS):
+            db.executemany(
+                "INSERT INTO users (user_name, created_at) VALUES (?, ?)",
+                [("b", 1), ("c",)])
+        counts[backend] = db.counts
+        users[backend] = db.query_all("SELECT user_name FROM users")
+        db.close()
+    assert counts["memory"] == counts["sqlite"]
+    assert [tuple(row) for row in users["memory"]] \
+        == [tuple(row) for row in users["wal"]] \
+        == [tuple(row) for row in users["sqlite"]]
+
+
+#: Both ``jobs`` and ``vms`` have a ``state`` column.
+AMBIGUOUS_SQL = (
+    "SELECT state FROM jobs j JOIN vms v ON v.vm_id = j.cmd",
+    "SELECT j.job_id FROM jobs j WHERE EXISTS (SELECT 1 FROM vms v"
+    " JOIN machines m ON m.machine_name = v.machine_name"
+    " WHERE state = 'busy')",
+)
+#: Qualified, or unqualified in a subquery where one source provides the
+#: name: the innermost scope wins over the outer ``jobs``.
+UNAMBIGUOUS_SQL = (
+    "SELECT j.state, v.state FROM jobs j JOIN vms v ON v.vm_id = j.cmd",
+    "SELECT job_id FROM jobs WHERE EXISTS"
+    " (SELECT 1 FROM vms WHERE state = 'busy')",
+    "SELECT j.job_id, (SELECT state FROM vms v WHERE v.vm_id = j.cmd)"
+    " FROM jobs j",
+)
+
+
+def test_an_unqualified_name_two_sources_provide_is_ambiguous():
+    answers = {}
+    for backend in ("sqlite", "memory", "wal"):
+        db = Database(backend=backend)
+        db.execute("INSERT INTO machines (machine_name) VALUES ('m1')")
+        db.execute("INSERT INTO vms (vm_id, machine_name, state)"
+                   " VALUES ('vm0@m1', 'm1', 'busy')")
+        db.execute("INSERT INTO users (user_name, created_at)"
+                   " VALUES ('u', 0)")
+        db.execute("INSERT INTO jobs (job_id, owner, cmd, run_seconds,"
+                   " submitted_at) VALUES (1, 'u', 'vm0@m1', 1.0, 0)")
+        for sql in AMBIGUOUS_SQL:
+            with pytest.raises(db.engine.ENGINE_ERRORS, match="ambiguous"):
+                db.execute(sql)
+        answers[backend] = [[tuple(row) for row in db.query_all(sql)]
+                            for sql in UNAMBIGUOUS_SQL]
+        db.close()
+    assert answers["memory"] == answers["wal"] == answers["sqlite"]
+    assert answers["sqlite"] == [[("idle", "busy")], [(1,)], [(1, "busy")]]
+
+
 def _queued_matched_and_running(backend):
     """One pool with job 1 running, job 2 matched, job 3 idle and held
     back by an edge on job 2, job 4 idle."""

@@ -1,6 +1,6 @@
 """Tier-1 tests for the lifecycle/transaction analysis tier.
 
-Four properties are enforced here:
+Three properties are enforced here:
 
 * **static soundness** — an unmutated copy of the service layer yields
   zero lifecycle/transaction errors, and the interprocedural protection
@@ -14,12 +14,9 @@ Four properties are enforced here:
 * **runtime cross-check** — a full service workload's observed
   transition ledger is a subset of the declared lifecycle graphs on all
   three storage backends, the ledgers agree across backends, and the
-  coverage report walks a meaningful share of the declared edges;
-* **CLI surface** — ``--report transitions`` emits the per-table graph
-  in text and JSON and ``--dot`` writes Graphviz output.
+  workload walks a meaningful share of the declared edges.
 """
 
-import json
 import shutil
 from pathlib import Path
 
@@ -27,8 +24,6 @@ import pytest
 
 from repro.cluster import JobSpec
 from repro.condorj2.analysis import analyze
-from repro.condorj2.analysis.cli import main
-from repro.condorj2.analysis.lifecycle import transition_coverage
 from repro.condorj2.analysis.txn import build_txn_model
 from repro.condorj2.beans import BeanContainer
 from repro.condorj2.database import Database
@@ -316,6 +311,7 @@ def test_observed_transitions_subset_of_declared(backend, tmp_path):
     finally:
         db.close()
     assert observed, "workload recorded no transitions"
+    walked = {}
     for table, edges in observed.items():
         lifecycle = LIFECYCLES[table]
         for edge, rows in edges.items():
@@ -323,13 +319,13 @@ def test_observed_transitions_subset_of_declared(backend, tmp_path):
             assert rows > 0, (table, edge)
             assert lifecycle.allows(source, target), (
                 f"{table}: observed {edge} not in the declared lifecycle")
-    report = transition_coverage(observed)
-    assert all(entry["illegal"] == [] for entry in report.values())
+            if source != target:
+                walked.setdefault(table, set()).add((source, target))
     # The workload is rich enough to be a meaningful cross-check.
-    assert len(report["jobs"]["covered"]) >= 4
-    assert len(report["vms"]["covered"]) >= 3
-    assert ("missing", "alive") in report["machines"]["covered"]
-    assert ("valid", "stale") in report["dataset_replicas"]["covered"]
+    assert len(walked["jobs"]) >= 4
+    assert len(walked["vms"]) >= 3
+    assert ("missing", "alive") in walked["machines"]
+    assert ("valid", "stale") in walked["dataset_replicas"]
 
 
 @pytest.mark.parametrize("backend", ["sqlite", "memory", "wal"])
@@ -377,34 +373,3 @@ def test_transition_ledger_is_backend_invariant(tmp_path):
         finally:
             db.close()
     assert ledgers["sqlite"] == ledgers["memory"] == ledgers["wal"]
-
-
-# ----------------------------------------------------------------------
-# CLI surface
-# ----------------------------------------------------------------------
-
-def test_cli_transitions_report(tmp_path, capsys):
-    out = tmp_path / "graph.json"
-    dot = tmp_path / "graph.dot"
-    code = main(["--report", "transitions",
-                 "--output", str(out), "--dot", str(dot)])
-    assert code == 0
-    text = capsys.readouterr().out
-    assert "jobs (state)" in text
-    assert "idle -> matched" in text
-    document = json.loads(out.read_text())
-    tables = {entry["table"] for entry in document["tables"]}
-    assert tables == {"jobs", "machines", "vms", "dataset_replicas"}
-    jobs = next(entry for entry in document["tables"]
-                if entry["table"] == "jobs")
-    implied = {(e["from"], e["to"]) for e in jobs["implied"]}
-    assert ("matched", "running") in implied
-    dot_text = dot.read_text()
-    assert dot_text.startswith("digraph lifecycles")
-    assert '"jobs.matched" -> "jobs.running"' in dot_text
-
-
-def test_cli_transitions_json_format(capsys):
-    assert main(["--report", "transitions", "--format", "json"]) == 0
-    document = json.loads(capsys.readouterr().out)
-    assert document["version"] == 1
