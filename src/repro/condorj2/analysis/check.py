@@ -180,8 +180,9 @@ class _Checker:
             self._check_expr(select.having, scope, alias_set)
         for expr, _desc in select.order_by:
             self._check_expr(expr, scope, alias_set)
-        if select.limit is not None:
-            self._check_expr(select.limit, scope)
+        for bound in (select.limit, select.offset):
+            if bound is not None:
+                self._check_expr(bound, scope)
         return tuple(output) if output is not None else None
 
     # -- writes ---------------------------------------------------------

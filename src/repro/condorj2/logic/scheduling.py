@@ -6,14 +6,17 @@ job tuple in db."
 
 Where Condor's negotiator pulls every ad into memory and iterates, the
 CondorJ2 scheduler is **at most three SQL statements at any queue
-length, their cost governed by indexes** — that difference is exactly
-why Figure 13's collapse (Condor) has no CondorJ2 counterpart.  One
-probe counts the free slots and stops the pass when there is no idle
-job or no free slot, so an idle or saturated pool pays for nothing
+length, their cost governed by indexes, by the number of users and by
+what the pass places, not by the queue's length** — that difference is
+exactly why Figure 13's collapse (Condor) has no CondorJ2 counterpart.
+One probe counts the free slots and stops the pass when there is no
+idle job or no free slot, so an idle or saturated pool pays for nothing
 else; one ``INSERT INTO matches ... SELECT`` pairs the ranked idle VMs
-with the ranked eligible jobs via window functions; and one set
-``UPDATE`` flips the matched jobs' state.  There is no Python loop over
-jobs or VMs anywhere in the pass.
+with the ranked eligible jobs via window functions, probing the index
+once per user and reading each owner's idle jobs only up to that
+owner's ``:limit``-th eligible one; and one set ``UPDATE`` flips the
+matched jobs' state.  There is no Python loop over jobs or VMs anywhere
+in the pass.
 
 Jobs are matched FIFO within user priority; a dependency edge in
 ``job_dependencies`` holds a job back while its prerequisite is still
@@ -55,6 +58,18 @@ WHERE EXISTS (SELECT 1 FROM jobs WHERE state = 'idle')
 #: and joined on the slot number, so the i-th best job lands on the i-th
 #: idle VM — the relational form of the old Python ``zip``.  ``:limit``
 #: is the probe's free-slot count: neither side ranks past it.
+#:
+#: The job side is one index walk per owner, not a ranking of the queue.
+#: The global top ``:limit`` by (priority, job_id) lies within the union
+#: of every owner's first ``:limit`` eligible jobs by job_id — within one
+#: owner the priority is one value — so each owner's walk of
+#: ``idx_jobs_state_owner`` stops at that owner's ``:limit``-th eligible
+#: job_id, or runs to the end when the owner has fewer.  CROSS JOIN keeps
+#: ``users`` the outer loop on SQLite, and ON hands both engines the
+#: whole access path: the (state, owner) probe and its job_id bound.
+#: Every registered user costs one probe, idle jobs or none, so this is
+#: the cheaper plan while the queue is deeper than ``users`` is long
+#: (DESIGN.md §5.2).
 MATCH_INSERT_SQL = """
 INSERT INTO matches (job_id, vm_id, created_at)
 SELECT ranked_jobs.job_id, ranked_vms.vm_id, :now
@@ -67,10 +82,25 @@ FROM (
 JOIN (
     SELECT j.job_id,
            ROW_NUMBER() OVER (ORDER BY u.priority ASC, j.job_id ASC) AS slot
-    FROM jobs j
-    JOIN users u ON u.user_name = j.owner
-    WHERE j.state = 'idle'
-      AND NOT EXISTS (
+    FROM users u
+    CROSS JOIN jobs j
+      ON j.state = 'idle'
+     AND j.owner = u.user_name
+     AND j.job_id <= COALESCE((
+          SELECT c.job_id
+          FROM jobs c
+          WHERE c.state = 'idle'
+            AND c.owner = u.user_name
+            AND NOT EXISTS (
+                SELECT 1
+                FROM job_dependencies d
+                JOIN jobs p ON p.job_id = d.depends_on_job_id
+                WHERE d.job_id = c.job_id
+            )
+          ORDER BY c.job_id
+          LIMIT 1 OFFSET :limit - 1
+      ), 9223372036854775807)
+    WHERE NOT EXISTS (
           SELECT 1
           FROM job_dependencies d
           JOIN jobs p ON p.job_id = d.depends_on_job_id

@@ -3,9 +3,11 @@
 :class:`_Compiler` turns a parsed statement (:mod:`.sqlparser`) into an
 executable plan (:mod:`.plans`): it resolves sources into a scope,
 splits WHERE and ON into conjuncts, asks the pure planning rules
-(:mod:`.planner`) which conjunct should drive each scan — one function,
-:meth:`_Compiler._choose_driver`, for SELECT, UPDATE and DELETE — binds
-the chosen driver or join probe into an access path, fuses a
+(:mod:`.planner`) which conjunct should drive each access to a table —
+one function, :meth:`_Compiler._choose_driver`, for SELECT, UPDATE,
+DELETE and joined tables — binds the choice into an access path (a
+prefix index and a rowid bound included), hash-joins a subquery
+source, drops an ORDER BY that path already serves, fuses a
 ``ROW_NUMBER`` with the ORDER BY it repeats, and leaves every
 expression to the base class (:mod:`.expressions`).  Statistics are
 read live and are advisory: any plan compiled here is correct for any
@@ -24,8 +26,8 @@ from repro.condorj2.storage.expressions import (
 from repro.condorj2.storage.plans import (
     _Access, _DeletePlan, _InsertPlan, _ProfiledSelectPlan,
     _ProfiledSourcePlan, _SelectPlan, _SelectStatement, _SourcePlan,
-    _UpdatePlan, _combine_filters, _hash_access, _lookup_access,
-    _union_access,
+    _UpdatePlan, _combine_filters, _hash_access, _keyed_access,
+    _lookup_access, _union_access,
 )
 from repro.condorj2.storage.scalars import (
     _comparison_coercions, _converts_left, _probe_coercion,
@@ -33,6 +35,10 @@ from repro.condorj2.storage.scalars import (
 from repro.condorj2.storage.store import (
     MemoryEngineError, MemoryTable, TableStore,
 )
+
+#: The comparisons an index can answer, each mapped to the operator that
+#: holds with its operands swapped.
+_MIRRORED = {"=": "=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
 
 def _local_aliases(node: Any, scope: _Scope) -> set:
@@ -146,41 +152,76 @@ class _Compiler(_ExprCompiler):
         an UPDATE/DELETE: the chosen driver, or a key-order scan."""
         conjuncts = sp.split_conjuncts(where)
         stats = _new_stats()
-        driver_position, access, est = self._choose_driver(
+        driven, access, est = self._choose_driver(
             table, alias, conjuncts, scope, stats)
         filters = [self.compile_expr(conjunct, scope, stats)
                    for position, conjunct in enumerate(conjuncts)
-                   if position != driver_position]
+                   if position not in driven]
         if access is None:
             access = _Access(keys=lambda rt: table.scan_keys())
             est = float(len(table.rows))
         return access, filters, est
 
     def _choose_driver(self, table: MemoryTable, alias: str,
-                       conjuncts: List[Any], scope: _Scope, stats: Dict):
-        """Driver selection for one scan of ``table`` — a SELECT's first
-        source or the target of an UPDATE/DELETE: price every conjunct
-        that can probe an index against the live statistics and bind the
-        cheapest as the access path.  The others stay filters, so any
+                       conjuncts: List[Any], scope: _Scope, stats: Dict,
+                       allowed: frozenset = frozenset()):
+        """Index selection for one access to ``table``: a SELECT's first
+        source or the target of an UPDATE/DELETE (WHERE conjuncts), or a
+        joined table (ON conjuncts, which may also read the ``allowed``
+        aliases bound before it).  Price every conjunct that can probe an
+        index, and the equalities that pin a prefix index, against the
+        live statistics and bind the cheapest as the access path.  A
+        prefix probe's keys are rowids in order, so beside it ``rowid <=
+        expr`` (or ``<``) is a bisect, ``expr`` read once per probe, not
+        once per row.  The conjuncts left over stay filters, so any
         choice is correct and a stale estimate can only cost time.
-        Returns ``(conjunct position, access path, estimated rows)``,
-        all None when no conjunct can drive."""
+        Returns ``(positions of the conjuncts it answers, access path,
+        estimated rows)``: ``((), None, None)`` when nothing can
+        drive."""
         candidates = []
-        binders: Dict[int, Callable] = {}
+        binders: List[Tuple[Tuple[int, ...], Callable]] = []
+        pinned: Dict[str, Tuple[int, Any]] = {}
+        upper = None
         for position, conjunct in enumerate(conjuncts):
-            if not (_local_aliases(conjunct, scope) <= {alias}):
+            if not (_local_aliases(conjunct, scope) <= allowed | {alias}):
                 continue
-            found = self._driver_candidate(conjunct, table, alias, scope)
+            comparison = self._comparison_on(conjunct, alias, scope, allowed)
+            equality = None
+            if comparison is not None:
+                column, op, other = comparison
+                if op == "=":
+                    equality = comparison
+                    pinned.setdefault(column, (position, other))
+                elif column == table.ipk and op in ("<", "<=") \
+                        and upper is None:
+                    upper = (position, op, other)
+            found = self._driver_candidate(conjunct, equality, table, alias,
+                                           scope)
             if found is not None:
-                kind, column, est, binders[position] = found
+                kind, column, est, bind = found
                 candidates.append(
-                    pl.DriverCandidate(position, kind, column, est))
+                    pl.DriverCandidate(len(binders), kind, column, est))
+                binders.append(((position,), bind))
+        columns = self._pinned_prefix(table, pinned)
+        if columns is not None:
+            answered = tuple(pinned[column][0] for column in columns)
+            name = f"({', '.join(columns)})"
+            if upper is not None:
+                answered += (upper[0],)
+                name += f", {table.ipk} {upper[1]} bound"
+            # First in line: on a tie it answers more conjuncts.
+            candidates.insert(0, pl.DriverCandidate(
+                len(binders), "eq", name,
+                self._estimate_prefix(table, columns)))
+            binders.append((answered, lambda stats: self._prefix_access(
+                table, columns, pinned, upper, scope, stats)))
         best = pl.choose_driver(candidates)
         if best is None:
-            return None, None, None
-        access = binders[best.position](stats)
+            return (), None, None
+        positions, bind = binders[best.position]
+        access = bind(stats)
         access.label = f"{best.kind} probe on {best.column}"
-        return best.position, access, best.est_rows
+        return positions, access, best.est_rows
 
     # ------------------------------------------------------------------
     # SELECT
@@ -204,16 +245,16 @@ class _Compiler(_ExprCompiler):
         where_conjuncts = sp.split_conjuncts(ast.where)
         pushdown: List[Callable] = []
         post: List[Callable] = []
-        driver_position = None
+        driven: Tuple[int, ...] = ()
         first = source_plans[0] if source_plans else None
         if first is not None and first.kind == "table":
-            driver_position, access, est = self._choose_driver(
+            driven, access, est = self._choose_driver(
                 first.table, first.alias, where_conjuncts, scope, stats)
             if access is not None:
                 first.access = access
                 first.est_rows = est
         for position, conjunct in enumerate(where_conjuncts):
-            if position == driver_position:
+            if position in driven:
                 continue
             local = _local_aliases(conjunct, scope)
             cstats = _new_stats()
@@ -292,10 +333,14 @@ class _Compiler(_ExprCompiler):
                      if ast.having is not None else None)
         order_specs = [(compile_output_expr(e), desc)
                        for e, desc in ast.order_by]
-        limit_fn = None
-        if ast.limit is not None:
-            # No column is visible to LIMIT, an outer one included.
-            limit_fn = self.compile_expr(ast.limit, _Scope(), _new_stats())
+        if not (has_agg or windows) and self._served_order(
+                ast, source_plans, scope):
+            order_specs = []  # streams, and LIMIT/OFFSET stop the walk
+        # No column is visible to LIMIT or OFFSET, an outer one included.
+        limit_fn, offset_fn = (
+            None if bound is None
+            else self.compile_expr(bound, _Scope(), _new_stats())
+            for bound in (ast.limit, ast.offset))
 
         lookup: Dict[str, int] = {}
         for index, name in enumerate(names):
@@ -311,6 +356,7 @@ class _Compiler(_ExprCompiler):
             having_fn=having_fn,
             order_specs=order_specs,
             limit_fn=limit_fn,
+            offset_fn=offset_fn,
             distinct=ast.distinct,
             has_agg=has_agg,
             windows=windows,
@@ -356,11 +402,22 @@ class _Compiler(_ExprCompiler):
         if src.on is not None:
             scope.add(plan.alias, plan.columns, plan.affinities,
                       slot=position)  # temporarily visible for ON
+            conjuncts = sp.split_conjuncts(src.on)
+            driven: Tuple[int, ...] = ()
+            if plan.kind == "table":
+                driven, access, est = self._choose_driver(
+                    plan.table, plan.alias, conjuncts, scope, stats,
+                    frozenset(bound))
+                if access is not None:
+                    plan.access = access
+                    plan.est_rows = est
             residual = []
-            for conjunct in sp.split_conjuncts(src.on):
-                if plan.access.label is None:  # still a scan: may probe
-                    access = self._try_join_probe(conjunct, plan, scope,
-                                                  bound, stats)
+            for index, conjunct in enumerate(conjuncts):
+                if index in driven:
+                    continue
+                if plan.kind == "subquery" and plan.access.label is None:
+                    access = self._try_hash_join(conjunct, plan, scope,
+                                                 bound, stats)
                     if access is not None:
                         plan.access = access
                         continue
@@ -369,16 +426,35 @@ class _Compiler(_ExprCompiler):
             scope.remove(plan.alias)  # re-added by caller in order
         return plan
 
+    def _served_order(self, ast: sp.Select, sources: List["_SourcePlan"],
+                      scope: _Scope) -> bool:
+        """Is the ORDER BY what the access path returns anyway?  Every
+        path into a table — scan, probe, prefix probe, rowid bound —
+        yields rows in key order, so a lone table ordered by its rowid
+        alias, ascending, needs no sort.  Any other ORDER BY is sorted,
+        whatever the path."""
+        if len(sources) != 1 or sources[0].kind != "table" \
+                or len(ast.order_by) != 1 or ast.group_by or ast.distinct:
+            return False
+        expr, desc = ast.order_by[0]
+        table = sources[0].table
+        return not desc and table.ipk is not None and \
+            self._own_column(expr, sources[0].alias, scope) == table.ipk
+
     # -- probe extraction ----------------------------------------------
-    def _driver_candidate(self, conjunct: Any, table: MemoryTable,
-                          alias: str, scope: _Scope) -> Optional[Tuple]:
-        """Recognise a WHERE conjunct that can drive the scan of
-        ``alias``: ``alias.col = expr`` or ``alias.col IN (...)`` over an
-        indexed column, the other side reading no row of this select and
-        of an affinity that leaves the column as stored (the index holds
-        stored values; see :func:`_comparison_coercions`).  An ``IN
+    def _driver_candidate(self, conjunct: Any, equality: Optional[Tuple],
+                          table: MemoryTable, alias: str,
+                          scope: _Scope) -> Optional[Tuple]:
+        """Recognise a WHERE or ON conjunct that can drive the access to
+        ``alias``: ``alias.col = expr`` (``equality``, as
+        :meth:`_comparison_on` reads the conjunct) or ``alias.col IN
+        (...)`` over an indexed column, the other side reading no row of
+        this select (an equality may read the aliases bound before a
+        joined table) and of an affinity that leaves the column as stored
+        (the index holds stored values; see
+        :func:`_comparison_coercions`).  An ``IN
         (SELECT ...)`` qualifies when its compiled plan references
-        nothing outside itself: it runs once, before any row is bound.
+        nothing outside itself, so its values depend on no row.
 
         Returns ``(kind, column, estimated rows, bind)`` — the estimate
         from the live statistics (row count, per-index distinct count),
@@ -386,26 +462,20 @@ class _Compiler(_ExprCompiler):
         None.  Payloads compile against the caller's ``stats`` so outer
         references keep marking the select as correlated."""
         rows = float(len(table.rows))
-        if isinstance(conjunct, sp.Bin) and conjunct.op == "=":
-            for col_side, other in ((conjunct.left, conjunct.right),
-                                    (conjunct.right, conjunct.left)):
-                column = self._own_column(col_side, alias, scope)
-                if column not in table.eq_indexes \
-                        or _local_aliases(other, scope):
-                    continue
-                if _converts_left(table.affinities[column],
-                                  self._operand_affinity(other, scope)):
-                    continue
-                return ("eq", column, self._estimate_eq(table, column),
-                        lambda stats: _lookup_access(
-                            table, column,
-                            self._compile_probe(table, column, other,
-                                                scope, stats)))
+        if equality is not None:
+            column, op, other = equality
+            if op != "=" or not table.indexed(column):
+                return None
+            return ("eq", column, self._estimate_eq(table, column),
+                    lambda stats: _lookup_access(
+                        table, column,
+                        self._compile_probe(table, column, other,
+                                            scope, stats)))
         if not isinstance(conjunct, (sp.InList, sp.InSelect)) \
                 or conjunct.negated:
             return None
         column = self._own_column(conjunct.needle, alias, scope)
-        if column not in table.eq_indexes:
+        if not table.indexed(column):
             return None
         eq_est = self._estimate_eq(table, column)
         if isinstance(conjunct, sp.InList):
@@ -479,14 +549,70 @@ class _Compiler(_ExprCompiler):
             return None
         return node.name if depth == 0 and resolved == alias else None
 
-    def _try_join_probe(self, conjunct: Any, plan: "_SourcePlan",
-                        scope: _Scope, bound: List[str],
-                        stats: Dict) -> Optional["_Access"]:
-        """ON-clause access path: `new.col = expr(bound aliases | outer)`.
+    def _comparison_on(self, conjunct: Any, alias: str, scope: _Scope,
+                       allowed: set) -> Optional[Tuple[str, str, Any]]:
+        """``(column, op, other)`` when ``conjunct`` compares a column of
+        ``alias`` with an expression that reads no row of this select
+        but those of ``allowed`` aliases (outer rows and parameters are
+        always fine), by a comparison that leaves the column as stored —
+        an index over stored values can answer it.  ``op`` is as read
+        with the column on the left."""
+        if not (isinstance(conjunct, sp.Bin) and conjunct.op in _MIRRORED):
+            return None
+        for col_side, other, op in (
+                (conjunct.left, conjunct.right, conjunct.op),
+                (conjunct.right, conjunct.left, _MIRRORED[conjunct.op])):
+            column = self._own_column(col_side, alias, scope)
+            if column is None or _local_aliases(other, scope) - allowed:
+                continue
+            if _converts_left(scope.column_affinity(alias, column),
+                              self._operand_affinity(other, scope)):
+                continue
+            return column, op, other
+        return None
 
-        A table source is probed through its index, unless the
-        comparison would convert the indexed column; a subquery source
-        is hash-joined, its keys coerced instead."""
+    @staticmethod
+    def _pinned_prefix(table: MemoryTable,
+                       pinned: Dict[str, Any]) -> Optional[Tuple[str, ...]]:
+        """The prefix index whose every column an equality pins."""
+        return next((columns for columns in table.prefix_indexes
+                     if all(column in pinned for column in columns)), None)
+
+    @staticmethod
+    def _estimate_prefix(table: MemoryTable,
+                         columns: Tuple[str, ...]) -> float:
+        return pl.estimate_eq_rows(len(table.rows),
+                                   len(table.prefix_indexes[columns]))
+
+    def _prefix_access(self, table: MemoryTable, columns: Tuple[str, ...],
+                       pinned: Dict[str, Tuple[int, Any]],
+                       upper: Optional[Tuple[int, str, Any]],
+                       scope: _Scope, stats: Dict) -> "_Access":
+        """The prefix index probed with the pinned values, its keys cut
+        at ``upper`` — ``(position, op, expr)`` of a rowid bound — when
+        there is one."""
+        fns = [self._compile_probe(table, column, pinned[column][1],
+                                   scope, stats) for column in columns]
+        probe = table.probe_prefix
+        cut = None
+        if upper is not None:
+            _position, op, other = upper
+            bound_fn = self.compile_expr(other, scope, stats)
+            coerce = _comparison_coercions(
+                table.affinities[table.ipk],
+                self._operand_affinity(other, scope))[1]
+            if coerce is not None:
+                bound_fn = _wrap(bound_fn, coerce)
+            cut = (bound_fn, op == "<=")
+        return _keyed_access(
+            table, lambda rt: probe(columns, [fn(rt) for fn in fns]), cut)
+
+    def _try_hash_join(self, conjunct: Any, plan: "_SourcePlan",
+                       scope: _Scope, bound: List[str],
+                       stats: Dict) -> Optional["_Access"]:
+        """ON-clause access path into a subquery source, `new.col =
+        expr(bound aliases | outer)`: a hash join, whose buckets are
+        built here, so both sides can take their coercion."""
         if not (isinstance(conjunct, sp.Bin) and conjunct.op == "="):
             return None
         for col_side, other in ((conjunct.left, conjunct.right),
@@ -494,24 +620,10 @@ class _Compiler(_ExprCompiler):
             column = self._own_column(col_side, plan.alias, scope)
             if column is None or _local_aliases(other, scope) - set(bound):
                 continue
-            other_aff = self._operand_affinity(other, scope)
-            if plan.kind == "table":
-                if column not in plan.table.eq_indexes:
-                    continue
-                if _converts_left(plan.table.affinities[column], other_aff):
-                    continue
-                plan.est_rows = self._estimate_eq(plan.table, column)
-                return _lookup_access(
-                    plan.table, column,
-                    self._compile_probe(plan.table, column, other,
-                                        scope, stats),
-                    f"index on {column}")
-            if plan.kind == "subquery":
-                # The buckets are built here, so both sides can take
-                # their coercion.
-                co_key, co_other = _comparison_coercions(None, other_aff)
-                fn = self.compile_expr(other, scope, stats)
-                if co_other is not None:
-                    fn = _wrap(fn, co_other)
-                return _hash_access(plan, column, fn, co_key)
+            co_key, co_other = _comparison_coercions(
+                None, self._operand_affinity(other, scope))
+            fn = self.compile_expr(other, scope, stats)
+            if co_other is not None:
+                fn = _wrap(fn, co_other)
+            return _hash_access(plan, column, fn, co_key)
         return None

@@ -6,9 +6,9 @@ time; :class:`_ExprCompiler` turns every expression node of the dialect
 SQLite's scalar rules (:mod:`.scalars`) — three-valued AND/OR,
 comparison affinity, IN over lists and subqueries, EXISTS (probing,
 cached, or decorrelated into a hash semi-join), scalar subqueries,
-``ROW_NUMBER`` slots, CASE, CAST, LIKE and the aggregates.  What a node
-kind *means* is stated here; which fields of a node are sub-expressions
-is not — that is :func:`.sqlparser.children`'s to say.
+``ROW_NUMBER`` slots, CASE, CAST, COALESCE, LIKE and the aggregates.
+What a node kind *means* is stated here; which fields of a node are
+sub-expressions is not — that is :func:`.sqlparser.children`'s to say.
 """
 
 from __future__ import annotations
@@ -498,6 +498,20 @@ class _ExprCompiler:
     def _compile_func(self, node: sp.Func, scope: _Scope,
                       stats: Dict) -> Callable:
         name = node.name
+        if name == "COALESCE":
+            if len(node.args) < 2 or node.distinct:
+                raise MemoryEngineError(
+                    "wrong number of arguments to function coalesce()")
+            options = [self.compile_expr(arg, scope, stats)
+                       for arg in node.args]
+
+            def coalesce_fn(rt):
+                for option in options:
+                    value = option(rt)
+                    if value is not None:
+                        return value
+                return None
+            return coalesce_fn
         if name not in sp.AGGREGATES:
             raise MemoryEngineError(f"unsupported function {name}")
         stats["agg"] = True

@@ -169,11 +169,12 @@ def estimate_eq_rows(total_rows: int, distinct_values: int,
 
 @dataclass
 class DriverCandidate:
-    """One WHERE conjunct usable as the scan driver for a single table.
+    """One access path usable as the scan driver for a single table: a
+    WHERE conjunct, or the equalities that pin a prefix index.
 
-    ``position`` is the conjunct's index in the split WHERE list —
-    selection is stable on ties so plans don't flap between equally
-    priced candidates.
+    ``position`` is the caller's handle on the candidate — selection is
+    stable on ties so plans don't flap between equally priced
+    candidates.
     """
 
     position: int

@@ -16,6 +16,7 @@ from __future__ import annotations
 import heapq
 import json
 import time
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -163,7 +164,7 @@ class _Access:
     """One access path, bound at compile time: how a FROM source — or
     the target of an UPDATE/DELETE — produces its candidates.
 
-    ``rows(rt)`` returns the candidate rows in key order, ``keys(rt)``
+    ``rows(rt)`` iterates the candidate rows in key order, ``keys(rt)``
     their row keys (drivers only; DML matches by key).  ``label`` is the
     EXPLAIN annotation, None for a plain scan.  ``eq`` is ``(table,
     column, value fn)`` when the path is a single equality lookup in an
@@ -184,6 +185,35 @@ def _lookup_access(table: MemoryTable, column: str, fn: Callable,
     return _Access(lambda rt: probe_rows(column, fn(rt)),
                    lambda rt: probe(column, fn(rt)),
                    label, (table, column, fn))
+
+
+def _keyed_access(table: MemoryTable, keys: Callable,
+                  upper: Optional[Tuple[Callable, bool]] = None,
+                  label: Optional[str] = None) -> _Access:
+    """Rows fetched lazily through ``keys(rt)``, a probe's sorted rowkeys
+    — a walk that stops early fetches only what it reads.  ``upper`` is
+    ``(bound fn, inclusive)``, an upper bound on the rowid, cut by a
+    bisect: NULL admits no row, and text sorts above every number.  The
+    bound is not read when the probe found nothing."""
+    if upper is not None:
+        probe, (bound_fn, inclusive) = keys, upper
+        cut = bisect_right if inclusive else bisect_left
+
+        def keys(rt):
+            found = probe(rt)
+            if not found:
+                return found
+            bound = bound_fn(rt)
+            if bound is None:
+                return []
+            if isinstance(bound, (int, float)):
+                return found[:cut(found, bound)]
+            return found
+
+    def rows(rt):
+        return map(table.rows.__getitem__, keys(rt))
+
+    return _Access(rows, keys, label)
 
 
 def _union_access(table: MemoryTable, column: str, values: Callable,
@@ -328,8 +358,8 @@ class _SelectPlan:
     """
 
     def __init__(self, sources, post_where, item_fns, names, lookup,
-                 group_fns, having_fn, order_specs, limit_fn, distinct,
-                 has_agg, windows, outer_depth, fused=None):
+                 group_fns, having_fn, order_specs, limit_fn, offset_fn,
+                 distinct, has_agg, windows, outer_depth, fused=None):
         self.sources = sources
         self.post_where = post_where
         self.where_check = _combine_filters(post_where)
@@ -340,6 +370,7 @@ class _SelectPlan:
         self.having_fn = having_fn
         self.order_specs = order_specs
         self.limit_fn = limit_fn
+        self.offset_fn = offset_fn
         self.distinct = distinct
         self.has_agg = has_agg
         self.windows = windows
@@ -396,22 +427,32 @@ class _SelectPlan:
             else:
                 yield from self._level(index + 1, env, rt)
 
-    def _limit(self, rt: _Rt) -> Optional[int]:
-        if self.limit_fn is None:
-            return None
-        # SQLite's rule: INTEGER affinity, then an integer or nothing —
-        # 2.0 and '2' pass; 2.7, NULL and 'abc' do not, and the refusal
-        # is an integrity error there (SQLITE_MISMATCH).
-        value = apply_affinity(self.limit_fn(rt), "INTEGER")
+    @staticmethod
+    def _count(fn: Callable, rt: _Rt) -> int:
+        """A LIMIT or OFFSET value.  SQLite's rule: INTEGER affinity,
+        then an integer or nothing — 2.0 and '2' pass; 2.7, NULL and
+        'abc' do not, and the refusal is an integrity error there
+        (SQLITE_MISMATCH)."""
+        value = apply_affinity(fn(rt), "INTEGER")
         if type(value) is not int:
             raise MemoryIntegrityError("datatype mismatch")
-        return None if value < 0 else value
+        return value
+
+    def _window(self, rt: _Rt) -> Tuple[Optional[int], int]:
+        """``(limit, offset)``: a negative LIMIT is no limit, a negative
+        OFFSET is none."""
+        if self.limit_fn is None:
+            return None, 0
+        limit = self._count(self.limit_fn, rt)
+        offset = (0 if self.offset_fn is None
+                  else max(0, self._count(self.offset_fn, rt)))
+        return (None if limit < 0 else limit), offset
 
     # -- execution ------------------------------------------------------
     def execute(self, rt: _Rt) -> List[MemoryRow]:
-        limit = self._limit(rt)
+        limit, offset = self._window(rt)
         if self.fused is not None:
-            return self._execute_fused(rt, limit)
+            return self._execute_fused(rt, limit, offset)
         if not self._needs_buffer:
             outputs: List[MemoryRow] = []
             if limit == 0:
@@ -420,6 +461,9 @@ class _SelectPlan:
             stream = self._stream(rt)
             for env in stream:
                 if check is not None and not check(rt):
+                    continue
+                if offset:
+                    offset -= 1
                     continue
                 values = tuple(fn(rt) for fn in self.item_fns)
                 outputs.append(MemoryRow(self.names, values, self.lookup))
@@ -460,19 +504,21 @@ class _SelectPlan:
 
         _order_by(decorated, itemgetter(1), self._order_descs)
 
-        if limit is not None:
-            decorated = decorated[:limit]
+        end = None if limit is None else offset + limit
         return [MemoryRow(self.names, values, self.lookup)
-                for values, _ in decorated]
+                for values, _ in decorated[offset:end]]
 
-    def _execute_fused(self, rt: _Rt, limit: Optional[int]
-                       ) -> List[MemoryRow]:
+    def _execute_fused(self, rt: _Rt, limit: Optional[int],
+                       offset: int) -> List[MemoryRow]:
         """Single-sort path for ROW_NUMBER windows fused with the outer
-        ORDER BY: rank == output position, so environments are never
-        buffered — a streamed row is reduced to its sort key, and to
-        (sort key, values) only if it can still make the output."""
+        ORDER BY: rank == position in the sorted stream, so environments
+        are never buffered — a streamed row is reduced to its sort key,
+        and to (sort key, values) only if it can still make the output.
+        OFFSET rows are ranked, then dropped."""
         if limit == 0:
             return []
+        if limit is not None:
+            limit += offset
         check = self.where_check
         key_of = self._order_key
         plain = self._plain_items
@@ -559,7 +605,8 @@ class _SelectPlan:
         fused = self.fused
         names, lookup = self.names, self.lookup
         outputs = []
-        for rank, (_key, values) in enumerate(kept, start=1):
+        for rank, (_key, values) in enumerate(kept[offset:],
+                                              start=offset + 1):
             for position in fused:
                 values[position] = rank
             outputs.append(MemoryRow(names, tuple(values), lookup))
@@ -797,8 +844,21 @@ class _Profiled:
 
 
 class _ProfiledSourcePlan(_Profiled, _SourcePlan):
-    def rows(self, rt: _Rt) -> List[Dict[str, Any]]:
-        return self._timed(super().rows, rt)
+    def rows(self, rt: _Rt):
+        """Counts the rows the plan reads, not the rows the access path
+        could offer: a walk that LIMIT stops early reads only a few.  The
+        clock runs while the access path is opened and while each row is
+        fetched, not while the consumer works between rows."""
+        prof = self.prof
+        clock = time.perf_counter
+        prof["loops"] += 1
+        start = clock()
+        for row in super().rows(rt):
+            prof["seconds"] += clock() - start
+            prof["rows"] += 1
+            yield row
+            start = clock()
+        prof["seconds"] += clock() - start
 
 
 class _ProfiledSelectPlan(_Profiled, _SelectPlan):

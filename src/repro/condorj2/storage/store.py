@@ -1,8 +1,9 @@
 """The memory engine's table store.
 
 :class:`MemoryTable` holds one table as a dict of rows keyed by rowid
-(or primary key for WITHOUT ROWID tables) with its equality indexes,
-memoized probes, unique maps and constraint checks; :class:`TableStore`
+(or primary key for WITHOUT ROWID tables) with its equality indexes
+(single columns and the leading columns of a declared index), memoized
+probes, unique maps and constraint checks; :class:`TableStore`
 holds all of them and applies the row mutations — INSERT with rowid
 assignment and OR IGNORE, UPDATE, DELETE with ``ON DELETE CASCADE`` —
 recording an undo entry for rollback, a redo entry for the write-ahead
@@ -17,7 +18,7 @@ KEY aliases the rowid) and primary-key order for WITHOUT ROWID tables.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.condorj2.schema import GONE, LIFECYCLES, TABLE_DEFS, TableDef
 from repro.condorj2.storage.scalars import apply_affinity
@@ -60,7 +61,9 @@ class MemoryTable:
         lifecycle = LIFECYCLES.get(tdef.name)
         self.lifecycle: Optional[str] = (
             lifecycle.column if lifecycle else None)
-        # equality indexes: column -> value -> set of rowkeys
+        # equality indexes: column -> value -> set of rowkeys.  The rowid
+        # alias has none: ``rows`` is its index, and a one-key set per
+        # row would cost about what the row does.
         indexed = set()
         if tdef.primary_key:
             indexed.add(tdef.primary_key[0])
@@ -70,6 +73,7 @@ class MemoryTable:
             indexed.add(fk.column)
         for cols in tdef.unique:
             indexed.add(cols[0])
+        indexed.discard(self.ipk)
         self.eq_indexes: Dict[str, Dict[Any, set]] = {
             col: {} for col in indexed
         }
@@ -80,6 +84,20 @@ class MemoryTable:
         # Cached lists are shared — callers must not mutate them.
         self._probe_cache: Dict[str, Dict[Any, List[Any]]] = {
             col: {} for col in indexed
+        }
+        # A declared index (c1 .. cn, rowid), n >= 2 — jobs (state,
+        # owner, job_id) — as an equality index on (c1 .. cn): value
+        # tuple -> rowkeys, memoized like the probes above.  A bucket's
+        # sorted keys are the index's own order, so a bound on the rowid
+        # is a bisect.  Buckets are dicts, not sets: rowids arrive
+        # mostly ascending, so the re-sort after a write meets one run.
+        self.prefix_indexes: Dict[Tuple[str, ...], Dict[Tuple, dict]] = {
+            index.columns[:-1]: {}
+            for index in tdef.indexes
+            if len(index.columns) > 2 and index.columns[-1] == self.ipk
+        }
+        self._prefix_cache: Dict[Tuple[str, ...], Dict[Tuple, List[Any]]] = {
+            columns: {} for columns in self.prefix_indexes
         }
         # unique value maps: cols tuple -> values tuple -> rowkey
         self.unique_maps: Dict[Tuple[str, ...], Dict[Tuple[Any, ...], Any]] = {}
@@ -94,6 +112,16 @@ class MemoryTable:
         if self._sorted_keys is None:
             self._sorted_keys = sorted(self.rows)
         return self._sorted_keys
+
+    def indexed(self, column: str) -> bool:
+        """Can :meth:`probe` answer ``column = value``?"""
+        return column == self.ipk or column in self.eq_indexes
+
+    def _rowid(self, value: Any) -> Any:
+        """The key of the row whose rowid alias equals ``value``, after
+        the column's affinity; None when there is none."""
+        key = apply_affinity(value, "INTEGER")
+        return key if type(key) is int and key in self.rows else None
 
     def _probe_entry(self, column: str, value: Any) -> Optional[List[Any]]:
         if value is None:
@@ -114,6 +142,9 @@ class MemoryTable:
         The column's affinity is applied to the probe value first, as
         SQLite applies comparison affinity before an index lookup.  The
         returned list is memoized and shared — do not mutate."""
+        if column == self.ipk:
+            key = self._rowid(value)
+            return [] if key is None else [key]
         entry = self._probe_entry(column, value)
         return entry[0] if entry is not None else []
 
@@ -122,6 +153,8 @@ class MemoryTable:
         bucket only — no key sort, no row fetch."""
         if value is None:
             return False
+        if column == self.ipk:
+            return self._rowid(value) is not None
         value = apply_affinity(value, self.affinities[column])
         return bool(self.eq_indexes[column].get(value))
 
@@ -132,6 +165,9 @@ class MemoryTable:
         every index-probe join loop."""
         if value is None:
             return _EMPTY_ROWS
+        if column == self.ipk:
+            key = self._rowid(value)
+            return _EMPTY_ROWS if key is None else [self.rows[key]]
         affinity = self.affinities[column]
         kind = type(value)
         if not (kind is str and affinity == "TEXT") and not (
@@ -151,11 +187,36 @@ class MemoryTable:
             rows = entry[1] = [table_rows[key] for key in entry[0]]
         return rows
 
+    def probe_prefix(self, columns: Tuple[str, ...],
+                     values: Sequence[Any]) -> List[Any]:
+        """Rowkeys with ``columns == values`` via a prefix index, in key
+        order; each value takes its column's affinity first, as in
+        :meth:`probe`.  Memoized and shared — do not mutate."""
+        affinities = self.affinities
+        key = []
+        for column, value in zip(columns, values):
+            if value is None:
+                return []
+            key.append(apply_affinity(value, affinities[column]))
+        key = tuple(key)
+        cache = self._prefix_cache[columns]
+        keys = cache.get(key)
+        if keys is None:
+            bucket = self.prefix_indexes[columns].get(key)
+            if not bucket:
+                return []
+            keys = cache[key] = sorted(bucket)
+        return keys
+
     # -- index maintenance ---------------------------------------------
     def _index_add(self, key: Any, row: Dict[str, Any]) -> None:
         for col, index in self.eq_indexes.items():
             index.setdefault(row[col], set()).add(key)
             self._probe_cache[col].pop(row[col], None)
+        for cols, index in self.prefix_indexes.items():
+            values = tuple(row[c] for c in cols)
+            index.setdefault(values, {})[key] = None
+            self._prefix_cache[cols].pop(values, None)
         for cols, mapping in self.unique_maps.items():
             values = tuple(row[c] for c in cols)
             if any(v is None for v in values):
@@ -170,6 +231,13 @@ class MemoryTable:
                 if not bucket:
                     del index[row[col]]
             self._probe_cache[col].pop(row[col], None)
+        for cols, index in self.prefix_indexes.items():
+            values = tuple(row[c] for c in cols)
+            bucket = index[values]
+            del bucket[key]
+            if not bucket:
+                del index[values]
+            self._prefix_cache[cols].pop(values, None)
         for cols, mapping in self.unique_maps.items():
             values = tuple(row[c] for c in cols)
             if any(v is None for v in values):

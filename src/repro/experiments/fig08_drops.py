@@ -26,6 +26,13 @@ from repro.experiments.common import (
 )
 from repro.metrics import ExperimentResult
 
+#: The job lengths whose drop counts the paper orders, shortest first:
+#: significant portions of the cluster at 6 s and 9 s, "some nodes" at
+#: 18 s.  At 1 and 5 minutes it claims only "very few", which the "very
+#: few drops at 1-5 min jobs" check holds; those single-digit counts are
+#: not ordered against each other.
+_GROWTH_LENGTHS = (6.0, 9.0, 18.0)
+
 
 def run(
     job_lengths: Tuple[float, ...] = PAPER_JOB_LENGTHS,
@@ -75,14 +82,15 @@ def run(
             worst <= 4,
         )
     if 18.0 in by_length and 6.0 in by_length:
+        growth = [by_length[length] for length in _GROWTH_LENGTHS
+                  if length in by_length]
+        drops = [p.vms_dropping for p in growth]
         result.add_check(
             "drops grow as jobs shorten",
-            "6s >> 9s >= 18s >= 60s",
-            " / ".join(
-                f"{p.job_length_seconds:.0f}s:{p.vms_dropping}"
-                for p in sorted(points, key=lambda q: q.job_length_seconds)
-            ),
-            _monotone_nonincreasing_with_length(points),
+            "6s >> 9s >= 18s",
+            " / ".join(f"{p.job_length_seconds:.0f}s:{p.vms_dropping}"
+                       for p in growth),
+            all(a >= b for a, b in zip(drops, drops[1:])),
         )
     six = by_length.get(6.0)
     if six is not None:
@@ -101,9 +109,3 @@ def run(
             node_fraction >= 0.6,
         )
     return result
-
-
-def _monotone_nonincreasing_with_length(points) -> bool:
-    ordered = sorted(points, key=lambda p: p.job_length_seconds)
-    drops = [p.vms_dropping for p in ordered]
-    return all(a >= b for a, b in zip(drops, drops[1:]))

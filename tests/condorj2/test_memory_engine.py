@@ -7,7 +7,8 @@ Three layers of assurance beyond the differential fuzzer:
   both implementations (affinity, rowcounts, lastrowid, constraint
   errors, transactional rollback, OR IGNORE, cascades, the dialect's
   harder corners);
-* a property-based test that the memory engine's secondary indexes stay
+* property-based tests that the memory engine's secondary indexes
+  (equality, unique, and the prefix index with its memoized probes) stay
   exactly consistent with table contents under interleaved
   insert/update/delete/rollback;
 * a round trip of the one schema declaration: ``TABLE_DEFS`` rendered to
@@ -480,6 +481,164 @@ def test_having_alias_as_in_subquery_needle(db):
 
 
 # ----------------------------------------------------------------------
+# the scheduling walk's dialect: LIMIT .. OFFSET, COALESCE, CROSS JOIN
+# ----------------------------------------------------------------------
+
+def _seed_owner_queue(db):
+    """ann holds the odd job ids 1..11 and bob the even ones 2..12;
+    every third job is held.  ``submitted_at`` runs against job_id:
+    job j was submitted at 5j mod 12, so the two orders differ.  Idle:
+    ann 1, 5, 7, 11 and bob 2, 4, 8, 10."""
+    db.executemany(
+        "INSERT INTO users (user_name, priority, created_at) VALUES (?, ?, 0)",
+        [("ann", 0.5), ("bob", 0.25)])
+    db.executemany(
+        "INSERT INTO jobs (job_id, owner, cmd, state, run_seconds,"
+        " submitted_at) VALUES (?, ?, 'c', ?, 1, ?)",
+        [(job_id, "ann" if job_id % 2 else "bob",
+          "held" if job_id % 3 == 0 else "idle", float(job_id * 5 % 12))
+         for job_id in range(1, 13)])
+
+
+def _rows(db, sql, params=()):
+    return [tuple(row) for row in db.query_all(sql, params)]
+
+
+def test_offset_skips_before_limit_counts(db):
+    """On the streamed, sorted and ROW_NUMBER-fused paths; past the end
+    a scalar subquery yields NULL and COALESCE takes over."""
+    _seed_owner_queue(db)
+    by_id = "SELECT job_id FROM jobs ORDER BY job_id"
+    assert _rows(db, by_id + " LIMIT 3 OFFSET 2") == [(3,), (4,), (5,)]
+    assert _rows(db, by_id + " LIMIT -1 OFFSET 10") == [(11,), (12,)]
+    assert _rows(db, by_id + " LIMIT 3 OFFSET 100") == []
+    # by submitted_at: 12, 5, 10, 3, 8, 1, ...
+    assert _rows(db, "SELECT job_id FROM jobs ORDER BY submitted_at"
+                     " LIMIT 2 OFFSET 1") == [(5,), (10,)]
+    assert _rows(db, "SELECT job_id, ROW_NUMBER() OVER (ORDER BY"
+                     " submitted_at) AS r FROM jobs ORDER BY submitted_at"
+                     " LIMIT 2 OFFSET 1") == [(5, 2), (10, 3)]
+    kth = ("SELECT COALESCE((SELECT job_id FROM jobs ORDER BY job_id"
+           " LIMIT 1 OFFSET ?), -1)")
+    assert db.scalar(kth, (4,)) == 5
+    assert db.scalar(kth, (100,)) == -1
+
+
+#: (OFFSET operand, rows skipped; None = refused).  LIMIT's rule:
+#: INTEGER affinity and then an integer, and a negative count is none.
+OFFSET_OPERANDS = [(-3, 0), (2.0, 2), ("2", 2), (True, 1),
+                   (2.5, None), ("abc", None), (None, None)]
+
+
+@pytest.mark.parametrize("operand, skipped", OFFSET_OPERANDS)
+def test_offset_operand_is_an_integer_or_a_mismatch(db, operand, skipped):
+    _seed_owner_queue(db)
+    sql = "SELECT job_id FROM jobs ORDER BY job_id LIMIT 2 OFFSET ?"
+    if skipped is None:
+        with pytest.raises(DatabaseError, match="datatype mismatch"):
+            db.query_all(sql, (operand,))
+    else:
+        assert _rows(db, sql, (operand,)) == [(skipped + 1,), (skipped + 2,)]
+
+
+def test_coalesce_takes_the_first_non_null(db):
+    _seed_owner_queue(db)
+    assert db.scalar("SELECT COALESCE(NULL, NULL)") is None
+    assert db.scalar("SELECT COALESCE(NULL, 2, 3)") == 2
+    assert db.scalar("SELECT COALESCE(requirements, rank, 'none') FROM jobs"
+                     " WHERE job_id = 1") == "none"
+    assert db.scalar("SELECT COALESCE(NULL, owner) FROM jobs"
+                     " WHERE job_id = 2") == "bob"
+    with pytest.raises(db.engine.ENGINE_ERRORS,
+                       match="wrong number of arguments"):
+        db.query_all("SELECT COALESCE(owner) FROM jobs")
+
+
+#: Each owner's idle jobs up to the owner's ``?``-th eligible one — the
+#: job side of ``MATCH_INSERT_SQL``, held jobs standing in for jobs a
+#: live prerequisite holds back.
+_KTH_WALK = (
+    "SELECT u.user_name, j.job_id FROM users u CROSS JOIN jobs j"
+    " ON j.state = 'idle' AND j.owner = u.user_name"
+    " AND j.job_id <= COALESCE((SELECT c.job_id FROM jobs c"
+    "   WHERE c.state = 'idle' AND c.owner = u.user_name"
+    "   ORDER BY c.job_id LIMIT 1 OFFSET ? - 1), 9223372036854775807)"
+    " ORDER BY u.priority, j.job_id")
+
+
+def test_cross_join_with_and_without_on(db):
+    _seed_owner_queue(db)
+    assert _rows(db, "SELECT u.user_name, j.job_id FROM users u"
+                     " CROSS JOIN jobs j WHERE j.job_id <= 2"
+                     " ORDER BY u.user_name, j.job_id") == [
+        ("ann", 1), ("ann", 2), ("bob", 1), ("bob", 2)]
+    bounded = ("SELECT u.user_name, j.job_id FROM users u CROSS JOIN jobs j"
+               " ON j.state = 'idle' AND j.owner = u.user_name AND {}"
+               " ORDER BY u.user_name, j.job_id")
+    ann_and_bob_to_5 = [("ann", 1), ("ann", 5), ("bob", 2), ("bob", 4)]
+    assert _rows(db, bounded.format("j.job_id <= ?"), (5,)) \
+        == ann_and_bob_to_5
+    assert _rows(db, bounded.format("? >= j.job_id"), (5,)) \
+        == ann_and_bob_to_5
+    assert _rows(db, bounded.format("j.job_id <= ?"), ("5",)) \
+        == ann_and_bob_to_5  # text meets INTEGER affinity: 5
+    assert _rows(db, bounded.format("j.job_id < ?"), (5.5,)) \
+        == ann_and_bob_to_5
+    assert _rows(db, bounded.format("j.job_id < ?"), (5,)) == [
+        ("ann", 1), ("bob", 2), ("bob", 4)]
+    assert _rows(db, bounded.format("j.job_id <= ?"), (None,)) == []
+    assert len(_rows(db, bounded.format("j.job_id < ?"), ("abc",))) == 8
+    # bob's priority is the lower: his walk ranks first
+    assert _rows(db, _KTH_WALK, (2,)) == [
+        ("bob", 2), ("bob", 4), ("ann", 1), ("ann", 5)]
+    assert _rows(db, _KTH_WALK, (9,)) == [
+        ("bob", 2), ("bob", 4), ("bob", 8), ("bob", 10),
+        ("ann", 1), ("ann", 5), ("ann", 7), ("ann", 11)]
+
+
+def test_an_order_by_the_walk_does_not_serve_is_sorted(db):
+    """A probe yields rows by job_id, the rowid.  An ORDER BY on any
+    other column — or on job_id descending — is still sorted, and under
+    LIMIT that is other rows, not the same rows in another order."""
+    _seed_owner_queue(db)
+    walk = ("SELECT job_id FROM jobs WHERE state = 'idle' AND owner = 'ann'"
+            " AND job_id <= 11 ORDER BY {} LIMIT 2 OFFSET 1")
+    # ann's idle jobs by submitted_at: 5 (1), 1 (5), 11 (7), 7 (11)
+    assert _rows(db, walk.format("submitted_at")) == [(1,), (11,)]
+    assert _rows(db, walk.format("job_id DESC")) == [(7,), (5,)]
+    assert _rows(db, walk.format("job_id")) == [(5,), (7,)]
+    assert _rows(db, "SELECT j.job_id FROM users u CROSS JOIN jobs j"
+                     " ON j.state = 'idle' AND j.owner = u.user_name"
+                     " AND j.job_id <= ? WHERE u.user_name = 'ann'"
+                     " ORDER BY j.submitted_at LIMIT 2", (11,)) \
+        == [(5,), (1,)]
+
+
+def test_memory_walks_what_it_reads():
+    """The memory engine's plans for the shapes above: the join probes
+    the (state, owner) prefix of ``idx_jobs_state_owner`` and cuts it at
+    the bound, the K-th lookup reads K rows, and only a served ORDER BY
+    goes unsorted."""
+    database = Database(backend="memory")
+    _seed_owner_queue(database)
+    stack, probes = [database.explain(_KTH_WALK, (1,)).root], {}
+    while stack:
+        node = stack.pop()
+        stack.extend(node.children)
+        if node.op == "PROBE":
+            probes[node.detail] = (node.actual_rows, node.actual_loops)
+    # one row per owner, on each side
+    assert probes == {
+        "jobs AS j (eq probe on (state, owner), job_id <= bound)": (2, 2),
+        "jobs AS c (eq probe on (state, owner))": (2, 2)}
+    walk = ("SELECT job_id FROM jobs WHERE state = 'idle' AND owner = 'ann'"
+            " ORDER BY {} LIMIT 1")
+    assert "SORT" not in database.explain(walk.format("job_id")).render()
+    assert "SORT" in database.explain(walk.format("submitted_at")).render()
+    database.close()
+
+
+# ----------------------------------------------------------------------
 # executor shapes nothing else runs, row for row against SQLite
 # ----------------------------------------------------------------------
 
@@ -804,7 +963,65 @@ def _assert_indexes_consistent(table):
             assert values not in rebuilt, "duplicate slipped past UNIQUE"
             rebuilt[values] = key
         assert mapping == rebuilt, f"unique map on {cols} diverged"
+    for cols, index in table.prefix_indexes.items():
+        rebuilt = {}
+        for key, row in table.rows.items():
+            rebuilt.setdefault(tuple(row[c] for c in cols), set()).add(key)
+        assert {values: set(keys) for values, keys in index.items()} \
+            == rebuilt, f"prefix index on {cols} diverged"
+        for values, keys in table._prefix_cache[cols].items():
+            assert keys == sorted(rebuilt[values]), f"stale probe on {cols}"
     assert sorted(table.rows) == table.scan_keys()
+
+
+_job_op_strategy = st.lists(
+    st.tuples(
+        st.sampled_from(["insert", "state", "owner", "delete", "txn-abort"]),
+        st.integers(1, 8),
+        st.sampled_from(["idle", "matched", "held"]),
+        st.sampled_from(["ann", "bob"]),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_job_op_strategy)
+def test_prefix_index_consistent_under_interleaving(ops):
+    """The (state, owner) prefix index of ``jobs`` and its memoized
+    probes stay equal to a rebuild over the rows, probes taken between
+    the writes included."""
+    engine = MemoryStorageEngine()
+    database = Database(engine=engine)
+    database.executemany(
+        "INSERT INTO users (user_name, created_at) VALUES (?, 0)",
+        [("ann",), ("bob",)])
+    jobs = engine.tables["jobs"]
+    for action, job_id, state, owner in ops:
+        if action == "insert":
+            database.execute(
+                "INSERT OR IGNORE INTO jobs (job_id, owner, cmd, state,"
+                " run_seconds, submitted_at) VALUES (?, ?, 'c', ?, 1, 0)",
+                (job_id, owner, state))
+        elif action in ("state", "owner"):
+            database.execute(f"UPDATE jobs SET {action} = ? WHERE job_id = ?",
+                             (state if action == "state" else owner, job_id))
+        elif action == "delete":
+            database.execute("DELETE FROM jobs WHERE job_id = ?", (job_id,))
+        else:
+            try:
+                with database.transaction():
+                    database.execute(
+                        "UPDATE jobs SET state = ? WHERE owner = ?",
+                        (state, owner))
+                    database.execute("DELETE FROM jobs WHERE job_id > ?",
+                                     (job_id,))
+                    raise RuntimeError("abort")
+            except RuntimeError:
+                pass
+        jobs.probe_prefix(("state", "owner"), (state, owner))
+        _assert_indexes_consistent(jobs)
 
 
 # ----------------------------------------------------------------------

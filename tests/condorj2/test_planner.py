@@ -370,7 +370,7 @@ def test_memory_declines_a_probe_that_would_convert_the_indexed_column():
     the stored text is the wrong key -- the join falls back to a scan."""
     db = _seeded_db("memory")
     join = "SELECT j.job_id FROM users u JOIN jobs j ON j.owner = u.{column}"
-    assert "PROBE jobs AS j (index on owner)" in db.explain(
+    assert "PROBE jobs AS j (eq probe on owner)" in db.explain(
         join.format(column="user_name")).render()
     assert "SCAN jobs AS j" in db.explain(
         join.format(column="priority")).render()

@@ -2,29 +2,34 @@
 
 ``ORACLE_INSERT_SQL`` / ``ORACLE_UPDATE_SQL`` are the statements
 ``SchedulingService.run_pass`` executed before it was gated on its
-probe: ``:limit`` a constant 1000, one transaction per call.  Two pools
-of the *same* backend are driven in lockstep through the differential
-harness — one by ``run_pass``, one by the oracle — and must hold
-byte-identical ``matches`` and ``jobs`` tables and return the same count
-after every pass, on all three backends.  That pins both soundness
-arguments in DESIGN.md:
+probe, ranking the whole idle queue: ``:limit`` a constant 1000, one
+transaction per call.  Two pools of the *same* backend are driven in
+lockstep through the differential harness — one by ``run_pass``, one by
+the oracle — and must hold byte-identical ``matches`` and ``jobs``
+tables and return the same count after every pass, on all three
+backends.  That pins the three soundness arguments in DESIGN.md:
 
 * the probe is a necessary condition of the INSERT's own WHERE clauses
   (a pass it stops would have placed nothing);
 * the slot join keeps min(free slots, eligible jobs) rows, so ranking
-  either side past the free-slot count changes nothing.
+  either side past the free-slot count changes nothing;
+* the global top K by (priority, job_id) lies within the union of every
+  owner's first K eligible jobs, so each owner's walk may stop there.
 
-The plan pins at the end hold what the probe and the set UPDATE may not
-do on SQLite: walk the idle queue.
+The plan pins at the end hold what no statement of the pass may do:
+walk the idle queue — on SQLite, and on the memory engine by the rows
+its profiled plan reads.
 """
 
 import gc
 import random
+import re
 
 import pytest
 
 from repro.cluster import JobSpec
 from repro.condorj2.logic.scheduling import (
+    MATCH_INSERT_SQL,
     MATCH_UPDATE_SQL,
     PASS_PROBE_SQL,
 )
@@ -315,10 +320,11 @@ def test_bounded_pass_on_random_queues(pair, seed):
 
 def test_a_placing_pass_does_not_hoard_the_queue():
     """One free slot, 10,000 idle jobs, memory engine: the job side
-    visits every idle job and keeps a buffer's worth.  A kept candidate
-    is tracked containers (a key tuple, a values list), so keeping all
-    of them shows as gen-0 collections — about 60 in a pass at this
-    depth — and a bounded buffer as next to none."""
+    reads each owner's first eligible job, not the queue, and keeps at
+    most a buffer's worth of what it reads.  A kept candidate is tracked
+    containers (a key tuple, a values list), so a pass that kept every
+    idle job would show about 60 gen-0 collections at this depth; this
+    one shows next to none."""
     pool = Pool("memory")
 
     def placing_pass(now):
@@ -367,5 +373,71 @@ def test_sqlite_probe_and_update_do_not_walk_the_queue():
         probe = [node.detail for node in _plan_nodes(
             pool.db.explain(PASS_PROBE_SQL))]
         assert not any(step.startswith("SCAN jobs") for step in probe)
+    finally:
+        pool.close()
+
+
+def test_sqlite_walks_each_owners_idle_jobs_by_index():
+    """The job side of the INSERT is ``users`` scanned and, per user, a
+    search of ``idx_jobs_state_owner`` on (state, owner) cut at a job_id
+    bound; no step scans a ``jobs`` alias."""
+    pool = Pool("sqlite")
+    try:
+        pool.heartbeat.register_machine({"name": "m1", "vm_count": 4}, 0.0)
+        pool.submission.submit_jobs(
+            [JobSpec(owner=f"user{i % 5}") for i in range(60)], 0.0)
+        steps = [node.detail for node in _plan_nodes(pool.db.explain(
+            MATCH_INSERT_SQL, {"now": 1.0, "limit": 4}))]
+        walk = [step for step in steps if step.startswith("SEARCH j ")]
+        assert len(walk) == 1 and re.fullmatch(
+            r"SEARCH j USING COVERING INDEX idx_jobs_state_owner "
+            r"\(state=\? AND owner=\? AND (rowid|job_id)<\?\)", walk[0]), steps
+        driver = [step for step in steps if step.startswith("SCAN u")]
+        assert driver == ["SCAN u"], steps
+        assert not any(re.match(r"SCAN (jobs|[jcp])\b", step)
+                       for step in steps), steps
+    finally:
+        pool.close()
+
+
+def test_memory_pass_reads_what_it_places():
+    """10,000 idle jobs, 13 owners, one free slot: the profiled INSERT
+    reads a few job rows per owner and per slot, not the queue."""
+    pool = Pool("memory")
+    try:
+        pool.heartbeat.register_machine({"name": "m1", "vm_count": 1}, 0.0)
+        owners = 13
+        pool.submission.submit_jobs(
+            [JobSpec(owner=f"user{i % owners}") for i in range(10_000)], 0.0)
+        limit = pool.db.scalar(PASS_PROBE_SQL)
+        assert limit == 1
+        report = pool.db.explain(MATCH_INSERT_SQL,
+                                 {"now": 1.0, "limit": limit})
+        read = sum(node.actual_rows or 0 for node in _plan_nodes(report)
+                   if node.op in ("PROBE", "SCAN")
+                   and node.detail.startswith("jobs"))
+        assert 0 < read <= 4 * owners * limit, report.render()
+    finally:
+        pool.close()
+
+
+def test_memory_pass_reads_no_bound_for_a_user_without_idle_jobs():
+    """Every registered user costs the walk one probe, but only a user
+    the probe finds costs the bound's subquery: 100 users with no job
+    beside 13 owners run it 13 times."""
+    pool = Pool("memory")
+    try:
+        pool.heartbeat.register_machine({"name": "m1", "vm_count": 1}, 0.0)
+        pool.db.executemany(
+            "INSERT INTO users (user_name, created_at) VALUES (?, 0.0)",
+            [(f"dormant{u}",) for u in range(100)])
+        pool.submission.submit_jobs(
+            [JobSpec(owner=f"user{i % 13}") for i in range(200)], 0.0)
+        report = pool.db.explain(MATCH_INSERT_SQL, {"now": 1.0, "limit": 1})
+        loops = {node.op if node.op != "PROBE" else node.detail:
+                 node.actual_loops for node in _plan_nodes(report)}
+        assert loops["jobs AS j (eq probe on (state, owner),"
+                     " job_id <= bound)"] == 113, report.render()
+        assert loops["SCALAR-SELECT"] == 13, report.render()
     finally:
         pool.close()
