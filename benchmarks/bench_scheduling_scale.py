@@ -25,6 +25,10 @@ pool), *many users* (the same with 50 queued and 1,000 registered
 users, the shape the per-owner walk pays most for) and *empty queue*
 (idle VMs, nothing to place).
 
+The monitoring read a client polls while the queue grows is held to the
+same rule: ``queueSummary`` at 50k queued within ``FLATNESS_BUDGET``x
+the same read at 1k, on both engines.
+
 Results are also written machine-readably to ``BENCH_scheduling.json``
 at the repo root (per-engine µs/pass at every depth and regime plus
 plan-cache hit rates); CI uploads it as an artifact, and a separate
@@ -45,6 +49,7 @@ from repro.condorj2.database import Database
 from repro.condorj2.logic import (
     HeartbeatService,
     LifecycleService,
+    ReportService,
     SchedulingService,
     SubmissionService,
 )
@@ -96,6 +101,10 @@ REGIMES = ("cold", "one_free_slot")
 #: 22x cold and 450x with one free slot, so a failure here still means
 #: that.
 PERF_RATIO_BUDGET = 5.0
+
+#: Timed ``queueSummary`` reads per pool (after three untimed); the
+#: median is reported.
+TIMED_READS = 50
 PERF_RATIO_DEPTH = FLATNESS_DEPTHS[-1]
 
 BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_scheduling.json"
@@ -473,3 +482,49 @@ def test_scheduling_pass_backend_comparison(benchmark):
     assert shapes == {(VM_COUNT, 3, 1)}, (
         f"backends disagree on the pass contract: {observations}"
     )
+
+
+@pytest.fixture(scope="module")
+def queue_summary_us():
+    """µs per ``queueSummary`` read by ``(backend, depth)``, the median
+    of ``TIMED_READS``, on a pool whose first pass matched ``VM_COUNT``
+    jobs and left the rest idle.  The four pools take turns read by read,
+    as the passes do in :func:`pass_us`."""
+    pairs = [(backend, depth) for backend in BACKENDS
+             for depth in FLATNESS_DEPTHS]
+    reports = {}
+    for backend, depth in pairs:
+        container, scheduling, _ = _pool_with_queue(depth, backend=backend)
+        assert scheduling.run_pass(now=1.0) == VM_COUNT
+        reports[backend, depth] = ReportService(container.db)
+    samples = {pair: [] for pair in pairs}
+    for n in range(3 + TIMED_READS):
+        for (backend, depth), report in reports.items():
+            start = time.perf_counter()
+            summary = report.queue_summary()
+            seconds = time.perf_counter() - start
+            assert summary == {"idle": depth - VM_COUNT,
+                               "matched": VM_COUNT, "running": 0}
+            if n >= 3:
+                samples[backend, depth].append(seconds)
+    return {pair: statistics.median(seconds) * 1e6
+            for pair, seconds in samples.items()}
+
+
+def test_queue_summary_flat_1k_to_50k(queue_summary_us):
+    """CI perf smoke: ``queueSummary`` counts the table from its B-tree
+    and the small states from their index ranges, so the read at 50k
+    queued jobs stays within ``FLATNESS_BUDGET``x the read at 1k, on both
+    engines.  The ``GROUP BY state`` it replaced read 22x on SQLite and
+    53x on memory."""
+    shallow, deep = FLATNESS_DEPTHS
+    lines = []
+    for backend in BACKENDS:
+        near = queue_summary_us[backend, shallow]
+        far = queue_summary_us[backend, deep]
+        lines.append((
+            f"{backend} queueSummary: {near:.0f} µs at {shallow} jobs, "
+            f"{far:.0f} µs at {deep} ({far / near:.2f}x, budget "
+            f"{FLATNESS_BUDGET}x)", far / near <= FLATNESS_BUDGET))
+    over = _gate(lines)
+    assert not over, f"queueSummary grows with queue depth: {over}"

@@ -5,6 +5,16 @@ One of the paper's core complaints about process-centric systems is that
 impossible" — querying a Condor pool means asking each daemon for its
 in-memory slice.  In CondorJ2 every question is a SQL query; this module
 collects the standard reports the pool web site and web services expose.
+
+The two reads a monitoring client polls while the queue grows read no
+job row (DESIGN.md §5.3, "Monitoring reads").  ``queue_summary`` counts
+the whole table from its B-tree (SQLite's ``Count`` opcode, the memory
+engine's row count) and subtracts the small states, each a range of
+``idx_jobs_state_owner``: flat in queue length.  ``user_summary`` counts
+the owner's idle and running jobs inside that covering index: the size
+of one bucket on the memory engine, a walk of the owner's range of index
+entries on SQLite.  Its ``job_history`` count still reads the owner's
+whole history on both.
 """
 
 from __future__ import annotations
@@ -14,6 +24,32 @@ from typing import Any, Dict, List, Optional
 from repro.condorj2.database import Database
 
 
+#: Jobs per state in one row.  ``total`` is the table's size, which
+#: SQLite reads from a B-tree without visiting a row; each other count is
+#: one range of ``idx_jobs_state_owner``, bounded by the slots (matched,
+#: running) or by an operator (held), never by the queue.  ``state`` is
+#: NOT NULL and CHECKed to six values, so idle is exactly the total less
+#: the five listed here — every state of the CHECK domain but idle.
+QUEUE_SUMMARY_SQL = """
+SELECT (SELECT COUNT(*) FROM jobs) AS total,
+       (SELECT COUNT(*) FROM jobs WHERE state = 'matched') AS matched,
+       (SELECT COUNT(*) FROM jobs WHERE state = 'running') AS running,
+       (SELECT COUNT(*) FROM jobs WHERE state = 'completed') AS completed,
+       (SELECT COUNT(*) FROM jobs WHERE state = 'removed') AS removed,
+       (SELECT COUNT(*) FROM jobs WHERE state = 'held') AS held
+"""
+
+#: One owner's idle and running jobs, each counted inside the covering
+#: ``idx_jobs_state_owner`` on its (state, owner) prefix: no row of the
+#: base table is read.
+USER_QUEUE_SQL = """
+SELECT (SELECT COUNT(*) FROM jobs
+        WHERE state = 'idle' AND owner = :owner) AS idle,
+       (SELECT COUNT(*) FROM jobs
+        WHERE state = 'running' AND owner = :owner) AS running
+"""
+
+
 class ReportService:
     """Read-only queries over the operational and historical tables."""
 
@@ -21,11 +57,11 @@ class ReportService:
         self.db = db
 
     def queue_summary(self) -> Dict[str, int]:
-        """Jobs per state (the condor_q equivalent, one GROUP BY)."""
-        rows = self.db.query_all(
-            "SELECT state, COUNT(*) AS n FROM jobs GROUP BY state"
-        )
-        summary = {row["state"]: row["n"] for row in rows}
+        """Jobs per state (the condor_q equivalent): the states that
+        hold a job, in name order, and always idle, matched, running."""
+        counts = dict(self.db.query_one(QUEUE_SUMMARY_SQL))
+        counts["idle"] = counts.pop("total") - sum(counts.values())
+        summary = {state: n for state, n in sorted(counts.items()) if n}
         summary.setdefault("idle", 0)
         summary.setdefault("matched", 0)
         summary.setdefault("running", 0)
@@ -50,15 +86,7 @@ class ReportService:
 
     def user_summary(self, owner: str) -> Dict[str, Any]:
         """Per-user queue and usage statistics."""
-        queued = self.db.query_one(
-            """
-            SELECT
-              SUM(CASE WHEN state = 'idle' THEN 1 ELSE 0 END) AS idle,
-              SUM(CASE WHEN state = 'running' THEN 1 ELSE 0 END) AS running
-            FROM jobs WHERE owner = ?
-            """,
-            (owner,),
-        )
+        queued = self.db.query_one(USER_QUEUE_SQL, {"owner": owner})
         completed = self.db.scalar(
             "SELECT COUNT(*) FROM job_history WHERE owner = ?", (owner,)
         )
@@ -67,8 +95,8 @@ class ReportService:
         )
         return {
             "owner": owner,
-            "idle": queued["idle"] or 0,
-            "running": queued["running"] or 0,
+            "idle": queued["idle"],
+            "running": queued["running"],
             "completed": completed or 0,
             "usage_seconds": usage or 0.0,
         }

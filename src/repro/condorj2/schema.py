@@ -175,9 +175,12 @@ TABLE_DEFS: Tuple[TableDef, ...] = (
         indexes=(
             # Covering index for the scheduling pass's hot predicate:
             # eligible idle jobs joined to users by owner, scanned in
-            # (state, job_id) order without touching the base table.
+            # (state, job_id) order without touching the base table.  The
+            # monitoring reads count its (state) and (state, owner)
+            # ranges, so no index leads with owner: the FK to users is
+            # never checked from the child side (no user is deleted and
+            # no user_name rewritten).
             IndexDef("idx_jobs_state_owner", ("state", "owner", "job_id")),
-            IndexDef("idx_jobs_owner", ("owner",)),
             IndexDef("idx_jobs_workflow", ("workflow_id",)),
         ),
     ),

@@ -171,8 +171,12 @@ class CondorJ2Startd:
             except ServiceFault:
                 # Requeue the events we drained so the next beat resends
                 # them — the transactional no-lost-jobs guarantee depends
-                # on the client retrying until the server confirms.
+                # on the client retrying until the server confirms.  The
+                # slot states it carried were never confirmed either:
+                # forget them, so the next beat sends them again.
                 self._pending_events = payload["events"] + self._pending_events
+                for vm_state in payload["vms"]:
+                    self._last_reported.pop(vm_state["vm_id"], None)
                 failures += 1
                 self.rpc_failures += 1
                 if failures >= self.config.max_consecutive_failures:

@@ -41,6 +41,11 @@ from repro.condorj2.storage.store import (
 _MIRRORED = {"=": "=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
 
+def _is_count_star(node: Any) -> bool:
+    return isinstance(node, sp.Func) and node.name == "COUNT" \
+        and node.star and not node.distinct
+
+
 def _local_aliases(node: Any, scope: _Scope) -> set:
     """Depth-0 aliases ``node`` may reference, subqueries included.  A
     bare name inside a subquery is resolved in ``scope`` too, so the set
@@ -346,6 +351,15 @@ class _Compiler(_ExprCompiler):
         for index, name in enumerate(names):
             lookup.setdefault(name, index)
 
+        # COUNT(*) alone over one source whose access path answers every
+        # condition: the path's own count, when it keeps one.
+        count = None
+        if len(source_plans) == 1 and first.check is None and not post \
+                and len(ast.items) == 1 and _is_count_star(ast.items[0].expr) \
+                and not (ast.group_by or ast.having or ast.order_by
+                         or ast.limit or ast.offset or ast.distinct):
+            count = first.access.count
+
         plan = self._select_cls(
             sources=source_plans,
             post_where=post,
@@ -363,6 +377,7 @@ class _Compiler(_ExprCompiler):
             outer_depth=stats["outer"],
             fused=(fused_positions
                    if fused_positions and not has_agg else None),
+            count=count,
         )
         plan.xsubs = self._subs.pop()
         est = source_plans[0].est_rows if source_plans else 1.0
@@ -604,8 +619,12 @@ class _Compiler(_ExprCompiler):
             if coerce is not None:
                 bound_fn = _wrap(bound_fn, coerce)
             cut = (bound_fn, op == "<=")
-        return _keyed_access(
+        access = _keyed_access(
             table, lambda rt: probe(columns, [fn(rt) for fn in fns]), cut)
+        if cut is None:
+            count = table.count_prefix
+            access.count = lambda rt: count(columns, [fn(rt) for fn in fns])
+        return access
 
     def _try_hash_join(self, conjunct: Any, plan: "_SourcePlan",
                        scope: _Scope, bound: List[str],

@@ -169,13 +169,16 @@ class _Access:
     EXPLAIN annotation, None for a plain scan.  ``eq`` is ``(table,
     column, value fn)`` when the path is a single equality lookup in an
     index: the scheduling pass's nested loop and EXISTS go to the index
-    with it directly.
+    with it directly.  ``count(rt)`` is how many candidates there are,
+    read without fetching one, when the path can say: a table scan (the
+    row count) and a fully pinned prefix probe (the bucket's size).
     """
 
     rows: Optional[Callable] = None
     keys: Optional[Callable] = None
     label: Optional[str] = None
     eq: Optional[Tuple] = None
+    count: Optional[Callable] = None
 
 
 def _lookup_access(table: MemoryTable, column: str, fn: Callable,
@@ -287,6 +290,8 @@ class _SourcePlan:
         #: WHERE driver (first source) or ON probe (joined source);
         #: until the compiler binds one, a scan
         self.access = _Access(self.base_rows)
+        if table is not None:
+            self.access.count = lambda rt: len(table.rows)
         #: what the access path left over: the pushed-down WHERE
         #: conjuncts on the first source, the rest of ON on a joined one
         self.check: Optional[Callable] = None
@@ -359,7 +364,8 @@ class _SelectPlan:
 
     def __init__(self, sources, post_where, item_fns, names, lookup,
                  group_fns, having_fn, order_specs, limit_fn, offset_fn,
-                 distinct, has_agg, windows, outer_depth, fused=None):
+                 distinct, has_agg, windows, outer_depth, fused=None,
+                 count=None):
         self.sources = sources
         self.post_where = post_where
         self.where_check = _combine_filters(post_where)
@@ -380,6 +386,10 @@ class _SelectPlan:
         #: item positions whose ROW_NUMBER fuses with the final sort
         #: (rank == output position); None -> general path
         self.fused = fused
+        #: ``SELECT COUNT(*)`` over one source whose access path answers
+        #: every condition and can count its candidates: that count,
+        #: with no row read; None -> the row pipeline
+        self.count = count
         self.est_rows: Optional[float] = None
         self.xsubs: List[Tuple[str, "_SelectPlan"]] = []
         #: references escape this select's own frame
@@ -450,6 +460,14 @@ class _SelectPlan:
 
     # -- execution ------------------------------------------------------
     def execute(self, rt: _Rt) -> List[MemoryRow]:
+        if self.count is not None:
+            # The frame keeps outer references at their depth.
+            rt.frames.append([None] * self.env_width)
+            try:
+                return [MemoryRow(self.names, (self.count(rt),),
+                                  self.lookup)]
+            finally:
+                rt.frames.pop()
         limit, offset = self._window(rt)
         if self.fused is not None:
             return self._execute_fused(rt, limit, offset)
@@ -908,7 +926,11 @@ def _select_node(plan: _SelectPlan, label: str = "SELECT") -> "pl.PlanNode":
     elif plan.order_specs:
         node.children.append(pl.PlanNode(
             op="SORT", detail=f"{len(plan.order_specs)} key(s)"))
-    if plan.group_fns or plan.has_agg:
+    if plan.count is not None:
+        node.children.append(pl.PlanNode(
+            op="COUNT", detail="bucket size" if plan.sources[0].access.label
+            else "row count"))
+    elif plan.group_fns or plan.has_agg:
         node.children.append(pl.PlanNode(op="AGGREGATE"))
     for sub_label, subplan in plan.xsubs:
         node.children.append(_select_node(subplan, sub_label))

@@ -187,18 +187,32 @@ class MemoryTable:
             rows = entry[1] = [table_rows[key] for key in entry[0]]
         return rows
 
+    def _prefix_key(self, columns: Tuple[str, ...],
+                    values: Sequence[Any]) -> Optional[Tuple]:
+        """``values`` as a prefix-index key, each after its column's
+        affinity, as in :meth:`probe`; None when one is NULL."""
+        if None in values:
+            return None
+        affinities = self.affinities
+        return tuple(apply_affinity(value, affinities[column])
+                     for column, value in zip(columns, values))
+
+    def count_prefix(self, columns: Tuple[str, ...],
+                     values: Sequence[Any]) -> int:
+        """How many rows hold ``columns == values``: the size of a prefix
+        index bucket, read without sorting or fetching its rows."""
+        key = self._prefix_key(columns, values)
+        return 0 if key is None else len(
+            self.prefix_indexes[columns].get(key, ()))
+
     def probe_prefix(self, columns: Tuple[str, ...],
                      values: Sequence[Any]) -> List[Any]:
         """Rowkeys with ``columns == values`` via a prefix index, in key
-        order; each value takes its column's affinity first, as in
-        :meth:`probe`.  Memoized and shared — do not mutate."""
-        affinities = self.affinities
-        key = []
-        for column, value in zip(columns, values):
-            if value is None:
-                return []
-            key.append(apply_affinity(value, affinities[column]))
-        key = tuple(key)
+        order (see :meth:`_prefix_key`).  Memoized and shared — do not
+        mutate."""
+        key = self._prefix_key(columns, values)
+        if key is None:
+            return []
         cache = self._prefix_cache[columns]
         keys = cache.get(key)
         if keys is None:

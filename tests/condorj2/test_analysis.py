@@ -378,7 +378,7 @@ def test_unused_named_parameter_is_a_warning():
 # ----------------------------------------------------------------------
 
 def test_advisor_stays_quiet_on_indexed_access():
-    assert _check_sql("SELECT * FROM jobs WHERE owner = ?") == []
+    assert _check_sql("SELECT * FROM jobs WHERE workflow_id = ?") == []
     assert _check_sql("SELECT * FROM jobs WHERE job_id = ?") == []
     assert _check_sql(
         "SELECT * FROM runs WHERE job_id = ?") == []  # unique

@@ -4,6 +4,7 @@ import pytest
 
 from repro.cluster import ClusterSpec, RELIABLE_EXECUTION
 from repro.condorj2 import CasCostModel, CondorJ2System
+from repro.condorj2.api.faults import ServiceFault
 from repro.condorj2.database import StatementCounts
 from repro.condorj2.startd import StartdConfig
 from repro.workload import fixed_length_batch
@@ -153,6 +154,41 @@ def test_startd_events_retried_after_transport_failure():
     # Simulate the retry path of _main_loop.
     startd._pending_events = payload["events"] + startd._pending_events
     assert len(startd._pending_events) == 1
+
+
+def test_startd_resends_slot_states_after_transport_failure():
+    """A slot change carried by a heartbeat whose transport failed goes
+    out again on the very next beat, not at the next full-state beat."""
+    config = StartdConfig(idle_poll_seconds=1.0, full_state_every_beats=1000)
+    system = small_system(startd_config=config)
+    startd = system.startds[0]
+    sent = []
+    fail_next = []
+    original = startd._call
+
+    def flaky(operation, payload):
+        if operation == "heartbeat":
+            sent.append(list(payload["vms"]))
+            if fail_next:
+                fail_next.clear()
+                raise ServiceFault("injected transport failure")
+        return (yield from original(operation, payload))
+
+    startd._call = flaky
+    system.start()
+    system.sim.run(until=3.5)
+    assert sent and all(vms == [] for vms in sent[1:])  # deltas, idle pool
+    vm = startd.node.vms[0]
+    vm.state = type(vm.state).BUSY
+    fail_next.append(True)
+    beats = len(sent)
+    system.sim.run(until=8.0)
+    change = {"vm_id": vm.vm_id, "state": "busy"}
+    assert sent[beats] == [change]       # the beat that failed
+    assert sent[beats + 1] == [change]   # ... and the retry carries it
+    assert startd.rpc_failures == 1
+    assert system.cas.db.scalar("SELECT state FROM vms WHERE vm_id = ?",
+                                (vm.vm_id,)) == "busy"
 
 
 def test_jobs_flow_through_small_pool_quickly():
