@@ -25,15 +25,23 @@ pool), *many users* (the same with 50 queued and 1,000 registered
 users, the shape the per-owner walk pays most for) and *empty queue*
 (idle VMs, nothing to place).
 
+The flatness gate runs both passes twice: on a plain queue, and on one
+where every queued job carries one dependency edge to a prerequisite
+that has finished (its id is no longer in ``jobs``), so each job the
+walk passes costs the pass's dependency check an index probe that finds
+a row.  A memory engine that answers that check from a set of every
+edge reads 8-13x cold and 42-49x with one free slot from 1k to 50k.
+
 The monitoring read a client polls while the queue grows is held to the
 same rule: ``queueSummary`` at 50k queued within ``FLATNESS_BUDGET``x
 the same read at 1k, on both engines.
 
 Results are also written machine-readably to ``BENCH_scheduling.json``
 at the repo root (per-engine µs/pass at every depth and regime plus
-plan-cache hit rates); CI uploads it as an artifact, and a separate
-smoke job runs the flatness gate and pins the memory/sqlite ratio at 50k
-jobs, cold pass and one free slot alike, to ``PERF_RATIO_BUDGET``.
+plan-cache hit rates, and the flatness gate's readings); CI uploads it
+as an artifact, and a separate smoke job runs the flatness gate and pins
+the memory/sqlite ratio at 50k jobs, cold pass and one free slot alike,
+to ``PERF_RATIO_BUDGET``.
 """
 
 import json
@@ -44,6 +52,7 @@ from pathlib import Path
 import pytest
 
 from repro.cluster import JobSpec
+from repro.cluster.job import next_job_id
 from repro.condorj2.beans import BeanContainer
 from repro.condorj2.database import Database
 from repro.condorj2.logic import (
@@ -79,6 +88,8 @@ MANY_USERS_QUEUED = 50
 FLATNESS_BUDGET = 2.0
 FLATNESS_DEPTHS = (QUEUE_DEPTHS[0], QUEUE_DEPTHS[-1])
 REGIMES = ("cold", "one_free_slot")
+#: Whether every queued job carries one edge to a finished prerequisite.
+EDGES = (False, True)
 
 #: CI budget for the memory engine: at 50k queued jobs its cold
 #: scheduling pass (64 free slots, plans compiled) and its one-free-slot
@@ -111,9 +122,11 @@ BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_scheduling.json"
 
 
 def _pool_with_queue(n_jobs, backend=None, vm_count=VM_COUNT,
-                     dormant_users=0):
+                     dormant_users=0, edges=False):
     """A pool of ``vm_count`` VMs with ``n_jobs`` idle jobs over 13
-    owners, and ``dormant_users`` more registered users with no job."""
+    owners, and ``dormant_users`` more registered users with no job.
+    With ``edges`` every job depends on a prerequisite that has finished:
+    an id no longer in ``jobs``, so the edge holds nothing back."""
     container = BeanContainer(Database(backend=backend))
     submission = SubmissionService(container)
     scheduling = SchedulingService(container)
@@ -127,7 +140,9 @@ def _pool_with_queue(n_jobs, backend=None, vm_count=VM_COUNT,
             container.db.executemany(
                 "INSERT INTO users (user_name, created_at) VALUES (?, 0.0)",
                 [(f"dormant{u}",) for u in range(dormant_users)])
-    specs = [JobSpec(owner=f"user{i % 13}") for i in range(n_jobs)]
+    specs = [JobSpec(owner=f"user{i % 13}",
+                     depends_on=(next_job_id(),) if edges else ())
+             for i in range(n_jobs)]
     submission.submit_jobs(specs, now=0.0)
     return container, scheduling, lifecycle
 
@@ -195,11 +210,12 @@ def test_scheduling_pass_wall_clock_by_depth(benchmark, depth):
     )
 
 
-def _cold_pass(backend, depth):
+def _cold_pass(backend, depth, edges=False):
     """``(seconds, container, scheduling)``: the first pass on a fresh
     pool of ``depth`` queued jobs — plan compiles plus the real
     ``VM_COUNT``-match work."""
-    container, scheduling, _ = _pool_with_queue(depth, backend=backend)
+    container, scheduling, _ = _pool_with_queue(depth, backend=backend,
+                                                edges=edges)
     start = time.perf_counter()
     created = scheduling.run_pass(now=1.0)
     seconds = time.perf_counter() - start
@@ -207,13 +223,14 @@ def _cold_pass(backend, depth):
     return seconds, container, scheduling
 
 
-def _one_free_slot(backend, depth, dormant_users=0):
+def _one_free_slot(backend, depth, dormant_users=0, edges=False):
     """A pool of ``depth`` jobs queued behind a single VM, and a step
     that times one placing pass on it (K = 1) — ``(seconds,
     statements)`` — then runs the placed job to completion to free the
     slot again.  The pool's first pass is its cold one."""
     container, scheduling, lifecycle = _pool_with_queue(
-        depth, backend=backend, vm_count=1, dormant_users=dormant_users)
+        depth, backend=backend, vm_count=1, dormant_users=dormant_users,
+        edges=edges)
     db = container.db
 
     def placing_pass():
@@ -371,30 +388,33 @@ def test_scheduling_cold_warm_split_and_json(benchmark):
 
 @pytest.fixture(scope="module")
 def pass_us():
-    """µs per pass by ``(backend, regime, depth)``: the cold pass (the
-    minimum over three fresh pools) and the one-free-slot pass (the
+    """µs per pass by ``(backend, regime, depth, edges)``: the cold pass
+    (the minimum over three fresh pools) and the one-free-slot pass (the
     median of ``2 * TIMED_REGIME_PASSES``, after three untimed) at the
-    shallowest and the deepest queue.  Every (backend, depth) pair takes
-    its turn, pool by pool and pass by pass, so a drift in the host's
-    speed lands on all four alike."""
-    pairs = [(backend, depth) for backend in BACKENDS
-             for depth in FLATNESS_DEPTHS]
-    cold = {pair: [] for pair in pairs}
+    shallowest and the deepest queue, with and without an edge per job.
+    Every pool takes its turn, pool by pool and pass by pass, so a drift
+    in the host's speed lands on all of them alike."""
+    pools = [(backend, depth, edges) for backend in BACKENDS
+             for edges in EDGES for depth in FLATNESS_DEPTHS]
+    cold = {pool: [] for pool in pools}
     for _ in range(3):
-        for pair in pairs:
-            cold[pair].append(_cold_pass(*pair)[0])
-    steps = {pair: _one_free_slot(*pair) for pair in pairs}
-    warm = {pair: [] for pair in pairs}
+        for pool in pools:
+            cold[pool].append(_cold_pass(*pool)[0])
+    steps = {(backend, depth, edges): _one_free_slot(backend, depth,
+                                                     edges=edges)
+             for backend, depth, edges in pools}
+    warm = {pool: [] for pool in pools}
     for n in range(3 + 2 * TIMED_REGIME_PASSES):
-        for pair, placing_pass in steps.items():
+        for pool, placing_pass in steps.items():
             seconds, _ = placing_pass()
             if n >= 3:
-                warm[pair].append(seconds)
+                warm[pool].append(seconds)
     measured = {}
-    for backend, depth in pairs:
-        measured[backend, "cold", depth] = min(cold[backend, depth]) * 1e6
-        measured[backend, "one_free_slot", depth] = \
-            statistics.median(warm[backend, depth]) * 1e6
+    for backend, depth, edges in pools:
+        measured[backend, "cold", depth, edges] = \
+            min(cold[backend, depth, edges]) * 1e6
+        measured[backend, "one_free_slot", depth, edges] = \
+            statistics.median(warm[backend, depth, edges]) * 1e6
     return measured
 
 
@@ -410,17 +430,31 @@ def test_pass_flat_1k_to_50k(pass_us):
     """CI perf smoke: the paper's Figure 13 claim in wall-clock form —
     the cold pass (K = 64) and the one-free-slot pass (K = 1) at 50k
     queued jobs each stay within ``FLATNESS_BUDGET``x the same pass at
-    1k, on both engines."""
+    1k, on both engines, with and without an edge per queued job.  The
+    readings are added to ``BENCH_scheduling.json`` under
+    ``flatness``."""
     shallow, deep = FLATNESS_DEPTHS
-    lines = []
+    lines, readings = [], []
     for backend in BACKENDS:
-        for regime in REGIMES:
-            near = pass_us[backend, regime, shallow]
-            far = pass_us[backend, regime, deep]
-            lines.append((
-                f"{backend} {regime} pass: {near:.0f} µs at {shallow} jobs, "
-                f"{far:.0f} µs at {deep} ({far / near:.2f}x, budget "
-                f"{FLATNESS_BUDGET}x)", far / near <= FLATNESS_BUDGET))
+        for edges in EDGES:
+            for regime in REGIMES:
+                near = pass_us[backend, regime, shallow, edges]
+                far = pass_us[backend, regime, deep, edges]
+                queue = "an edge per job" if edges else "no edges"
+                lines.append((
+                    f"{backend} {regime} pass, {queue}: {near:.0f} µs at "
+                    f"{shallow} jobs, {far:.0f} µs at {deep} "
+                    f"({far / near:.2f}x, budget {FLATNESS_BUDGET}x)",
+                    far / near <= FLATNESS_BUDGET))
+                readings.append({
+                    "backend": backend, "regime": regime, "edges": edges,
+                    "shallow_us": round(near, 1), "deep_us": round(far, 1),
+                    "ratio": round(far / near, 3)})
+    payload = (json.loads(BENCH_JSON.read_text())
+               if BENCH_JSON.exists() else {"bench": "scheduling_pass"})
+    payload["flatness"] = {"depths": list(FLATNESS_DEPTHS),
+                           "budget": FLATNESS_BUDGET, "readings": readings}
+    BENCH_JSON.write_text(json.dumps(payload, indent=2) + "\n")
     over = _gate(lines)
     assert not over, f"the pass grows with queue depth: {over}"
 
@@ -436,8 +470,8 @@ def test_memory_engine_within_perf_budget(pass_us):
     """
     lines = []
     for regime in REGIMES:
-        sqlite = pass_us["sqlite", regime, PERF_RATIO_DEPTH]
-        memory = pass_us["memory", regime, PERF_RATIO_DEPTH]
+        sqlite = pass_us["sqlite", regime, PERF_RATIO_DEPTH, False]
+        memory = pass_us["memory", regime, PERF_RATIO_DEPTH, False]
         lines.append((
             f"{regime} pass at {PERF_RATIO_DEPTH} jobs: sqlite {sqlite:.0f} "
             f"µs, memory {memory:.0f} µs ({memory / sqlite:.2f}x, budget "

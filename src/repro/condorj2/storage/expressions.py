@@ -4,8 +4,8 @@
 time; :class:`_ExprCompiler` turns every expression node of the dialect
 (:mod:`.sqlparser`) into a closure ``fn(rt)`` whose value follows
 SQLite's scalar rules (:mod:`.scalars`) — three-valued AND/OR,
-comparison affinity, IN over lists and subqueries, EXISTS (probing,
-cached, or decorrelated into a hash semi-join), scalar subqueries,
+comparison affinity, IN over lists and subqueries, EXISTS (probing per
+outer row, or cached when uncorrelated), scalar subqueries,
 ``ROW_NUMBER`` slots, CASE, CAST, COALESCE, LIKE and the aggregates.
 What a node kind *means* is stated here; which fields of a node are
 sub-expressions is not — that is :func:`.sqlparser.children`'s to say.
@@ -16,7 +16,6 @@ from __future__ import annotations
 import itertools
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.condorj2.storage import planner as pl
 from repro.condorj2.storage import sqlparser as sp
 from repro.condorj2.storage.plans import _SelectPlan
 from repro.condorj2.storage.scalars import (
@@ -24,9 +23,7 @@ from repro.condorj2.storage.scalars import (
     _comparison_coercions, _is_true, _like_matches, _probe_norm, _sql_eq,
     _to_number, _to_text, sql_sort_key,
 )
-from repro.condorj2.storage.store import (
-    MemoryEngineError, MemoryTable, TableStore,
-)
+from repro.condorj2.storage.store import MemoryEngineError, TableStore
 
 
 class _Scope:
@@ -119,14 +116,6 @@ def _wrap(fn: Callable, coerce: Callable) -> Callable:
     return lambda rt: coerce(fn(rt))
 
 
-#: Correlated-EXISTS executions served by the original probing plan
-#: before the decorrelated hash semi-join builds its key set.  Small
-#: outer sides never pay the build; big ones amortize it immediately.
-#: Adaptive because plan statistics are advisory: a plan compiled when a
-#: table was small survives the table growing 1000x.
-_SEMI_JOIN_BUILD_AFTER = 8
-
-
 class _ExprCompiler:
     """Gives each expression node kind its meaning: a closure over the
     runtime context.  A subquery recurses into ``compile_select``, which
@@ -135,7 +124,7 @@ class _ExprCompiler:
     def __init__(self, engine: TableStore):
         self.engine = engine
         #: EXPLAIN registry stack: subplans compiled inside expressions
-        #: (EXISTS, IN (SELECT), scalar subqueries, semi-join builds)
+        #: (EXISTS, IN (SELECT), scalar subqueries)
         #: attach to the select/statement being compiled.
         self._subs: List[List[Tuple[str, "_SelectPlan"]]] = []
         #: ``rt.cache`` slots for per-execution subquery results
@@ -144,85 +133,6 @@ class _ExprCompiler:
     def _register_sub(self, label: str, subplan: "_SelectPlan") -> None:
         if self._subs:
             self._subs[-1].append((label, subplan))
-
-    # -- correlated EXISTS -> hash semi-join ---------------------------
-    def _compile_semi_join(self, select: sp.Select, scope: _Scope,
-                           stats: Dict) -> Optional[Tuple]:
-        """Compile the decorrelated form of a correlated EXISTS.
-
-        Returns ``(build_key_fn, probe_fn)`` — build the subquery's key
-        set once, then answer each EXISTS with an O(1) set probe — or
-        None when :func:`planner.decorrelate_exists` declines.  The pair
-        coercions mirror ``_affinity_wrap`` so the set probe agrees with
-        SQLite's comparison affinity, and key normalization keeps the
-        number/text classes separate exactly as ``_sql_eq`` does.
-        """
-        own_columns: Dict[str, Tuple[str, ...]] = {}
-        own_tables: Dict[str, MemoryTable] = {}
-        for src in select.sources:
-            if src.kind != "table":
-                return None
-            table = self.engine.tables.get(src.name)
-            if table is None:
-                return None
-            alias = src.alias or src.name
-            own_columns[alias] = table.columns
-            own_tables[alias] = table
-        row_counts = {alias: float(len(table.rows))
-                      for alias, table in own_tables.items()}
-        deco = pl.decorrelate_exists(select, own_columns, row_counts)
-        if deco is None:
-            return None
-        build_plan = self.compile_select(deco.build_select, scope)
-        if build_plan.correlated:
-            return None  # safety net: residual snuck in an outer ref
-        self._register_sub("SEMI-JOIN BUILD", build_plan)
-
-        probe_parts: List[Tuple[Callable, Optional[Callable]]] = []
-        build_coerces: List[Optional[Callable]] = []
-        for local_expr, outer_expr in deco.pairs:
-            co_local, co_outer = _comparison_coercions(
-                self._select_column_affinity(select, local_expr),
-                self._operand_affinity(outer_expr, scope))
-            outer_fn = self.compile_expr(outer_expr, scope, stats)
-            probe_parts.append((outer_fn, co_outer))
-            build_coerces.append(co_local)
-
-        if len(probe_parts) == 1:
-            outer_fn, co_outer = probe_parts[0]
-            co_local = build_coerces[0]
-
-            def build_one(rt):
-                return build_plan.first_column_set(rt, co_local)
-
-            def probe_one(rt):
-                value = outer_fn(rt)
-                if value is None:
-                    return None
-                if co_outer is not None:
-                    value = co_outer(value)
-                return _probe_norm(value)
-
-            return build_one, probe_one
-
-        coerces = tuple(build_coerces)
-        parts = tuple(probe_parts)
-
-        def build_many(rt):
-            return build_plan.key_tuple_set(rt, coerces)
-
-        def probe_many(rt):
-            key = []
-            for outer_fn, co_outer in parts:
-                value = outer_fn(rt)
-                if value is None:
-                    return None
-                if co_outer is not None:
-                    value = co_outer(value)
-                key.append(_probe_norm(value))
-            return tuple(key)
-
-        return build_many, probe_many
 
     # ------------------------------------------------------------------
     # expressions
@@ -389,47 +299,22 @@ class _ExprCompiler:
             sub = self.compile_select(node.select, scope)
             stats["outer"] = max(stats["outer"], sub.outer_depth - 1)
             negated = node.negated
-            label = "NOT-EXISTS" if negated else "EXISTS"
-            key = next(self._cache_keys)
-            if not sub.correlated:
-                self._register_sub(label, sub)
-                def exists_fn(rt):
-                    found = rt.cache.get(key)
-                    if found is None:
-                        found = sub.any(rt)
-                        rt.cache[key] = found
-                    return int((not found) if negated else found)
-                exists_fn._strict_bool = True
-                return exists_fn
-            semi = self._compile_semi_join(node.select, scope, stats)
-            if semi is None:
-                self._register_sub(label, sub)
+            self._register_sub("NOT-EXISTS" if negated else "EXISTS", sub)
+            if sub.correlated:
                 def exists_corr_fn(rt):
                     found = sub.any(rt)
                     return int((not found) if negated else found)
                 exists_corr_fn._strict_bool = True
                 return exists_corr_fn
-            build_key_fn, probe_fn = semi
-            self._register_sub(label + " PROBE", sub)
-            counter_key = (key, "calls")
-            def semi_fn(rt):
-                members = rt.cache.get(key)
-                if members is None:
-                    calls = rt.cache.get(counter_key, 0)
-                    if calls < _SEMI_JOIN_BUILD_AFTER:
-                        rt.cache[counter_key] = calls + 1
-                        found = sub.any(rt)
-                        return int((not found) if negated else found)
-                    members = rt.cache[key] = build_key_fn(rt)
-                if not members:
-                    # No subquery row has all-non-NULL keys: EXISTS is
-                    # false for every probe, NULL or not.
-                    return 1 if negated else 0
-                probe = probe_fn(rt)
-                found = probe is not None and probe in members
+            key = next(self._cache_keys)
+            def exists_fn(rt):
+                found = rt.cache.get(key)
+                if found is None:
+                    found = sub.any(rt)
+                    rt.cache[key] = found
                 return int((not found) if negated else found)
-            semi_fn._strict_bool = True
-            return semi_fn
+            exists_fn._strict_bool = True
+            return exists_fn
         if isinstance(node, sp.ScalarSelect):
             sub = self.compile_select(node.select, scope)
             self._register_sub("SCALAR-SELECT", sub)

@@ -130,7 +130,9 @@ class MemoryStorageEngine(TableStore, StorageEngine):
         self._undo = []
         try:
             cursor = plan.run(self, rt)
-        except Exception:
+        except BaseException:
+            # An interrupt mid-statement undoes it like any error, and
+            # hands the transaction's own undo list back.
             self._replay(self._undo)
             self._undo = outer
             raise

@@ -134,7 +134,7 @@ def _combine_filters(filters: Sequence[Callable]) -> Optional[Callable]:
         fn = filters[0]
         if getattr(fn, "_strict_bool", False):
             # Compiled predicates tagged as returning strict 0/1
-            # (EXISTS/semi-join closures) need no truthiness wrapper.
+            # (EXISTS closures) need no truthiness wrapper.
             return fn
 
         def check_one(rt):
@@ -689,39 +689,24 @@ class _SelectPlan:
             _probe_norm(value) for value in values if value is not None
         )
 
-    def key_tuple_set(self, rt: _Rt,
-                      coerces: Sequence[Optional[Callable]]) -> frozenset:
-        """Normalized key tuples over the first len(coerces) columns,
-        dropping rows with any NULL key (semi-join build side)."""
-        result = set()
-        for row in self.execute(rt):
-            key = []
-            for index, coerce in enumerate(coerces):
-                value = row[index]
-                if value is None:
-                    break
-                if coerce is not None:
-                    value = coerce(value)
-                key.append(_probe_norm(value))
-            else:
-                result.add(tuple(key))
-        return frozenset(result)
-
     def any(self, rt: _Rt) -> bool:
         if self._needs_buffer or self.limit_fn is not None:
             return bool(self.execute(rt))
         check = self.where_check
         sources = self.sources
-        if check is None and len(sources) == 1:
-            # EXISTS over one equality lookup is the index's to answer.
-            src = sources[0]
-            if src.access.eq is not None and src.check is None:
-                table, column, fn = src.access.eq
-                rt.frames.append([None] * self.env_width)
-                try:
-                    return table.has(column, fn(rt))
-                finally:
-                    rt.frames.pop()
+        eq = sources[0].access.eq if sources else None
+        if eq is not None:
+            # An empty bucket in the driving lookup is no row at all, and
+            # EXISTS over that one lookup alone is the index's to answer.
+            table, column, fn = eq
+            rt.frames.append([None] * self.env_width)
+            try:
+                found = table.has(column, fn(rt))
+            finally:
+                rt.frames.pop()
+            if not found or (check is None and len(sources) == 1
+                             and sources[0].check is None):
+                return found
         stream = self._stream(rt)
         for _env in stream:
             if check is None or check(rt):

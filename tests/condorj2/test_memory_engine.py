@@ -201,6 +201,47 @@ def test_transaction_rollback_restores_indexes_and_rows(db):
     assert db.scalar("SELECT COUNT(*) FROM vms WHERE state = 'idle'") == 2
 
 
+@pytest.mark.parametrize("backend", ["memory", "wal"])
+@pytest.mark.parametrize("in_transaction", [False, True])
+def test_an_interrupted_statement_is_undone(backend, in_transaction):
+    """A ``KeyboardInterrupt`` from the second row write of an UPDATE
+    undoes the first row's write, and hands the transaction its undo
+    list back: rollback removes the transaction's earlier INSERT, and
+    in autocommit the next ``begin()`` finds no transaction open."""
+    database = Database(backend=backend)
+    database.executemany(
+        "INSERT INTO users (user_name, priority, created_at) VALUES (?, 1, 0)",
+        [("ann",), ("bob",)])
+    engine = database.engine
+    write = engine._update_row
+    calls = []
+
+    def interrupted(table, key, changes):
+        calls.append(key)
+        if len(calls) == 2:
+            raise KeyboardInterrupt
+        write(table, key, changes)
+
+    with mock.patch.object(engine, "_update_row", interrupted):
+        with pytest.raises(KeyboardInterrupt):
+            if in_transaction:
+                with database.transaction():
+                    database.execute(
+                        "INSERT INTO users (user_name, created_at)"
+                        " VALUES ('cy', 0)")
+                    database.execute("UPDATE users SET priority = 5")
+            else:
+                database.execute("UPDATE users SET priority = 5")
+    assert len(calls) == 2
+    assert _rows(database, "SELECT user_name, priority FROM users"
+                           " ORDER BY user_name") == [("ann", 1), ("bob", 1)]
+    with database.transaction():
+        database.execute("UPDATE users SET priority = 2 WHERE user_name = 'ann'")
+    assert database.scalar(
+        "SELECT priority FROM users WHERE user_name = 'ann'") == 2
+    database.close()
+
+
 def test_json_each_membership(db):
     db.execute("INSERT INTO users (user_name, created_at) VALUES ('u', 0)")
     for job_id in (1, 2, 3):
@@ -701,7 +742,7 @@ _EXECUTOR_SHAPES = {
         "SELECT j.job_id,"
         " ROW_NUMBER() OVER (ORDER BY j.run_seconds DESC) AS r"
         " FROM jobs j ORDER BY j.job_id"),
-    "two-key correlated EXISTS past the semi-join threshold": (
+    "two-key correlated EXISTS, probed per outer row": (
         "SELECT j.job_id FROM jobs j WHERE EXISTS"
         " (SELECT 1 FROM jobs o WHERE o.owner = j.owner"
         "  AND o.cmd = j.cmd AND o.state = 'held')"

@@ -3,9 +3,8 @@
 Four concerns, matching the planner layer's contracts (DESIGN.md):
 
 * unit tests for the pure planning rules in ``storage.planner`` —
-  cardinality estimates, driver choice (stable on ties), join
-  reordering for order-free contexts, EXISTS decorrelation accept and
-  reject cases, and ROW_NUMBER/ORDER BY/LIMIT fusion detection;
+  cardinality estimates, driver choice (stable on ties), and
+  ROW_NUMBER/ORDER BY/LIMIT fusion detection;
 * plan-cache semantics — a plan served from the cache returns exactly
   the rows a cold compile returns, both backends admit identically
   (equal ``StatementCounts`` ledgers), and repeated scheduling passes
@@ -14,9 +13,11 @@ Four concerns, matching the planner layer's contracts (DESIGN.md):
 * ``engine.explain`` on both backends — a :class:`PlanNode` tree that
   renders, profiled execution on the memory engine reporting actual
   row counts, and profiled DML always rolled back and uncounted;
-* semi-join NULL semantics — the decorrelated EXISTS probe must agree
-  with SQLite when correlation keys are NULL on either side, including
-  past the adaptive build threshold.
+* correlated EXISTS against SQLite — NULL correlation keys on either
+  side, a driving index lookup whose bucket is empty for some outer
+  rows (answered from the index) and not for others, and the shapes
+  that are not one inner-column equality (non-equality or outer-only
+  conjuncts, LIMIT, GROUP BY, ORDER BY, two inner sources).
 """
 
 import hypothesis.strategies as st
@@ -72,116 +73,6 @@ class TestChooseDriver:
 
     def test_no_candidates(self):
         assert pl.choose_driver([]) is None
-
-
-class TestOrderSourcesByCardinality:
-    OWN = {"a": ["x", "k"], "b": ["y", "k"]}
-
-    def _parse(self, sql):
-        return sp.parse(sql)
-
-    def test_reorders_smallest_first(self):
-        select = self._parse(
-            "SELECT a.x FROM big a JOIN small b ON b.k = a.k")
-        result = pl.order_sources_by_cardinality(
-            select.sources, sp.split_conjuncts(select.where),
-            self.OWN, {"a": 10_000.0, "b": 2.0})
-        assert result is not None
-        sources, conjuncts = result
-        assert [src.alias for src in sources] == ["b", "a"]
-        # The ON conjunct is re-attached so the plan stays an eq join.
-        assert len(conjuncts) + sum(
-            len(sp.split_conjuncts(src.on)) for src in sources) == 1
-
-    def test_already_optimal_returns_none(self):
-        select = self._parse(
-            "SELECT a.x FROM small a JOIN big b ON b.k = a.k")
-        assert pl.order_sources_by_cardinality(
-            select.sources, [], self.OWN,
-            {"a": 2.0, "b": 10_000.0}) is None
-
-    def test_left_join_is_not_reorderable(self):
-        select = self._parse(
-            "SELECT a.x FROM big a LEFT JOIN small b ON b.k = a.k")
-        assert pl.order_sources_by_cardinality(
-            select.sources, [], self.OWN,
-            {"a": 10_000.0, "b": 2.0}) is None
-
-    def test_outer_reference_leaves_order_alone(self):
-        select = self._parse(
-            "SELECT a.x FROM big a JOIN small b ON b.k = a.k "
-            "WHERE a.k = outer_t.k")
-        assert pl.order_sources_by_cardinality(
-            select.sources, sp.split_conjuncts(select.where),
-            self.OWN, {"a": 10_000.0, "b": 2.0}) is None
-
-
-class TestDecorrelateExists:
-    OWN = {"d": ["job_id", "kind"]}
-
-    def _sub(self, sql):
-        return sp.parse(sql)
-
-    def test_accepts_simple_correlation(self):
-        sub = self._sub(
-            "SELECT 1 FROM deps d WHERE d.job_id = j.job_id "
-            "AND d.kind = 'hard'")
-        deco = pl.decorrelate_exists(sub, self.OWN)
-        assert deco is not None
-        assert len(deco.pairs) == 1
-        local, outer = deco.pairs[0]
-        assert isinstance(local, sp.Col) and local.name == "job_id"
-        assert isinstance(outer, sp.Col) and outer.table == "j"
-        # The local-only conjunct stays as the build side's residual.
-        build = deco.build_select
-        assert build.where is not None
-        assert len(build.items) == 1
-
-    def test_rejects_non_equality_correlation(self):
-        sub = self._sub("SELECT 1 FROM deps d WHERE d.job_id < j.job_id")
-        assert pl.decorrelate_exists(sub, self.OWN) is None
-
-    def test_rejects_both_sides_outer(self):
-        # `j.state = j.kind` references only outer columns on both
-        # sides: no probeable key, so decorrelation must decline.
-        sub = self._sub(
-            "SELECT 1 FROM deps d WHERE d.job_id = j.job_id "
-            "AND j.state = j.kind")
-        assert pl.decorrelate_exists(sub, self.OWN) is None
-
-    def test_constant_side_becomes_a_constant_key(self):
-        # `j.state = 'idle'` is outer = column-free: the literal builds
-        # a constant key column, the outer column probes it — NULL
-        # probes still fail, exactly SQL's `NULL = x`.
-        sub = self._sub(
-            "SELECT 1 FROM deps d WHERE d.job_id = j.job_id "
-            "AND j.state = 'idle'")
-        deco = pl.decorrelate_exists(sub, self.OWN)
-        assert deco is not None
-        assert len(deco.pairs) == 2
-
-    def test_rejects_uncorrelated(self):
-        sub = self._sub("SELECT 1 FROM deps d WHERE d.kind = 'hard'")
-        assert pl.decorrelate_exists(sub, self.OWN) is None
-
-    @pytest.mark.parametrize("clause", [
-        "LIMIT 1", "GROUP BY d.kind", "ORDER BY d.job_id",
-    ])
-    def test_rejects_existence_changing_clauses(self, clause):
-        sub = self._sub(
-            f"SELECT 1 FROM deps d WHERE d.job_id = j.job_id {clause}")
-        assert pl.decorrelate_exists(sub, self.OWN) is None
-
-    def test_row_counts_reorder_build_side(self):
-        own = {"d": ["job_id"], "p": ["job_id", "state"]}
-        sub = self._sub(
-            "SELECT 1 FROM big d JOIN small p ON p.job_id = d.job_id "
-            "WHERE d.job_id = j.job_id")
-        deco = pl.decorrelate_exists(
-            sub, own, row_counts={"d": 50_000.0, "p": 3.0})
-        assert deco is not None
-        assert [src.alias for src in deco.build_select.sources] == \
-            ["p", "d"]
 
 
 class TestFusableWindowItems:
@@ -418,8 +309,11 @@ def test_sqlite_explain_binds_nulls_for_missing_params():
 
 
 # ----------------------------------------------------------------------
-# semi-join NULL semantics (decorrelated EXISTS vs SQLite)
+# correlated EXISTS vs SQLite
 # ----------------------------------------------------------------------
+
+ENGINES = ("sqlite", "memory", "wal")
+
 
 def _null_key_fixture(backend):
     db = Database(backend=backend)
@@ -433,16 +327,15 @@ def _null_key_fixture(backend):
          ("alice", "c", 1.0, "idle", 0.0, "mem>1"),
          ("alice", "c", 1.0, "idle", 0.0, "mem>2"),
          ("alice", "c", 1.0, "held", 0.0, None)]
-        * 5,  # 20 rows: enough probes to cross the adaptive threshold
+        * 5,
     )
     return db
 
 
 @pytest.mark.parametrize("negated", [False, True])
-def test_semi_join_null_probe_matches_sqlite(negated):
-    """EXISTS correlated on a nullable column: NULL probe keys never
-    match, NULL build keys never admit — identically on both engines,
-    before and after the adaptive build threshold."""
+def test_correlated_exists_null_probe_matches_sqlite(negated):
+    """EXISTS correlated on a nullable column: a NULL outer key never
+    matches, a NULL inner key never admits — on every engine."""
     word = "NOT EXISTS" if negated else "EXISTS"
     sql = (
         "SELECT j.job_id FROM jobs j WHERE " + word + " ("
@@ -450,24 +343,159 @@ def test_semi_join_null_probe_matches_sqlite(negated):
         "AND o.state = 'held') ORDER BY j.job_id"
     )
     rows = {}
-    for backend in BACKENDS:
+    for backend in ENGINES:
         db = _null_key_fixture(backend)
         rows[backend] = [tuple(r) for r in db.query_all(sql)]
-    assert rows["sqlite"] == rows["memory"]
+        db.close()
+    assert rows["memory"] == rows["sqlite"]
+    assert rows["wal"] == rows["sqlite"]
 
 
-def test_semi_join_empty_build_side_matches_sqlite():
-    """All build-side keys NULL: EXISTS is false (NOT EXISTS true) for
-    every probe, including NULL probes."""
+def test_correlated_exists_all_null_keys_matches_sqlite():
+    """Every inner key NULL: EXISTS is false (NOT EXISTS true) for
+    every outer row, NULL keys included."""
     sql = (
         "SELECT j.job_id FROM jobs j WHERE NOT EXISTS ("
         "SELECT 1 FROM jobs o WHERE o.requirements = j.requirements "
         "AND o.state = 'removed') ORDER BY j.job_id"
     )
     rows = {}
-    for backend in BACKENDS:
+    for backend in ENGINES:
         db = _null_key_fixture(backend)
         rows[backend] = [tuple(r) for r in db.query_all(sql)]
-    assert rows["sqlite"] == rows["memory"]
+        db.close()
+    assert rows["memory"] == rows["sqlite"]
+    assert rows["wal"] == rows["sqlite"]
     # NOT EXISTS over an empty set keeps every row.
     assert len(rows["sqlite"]) == 20
+
+
+#: The outer row's probe: NULL, 2, 2.0 and '2' in turn.
+_PROBE = ("CASE WHEN w.workflow_id % 4 = 0 THEN NULL"
+          " WHEN w.workflow_id % 4 = 1 THEN 2"
+          " WHEN w.workflow_id % 4 = 2 THEN 2.0 ELSE '2' END")
+
+#: Two-source correlated EXISTS driven by one equality lookup, against a
+#: TEXT column (``users.user_name``) and an INTEGER one
+#: (``job_dependencies.job_id``, the scheduling pass's own shape).  The
+#: second source's ON reads the outer row too, so a bucket that is not
+#: empty still admits only workflows 1-4.
+_TWO_SOURCE_EXISTS = {
+    "TEXT": ("users AS u",
+             "SELECT 1 FROM users u JOIN jobs j ON j.owner = u.user_name"
+             " AND w.workflow_id <= 4 WHERE u.user_name = " + _PROBE),
+    "INTEGER": ("job_dependencies AS d",
+                "SELECT 1 FROM job_dependencies d"
+                " JOIN jobs p ON p.job_id = d.depends_on_job_id"
+                " AND w.workflow_id <= 4 WHERE d.job_id = " + _PROBE),
+}
+
+
+def _probe_fixture(backend):
+    """Users '2' and 'ann' (no '2.0'), eight workflows, and job 2 with
+    one edge to a job that is in ``jobs``."""
+    db = Database(backend=backend)
+    db.executemany(
+        "INSERT INTO users (user_name, created_at) VALUES (?, 0)",
+        [("2",), ("ann",)])
+    db.executemany(
+        "INSERT INTO workflows (workflow_id, owner, submitted_at)"
+        " VALUES (?, 'ann', 0)", [(n,) for n in range(1, 9)])
+    db.executemany(
+        "INSERT INTO jobs (job_id, owner, cmd, run_seconds, submitted_at)"
+        " VALUES (?, ?, 'c', 1, 0)", [(1, "ann"), (2, "2")])
+    db.execute("INSERT INTO job_dependencies (job_id, depends_on_job_id)"
+               " VALUES (2, 1)")
+    return db
+
+
+@pytest.mark.parametrize("negated", [False, True])
+@pytest.mark.parametrize("column", sorted(_TWO_SOURCE_EXISTS))
+def test_exists_over_an_empty_driving_bucket_matches_sqlite(column, negated):
+    """The empty bucket answers EXISTS before a row is read; a bucket
+    that is not empty still runs the join.  NULL and, against TEXT,
+    2.0 ('2.0') find no row; 2 and '2' do."""
+    source, sub = _TWO_SOURCE_EXISTS[column]
+    sql = ("SELECT w.workflow_id FROM workflows w WHERE "
+           + ("NOT EXISTS (" if negated else "EXISTS (") + sub
+           + ") ORDER BY w.workflow_id")
+    rows = {}
+    for backend in ENGINES:
+        db = _probe_fixture(backend)
+        rows[backend] = [row[0] for row in db.query_all(sql)]
+        if backend != "sqlite":
+            assert f"PROBE {source}" in db.explain(sql).render()
+        db.close()
+    assert rows["memory"] == rows["sqlite"]
+    assert rows["wal"] == rows["sqlite"]
+    found = {"TEXT": [1, 3], "INTEGER": [1, 2, 3]}[column]
+    if negated:
+        found = [n for n in range(1, 9) if n not in found]
+    assert rows["sqlite"] == found
+
+
+#: Correlated-EXISTS shapes that are not a plain equality on one inner
+#: column: each runs per outer row on the memory engines, and each must
+#: keep SQLite's answer.
+_EXISTS_SHAPES = {
+    "non-equality correlation":
+        "SELECT 1 FROM job_dependencies d WHERE d.job_id < j.job_id",
+    "both sides outer":
+        "SELECT 1 FROM job_dependencies d WHERE d.job_id = j.job_id"
+        " AND j.state = j.owner",
+    "outer column against a constant":
+        "SELECT 1 FROM job_dependencies d WHERE d.job_id = j.job_id"
+        " AND j.state = 'idle'",
+    "uncorrelated":
+        "SELECT 1 FROM job_dependencies d WHERE d.depends_on_job_id = 9",
+    "LIMIT 1":
+        "SELECT 1 FROM job_dependencies d WHERE d.job_id = j.job_id"
+        " LIMIT 1",
+    "GROUP BY":
+        "SELECT 1 FROM job_dependencies d WHERE d.job_id = j.job_id"
+        " GROUP BY d.depends_on_job_id",
+    "ORDER BY":
+        "SELECT 1 FROM job_dependencies d WHERE d.job_id = j.job_id"
+        " ORDER BY d.depends_on_job_id",
+    "two inner sources":
+        "SELECT 1 FROM job_dependencies d"
+        " JOIN jobs p ON p.job_id = d.depends_on_job_id"
+        " WHERE d.job_id = j.job_id AND p.state = 'held'",
+}
+
+
+def _edge_fixture(backend):
+    """Jobs 1-6, idle and held by turns, and edges 2->1, 3->1, 3->2,
+    5->4 and 6->9 (job 9 is not in ``jobs``)."""
+    db = Database(backend=backend)
+    db.executemany(
+        "INSERT INTO users (user_name, created_at) VALUES (?, 0)",
+        [("ann",), ("idle",)])
+    db.executemany(
+        "INSERT INTO jobs (job_id, owner, cmd, run_seconds, state,"
+        " submitted_at) VALUES (?, ?, 'c', 1, ?, 0)",
+        [(1, "ann", "held"), (2, "idle", "idle"), (3, "ann", "held"),
+         (4, "ann", "held"), (5, "ann", "idle"), (6, "idle", "held")])
+    db.executemany(
+        "INSERT INTO job_dependencies (job_id, depends_on_job_id)"
+        " VALUES (?, ?)", [(2, 1), (3, 1), (3, 2), (5, 4), (6, 9)])
+    return db
+
+
+@pytest.mark.parametrize("shape", sorted(_EXISTS_SHAPES))
+def test_correlated_exists_shape_matches_sqlite(shape):
+    """EXISTS and NOT EXISTS over each shape return SQLite's rows, and
+    between them every job exactly once."""
+    rows = {}
+    for backend in ENGINES:
+        db = _edge_fixture(backend)
+        for word in ("EXISTS", "NOT EXISTS"):
+            sql = ("SELECT j.job_id FROM jobs j WHERE " + word + " ("
+                   + _EXISTS_SHAPES[shape] + ") ORDER BY j.job_id")
+            rows[backend, word] = [row[0] for row in db.query_all(sql)]
+        db.close()
+    for word in ("EXISTS", "NOT EXISTS"):
+        assert rows["memory", word] == rows["sqlite", word]
+        assert rows["wal", word] == rows["sqlite", word]
+    assert sorted(rows["sqlite", "EXISTS"]
+                  + rows["sqlite", "NOT EXISTS"]) == [1, 2, 3, 4, 5, 6]

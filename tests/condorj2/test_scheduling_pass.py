@@ -28,6 +28,7 @@ import re
 import pytest
 
 from repro.cluster import JobSpec
+from repro.cluster.job import next_job_id
 from repro.condorj2.logic.scheduling import (
     MATCH_INSERT_SQL,
     MATCH_UPDATE_SQL,
@@ -416,6 +417,54 @@ def test_memory_pass_reads_what_it_places():
         read = sum(node.actual_rows or 0 for node in _plan_nodes(report)
                    if node.op in ("PROBE", "SCAN")
                    and node.detail.startswith("jobs"))
+        assert 0 < read <= 4 * owners * limit, report.render()
+    finally:
+        pool.close()
+
+
+def _finished_prerequisite_queue(pool, jobs, owners):
+    """``jobs`` idle jobs over ``owners`` owners, each with one edge to
+    a prerequisite that has finished: its id is no longer in ``jobs``."""
+    pool.submission.submit_jobs(
+        [JobSpec(owner=f"user{i % owners}", depends_on=(next_job_id(),))
+         for i in range(jobs)], 0.0)
+
+
+def test_memory_exists_checks_are_index_probes():
+    """Every correlated EXISTS of the pass (free slots against
+    ``matches`` and ``runs``, jobs against ``job_dependencies``) is an
+    index probe per outer row: no plan of the memory engine scans one of
+    those tables."""
+    pool = Pool("memory")
+    try:
+        pool.heartbeat.register_machine({"name": "m1", "vm_count": 4}, 0.0)
+        _finished_prerequisite_queue(pool, 60, owners=5)
+        for sql in (PASS_PROBE_SQL, MATCH_INSERT_SQL):
+            report = pool.db.explain(sql)
+            scans = [node.detail for node in _plan_nodes(report)
+                     if node.op == "SCAN"]
+            assert not any(scan.split()[0] in (
+                "matches", "runs", "job_dependencies") for scan in scans), \
+                report.render()
+    finally:
+        pool.close()
+
+
+def test_memory_pass_reads_an_edge_per_job_it_walks():
+    """10,000 idle jobs with one edge each, 13 owners, one free slot:
+    the profiled INSERT reads the edges of the jobs each owner's walk
+    passes, not every edge in ``job_dependencies``."""
+    pool = Pool("memory")
+    try:
+        pool.heartbeat.register_machine({"name": "m1", "vm_count": 1}, 0.0)
+        owners = 13
+        _finished_prerequisite_queue(pool, 10_000, owners)
+        limit = pool.db.scalar(PASS_PROBE_SQL)
+        assert limit == 1
+        report = pool.db.explain(MATCH_INSERT_SQL,
+                                 {"now": 1.0, "limit": limit})
+        read = sum(node.actual_rows or 0 for node in _plan_nodes(report)
+                   if node.detail.startswith("job_dependencies"))
         assert 0 < read <= 4 * owners * limit, report.render()
     finally:
         pool.close()
