@@ -1,193 +1,105 @@
-"""Macro-bench: WAL recovery time vs log length, commit cost vs fsync policy.
+"""Macro-bench: WAL engine reopen time vs the un-checkpointed log.
 
-Two curves that characterize the durability tier:
-
-* **Recovery scales with the un-checkpointed log suffix, not with
-  database size.**  A directory holding N committed autocommit inserts
-  is recovered (a) from a pure log — replay every record — and (b) right
-  after a checkpoint — load the snapshot, replay nothing.  The (a) curve
-  grows linearly in N; the (b) point stays flat, which is the whole
-  argument for checkpointing.
-
-* **The fsync policy is the commit-throughput knob.**  The same insert
-  workload runs under ``commit`` (force every commit), ``interval``
-  (every 8th — the group-commit precursor) and ``never``; wall-clock per
-  commit and the priced IO charge (``CasCostModel.io_cost_seconds``)
-  are reported side by side.  The priced charge is the one the
-  simulation bills; wall-clock shows the engine-side bookkeeping
-  overhead is modest even when every commit forces.
+The WAL engine is SQLite in WAL mode, so reopening a directory after a
+crash is SQLite's own recovery: it reads the ``-wal`` file's valid
+prefix to rebuild the log's index before the first read.  That cost
+grows with the log, not with the database, which is the whole argument
+for checkpointing.  A directory holding N committed autocommit inserts
+(500, 2,000 and 8,000 commits) is reopened (a) as a crash leaves it,
+the whole log un-checkpointed, and (b) right after a checkpoint, the
+log truncated to zero bytes.
 
 Results land machine-readably in ``BENCH_wal.json`` at the repo root;
 CI uploads it as an artifact next to ``BENCH_scheduling.json``.
+
+    python -m pytest benchmarks/bench_wal_recovery.py -q -s
 """
 
 import json
+import os
 import shutil
 import tempfile
 import time
 from pathlib import Path
 
-from repro.condorj2.costs import CasCostModel
-from repro.condorj2.storage import StatementCounts, WalStorageEngine
-from repro.condorj2.storage.wal import FsyncPolicy
+from repro.condorj2.database import Database
+from repro.condorj2.storage import WalStorageEngine
 
 BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_wal.json"
 
-#: Committed autocommit inserts per recovery measurement.
+#: Committed autocommit inserts per reopen measurement.
 LOG_LENGTHS = (500, 2_000, 8_000)
-#: Commits per fsync-policy measurement.
-POLICY_COMMITS = 4_000
 
 _INSERT = "INSERT INTO users (user_name, created_at) VALUES (?, ?)"
 
 
-def _populated_directory(n_rows, checkpoint):
-    """A WAL directory holding ``n_rows`` committed inserts — as a pure
-    log, or checkpointed with an empty live segment."""
-    directory = tempfile.mkdtemp(prefix="condorj2-walbench-")
-    engine = WalStorageEngine(
-        directory,
-        fsync_policy=FsyncPolicy(mode="never"),
-        checkpoint_interval_bytes=1 << 40,  # rotation off: pure log
-    )
-    for index in range(n_rows):
+def _crashed_directory(commits, checkpoint):
+    """A directory holding ``commits`` committed inserts as a crash
+    leaves it: ``pool.db`` and ``pool.db-wal`` copied while the engine
+    is still open (closing would checkpoint and delete the log)."""
+    live = tempfile.mkdtemp(prefix="condorj2-walbench-")
+    engine = WalStorageEngine(live)
+    engine.checkpoint_bytes = 1 << 62  # no checkpoint while filling
+    Database(engine=engine)
+    for index in range(commits):
         engine.execute(_INSERT, (f"user-{index:07d}", float(index)))
     if checkpoint:
         engine.checkpoint()
+    crashed = tempfile.mkdtemp(prefix="condorj2-walbench-")
+    for name in ("pool.db", "pool.db-wal"):
+        shutil.copy(os.path.join(live, name), crashed)
     engine.close()
-    return directory
+    shutil.rmtree(live, ignore_errors=True)
+    return crashed
 
 
-def _recover_once(directory):
+def _reopen_once(directory):
+    """Seconds from construction to the first answered read."""
+    wal_bytes = os.path.getsize(os.path.join(directory, "pool.db-wal"))
     start = time.perf_counter()
     engine = WalStorageEngine(directory)
-    elapsed = time.perf_counter() - start
-    recovery = engine.last_recovery
     rows = engine.execute("SELECT COUNT(*) FROM users").fetchall()[0][0]
+    elapsed = time.perf_counter() - start
     engine.close()
-    return elapsed, recovery, rows
+    return elapsed, wal_bytes, rows
 
 
-def test_recovery_time_vs_log_length(benchmark):
-    """Replay-time curve over log length, with the checkpointed flat
-    point at the deepest length."""
+def test_reopen_time_vs_wal_length(benchmark):
+    """Reopen-time curve over the un-checkpointed log, with the
+    checkpointed point at every length."""
     results = []
 
     def run_curve():
         results.clear()
-        for n_rows in LOG_LENGTHS:
-            directory = _populated_directory(n_rows, checkpoint=False)
-            try:
-                elapsed, recovery, rows = _recover_once(directory)
-            finally:
-                shutil.rmtree(directory, ignore_errors=True)
-            assert rows == n_rows
-            assert recovery.records_replayed == n_rows
-            results.append({
-                "mode": "log-replay",
-                "rows": n_rows,
-                "recovery_ms": round(elapsed * 1e3, 3),
-                "records_replayed": recovery.records_replayed,
-                "log_bytes": recovery.log_bytes_kept,
-            })
-        directory = _populated_directory(LOG_LENGTHS[-1], checkpoint=True)
-        try:
-            elapsed, recovery, rows = _recover_once(directory)
-        finally:
-            shutil.rmtree(directory, ignore_errors=True)
-        assert rows == LOG_LENGTHS[-1]
-        assert recovery.checkpoint_loaded
-        assert recovery.records_replayed == 0
-        results.append({
-            "mode": "checkpoint",
-            "rows": LOG_LENGTHS[-1],
-            "recovery_ms": round(elapsed * 1e3, 3),
-            "records_replayed": 0,
-            "log_bytes": recovery.log_bytes_kept,
-        })
+        for commits in LOG_LENGTHS:
+            for checkpoint in (False, True):
+                directory = _crashed_directory(commits, checkpoint)
+                try:
+                    elapsed, wal_bytes, rows = _reopen_once(directory)
+                finally:
+                    shutil.rmtree(directory, ignore_errors=True)
+                assert rows == commits
+                results.append({
+                    "mode": "checkpointed" if checkpoint else "wal",
+                    "commits": commits,
+                    "wal_bytes": wal_bytes,
+                    "reopen_ms": round(elapsed * 1e3, 3),
+                })
 
     benchmark.pedantic(run_curve, rounds=1, iterations=1)
 
     print()
     for entry in results:
         print(
-            f"{entry['mode']:>11} rows={entry['rows']:>6}: "
-            f"{entry['recovery_ms']:>8.3f} ms recovery, "
-            f"{entry['records_replayed']} records replayed"
+            f"{entry['mode']:>12} commits={entry['commits']:>6}: "
+            f"{entry['reopen_ms']:>8.3f} ms reopen, "
+            f"{entry['wal_bytes']:>10} WAL bytes"
         )
-    # replaying the full log must cost more than loading the snapshot
-    deepest = [e for e in results if e["rows"] == LOG_LENGTHS[-1]]
-    replay = next(e for e in deepest if e["mode"] == "log-replay")
-    snapshot = next(e for e in deepest if e["mode"] == "checkpoint")
-    assert snapshot["records_replayed"] < replay["records_replayed"]
-    _merge_json({"recovery": results})
-
-
-def test_commit_overhead_vs_fsync_policy(benchmark):
-    """Per-commit wall clock and priced IO under each fsync policy."""
-    costs = CasCostModel()
-    results = []
-
-    def run_policies():
-        results.clear()
-        for policy in (FsyncPolicy(mode="commit"),
-                       FsyncPolicy(mode="interval", interval=8),
-                       FsyncPolicy(mode="never")):
-            directory = tempfile.mkdtemp(prefix="condorj2-walbench-")
-            engine = WalStorageEngine(
-                directory, fsync_policy=policy,
-                checkpoint_interval_bytes=1 << 40,
-            )
-            try:
-                start = time.perf_counter()
-                for index in range(POLICY_COMMITS):
-                    engine.execute(_INSERT, (f"u{index:07d}", float(index)))
-                elapsed = time.perf_counter() - start
-                delta = engine.counts.delta(StatementCounts())
-                results.append({
-                    "fsync_mode": policy.mode,
-                    "commits": POLICY_COMMITS,
-                    "wall_us_per_commit": round(
-                        elapsed / POLICY_COMMITS * 1e6, 3
-                    ),
-                    "fsyncs": delta.fsyncs,
-                    "priced_io_seconds": round(
-                        costs.io_cost_seconds(delta), 6
-                    ),
-                })
-            finally:
-                engine.close()
-                shutil.rmtree(directory, ignore_errors=True)
-
-    benchmark.pedantic(run_policies, rounds=1, iterations=1)
-
-    print()
-    for entry in results:
-        print(
-            f"fsync={entry['fsync_mode']:>8}: "
-            f"{entry['wall_us_per_commit']:>8.3f} µs/commit wall, "
-            f"{entry['fsyncs']:>5} forces, "
-            f"priced IO {entry['priced_io_seconds']:.4f} s"
-        )
-    by_mode = {entry["fsync_mode"]: entry for entry in results}
-    assert by_mode["commit"]["fsyncs"] == POLICY_COMMITS
-    assert by_mode["interval"]["fsyncs"] == POLICY_COMMITS // 8
-    assert by_mode["never"]["fsyncs"] == 0
-    # the priced trade is strictly ordered: more forces, more IO charge
-    assert (by_mode["commit"]["priced_io_seconds"]
-            > by_mode["interval"]["priced_io_seconds"]
-            > by_mode["never"]["priced_io_seconds"])
-    _merge_json({"fsync_policy": results})
-
-
-def _merge_json(section):
-    """Accumulate sections into BENCH_wal.json (tests run in any order)."""
-    payload = {"bench": "wal_recovery"}
-    if BENCH_JSON.exists():
-        try:
-            payload = json.loads(BENCH_JSON.read_text())
-        except ValueError:
-            pass
-    payload.update(section)
-    BENCH_JSON.write_text(json.dumps(payload, indent=2) + "\n")
+    logs = [e["wal_bytes"] for e in results if e["mode"] == "wal"]
+    assert logs == sorted(logs) and logs[0] > 0
+    # a checkpoint leaves nothing to recover
+    assert all(e["wal_bytes"] == 0 for e in results
+               if e["mode"] == "checkpointed")
+    BENCH_JSON.write_text(json.dumps(
+        {"bench": "wal_recovery", "reopen": results}, indent=2) + "\n")
     print(f"wrote {BENCH_JSON.name}")

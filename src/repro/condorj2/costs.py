@@ -70,14 +70,14 @@ class CasCostModel:
     storage_backend: str = ""
 
     # -- durability (WAL engine) ------------------------------------------
-    #: Disk time to append one framed record to the write-ahead log
+    #: Disk time to append one frame (one page) to the write-ahead log
     #: (sequential write into the OS page cache).
     wal_append_io_seconds: float = 0.00002
-    #: Disk time to force the log (the fsync the policy schedules) —
-    #: the dominant durability cost, same order as a commit log force.
+    #: Disk time to force the log at one commit point — the dominant
+    #: durability cost, same order as a commit log force.
     wal_fsync_io_seconds: float = 0.0020
-    #: Disk time for one checkpoint cycle (snapshot write + rename +
-    #: segment rotation).
+    #: Disk time for one checkpoint (the log's pages copied into the
+    #: database file, the log truncated).
     wal_checkpoint_io_seconds: float = 0.0400
 
     # -- container -------------------------------------------------------
@@ -133,8 +133,7 @@ class CasCostModel:
 
         The durability counters are zero on sqlite/memory backends, so
         there the charge is the ``commits`` term alone; the WAL engine's
-        durability work is priced on top, so an engine built with a
-        laxer ``FsyncPolicy`` is charged for fewer forces.
+        frames, commit points and checkpoints are priced on top.
         """
         return (
             delta.commits * self.commit_io_seconds

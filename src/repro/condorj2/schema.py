@@ -32,14 +32,14 @@ from typing import Any, Dict, FrozenSet, List, Mapping, Optional, Tuple
 # ----------------------------------------------------------------------
 # The declaration
 # ----------------------------------------------------------------------
-# ``TABLE_DEFS`` below is the schema, said once.  The pure-Python engines
-# build their tables from it directly; SQLite gets ``SCHEMA_STATEMENTS``,
+# ``TABLE_DEFS`` below is the schema, said once.  The pure-Python engine
+# builds its tables from it directly; SQLite gets ``SCHEMA_STATEMENTS``,
 # which is ``render_ddl`` applied to it; ``TABLES``, ``VM_STATES``, the
 # lifecycle state domains, each entity bean's key and fields and the
 # analyzer's bean registry are all read back from it.  A column, an index
 # or a table is therefore one edit here.  (Rendered, not introspected out
 # of SQLite: CHECK domains, AUTOINCREMENT and WITHOUT ROWID are in no
-# PRAGMA, and the memory and wal engines boot without ``sqlite3``.)
+# PRAGMA, and the memory engine boots without ``sqlite3``.)
 
 
 _NO_DEFAULT = object()

@@ -6,8 +6,8 @@ Public surface:
 * :class:`SqliteStorageEngine` / :class:`MemoryStorageEngine` /
   :class:`WalStorageEngine` — the three bundled implementations: SQLite,
   the dict-backed executor held equivalent to it by the differential
-  fuzzer, and the WAL-durable engine held crash-equivalent to the memory
-  engine by the crash-recovery fuzzer;
+  fuzzer, and SQLite in WAL mode on a file, whose recovery the
+  crash-recovery fuzzer holds to the committed prefix of a workload;
 * :func:`create_engine` — builds one of the three from a spec;
 * :class:`StatementCounts` — centralized per-verb statement accounting;
 * :class:`StatementCache` / :class:`Statement` — the one LRU keyed by
@@ -23,9 +23,10 @@ the full map): ``sqlparser`` the dialect's grammar and the one statement
 of the AST's shape (``children`` / ``walk`` / ``rewrite`` /
 ``split_conjuncts``); ``planner`` the pure planning rules and the
 EXPLAIN tree; ``scalars`` SQLite's value semantics; ``store`` tables,
-indexes, constraints and row mutations with their undo/redo entries;
+indexes, constraints and row mutations with their undo entries;
 ``expressions`` and ``compiler`` the closure compiler; ``plans`` the
-executors; ``memory`` the engine shell; ``wal`` durability on top of it.
+executors; ``memory`` the engine shell.  ``wal`` is not part of it: the
+durable engine is the SQLite one in WAL mode.
 
 A store is named by one grammar, ``backend[://path]``: ``"sqlite"``,
 ``"memory"``, ``"wal"``, ``"sqlite:///var/pool.db"``,
@@ -52,14 +53,7 @@ from repro.condorj2.storage.engine import (
 from repro.condorj2.storage.memory import MemoryStorageEngine
 from repro.condorj2.storage.planner import ExplainReport, PlanNode
 from repro.condorj2.storage.statements import Statement, StatementCache
-from repro.condorj2.storage.wal import (
-    CrashInjector,
-    FsyncPolicy,
-    RecoveryReport,
-    SimulatedCrash,
-    WalCorruptionError,
-    WalStorageEngine,
-)
+from repro.condorj2.storage.wal import WalStorageEngine
 
 #: Environment variable naming the default spec (the CI matrix sets it
 #: to each engine name in turn).
@@ -96,8 +90,9 @@ def create_engine(spec: Optional[str] = None) -> StorageEngine:
     """Build the engine ``spec`` names: ``name`` or ``name://path``.
 
     ``name`` is ``sqlite``, ``memory`` or ``wal``; ``path`` is the SQLite
-    file or the WAL directory (ignored by ``memory``), and without one
-    each engine is private to the process (``:memory:``).  ``None``
+    file or the directory of the WAL engine's ``pool.db`` (ignored by
+    ``memory``), and without one each engine is private to the process
+    (``:memory:``).  ``None``
     reads the spec from ``CONDORJ2_STORAGE_ENGINE``, then ``sqlite``.
     Any other name — from the argument or the environment — raises
     :class:`StorageConfigError`.
@@ -112,22 +107,17 @@ def create_engine(spec: Optional[str] = None) -> StorageEngine:
 
 
 __all__ = [
-    "CrashInjector",
     "DatabaseError",
     "ENGINE_ENV_VAR",
     "ExplainReport",
-    "FsyncPolicy",
     "MemoryStorageEngine",
     "PlanNode",
-    "RecoveryReport",
-    "SimulatedCrash",
     "SqliteStorageEngine",
     "Statement",
     "StatementCache",
     "StatementCounts",
     "StorageConfigError",
     "StorageEngine",
-    "WalCorruptionError",
     "WalStorageEngine",
     "create_engine",
     "statement_table",

@@ -106,13 +106,11 @@ class StatementCounts:
     plan_misses: int = 0
     plan_evictions: int = 0
     #: Durability ledger (zero on engines without a write-ahead log).
-    #: ``wal_appends`` counts framed records appended to the log,
-    #: ``fsyncs`` counts log forces (the fsync policy's commit points —
-    #: what the cost model prices as commit disk time), ``checkpoints``
-    #: counts snapshot/truncate cycles and ``wal_replays`` counts redo
-    #: records applied during crash recovery.
+    #: ``wal_appends`` counts WAL frames written, ``fsyncs`` counts
+    #: commit points (the commits that grew the log — what the cost
+    #: model prices as log forces) and ``checkpoints`` counts completed
+    #: checkpoints.
     wal_appends: int = 0
-    wal_replays: int = 0
     fsyncs: int = 0
     checkpoints: int = 0
     #: Per-table row traffic: ``{table: {verb: rows}}`` with lower-cased

@@ -288,8 +288,12 @@ class SqliteStorageEngine(StorageEngine):
         self._conn.create_function(
             "lifecycle_edge", -1,
             lambda table, old, new=GONE: edges.append((table, old, new)))
-        if self._conn.execute("PRAGMA schema_version").fetchone()[0]:
-            self._arm_ledger()  # a reopened file: the schema is there
+        #: A reopened file already holds the schema: ``run_script``
+        #: leaves it be, and the ledger is armed now.
+        self._has_schema = bool(
+            self._conn.execute("PRAGMA schema_version").fetchone()[0])
+        if self._has_schema:
+            self._arm_ledger()
 
     # ------------------------------------------------------------------
     # raw execution hooks
@@ -304,8 +308,15 @@ class SqliteStorageEngine(StorageEngine):
         return self._conn.executemany(sql, rows)
 
     def run_script(self, statements: Sequence[str]) -> None:
+        """Create the schema in one transaction; a no-op on a file that
+        already holds it."""
+        if self._has_schema:
+            return
+        self._conn.execute("BEGIN")
         for statement in statements:
             self._conn.execute(statement)
+        self._conn.execute("COMMIT")
+        self._has_schema = True
         self._arm_ledger()
 
     def _arm_ledger(self) -> None:

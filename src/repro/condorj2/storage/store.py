@@ -6,9 +6,8 @@
 probes, unique maps and constraint checks; :class:`TableStore`
 holds all of them and applies the row mutations — INSERT with rowid
 assignment and OR IGNORE, UPDATE, DELETE with ``ON DELETE CASCADE`` —
-recording an undo entry for rollback, a redo entry for the write-ahead
-log (:mod:`.wal`) and, on a lifecycle table, the edge for the transition
-ledger per row touched.  Nothing here knows SQL text: plans
+recording an undo entry for rollback and, on a lifecycle table, the edge
+for the transition ledger per row touched.  Nothing here knows SQL text: plans
 (:mod:`.plans`) arrive with keys and values.
 
 Scan order mirrors SQLite's: rowid order for ordinary tables (insertion
@@ -322,12 +321,12 @@ class MemoryTable:
 
 
 # ----------------------------------------------------------------------
-# the store: all tables, constraint-enforcing mutations, undo/redo
+# the store: all tables, constraint-enforcing mutations, undo
 # ----------------------------------------------------------------------
 
 class TableStore:
     """Every table of the schema, and the constraint-enforcing row
-    mutations with the undo and redo entries they leave behind.
+    mutations with the undo entries they leave behind.
 
     The engine shell (:class:`~.memory.MemoryStorageEngine`) is a
     ``TableStore`` that speaks SQL: it opens and closes the undo log
@@ -338,8 +337,8 @@ class TableStore:
     #: (``StorageEngine._init_accounting``): ``(table, from, to)`` per
     #: UPDATE that assigns a lifecycle column and per DELETE from a
     #: lifecycle table, appended where the pre-image is in hand.
-    #: ``_replay`` and WAL recovery go through the ``raw_*`` mutations
-    #: and record nothing.  INSERT is not captured (see
+    #: ``_replay`` goes through the ``raw_*`` mutations and records
+    #: nothing.  INSERT is not captured (see
     #: ``schema.LEDGER_TRIGGER_STATEMENTS``).
     _edges: List[Tuple[str, str, str]]
 
@@ -354,13 +353,6 @@ class TableStore:
                 self.children.setdefault(fk.ref_table, []).append(
                     (tdef.name, fk))
         self._undo: Optional[List[Tuple]] = None
-        #: Redo collection point for durability layers: when a subclass
-        #: sets this to a list, every applied mutation appends its
-        #: row-level redo entry (``("ins", table, key, row)`` /
-        #: ``("upd", table, key, new_row)`` / ``("del", table, key)``)
-        #: in apply order — exactly what a write-ahead log must frame to
-        #: reproduce the statement's effect without re-executing SQL.
-        self._redo: Optional[List[Tuple]] = None
 
     def _replay(self, entries: List[Tuple]) -> None:
         for entry in reversed(entries):
@@ -433,8 +425,6 @@ class TableStore:
         table.raw_insert(rowkey, row)
         if self._undo is not None:
             self._undo.append(("insert", table, rowkey))
-        if self._redo is not None:
-            self._redo.append(("ins", table.name, rowkey, row))
         return 1, (rowkey if isinstance(rowkey, int) else None)
 
     def _update_row(self, table: MemoryTable, key: Any,
@@ -457,8 +447,6 @@ class TableStore:
         table.raw_update(key, new)
         if self._undo is not None:
             self._undo.append(("update", table, key, old))
-        if self._redo is not None:
-            self._redo.append(("upd", table.name, key, new))
         lifecycle = table.lifecycle  # None (no machine) is never a key
         if lifecycle in changes:
             self._edges.append((table.name, old[lifecycle], new[lifecycle]))
@@ -481,8 +469,6 @@ class TableStore:
         table.raw_delete(key)
         if self._undo is not None:
             self._undo.append(("delete", table, key, row))
-        if self._redo is not None:
-            self._redo.append(("del", table.name, key))
         if table.lifecycle is not None:
             self._edges.append((table.name, row[table.lifecycle], GONE))
 

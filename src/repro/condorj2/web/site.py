@@ -135,38 +135,22 @@ class PoolWebSite:
         return report
 
     def _durability_report(self) -> Optional[str]:
-        """WAL ledger and last-recovery summary, on backends that keep a
-        write-ahead log (``wal_stats``/``last_recovery`` seam)."""
+        """The WAL ledger, on backends that keep a write-ahead log
+        (the ``wal_stats`` seam)."""
         db = self.reports.db
         wal_stats = getattr(db.engine, "wal_stats", None)
         if wal_stats is None:
             return None
         stats = wal_stats()
         rows = [
-            ["segment", stats["segment"]],
-            ["log bytes (stream)", stats["stream_bytes"]],
-            ["log bytes (segment)", stats["segment_bytes"]],
-            ["records appended", stats["appends"]],
-            ["log forces (fsync)", stats["fsyncs"]],
+            ["log bytes written", stats["stream_bytes"]],
+            ["log bytes (file)", stats["wal_bytes"]],
+            ["frames written", stats["appends"]],
+            ["commit points", stats["fsyncs"]],
             ["checkpoints", stats["checkpoints"]],
-            ["records replayed", stats["replays"]],
-            ["fsync policy", stats["fsync_mode"]],
         ]
-        report = ascii_table(["metric", "value"], rows,
-                             title="Durability (write-ahead log)")
-        recovery = getattr(db.engine, "last_recovery", None)
-        if recovery is not None:
-            report += (
-                "\nLast recovery: "
-                f"checkpoint={'yes' if recovery.checkpoint_loaded else 'no'}, "
-                f"{recovery.records_scanned} records scanned, "
-                f"{recovery.records_replayed} replayed "
-                f"({recovery.mutations_applied} row mutations), "
-                f"{recovery.transactions_committed} txns committed, "
-                f"{recovery.transactions_discarded} discarded, "
-                f"{recovery.tail_bytes_dropped} tail bytes dropped"
-            )
-        return report
+        return ascii_table(["metric", "value"], rows,
+                           title="Durability (write-ahead log)")
 
     def _lifecycle_report(self) -> Optional[str]:
         """The runtime lifecycle-transition ledger, per table and edge.

@@ -89,7 +89,7 @@ def _canonical(counts):
 def test_int_field_discovery_sees_the_durability_ledger():
     """The dynamic field list includes the WAL counters (and will pick
     up any future ones), so every algebra property below covers them."""
-    assert {"wal_appends", "wal_replays", "fsyncs", "checkpoints",
+    assert {"wal_appends", "fsyncs", "checkpoints",
             "commits", "plan_evictions"} <= set(INT_FIELDS)
     assert "tables" not in INT_FIELDS
     assert set(LEDGER_FIELDS) == {"tables", "texts", "transitions"}

@@ -1,46 +1,45 @@
-"""Crash-recovery fuzzing of the WAL-backed storage engine.
+"""Crash-recovery fuzzing of the WAL engine: SQLite in WAL mode.
 
 The differential harness (``test_differential.py``) pins *state
 equivalence*: replaying one workload on two engines yields identical
-tables.  This harness extends the discipline to *crash equivalence*, the
-contract that makes :class:`WalStorageEngine` durable rather than merely
-file-backed:
+tables.  This harness pins *crash equivalence* for
+:class:`WalStorageEngine`:
 
-    kill the engine at **any** byte of its write-ahead-log stream — or
-    at any step of a checkpoint — and a fresh engine recovering the
-    directory must reach a state **byte-identical** to a reference
-    memory engine that executed exactly the committed prefix of the
-    workload.
+    kill the process that owns the engine at any step of SQLite's
+    virtual machine, and a fresh engine on the directory holds exactly
+    the acknowledged ops, or the acknowledged ops plus the one in
+    flight; cut the ``-wal`` file at any byte, and it holds the longest
+    prefix of ops whose post-commit WAL size fits in the cut.
 
 Mechanics: each seeded trace drives the full service stack (the
 differential fuzzer's op vocabulary) with every op in its own
-transaction, so "committed prefix" is transaction-granular — an op
-counts as committed exactly when its commit record became fully durable,
-which is exactly when the ``transaction()`` scope exited cleanly.  A
-calibration run learns the trace's total log length and every commit
-record's end offset; kill points are then drawn both uniformly at random
-and *targeted* (one byte short of a commit record — a torn commit — and
-exactly at one), plus dedicated trials that die inside each checkpoint
-step.  After each kill the engine object is dead (every call raises
-:class:`SimulatedCrash`); recovery constructs a fresh engine on the
-directory and the recovered tables are compared against the reference
-snapshot taken after the same number of committed ops.
+transaction.  A forked child runs the trace with a progress handler
+(``Connection.set_progress_handler``, called at every VM step) that
+calls ``os._exit`` at a seeded step count, and reports each op over a
+pipe once its ``transaction()`` scope has exited — the acknowledgement.
+An in-process calibration run of the same trace learns its step count,
+the steps around every ``COMMIT`` and every checkpoint, and the
+``-wal`` size after every op.  Kill points are drawn uniformly over the
+steps, at the first and the last step of every ``COMMIT`` (before and
+after it writes, so the op in flight is sometimes durable and
+unacknowledged), and, under a tiny checkpoint
+threshold, around every checkpoint.  Torn-tail trials cut a clean run's
+``-wal`` at a seeded byte, delete ``-shm`` and reopen.  The reference
+tables come from the same trace replayed on an in-memory SQLite engine.
 
-Failing trials dump the WAL directory plus a seed/kill-point manifest to
+Failing trials dump the directory plus a seed/kill manifest to
 ``CRASH_FUZZ_ARTIFACT_DIR`` (CI uploads it), so any counterexample
 replays locally from the artifact alone.
-
-Alongside the fuzzer: hypothesis properties for the CRC32 log framing
-(round-trip, torn-tail and corruption behaviour) and for
-checkpoint/replay idempotence (recovering a directory is a fixpoint),
-and the satellite pins — poisoned plan-cache artifacts never reach the
-log, and the durability counters obey the merge/delta algebra.
 """
 
 import json
 import os
 import random
 import shutil
+import tempfile
+import traceback
+from dataclasses import dataclass, field
+from typing import List, Tuple
 
 import pytest
 from hypothesis import given, settings
@@ -50,16 +49,6 @@ from repro.cluster import JobSpec
 from repro.condorj2.database import Database
 from repro.condorj2.schema import TABLES
 from repro.condorj2.storage import StatementCounts, WalStorageEngine
-from repro.condorj2.storage.memory import _FailedPlan
-from repro.condorj2.storage.wal import (
-    CrashInjector,
-    FsyncPolicy,
-    SimulatedCrash,
-    encode_record,
-    frame_record,
-    iter_frames,
-    scan_records,
-)
 
 from tests.condorj2.test_differential import Pool, TraceRunner, dump_tables
 
@@ -69,38 +58,40 @@ from tests.condorj2.test_differential import Pool, TraceRunner, dump_tables
 
 #: Seeded traces (acceptance floor: 25).
 TRACE_COUNT = int(os.environ.get("CRASH_FUZZ_TRACES", "25"))
-#: Randomized kill points per trace (floor: TRACE_COUNT * KILLS >= 200).
+#: Uniformly drawn kill points per trace (floor: TRACE_COUNT * KILLS >= 200).
 KILLS_PER_TRACE = int(os.environ.get("CRASH_FUZZ_KILLS", "8"))
 #: Ops per trace (every op is one transaction).
 TRACE_LENGTH = int(os.environ.get("CRASH_FUZZ_TRACE_LENGTH", "16"))
-#: Where failing trials dump their WAL directory + manifest.
+#: Where failing trials dump their directory + manifest.
 ARTIFACT_DIR = os.environ.get("CRASH_FUZZ_ARTIFACT_DIR", "")
 
-#: Traces that additionally die inside each checkpoint step.
+#: Traces that also run, and die, under a tiny checkpoint threshold.
 CHECKPOINT_TRACE_COUNT = 10
-#: Tiny rotation threshold so short traces checkpoint several times.
-CHECKPOINT_INTERVAL = 900
+#: That threshold: a few commits' worth of frames, so a short trace
+#: checkpoints several times.
+SMALL_CHECKPOINT_BYTES = 64 * 1024
+#: Seeded cuts of the ``-wal`` file per trace.
+CUTS_PER_TRACE = 8
+
+#: Exit status of a child its progress handler killed.
+KILLED = 77
 
 
 class WalPool(Pool):
     """The differential harness's service stack over a WAL engine."""
 
-    def __init__(self, directory, injector=None, track=False):
-        engine = WalStorageEngine(
-            directory,
-            injector=injector,
-            track_commit_positions=track,
-        )
+    def __init__(self, directory, checkpoint_bytes=None):
+        engine = WalStorageEngine(directory)
+        if checkpoint_bytes is not None:
+            engine.checkpoint_bytes = checkpoint_bytes
         super().__init__("wal", database=Database(engine=engine))
 
 
 class CrashTraceRunner(TraceRunner):
     """Single-pool trace with one transaction per op.
 
-    ``completed`` counts ops whose transaction scope exited cleanly —
-    under fsync-on-commit, exactly the ops whose commit record is fully
-    durable in the log, i.e. the committed prefix the recovery contract
-    is stated over.
+    ``on_committed`` runs after each op's ``transaction()`` scope exited
+    cleanly: the op's acknowledgement.
 
     Job ids are drawn from a *per-runner* counter instead of the
     process-wide :func:`repro.cluster.job.next_job_id` allocator, so the
@@ -110,7 +101,6 @@ class CrashTraceRunner(TraceRunner):
 
     def __init__(self, seed, pool, on_committed=None):
         super().__init__(seed, [pool])
-        self.completed = 0
         self.on_committed = on_committed
         self._job_ids = iter(range(1, 10 ** 6))
 
@@ -142,137 +132,193 @@ class CrashTraceRunner(TraceRunner):
         # override above is honored (OPS holds the base functions).
         by_name = {name: getattr(self, op.__name__)
                    for name, _, op in self.OPS}
-        for op in (self.op_register_machine, self.op_submit_batch):
+        ops = [self.op_register_machine, self.op_submit_batch]
+        for index in range(len(ops) + steps):
             self._tick()
+            op = ops[index] if index < len(ops) else by_name[
+                self.rng.choice(names)]
             with db.transaction():
                 op()
-            self._op_done()
-        for _ in range(steps):
-            self._tick()
-            name = self.rng.choice(names)
-            with db.transaction():
-                by_name[name]()
-            self._op_done()
-
-    def _op_done(self):
-        self.completed += 1
-        if self.on_committed is not None:
-            self.on_committed(self)
+            if self.on_committed is not None:
+                self.on_committed()
 
 
 # ---------------------------------------------------------------------------
-# per-seed calibration + reference (computed once, shared by the trials)
+# calibration and reference (computed once per seed, shared by the trials)
 # ---------------------------------------------------------------------------
 
-_SEED_DATA = {}
+@dataclass
+class Calibration:
+    """One clean in-process run of a trace."""
+
+    steps: int = 0
+    #: VM steps counted as each COMMIT began and as it returned.
+    commits: List[Tuple[int, int]] = field(default_factory=list)
+    #: The same around each checkpoint that completed.
+    checkpoints: List[Tuple[int, int]] = field(default_factory=list)
+    #: ``-wal`` bytes after set-up (index 0) and after each op.
+    wal_sizes: List[int] = field(default_factory=list)
 
 
-def _seed_data(seed):
-    """(total stream bytes, commit offsets, reference dumps per prefix).
+def _calibrate(seed, directory, checkpoint_bytes=None, keep=None):
+    """Run ``seed``'s trace cleanly in ``directory``; with ``keep``, copy
+    ``pool.db`` and ``pool.db-wal`` there before the engine closes (a
+    close checkpoints and deletes the log)."""
+    pool = WalPool(directory, checkpoint_bytes)
+    engine = pool.db.engine
+    found = Calibration(wal_sizes=[engine._wal_size()])
+    steps = [0]
+    commit, checkpoint = engine._commit_raw, engine.checkpoint
 
-    One clean WAL run learns the trace's log geometry; one memory-engine
-    run records the reference table state after every committed op —
-    ``dumps[k]`` is the expected state after a committed prefix of ``k``
-    ops (``dumps[0]`` is the empty schema).
-    """
-    if seed in _SEED_DATA:
-        return _SEED_DATA[seed]
-    pool = WalPool(":memory:", track=True)
+    def counted_commit():
+        began = steps[0]
+        commit()
+        found.commits.append((began, steps[0]))
+
+    def counted_checkpoint():
+        began, done = steps[0], engine.counts.checkpoints
+        checkpoint()
+        if engine.counts.checkpoints > done:
+            found.checkpoints.append((began, steps[0]))
+
+    def progress():
+        steps[0] += 1
+        return 0
+
+    engine._commit_raw, engine.checkpoint = counted_commit, counted_checkpoint
+    engine._conn.set_progress_handler(progress, 1)
     try:
-        runner = CrashTraceRunner(seed, pool)
-        runner.run(TRACE_LENGTH)
-        total = pool.db.engine.stream_pos
-        commits = list(pool.db.engine.commit_positions)
+        CrashTraceRunner(seed, pool, on_committed=lambda: (
+            found.wal_sizes.append(engine._wal_size()))).run(TRACE_LENGTH)
+        found.steps = steps[0]
+        if keep is not None:
+            os.makedirs(keep)
+            for name in ("pool.db", "pool.db-wal"):
+                shutil.copy(os.path.join(directory, name), keep)
     finally:
         pool.close()
-
-    reference = Pool("memory")
-    dumps = [dump_tables(reference.db)]
-    try:
-        runner = CrashTraceRunner(
-            seed, reference,
-            on_committed=lambda r: dumps.append(dump_tables(reference.db)),
-        )
-        runner.run(TRACE_LENGTH)
-    finally:
-        reference.close()
-    _SEED_DATA[seed] = (total, commits, dumps)
-    return _SEED_DATA[seed]
+    return found
 
 
-def _kill_points(seed, total, commits):
-    """The trace's kill offsets: random bytes plus targeted torn/exact
-    commit boundaries (every trace exercises a torn write)."""
-    rng = random.Random(0xC0FFEE ^ seed)
-    points = []
-    if commits:
-        last = rng.choice(commits)
-        points.append(last - 1)  # torn commit record
-        points.append(last)      # crash exactly at a commit boundary
-        points.append(max(0, commits[0] - 2))  # early, mid-first-op
-    while len(points) < KILLS_PER_TRACE:
-        points.append(rng.randrange(0, max(total, 1)))
-    return points[:KILLS_PER_TRACE]
+_DUMPS = {}
 
 
-def _dump_artifact(seed, kill, directory, completed, error):
-    if not ARTIFACT_DIR:
+def _reference_dumps(seed):
+    """``dumps[k]``: the tables after the first ``k`` ops, replayed on an
+    in-memory SQLite engine (``dumps[0]`` is the empty schema)."""
+    if seed not in _DUMPS:
+        reference = Pool("sqlite")
+        dumps = [dump_tables(reference.db)]
+        try:
+            CrashTraceRunner(seed, reference, on_committed=lambda: (
+                dumps.append(dump_tables(reference.db)))).run(TRACE_LENGTH)
+        finally:
+            reference.close()
+        _DUMPS[seed] = dumps
+    return _DUMPS[seed]
+
+
+# ---------------------------------------------------------------------------
+# one trial
+# ---------------------------------------------------------------------------
+
+def _child(seed, directory, kill, checkpoint_bytes, acks):
+    """The forked child: run the trace, acknowledge each op on ``acks``,
+    and die at VM step ``kill`` — or, if the trace ends first, die
+    there, without closing the engine."""
+    pool = WalPool(directory, checkpoint_bytes)
+    steps = [0]
+
+    def progress():
+        steps[0] += 1
+        if steps[0] >= kill:
+            os._exit(KILLED)
+        return 0
+    pool.db.engine._conn.set_progress_handler(progress, 1)
+    CrashTraceRunner(seed, pool, on_committed=lambda: os.write(acks, b".")
+                     ).run(TRACE_LENGTH)
+    os._exit(0)
+
+
+def _killed_run(seed, directory, kill, checkpoint_bytes):
+    """Fork a child that dies at VM step ``kill``; returns how many ops it
+    acknowledged."""
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            os.close(read_end)
+            _child(seed, directory, kill, checkpoint_bytes, write_end)
+        except BaseException:
+            traceback.print_exc()
+        finally:
+            os._exit(1)
+    os.close(write_end)
+    with os.fdopen(read_end, "rb") as pipe:
+        acked = len(pipe.read())
+    _, status = os.waitpid(pid, 0)
+    code = os.waitstatus_to_exitcode(status)
+    assert code in (KILLED, 0), f"seed {seed} kill {kill}: child exited {code}"
+    return acked
+
+
+def _dump_artifact(seed, label, directory, manifest):
+    if not directory:
         return
     os.makedirs(ARTIFACT_DIR, exist_ok=True)
-    name = f"seed{seed}-kill{kill}"
+    name = f"seed{seed}-{label}"
     target = os.path.join(ARTIFACT_DIR, name)
     shutil.rmtree(target, ignore_errors=True)
     shutil.copytree(directory, target)
-    manifest = {
-        "seed": seed,
-        "kill": kill,
-        "trace_length": TRACE_LENGTH,
-        "completed_ops": completed,
-        "error": str(error),
-    }
+    manifest = dict(manifest, seed=seed, trace_length=TRACE_LENGTH)
     with open(os.path.join(ARTIFACT_DIR, name + ".json"), "w") as handle:
         json.dump(manifest, handle, indent=2)
 
 
-def _run_trial(seed, dumps, tmp_path, label, **engine_kwargs):
-    """Kill one trace with ``engine_kwargs``'s injector, recover, and
-    assert crash equivalence against the reference prefix dumps."""
-    directory = str(tmp_path / label)
-    pool = WalPool(directory, **engine_kwargs)
-    completed = TRACE_LENGTH + 2
-    try:
-        runner = CrashTraceRunner(seed, pool)
-        try:
-            runner.run(TRACE_LENGTH)
-        except SimulatedCrash:
-            completed = runner.completed
-            # the dead engine must refuse further work
-            with pytest.raises(SimulatedCrash):
-                pool.db.execute("SELECT user_name FROM users")
-    finally:
-        engine_file = pool.db.engine._file
-        if engine_file is not None and not engine_file.closed:
-            engine_file.close()
-
+def _recovered(seed, directory, label, allowed, manifest):
+    """Open a fresh engine on ``directory``; its tables must equal one of
+    the reference prefixes ``allowed``.  Returns the prefix matched."""
+    dumps = _reference_dumps(seed)
+    # Opening the directory recovers it; an artifact wants it as found.
+    survivor = (shutil.copytree(directory, directory + "-as-found")
+                if ARTIFACT_DIR else None)
     recovered = WalPool(directory)
     try:
         state = dump_tables(recovered.db)
-        expected = dumps[completed]
-        for table in TABLES:
-            assert repr(state[table]) == repr(expected[table]), (
-                f"seed {seed} {label}: {table} diverges after recovery "
-                f"(committed prefix = {completed} ops)"
-            )
+        for prefix in allowed:
+            if repr(state) == repr(dumps[prefix]):
+                break
+        else:
+            diverged = [table for table in TABLES
+                        if repr(state[table]) != repr(dumps[allowed[0]][table])]
+            raise AssertionError(
+                f"seed {seed} {label}: recovered tables match none of the "
+                f"prefixes {allowed}; {diverged} differ from prefix "
+                f"{allowed[0]}")
         # the recovered engine must serve writes again
         recovered.db.execute(
             "INSERT INTO users (user_name, created_at) VALUES (?, ?)",
-            (f"post-recovery-{label}", 0.0),
-        )
+            (f"post-recovery-{label}", 0.0))
     except AssertionError as exc:
-        _dump_artifact(seed, label, directory, completed, exc)
+        _dump_artifact(seed, label, survivor,
+                       dict(manifest, allowed=list(allowed), error=str(exc)))
         raise
     finally:
         recovered.close()
+        if survivor:
+            shutil.rmtree(survivor, ignore_errors=True)
+    return prefix
+
+
+def _kill_trial(seed, tmp_path, label, kill, checkpoint_bytes=None):
+    directory = str(tmp_path / label)
+    acked = _killed_run(seed, directory, kill, checkpoint_bytes)
+    total = TRACE_LENGTH + 2
+    allowed = [acked] + ([acked + 1] if acked < total else [])
+    return acked, _recovered(
+        seed, directory, label, allowed,
+        {"kind": "kill", "kill_step": kill, "acked": acked,
+         "checkpoint_bytes": checkpoint_bytes})
 
 
 # ---------------------------------------------------------------------------
@@ -281,170 +327,102 @@ def _run_trial(seed, dumps, tmp_path, label, **engine_kwargs):
 
 @pytest.mark.parametrize("seed", range(TRACE_COUNT))
 def test_crash_recovery_randomized_kill_points(seed, tmp_path):
-    """Kill one seeded trace at KILLS_PER_TRACE log offsets — torn
-    commits, exact boundaries and uniform random bytes — and require
-    committed-prefix equivalence after every recovery."""
-    total, commits, dumps = _seed_data(seed)
-    assert commits, "trace produced no commit records — not a useful trace"
-    # The trial's index is in its label: a short log can draw one
-    # offset twice, and each trial needs a directory of its own.
-    for trial, kill in enumerate(_kill_points(seed, total, commits)):
-        _run_trial(
-            seed, dumps, tmp_path, f"kill{kill}-{trial}",
-            injector=CrashInjector(crash_after_bytes=kill),
-        )
+    """Kill one seeded trace at KILLS_PER_TRACE VM steps drawn uniformly
+    over its calibration run; every recovery holds the acknowledged
+    ops, or those and the op in flight."""
+    found = _calibrate(seed, str(tmp_path / "calibration"))
+    assert found.commits, "trace committed nothing — not a useful trace"
+    rng = random.Random(0xC0FFEE ^ seed)
+    # The trial's index is in its label: a short trace can draw one
+    # step twice, and each trial needs a directory of its own.
+    for trial in range(KILLS_PER_TRACE):
+        kill = rng.randint(1, found.steps)
+        _kill_trial(seed, tmp_path, f"kill{kill}-{trial}", kill)
+
+
+@pytest.mark.parametrize("seed", range(TRACE_COUNT))
+def test_crash_recovery_around_every_commit(seed, tmp_path):
+    """Kill one seeded trace at the first VM step of each COMMIT, before
+    SQLite writes its frames, and at the last, after.  Dying at the last
+    recovers the op in flight, which no ack covered; dying at the first
+    must not, which an ack sent before the scope exits would break."""
+    found = _calibrate(seed, str(tmp_path / "calibration"))
+    dumps = _reference_dumps(seed)
+    in_flight = 0
+    for index, (began, returned) in enumerate(found.commits):
+        for kill in sorted({began + 1, returned}):
+            acked, prefix = _kill_trial(
+                seed, tmp_path, f"commit{index}-kill{kill}", kill)
+            if prefix > acked and dumps[prefix] != dumps[acked]:
+                in_flight += 1
+    assert in_flight, f"seed {seed}: no kill recovered an op in flight"
 
 
 @pytest.mark.parametrize("seed", range(CHECKPOINT_TRACE_COUNT))
-@pytest.mark.parametrize("step", CrashInjector.CHECKPOINT_STEPS)
-def test_crash_recovery_mid_checkpoint(seed, step, tmp_path):
-    """Die inside every checkpoint step (half-written snapshot, around
-    the atomic rename, around segment rotation) and recover."""
-    _, _, dumps = _seed_data(seed)
-    directory = str(tmp_path / step)
-    pool = WalPool(directory, injector=CrashInjector(checkpoint_step=(1, step)))
-    pool.db.engine.checkpoint_interval_bytes = CHECKPOINT_INTERVAL
-    completed = TRACE_LENGTH + 2
-    crashed = False
-    try:
-        runner = CrashTraceRunner(seed, pool)
-        try:
-            runner.run(TRACE_LENGTH)
-        except SimulatedCrash:
-            crashed = True
-            completed = runner.completed
-    finally:
-        engine_file = pool.db.engine._file
-        if engine_file is not None and not engine_file.closed:
-            engine_file.close()
-    if not crashed:
-        # Short trace never reached its second checkpoint — still a
-        # valid (uncrashed) run; equivalence must hold regardless.
-        assert pool.db.engine.counts.checkpoints <= 1
-    recovered = WalPool(directory)
-    try:
-        state = dump_tables(recovered.db)
-        expected = dumps[completed]
-        for table in TABLES:
-            assert repr(state[table]) == repr(expected[table]), (
-                f"seed {seed} checkpoint step {step!r}: {table} diverges "
-                f"(committed prefix = {completed} ops)"
-            )
-    except AssertionError as exc:
-        _dump_artifact(seed, f"ckpt-{step}", directory, completed, exc)
-        raise
-    finally:
-        recovered.close()
+def test_crash_recovery_across_checkpoints(seed, tmp_path):
+    """Under a tiny checkpoint threshold, kill the trace just before and
+    just after each checkpoint, and at KILLS_PER_TRACE uniform steps."""
+    found = _calibrate(seed, str(tmp_path / "calibration"),
+                       SMALL_CHECKPOINT_BYTES)
+    assert found.checkpoints, f"seed {seed}: the trace never checkpointed"
+    rng = random.Random(0xC4EC ^ seed)
+    kills = {max(1, step) for pair in found.checkpoints for step in pair}
+    kills.update(rng.randint(1, found.steps) for _ in range(KILLS_PER_TRACE))
+    for kill in sorted(kills):
+        _kill_trial(seed, tmp_path, f"ckpt-kill{kill}", kill,
+                    SMALL_CHECKPOINT_BYTES)
+
+
+@pytest.mark.parametrize("seed", range(TRACE_COUNT))
+def test_torn_wal_tail_recovers_the_commits_that_fit(seed, tmp_path):
+    """Cut a clean run's ``-wal`` at a seeded byte — anywhere, just at a
+    commit's end, one byte short of it — and drop ``-shm``: a fresh
+    engine holds the longest prefix of ops whose post-commit WAL size
+    fits in the cut (SQLite's frames, under the torn-write model)."""
+    clean = str(tmp_path / "clean")
+    found = _calibrate(seed, str(tmp_path / "calibration"), keep=clean)
+    sizes = found.wal_sizes
+    rng = random.Random(0x7EA2 ^ seed)
+    end = rng.choice(sizes[1:])
+    cuts = {end, end - 1}
+    while len(cuts) < CUTS_PER_TRACE:
+        cuts.add(rng.randint(0, sizes[-1]))
+    for cut in sorted(cuts):
+        # The clean copy holds no ``-shm``: SQLite rebuilds the log's
+        # index from the cut file alone.
+        directory = str(tmp_path / f"cut{cut}")
+        shutil.copytree(clean, directory)
+        with open(os.path.join(directory, "pool.db-wal"), "r+b") as log:
+            log.truncate(cut)
+        fits = max([0] + [ops for ops, size in enumerate(sizes)
+                          if size <= cut])
+        _recovered(seed, directory, f"cut{cut}", [fits],
+                   {"kind": "torn-tail", "cut": cut, "wal_sizes": sizes})
 
 
 def test_fuzzer_meets_acceptance_floor():
-    """ISSUE 7 floor: >=200 randomized kill trials across >=25 traces,
-    with torn-write and mid-checkpoint kills included."""
+    """>=200 uniform kill trials across >=25 traces, plus the kills around
+    every commit, the checkpoint traces and the torn tails."""
     assert TRACE_COUNT >= 25
     assert TRACE_COUNT * KILLS_PER_TRACE >= 200
-    assert CHECKPOINT_TRACE_COUNT * len(CrashInjector.CHECKPOINT_STEPS) >= 40
+    assert CHECKPOINT_TRACE_COUNT * KILLS_PER_TRACE >= 40
+    assert TRACE_COUNT * CUTS_PER_TRACE >= 200
 
 
 # ---------------------------------------------------------------------------
-# hypothesis properties: log framing
-# ---------------------------------------------------------------------------
-
-_json_scalars = st.one_of(
-    st.none(),
-    st.integers(min_value=-(2 ** 53), max_value=2 ** 53),
-    st.floats(allow_nan=False, allow_infinity=False),
-    st.text(max_size=20),
-)
-_records = st.lists(
-    st.dictionaries(st.text(max_size=8), _json_scalars, max_size=4),
-    max_size=8,
-)
-
-
-@settings(deadline=None, max_examples=60)
-@given(_records)
-def test_framing_round_trips(records):
-    """encode -> concatenate -> scan recovers every record, cleanly."""
-    data = b"".join(encode_record(record) for record in records)
-    decoded, clean = scan_records(data)
-    assert clean
-    assert [obj for obj, _ in decoded] == records
-    # frame end offsets are strictly increasing and end at len(data)
-    ends = [end for _, end in decoded]
-    assert ends == sorted(set(ends))
-    if records:
-        assert ends[-1] == len(data)
-
-
-@settings(deadline=None, max_examples=60)
-@given(_records, st.data())
-def test_framing_torn_tail_is_a_clean_prefix(records, data):
-    """Truncating the stream anywhere yields a prefix of the records and
-    never a phantom record."""
-    stream = b"".join(encode_record(record) for record in records)
-    if not stream:
-        return
-    cut = data.draw(st.integers(min_value=0, max_value=len(stream) - 1))
-    decoded, clean = scan_records(stream[:cut])
-    whole, _ = scan_records(stream)
-    assert [obj for obj, _ in decoded] == [obj for obj, _ in whole][
-        : len(decoded)
-    ]
-    # the cut byte is strictly inside some record, so the scan is dirty
-    # unless the cut landed exactly on a frame boundary
-    boundaries = {0} | {end for _, end in whole}
-    assert clean == (cut in boundaries)
-
-
-@settings(deadline=None, max_examples=60)
-@given(_records, st.data())
-def test_framing_detects_corruption(records, data):
-    """Flipping any byte invalidates that record's frame: the scan stops
-    at (or before) the corrupted record instead of yielding garbage."""
-    stream = b"".join(encode_record(record) for record in records)
-    if not stream:
-        return
-    index = data.draw(st.integers(min_value=0, max_value=len(stream) - 1))
-    corrupt = bytearray(stream)
-    corrupt[index] ^= 0xFF
-    decoded, _ = scan_records(bytes(corrupt))
-    whole, _ = scan_records(stream)
-    victims = [end for _, end in whole if end > index]
-    intact = len(whole) - len(victims)
-    # everything before the corrupted record survives; the corrupted
-    # record itself never decodes to a *different* valid object at its
-    # original position
-    for position in range(min(intact, len(decoded))):
-        assert decoded[position][0] == whole[position][0]
-    assert len(decoded) <= len(whole)
-
-
-def test_frame_record_rejects_nothing_but_crc_mismatch():
-    """A record whose CRC header lies is dropped, not raised."""
-    good = encode_record({"t": "commit"})
-    bad = bytearray(good)
-    bad[-1] ^= 0x01  # corrupt payload, keep header
-    records, clean = scan_records(bytes(bad))
-    assert records == [] and not clean
-    assert list(iter_frames(frame_record(b"x")))  # sanity: helper works
-
-
-# ---------------------------------------------------------------------------
-# hypothesis property: checkpoint/replay idempotence
+# reopening is a fixpoint
 # ---------------------------------------------------------------------------
 
 @settings(deadline=None, max_examples=25)
-@given(st.integers(min_value=0, max_value=2 ** 32 - 1),
-       st.booleans())
-def test_checkpoint_and_replay_are_idempotent(seed, force_checkpoint):
-    """Recovering a directory is a fixpoint: recover once, recover
-    again (with or without an intervening checkpoint) — same tables,
-    and a clean log tail every time."""
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1), st.booleans())
+def test_reopening_twice_gives_equal_tables(seed, force_checkpoint):
+    """Reopen a directory, then reopen it again (with or without an
+    intervening checkpoint): the tables are equal."""
     rng = random.Random(seed)
-    import tempfile
     directory = tempfile.mkdtemp(prefix="condorj2-walprop-")
     try:
         engine = WalStorageEngine(directory)
+        Database(engine=engine)
         for index in range(rng.randint(1, 12)):
             engine.execute(
                 "INSERT INTO users (user_name, created_at) VALUES (?, ?)",
@@ -459,73 +437,26 @@ def test_checkpoint_and_replay_are_idempotent(seed, force_checkpoint):
             engine.checkpoint()
         engine.close()
 
-        first = WalStorageEngine(directory)
-        state_one = {
-            table: first.execute(
-                f"SELECT * FROM {table}"  # sql-ident: table
-            ).fetchall()
-            for table in ("users",)
-        }
-        first.close()
-
-        second = WalStorageEngine(directory)
-        state_two = {
-            table: second.execute(
-                f"SELECT * FROM {table}"  # sql-ident: table
-            ).fetchall()
-            for table in ("users",)
-        }
-        # a second recovery replays nothing new and drops nothing
-        assert second.last_recovery is None or (
-            second.last_recovery.tail_bytes_dropped == 0
-        )
-        second.close()
-        assert repr(state_one) == repr(state_two)
+        states = []
+        for _ in range(2):
+            reopened = Database(engine=WalStorageEngine(directory))
+            states.append(dump_tables(reopened))
+            reopened.close()
+        assert repr(states[0]) == repr(states[1])
+        assert len(states[0]["users"]) >= 1
     finally:
         shutil.rmtree(directory, ignore_errors=True)
 
 
 # ---------------------------------------------------------------------------
-# satellites: plan-cache poisoning, durability counters
+# the durability counters
 # ---------------------------------------------------------------------------
-
-def test_failed_plans_never_reach_the_log(tmp_path):
-    """A poisoned ``_FailedPlan`` cache artifact (cached compile error)
-    raises on every use but must leave zero trace in the WAL: replaying
-    the log after a crash cannot re-poison or replay it."""
-    directory = str(tmp_path / "poison")
-    engine = WalStorageEngine(directory)
-    bad_sql = "INSERT INTO users (no_such_column) VALUES (?)"
-    for _ in range(3):
-        with pytest.raises(Exception):
-            engine.execute(bad_sql, ("x",))
-    # the poisoned artifact is cached (one miss, then hits) ...
-    poisoned = engine.statement_cache.peek(bad_sql)
-    assert isinstance(poisoned.plan, _FailedPlan) and poisoned.uses == 3
-    assert (engine.counts.plan_misses, engine.counts.plan_hits) == (1, 2)
-    # ... but nothing was appended for it
-    assert engine.counts.wal_appends == 0
-    engine.execute(
-        "INSERT INTO users (user_name, created_at) VALUES (?, ?)",
-        ("ok", 1.0),
-    )
-    assert engine.counts.wal_appends == 1
-    engine.close()
-
-    recovered = WalStorageEngine(directory)
-    assert recovered.counts.wal_replays == 1
-    assert recovered.last_recovery.records_scanned == 1
-    # recovery rebuilt state without ever compiling the poisoned SQL
-    assert recovered.statement_cache.peek(bad_sql) is None
-    rows = recovered.execute("SELECT user_name FROM users").fetchall()
-    assert [row[0] for row in rows] == ["ok"]
-    recovered.close()
-
 
 def test_plan_cache_eviction_under_wal(tmp_path):
     """Statement-cache eviction churn on the WAL engine must not disturb
-    the log: evicting and recompiling plans adds no records."""
-    engine = WalStorageEngine(str(tmp_path / "evict"))
+    the log: evicting and recompiling plans writes no frames."""
+    db = Database(engine=WalStorageEngine(str(tmp_path / "evict")))
+    engine = db.engine
     engine.execute(
         "INSERT INTO users (user_name, created_at) VALUES (?, ?)",
         ("u", 1.0),
@@ -540,21 +471,18 @@ def test_plan_cache_eviction_under_wal(tmp_path):
     assert engine.counts.plan_evictions > 0
     assert len(engine.statement_cache) == capacity
     assert engine.counts.wal_appends == appends, (
-        "read-only cache churn appended WAL records"
+        "read-only cache churn wrote WAL frames"
     )
     engine.close()
 
 
 def test_durability_counters_merge_and_delta():
-    """The new fsync/replay/append/checkpoint counters obey the same
-    merge/delta algebra as every other StatementCounts field."""
-    left = StatementCounts(wal_appends=3, wal_replays=1, fsyncs=2,
-                           checkpoints=1, commits=5)
-    right = StatementCounts(wal_appends=4, wal_replays=2, fsyncs=7,
-                            checkpoints=0, commits=1)
+    """The fsync/append/checkpoint counters obey the same merge/delta
+    algebra as every other StatementCounts field."""
+    left = StatementCounts(wal_appends=3, fsyncs=2, checkpoints=1, commits=5)
+    right = StatementCounts(wal_appends=4, fsyncs=7, checkpoints=0, commits=1)
     merged = left.merge(right)
     assert merged.wal_appends == 7
-    assert merged.wal_replays == 3
     assert merged.fsyncs == 9
     assert merged.checkpoints == 1
     assert merged.commits == 6
@@ -566,27 +494,56 @@ def test_durability_counters_merge_and_delta():
 
 
 def test_wal_counters_observed_end_to_end(tmp_path):
-    """fsync policy drives the fsyncs counter; recovery drives replays."""
-    directory = str(tmp_path / "counts")
-    engine = WalStorageEngine(
-        directory, fsync_policy=FsyncPolicy(mode="interval", interval=3)
-    )
-    for index in range(7):
-        engine.execute(
-            "INSERT INTO users (user_name, created_at) VALUES (?, ?)",
-            (f"u{index}", float(index)),
-        )
-    assert engine.counts.wal_appends == 7
-    assert engine.counts.fsyncs == 2  # commits 3 and 6 under interval=3
-    engine.close()
-    recovered = WalStorageEngine(directory)
-    assert recovered.counts.wal_replays == 7
-    never = WalStorageEngine(
-        str(tmp_path / "never"), fsync_policy=FsyncPolicy(mode="never")
-    )
-    never.execute(
-        "INSERT INTO users (user_name, created_at) VALUES (?, ?)", ("x", 1.0)
-    )
-    assert never.counts.fsyncs == 0
-    never.close()
-    recovered.close()
+    """``fsyncs`` counts the commits that grew the log, ``wal_appends``
+    the frames they wrote, ``checkpoints`` the truncations; the schema
+    script is uncounted."""
+    db = Database(engine=WalStorageEngine(str(tmp_path / "counts")))
+    engine = db.engine
+    counts = engine.counts
+    assert (counts.fsyncs, counts.wal_appends) == (0, 0)
+    schema_bytes = engine.wal_stats()["wal_bytes"]
+    for index in range(3):
+        db.execute("INSERT INTO users (user_name, created_at) VALUES (?, ?)",
+                   (f"u{index}", float(index)))
+    with db.transaction():
+        db.execute("INSERT INTO users (user_name, created_at) VALUES ('t', 0)")
+        db.execute("UPDATE users SET priority = 0.9 WHERE user_name = 't'")
+    with db.transaction():
+        db.query_all("SELECT * FROM users")  # read-only: no commit point
+    db.query_all("SELECT * FROM users")
+    assert counts.fsyncs == 4
+    stats = engine.wal_stats()
+    frame = engine._frame_bytes
+    assert counts.wal_appends == (stats["wal_bytes"] - schema_bytes) // frame
+    assert counts.wal_appends >= 4
+    assert stats["stream_bytes"] == stats["wal_bytes"]
+
+    engine.checkpoint_bytes = 1
+    db.execute("INSERT INTO users (user_name, created_at) VALUES ('c', 0)")
+    assert counts.checkpoints == 1
+    # the checkpoint truncated the log; the insert began a new one
+    assert engine.wal_stats()["wal_bytes"] < stats["wal_bytes"]
+    assert engine.wal_stats()["stream_bytes"] > stats["stream_bytes"]
+    db.close()
+
+
+def test_a_checkpoint_waits_for_an_open_read(tmp_path):
+    """A cursor with rows left holds a read open, and SQLite refuses to
+    truncate the log under it: the due checkpoint is skipped, and the
+    next committed boundary after the read closed takes it."""
+    db = Database(engine=WalStorageEngine(str(tmp_path / "read")))
+    engine = db.engine
+    db.executemany("INSERT INTO users (user_name, created_at) VALUES (?, 0)",
+                   [("a",), ("b",)])
+    reading = db.execute("SELECT user_name FROM users")
+    assert reading.fetchone() is not None
+    engine.checkpoint_bytes = 1
+    with db.transaction():
+        db.execute("UPDATE users SET priority = 0.9")
+    assert engine.counts.checkpoints == 0
+    reading.close()
+    with db.transaction():
+        pass
+    assert engine.counts.checkpoints == 1
+    assert engine.wal_stats()["wal_bytes"] == 0
+    db.close()

@@ -77,8 +77,8 @@ def test_nested_transactions_join_outer(db):
 
 @pytest.mark.parametrize("backend", ["sqlite", "memory", "wal"])
 def test_failed_begin_opens_no_transaction(backend, monkeypatch):
-    """A ``begin()`` that raises (WAL's SimulatedCrash, SQLite's nested
-    BEGIN) leaves no scope behind, so the next scope is a real one and
+    """A ``begin()`` that raises (SQLite's nested BEGIN, say) leaves no
+    scope behind, so the next scope is a real one and
     rolls its writes back instead of joining a transaction that never
     began."""
     db = Database(backend=backend)
@@ -97,6 +97,26 @@ def test_failed_begin_opens_no_transaction(backend, monkeypatch):
             raise RuntimeError("abort")
     assert db.table_count("users") == 0
     db.close()
+
+
+@pytest.mark.parametrize("backend", ["sqlite", "wal"])
+def test_a_file_store_reopens_through_database(backend, tmp_path):
+    """A second ``Database`` on a file that already holds the schema
+    leaves the schema be and reads the first one's rows back."""
+    path = tmp_path / ("pool.db" if backend == "sqlite" else "pool-wal")
+    spec = f"{backend}://{path}"
+    first = Database(spec)
+    first.execute("INSERT INTO users (user_name, created_at) VALUES ('a', 0)")
+    first.close()
+    second = Database(spec)
+    try:
+        assert [tuple(row) for row in second.query_all(
+            "SELECT user_name FROM users")] == [("a",)]
+        second.execute(
+            "INSERT INTO users (user_name, created_at) VALUES ('b', 0)")
+        assert second.table_count("users") == 2
+    finally:
+        second.close()
 
 
 def test_integrity_error_wrapped(db):

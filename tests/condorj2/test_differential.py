@@ -73,7 +73,8 @@ class Pool:
 
     ``database`` lets a caller stack the services over a pre-configured
     :class:`Database` (the crash-recovery harness wires in WAL engines
-    with crash injectors); by default the backend name picks the engine.
+    on directories of its own); by default the backend name picks the
+    engine.
     """
 
     def __init__(self, backend, database=None):

@@ -201,14 +201,13 @@ def test_transaction_rollback_restores_indexes_and_rows(db):
     assert db.scalar("SELECT COUNT(*) FROM vms WHERE state = 'idle'") == 2
 
 
-@pytest.mark.parametrize("backend", ["memory", "wal"])
 @pytest.mark.parametrize("in_transaction", [False, True])
-def test_an_interrupted_statement_is_undone(backend, in_transaction):
+def test_an_interrupted_statement_is_undone(in_transaction):
     """A ``KeyboardInterrupt`` from the second row write of an UPDATE
     undoes the first row's write, and hands the transaction its undo
     list back: rollback removes the transaction's earlier INSERT, and
     in autocommit the next ``begin()`` finds no transaction open."""
-    database = Database(backend=backend)
+    database = Database(backend="memory")
     database.executemany(
         "INSERT INTO users (user_name, priority, created_at) VALUES (?, 1, 0)",
         [("ann",), ("bob",)])
@@ -884,8 +883,7 @@ def test_fused_top_k_refills_at_its_real_size(shape):
     database.close()
 
 
-@pytest.mark.parametrize("backend", ["memory", "wal"])
-def test_join_lookup_memo_keeps_affinity_apart(backend):
+def test_join_lookup_memo_keeps_affinity_apart():
     """One execution probes a TEXT column and an INTEGER column with
     2, 2.0 and '2'.  As text the first two are '2' and '2.0', different
     buckets; as Python dict keys they are one (2 == 2.0, same hash), so
@@ -904,7 +902,7 @@ def test_join_lookup_memo_keeps_affinity_apart(backend):
     statements = [sql.format(*order) for sql in (text, integer)
                   for order in ((1, 2), (2, 1))]
     rows = {}
-    for name in ("sqlite", backend):
+    for name in ("sqlite", "memory"):
         database = Database(backend=name)
         database.executemany(
             "INSERT INTO users (user_name, created_at) VALUES (?, 0)",
@@ -922,12 +920,12 @@ def test_join_lookup_memo_keeps_affinity_apart(backend):
                 plan = database.explain(sql).render()
                 assert "PROBE" in plan and "TOPK-SORT" in plan
         database.close()
-    assert rows[backend] == rows["sqlite"]
-    assert [row[1] for row in rows[backend][0]] == [
+    assert rows["memory"] == rows["sqlite"]
+    assert [row[1] for row in rows["memory"][0]] == [
         "2", "2.0", "2", "2", "2.0", "2"]
-    assert [row[1] for row in rows[backend][1]] == [
+    assert [row[1] for row in rows["memory"][1]] == [
         "2.0", "2", "2", "2.0", "2", "2"]
-    assert [row[1] for row in rows[backend][2]] == [2] * 6
+    assert [row[1] for row in rows["memory"][2]] == [2] * 6
 
 
 # ----------------------------------------------------------------------

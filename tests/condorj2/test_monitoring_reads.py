@@ -142,9 +142,8 @@ def test_sqlite_counts_one_owner_inside_the_covering_index(sqlite_conn):
                      "(state=? AND owner=?)"] * 2
 
 
-@pytest.mark.parametrize("backend", ("memory", "wal"))
-def test_memory_engine_counts_without_reading_rows(backend):
-    db = _pool(backend, [("alice", "idle")] * 3 + [("bob", "running")])
+def test_memory_engine_counts_without_reading_rows():
+    db = _pool("memory", [("alice", "idle")] * 3 + [("bob", "running")])
     try:
         queue = db.explain(QUEUE_SUMMARY_SQL).render()
         assert queue.count("COUNT row count") == 1

@@ -83,8 +83,7 @@ def test_statistics_page_durability_panel(stack):
     page = site.statistics_page()
     if container.db.engine.name == "wal":
         assert "Durability (write-ahead log)" in page
-        assert "log forces (fsync)" in page
-        assert "fsync policy" in page
+        assert "commit points" in page
         stats = container.db.engine.wal_stats()
         assert stats["appends"] > 0
         assert str(stats["appends"]) in page
