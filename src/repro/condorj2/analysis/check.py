@@ -77,7 +77,7 @@ def _resolve(col: sp.Col, scope: Optional[_Scope],
     """The :class:`ColumnDef` a column reference lands on.
 
     None when it resolves to something without a schema type (subquery
-    output, json_each, a select alias in GROUP BY / HAVING / ORDER BY)
+    output, json_each, a select alias in GROUP BY / ORDER BY)
     or does not resolve at all.
     """
     first_frame = True
@@ -176,8 +176,6 @@ class _Checker:
             self._check_expr(select.where, scope)
         for expr in select.group_by:
             self._check_expr(expr, scope, alias_set)
-        if select.having is not None:
-            self._check_expr(select.having, scope, alias_set)
         for expr, _desc in select.order_by:
             self._check_expr(expr, scope, alias_set)
         for bound in (select.limit, select.offset):

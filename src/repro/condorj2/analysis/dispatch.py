@@ -26,17 +26,15 @@ Loops are **bounded** (never flagged) when they
 iterate a literal, a ``range()`` of constants, a name in
 ``schema.BOUNDED_ITERABLES`` (schema/contract declarations whose
 cardinality is fixed at import time — reachable through ``.items()``/
-``sorted()``-style wrappers and single local rebindings), or when the
-loop header carries a ``# dispatch: bounded`` pragma (the escape hatch
-for bounds the analyzer cannot see, e.g. a depth-capped BFS).
-Everything else is data-dependent.  Two structural rules fall out:
+``sorted()``-style wrappers and single local rebindings).  Everything
+else is data-dependent, and no annotation overrides that verdict.  Two
+structural rules fall out:
 
 * ``per-row-dispatch`` (error) — a dispatch (or a call to a dispatching
   function) inside a data-dependent ``for``/comprehension;
-* ``unbounded-loop-dispatch`` (error) — a dispatch inside a ``while``
-  with no pragma, or a call that closes a cycle through dispatching
-  functions (recursion has no static bound either; the pragma on the
-  call line is the same escape hatch).
+* ``unbounded-loop-dispatch`` (error) — a dispatch inside a ``while``,
+  or a call that closes a cycle through dispatching functions
+  (recursion has no static bound either).
 
 Together they are the static half of the paper's claim; the runtime half
 is each ``OperationContract``'s constant ``statement_budget``, which the
@@ -57,7 +55,6 @@ from __future__ import annotations
 
 import ast
 import builtins
-import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -82,8 +79,8 @@ _DRIVER_FILES = ("cas.py", "startd.py", "system.py")
 #: Method names never resolved through the call graph unless the
 #: receiver is literally ``self``: dict/set/list/str methods and the
 #: event-log ``record`` would otherwise alias same-named service/bean
-#: methods (``event.get`` → ``ConfigService.get``, ``self.log.record``
-#: → ``ProvenanceService.record``) and fabricate per-row dispatches.
+#: methods (``event.get`` → ``ConfigService.get``) and fabricate
+#: per-row dispatches.
 #: Bare-name calls to builtins are never resolved either: ``set(...)``
 #: must not alias ``ConfigService.set``, nor ``dict(row)`` a bean method.
 _BUILTIN_NAMES = frozenset(dir(builtins))
@@ -107,10 +104,6 @@ _TRANSPARENT_CALLS = frozenset({
 #: Dict-view methods through which boundedness is transparent.
 _VIEW_METHODS = frozenset({"items", "keys", "values"})
 
-#: Loop-header (or recursive-call) pragma marking a bound the analyzer
-#: cannot derive.
-_PRAGMA = re.compile(r"#\s*dispatch:\s*bounded\b")
-
 
 @dataclass(frozen=True)
 class LoopCtx:
@@ -119,7 +112,7 @@ class LoopCtx:
     kind: str            # 'for' | 'while' | 'comp'
     line: int
     bounded: bool
-    reason: str = ""     # 'literal' | 'range' | 'allow-list' | 'pragma'
+    reason: str = ""     # 'literal' | 'range' | 'allow-list'
 
 
 @dataclass(frozen=True)
@@ -138,8 +131,6 @@ class DispatchCall:
     name: str
     line: int
     loops: Tuple[LoopCtx, ...]
-    #: The call line carries the pragma: a recursion through it is bounded.
-    bounded: bool = False
 
 
 @dataclass
@@ -162,10 +153,8 @@ class _DispatchScan(ast.NodeVisitor):
     iteration and is visited inside the loop context.
     """
 
-    def __init__(self, info: DispatchInfo, pragma_lines: Set[int],
-                 local_env: Dict[str, ast.expr]):
+    def __init__(self, info: DispatchInfo, local_env: Dict[str, ast.expr]):
         self.info = info
-        self.pragma_lines = pragma_lines
         self.local_env = local_env
         self._loops: List[LoopCtx] = []
 
@@ -209,8 +198,6 @@ class _DispatchScan(ast.NodeVisitor):
 
     def _classify(self, kind: str, node: ast.stmt,
                   iterable: Optional[ast.expr]) -> LoopCtx:
-        if node.lineno in self.pragma_lines:
-            return LoopCtx(kind, node.lineno, True, "pragma")
         if iterable is not None:
             reason = self._bounded_reason(iterable)
             if reason is not None:
@@ -243,13 +230,9 @@ class _DispatchScan(ast.NodeVisitor):
         for index, generator in enumerate(node.generators):
             if index == 0:
                 self.visit(generator.iter)  # evaluated once
-            if node.lineno in self.pragma_lines:
-                loop = LoopCtx("comp", node.lineno, True, "pragma")
-            else:
-                reason = self._bounded_reason(generator.iter)
-                loop = LoopCtx("comp", node.lineno, reason is not None,
-                               reason or "")
-            self._loops.append(loop)
+            reason = self._bounded_reason(generator.iter)
+            self._loops.append(LoopCtx("comp", node.lineno,
+                                       reason is not None, reason or ""))
             opened += 1
             if index > 0:
                 self.visit(generator.iter)  # re-evaluated per outer item
@@ -279,19 +262,16 @@ class _DispatchScan(ast.NodeVisitor):
     def visit_Call(self, node: ast.Call) -> None:
         func = node.func
         loops = tuple(self._loops)
-        bounded = node.lineno in self.pragma_lines
         if isinstance(func, ast.Attribute):
             if func.attr in EXECUTE_METHODS:
                 self.info.sites.append(DispatchSite(
                     method=func.attr, line=node.lineno, loops=loops))
             elif self._resolvable(func):
                 self.info.calls.append(DispatchCall(
-                    name=func.attr, line=node.lineno, loops=loops,
-                    bounded=bounded))
+                    name=func.attr, line=node.lineno, loops=loops))
         elif isinstance(func, ast.Name) and func.id not in _BUILTIN_NAMES:
             self.info.calls.append(DispatchCall(
-                name=func.id, line=node.lineno, loops=loops,
-                bounded=bounded))
+                name=func.id, line=node.lineno, loops=loops))
         self.generic_visit(node)
 
     @staticmethod
@@ -334,11 +314,6 @@ def _local_assignments(node) -> Dict[str, ast.expr]:
             if len(values) == 1 and values[0] is not None}
 
 
-def _pragma_lines(source: str) -> Set[int]:
-    return {index for index, line in enumerate(source.splitlines(), 1)
-            if _PRAGMA.search(line)}
-
-
 @dataclass
 class DispatchModel(FunctionIndex):
     """The scanned tree's functions and call graph."""
@@ -353,11 +328,10 @@ def build_dispatch_model(root) -> DispatchModel:
     model = DispatchModel()
     for module in SourceTree.of(root).application_modules(
             skip=_DRIVER_FILES):
-        pragmas = _pragma_lines(module.source)
         for qualname, node in functions_of(module.tree):
             info = DispatchInfo(qualname=f"{module.rel}:{qualname}",
                                 file=module.rel, line=node.lineno)
-            scan = _DispatchScan(info, pragmas, _local_assignments(node))
+            scan = _DispatchScan(info, _local_assignments(node))
             for statement in node.body:
                 scan.visit(statement)
             model.add(info)
@@ -389,8 +363,7 @@ def _recursive_calls(model: DispatchModel
 
     A depth-first walk over the dispatching call graph; a call to a
     function still on the walk's stack is a back edge.  Every such cycle
-    has one, so each recursion is reported once.  Pragma-marked calls
-    are not edges: the recursion through them is declared bounded.
+    has one, so each recursion is reported once.
     """
     closing: List[Tuple[DispatchInfo, DispatchCall]] = []
     on_stack: Set[str] = set()
@@ -400,8 +373,6 @@ def _recursive_calls(model: DispatchModel
         on_stack.add(qualname)
         info = model.functions[qualname]
         for call in info.calls:
-            if call.bounded:
-                continue
             targets = [t for t in model.resolve(call.name)
                        if t in model.dispatching]
             if any(target in on_stack for target in targets):
@@ -445,8 +416,7 @@ def check_dispatch(root) -> List[Finding]:
             "unbounded-loop-dispatch", info.file, call.line,
             f"{info.qualname.split(':', 1)[1]}: call to {call.name} "
             f"closes a recursion through dispatching functions with no "
-            f"static bound; add a '# dispatch: bounded' pragma if the "
-            f"bound is real but invisible"))
+            f"static bound"))
     return findings
 
 
@@ -464,6 +434,5 @@ def _site_findings(file: str, function: str, line: int,
         return [make_finding(
             "unbounded-loop-dispatch", file, line,
             f"{function}: {what} inside a while loop with no static "
-            f"bound; add a '# dispatch: bounded' pragma if the bound "
-            f"is real but invisible")]
+            f"bound")]
     return []

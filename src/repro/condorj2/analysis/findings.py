@@ -82,8 +82,7 @@ RULES: Dict[str, Tuple[str, str]] = {
                  "loop where one set statement or executemany would do"),
     "unbounded-loop-dispatch": (
         "error", "statement dispatched inside a while loop or a recursion "
-                 "with no static bound (add a '# dispatch: bounded' "
-                 "pragma if the bound is real but invisible)"),
+                 "with no static bound"),
     # -- transaction-boundary tier -------------------------------------
     "txn-unprotected-write": (
         "error", "multi-table write sequence can run outside any "

@@ -3,8 +3,8 @@
 The paper's footnote 7 — "ensuring that the job queue manager does not
 drop jobs is one reason why job management requires transactions" — is a
 property of *call structure*, not of any single statement.  This pass
-parses the application layers (``logic/``, ``beans/``, ``datamgmt/``,
-the SOAP facade, ``startd.py``) with :mod:`ast`, maps every
+parses the application layers (``logic/``, ``beans/``, the SOAP
+facade, ``startd.py``) with :mod:`ast`, maps every
 ``execute``/``executemany`` call site to its enclosing
 ``with …transaction()`` scope, and propagates protection through a
 name-based call graph:

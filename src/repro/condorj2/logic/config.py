@@ -40,16 +40,6 @@ class ConfigService:
             return default
         return bean["policy_value"]
 
-    def get_float(self, name: str, default: float) -> float:
-        """Numeric policy accessor."""
-        raw = self.get(name)
-        if raw is None:
-            return default
-        try:
-            return float(raw)
-        except ValueError:
-            return default
-
     def set(self, name: str, value: str, now: float, changed_by: str = "admin") -> None:
         """Create or change a policy, recording history on change."""
         with self.container.db.transaction():
@@ -81,8 +71,15 @@ class ConfigService:
         return [dict(row) for row in rows]
 
     def value_at(self, name: str, time: float) -> Optional[str]:
-        """Point-in-time reconstruction: the value in force at ``time``."""
-        row = self.container.db.query_one(
+        """Point-in-time reconstruction: the value in force at ``time``.
+
+        Before a policy's first recorded change, the value in force is
+        the one that change replaced: an installed default, or None for
+        a policy ``set`` created (its first history row's ``old_value``
+        is NULL).
+        """
+        db = self.container.db
+        row = db.query_one(
             """
             SELECT new_value FROM config_history
             WHERE policy_name = ? AND changed_at <= ?
@@ -92,6 +89,16 @@ class ConfigService:
         )
         if row is not None:
             return row["new_value"]
+        row = db.query_one(
+            """
+            SELECT old_value FROM config_history
+            WHERE policy_name = ? AND changed_at > ?
+            ORDER BY change_id LIMIT 1
+            """,
+            (name, time),
+        )
+        if row is not None:
+            return row["old_value"]
         bean = self.container.find_optional(PolicyBean, name)
         if bean is not None and bean["updated_at"] <= time:
             return bean["policy_value"]

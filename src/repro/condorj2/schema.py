@@ -378,56 +378,6 @@ TABLE_DEFS: Tuple[TableDef, ...] = (
         autoincrement=True,
         indexes=(IndexDef("idx_accounting_owner", ("owner",)),),
     ),
-    TableDef(
-        name="datasets",
-        columns=(
-            _col("dataset_id", "INTEGER"),
-            _col("name", "TEXT", not_null=True),
-            _col("owner", "TEXT", not_null=True),
-            _col("size_mb", "REAL", not_null=True, default=0),
-            _col("k_safety", "INTEGER", not_null=True, default=1),
-            _col("created_at", "REAL", not_null=True),
-        ),
-        primary_key=("dataset_id",),
-        autoincrement=True,
-        unique=(("name",),),
-    ),
-    TableDef(
-        name="dataset_replicas",
-        columns=(
-            _col("replica_id", "INTEGER"),
-            _col("dataset_id", "INTEGER", not_null=True),
-            _col("machine_name", "TEXT", not_null=True),
-            _col("state", "TEXT", not_null=True, default="valid",
-                 check_in=("valid", "stale", "transferring")),
-            _col("created_at", "REAL", not_null=True),
-        ),
-        primary_key=("replica_id",),
-        autoincrement=True,
-        unique=(("dataset_id", "machine_name"),),
-        foreign_keys=(ForeignKeyDef("dataset_id", "datasets", "dataset_id"),),
-    ),
-    TableDef(
-        name="provenance",
-        columns=(
-            _col("prov_id", "INTEGER"),
-            _col("output_name", "TEXT", not_null=True),
-            _col("job_id", "INTEGER", not_null=True),
-            _col("executable", "TEXT", not_null=True),
-            _col("executable_version", "TEXT", not_null=True, default=""),
-            _col("input_names", "TEXT", not_null=True, default=""),
-            _col("input_versions", "TEXT", not_null=True, default=""),
-            _col("recorded_at", "REAL", not_null=True),
-        ),
-        primary_key=("prov_id",),
-        autoincrement=True,
-        indexes=(
-            IndexDef("idx_provenance_output", ("output_name",)),
-            # executables_used probes provenance by job id sets
-            # (json_each).
-            IndexDef("idx_provenance_job", ("job_id",)),
-        ),
-    ),
 )
 
 #: Each declaration by table name.
@@ -590,7 +540,7 @@ def _lifecycle(table: str, transitions: Dict[str, set],
     )
 
 
-#: The four lifecycle machines of section 4.2.3, keyed by table.
+#: The three lifecycle machines of section 4.2.3, keyed by table.
 #:
 #: * jobs — the paper's job state machine.  Rows are born idle; the
 #:   operational tuple is deleted on completion (from ``running``,
@@ -604,9 +554,6 @@ def _lifecycle(table: str, transitions: Dict[str, set],
 #:   ``busy`` (started event) and back to ``idle`` on completion/drop.
 #:   The startd's reported states may skip intermediate hops (delta
 #:   reporting), so reported edges among the live states are declared.
-#: * dataset_replicas — replica freshness: ``valid`` sours to ``stale``,
-#:   repair moves ``stale`` through ``transferring`` back to ``valid``
-#:   (or back to ``stale`` on a failed transfer).
 LIFECYCLES: Dict[str, LifecycleDef] = {
     "jobs": _lifecycle(
         "jobs",
@@ -628,12 +575,6 @@ LIFECYCLES: Dict[str, LifecycleDef] = {
          "busy": {"idle", "offline"},
          "offline": {"idle"}},
         create=("idle",)),
-    "dataset_replicas": _lifecycle(
-        "dataset_replicas",
-        {"valid": {"stale"},
-         "stale": {"transferring"},
-         "transferring": {"valid", "stale"}},
-        create=("valid", "transferring")),
 }
 
 

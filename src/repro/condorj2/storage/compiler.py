@@ -42,8 +42,7 @@ _MIRRORED = {"=": "=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
 
 def _is_count_star(node: Any) -> bool:
-    return isinstance(node, sp.Func) and node.name == "COUNT" \
-        and node.star and not node.distinct
+    return isinstance(node, sp.Func) and node.name == "COUNT" and node.star
 
 
 def _local_aliases(node: Any, scope: _Scope) -> set:
@@ -313,8 +312,8 @@ class _Compiler(_ExprCompiler):
 
         def alias_for(node):
             """Column-first, select-alias-fallback resolution, wherever
-            in a HAVING/GROUP BY/ORDER BY expression the name appears
-            (``HAVING valid_replicas < d.k_safety``)."""
+            in a GROUP BY/ORDER BY expression the name appears
+            (``GROUP BY minute ORDER BY minute``)."""
             if isinstance(node, sp.Col) and node.table is None \
                     and node.name in alias_exprs:
                 try:
@@ -334,8 +333,6 @@ class _Compiler(_ExprCompiler):
             return fn
 
         group_fns = [compile_output_expr(g) for g in ast.group_by]
-        having_fn = (compile_output_expr(ast.having)
-                     if ast.having is not None else None)
         order_specs = [(compile_output_expr(e), desc)
                        for e, desc in ast.order_by]
         if not (has_agg or windows) and self._served_order(
@@ -356,8 +353,8 @@ class _Compiler(_ExprCompiler):
         count = None
         if len(source_plans) == 1 and first.check is None and not post \
                 and len(ast.items) == 1 and _is_count_star(ast.items[0].expr) \
-                and not (ast.group_by or ast.having or ast.order_by
-                         or ast.limit or ast.offset or ast.distinct):
+                and not (ast.group_by or ast.order_by
+                         or ast.limit or ast.offset):
             count = first.access.count
 
         plan = self._select_cls(
@@ -367,11 +364,9 @@ class _Compiler(_ExprCompiler):
             names=tuple(names),
             lookup=lookup,
             group_fns=group_fns,
-            having_fn=having_fn,
             order_specs=order_specs,
             limit_fn=limit_fn,
             offset_fn=offset_fn,
-            distinct=ast.distinct,
             has_agg=has_agg,
             windows=windows,
             outer_depth=stats["outer"],
@@ -449,7 +444,7 @@ class _Compiler(_ExprCompiler):
         alias, ascending, needs no sort.  Any other ORDER BY is sorted,
         whatever the path."""
         if len(sources) != 1 or sources[0].kind != "table" \
-                or len(ast.order_by) != 1 or ast.group_by or ast.distinct:
+                or len(ast.order_by) != 1 or ast.group_by:
             return False
         expr, desc = ast.order_by[0]
         table = sources[0].table

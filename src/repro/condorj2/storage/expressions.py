@@ -6,7 +6,7 @@ time; :class:`_ExprCompiler` turns every expression node of the dialect
 SQLite's scalar rules (:mod:`.scalars`) — three-valued AND/OR,
 comparison affinity, IN over lists and subqueries, EXISTS (probing per
 outer row, or cached when uncorrelated), scalar subqueries,
-``ROW_NUMBER`` slots, CASE, CAST, COALESCE, LIKE and the aggregates.
+``ROW_NUMBER`` slots, CASE, CAST, COALESCE and the aggregates.
 What a node kind *means* is stated here; which fields of a node are
 sub-expressions is not — that is :func:`.sqlparser.children`'s to say.
 """
@@ -20,7 +20,7 @@ from repro.condorj2.storage import sqlparser as sp
 from repro.condorj2.storage.plans import _SelectPlan
 from repro.condorj2.storage.scalars import (
     _BIN_OPS, _NUMERIC_AFFINITIES, _coerce_numeric, _coerce_text,
-    _comparison_coercions, _is_true, _like_matches, _probe_norm, _sql_eq,
+    _comparison_coercions, _is_true, _probe_norm, _sql_eq,
     _to_number, _to_text, sql_sort_key,
 )
 from repro.condorj2.storage.store import MemoryEngineError, TableStore
@@ -211,16 +211,6 @@ class _ExprCompiler:
             if node.negated:
                 return lambda rt: int(operand(rt) is not None)
             return lambda rt: int(operand(rt) is None)
-        if isinstance(node, sp.Like):
-            operand = self.compile_expr(node.operand, scope, stats)
-            pattern = self.compile_expr(node.pattern, scope, stats)
-            negated = node.negated
-            def like_fn(rt):
-                result = _like_matches(operand(rt), pattern(rt))
-                if result is None:
-                    return None
-                return int((not result) if negated else result)
-            return like_fn
         if isinstance(node, sp.Case):
             whens = [(self.compile_expr(c, scope, stats),
                       self.compile_expr(v, scope, stats))
@@ -384,7 +374,7 @@ class _ExprCompiler:
                       stats: Dict) -> Callable:
         name = node.name
         if name == "COALESCE":
-            if len(node.args) < 2 or node.distinct:
+            if len(node.args) < 2:
                 raise MemoryEngineError(
                     "wrong number of arguments to function coalesce()")
             options = [self.compile_expr(arg, scope, stats)
@@ -409,7 +399,6 @@ class _ExprCompiler:
         if len(node.args) != 1:
             raise MemoryEngineError(f"{name} takes one argument")
         arg = self.compile_expr(node.args[0], scope, stats)
-        distinct = node.distinct
 
         def gather(rt):
             group = rt.group if rt.group is not None else []
@@ -424,14 +413,6 @@ class _ExprCompiler:
                         values.append(value)
             finally:
                 frames[-1] = saved
-            if distinct:
-                seen, unique = set(), []
-                for value in values:
-                    marker = _probe_norm(value)
-                    if marker not in seen:
-                        seen.add(marker)
-                        unique.append(value)
-                return unique
             return values
 
         if name == "COUNT":

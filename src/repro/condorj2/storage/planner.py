@@ -255,9 +255,7 @@ def fusable_window_items(select: sp.Select) -> Optional[List[int]]:
     re-enterable environments.  Returns None when the select must take
     the general buffered path.
     """
-    if not select.order_by or select.group_by or select.distinct:
-        return None
-    if select.having is not None:
+    if not select.order_by or select.group_by:
         return None
     fused: List[int] = []
     for index, item in enumerate(select.items):

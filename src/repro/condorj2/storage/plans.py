@@ -363,9 +363,8 @@ class _SelectPlan:
     """
 
     def __init__(self, sources, post_where, item_fns, names, lookup,
-                 group_fns, having_fn, order_specs, limit_fn, offset_fn,
-                 distinct, has_agg, windows, outer_depth, fused=None,
-                 count=None):
+                 group_fns, order_specs, limit_fn, offset_fn, has_agg,
+                 windows, outer_depth, fused=None, count=None):
         self.sources = sources
         self.post_where = post_where
         self.where_check = _combine_filters(post_where)
@@ -373,11 +372,9 @@ class _SelectPlan:
         self.names = names
         self.lookup = lookup
         self.group_fns = group_fns
-        self.having_fn = having_fn
         self.order_specs = order_specs
         self.limit_fn = limit_fn
         self.offset_fn = offset_fn
-        self.distinct = distinct
         self.has_agg = has_agg
         self.windows = windows
         self.outer_depth = outer_depth
@@ -394,9 +391,8 @@ class _SelectPlan:
         self.xsubs: List[Tuple[str, "_SelectPlan"]] = []
         #: references escape this select's own frame
         self.correlated = outer_depth >= 1
-        self._needs_buffer = bool(
-            windows or group_fns or has_agg or order_specs or distinct
-        )
+        self._needs_buffer = bool(windows or group_fns or has_agg
+                                  or order_specs)
         self._order_descs = tuple(desc for _, desc in order_specs)
         self._order_key = _make_sort_key(tuple(fn for fn, _ in order_specs))
         if fused:
@@ -509,16 +505,6 @@ class _SelectPlan:
                 finally:
                     rt.frames.pop()
                 decorated.append((values, keys))
-
-        if self.distinct:
-            seen = set()
-            unique = []
-            for values, keys in decorated:
-                marker = tuple(sql_sort_key(v) for v in values)
-                if marker not in seen:
-                    seen.add(marker)
-                    unique.append((values, keys))
-            decorated = unique
 
         _order_by(decorated, itemgetter(1), self._order_descs)
 
@@ -665,9 +651,6 @@ class _SelectPlan:
             rt.frames.append(head)
             rt.group = members
             try:
-                if self.having_fn is not None and \
-                        not _is_true(self.having_fn(rt)):
-                    continue
                 values = tuple(fn(rt) for fn in self.item_fns)
                 keys = self._order_key(rt)
             finally:

@@ -1,9 +1,9 @@
 """SQLite's scalar semantics, as the memory engine reproduces them.
 
-What a value *is* once it is written, compared, sorted or matched:
-column affinity on write, the NULL < numbers < text ordering, three-
-valued truth, LIKE, the binary operators, and comparison affinity with
-the coercions it implies.  Pure functions of their arguments — no table,
+What a value *is* once it is written, compared or sorted: column
+affinity on write, the NULL < numbers < text ordering, three-valued
+truth, the binary operators, and comparison affinity with the
+coercions it implies.  Pure functions of their arguments — no table,
 no plan, no engine — so the store (:mod:`.store`), the compiler
 (:mod:`.expressions`, :mod:`.compiler`) and the executors
 (:mod:`.plans`) share one statement of each rule, and the differential
@@ -12,7 +12,6 @@ fuzzer holds every one of them to what SQLite does.
 
 from __future__ import annotations
 
-import re
 from typing import Any, Callable, Dict, Optional, Tuple
 
 
@@ -137,29 +136,6 @@ def _sql_compare(a: Any, b: Any) -> Any:
     if ka[1] == kb[1]:
         return 0
     return -1 if ka[1] < kb[1] else 1
-
-
-#: SQLite's LIKE is case-insensitive for ASCII only; fold just A-Z.
-_ASCII_FOLD = str.maketrans(
-    "ABCDEFGHIJKLMNOPQRSTUVWXYZ", "abcdefghijklmnopqrstuvwxyz"
-)
-
-
-def _like_matches(text: Any, pattern: Any) -> Any:
-    if text is None or pattern is None:
-        return None
-    regex = ""
-    for char in _to_text(pattern).translate(_ASCII_FOLD):
-        if char == "%":
-            regex += ".*"
-        elif char == "_":
-            regex += "."
-        else:
-            regex += re.escape(char)
-    # DOTALL: SQLite's '_' (and '%') match newlines too.
-    return re.fullmatch(
-        regex, _to_text(text).translate(_ASCII_FOLD), re.DOTALL
-    ) is not None
 
 
 _BIN_OPS: Dict[str, Callable[[Any, Any], Any]] = {}

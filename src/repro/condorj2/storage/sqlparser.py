@@ -2,11 +2,12 @@
 
 The CondorJ2 services issue a small, closed SQL dialect: parameterized
 single-table DML, SELECTs with inner/left/cross joins, correlated EXISTS
-anti-joins, IN (list | subquery), aggregates with GROUP BY / HAVING,
+anti-joins, IN (list | subquery), aggregates with GROUP BY,
 ``ROW_NUMBER() OVER (ORDER BY ...)`` window numbering, ``LIMIT ...
-OFFSET``, ``CASE WHEN``, ``CAST``, ``COALESCE``, string
-concatenation/LIKE, the ``json_each`` table function, and ``INSERT ...
-SELECT``.  This module turns that dialect into a small
+OFFSET``, ``CASE WHEN``, ``CAST``, ``COALESCE``, string concatenation,
+the ``json_each`` table function, and ``INSERT ... SELECT``.  HAVING,
+DISTINCT and LIKE are outside it: no statement of the services uses
+them.  This module turns that dialect into a small
 AST that the memory engine compiles (:mod:`.compiler`,
 :mod:`.expressions`); SQLite parses the same text natively.  Keeping the grammar explicit is what makes the
 engine contract falsifiable — an engine supports exactly what parses.
@@ -139,13 +140,6 @@ class IsNull:
 
 
 @dataclass
-class Like:
-    operand: Any
-    pattern: Any
-    negated: bool = False
-
-
-@dataclass
 class Case:
     whens: List[Tuple[Any, Any]]
     default: Any = None
@@ -163,7 +157,6 @@ class Func:
 
     name: str
     args: List[Any]
-    distinct: bool = False
     star: bool = False  # COUNT(*)
 
 
@@ -206,11 +199,9 @@ class Select:
     sources: List[Source]
     where: Any = None
     group_by: List[Any] = field(default_factory=list)
-    having: Any = None
     order_by: List[Tuple[Any, bool]] = field(default_factory=list)  # (expr, desc)
     limit: Any = None
     offset: Any = None
-    distinct: bool = False
 
 
 @dataclass
@@ -368,7 +359,8 @@ class _Parser:
 
     def parse_select(self) -> Select:
         self.expect_keyword("SELECT")
-        distinct = self.accept_keyword("DISTINCT")
+        if self.at_keyword("DISTINCT"):
+            raise SqlSyntaxError("DISTINCT is outside the dialect")
         self.accept_keyword("ALL")
         items = [self.parse_select_item()]
         while self.accept_op(","):
@@ -383,7 +375,6 @@ class _Parser:
             group_by.append(self.parse_expr())
             while self.accept_op(","):
                 group_by.append(self.parse_expr())
-        having = self.parse_expr() if self.accept_keyword("HAVING") else None
         order_by = self.parse_order_by() if self.accept_keyword("ORDER") else []
         limit = offset = None
         if self.accept_keyword("LIMIT"):
@@ -395,11 +386,9 @@ class _Parser:
             sources=sources,
             where=where,
             group_by=group_by,
-            having=having,
             order_by=order_by,
             limit=limit,
             offset=offset,
-            distinct=distinct,
         )
 
     def parse_order_by(self) -> List[Tuple[Any, bool]]:
@@ -568,20 +557,13 @@ class _Parser:
                 self.expect_keyword("NULL")
                 left = IsNull(left, negated)
                 continue
-            if token.kind == "ident" and token.upper in ("IN", "LIKE", "NOT"):
-                negated = False
-                if token.upper == "NOT":
-                    if self.peek(1).upper not in ("IN", "LIKE"):
-                        break
-                    self.next()
-                    negated = True
-                if self.accept_keyword("IN"):
-                    left = self.parse_in(left, negated)
-                    continue
-                if self.accept_keyword("LIKE"):
-                    left = Like(left, self.parse_additive(), negated)
-                    continue
-                break
+            if token.kind == "ident" and (
+                    token.upper == "IN"
+                    or token.upper == "NOT" and self.peek(1).upper == "IN"):
+                negated = self.accept_keyword("NOT")
+                self.expect_keyword("IN")
+                left = self.parse_in(left, negated)
+                continue
             break
         return left
 
@@ -691,7 +673,6 @@ class _Parser:
                 self.expect_op(")")
                 call: Any = Func(name.upper(), [], star=True)
             else:
-                distinct = self.accept_keyword("DISTINCT")
                 args: List[Any] = []
                 if not self.accept_op(")"):
                     while True:
@@ -699,7 +680,7 @@ class _Parser:
                         if not self.accept_op(","):
                             break
                     self.expect_op(")")
-                call = Func(name.upper(), args, distinct=distinct)
+                call = Func(name.upper(), args)
             if self.at_keyword("OVER"):
                 self.next()
                 self.expect_op("(")

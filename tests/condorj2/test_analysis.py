@@ -46,7 +46,6 @@ from repro.condorj2.analysis.extract import (
 )
 from repro.condorj2.beans import BeanContainer, BeanNotFound, BeanStateError
 from repro.condorj2.database import Database
-from repro.condorj2.datamgmt import DatasetService
 from repro.condorj2.logic import (
     ConfigService,
     HeartbeatService,
@@ -55,7 +54,6 @@ from repro.condorj2.logic import (
     SubmissionService,
 )
 from repro.condorj2.logic.queries import ReportService
-from repro.condorj2.provenance import ProvenanceService
 from repro.condorj2.storage import planner
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -177,8 +175,6 @@ def _run_service_workload(backend):
     heartbeat = HeartbeatService(container, scheduling, lifecycle)
     config = ConfigService(container)
     reports = ReportService(db)
-    datasets = DatasetService(container)
-    provenance = ProvenanceService(container)
 
     now = 1000.0
     for name, vm_count in (("m00", 2), ("m01", 1)):
@@ -229,22 +225,7 @@ def _run_service_workload(backend):
     config.get("scheduling_interval_seconds")
     config.history("scheduling_interval_seconds")
     config.value_at("scheduling_interval_seconds", now + 21)
-
-    dataset = datasets.register_dataset("genome", "alice", 100.0, now + 30)
-    datasets.dataset_id("genome")
-    datasets.add_replica(dataset, "m00", now + 31)
-    datasets.replica_machines(dataset)
-    datasets.invalidate_replica(dataset, "m00")
-    datasets.under_replicated()
-    datasets.repair_plan(["m00", "m01"])
-    datasets.machines_with_inputs(["genome"])
-
-    provenance.record("out.dat", first.job_id, "/bin/science", now + 40,
-                      inputs=("genome",))
-    provenance.derivation_of("out.dat")
-    provenance.lineage("out.dat")
-    provenance.outputs_derived_from("genome")
-    provenance.executables_used([first.job_id, second.job_id])
+    config.value_at("scheduling_interval_seconds", now + 10)
 
     reports.queue_summary()
     reports.pool_status()
@@ -323,9 +304,9 @@ def test_insert_not_null_coverage():
     # last_update is NOT NULL with a default; state has a default too.
     assert matching == []
     findings = _check_sql(
-        "INSERT INTO provenance (output_name, job_id) VALUES (?, ?)")
+        "INSERT INTO accounting (owner, job_id) VALUES (?, ?)")
     omitted = [f for f in findings if f.rule == "not-null-write"]
-    assert any("executable" in f.message for f in omitted)
+    assert any("wall_seconds" in f.message for f in omitted)
     assert any("recorded_at" in f.message for f in omitted)
     # Silent on every engine while the SELECT finds no row.
     findings = _check_sql(

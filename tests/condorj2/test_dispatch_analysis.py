@@ -8,11 +8,10 @@ Three properties are enforced here:
 * **sensitivity** — seeded mutations (a per-row execute loop, the same
   defect hidden behind a call edge, an unbounded while in a real
   handler, a handler that recurses into itself) are each reported as an
-  error by exactly the intended rule with exact file:line provenance,
-  and the ``# dispatch: bounded`` pragma suppresses the last two;
+  error by exactly the intended rule with exact file:line provenance;
 * **runtime cross-check** — the batched code paths the analyzer
   certified really do dispatch a flat number of statements as the data
-  grows (repair plans, drop batches, lineage walks, heartbeat events).
+  grows (drop batches, heartbeat events).
 """
 
 import shutil
@@ -21,13 +20,11 @@ from pathlib import Path
 from repro.condorj2.analysis.dispatch import check_dispatch
 from repro.condorj2.beans import BeanContainer
 from repro.condorj2.database import Database
-from repro.condorj2.datamgmt import DatasetService
 from repro.condorj2.logic import (
     HeartbeatService,
     LifecycleService,
     SchedulingService,
 )
-from repro.condorj2.provenance import ProvenanceService
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 PACKAGE_ROOT = REPO_ROOT / "src" / "repro" / "condorj2"
@@ -137,7 +134,7 @@ class DrainService:
 
     def drain(self, limit):
         count = 0
-        while count < limit:{pragma}
+        while count < limit:
             self.container.db.execute(  # seeded-while-dispatch
                 "DELETE FROM jobs WHERE job_id = "
                 "(SELECT MIN(job_id) FROM jobs)")
@@ -147,18 +144,10 @@ class DrainService:
 
 def test_seeded_unbounded_while_dispatch_is_an_error(tmp_path):
     root = _copy_tree(tmp_path)
-    (root / "logic" / "broken.py").write_text(
-        _WHILE_MODULE.format(pragma=""))
+    (root / "logic" / "broken.py").write_text(_WHILE_MODULE)
     line = _line_of(root, "# seeded-while-dispatch", "logic/broken.py")
     assert ("unbounded-loop-dispatch", "logic/broken.py", line) \
         in _errors(root)
-
-
-def test_bounded_pragma_suppresses_the_while_error(tmp_path):
-    root = _copy_tree(tmp_path)
-    (root / "logic" / "broken.py").write_text(
-        _WHILE_MODULE.format(pragma="  # dispatch: bounded"))
-    assert _sites(root) == set()
 
 
 _HANDLER_WHILE = (
@@ -185,7 +174,7 @@ _RECURSION = (
     "            return []\n        db = self.container.db\n",
     "            return []\n"
     "        if len(specs) > 1000:\n"
-    "            self.submit_jobs(specs[1000:], now){pragma}  # seeded-recursion\n"
+    "            self.submit_jobs(specs[1000:], now)  # seeded-recursion\n"
     "            specs = specs[:1000]\n"
     "        db = self.container.db\n",
 )
@@ -194,18 +183,10 @@ _RECURSION = (
 def test_seeded_recursive_dispatch_is_an_error_at_the_call(tmp_path):
     root = _copy_tree(tmp_path)
     old, new = _RECURSION
-    _mutate(root, old, new.format(pragma=""), "logic/submission.py")
+    _mutate(root, old, new, "logic/submission.py")
     line = _line_of(root, "# seeded-recursion", "logic/submission.py")
     assert _errors(root) == {
         ("unbounded-loop-dispatch", "logic/submission.py", line)}
-
-
-def test_bounded_pragma_suppresses_the_recursion_error(tmp_path):
-    root = _copy_tree(tmp_path)
-    old, new = _RECURSION
-    _mutate(root, old, new.format(pragma="  # dispatch: bounded"),
-            "logic/submission.py")
-    assert _sites(root) == set()
 
 
 def test_unmutated_copy_of_the_service_layer_is_clean(tmp_path):
@@ -217,20 +198,6 @@ def test_unmutated_copy_of_the_service_layer_is_clean(tmp_path):
 # runtime cross-check: certified paths really dispatch flat counts
 # ----------------------------------------------------------------------
 
-def test_repair_plan_is_two_statements_flat_in_shortfalls():
-    container = BeanContainer(Database())
-    datasets = DatasetService(container)
-    for index in range(12):
-        dataset_id = datasets.register_dataset(
-            f"d{index}", "user", 10.0, now=0.0, k_safety=2)
-        datasets.add_replica(dataset_id, "m0", now=0.0)
-    before = container.db.counts.snapshot()
-    plan = datasets.repair_plan(["m0", "m1", "m2"])
-    delta = container.db.counts.delta(before)
-    assert len(plan) == 12
-    assert delta.statements == 2
-
-
 def test_report_drops_is_four_statements_flat_in_batch_size():
     container = BeanContainer(Database())
     lifecycle = LifecycleService(container)
@@ -240,23 +207,6 @@ def test_report_drops_is_four_statements_flat_in_batch_size():
     delta = container.db.counts.delta(before)
     assert delta.statements == 4
     assert delta.commits == 1
-
-
-def test_lineage_statements_scale_with_depth_not_fanout():
-    container = BeanContainer(Database())
-    provenance = ProvenanceService(container)
-    for index in range(10):
-        provenance.record(f"part{index}", index, "/bin/make", now=1.0,
-                          inputs=("raw",))
-    provenance.record("final", 99, "/bin/join", now=2.0,
-                      inputs=tuple(f"part{index}" for index in range(10)))
-    before = container.db.counts.snapshot()
-    lineage = provenance.lineage("final")
-    delta = container.db.counts.delta(before)
-    assert len(lineage) == 11
-    # Three BFS levels ([final], [part*], [raw]) -> three set queries,
-    # not one probe per ancestry node.
-    assert delta.statements == 3
 
 
 def test_heartbeat_drop_events_dispatch_flat_statement_counts():

@@ -27,7 +27,6 @@ from repro.condorj2.analysis import analyze
 from repro.condorj2.analysis.txn import build_txn_model
 from repro.condorj2.beans import BeanContainer
 from repro.condorj2.database import Database
-from repro.condorj2.datamgmt import DatasetService
 from repro.condorj2.logic import (
     HeartbeatService,
     LifecycleService,
@@ -257,7 +256,6 @@ def _drive_workload(db):
     scheduling = SchedulingService(container)
     lifecycle = LifecycleService(container)
     heartbeat = HeartbeatService(container, scheduling, lifecycle)
-    datasets = DatasetService(container)
 
     now = 1000.0
     heartbeat.register_machine({"name": "m00", "vm_count": 2}, now)
@@ -286,11 +284,6 @@ def _drive_workload(db):
                               now + 11, reason="test-drop")
     heartbeat.mark_missing_machines(now + 500, timeout_seconds=60.0)
     heartbeat.process({"machine": "m01", "vms": [], "events": []}, now + 600)
-
-    dataset = datasets.register_dataset("genome", "alice", 10.0, now)
-    datasets.add_replica(dataset, "m00", now)
-    datasets.add_replica(dataset, "m01", now, state="transferring")
-    datasets.invalidate_replica(dataset, "m00")
     return {table: dict(edges)
             for table, edges in db.counts.transitions.items()}
 
@@ -325,7 +318,6 @@ def test_observed_transitions_subset_of_declared(backend, tmp_path):
     assert len(walked["jobs"]) >= 4
     assert len(walked["vms"]) >= 3
     assert ("missing", "alive") in walked["machines"]
-    assert ("valid", "stale") in walked["dataset_replicas"]
 
 
 @pytest.mark.parametrize("backend", ["sqlite", "memory", "wal"])

@@ -477,10 +477,8 @@ def test_config_defaults_and_typed_access(services):
                                   "storage_backend": "sqlite"})
     assert config.get("scheduling_interval_seconds") == "2.0"  # kept
     assert config.get("storage_backend") == "sqlite"  # only the missing one
-    assert config.get_float("scheduling_interval_seconds", 99.0) == 2.0
     assert config.get("missing-policy") is None
     assert config.get("missing-policy", "fallback") == "fallback"
-    assert config.get_float("missing-policy", 7.5) == 7.5
 
 
 def test_config_set_records_history(services):
@@ -501,3 +499,13 @@ def test_config_point_in_time_reconstruction(services):
     assert config.value_at("x", 15.0) == "1"
     assert config.value_at("x", 25.0) == "2"
     assert config.value_at("x", 35.0) == "3"
+
+
+def test_config_value_at_before_a_change_reads_the_installed_default(
+        services):
+    config = services[6]
+    config.install_defaults(0.0, {"x": "1.0"})
+    assert config.value_at("x", 5.0) == "1.0"
+    config.set("x", "0.5", now=10.0)
+    assert config.value_at("x", 5.0) == "1.0"
+    assert config.value_at("x", 15.0) == "0.5"

@@ -39,7 +39,8 @@ from repro.condorj2.schema import (
     render_ddl,
 )
 from repro.condorj2.storage import MemoryStorageEngine
-from repro.condorj2.storage import plans
+from repro.condorj2.storage import plans, sqlparser
+from repro.condorj2.storage.sqlparser import SqlSyntaxError
 from repro.condorj2.storage.store import MemoryTable
 
 BACKENDS = ("sqlite", "memory")
@@ -257,21 +258,19 @@ def test_json_each_membership(db):
     assert [r["job_id"] for r in rows] == [1, 3]
 
 
-def test_like_concat_and_aggregates(db):
-    db.execute("INSERT INTO users (user_name, created_at) VALUES ('u', 0)")
+def test_concat_and_aggregates(db):
     db.execute(
-        "INSERT INTO provenance (output_name, job_id, executable,"
-        " input_names, recorded_at) VALUES ('out', 1, '/bin/x', 'a,b', 0)"
+        "INSERT INTO accounting (owner, job_id, wall_seconds, recorded_at)"
+        " VALUES ('a,b', 1, 60, 0)"
     )
     rows = db.query_all(
-        "SELECT output_name FROM provenance"
-        " WHERE ',' || input_names || ',' LIKE ?",
-        ("%,b,%",),
+        "SELECT owner FROM accounting WHERE ',' || owner || ',' = ?",
+        (",a,b,",),
     )
-    assert [r["output_name"] for r in rows] == ["out"]
-    assert db.scalar("SELECT SUM(job_id) FROM provenance") == 1
-    assert db.scalar("SELECT SUM(job_id) FROM provenance WHERE job_id > 9") is None
-    assert db.scalar("SELECT COUNT(*) FROM provenance WHERE job_id > 9") == 0
+    assert [r["owner"] for r in rows] == ["a,b"]
+    assert db.scalar("SELECT SUM(job_id) FROM accounting") == 1
+    assert db.scalar("SELECT SUM(job_id) FROM accounting WHERE job_id > 9") is None
+    assert db.scalar("SELECT COUNT(*) FROM accounting WHERE job_id > 9") == 0
 
 
 def test_case_when_and_integer_division(db):
@@ -327,45 +326,31 @@ def test_three_valued_logic_yields_sqlite_integers(db):
     assert repr(eq) == "1"
 
 
-def test_order_by_desc_limit_and_distinct(db):
-    db.execute("INSERT INTO users (user_name, created_at) VALUES ('u', 0)")
-    for job_id, exe in ((1, "/bin/a"), (2, "/bin/b"), (3, "/bin/a")):
+def test_order_by_desc_limit(db):
+    for job_id, owner in ((1, "ann"), (2, "bob"), (3, "ann")):
         db.execute(
-            "INSERT INTO provenance (output_name, job_id, executable,"
-            " recorded_at) VALUES (?, ?, ?, 0)",
-            (f"out{job_id}", job_id, exe),
+            "INSERT INTO accounting (owner, job_id, wall_seconds,"
+            " recorded_at) VALUES (?, ?, 60, 0)",
+            (owner, job_id),
         )
     top = db.query_one(
-        "SELECT * FROM provenance ORDER BY prov_id DESC LIMIT 1"
+        "SELECT * FROM accounting ORDER BY record_id DESC LIMIT 1"
     )
-    assert top["output_name"] == "out3"
-    distinct = db.query_all(
-        "SELECT DISTINCT executable FROM provenance ORDER BY executable"
-    )
-    assert [r["executable"] for r in distinct] == ["/bin/a", "/bin/b"]
+    assert (top["owner"], top["job_id"]) == ("ann", 3)
 
 
-def test_like_is_ascii_folded_and_crosses_newlines(db):
-    """SQLite's LIKE folds only ASCII case; '_'/'%' match newlines."""
-    db.execute(
-        "INSERT INTO provenance (output_name, job_id, executable,"
-        " input_names, recorded_at) VALUES ('o1', 1, '/x', 'Ärger', 0)"
-    )
-    db.execute(
-        "INSERT INTO provenance (output_name, job_id, executable,"
-        " input_names, recorded_at) VALUES ('o2', 2, '/x', 'in' || ? || 'a', 0)",
-        ("\n",),
-    )
-    assert db.query_all(
-        "SELECT output_name FROM provenance WHERE input_names LIKE ?",
-        ("ärger",),
-    ) == []  # no Unicode folding
-    hits = db.query_all(
-        "SELECT output_name FROM provenance"
-        " WHERE ',' || input_names || ',' LIKE ?",
-        ("%,in_a,%",),
-    )
-    assert [row["output_name"] for row in hits] == ["o2"]
+def test_having_distinct_and_like_are_outside_the_dialect():
+    """No service statement uses them, so the parser refuses them rather
+    than letting an engine half-support them."""
+    for sql in (
+        "SELECT owner, COUNT(*) AS n FROM jobs GROUP BY owner HAVING n > 1",
+        "SELECT DISTINCT owner FROM jobs",
+        "SELECT COUNT(DISTINCT owner) FROM jobs",
+        "SELECT job_id FROM jobs WHERE owner LIKE ?",
+        "SELECT job_id FROM jobs WHERE owner NOT LIKE ?",
+    ):
+        with pytest.raises(SqlSyntaxError):
+            sqlparser.parse(sql)
 
 
 def test_integer_division_is_exact_beyond_float_precision(db):
@@ -439,7 +424,7 @@ def test_equality_probes_respect_comparison_affinity(db, sql, expected):
 
 
 # ----------------------------------------------------------------------
-# IN (SELECT ...) naming an outer column; what LIMIT and HAVING may see
+# IN (SELECT ...) naming an outer column; what LIMIT may see
 # ----------------------------------------------------------------------
 
 def _seed_dependencies(db):
@@ -510,14 +495,6 @@ def test_limit_sees_no_column(db):
         db.query_all(sql)
     with pytest.raises(DatabaseError, match="no such column"):
         db.explain(sql)
-
-
-def test_having_alias_as_in_subquery_needle(db):
-    _seed_dependencies(db)
-    rows = db.query_all(
-        "SELECT owner, COUNT(*) AS n FROM jobs GROUP BY owner"
-        " HAVING n IN (SELECT d.job_id + 2 FROM job_dependencies d)")
-    assert [tuple(row) for row in rows] == [("u", 3)]
 
 
 # ----------------------------------------------------------------------

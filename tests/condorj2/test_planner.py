@@ -92,12 +92,6 @@ class TestFusableWindowItems:
         select = sp.parse("SELECT j.job_id FROM jobs j ORDER BY j.job_id")
         assert pl.fusable_window_items(select) is None
 
-    def test_distinct_blocks_fusion(self):
-        select = sp.parse(
-            "SELECT DISTINCT ROW_NUMBER() OVER (ORDER BY j.job_id) AS r "
-            "FROM jobs j ORDER BY j.job_id")
-        assert pl.fusable_window_items(select) is None
-
     def test_window_inside_exists_is_invisible(self):
         # contains_window must not descend into subqueries: the outer
         # select has no window of its own, so no fusion — but also no

@@ -308,22 +308,20 @@ def test_unguarded_bean_delete_names_the_state_it_removed(db):
 
 
 def test_statement_that_fails_half_way_records_nothing_and_leaks_nothing(db):
-    """The second replica's row collides on UNIQUE (dataset_id,
-    machine_name) after the first row's edge was captured: the statement
-    is undone, the ledger never hears of it, and the captured edge does
-    not surface under the next statement either."""
-    db.execute("INSERT INTO datasets (name, owner, created_at)"
-               " VALUES ('genome', 'alice', 0)")
-    db.executemany(
-        "INSERT INTO dataset_replicas (dataset_id, machine_name, created_at)"
-        " VALUES (1, ?, 0)", [("m00",), ("m01",)])
+    """The second slot's row breaks NOT NULL (last_update) after the
+    first row's edge was captured: the statement is undone, the ledger
+    never hears of it, and the captured edge does not surface under the
+    next statement either."""
+    db.execute("INSERT INTO machines (machine_name) VALUES ('m00')")
+    db.executemany("INSERT INTO vms (vm_id, machine_name) VALUES (?, 'm00')",
+                   [("vm0@m00",), ("vm1@m00",)])
     db.counts.transitions.clear()
     with pytest.raises(DatabaseError):
-        db.execute("UPDATE dataset_replicas SET state = 'stale',"
-                   " machine_name = 'm00' WHERE dataset_id = 1")
+        db.execute("UPDATE vms SET state = 'offline', last_update ="
+                   " CASE WHEN vm_id = 'vm1@m00' THEN NULL ELSE 1 END"
+                   " WHERE machine_name = 'm00'")
     assert _ledger(db.counts) == {}
-    assert db.scalar("SELECT COUNT(*) FROM dataset_replicas"
-                     " WHERE state = 'valid'") == 2
+    assert db.scalar("SELECT COUNT(*) FROM vms WHERE state = 'idle'") == 2
     db.execute("UPDATE users SET priority = 0.9")
     db.execute("UPDATE jobs SET state = 'held' WHERE job_id = 3")
     assert _ledger(db.counts) == {"jobs": {"idle->held": 1}}
