@@ -11,7 +11,7 @@ Three properties are enforced here:
   error by exactly the intended rule with exact file:line provenance;
 * **runtime cross-check** — the batched code paths the analyzer
   certified really do dispatch a flat number of statements as the data
-  grows (drop batches, heartbeat events).
+  grows (drop batches, config history reads, heartbeat events).
 """
 
 import shutil
@@ -21,6 +21,7 @@ from repro.condorj2.analysis.dispatch import check_dispatch
 from repro.condorj2.beans import BeanContainer
 from repro.condorj2.database import Database
 from repro.condorj2.logic import (
+    ConfigService,
     HeartbeatService,
     LifecycleService,
     SchedulingService,
@@ -207,6 +208,20 @@ def test_report_drops_is_four_statements_flat_in_batch_size():
     delta = container.db.counts.delta(before)
     assert delta.statements == 4
     assert delta.commits == 1
+
+
+def test_value_at_statements_are_flat_in_history_length():
+    def read(changes):
+        container = BeanContainer(Database())
+        config = ConfigService(container)
+        config.install_defaults(0.0, {"x": "0"})
+        for index in range(1, changes + 1):
+            config.set("x", str(index), now=float(10 * index))
+        before = container.db.counts.snapshot()
+        assert config.value_at("x", 5.0) == "0"
+        return container.db.counts.delta(before).statements
+
+    assert read(1) == read(30) == 2
 
 
 def test_heartbeat_drop_events_dispatch_flat_statement_counts():

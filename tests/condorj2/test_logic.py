@@ -509,3 +509,29 @@ def test_config_value_at_before_a_change_reads_the_installed_default(
     config.set("x", "0.5", now=10.0)
     assert config.value_at("x", 5.0) == "1.0"
     assert config.value_at("x", 15.0) == "0.5"
+
+
+def test_config_value_at_before_a_set_created_policy_is_none(services):
+    config = services[6]
+    config.set("x", "1", now=10.0)
+    config.set("x", "2", now=20.0)
+    assert config.value_at("x", 5.0) is None
+    assert config.value_at("x", 10.0) == "1"
+
+
+def test_config_value_at_before_an_installed_default_is_none(services):
+    config = services[6]
+    config.install_defaults(10.0, {"x": "1.0"})
+    assert config.value_at("x", 5.0) is None
+    assert config.value_at("x", 10.0) == "1.0"
+    assert config.value_at("never-installed", 10.0) is None
+
+
+def test_config_value_at_walks_every_change_of_an_installed_default(
+        services):
+    config = services[6]
+    config.install_defaults(0.0, {"x": "a"})
+    config.set("x", "b", now=10.0)
+    config.set("x", "c", now=20.0)
+    assert [config.value_at("x", t) for t in (5.0, 10.0, 15.0, 25.0)] \
+        == ["a", "b", "b", "c"]

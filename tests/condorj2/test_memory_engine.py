@@ -339,18 +339,31 @@ def test_order_by_desc_limit(db):
     assert (top["owner"], top["job_id"]) == ("ann", 3)
 
 
-def test_having_distinct_and_like_are_outside_the_dialect():
+def test_group_by_lists_each_value_once(db):
+    """GROUP BY is the dialect's way to ask for distinct values."""
+    for job_id, owner in ((1, "bob"), (2, "ann"), (3, "bob"), (4, "ann")):
+        db.execute(
+            "INSERT INTO accounting (owner, job_id, wall_seconds,"
+            " recorded_at) VALUES (?, ?, 60, 0)",
+            (owner, job_id),
+        )
+    rows = db.query_all(
+        "SELECT owner FROM accounting GROUP BY owner ORDER BY owner")
+    assert [r["owner"] for r in rows] == ["ann", "bob"]
+
+
+@pytest.mark.parametrize("sql", [
+    "SELECT owner, COUNT(*) AS n FROM jobs GROUP BY owner HAVING n > 1",
+    "SELECT DISTINCT owner FROM jobs",
+    "SELECT COUNT(DISTINCT owner) FROM jobs",
+    "SELECT job_id FROM jobs WHERE owner LIKE ?",
+    "SELECT job_id FROM jobs WHERE owner NOT LIKE ?",
+], ids=["having", "distinct", "count-distinct", "like", "not-like"])
+def test_having_distinct_and_like_are_outside_the_dialect(sql):
     """No service statement uses them, so the parser refuses them rather
     than letting an engine half-support them."""
-    for sql in (
-        "SELECT owner, COUNT(*) AS n FROM jobs GROUP BY owner HAVING n > 1",
-        "SELECT DISTINCT owner FROM jobs",
-        "SELECT COUNT(DISTINCT owner) FROM jobs",
-        "SELECT job_id FROM jobs WHERE owner LIKE ?",
-        "SELECT job_id FROM jobs WHERE owner NOT LIKE ?",
-    ):
-        with pytest.raises(SqlSyntaxError):
-            sqlparser.parse(sql)
+    with pytest.raises(SqlSyntaxError):
+        sqlparser.parse(sql)
 
 
 def test_integer_division_is_exact_beyond_float_precision(db):

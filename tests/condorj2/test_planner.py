@@ -92,6 +92,23 @@ class TestFusableWindowItems:
         select = sp.parse("SELECT j.job_id FROM jobs j ORDER BY j.job_id")
         assert pl.fusable_window_items(select) is None
 
+    def test_group_by_blocks_fusion(self):
+        select = sp.parse(
+            "SELECT j.owner, ROW_NUMBER() OVER (ORDER BY j.owner) AS r "
+            "FROM jobs j GROUP BY j.owner ORDER BY j.owner")
+        assert pl.fusable_window_items(select) is None
+
+    def test_no_outer_order_means_no_fusion(self):
+        select = sp.parse(
+            "SELECT ROW_NUMBER() OVER (ORDER BY j.job_id) AS r FROM jobs j")
+        assert pl.fusable_window_items(select) is None
+
+    def test_aggregate_item_blocks_fusion(self):
+        select = sp.parse(
+            "SELECT ROW_NUMBER() OVER (ORDER BY j.job_id) AS r, "
+            "COUNT(*) AS n FROM jobs j ORDER BY j.job_id")
+        assert pl.fusable_window_items(select) is None
+
     def test_window_inside_exists_is_invisible(self):
         # contains_window must not descend into subqueries: the outer
         # select has no window of its own, so no fusion — but also no
