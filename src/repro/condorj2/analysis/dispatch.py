@@ -112,7 +112,6 @@ class LoopCtx:
     kind: str            # 'for' | 'while' | 'comp'
     line: int
     bounded: bool
-    reason: str = ""     # 'literal' | 'range' | 'allow-list'
 
 
 @dataclass(frozen=True)
@@ -159,50 +158,38 @@ class _DispatchScan(ast.NodeVisitor):
         self._loops: List[LoopCtx] = []
 
     # -- boundedness ---------------------------------------------------
-    def _bounded_reason(self, node: ast.expr, depth: int = 0
-                        ) -> Optional[str]:
-        """Why ``node`` iterates a statically bounded collection."""
+    def _bounded(self, node: ast.expr, depth: int = 0) -> bool:
+        """Does ``node`` iterate a statically bounded collection?"""
         if depth > 4:
-            return None
-        if isinstance(node, (ast.Tuple, ast.List, ast.Set, ast.Dict)):
-            return "literal"
-        if isinstance(node, ast.Constant):
-            return "literal"
+            return False
+        if isinstance(node, (ast.Tuple, ast.List, ast.Set, ast.Dict,
+                             ast.Constant)):
+            return True
         if isinstance(node, ast.Name):
             if node.id in BOUNDED_ITERABLES:
-                return "allow-list"
+                return True
             assigned = self.local_env.get(node.id)
-            if assigned is not None:
-                return self._bounded_reason(assigned, depth + 1)
-            return None
+            return assigned is not None and self._bounded(assigned, depth + 1)
         if isinstance(node, ast.Attribute):
             # schema.TABLE_DEFS, contracts.CONTRACTS, ...
-            if node.attr in BOUNDED_ITERABLES:
-                return "allow-list"
-            return None
+            return node.attr in BOUNDED_ITERABLES
         if isinstance(node, ast.Call):
             func = node.func
             if isinstance(func, ast.Name):
                 if func.id == "range":
-                    if all(isinstance(arg, ast.Constant)
-                           for arg in node.args):
-                        return "range"
-                    return None
-                if func.id in _TRANSPARENT_CALLS and node.args:
-                    return self._bounded_reason(node.args[0], depth + 1)
-                return None
+                    return all(isinstance(arg, ast.Constant)
+                               for arg in node.args)
+                return (func.id in _TRANSPARENT_CALLS and bool(node.args)
+                        and self._bounded(node.args[0], depth + 1))
             if isinstance(func, ast.Attribute) \
                     and func.attr in _VIEW_METHODS:
-                return self._bounded_reason(func.value, depth + 1)
-        return None
+                return self._bounded(func.value, depth + 1)
+        return False
 
     def _classify(self, kind: str, node: ast.stmt,
                   iterable: Optional[ast.expr]) -> LoopCtx:
-        if iterable is not None:
-            reason = self._bounded_reason(iterable)
-            if reason is not None:
-                return LoopCtx(kind, node.lineno, True, reason)
-        return LoopCtx(kind, node.lineno, False)
+        return LoopCtx(kind, node.lineno,
+                       iterable is not None and self._bounded(iterable))
 
     # -- loops ---------------------------------------------------------
     def visit_For(self, node: ast.For) -> None:
@@ -230,9 +217,8 @@ class _DispatchScan(ast.NodeVisitor):
         for index, generator in enumerate(node.generators):
             if index == 0:
                 self.visit(generator.iter)  # evaluated once
-            reason = self._bounded_reason(generator.iter)
             self._loops.append(LoopCtx("comp", node.lineno,
-                                       reason is not None, reason or ""))
+                                       self._bounded(generator.iter)))
             opened += 1
             if index > 0:
                 self.visit(generator.iter)  # re-evaluated per outer item

@@ -78,7 +78,8 @@ FAULT_SUBCODES: Dict[str, Dict[str, str]] = {
     FaultCode.INTERNAL: {
         "server-error": "unclassified server-side failure",
         "transport": "the RPC transport failed",
-        "response-validation": "a handler response failed its own schema",
+        "response-validation": "a handler response failed its own schema "
+                               "or has no wire form",
         "budget-exceeded": "observed statement dispatches exceeded the "
                            "operation's declared budget",
     },

@@ -12,13 +12,26 @@ Validation also *normalises*: declared defaults are filled in for absent
 optional fields, so handlers downstream read ``payload["owner"]``
 instead of re-deriving defaults — the contract, not the handler, owns
 them.
+
+Each ``SchemaDef`` compiles its checker once, when it is declared: a
+tree of small closures, one per field, with each struct's declared names
+precomputed.  A field whose value has an exact type that needs no further
+check (an ``int`` for an int or float field, a ``str`` for a string field
+without an enum, ``None`` where null is allowed) is passed over inside its
+struct's or list's own loop; every other value goes through its closure.
+A check that passes formats nothing.  A check that fails raises a private
+exception, each struct, list or map level adds its path segment
+(``.name``, ``[i]``, ``[key!r]``) on the way out, and ``validate`` turns
+it into the ``ValidationFault`` the contract documents.  Checks run in
+one order: undeclared keys, then declared fields in declaration order,
+then list items in order; the first failure is the fault.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.condorj2.api.faults import ValidationFault
 
@@ -72,102 +85,180 @@ class SchemaDef:
     #: (e.g. the per-state counters of ``queueSummary``).
     map_item: Optional[FieldDef] = None
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_check", _compile_schema(self))
+
     def validate(self, payload: Any, operation: str = "") -> Any:
         """Check ``payload`` against the schema; returns the normalised
         payload (defaults applied).  Raises :class:`ValidationFault`."""
-        if payload is None:
-            if self.nullable:
-                return None
-            raise ValidationFault(
-                f"{self.name}: payload must not be null",
-                subcode="not-a-struct", operation=operation,
-            )
-        if self.map_item is not None:
-            if not isinstance(payload, dict):
-                _fail("not-a-struct", self.name,
-                      f"expected map, got {type(payload).__name__}",
-                      operation)
-            return {
-                key: _validate_value(value, self.map_item,
-                                     f"{self.name}[{key!r}]", operation)
-                for key, value in payload.items()
-            }
-        return _validate_struct(
-            payload, self.fields, self.allow_extra, self.name, operation
-        )
+        try:
+            return self._check(payload)
+        except _Refused as refused:
+            path = self.name + "".join(reversed(refused.path))
+            raise ValidationFault(f"{path}: {refused.detail}",
+                                  subcode=refused.subcode,
+                                  operation=operation) from None
 
 
-def _fail(subcode: str, path: str, detail: str, operation: str) -> None:
-    raise ValidationFault(f"{path}: {detail}", subcode=subcode,
-                          operation=operation)
+# ----------------------------------------------------------------------
+# the compiled checkers
+# ----------------------------------------------------------------------
+class _Refused(Exception):
+    """A failed check on its way out to :meth:`SchemaDef.validate`: each
+    struct, list or map level it passes appends its path segment."""
+
+    def __init__(self, subcode: str, detail: str, segment: str = ""):
+        super().__init__(detail)
+        self.subcode = subcode
+        self.detail = detail
+        self.path = [segment] if segment else []
 
 
-def _validate_struct(value: Any, fields: Tuple[FieldDef, ...],
-                     allow_extra: bool, path: str, operation: str) -> Dict:
-    if not isinstance(value, dict):
-        _fail("not-a-struct", path,
-              f"expected struct, got {type(value).__name__}", operation)
-    declared = {f.name for f in fields}
-    if not allow_extra:
-        for key in value:
-            if key not in declared:
-                _fail("unknown-field", f"{path}.{key}",
-                      "field is not part of the contract", operation)
-    out = dict(value)
-    for f in fields:
-        if f.name not in value:
-            if f.required:
-                _fail("missing-field", f"{path}.{f.name}",
-                      "required field is absent", operation)
-            if f.has_default:
-                out[f.name] = f.default
-            continue
-        out[f.name] = _validate_value(value[f.name], f, f"{path}.{f.name}",
-                                      operation)
-    return out
+#: A compiled field: ``(types, check)``.  A value whose exact type is in
+#: ``types`` is valid as it stands; any other value goes through
+#: ``check``, which returns what the normalised payload holds or raises
+#: :class:`_Refused`.
+Checker = Tuple[Tuple[type, ...], Callable[[Any], Any]]
+
+_ABSENT = object()
 
 
-def _validate_value(value: Any, f: FieldDef, path: str, operation: str) -> Any:
+def _refuse(value: Any, nullable: bool, expected: str,
+            subcode: str = "wrong-type") -> None:
+    """The answer to a value that is not of the ``expected`` kind."""
     if value is None:
-        if f.nullable:
+        if nullable:
             return None
-        _fail("wrong-type", path, "value must not be null", operation)
-    kind = f.kind
-    if kind == "int":
-        if isinstance(value, bool) or not isinstance(value, int):
-            _fail("wrong-type", path,
-                  f"expected int, got {type(value).__name__}", operation)
-        return value
-    if kind == "float":
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            _fail("wrong-type", path,
-                  f"expected number, got {type(value).__name__}", operation)
-        if isinstance(value, float) and not math.isfinite(value):
-            # SQLite binds NaN as NULL and the simulation's clock cannot
-            # schedule at NaN or infinity: refuse them at the edge.
-            _fail("bad-value", path, f"{value!r} is not finite", operation)
-        return value
-    if kind == "str":
-        if not isinstance(value, str):
-            _fail("wrong-type", path,
-                  f"expected string, got {type(value).__name__}", operation)
-        if f.enum and value not in f.enum:
-            _fail("bad-value", path,
-                  f"{value!r} not in {sorted(f.enum)}", operation)
-        return value
-    if kind == "list":
-        if not isinstance(value, list):
-            _fail("wrong-type", path,
-                  f"expected list, got {type(value).__name__}", operation)
-        if f.item is None:
-            return value
-        return [
-            _validate_value(item, f.item, f"{path}[{index}]", operation)
-            for index, item in enumerate(value)
-        ]
+        raise _Refused("wrong-type", "value must not be null")
+    raise _Refused(subcode, f"expected {expected}, got {type(value).__name__}")
+
+
+def _compile_schema(schema: SchemaDef) -> Callable[[Any], Any]:
+    nullable = schema.nullable
+    if schema.map_item is None:
+        body = _compile_struct(schema.fields, schema.allow_extra, False)
+    else:
+        body = _compile_items(schema.map_item, dict, False)
+
+    def check(payload: Any) -> Any:
+        if payload is None:
+            if nullable:
+                return None
+            raise _Refused("not-a-struct", "payload must not be null")
+        return body(payload)
+    return check
+
+
+def _compile_struct(fields: Tuple[FieldDef, ...], allow_extra: bool,
+                    nullable: bool) -> Callable[[Any], Any]:
+    declared = frozenset(f.name for f in fields)
+    members = tuple(
+        (f.name, *_compile(f), f.required,
+         f.default if f.has_default else _ABSENT)
+        for f in fields
+    )
+
+    def check(value: Any) -> Any:
+        if not isinstance(value, dict):
+            return _refuse(value, nullable, "struct", "not-a-struct")
+        if not allow_extra and not value.keys() <= declared:
+            for key in value:
+                if key not in declared:
+                    raise _Refused("unknown-field",
+                                   "field is not part of the contract",
+                                   f".{key}")
+        out = dict(value)
+        try:
+            for name, types, check_member, required, default in members:
+                member = value.get(name, _ABSENT)
+                if type(member) in types:
+                    continue
+                if member is not _ABSENT:
+                    out[name] = check_member(member)
+                elif required:
+                    raise _Refused("missing-field", "required field is absent")
+                elif default is not _ABSENT:
+                    out[name] = default
+        except _Refused as refused:
+            refused.path.append(f".{name}")
+            raise
+        return out
+    return check
+
+
+def _compile_items(item: FieldDef, container: type,
+                   nullable: bool) -> Callable[[Any], Any]:
+    """A list (``container`` is list) or map (dict) of ``item``s."""
+    types, check_item = _compile(item)
+    if container is dict:
+        members, expected, subcode = dict.items, "map", "not-a-struct"
+    else:
+        members, expected, subcode = enumerate, "list", "wrong-type"
+
+    def check(value: Any) -> Any:
+        if not isinstance(value, container):
+            return _refuse(value, nullable, expected, subcode)
+        out = container(value)
+        try:
+            for key, member in members(out):
+                if type(member) not in types:
+                    out[key] = check_item(member)
+        except _Refused as refused:
+            refused.path.append(f"[{key!r}]")  # an index's repr is its str
+            raise
+        return out
+    return check
+
+
+def _compile(f: FieldDef) -> Checker:
+    """The checker of one field, built once from its declaration."""
+    kind, nullable, enum = f.kind, f.nullable, f.enum
+    types: Tuple[type, ...] = ()
     if kind == "struct":
-        return _validate_struct(value, f.fields, False, path, operation)
-    raise AssertionError(f"unknown field kind {kind!r}")  # pragma: no cover
+        check = _compile_struct(f.fields, False, nullable)
+    elif kind == "list" and f.item is not None:
+        check = _compile_items(f.item, list, nullable)
+    elif kind == "list":
+        types = (list,)
+
+        def check(value: Any) -> Any:
+            if isinstance(value, list):
+                return value
+            return _refuse(value, nullable, "list")
+    elif kind == "int":
+        types = (int,)
+
+        def check(value: Any) -> Any:
+            if isinstance(value, int) and not isinstance(value, bool):
+                return value
+            return _refuse(value, nullable, "int")
+    elif kind == "float":
+        types = (int,)  # a float still has its finiteness checked
+
+        def check(value: Any) -> Any:
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                return _refuse(value, nullable, "number")
+            if isinstance(value, float) and not math.isfinite(value):
+                # SQLite binds NaN as NULL and the simulation's clock
+                # cannot schedule at NaN or infinity: refuse them at the
+                # edge.
+                raise _Refused("bad-value", f"{value!r} is not finite")
+            return value
+    elif kind == "str":
+        types = () if enum else (str,)
+        listed = sorted(enum)
+
+        def check(value: Any) -> Any:
+            if not isinstance(value, str):
+                return _refuse(value, nullable, "string")
+            if enum and value not in enum:
+                raise _Refused("bad-value", f"{value!r} not in {listed}")
+            return value
+    else:
+        raise ValueError(f"{f.name}: unknown field kind {kind!r}")
+    if nullable:
+        types += (type(None),)
+    return types, check
 
 
 # ----------------------------------------------------------------------

@@ -20,7 +20,9 @@ the next:
   ``INTERNAL`` for engine failures, ``VALIDATION`` for bad values);
 * **validate response** — a handler reply that fails its own response
   schema is a *server* bug and surfaces as ``INTERNAL/response-validation``,
-  never as a silently malformed reply.
+  never as a silently malformed reply; so does one that passes it but
+  holds a value the envelope codec cannot encode (the CAS finds out when
+  it encodes the reply and calls :meth:`ServiceGateway.refuse_reply`).
 
 The gateway also executes the multiplexed **batch envelope**: N
 independent operations in one transport round-trip, each validated and
@@ -297,6 +299,20 @@ class ServiceGateway:
         stats.attempts += 1
         stats.faults += 1
         stats.fault_codes[code] = stats.fault_codes.get(code, 0) + 1
+
+    def refuse_reply(self, item: BatchItem, refused: ServiceFault) -> None:
+        """Turn ``item``'s result, which passed its schema but has no
+        wire form, into an ``INTERNAL/response-validation`` fault,
+        metered as a fault of its operation (the call is already
+        counted)."""
+        fault = InternalFault(
+            f"{item.operation} response has no wire form: {refused.detail}",
+            subcode="response-validation", operation=item.operation,
+        )
+        stats = self._stats_for(item.operation)
+        stats.faults += 1
+        stats.fault_codes[fault.code] = stats.fault_codes.get(fault.code, 0) + 1
+        item.result, item.fault = None, fault
 
     def record_malformed(self, fault: ServiceFault) -> None:
         """Meter an envelope that never resolved to an operation."""

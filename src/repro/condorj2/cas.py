@@ -23,7 +23,11 @@ from __future__ import annotations
 
 from typing import Generator, Optional
 
-from repro.condorj2.api.faults import ServiceFault, UnknownOperationFault
+from repro.condorj2.api.faults import (
+    MalformedFault,
+    ServiceFault,
+    UnknownOperationFault,
+)
 from repro.condorj2.api.gateway import MALFORMED_OP, UNKNOWN_OP
 from repro.condorj2.beans import BeanContainer
 from repro.condorj2.costs import CasCostModel
@@ -264,18 +268,34 @@ class CondorJ2ApplicationServer:
                 self.gateway.record_sim_charge(target, transport)
 
             self.requests_handled += 1
+            try:
+                reply = self._encode_reply(is_batch, items)
+            except MalformedFault:
+                # A reply that passed its schema can still hold a value
+                # with no wire form (an ``allow_extra`` field): answer
+                # each such operation with a fault rather than no reply.
+                for item in items:
+                    if item.ok:
+                        try:
+                            encode_response(item.operation, item.result)
+                        except MalformedFault as refused:
+                            self.gateway.refuse_reply(item, refused)
+                reply = self._encode_reply(is_batch, items)
             self.faults_returned += sum(1 for item in items if not item.ok)
-            if is_batch:
-                return encode_batch_response(
-                    [(item.operation, item.result, item.fault)
-                     for item in items]
-                )
-            item = items[0]
-            if item.fault is not None:
-                return encode_response(item.operation, None, fault=item.fault)
-            return encode_response(item.operation, item.result)
+            return reply
         finally:
             self.threads.release()
+
+    @staticmethod
+    def _encode_reply(is_batch: bool, items) -> str:
+        if is_batch:
+            return encode_batch_response(
+                [(item.operation, item.result, item.fault) for item in items]
+            )
+        item = items[0]
+        if item.fault is not None:
+            return encode_response(item.operation, None, fault=item.fault)
+        return encode_response(item.operation, item.result)
 
     # ------------------------------------------------------------------
     # instrumentation

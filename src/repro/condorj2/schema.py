@@ -93,7 +93,7 @@ class TableDef:
     rowid: bool = True
     #: AUTOINCREMENT: key values are never reused after deletion.
     autoincrement: bool = False
-    #: UNIQUE constraints beyond the primary key.
+    #: UNIQUE constraints beyond the primary key, one column each.
     unique: Tuple[Tuple[str, ...], ...] = ()
     foreign_keys: Tuple[ForeignKeyDef, ...] = ()
     indexes: Tuple[IndexDef, ...] = ()
@@ -397,8 +397,10 @@ def _literal(value: Any) -> str:
 def render_ddl(tdef: TableDef) -> List[str]:
     """SQLite DDL for one declaration: the table, then its indexes.
 
-    Column constraints go inline; a composite PRIMARY KEY and a
-    multi-column UNIQUE become table constraints.
+    Column constraints go inline, UNIQUE included: every declared UNIQUE
+    is one column (a wider one would be missing from SQLite's catalog,
+    which ``test_table_defs_agree_with_sqlite_catalog`` reads back).  A
+    composite PRIMARY KEY becomes a table constraint.
     """
     foreign_keys = {fk.column: fk for fk in tdef.foreign_keys}
     lines = []
@@ -425,8 +427,6 @@ def render_ddl(tdef: TableDef) -> List[str]:
         lines.append(" ".join(parts))
     if len(tdef.primary_key) > 1:
         lines.append(f"PRIMARY KEY ({', '.join(tdef.primary_key)})")
-    lines.extend(f"UNIQUE ({', '.join(columns)})"
-                 for columns in tdef.unique if len(columns) > 1)
     body = ",\n    ".join(lines)
     suffix = "" if tdef.rowid else " WITHOUT ROWID"
     return [f"CREATE TABLE {tdef.name} (\n    {body}\n){suffix}"] + [

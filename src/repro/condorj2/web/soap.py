@@ -24,7 +24,11 @@ Two envelope families:
 Decoding reads the envelope text exactly once.  :func:`_read` alone
 knows the grammar (tags, attributes, entities, nesting, the depth bound)
 and returns a small element tree; every public decoder is a walk over
-that tree that knows only the vocabulary.  Whatever either refuses is a
+that tree that knows only the vocabulary.  Both the walk and the encoder
+handle a struct's or array's scalar children inside the container's own
+loop and recurse only for nested containers (and, when encoding, for
+subclass instances and children past the depth bound), so a payload of
+a hundred flat structs costs a hundred calls, not several hundred.  Whatever either refuses is a
 typed ``MALFORMED`` fault, never a bare exception, so the CAS answers
 and meters it.  Faults ride the wire as ``(code, subcode, detail)``
 triples from the taxonomy in :mod:`repro.condorj2.api.faults`; the walk
@@ -129,7 +133,11 @@ def _entry_opening(key: Any) -> str:
 def _append_value(parts: List[str], value: Payload, tag: str,
                   depth: int) -> None:
     """Append ``value`` as a ``tag`` element, ``depth`` levels into the
-    payload; Envelope/Body/batch/op are the four levels around it."""
+    payload; Envelope/Body/batch/op are the four levels around it.
+
+    A struct or array writes its children of an exact scalar type in its
+    own loop; only containers, subclass instances and children past the
+    depth bound are appended by a call of their own."""
     if depth + 4 > MAX_DEPTH:
         raise MalformedFault(f"elements nest deeper than {MAX_DEPTH}",
                              subcode="too-deep")
@@ -146,14 +154,61 @@ def _append_value(parts: List[str], value: Payload, tag: str,
     elif kind is dict:
         parts.append(f'<{tag} type="struct">')
         openings = _ENTRY_OPENINGS.get
+        inline = depth + 6 <= MAX_DEPTH  # may a child scalar sit here?
+        append = parts.append
         for key, item in value.items():
-            parts.append(openings(key) or _entry_opening(key))
+            opening = openings(key) or _entry_opening(key)
+            exact = type(item)
+            if not inline:
+                pass
+            elif exact is str:
+                if "&" in item or "<" in item or ">" in item:
+                    item = escape(item)
+                append(f'{opening}<value type="string">{item}</value></entry>')
+                continue
+            elif exact is int:
+                append(f'{opening}<value type="int">{item}</value></entry>')
+                continue
+            elif item is None:
+                append(f'{opening}<value xsi:nil="true"/></entry>')
+                continue
+            elif exact is float:
+                append(f'{opening}<value type="double">{item!r}</value></entry>')
+                continue
+            elif exact is bool:
+                append(f'{opening}<value type="boolean">'
+                       f'{"true" if item else "false"}</value></entry>')
+                continue
+            append(opening)
             _append_value(parts, item, "value", depth + 2)
-            parts.append("</entry>")
+            append("</entry>")
         parts.append(f"</{tag}>")
     elif kind is list:
         parts.append(f'<{tag} type="array">')
+        inline = depth + 5 <= MAX_DEPTH
+        append = parts.append
         for item in value:
+            exact = type(item)
+            if not inline:
+                pass
+            elif exact is str:
+                if "&" in item or "<" in item or ">" in item:
+                    item = escape(item)
+                append(f'<item type="string">{item}</item>')
+                continue
+            elif exact is int:
+                append(f'<item type="int">{item}</item>')
+                continue
+            elif item is None:
+                append('<item xsi:nil="true"/>')
+                continue
+            elif exact is float:
+                append(f'<item type="double">{item!r}</item>')
+                continue
+            elif exact is bool:
+                append(f'<item type="boolean">'
+                       f'{"true" if item else "false"}</item>')
+                continue
             _append_value(parts, item, "item", depth + 1)
         parts.append(f"</{tag}>")
     elif value is None:
@@ -372,7 +427,11 @@ _SCALARS = {"string": str, "int": int, "double": float,
 
 
 def _decode_value(node: Node, expected: str) -> Payload:
-    """Decode the value element ``node``, which must be tagged ``expected``."""
+    """Decode the value element ``node``, which must be tagged ``expected``.
+
+    A struct or array decodes its scalar and nil children in its own
+    loop; any other child, and any child that does not decode there, is
+    decoded (or refused) by a call of its own."""
     tag, attrs, children, text = node
     kind = attrs.get("type")
     if tag != expected:
@@ -382,13 +441,41 @@ def _decode_value(node: Node, expected: str) -> Payload:
         for entry, keyed, values, _ in children:
             if entry != "entry" or "key" not in keyed or len(values) != 1:
                 break
-            result[keyed["key"]] = _decode_value(values[0], "value")
+            child = values[0]
+            child_tag, child_attrs, grandchildren, child_text = child
+            if child_tag == "value" and not grandchildren:
+                cast = _SCALARS.get(child_attrs.get("type"))
+                try:
+                    if cast is not None:
+                        result[keyed["key"]] = cast(child_text)
+                        continue
+                    if child_attrs == _NIL and not child_text:
+                        result[keyed["key"]] = None
+                        continue
+                except (KeyError, ValueError):
+                    pass
+            result[keyed["key"]] = _decode_value(child, "value")
         else:
             if not text and len(result) == len(children):
                 return result
     elif kind == "array":
         if not text:
-            return [_decode_value(child, "item") for child in children]
+            items: List[Payload] = []
+            for child in children:
+                child_tag, child_attrs, grandchildren, child_text = child
+                if child_tag == "item" and not grandchildren:
+                    cast = _SCALARS.get(child_attrs.get("type"))
+                    try:
+                        if cast is not None:
+                            items.append(cast(child_text))
+                            continue
+                        if child_attrs == _NIL and not child_text:
+                            items.append(None)
+                            continue
+                    except (KeyError, ValueError):
+                        pass
+                items.append(_decode_value(child, "item"))
+            return items
     elif kind in _SCALARS and not children:
         try:
             return _SCALARS[kind](text)

@@ -6,6 +6,7 @@ from repro.cluster import ClusterSpec, RELIABLE_EXECUTION
 from repro.condorj2 import CondorJ2System
 from repro.condorj2.api import FaultCode, ServiceFault, ValidationFault
 from repro.condorj2.api.gateway import MALFORMED_OP
+from repro.condorj2.logic import ReportService
 from repro.condorj2.web.soap import encode_request
 from repro.workload import fixed_length_batch
 from tests.condorj2.test_soap import MALFORMED_ENVELOPES
@@ -218,6 +219,58 @@ def test_unknown_ops_never_create_raw_stats_rows():
     unknown = system.cas.gateway.stats[UNKNOWN_OP]
     assert unknown.fault_codes == {FaultCode.UNKNOWN_OP: 1}
     assert unknown.sim_seconds > 0.0
+
+
+@pytest.mark.parametrize("batch", [False, True], ids=["single", "batch"])
+def test_a_reply_with_no_wire_form_is_answered_with_a_fault(monkeypatch,
+                                                            batch):
+    """A reply can pass its schema (an ``allow_extra`` field holding
+    bytes) and still be refused by the encoder.  That refusal used to
+    escape the CAS's request process: the client saw a retryable
+    INTERNAL/transport error after the handler had committed, and the
+    operation's meter showed no fault.  It is answered, and metered, as
+    the operation's INTERNAL/response-validation fault."""
+    job_detail = ReportService.job_detail
+
+    def with_bytes(self, job_id):
+        detail = job_detail(self, job_id)
+        detail["blob"] = b"\x00raw"
+        return detail
+
+    monkeypatch.setattr(ReportService, "job_detail", with_bytes)
+    system = small_system()
+    system.start()
+    submit = system.sim.spawn(system.user.call("submitJob", {"owner": "al"}))
+    system.sim.run(until=5.0)
+    job_id = submit.result["job_id"]
+    faults = system.cas.faults_returned
+    if batch:
+        process = system.sim.spawn(system.user.call_batch([
+            ("jobDetail", {"job_id": job_id}), ("queueSummary", {})]))
+    else:
+        process = system.sim.spawn(
+            system.user.call("jobDetail", {"job_id": job_id}))
+    system.sim.run(until=10.0)
+    assert process.done
+    if batch:
+        assert process.error is None
+        fault, summary = process.result
+        assert "idle" in summary
+        assert fault.operation == "jobDetail"
+    else:
+        fault = process.error
+    assert isinstance(fault, ServiceFault)
+    assert (fault.code, fault.subcode) == (FaultCode.INTERNAL,
+                                           "response-validation")
+    assert "bytes" in fault.detail
+    stats = system.cas.gateway.stats["jobDetail"]
+    assert (stats.attempts, stats.calls, stats.faults) == (1, 1, 1)
+    assert stats.fault_codes == {FaultCode.INTERNAL: 1}
+    assert system.cas.faults_returned == faults + 1
+    # The CAS goes on serving.
+    summary = system.sim.spawn(system.user.call("queueSummary", {}))
+    system.sim.run(until=15.0)
+    assert summary.done and summary.error is None
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Unit tests for the SOAP envelope codec."""
 
+import enum
 import re
 
 import pytest
@@ -625,3 +626,168 @@ def test_a_hundred_op_batch_is_read_once(monkeypatch):
     assert len(decode_batch_response(response)) == 100
     assert is_batch_request(request)
     assert reads == [len(request), len(response), len(request)]
+
+
+# ----------------------------------------------------------------------
+# encoder identity: the loop-inlined encoder against the recursive one
+# ----------------------------------------------------------------------
+def _reference_append_value(parts, value, tag, depth):
+    """The encoder ``soap._append_value`` replaced: one recursive call
+    per value, scalars included.  Kept here, and only here, as the
+    oracle for the bytes every payload is written as."""
+    if depth + 4 > MAX_DEPTH:
+        raise MalformedFault(f"elements nest deeper than {MAX_DEPTH}",
+                             subcode="too-deep")
+    exact = type(value)
+    kind = exact if exact in soap._WIRE_TYPES else soap._wire_type(value)
+    if kind is str:
+        if exact is not str or "&" in value or "<" in value or ">" in value:
+            value = soap.escape(value)
+        parts.append(f'<{tag} type="string">{value}</{tag}>')
+    elif kind is int:
+        parts.append(f'<{tag} type="int">{value}</{tag}>')
+    elif kind is dict:
+        parts.append(f'<{tag} type="struct">')
+        for key, item in value.items():
+            parts.append(soap._ENTRY_OPENINGS.get(key)
+                         or soap._entry_opening(key))
+            _reference_append_value(parts, item, "value", depth + 2)
+            parts.append("</entry>")
+        parts.append(f"</{tag}>")
+    elif kind is list:
+        parts.append(f'<{tag} type="array">')
+        for item in value:
+            _reference_append_value(parts, item, "item", depth + 1)
+        parts.append(f"</{tag}>")
+    elif value is None:
+        parts.append(f'<{tag} xsi:nil="true"/>')
+    elif kind is bool:
+        parts.append(
+            f'<{tag} type="boolean">{"true" if value else "false"}</{tag}>')
+    else:
+        parts.append(f'<{tag} type="double">{value!r}</{tag}>')
+
+
+class _Text(str):
+    """A str subclass that formats as something else: only the
+    subclass path, which writes ``escape(value)``, writes its text."""
+
+    def __format__(self, spec):
+        return "<formatted>"
+
+    __str__ = __repr__ = lambda self: "<formatted>"
+
+
+class _Colour(str, enum.Enum):
+    RED = "r<e>d & co"
+    PLAIN = "plain"
+
+
+class _Level(enum.IntEnum):
+    HIGH = 3
+
+
+class _Real(float):
+    pass
+
+
+#: Scalars of every wire type, exact and subclassed, and values the
+#: encoder must refuse (no wire type; a key that is not a string).
+_odd_scalars = st.one_of(
+    st.sampled_from([True, False, _Colour.RED, _Colour.PLAIN, _Level.HIGH,
+                     _Real(2.5), b"bytes", (1, 2), {1: "x"}, {"k": object()},
+                     float("nan"), float("-inf")]),
+    st.text(max_size=6).map(_Text),
+)
+
+_encodable = st.recursive(
+    st.one_of(json_like, _odd_scalars),
+    lambda children: st.one_of(
+        st.lists(children, max_size=3),
+        st.dictionaries(st.text(max_size=4), children, max_size=3),
+    ),
+    max_leaves=12,
+)
+
+
+@st.composite
+def _near_the_depth_bound(draw):
+    """A scalar (or an empty container) nested in lists and structs, with
+    siblings on the way, so that it sits just above or below the bound:
+    an array adds one level, a struct two (``<entry>`` and ``<value>``)."""
+    value = draw(st.one_of(json_like.filter(
+        lambda leaf: not isinstance(leaf, (list, dict)) or not leaf),
+        _odd_scalars))
+    # The payload element is level 1 and four levels wrap it.
+    level, target = 1, draw(st.integers(MAX_DEPTH - 12, MAX_DEPTH - 2))
+    while level < target:
+        sibling = draw(st.one_of(st.none(), st.integers(), st.text(max_size=3)))
+        if draw(st.booleans()):
+            value = [value, sibling] if draw(st.booleans()) else [value]
+            level += 1
+        else:
+            value = {"k": value, "s": sibling}
+            level += 2
+    return value
+
+
+#: Every envelope family, each over a list of (operation, payload) calls.
+ENCODERS = {
+    "request": lambda calls: encode_request(*calls[0]),
+    "batch-request": encode_batch_request,
+    "response": lambda calls: encode_response(*calls[0]),
+    "batch-response": lambda calls: encode_batch_response(
+        _fault_items(calls)),
+}
+
+
+def _encoded(encode, calls, append):
+    """The envelope ``encode`` writes with ``append`` as the value
+    encoder, or the fault it raises."""
+    real = soap._append_value
+    soap._append_value = append
+    try:
+        return encode(calls)
+    except MalformedFault as fault:
+        return fault.code, fault.subcode, fault.detail
+    finally:
+        soap._append_value = real
+
+
+def _assert_encodes_like_the_reference(family, calls):
+    encode = ENCODERS[family]
+    expected = _encoded(encode, calls, _reference_append_value)
+    assert _encoded(encode, calls, soap._append_value) == expected
+
+
+@given(
+    st.sampled_from(sorted(ENCODERS)),
+    st.lists(st.tuples(operation_names,
+                       st.one_of(_encodable, _near_the_depth_bound())),
+             min_size=1, max_size=3),
+)
+@settings(deadline=None)
+def test_encoders_equal_the_reference_encoder(family, calls):
+    """Property: every envelope family writes the reference's bytes, or
+    raises the reference's fault, over JSON-like payloads, subclass
+    instances, unencodable values and depths around the bound."""
+    note(repr(calls))
+    _assert_encodes_like_the_reference(family, calls)
+
+
+@pytest.mark.parametrize("leaf", [1, "s&<>", None, 2.5, True, _Colour.RED,
+                                  (1,), [], {}])
+def test_encoders_equal_the_reference_at_the_depth_bound(leaf):
+    """Each scalar, subclass and container as the deepest value of a
+    list nest and of a struct nest, on both sides of the bound, in
+    every envelope family."""
+    nests = [(lambda value: [value], range(MAX_DEPTH - 8, MAX_DEPTH - 1)),
+             (lambda value: {"k": value},
+              range(MAX_DEPTH // 2 - 4, MAX_DEPTH // 2 + 1))]
+    for wrap, depths in nests:
+        for depth in depths:
+            value = leaf
+            for _ in range(depth):
+                value = wrap(value)
+            for family in ENCODERS:
+                _assert_encodes_like_the_reference(family, [("op", value)])
