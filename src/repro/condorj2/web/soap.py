@@ -21,26 +21,38 @@ Two envelope families:
   elements in one HTTP round-trip, answered by a ``<batchResponse>``
   with per-op ``<opResponse>``/``<opFault>`` children in request order.
 
-Decoding reads the envelope text exactly once.  :func:`_read` alone
-knows the grammar (tags, attributes, entities, nesting, the depth bound)
-and returns a small element tree; every public decoder is a walk over
-that tree that knows only the vocabulary.  Both the walk and the encoder
-handle a struct's or array's scalar children inside the container's own
-loop and recurse only for nested containers (and, when encoding, for
-subclass instances and children past the depth bound), so a payload of
-a hundred flat structs costs a hundred calls, not several hundred.  Whatever either refuses is a
-typed ``MALFORMED`` fault, never a bare exception, so the CAS answers
-and meters it.  Faults ride the wire as ``(code, subcode, detail)``
-triples from the taxonomy in :mod:`repro.condorj2.api.faults`; the walk
-rebuilds the typed exception.
+Decoding reads the envelope text once, in one pass that builds the
+payload as it reads (:func:`_scan`).  It cuts the text at each piece of
+character data; between two pieces lies a *run* of tags, such as
+``</value></entry><entry key="owner"><value type="string">``, which it
+compiles once into a few actions and then recalls.  The actions fuse
+the shapes structs and arrays of scalars are made of, so a scalar field
+costs one step, not four tags.  Anything the pass cannot show the tree
+path accepts -- a tag it cannot read, a repeated key, a cast that fails,
+the depth bound -- it declines, and :func:`_read`, which alone knows the
+grammar (tags, attributes, entities, nesting, the depth bound) and
+returns a small element tree, reads it instead, for the walks to
+decode or refuse with the same payload or the same fault as ever.  No
+encoder's output is declined: the tree path carries no traffic; it
+names faults and is what the one pass is held equal to.  Whatever
+either path refuses is a typed ``MALFORMED`` fault, never a bare
+exception, so the CAS answers and meters it.  Faults ride the wire as
+``(code, subcode, detail)`` triples from the taxonomy in
+:mod:`repro.condorj2.api.faults`; the walk rebuilds the typed exception.
+The encoder writes a struct's or array's scalar children inside the
+container's own loop and recurses only for nested containers (and for
+subclass instances and children past the depth bound).
 
 The protocol says the same few dozen things over and over -- ``<value
-type="int">``, ``<entry key="vm_id">``, ``</entry>`` -- so both halves
-remember what they have already worked out, in two small module memos
-that are emptied when they reach their bound: the reader keeps each tag
-head it has parsed (the tag regex, the one statement of tag syntax,
-reads only heads it has not seen), the encoder each struct key it has
-escaped.  Neither changes a byte on the wire or a node in the tree.
+type="int">``, ``<entry key="vm_id">``, ``</entry>`` -- so the codec
+remembers what it has already worked out, in small module memos that
+are emptied when they reach their bound: the one pass keeps each run it
+has read and each run it has compiled, the latter with its struct keys
+cut out so that keys that never repeat still share compilations; the
+tree reader keeps each tag head it has parsed (the tag regex, the one
+statement of tag syntax, reads only heads it has not seen); the encoder
+keeps each struct key it has escaped.  None changes a byte on the wire
+or a value decoded.
 """
 
 from __future__ import annotations
@@ -299,7 +311,8 @@ def encode_batch_response(
 
 
 # ----------------------------------------------------------------------
-# decoding: one reader that knows the grammar, walks that know the words
+# decoding, the tree path: a reader that knows the grammar (the walks that
+# know the words follow the one pass)
 # ----------------------------------------------------------------------
 #: One parsed element: ``(tag, attributes, child elements, text)``.  An
 #: element holds children or text, never both; an empty one holds neither.
@@ -409,10 +422,381 @@ def _read(envelope: str) -> Node:
     raise MalformedFault(f"envelope malformed at offset {offset}")
 
 
+_NIL = {"xsi:nil": "true"}
+_SCALARS = {"string": str, "int": int, "double": float,
+            "boolean": {"true": True, "false": False}.__getitem__}
+
+
+# ----------------------------------------------------------------------
+# the one pass: payloads built as the envelope is read
+# ----------------------------------------------------------------------
+#: Cuts an envelope (less its first ``<`` and last ``>``) at each piece of
+#: character data.  The pieces alternate: a *run* of tags, such as
+#: ``/value></entry><entry key="owner"><value type="string"``, then the
+#: text after it, then the next run.  The first ``>`` after a ``<`` ends
+#: the run, so a ``>`` inside an attribute value cuts a tag in two, and
+#: the half before the cut, whose quotes do not pair, is not a tag.
+_CUT = re.compile(r">([^<]+)<").split
+
+#: Cuts the struct keys out of a run: ``_KEYED.join`` of the even pieces
+#: is the run with every key emptied, the odd pieces are the keys.
+_KEYS = re.compile(r'entry key="([^"<]*)"').split
+_KEYED = 'entry key=""'
+
+#: Each run read so far, as it is on the wire, with its actions and its
+#: keys; and each run compiled so far, with its keys cut out, with its
+#: actions.  The second lets the fields of a struct share one
+#: compilation whatever their keys, so that a struct of keys that never
+#: repeat costs a cut and a lookup per field, not a compilation.  An
+#: episode of a workload reads 18-75 distinct runs; both memos are
+#: emptied when full, like ``_HEADS``.
+_Learned = Tuple[Tuple[tuple, ...], Tuple[str, ...]]  # actions, keys
+_RUNS: Dict[str, _Learned] = {}
+_COMPILED: Dict[str, Tuple[tuple, ...]] = {}
+_RUNS_BOUND = 256
+
+# What one action of a compiled run does.  The fused actions are the
+# shapes structs and arrays of scalars are made of, so that a scalar field
+# costs one step and not four tags.
+_NEXT_LEAF = 0        # </value></entry><entry key="k"><value type="int">
+_NEXT_ITEM_LEAF = 1   # </item><item type="int">
+_FIELD_END = 2        # </value></entry>
+_NEXT_FIELD = 3       # </value></entry><entry key="k"><value ...>
+_FIELD = 4            # <entry key="k"><value ...>
+_EMPTY_FIELD = 5      # <entry key="k"><value xsi:nil="true"/></entry>
+_CLOSE_ELEMENTS = 6   # </op></soap:Body></soap:Envelope>
+_OPEN_ELEMENTS = 7    # <soap:Envelope ...><soap:Body><op name="x">
+_CLOSE = 8            # </payload>, </item>
+_NEXT_ITEM = 9        # </item><item ...>
+_OPEN = 10            # <payload ...>, <item ...>
+_EMPTY = 11           # <payload .../>, <item .../>
+
+#: Names that may be part of a payload.  An element with any other name
+#: is a node, and one with these names is only ever part of a payload:
+#: the one pass declines a ``<value>``, say, inside a ``<soap:Fault>``.
+_VALUE_NAMES = frozenset(("payload", "value", "item", "entry"))
+#: The elements whose ``<payload>`` child the one pass decodes.
+_CARRIERS = ("op", "opResponse")
+
+# What the innermost open element is.  A container of the payload being
+# decoded (a struct or an array) is a frame of its own; a scalar is not.
+_ELEMENT = 0       # an element outside a payload: node is its children
+_STRUCT = 1        # node is its dict
+_ARRAY = 2         # node is its list
+_FIELD_LEAF = 3    # node is its struct's dict
+_ITEM_LEAF = 4     # node is its array's list
+_PAYLOAD_LEAF = 5  # node is its carrier's children
+
+
+class _Decoded:
+    """A ``<payload>`` the one pass decoded as it read it, where
+    :func:`_read` puts the payload's node."""
+
+    __slots__ = ("payload",)
+
+    def __init__(self, payload: Payload) -> None:
+        self.payload = payload
+
+
+def _nil(text: str) -> None:
+    """The cast of a nil element's text: None, for no text only."""
+    if text:
+        raise ValueError(text)
+    return None
+
+
+def _kind(attrs: Dict[str, str]) -> Any:
+    """What a value element with ``attrs`` decodes as, by the walk's
+    rules: ``dict`` or ``list`` for a container, a cast of its text for a
+    scalar or nil, None for nothing."""
+    kind = attrs.get("type")
+    if kind == "struct":
+        return dict
+    if kind == "array":
+        return list
+    if kind in _SCALARS:
+        return _SCALARS[kind]
+    return _nil if attrs == _NIL else None
+
+
+def _compile_run(run: str) -> Optional[Tuple[tuple, ...]]:
+    """The actions of one run of tags with its keys cut out, ``(code,
+    name, attrs, kind, slot)`` each: ``kind`` what a value element
+    decodes as, ``slot`` the index of a field's key among the run's keys,
+    and ``name``, for the two group actions, the names closed or the
+    ``(name, attrs)`` pairs opened.  None when a head is not one whole
+    tag, an attribute repeats, a keyed tag is not a field, or a key was
+    cut from anywhere but the start of a tag."""
+    tags = []
+    for head in run.split("><"):
+        parsed = _HEADS.get(head)
+        if parsed is None:
+            parsed = _read_tag(head + ">", head)
+            if parsed is None or parsed[4]:
+                return None
+        closing, name, attrs, empty = parsed[:4]
+        if closing:
+            shape = "/" + name
+        elif attrs is None:
+            return None
+        elif head.startswith(_KEYED):
+            shape = "entry#/" if empty else "entry#"
+        elif name not in _VALUE_NAMES and not empty:
+            shape = "<"
+        else:
+            shape = name + "/" if empty else name
+        tags.append((shape, name, attrs))
+    shapes = [shape for shape, _, _ in tags]
+    actions = []
+    index = slot = 0
+    while index < len(tags):
+        shape, name, attrs = tags[index]
+        ahead = shapes[index:index + 4]
+        if ahead == ["/value", "/entry", "entry#", "value"]:
+            kind = _kind(tags[index + 3][2])
+            fast = kind not in (dict, list, None)
+            actions.append((_NEXT_LEAF if fast else _NEXT_FIELD, "value",
+                            None, kind, slot))
+            slot += 1
+            index += 4
+        elif ahead[:2] == ["/value", "/entry"]:
+            actions.append((_FIELD_END, "value", None, None, None))
+            index += 2
+        elif ahead[:2] == ["entry#", "value"]:
+            actions.append((_FIELD, "value", None, _kind(tags[index + 1][2]),
+                            slot))
+            slot += 1
+            index += 2
+        elif ahead[:3] == ["entry#", "value/", "/entry"]:
+            actions.append((_EMPTY_FIELD, "value", None,
+                            _kind(tags[index + 1][2]), slot))
+            slot += 1
+            index += 3
+        elif shape.startswith("entry#"):
+            return None
+        elif ahead[:2] == ["/item", "item"]:
+            kind = _kind(tags[index + 1][2])
+            fast = kind not in (dict, list, None)
+            actions.append((_NEXT_ITEM_LEAF if fast else _NEXT_ITEM, "item",
+                            None, kind, None))
+            index += 2
+        elif shape == "<" or (shape[0] == "/" and name not in _VALUE_NAMES):
+            # Elements that can only be nodes, opened or closed together.
+            end = index + 1
+            while end < len(tags) and shapes[end][0] == shape[0] \
+                    and (shape == "<" or tags[end][1] not in _VALUE_NAMES):
+                end += 1
+            group = tuple((tag[1], tag[2]) if shape == "<" else tag[1]
+                          for tag in tags[index:end])
+            actions.append((_OPEN_ELEMENTS if shape == "<"
+                            else _CLOSE_ELEMENTS, group, None, None, None))
+            index = end
+        elif shape[0] == "/":
+            actions.append((_CLOSE, name, None, None, None))
+            index += 1
+        else:
+            actions.append((_EMPTY if shape[-1] == "/" else _OPEN, name,
+                            attrs, _kind(attrs), None))
+            index += 1
+    if run.count(_KEYED) != slot:
+        return None  # a key cut from inside another attribute's value
+    return tuple(actions)
+
+
+def _learn_run(run: str) -> Optional[_Learned]:
+    """The actions and keys of a run ``_RUNS`` does not hold, or None."""
+    cut = _KEYS(run)
+    keyless = _KEYED.join(cut[::2])
+    compiled = _COMPILED.get(keyless)
+    if compiled is None:
+        compiled = _compile_run(keyless)
+        if compiled is None:
+            return None
+        if len(_COMPILED) >= _RUNS_BOUND:
+            _COMPILED.clear()
+        _COMPILED[keyless] = compiled
+    keys = tuple(unescape(key, quoted=True) if "&" in key else key
+                 for key in cut[1::2])
+    if len(_RUNS) >= _RUNS_BOUND:
+        _RUNS.clear()
+    learned = _RUNS[run] = compiled, keys
+    return learned
+
+
+def _scan(envelope: str) -> Optional[Node]:
+    """Read ``envelope`` in one pass, or decline with None.
+
+    Returns the tree :func:`_read` returns, except that each
+    ``<payload>`` directly inside an ``<op>`` or ``<opResponse>`` is
+    already decoded: a :class:`_Decoded` stands where its node would.  It
+    declines wherever it cannot show that ``_read`` and the walk accept
+    the text -- a tag it cannot read, a repeated key or attribute, a cast
+    that fails, text beside a child, a close tag that names another
+    element, the depth bound, a shape no encoder writes -- and then
+    ``_read`` and the walk decide, with the payload or the fault they
+    always gave.  Output from any encoder never declines.
+    """
+    if envelope[:1] != "<" or envelope[-1:] != ">":
+        return None
+    pieces = _CUT(envelope[1:-1])
+    runs = _RUNS
+    top: List[Any] = []
+    stack: List[tuple] = []  # the enclosing frames, innermost last
+    push, pop = stack.append, stack.pop
+    mode, node, tag, aux = _ELEMENT, top, None, None
+    key: Any = None
+    cast: Any = None
+    depth = 0  # elements open, as _read counts them
+    text = ""
+    for index in range(0, len(pieces), 2):
+        if index:
+            text = pieces[index - 1]
+            if "&" in text:
+                text = unescape(text)
+        learned = runs.get(pieces[index]) or _learn_run(pieces[index])
+        if learned is None:
+            return None
+        actions, keys = learned
+        for code, name, attrs, kind, slot in actions:
+            if code == _NEXT_LEAF:
+                if mode == _FIELD_LEAF:
+                    try:
+                        node[key] = cast(text)
+                    except (KeyError, ValueError):
+                        return None
+                    key, cast, text = keys[slot], kind, ""
+                    if key in node:
+                        return None
+                    continue
+                code = _NEXT_FIELD
+            elif code == _NEXT_ITEM_LEAF:
+                if mode == _ITEM_LEAF:
+                    try:
+                        node.append(cast(text))
+                    except (KeyError, ValueError):
+                        return None
+                    cast, text = kind, ""
+                    continue
+                code = _NEXT_ITEM
+            if code <= _NEXT_FIELD:  # </value></entry>
+                if mode == _FIELD_LEAF:
+                    try:
+                        node[key] = cast(text)
+                    except (KeyError, ValueError):
+                        return None
+                    mode = _STRUCT
+                elif (mode == _STRUCT or mode == _ARRAY) and tag == "value" \
+                        and not text:
+                    value, field = node, aux
+                    mode, node, tag, aux = pop()
+                    node[field] = value
+                else:
+                    return None
+                depth -= 2
+                text = ""
+                if code == _FIELD_END:
+                    continue
+            if code <= _EMPTY_FIELD:  # <entry key="..."><value ...>
+                if mode != _STRUCT or text or depth + 1 >= MAX_DEPTH \
+                        or kind is None or keys[slot] in node:
+                    return None
+                if code == _EMPTY_FIELD:
+                    if kind is dict or kind is list:
+                        node[keys[slot]] = kind()
+                        continue
+                    try:
+                        node[keys[slot]] = kind("")
+                    except (KeyError, ValueError):
+                        return None
+                elif kind is dict or kind is list:
+                    push((mode, node, tag, aux))
+                    mode = _STRUCT if kind is dict else _ARRAY
+                    node, tag, aux = kind(), "value", keys[slot]
+                    depth += 2
+                else:
+                    mode, key, cast = _FIELD_LEAF, keys[slot], kind
+                    depth += 2
+                continue
+            if code == _CLOSE_ELEMENTS:
+                if mode != _ELEMENT:
+                    return None
+                for closing in name:
+                    if closing != tag or (text and node):
+                        return None
+                    element = (tag, aux, node, text)
+                    mode, node, tag, aux = pop()
+                    node.append(element)
+                    text = ""
+                depth -= len(name)
+                continue
+            if code == _OPEN_ELEMENTS:
+                if mode != _ELEMENT or text or depth + len(name) > MAX_DEPTH:
+                    return None
+                for opening, attributes in name:
+                    push((mode, node, tag, aux))
+                    node, tag, aux = [], opening, attributes
+                depth += len(name)
+                continue
+            if code <= _NEXT_ITEM:  # </payload> or </item>
+                if mode == _ITEM_LEAF or mode == _PAYLOAD_LEAF:
+                    leaf = mode == _ITEM_LEAF
+                    if name != ("item" if leaf else "payload"):
+                        return None
+                    try:
+                        value = cast(text)
+                    except (KeyError, ValueError):
+                        return None
+                    if leaf:
+                        node.append(value)
+                        mode = _ARRAY
+                    else:
+                        node.append(_Decoded(value))
+                        mode = _ELEMENT
+                elif (mode == _STRUCT or mode == _ARRAY) and name == tag \
+                        and tag != "value" and not text:
+                    value = node
+                    mode, node, tag, aux = pop()
+                    node.append(value if mode == _ARRAY else _Decoded(value))
+                else:
+                    return None
+                depth -= 1
+                text = ""
+                if code == _CLOSE:
+                    continue
+            # <payload ...> in a carrier, <item ...> in an array
+            if text or depth >= MAX_DEPTH or kind is None:
+                return None
+            if mode == _ELEMENT:
+                if name != "payload" or tag not in _CARRIERS:
+                    return None
+            elif mode != _ARRAY or name != "item":
+                return None
+            if code == _EMPTY:
+                try:
+                    value = kind() if kind is dict or kind is list \
+                        else kind("")
+                except (KeyError, ValueError):
+                    return None
+                node.append(value if mode == _ARRAY else _Decoded(value))
+            elif kind is dict or kind is list:
+                push((mode, node, tag, aux))
+                mode = _STRUCT if kind is dict else _ARRAY
+                node, tag, aux = kind(), name, None
+                depth += 1
+            else:
+                mode = _ITEM_LEAF if mode == _ARRAY else _PAYLOAD_LEAF
+                cast = kind
+                depth += 1
+    if depth or len(top) != 1:
+        return None
+    return top[0]
+
+
 def _body(envelope: str) -> Node:
-    """Read ``envelope`` -- the one call to the reader a decoder makes --
-    and return the single element inside ``soap:Envelope/soap:Body``."""
-    node = _read(envelope)
+    """Read ``envelope`` -- in one pass, or with :func:`_read` where the
+    pass declines -- and return the single element inside
+    ``soap:Envelope/soap:Body``."""
+    node = _scan(envelope) or _read(envelope)
     for wrapper in ("soap:Envelope", "soap:Body"):
         tag, _, children, _ = node
         if tag != wrapper or len(children) != 1:
@@ -421,17 +805,8 @@ def _body(envelope: str) -> Node:
     return node
 
 
-_NIL = {"xsi:nil": "true"}
-_SCALARS = {"string": str, "int": int, "double": float,
-            "boolean": {"true": True, "false": False}.__getitem__}
-
-
 def _decode_value(node: Node, expected: str) -> Payload:
-    """Decode the value element ``node``, which must be tagged ``expected``.
-
-    A struct or array decodes its scalar and nil children in its own
-    loop; any other child, and any child that does not decode there, is
-    decoded (or refused) by a call of its own."""
+    """Decode the value element ``node``, which must be tagged ``expected``."""
     tag, attrs, children, text = node
     kind = attrs.get("type")
     if tag != expected:
@@ -441,41 +816,13 @@ def _decode_value(node: Node, expected: str) -> Payload:
         for entry, keyed, values, _ in children:
             if entry != "entry" or "key" not in keyed or len(values) != 1:
                 break
-            child = values[0]
-            child_tag, child_attrs, grandchildren, child_text = child
-            if child_tag == "value" and not grandchildren:
-                cast = _SCALARS.get(child_attrs.get("type"))
-                try:
-                    if cast is not None:
-                        result[keyed["key"]] = cast(child_text)
-                        continue
-                    if child_attrs == _NIL and not child_text:
-                        result[keyed["key"]] = None
-                        continue
-                except (KeyError, ValueError):
-                    pass
-            result[keyed["key"]] = _decode_value(child, "value")
+            result[keyed["key"]] = _decode_value(values[0], "value")
         else:
             if not text and len(result) == len(children):
                 return result
     elif kind == "array":
         if not text:
-            items: List[Payload] = []
-            for child in children:
-                child_tag, child_attrs, grandchildren, child_text = child
-                if child_tag == "item" and not grandchildren:
-                    cast = _SCALARS.get(child_attrs.get("type"))
-                    try:
-                        if cast is not None:
-                            items.append(cast(child_text))
-                            continue
-                        if child_attrs == _NIL and not child_text:
-                            items.append(None)
-                            continue
-                    except (KeyError, ValueError):
-                        pass
-                items.append(_decode_value(child, "item"))
-            return items
+            return [_decode_value(child, "item") for child in children]
     elif kind in _SCALARS and not children:
         try:
             return _SCALARS[kind](text)
@@ -494,7 +841,12 @@ def _decode_carrier(node: Node, expected: str) -> Tuple[str, Payload]:
         raise MalformedFault(
             f"<{tag}> is not <{expected}> holding at most one <payload>"
         )
-    payload = _decode_value(children[0], "payload") if children else None
+    if not children:
+        payload = None
+    elif isinstance(children[0], _Decoded):
+        payload = children[0].payload
+    else:
+        payload = _decode_value(children[0], "payload")
     return attrs.get("name", ""), payload
 
 
@@ -513,11 +865,6 @@ def _batch_items(node: Node, expected: str) -> List[Node]:
         raise MalformedFault(f"<{tag}> {attrs!r} is not <{expected}> "
                              f"counting its {len(children)} children")
     return children
-
-
-def is_batch_request(envelope: str) -> bool:
-    """Does the envelope carry a multiplexed batch?"""
-    return _body(envelope)[0] == "batch"
 
 
 def decode_envelope(envelope: str) -> Tuple[bool, List[Tuple[str, Payload]]]:

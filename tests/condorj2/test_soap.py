@@ -25,7 +25,6 @@ from repro.condorj2.web.soap import (
     encode_request,
     encode_response,
     envelope_size,
-    is_batch_request,
 )
 
 
@@ -302,7 +301,6 @@ def test_batch_request_round_trip():
         ("heartbeat", {"machine": "n", "vms": [], "events": []}),
     ]
     envelope = encode_batch_request(calls)
-    assert is_batch_request(envelope)
     is_batch, decoded = decode_envelope(envelope)
     assert is_batch
     assert decoded == calls
@@ -310,7 +308,6 @@ def test_batch_request_round_trip():
 
 def test_single_envelope_is_not_a_batch():
     envelope = encode_request("heartbeat", {"machine": "n"})
-    assert not is_batch_request(envelope)
     is_batch, calls = decode_envelope(envelope)
     assert not is_batch
     assert calls == [("heartbeat", {"machine": "n"})]
@@ -607,25 +604,29 @@ def test_more_heads_than_the_memo_holds_changes_nothing():
 
 
 def test_a_hundred_op_batch_is_read_once(monkeypatch):
-    """Each decoder calls the element reader exactly once per envelope,
-    however many operations it carries: a slice-and-reparse decoder
-    cannot come back unnoticed."""
-    reads = []
-    read = soap._read
+    """Each decoder makes exactly one pass over an envelope, however many
+    operations it carries, and an encoder's envelope never reaches the
+    tree reader: a slice-and-reparse decoder, or a one pass that declines
+    what it should read, cannot come back unnoticed."""
+    passes = []
+    scan = soap._scan
 
-    def counting_read(envelope):
-        reads.append(len(envelope))
-        return read(envelope)
+    def counting_scan(envelope):
+        passes.append(len(envelope))
+        return scan(envelope)
 
-    monkeypatch.setattr(soap, "_read", counting_read)
+    def no_read(envelope):
+        raise AssertionError("an encoder's envelope reached _read")
+
+    monkeypatch.setattr(soap, "_scan", counting_scan)
+    monkeypatch.setattr(soap, "_read", no_read)
     calls = [("acceptMatch", {"job_id": index, "vm_id": f"vm{index}@n"})
              for index in range(100)]
     request = encode_batch_request(calls)
     response = encode_batch_response(_fault_items(calls))
     assert decode_envelope(request) == (True, calls)
     assert len(decode_batch_response(response)) == 100
-    assert is_batch_request(request)
-    assert reads == [len(request), len(response), len(request)]
+    assert passes == [len(request), len(response)]
 
 
 # ----------------------------------------------------------------------
@@ -791,3 +792,325 @@ def test_encoders_equal_the_reference_at_the_depth_bound(leaf):
                 value = wrap(value)
             for family in ENCODERS:
                 _assert_encodes_like_the_reference(family, [("op", value)])
+
+
+# ----------------------------------------------------------------------
+# one-pass equivalence: each decoder against itself down the tree path
+# ----------------------------------------------------------------------
+DECODERS = (decode_envelope, decode_request, decode_response,
+            decode_batch_response)
+
+
+def _fault_outcome(fault):
+    return (type(fault).__name__, fault.code, fault.subcode, fault.detail,
+            fault.operation)
+
+
+def _decoded(decode, envelope):
+    """What ``decode`` makes of ``envelope``, as a comparable text: the
+    payload (per-op faults as tuples), or the fault it raises."""
+    try:
+        result = decode(envelope)
+    except ServiceFault as fault:
+        return repr(("raised",) + _fault_outcome(fault))
+    if decode is decode_batch_response:
+        result = [_fault_outcome(item) if isinstance(item, ServiceFault)
+                  else item for item in result]
+    return repr(result)  # repr: 1, 1.0 and True differ; nan equals nan
+
+
+def _tree_path(decode, envelope):
+    """``decode`` with the one pass declining: ``_read`` and the walk."""
+    scan = soap._scan
+    soap._scan = lambda envelope: None
+    try:
+        return _decoded(decode, envelope)
+    finally:
+        soap._scan = scan
+
+
+def _one_pass_only(decode, envelope):
+    """``decode`` with ``_read`` out of reach: the one pass must read it."""
+    read = soap._read
+
+    def refuse(envelope):
+        raise AssertionError("the one pass declined an encoder's envelope")
+
+    soap._read = refuse
+    try:
+        return _decoded(decode, envelope)
+    finally:
+        soap._read = read
+
+
+def _assert_decodes_like_the_tree_path(envelope, complete=False):
+    """Every public decoder reads ``envelope`` as the tree path does,
+    with the run memos cold and then warm; when ``complete``, the one
+    pass reads it alone."""
+    decode_once = _one_pass_only if complete else _decoded
+    for decode in DECODERS:
+        expected = _tree_path(decode, envelope)
+        soap._RUNS.clear()
+        soap._COMPILED.clear()
+        assert decode_once(decode, envelope) == expected  # runs compiled
+        assert decode_once(decode, envelope) == expected  # runs recalled
+        assert len(soap._RUNS) <= soap._RUNS_BOUND
+        assert len(soap._COMPILED) <= soap._RUNS_BOUND
+
+
+@given(
+    st.sampled_from(CODEC_PAIRS),
+    st.lists(st.tuples(operation_names, json_like), min_size=1, max_size=3),
+    st.data(),
+)
+@settings(deadline=None)
+def test_one_pass_equals_the_tree_path(pair, calls, data):
+    """Property: over every family of encoded envelope, intact, cut short
+    and with one character replaced, each public decoder returns the
+    payload -- or raises the fault, code, subcode, detail and operation
+    -- that it does when ``_read`` and the walk read the envelope; and
+    the one pass reads every intact envelope without the tree reader."""
+    envelope = pair[0](calls)
+    note(envelope)
+    _assert_decodes_like_the_tree_path(envelope, complete=True)
+    cut = data.draw(st.integers(0, len(envelope) - 1), label="cut")
+    replacement = data.draw(
+        st.sampled_from('<>/="& \'x0-\né'), label="replacement")
+    for text in (
+        envelope[:cut],
+        envelope[:cut] + replacement + envelope[cut + 1:],
+    ):
+        note(text)
+        _assert_decodes_like_the_tree_path(text)
+
+
+@given(
+    st.sampled_from(sorted(ENCODERS)),
+    st.lists(st.tuples(operation_names,
+                       st.one_of(_encodable, _near_the_depth_bound())),
+             min_size=1, max_size=3),
+)
+@settings(deadline=None)
+def test_encoder_output_never_reaches_the_tree_reader(family, calls):
+    """Property: whatever any encoder writes -- subclass instances and
+    depths up to the bound included -- the one pass reads by itself, as
+    the tree path reads it."""
+    try:
+        envelope = ENCODERS[family](calls)
+    except MalformedFault:
+        return
+    note(envelope)
+    _assert_decodes_like_the_tree_path(envelope, complete=True)
+
+
+#: Payloads at the edges of what the one pass must read by itself.
+EDGE_PAYLOADS = {
+    "key-characters": {'&': 1, '"': 2, '>': 3, '<': 4, 'a&quot;b': 5,
+                       ' key="x': 6, "entry key=\"": 7, "": 8},
+    "empty-strings": {"s": "", "t": ["", ""], "": ""},
+    "empty-containers": {"d": {}, "l": [], "n": [[], {}], "e": {"": {}}},
+    "text-characters": ["a>b", "<tag>", "&amp;", "x > y < z & w", '"q"'],
+    "nil-everywhere": {"a": None, "b": [None, {"c": None}], "d": [None]},
+    "scalars-of-every-type": {"i": -7, "f": 2.5, "t": True, "f2": False,
+                              "e": 1e-300, "s": "v"},
+    "deepest-list": _nested_list(MAX_DEPTH - 4),
+    "deepest-struct": {"k": _nested_list(MAX_DEPTH - 6)},
+    "distinct-keys": {f"key{index}": index for index in range(3000)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_PAYLOADS))
+def test_edge_payloads_never_reach_the_tree_reader(name):
+    payload = EDGE_PAYLOADS[name]
+    for encode in ENCODERS.values():
+        _assert_decodes_like_the_tree_path(encode([("op", payload)]),
+                                           complete=True)
+    if name.startswith("deepest"):  # one level more does not encode
+        with pytest.raises(MalformedFault):
+            encode_request("op", [payload])
+
+
+def test_more_distinct_runs_than_the_memo_holds():
+    """A batch whose operation names make more distinct runs than
+    ``_RUNS_BOUND`` empties the memo on the way, is read by the one pass
+    alone, and reads as the tree path reads it."""
+    calls = [(f"op{index}", {"n": index, "s": [str(index)]})
+             for index in range(soap._RUNS_BOUND + 40)]
+    for encode in (encode_batch_request,
+                   lambda calls: encode_batch_response(_fault_items(calls))):
+        envelope = encode(calls)
+        _assert_decodes_like_the_tree_path(envelope, complete=True)
+        assert len(soap._RUNS) < soap._RUNS_BOUND  # it was emptied
+
+
+@pytest.mark.parametrize("name", sorted(HAND_ENVELOPES))
+def test_hand_envelopes_decode_like_the_tree_path(name):
+    text = HAND_ENVELOPES[name]
+    _assert_decodes_like_the_tree_path(text)
+    _assert_decodes_like_the_tree_path(_op_envelope(text))
+    _assert_decodes_like_the_tree_path(
+        _op_envelope(f'<payload type="struct"><entry key="k">{text}'
+                     f'</entry></payload>'))
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_ENVELOPES))
+def test_malformed_envelopes_decode_like_the_tree_path(name):
+    _assert_decodes_like_the_tree_path(MALFORMED_ENVELOPES[name][0])
+
+
+#: Payloads no encoder writes, each against one check of the one pass:
+#: read inside an <op>, an <opResponse> and a batch's <op>.
+ODD_PAYLOADS = {
+    "leaf-closed-as-item": '<payload type="int">1</item>',
+    "item-closed-as-payload":
+        '<payload type="array"><item type="int">1</payload></item>',
+    "field-closed-as-item":
+        '<payload type="struct"><entry key="k"><value type="int">1</item>'
+        '</entry></payload>',
+    "struct-with-text": '<payload type="struct">x</payload>',
+    "array-with-text": '<payload type="array">x</payload>',
+    "field-struct-with-text":
+        '<payload type="struct"><entry key="k"><value type="struct">x'
+        '</value></entry></payload>',
+    "item-array-with-text":
+        '<payload type="array"><item type="array">x</item></payload>',
+    "entry-without-value":
+        '<payload type="struct"><entry key="k"></entry></payload>',
+    "two-values":
+        '<payload type="struct"><entry key="k"><value type="int">1</value>'
+        '<value type="int">2</value></entry></payload>',
+    "value-then-text":
+        '<payload type="struct"><entry key="k"><value type="int">1</value>'
+        'x</entry></payload>',
+    "nil-with-text": '<payload xsi:nil="true">x</payload>',
+    "nil-opened-and-closed": '<payload xsi:nil="true"></payload>',
+    "nil-field-with-text":
+        '<payload type="struct"><entry key="k"><value xsi:nil="true">x'
+        '</value></entry></payload>',
+    "empty-int": '<payload type="int"/>',
+    "empty-string": '<payload type="string"/>',
+    "empty-struct": '<payload type="struct"/>',
+    "empty-array-item": '<payload type="array"><item type="array"/></payload>',
+    "empty-int-field":
+        '<payload type="struct"><entry key="k"><value type="int"/></entry>'
+        '</payload>',
+    "empty-struct-field":
+        '<payload type="struct"><entry key="k"><value type="struct"/>'
+        '</entry></payload>',
+    "unknown-type": '<payload type="date">1</payload>',
+    "unknown-field-type":
+        '<payload type="struct"><entry key="k"><value type="date">1'
+        '</value></entry></payload>',
+    "entry-extra-attribute":
+        '<payload type="struct"><entry key="k" x="y"><value type="int">1'
+        '</value></entry></payload>',
+    "entry-key-second":
+        '<payload type="struct"><entry x="y" key="k"><value type="int">1'
+        '</value></entry></payload>',
+    "entry-empty":
+        '<payload type="struct"><entry key="k"/></payload>',
+    "entry-empty-then-value":
+        '<payload type="struct"><entry key="k"/><value type="int">1</value>'
+        '</entry></payload>',
+    "duplicate-nil-key":
+        '<payload type="struct"><entry key="k"><value xsi:nil="true"/>'
+        '</entry><entry key="k"><value xsi:nil="true"/></entry></payload>',
+    "duplicate-container-key":
+        '<payload type="struct"><entry key="k"><value type="array"></value>'
+        '</entry><entry key="k"><value type="int">1</value></entry>'
+        '</payload>',
+    "duplicate-key-after-container":
+        '<payload type="struct"><entry key="k"><value type="int">1</value>'
+        '</entry><entry key="k"><value type="array"></value></entry>'
+        '</payload>',
+    "item-in-struct": '<payload type="struct"><item type="int">1</item>'
+                      '</payload>',
+    "value-in-array": '<payload type="array"><value type="int">1</value>'
+                      '</payload>',
+    "element-in-leaf": '<payload type="int"><b/></payload>',
+    "element-in-struct": '<payload type="struct"><b/></payload>',
+    "int-with-spaces": '<payload type="int"> 7 </payload>',
+    "boolean-field-maybe":
+        '<payload type="struct"><entry key="k"><value type="boolean">maybe'
+        '</value></entry></payload>',
+    "double-item-zz": '<payload type="array"><item type="int">1</item>'
+                      '<item type="double">zz</item></payload>',
+    "entity-key": '<payload type="struct"><entry key="a&amp;b&quot;"><value '
+                  'type="string">&lt;x&gt;</value></entry></payload>',
+    "key-with-lt": '<payload type="struct"><entry key="a<b"><value '
+                   'type="int">1</value></entry></payload>',
+}
+
+#: Envelopes whose shape, not payload, is odd.
+ODD_ENVELOPES = {
+    "payload-in-fault":
+        f'{_HEAD}<soap:Fault><payload type="int">1</payload><faultstring>'
+        f'x</faultstring></soap:Fault>{_TAIL}',
+    "payload-in-op-fault":
+        f'{_HEAD}<batchResponse n="1"><opFault name="x" code="CONFLICT" '
+        f'subcode="y"><payload type="int">1</payload><faultstring>x'
+        f'</faultstring></opFault></batchResponse>{_TAIL}',
+    "payload-in-body": f'{_HEAD}<payload type="int">1</payload>{_TAIL}',
+    "op-outside-body":
+        '<soap:Envelope><op name="x"><payload type="int">1</payload></op>'
+        '</soap:Envelope>',
+    "unclosed-element-after-root": encode_request("x", 1) + "<x>",
+    "root-after-root": encode_request("x", 1) + "<x/>",
+    "op-with-text-after-payload":
+        _op_envelope('<payload type="int">1</payload>x'),
+    "value-closed-as-item-outside-payload":
+        f'{_HEAD}<soap:Fault><value>1</item><faultstring>x</faultstring>'
+        f'</soap:Fault>{_TAIL}',
+    "payload-closed-as-op": _op_envelope('<payload type="int">1</op>'),
+    "op-name-with-entry-key":
+        f'{_HEAD}<op name="entry key=" x="1"><payload type="int">1'
+        f'</payload></op>{_TAIL}',
+}
+
+
+@pytest.mark.parametrize("name", sorted(ODD_PAYLOADS))
+def test_odd_payloads_decode_like_the_tree_path(name):
+    payload = ODD_PAYLOADS[name]
+    for envelope in (
+        _op_envelope(payload),
+        f'{_HEAD}<opResponse name="x">{payload}</opResponse>{_TAIL}',
+        f'{_HEAD}<batch n="2"><op name="x">{payload}</op><op name="y">'
+        f'</op></batch>{_TAIL}',
+    ):
+        _assert_decodes_like_the_tree_path(envelope)
+
+
+@pytest.mark.parametrize("name", sorted(ODD_ENVELOPES))
+def test_odd_envelopes_decode_like_the_tree_path(name):
+    _assert_decodes_like_the_tree_path(ODD_ENVELOPES[name])
+
+
+#: One element of each shape the one pass fuses, opened at a depth.
+DEEP_SHAPES = {
+    "scalar-field": '<item type="struct"><entry key="a"><value type="int">'
+                    '1</value></entry></item>',
+    "nil-field": '<item type="struct"><entry key="a"><value xsi:nil="true"'
+                 '/></entry></item>',
+    "struct-field": '<item type="struct"><entry key="a"><value '
+                    'type="struct"></value></entry></item>',
+    "scalar-item": '<item type="int">1</item>',
+    "nil-item": '<item xsi:nil="true"/>',
+    "array-item": '<item type="array"></item>',
+    "elements": "<a><b></b></a>",
+}
+
+
+@pytest.mark.parametrize("shape", sorted(DEEP_SHAPES))
+def test_the_depth_bound_decides_alike(shape):
+    """Each shape at every depth from well inside the bound to past it
+    reads as the tree path reads it: decoded, or refused as too deep."""
+    outcomes = set()
+    for levels in range(MAX_DEPTH - 10, MAX_DEPTH):
+        inner = ('<item type="array">' * levels + DEEP_SHAPES[shape]
+                 + "</item>" * levels)
+        envelope = _op_envelope(f'<payload type="array">{inner}</payload>')
+        if shape == "elements":
+            envelope = "<r>" * levels + DEEP_SHAPES[shape] + "</r>" * levels
+        _assert_decodes_like_the_tree_path(envelope)
+        outcomes.add("too-deep" in _decoded(decode_envelope, envelope))
+    assert outcomes == {True, False}
