@@ -47,6 +47,17 @@ class VirtualMachine:
         self.jobs_dropped = 0
 
     @property
+    def state(self) -> VmState:
+        """The slot's state; setting it also sets ``state_value``, the
+        plain string the startd reads for every slot on every beat."""
+        return self._state
+
+    @state.setter
+    def state(self, state: VmState) -> None:
+        self._state = state
+        self.state_value: str = state.value
+
+    @property
     def name(self) -> str:
         """Alias for ``vm_id`` (Condor calls this the slot name)."""
         return self.vm_id
@@ -93,7 +104,8 @@ class PhysicalNode:
 
     def idle_vms(self) -> List[VirtualMachine]:
         """VMs currently available for new work."""
-        return [vm for vm in self.vms if vm.state == VmState.IDLE]
+        idle = VmState.IDLE.value
+        return [vm for vm in self.vms if vm.state_value == idle]
 
     def dropped_any(self) -> bool:
         """Whether any VM on this node has dropped a job (Figure 8)."""

@@ -139,12 +139,13 @@ class CondorJ2Startd:
         # Beats 1, N+1, 2N+1, ...: the first beat is always full.
         every = max(1, self.config.full_state_every_beats)
         full = (self._beats - 1) % every == 0
+        last = self._last_reported
         payload: List[Dict[str, Any]] = []
         for vm in self.node.vms:
-            state = vm.state.value
-            if full or self._last_reported.get(vm.vm_id) != state:
-                payload.append({"vm_id": vm.vm_id, "state": state})
-                self._last_reported[vm.vm_id] = state
+            vm_id, state = vm.vm_id, vm.state_value
+            if full or last.get(vm_id) != state:
+                payload.append({"vm_id": vm_id, "state": state})
+                last[vm_id] = state
         return payload
 
     def _heartbeat_payload(self) -> Dict[str, Any]:

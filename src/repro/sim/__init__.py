@@ -34,7 +34,6 @@ from repro.sim.kernel import (
     Simulator,
     Use,
     Wait,
-    run_to_completion,
 )
 from repro.sim.cpu import TAG_IO, TAG_SYSTEM, TAG_USER, Host, p3_node, quad_xeon
 from repro.sim.monitor import (
@@ -98,6 +97,5 @@ __all__ = [
     "per_minute_rate",
     "quad_xeon",
     "rolling_average",
-    "run_to_completion",
     "steady_state_rate",
 ]

@@ -1,13 +1,17 @@
 """Event queue primitives for the discrete-event kernel.
 
-The queue is a binary heap of ``(time, sequence, handle)`` tuples. The
-sequence number makes execution order deterministic for events scheduled at
-the same instant: whichever was scheduled first fires first. It is also
-unique, so comparing two entries is decided by the time or the sequence and
-never reaches the handle, whose callback and arguments need not be
-orderable; tuples of a float and an int compare without calling back into
-Python. Determinism matters because every experiment in the reproduction
-must be exactly repeatable from its seed.
+The queue is a binary heap of ``[time, seq, callback, args]`` lists.  The
+sequence number makes execution order deterministic for events scheduled
+at the same instant: whichever was scheduled first fires first.  It is
+also unique, so comparing two entries is decided by the time or the
+sequence and never reaches the callback or its arguments, which need not
+be orderable; lists led by a float and an int compare without calling
+back into Python.  Determinism matters because every experiment in the
+reproduction must be exactly repeatable from its seed.
+
+The kernel pushes its own events bare; :meth:`EventQueue.push` puts a
+callable :class:`EventHandle` in the callback slot.  Cancelling empties
+that slot, and the entry is dropped when it reaches the top of the heap.
 """
 
 from __future__ import annotations
@@ -27,19 +31,26 @@ class EventHandle:
     heap but is skipped when popped.
     """
 
-    __slots__ = ("time", "callback", "args", "_cancelled", "_fired")
+    __slots__ = ("time", "callback", "args", "_entry", "_fired")
 
     def __init__(self, time: float, callback: Callable[..., Any], args: tuple):
         self.time = time
         self.callback = callback
         self.args = args
-        self._cancelled = False
+        #: The heap entry while the event is pending, else None.
+        self._entry: Optional[list] = None
         self._fired = False
+
+    def __call__(self, *args: Any) -> None:
+        """Fire: the kernel calls the handle in place of its callback."""
+        self._fired = True
+        self._entry = None
+        self.callback(*args)
 
     @property
     def cancelled(self) -> bool:
         """Whether :meth:`cancel` was called before the event fired."""
-        return self._cancelled
+        return self._entry is None and not self._fired
 
     @property
     def fired(self) -> bool:
@@ -49,7 +60,7 @@ class EventHandle:
     @property
     def pending(self) -> bool:
         """True while the event is still waiting to fire."""
-        return not (self._cancelled or self._fired)
+        return self._entry is not None
 
     def cancel(self) -> None:
         """Prevent the callback from running.
@@ -59,55 +70,59 @@ class EventHandle:
         """
         if self._fired:
             raise SchedulingError("cannot cancel an event that already fired")
-        self._cancelled = True
+        if self._entry is not None:
+            self._entry[2] = None
+            self._entry = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "fired" if self._fired else ("cancelled" if self._cancelled else "pending")
+        state = "fired" if self._fired else ("pending" if self.pending else "cancelled")
         return f"<EventHandle t={self.time:.6f} {state} {self.callback!r}>"
 
 
 class EventQueue:
-    """A deterministic priority queue of timestamped callbacks."""
+    """A deterministic priority queue of timestamped callbacks.
+
+    The simulator reads and pushes ``_heap`` and ``_seq`` directly; an
+    entry it pushes has no handle, and :meth:`pop` makes one if asked.
+    """
 
     def __init__(self) -> None:
-        self._heap: list[tuple[float, int, EventHandle]] = []
-        self._counter = itertools.count()
+        self._heap: list[list] = []
+        self._seq = itertools.count()
 
     def __len__(self) -> int:
         """Number of pending (non-cancelled) events."""
-        return sum(1 for _, _, handle in self._heap if handle.pending)
+        return sum(1 for entry in self._heap if entry[2] is not None)
 
     def push(self, time: float, callback: Callable[..., Any], args: tuple = ()) -> EventHandle:
         """Schedule ``callback(*args)`` at simulated ``time``."""
         handle = EventHandle(time, callback, args)
-        heapq.heappush(self._heap, (time, next(self._counter), handle))
+        entry = [time, next(self._seq), handle, args]
+        handle._entry = entry
+        heapq.heappush(self._heap, entry)
         return handle
 
     def peek_time(self) -> Optional[float]:
         """Timestamp of the next live event, or None when empty."""
-        entry = self._next_live()
-        return None if entry is None else entry[0]
+        heap = self._heap
+        while heap and heap[0][2] is None:
+            heapq.heappop(heap)
+        return heap[0][0] if heap else None
 
     def pop(self, until: Optional[float] = None) -> Optional[EventHandle]:
-        """Remove and return the next live event handle.
+        """Remove and return the next live event's handle, marked fired.
 
         None when the queue is empty or, given ``until``, when the next
         live event is later than that; it then stays queued.
         """
-        entry = self._next_live()
-        if entry is None or (until is not None and entry[0] > until):
+        time = self.peek_time()
+        if time is None or (until is not None and time > until):
             return None
-        heapq.heappop(self._heap)
-        handle = entry[2]
+        _, _, callback, args = heapq.heappop(self._heap)
+        if callback.__class__ is EventHandle:
+            callback._entry = None
+            handle = callback
+        else:
+            handle = EventHandle(time, callback, args)
         handle._fired = True
         return handle
-
-    def _next_live(self) -> Optional[tuple[float, int, EventHandle]]:
-        """The heap's first entry once cancelled ones are dropped."""
-        heap = self._heap
-        while heap:
-            entry = heap[0]
-            if not entry[2]._cancelled:
-                return entry
-            heapq.heappop(heap)
-        return None

@@ -10,6 +10,12 @@ This mirrors the structure of the systems being reproduced: Condor daemons
 and the CondorJ2 application server are long-running processes that block on
 timers, CPU, disk and messages.
 
+Each event costs what it needs (DESIGN §1.1): :meth:`Simulator.run` is one
+loop over bare heap entries, only :meth:`Simulator.schedule` makes an
+:class:`EventHandle`, and an effect is dispatched by its exact class (a
+subclass is refused).  Effects are slotted dataclasses; treat them as
+immutable.
+
 Example
 -------
 >>> sim = Simulator()
@@ -25,8 +31,10 @@ Example
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Any, Callable, Generator, Iterable, Optional
+from heapq import heappop, heappush
+from typing import Any, Callable, Generator, Optional
 
 from repro.sim.errors import ProcessError, SchedulingError, SimulationLimitExceeded
 from repro.sim.events import EventHandle, EventQueue
@@ -39,14 +47,14 @@ class Effect:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Delay(Effect):
     """Suspend the process for ``seconds`` of simulated time."""
 
     seconds: float
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Use(Effect):
     """Occupy one server of ``resource`` for ``duration`` seconds.
 
@@ -61,7 +69,7 @@ class Use(Effect):
     tag: str = "busy"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Acquire(Effect):
     """Take one server of ``resource`` and hold it across further effects.
 
@@ -75,20 +83,21 @@ class Acquire(Effect):
     tag: str = "held"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Wait(Effect):
     """Wait for ``signal`` to fire, optionally bounded by ``timeout``.
 
     The process is resumed with a ``(fired, value)`` tuple: ``(True, v)``
     when the signal fired with value ``v``, ``(False, None)`` when the
-    timeout elapsed first.
+    timeout elapsed first.  A negative timeout on a signal that has not
+    fired throws :class:`SchedulingError` into the process.
     """
 
     signal: "Signal"
     timeout: Optional[float] = None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Spawn(Effect):
     """Start a child process; the parent resumes immediately with it."""
 
@@ -96,7 +105,7 @@ class Spawn(Effect):
     name: Optional[str] = None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Join(Effect):
     """Wait until ``process`` terminates; resumes with its return value.
 
@@ -142,15 +151,37 @@ class Signal:
         for resume in waiters:
             resume(value)
 
-    def _subscribe(self, resume: Callable[[Any], None]) -> Callable[[], None]:
-        """Register a resume callback; returns an unsubscribe function."""
+    def _subscribe(self, resume: Callable[[Any], None]) -> None:
+        """Register a callback to run with the value when the signal fires."""
         self._waiters.append(resume)
 
-        def unsubscribe() -> None:
-            if resume in self._waiters:
-                self._waiters.remove(resume)
 
-        return unsubscribe
+class _Waiting:
+    """A process blocked on a :class:`Wait`.
+
+    The signal calls it when it fires, and its timeout entry, if any,
+    calls :meth:`expire`; whichever comes first cancels the other, so the
+    process resumes once.
+    """
+
+    __slots__ = ("process", "signal", "timeout_entry")
+
+    def __init__(self, process: "Process", signal: Signal):
+        self.process = process
+        self.signal = signal
+        self.timeout_entry: Optional[list] = None
+
+    def __call__(self, value: Any) -> None:
+        entry = self.timeout_entry
+        if entry is not None:
+            entry[2] = None
+            self.timeout_entry = None
+        self.process.sim._step(self.process, (True, value), None)
+
+    def expire(self) -> None:
+        self.timeout_entry = None
+        self.signal._waiters.remove(self)
+        self.process.sim._step(self.process, (False, None), None)
 
 
 class Process:
@@ -198,6 +229,10 @@ class Simulator:
         self.now: float = 0.0
         self.rng = RngRegistry(seed)
         self._queue = EventQueue()
+        # The run loop and the kernel's own pushes use the queue's heap
+        # and sequence directly: bare entries, no handle.
+        self._heap = self._queue._heap
+        self._seq = self._queue._seq
         self._events_processed = 0
 
     # ------------------------------------------------------------------
@@ -215,6 +250,10 @@ class Simulator:
             raise SchedulingError(f"cannot schedule at {time!r}, now is {self.now!r}")
         return self._queue.push(time, callback, args)
 
+    def _after(self, delay: float, callback: Callable[..., Any], *args: Any) -> None:
+        """Kernel-internal :meth:`schedule`: no handle, ``delay`` >= 0."""
+        heappush(self._heap, [self.now + delay, next(self._seq), callback, args])
+
     # ------------------------------------------------------------------
     # process API
     # ------------------------------------------------------------------
@@ -223,23 +262,18 @@ class Simulator:
         process = Process(self, generator, name=name)
         # Start on the next kernel dispatch at the current time, so spawning
         # inside a callback never reenters the generator synchronously.
-        self.schedule(0.0, self._step, process, None, None)
+        self._after(0.0, self._step, process, None, None)
         return process
 
-    def _step(
-        self,
-        process: Process,
-        to_send: Any,
-        to_throw: Optional[BaseException],
-    ) -> None:
-        """Advance a process generator by one effect."""
+    def _step(self, process: Process, to_send: Any, to_throw: Optional[BaseException]) -> None:
+        """Advance a process generator by one effect and start that effect."""
         if process.done:
             return
         try:
-            if to_throw is not None:
-                effect = process.generator.throw(to_throw)
-            else:
+            if to_throw is None:
                 effect = process.generator.send(to_send)
+            else:
+                effect = process.generator.throw(to_throw)
         except StopIteration as stop:
             process.done = True
             process.result = stop.value
@@ -250,61 +284,43 @@ class Simulator:
             process.error = exc
             process.completion.fire(None)
             return
-        self._dispatch(process, effect)
-
-    def _dispatch(self, process: Process, effect: Any) -> None:
-        """Interpret one yielded effect for ``process``."""
-        if isinstance(effect, Delay):
-            if effect.seconds < 0:
-                self._step(process, None, SchedulingError(f"negative delay {effect.seconds!r}"))
+        kind = effect.__class__
+        if kind is Use:
+            effect.resource._use(process, effect.duration, effect.tag)
+        elif kind is Delay:
+            seconds = effect.seconds
+            if seconds < 0:
+                self._step(process, None, SchedulingError(f"negative delay {seconds!r}"))
                 return
-            self.schedule(effect.seconds, self._step, process, None, None)
-        elif isinstance(effect, Use):
-            effect.resource._enqueue(process, effect.duration, effect.tag)
-        elif isinstance(effect, Acquire):
-            effect.resource._enqueue_acquire(process, effect.tag)
-        elif isinstance(effect, Wait):
-            self._dispatch_wait(process, effect)
-        elif isinstance(effect, Spawn):
-            child = self.spawn(effect.generator, name=effect.name or "")
-            self._step(process, child, None)
-        elif isinstance(effect, Join):
-            self._dispatch_join(process, effect.process)
+            self._after(seconds, self._step, process, None, None)
+        elif kind is Wait:
+            self._wait(process, effect.signal, effect.timeout)
+        elif kind is Acquire:
+            effect.resource._acquire(process)
+        elif kind is Spawn:
+            self._step(process, self.spawn(effect.generator, name=effect.name or ""), None)
+        elif kind is Join:
+            self._join(process, effect.process)
         else:
             self._step(
                 process, None, ProcessError(f"process yielded non-effect {effect!r}")
             )
 
-    def _dispatch_wait(self, process: Process, effect: Wait) -> None:
-        signal = effect.signal
-        if signal.fired:
-            self._step(process, (True, signal.value), None)
+    def _wait(self, process: Process, signal: Signal, timeout: Optional[float]) -> None:
+        if signal._fired:
+            self._step(process, (True, signal._value), None)
             return
-        state = {"resolved": False}
-        timeout_handle: Optional[EventHandle] = None
+        if timeout is not None and timeout < 0:
+            self._step(process, None, SchedulingError(f"negative timeout {timeout!r}"))
+            return
+        waiting = _Waiting(process, signal)
+        signal._waiters.append(waiting)
+        if timeout is not None:
+            entry = [self.now + timeout, next(self._seq), waiting.expire, ()]
+            waiting.timeout_entry = entry
+            heappush(self._heap, entry)
 
-        def on_fire(value: Any) -> None:
-            if state["resolved"]:
-                return
-            state["resolved"] = True
-            if timeout_handle is not None and timeout_handle.pending:
-                timeout_handle.cancel()
-            self._step(process, (True, value), None)
-
-        unsubscribe = signal._subscribe(on_fire)
-
-        if effect.timeout is not None:
-
-            def on_timeout() -> None:
-                if state["resolved"]:
-                    return
-                state["resolved"] = True
-                unsubscribe()
-                self._step(process, (False, None), None)
-
-            timeout_handle = self.schedule(effect.timeout, on_timeout)
-
-    def _dispatch_join(self, process: Process, child: Process) -> None:
+    def _join(self, process: Process, child: Process) -> None:
         def resume(_value: Any) -> None:
             if child.error is not None:
                 self._step(process, None, child.error)
@@ -321,35 +337,46 @@ class Simulator:
     # ------------------------------------------------------------------
     def step(self) -> bool:
         """Fire the next pending event.  Returns False when none remain."""
-        return self._fire_next(None)
-
-    def _fire_next(self, until: Optional[float]) -> bool:
-        """Fire the next pending event unless it is later than ``until``."""
-        handle = self._queue.pop(until)
-        if handle is None:
-            return False
-        if handle.time < self.now:
-            raise SchedulingError("event queue returned an event from the past")
-        self.now = handle.time
-        self._events_processed += 1
-        handle.callback(*handle.args)
-        return True
+        heap = self._heap
+        while heap:
+            time, _, callback, args = heappop(heap)
+            if callback is not None:
+                self.now = time
+                self._events_processed += 1
+                callback(*args)
+                return True
+        return False
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
         """Drain the event queue, optionally stopping at time ``until``.
 
         When ``until`` is given, all events with timestamp <= ``until`` fire
         and the clock finishes exactly at ``until``.  ``max_events`` guards
-        against runaway simulations.
+        against runaway simulations: the run raises
+        :class:`SimulationLimitExceeded` when one more event is due after
+        that many have fired.
         """
-        start_count = self._events_processed
-        while True:
-            if max_events is not None and self._events_processed - start_count >= max_events:
+        heap = self._heap
+        horizon = math.inf if until is None else until
+        # Counts down to zero; without a limit it starts below zero and
+        # never gets there.
+        budget = -1 if max_events is None else max_events
+        while heap:
+            entry = heappop(heap)
+            time, _, callback, args = entry
+            if callback is None:  # cancelled
+                continue
+            if time > horizon or not budget:
+                heappush(heap, entry)
+                if time > horizon:
+                    break
                 raise SimulationLimitExceeded(
                     f"exceeded {max_events} events at simulated time {self.now:.3f}"
                 )
-            if not self._fire_next(until):
-                break
+            budget -= 1
+            self.now = time
+            self._events_processed += 1
+            callback(*args)
         if until is not None and until > self.now:
             self.now = until
 
@@ -358,11 +385,3 @@ class Simulator:
         """Total number of events fired since construction."""
         return self._events_processed
 
-
-def run_to_completion(generators: Iterable[Generator], seed: int = 0) -> Simulator:
-    """Convenience: spawn the given generators and run until quiescent."""
-    sim = Simulator(seed=seed)
-    for generator in generators:
-        sim.spawn(generator)
-    sim.run()
-    return sim

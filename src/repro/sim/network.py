@@ -20,7 +20,7 @@ them.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, FrozenSet, Generator, List, Optional, Protocol, Tuple
 
 from repro.sim.errors import SimError
@@ -31,7 +31,7 @@ class NetworkError(SimError):
     """Raised for malformed network usage (unknown endpoint, etc.)."""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Message:
     """One hop between two entities."""
 
@@ -46,7 +46,7 @@ class Message:
     size_bytes: int = 256
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class RpcResult:
     """Outcome of a :meth:`Network.request` call."""
 
@@ -218,7 +218,7 @@ class Network:
         message = self._make_message(src, dst, kind, payload, size_bytes)
         self._record(message)
         delay = self.latency.delay(size_bytes, self.sim.rng.stream("network"))
-        self.sim.schedule(delay, dst.on_message, message)
+        self.sim._after(delay, dst.on_message, message)
 
     def request(
         self,
@@ -240,7 +240,7 @@ class Network:
         self._record(message)
         reply = Signal(name=f"rpc:{kind}")
         delay = self.latency.delay(size_bytes, self.sim.rng.stream("network"))
-        self.sim.schedule(delay, self._deliver_request, dst, message, reply)
+        self.sim._after(delay, self._deliver_request, dst, message, reply)
         return reply
 
     def _deliver_request(self, dst: Endpoint, message: Message, reply: Signal) -> None:
@@ -256,11 +256,9 @@ class Network:
             response_delay = self.latency.delay(
                 message.size_bytes, self.sim.rng.stream("network")
             )
-            self.sim.schedule(response_delay, reply.fire, result)
+            self.sim._after(response_delay, reply.fire, result)
 
         process.completion._subscribe(finish)
-        if process.completion.fired:  # pragma: no cover - defensive
-            finish(None)
 
     def record_local(
         self, src_kind: str, dst_kind: str, kind: str, description: str = ""

@@ -112,18 +112,13 @@ class UsageMeter:
         return samples
 
 
-@dataclass
-class _Waiter:
-    process: "Process"
-    duration: float
-    tag: str
-    #: When True this is a bare acquisition: the server stays occupied
-    #: until an explicit :meth:`Resource.release` call.
-    hold: bool = False
-
-
 class Resource:
-    """A FIFO pool of ``capacity`` identical servers with usage metering."""
+    """A FIFO pool of ``capacity`` identical servers with usage metering.
+
+    A request that finds a server free takes it at once: a server is freed
+    only when nobody is queued or the queue's head starts at once.  The
+    queue holds ``(process, duration, tag)``, ``duration`` None to acquire.
+    """
 
     def __init__(
         self,
@@ -139,7 +134,7 @@ class Resource:
         self.name = name
         self.meter = meter
         self._busy = 0
-        self._queue: deque[_Waiter] = deque()
+        self._queue: deque[tuple] = deque()
 
     @property
     def busy(self) -> int:
@@ -151,18 +146,24 @@ class Resource:
         """Number of processes waiting for a server."""
         return len(self._queue)
 
-    def _enqueue(self, process: "Process", duration: float, tag: str) -> None:
+    def _use(self, process: "Process", duration: float, tag: str) -> None:
         """Kernel entry point for the :class:`~repro.sim.kernel.Use` effect."""
         if duration < 0:
             self.sim._step(process, None, ResourceError(f"negative duration {duration!r}"))
-            return
-        self._queue.append(_Waiter(process, duration, tag))
-        self._maybe_start()
+        elif self._busy < self.capacity:
+            self._busy += 1
+            sim = self.sim
+            sim._after(duration, self._finish, process, duration, tag, sim.now)
+        else:
+            self._queue.append((process, duration, tag))
 
-    def _enqueue_acquire(self, process: "Process", tag: str) -> None:
+    def _acquire(self, process: "Process") -> None:
         """Kernel entry point for the :class:`~repro.sim.kernel.Acquire` effect."""
-        self._queue.append(_Waiter(process, 0.0, tag, hold=True))
-        self._maybe_start()
+        if self._busy < self.capacity:
+            self._busy += 1
+            self.sim._after(0.0, self._granted, process)
+        else:
+            self._queue.append((process, None, None))
 
     def release(self) -> None:
         """Return a server taken via :class:`~repro.sim.kernel.Acquire`.
@@ -173,35 +174,37 @@ class Resource:
         if self._busy <= 0:
             raise ResourceError(f"release of idle resource {self.name!r}")
         self._busy -= 1
-        self._maybe_start()
+        self._start_queued()
 
-    def _maybe_start(self) -> None:
-        while self._busy < self.capacity and self._queue:
-            waiter = self._queue.popleft()
-            if waiter.process.done:
+    def _start_queued(self) -> None:
+        """Hand free servers to the queue's head, skipping finished processes."""
+        queue = self._queue
+        sim = self.sim
+        while self._busy < self.capacity and queue:
+            process, duration, tag = queue.popleft()
+            if process.done:
                 continue
             self._busy += 1
-            if waiter.hold:
-                self.sim.schedule(0.0, self._granted, waiter)
+            if duration is None:
+                sim._after(0.0, self._granted, process)
             else:
-                start = self.sim.now
-                self.sim.schedule(waiter.duration, self._finish, waiter, start)
+                sim._after(duration, self._finish, process, duration, tag, sim.now)
 
-    def _granted(self, waiter: _Waiter) -> None:
-        if waiter.process.done:
+    def _granted(self, process: "Process") -> None:
+        if process.done:
             # The acquirer died while queued-then-granted: give it back.
             self._busy -= 1
-            self._maybe_start()
+            self._start_queued()
             return
-        self.sim._step(waiter.process, self, None)
+        self.sim._step(process, self, None)
 
-    def _finish(self, waiter: _Waiter, start: float) -> None:
+    def _finish(self, process: "Process", duration: float, tag: str, start: float) -> None:
         self._busy -= 1
         if self.meter is not None:
-            self.meter.add(start, waiter.duration, waiter.tag)
-        self._maybe_start()
-        if not waiter.process.done:
-            self.sim._step(waiter.process, None, None)
+            self.meter.add(start, duration, tag)
+        if self._queue:
+            self._start_queued()
+        self.sim._step(process, None, None)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

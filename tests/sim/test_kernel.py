@@ -90,6 +90,27 @@ def test_max_events_guard():
         sim.run(max_events=100)
 
 
+def test_max_events_allows_exactly_that_many():
+    """The limit trips only when one more due event would fire: not when
+    the queue runs dry, nor when the next event lies past ``until``."""
+    sim = Simulator()
+    for delay in (1.0, 2.0, 3.0):
+        sim.schedule(delay, lambda: None)
+    sim.run(max_events=3)
+    assert (sim.now, sim.events_processed) == (3.0, 3)
+
+    sim = Simulator()
+    for delay in (1.0, 2.0, 3.0, 10.0):
+        sim.schedule(delay, lambda: None)
+    sim.run(until=5.0, max_events=3)
+    assert (sim.now, sim.events_processed) == (5.0, 3)
+    with pytest.raises(SimulationLimitExceeded):
+        sim.run(until=20.0, max_events=0)
+    # The event that tripped the limit is still queued.
+    sim.run()
+    assert (sim.now, sim.events_processed) == (10.0, 4)
+
+
 def test_process_delay_sequence():
     sim = Simulator()
     trace = []
@@ -253,6 +274,35 @@ def test_wait_signal_beats_timeout():
     sim.run()
     assert seen == [(True, "won", 2.0)]
     assert sim.now == 2.0  # the timeout event was cancelled
+
+
+def test_negative_wait_timeout_fails_the_waiting_process():
+    """Like a negative Delay: the error is thrown into the process, the
+    run goes on, and a later fire resumes nobody."""
+    sim = Simulator()
+    signal = Signal("late")
+    seen = []
+
+    def waiter():
+        try:
+            yield Wait(signal, timeout=-1.0)
+        except SchedulingError:
+            seen.append(("refused", sim.now))
+        yield Delay(5.0)
+        seen.append(("done", sim.now))
+
+    process = sim.spawn(waiter())
+    sim.schedule(1.0, signal.fire, "v")
+    sim.run()
+    assert seen == [("refused", 0.0), ("done", 5.0)]
+    assert process.done and process.error is None
+
+    def unguarded():
+        yield Wait(Signal("never"), timeout=-0.5)
+
+    uncaught = sim.spawn(unguarded())
+    sim.run()
+    assert isinstance(uncaught.error, SchedulingError)
 
 
 def test_signal_fire_twice_raises():
