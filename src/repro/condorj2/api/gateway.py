@@ -45,7 +45,9 @@ from repro.condorj2.api.faults import (
     UnknownOperationFault,
     ValidationFault,
 )
-from repro.condorj2.beans.base import BeanNotFound, BeanStateError
+from repro.condorj2.beans.base import (
+    BeanConsistencyError, BeanNotFound, BeanStateError,
+)
 from repro.condorj2.storage import DatabaseError
 
 #: Pseudo-operations under which protocol-level faults are metered (the
@@ -260,7 +262,8 @@ class ServiceGateway:
         except BeanStateError as exc:
             raise ConflictFault(str(exc), subcode="illegal-state",
                                 operation=invocation.operation) from exc
-        except ValueError as exc:
+        except (ValueError, BeanConsistencyError) as exc:
+            # A bean's invariant is broken by a value the client sent.
             raise ValidationFault(str(exc), subcode="bad-value",
                                   operation=invocation.operation) from exc
         except DatabaseError as exc:

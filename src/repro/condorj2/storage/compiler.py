@@ -7,8 +7,7 @@ splits WHERE and ON into conjuncts, asks the pure planning rules
 one function, :meth:`_Compiler._choose_driver`, for SELECT, UPDATE,
 DELETE and joined tables — binds the choice into an access path (a
 prefix index and a rowid bound included), hash-joins a subquery
-source, drops an ORDER BY that path already serves, fuses a
-``ROW_NUMBER`` with the ORDER BY it repeats, and leaves every
+source, drops an ORDER BY that path already serves, and leaves every
 expression to the base class (:mod:`.expressions`).  Statistics are
 read live and are advisory: any plan compiled here is correct for any
 data.
@@ -271,21 +270,13 @@ class _Compiler(_ExprCompiler):
         if first is not None:
             first.check = _combine_filters(pushdown)
 
-        # ROW_NUMBER windows whose order equals the select's ORDER BY
-        # fuse into the final (top-K) sort: rank = output position.
-        fused_ast_indexes = pl.fusable_window_items(ast)
-        fused_ast_set = set(fused_ast_indexes or ())
-        fused_positions: List[int] = []
-
         # select items (expand stars at compile time)
         item_fns: List[Callable] = []
         names: List[str] = []
         alias_exprs: Dict[str, Any] = {}
         windows: List[Tuple[Any, List[Tuple[Callable, bool]]]] = []
         istats = _new_stats(windows, len(source_plans))
-        for ast_index, item in enumerate(ast.items):
-            if ast_index in fused_ast_set:
-                fused_positions.append(len(item_fns))
+        for item in ast.items:
             if isinstance(item.expr, sp.Star):
                 targets = ([item.expr.table] if item.expr.table
                            else [p.alias for p in source_plans])
@@ -322,9 +313,9 @@ class _Compiler(_ExprCompiler):
                     return alias_exprs[node.name]
             return None
 
-        def compile_output_expr(expr):
+        def compile_output_expr(expr, window_list):
             expr = sp.rewrite(expr, alias_for)
-            ostats = _new_stats(windows, len(source_plans))
+            ostats = _new_stats(window_list, len(source_plans))
             fn = self.compile_expr(expr, scope, ostats)
             stats["outer"] = max(stats["outer"], ostats["outer"])
             if ostats["agg"]:
@@ -332,9 +323,14 @@ class _Compiler(_ExprCompiler):
                 has_agg = True
             return fn
 
-        group_fns = [compile_output_expr(g) for g in ast.group_by]
-        order_specs = [(compile_output_expr(e), desc)
+        group_fns = [compile_output_expr(g, None) for g in ast.group_by]
+        order_specs = [(compile_output_expr(e, windows), desc)
                        for e, desc in ast.order_by]
+        if windows and (has_agg or group_fns):
+            # SQLite numbers groups; the window pass numbers rows.
+            raise MemoryEngineError(
+                "a window beside GROUP BY or an aggregate is outside"
+                " the dialect")
         if not (has_agg or windows) and self._served_order(
                 ast, source_plans, scope):
             order_specs = []  # streams, and LIMIT/OFFSET stop the walk
@@ -370,8 +366,6 @@ class _Compiler(_ExprCompiler):
             has_agg=has_agg,
             windows=windows,
             outer_depth=stats["outer"],
-            fused=(fused_positions
-                   if fused_positions and not has_agg else None),
             count=count,
         )
         plan.xsubs = self._subs.pop()

@@ -108,8 +108,10 @@ def _new_stats(windows: Optional[List] = None,
     # depth >= 1 after that still escapes this select.
     # "win_base" is the first window slot in the flat environment list:
     # source rows occupy slots [0, len(sources)), window values follow.
+    # "windows" collects the windows of a select's result columns and
+    # ORDER BY; it is None wherever a window is misuse, as in SQLite.
     return {"agg": False, "outer": 0, "win_base": win_base,
-            "windows": [] if windows is None else windows}
+            "windows": windows}
 
 
 def _wrap(fn: Callable, coerce: Callable) -> Callable:
@@ -314,14 +316,19 @@ class _ExprCompiler:
                 return rows[0][0] if rows else None
             return scalar_fn
         if isinstance(node, sp.WindowFunc):
+            windows = stats["windows"]
+            if windows is None:
+                raise MemoryEngineError(
+                    f"misuse of window function {node.name}()")
             if node.name != "ROW_NUMBER":
                 raise MemoryEngineError(
                     f"unsupported window function {node.name}")
-            order = [(self.compile_expr(e, scope, stats), desc)
+            ostats = dict(stats, windows=None)  # none in a window's order
+            order = [(self.compile_expr(e, scope, ostats), desc)
                      for e, desc in node.order_by]
-            wid = len(stats["windows"])
-            stats["windows"].append(order)
-            slot = stats["win_base"] + wid
+            stats["agg"], stats["outer"] = ostats["agg"], ostats["outer"]
+            slot = stats["win_base"] + len(windows)
+            windows.append(order)
             def window_fn(rt, _s=slot):
                 return rt.frames[-1][_s]
             return window_fn
@@ -398,7 +405,9 @@ class _ExprCompiler:
             return count_star
         if len(node.args) != 1:
             raise MemoryEngineError(f"{name} takes one argument")
-        arg = self.compile_expr(node.args[0], scope, stats)
+        astats = dict(stats, windows=None)  # none inside an aggregate
+        arg = self.compile_expr(node.args[0], scope, astats)
+        stats["outer"] = astats["outer"]
 
         def gather(rt):
             group = rt.group if rt.group is not None else []

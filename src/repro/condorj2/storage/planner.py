@@ -6,13 +6,12 @@ compiler and executors (:mod:`repro.condorj2.storage.compiler`,
 :mod:`repro.condorj2.storage.plans`).  It is deliberately split in two
 halves:
 
-* **Pure AST analysis** — everything here operates on parser dataclasses
-  and plain numbers, with no reference to engine state.  The executor
+* **Pure costing** — everything here operates on plain numbers and
+  declared names, with no reference to engine state.  The compiler
   feeds in cheap table statistics (live row counts and per-index distinct
   counts) and gets back *decisions*: which WHERE conjunct should drive a
-  scan (:func:`choose_driver`), and whether a ROW_NUMBER window can be
-  fused with the outer ORDER BY/LIMIT into a single top-K sort
-  (:func:`fusable_window_items`).
+  scan (:func:`choose_driver`); the static advisor asks the same rule of
+  declared paths (:func:`advise_equality_access`).
 
 * **The EXPLAIN surface** — :class:`PlanNode` / :class:`ExplainReport`
   are the engine-neutral plan tree both backends render: the memory
@@ -32,8 +31,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
-
-from repro.condorj2.storage import sqlparser as sp
 
 
 # ----------------------------------------------------------------------
@@ -107,25 +104,6 @@ class ExplainReport:
             "engine": self.engine,
             "plan": self.root.to_dict(),
         }
-
-
-# ----------------------------------------------------------------------
-# expression predicates
-# ----------------------------------------------------------------------
-# All of them stay inside one query's own expressions
-# (``sp.walk(..., nested=False)``): a window or an aggregate inside a
-# subquery belongs to that subquery.
-
-def contains_window(node: Any) -> bool:
-    return any(isinstance(n, sp.WindowFunc)
-               for n in sp.walk(node, nested=False))
-
-
-def contains_aggregate(node: Any) -> bool:
-    return any(
-        isinstance(n, sp.Func) and n.name in sp.AGGREGATES
-        for n in sp.walk(node, nested=False)
-    )
 
 
 # ----------------------------------------------------------------------
@@ -238,44 +216,3 @@ def advise_equality_access(
                                 supported=name, suggested_columns=())
     return AccessAdvice(table=table, eq_columns=eq, supported=None,
                         suggested_columns=eq)
-
-
-# ----------------------------------------------------------------------
-# window / ORDER BY / LIMIT fusion
-# ----------------------------------------------------------------------
-
-def fusable_window_items(select: sp.Select) -> Optional[List[int]]:
-    """Item indexes whose ROW_NUMBER window fuses with the outer sort.
-
-    When every windowed item is a bare ``ROW_NUMBER() OVER (ORDER BY
-    ...)`` whose window order equals the select's ORDER BY (structural
-    AST equality), the rank *is* the output position: one sort replaces
-    the per-window ranking sorts plus the final ORDER BY sort, LIMIT
-    turns it into a top-K selection, and rows never need buffering as
-    re-enterable environments.  Returns None when the select must take
-    the general buffered path.
-    """
-    if not select.order_by or select.group_by:
-        return None
-    fused: List[int] = []
-    for index, item in enumerate(select.items):
-        expr = item.expr
-        if isinstance(expr, sp.Star):
-            continue
-        if isinstance(expr, sp.WindowFunc):
-            if expr.name != "ROW_NUMBER":
-                return None
-            if list(expr.order_by) != list(select.order_by):
-                return None
-            fused.append(index)
-            continue
-        if contains_window(expr) or contains_aggregate(expr):
-            return None
-    if not fused:
-        return None
-    for expr, _desc in select.order_by:
-        if contains_window(expr) or contains_aggregate(expr):
-            return None
-    if select.where is not None and contains_window(select.where):
-        return None
-    return fused

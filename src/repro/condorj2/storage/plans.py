@@ -3,9 +3,9 @@
 What the compiler (:mod:`.compiler`) builds and the engine shell
 (:mod:`.memory`) runs: the per-execution runtime context, the access
 path a source reads its rows through, the SELECT pipeline (nested-loop
-stream, grouping, windows, sorts, the fused top-K path), the three DML
-plans, the result carriers (:class:`MemoryRow`, :class:`MemoryCursor`),
-and the EXPLAIN tree with the profiled plan nodes that fill it.
+stream, grouping, windows, sorts), the three DML plans, the result
+carriers (:class:`MemoryRow`, :class:`MemoryCursor`), and the EXPLAIN
+tree with the profiled plan nodes that fill it.
 
 A plan is closures over tables, bound at compile time; executing one
 allocates an :class:`_Rt` and nothing else that outlives the statement.
@@ -13,12 +13,10 @@ allocates an :class:`_Rt` and nothing else that outlives the statement.
 
 from __future__ import annotations
 
-import heapq
 import json
 import time
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.condorj2.storage import planner as pl
@@ -336,20 +334,32 @@ def _make_sort_key(fns: Tuple[Callable, ...]) -> Callable:
     return lambda rt: tuple(sql_sort_key(fn(rt)) for fn in fns)
 
 
-#: The fused top-K path's buffer is cut back to ``limit`` rows when it
-#: reaches twice that, and never before it holds this many — a LIMIT 1
-#: must not pay one reduction per improving row.
-_TOPK_MIN_BUFFER = 64
+def _order_by(keys: List[Tuple], descs: Sequence[bool]) -> List[int]:
+    """ORDER BY: the positions of ``keys`` (one tuple of sort keys per
+    row, ``descs`` each key's direction) in sorted order.  One stable
+    pass per key, the last key first, so ties keep stream order as
+    SQLite's do."""
+    positions = list(range(len(keys)))
+    for index in range(len(descs) - 1, -1, -1):
+        column = [key[index] for key in keys]
+        positions.sort(key=column.__getitem__, reverse=descs[index])
+    return positions
 
 
-def _order_by(items: List[Any], keys_of: Callable,
-              descs: Sequence[bool]) -> None:
-    """ORDER BY, in place: ``keys_of(item)`` is the item's tuple of sort
-    keys, ``descs`` each key's direction.  One stable pass per key, the
-    last key first, so ties keep stream order as SQLite's do."""
-    for position in range(len(descs) - 1, -1, -1):
-        items.sort(key=lambda item, _p=position: keys_of(item)[_p],
-                   reverse=descs[position])
+def _sorted_positions(envs: List[List[Any]], key_of: Callable,
+                      descs: Sequence[bool], rt: _Rt) -> List[int]:
+    """``_order_by`` over environments, ``key_of`` evaluated once per
+    environment."""
+    frames = rt.frames
+    frames.append(None)
+    keys: List[Tuple] = []
+    try:
+        for env in envs:
+            frames[-1] = env
+            keys.append(key_of(rt))
+    finally:
+        frames.pop()
+    return _order_by(keys, descs)
 
 
 class _SelectPlan:
@@ -364,7 +374,7 @@ class _SelectPlan:
 
     def __init__(self, sources, post_where, item_fns, names, lookup,
                  group_fns, order_specs, limit_fn, offset_fn, has_agg,
-                 windows, outer_depth, fused=None, count=None):
+                 windows, outer_depth, count=None):
         self.sources = sources
         self.post_where = post_where
         self.where_check = _combine_filters(post_where)
@@ -380,9 +390,6 @@ class _SelectPlan:
         self.outer_depth = outer_depth
         self.win_base = len(sources)
         self.env_width = len(sources) + len(windows)
-        #: item positions whose ROW_NUMBER fuses with the final sort
-        #: (rank == output position); None -> general path
-        self.fused = fused
         #: ``SELECT COUNT(*)`` over one source whose access path answers
         #: every condition and can count its candidates: that count,
         #: with no row read; None -> the row pipeline
@@ -395,11 +402,9 @@ class _SelectPlan:
                                   or order_specs)
         self._order_descs = tuple(desc for _, desc in order_specs)
         self._order_key = _make_sort_key(tuple(fn for fn, _ in order_specs))
-        if fused:
-            fused_set = set(fused)
-            self._plain_items = tuple(
-                (index, fn) for index, fn in enumerate(item_fns)
-                if index not in fused_set)
+        self._window_keys = tuple(
+            (_make_sort_key(tuple(fn for fn, _ in order)),
+             tuple(desc for _, desc in order)) for order in windows)
 
     # -- env production -------------------------------------------------
     def _stream(self, rt: _Rt):
@@ -465,8 +470,6 @@ class _SelectPlan:
             finally:
                 rt.frames.pop()
         limit, offset = self._window(rt)
-        if self.fused is not None:
-            return self._execute_fused(rt, limit, offset)
         if not self._needs_buffer:
             outputs: List[MemoryRow] = []
             if limit == 0:
@@ -491,147 +494,40 @@ class _SelectPlan:
         for env in self._stream(rt):
             if check is None or check(rt):
                 envs.append(env.copy())
-        self._apply_windows(envs, rt)
-
-        decorated: List[Tuple[Tuple, List]] = []  # (values, order keys)
+        end = None if limit is None else offset + limit
+        names, lookup = self.names, self.lookup
         if self.group_fns or self.has_agg:
             decorated = self._grouped_outputs(envs, rt)
-        else:
-            for env in envs:
-                rt.frames.append(env)
-                try:
-                    values = tuple(fn(rt) for fn in self.item_fns)
-                    keys = self._order_key(rt)
-                finally:
-                    rt.frames.pop()
-                decorated.append((values, keys))
+            kept = _order_by([keys for _, keys in decorated],
+                             self._order_descs)[offset:end]
+            return [MemoryRow(names, decorated[position][0], lookup)
+                    for position in kept]
 
-        _order_by(decorated, itemgetter(1), self._order_descs)
-
-        end = None if limit is None else offset + limit
-        return [MemoryRow(self.names, values, self.lookup)
-                for values, _ in decorated[offset:end]]
-
-    def _execute_fused(self, rt: _Rt, limit: Optional[int],
-                       offset: int) -> List[MemoryRow]:
-        """Single-sort path for ROW_NUMBER windows fused with the outer
-        ORDER BY: rank == position in the sorted stream, so environments
-        are never buffered — a streamed row is reduced to its sort key,
-        and to (sort key, values) only if it can still make the output.
-        OFFSET rows are ranked, then dropped."""
-        if limit == 0:
-            return []
-        if limit is not None:
-            limit += offset
-        check = self.where_check
-        key_of = self._order_key
-        plain = self._plain_items
-        width = len(self.item_fns)
-        descs = self._order_descs
-        # Ascending keys under a LIMIT keep a bounded buffer: once it
-        # fills it is cut to the `limit` smallest and its last key
-        # becomes the bar a later row must beat.  nsmallest is stable
-        # (sorted(...)[:k]) and the buffer stays in stream order behind
-        # its sorted head, so ties keep stream order exactly as the
-        # full stable sort's do.  Any DESC key, or no LIMIT, keeps all.
-        bounded = limit is not None and not any(descs)
-        cap = max(2 * limit, _TOPK_MIN_BUFFER) if bounded else None
-        kept: List[Tuple[Tuple, List[Any]]] = []
-        bar = None
-
-        def offer():
-            nonlocal kept, bar
-            key = key_of(rt)
-            if bar is not None and key >= bar:
-                return
-            values = [None] * width
-            for index, fn in plain:
-                values[index] = fn(rt)
-            kept.append((key, values))
-            if len(kept) == cap:
-                kept = heapq.nsmallest(limit, kept, key=itemgetter(0))
-                bar = kept[-1][0]
-
-        sources = self.sources
-        eq = (sources[1].access.eq
-              if len(sources) == 2 and sources[1].join == "inner" else None)
-        if eq is not None:
-            # The scheduling pass's shape — a driven source, one inner
-            # index-probe join — runs as a plain nested loop with the
-            # lookup bound inside it: no generator resumption and no
-            # access-path dispatch per candidate row.  The joined bucket
-            # is looked up once per distinct probe value: the select is
-            # materialised before any DML writes and probe lists are
-            # never mutated in place.  Only exact str and int values are
-            # memoized — for those, equal means identical, whereas
-            # 2 == 2.0 land in different buckets of a TEXT column.
-            table, probe_col, probe_fn = eq
-            probe_rows = table.probe_rows
-            buckets: Dict[Any, List[Dict[str, Any]]] = {}
-            first = sources[0]
-            first_check = first.check
-            second_check = sources[1].check
-            env: List[Any] = [None] * self.env_width
-            rt.frames.append(env)
-            try:
-                for row in first.rows(rt):
-                    env[0] = row
-                    if first_check is not None and not first_check(rt):
-                        continue
-                    value = probe_fn(rt)
-                    kind = type(value)
-                    if kind is str or kind is int:
-                        bucket = buckets.get(value)
-                        if bucket is None:
-                            bucket = buckets[value] = probe_rows(
-                                probe_col, value)
-                    else:
-                        bucket = probe_rows(probe_col, value)
-                    for joined in bucket:
-                        env[1] = joined
-                        if second_check is not None and \
-                                not second_check(rt):
-                            continue
-                        if check is None or check(rt):
-                            offer()
-            finally:
-                rt.frames.pop()
-        else:
-            for _env in self._stream(rt):
-                if check is None or check(rt):
-                    offer()
-        if bounded:
-            kept = heapq.nsmallest(limit, kept, key=itemgetter(0))
-        else:
-            _order_by(kept, itemgetter(0), descs)
-            if limit is not None:
-                kept = kept[:limit]
-        fused = self.fused
-        names, lookup = self.names, self.lookup
+        self._apply_windows(envs, rt)
+        # Sorted before projecting: only the rows LIMIT keeps are built.
+        kept = _sorted_positions(envs, self._order_key, self._order_descs,
+                                 rt)[offset:end]
+        item_fns = self.item_fns
         outputs = []
-        for rank, (_key, values) in enumerate(kept[offset:],
-                                              start=offset + 1):
-            for position in fused:
-                values[position] = rank
-            outputs.append(MemoryRow(names, tuple(values), lookup))
+        frames = rt.frames
+        frames.append(None)
+        try:
+            for position in kept:
+                frames[-1] = envs[position]
+                outputs.append(MemoryRow(
+                    names, tuple(fn(rt) for fn in item_fns), lookup))
+        finally:
+            frames.pop()
         return outputs
 
     def _apply_windows(self, envs: List[List[Any]], rt: _Rt) -> None:
-        win_base = self.win_base
-        for wid, order in enumerate(self.windows):
-            key_of = _make_sort_key(tuple(fn for fn, _ in order))
-            keyed: List[Tuple] = []
-            for env in envs:
-                rt.frames.append(env)
-                try:
-                    keyed.append(key_of(rt))
-                finally:
-                    rt.frames.pop()
-            ranked = list(range(len(envs)))
-            _order_by(ranked, keyed.__getitem__,
-                      [desc for _, desc in order])
-            for rank, env_index in enumerate(ranked, start=1):
-                envs[env_index][win_base + wid] = rank
+        """Number the environments: each window's ROW_NUMBER into its
+        slot."""
+        for slot, (key_of, descs) in enumerate(self._window_keys,
+                                               start=self.win_base):
+            for rank, position in enumerate(
+                    _sorted_positions(envs, key_of, descs, rt), start=1):
+                envs[position][slot] = rank
 
     def _grouped_outputs(self, envs, rt: _Rt):
         groups: Dict[Tuple, List[List[Any]]] = {}
@@ -887,11 +783,7 @@ def _select_node(plan: _SelectPlan, label: str = "SELECT") -> "pl.PlanNode":
     node = pl.PlanNode(op=label, est_rows=plan.est_rows)
     for src in plan.sources:
         node.children.append(_source_node(src))
-    if plan.fused:
-        node.children.append(pl.PlanNode(
-            op="TOPK-SORT",
-            detail="ROW_NUMBER fused with ORDER BY/LIMIT"))
-    elif plan.order_specs:
+    if plan.order_specs:
         node.children.append(pl.PlanNode(
             op="SORT", detail=f"{len(plan.order_specs)} key(s)"))
     if plan.count is not None:

@@ -529,6 +529,91 @@ def test_an_unqualified_name_two_sources_provide_is_ambiguous():
     assert answers["sqlite"] == [[("idle", "busy")], [(1,)], [(1, "busy")]]
 
 
+#: A window outside a select's result columns and ORDER BY: SQLite
+#: refuses each when it prepares the statement.  The memory engine used
+#: to answer the first five: no rows, nine groups of one, 9, and an
+#: UPDATE that ran.
+WINDOW_MISUSE_SQL = {
+    "where": "SELECT job_id FROM jobs"
+             " WHERE ROW_NUMBER() OVER (ORDER BY job_id) = 1",
+    "join-on": "SELECT j.job_id FROM jobs j JOIN users u"
+               " ON u.user_name = j.owner"
+               " AND ROW_NUMBER() OVER (ORDER BY j.job_id) = 1",
+    "group-by": "SELECT COUNT(*) FROM jobs"
+                " GROUP BY ROW_NUMBER() OVER (ORDER BY job_id)",
+    "in-aggregate": "SELECT MAX(ROW_NUMBER() OVER (ORDER BY job_id))"
+                    " FROM jobs",
+    "update-set": "UPDATE jobs SET attempts ="
+                  " ROW_NUMBER() OVER (ORDER BY job_id)",
+    "delete-where": "DELETE FROM jobs"
+                    " WHERE ROW_NUMBER() OVER (ORDER BY job_id) = 1",
+    "insert-values": "INSERT INTO users (user_name, created_at)"
+                     " VALUES ('z', ROW_NUMBER() OVER (ORDER BY 1))",
+    "limit": "SELECT job_id FROM jobs"
+             " LIMIT ROW_NUMBER() OVER (ORDER BY job_id)",
+    "in-window-order": "SELECT ROW_NUMBER() OVER"
+                       " (ORDER BY ROW_NUMBER() OVER (ORDER BY job_id))"
+                       " FROM jobs",
+}
+
+#: Where a window stays legal: a select's ORDER BY, and the select list
+#: of a subquery inside WHERE, EXISTS or IN.
+WINDOW_LEGAL_SQL = {
+    "order-by": "SELECT job_id FROM jobs"
+                " ORDER BY ROW_NUMBER() OVER (ORDER BY run_seconds DESC)",
+    "scalar-in-where": "SELECT j.job_id FROM jobs j WHERE j.job_id <="
+                       " (SELECT ROW_NUMBER() OVER (ORDER BY k.job_id DESC)"
+                       "  FROM jobs k WHERE k.owner = j.owner"
+                       "  ORDER BY k.job_id LIMIT 1)"
+                       " ORDER BY j.job_id",
+    "exists": "SELECT j.job_id FROM jobs j WHERE EXISTS"
+              " (SELECT ROW_NUMBER() OVER (ORDER BY k.job_id) FROM jobs k"
+              "  WHERE k.owner = j.owner AND k.job_id > j.job_id)"
+              " ORDER BY j.job_id",
+    "in": "SELECT job_id FROM jobs WHERE job_id IN"
+          " (SELECT ROW_NUMBER() OVER (ORDER BY job_id DESC) FROM jobs"
+          "  WHERE owner = 'b')",
+}
+
+
+def _window_pool(backend):
+    """Nine jobs over owners a, b and c, with distinct run times."""
+    db = Database(backend=backend)
+    db.executemany("INSERT INTO users (user_name, created_at) VALUES (?, 0)",
+                   [("a",), ("b",), ("c",)])
+    db.executemany(
+        "INSERT INTO jobs (job_id, owner, cmd, run_seconds, submitted_at)"
+        " VALUES (?, ?, 'c', ?, 0)",
+        [(job_id, "abc"[job_id % 3], float(job_id * 7 % 5))
+         for job_id in range(1, 10)])
+    return db
+
+
+@pytest.mark.parametrize("form", sorted(WINDOW_MISUSE_SQL))
+def test_a_misplaced_window_is_refused_everywhere(form):
+    counts = {}
+    for backend in ("sqlite", "memory", "wal"):
+        db = _window_pool(backend)
+        with pytest.raises(db.engine.ENGINE_ERRORS,
+                           match=r"misuse of window function ROW_NUMBER\(\)"):
+            db.execute(WINDOW_MISUSE_SQL[form])
+        counts[backend] = db.counts
+        db.close()
+    assert counts["memory"] == counts["sqlite"]
+
+
+@pytest.mark.parametrize("form", sorted(WINDOW_LEGAL_SQL))
+def test_a_window_where_sqlite_allows_it_answers_alike(form):
+    answers = {}
+    for backend in ("sqlite", "memory", "wal"):
+        db = _window_pool(backend)
+        answers[backend] = [tuple(row)
+                            for row in db.query_all(WINDOW_LEGAL_SQL[form])]
+        db.close()
+    assert answers["memory"] == answers["wal"] == answers["sqlite"]
+    assert len(answers["sqlite"]) >= 3
+
+
 def _queued_matched_and_running(backend):
     """One pool with job 1 running, job 2 matched, job 3 idle and held
     back by an edge on job 2, job 4 idle."""

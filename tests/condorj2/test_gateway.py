@@ -182,6 +182,34 @@ def test_fault_paths_end_to_end(envelope_factory, expected_code,
         assert system.cas.gateway.stats[MALFORMED_OP].sim_seconds > 0.0
 
 
+@pytest.mark.parametrize("description", [
+    {"name": "m-bad", "vm_count": 0},
+    {"name": "m-bad", "cores": 0, "vm_count": 2},
+], ids=["no-vms", "no-cores"])
+def test_a_machine_without_cores_or_vms_is_the_clients_bad_value(
+        description):
+    """The bean's invariant refuses the machine; the value is the
+    client's, so the fault is VALIDATION/bad-value, not the INTERNAL a
+    client reads as a server bug, and the transaction writes nothing."""
+    system = small_system()
+    system.start()
+    system.sim.run(until=5.0)
+    faults_before = system.cas.faults_returned
+    process = _send_raw(system, encode_request("registerMachine", description))
+    system.sim.run(until=10.0)
+    fault = process.error
+    assert isinstance(fault, ServiceFault)
+    assert (fault.code, fault.subcode) == (FaultCode.VALIDATION, "bad-value")
+    stats = system.cas.gateway.stats["registerMachine"]
+    assert stats.fault_codes == {FaultCode.VALIDATION: 1}
+    assert system.cas.faults_returned == faults_before + 1
+    db = system.cas.db
+    assert db.scalar("SELECT COUNT(*) FROM machines"
+                     " WHERE machine_name = 'm-bad'") == 0
+    assert db.scalar("SELECT COUNT(*) FROM vms"
+                     " WHERE machine_name = 'm-bad'") == 0
+
+
 def test_malformed_envelopes_are_metered():
     system = small_system()
     system.start()

@@ -39,7 +39,7 @@ from repro.condorj2.schema import (
     render_ddl,
 )
 from repro.condorj2.storage import MemoryStorageEngine
-from repro.condorj2.storage import plans, sqlparser
+from repro.condorj2.storage import sqlparser
 from repro.condorj2.storage.sqlparser import SqlSyntaxError
 from repro.condorj2.storage.store import MemoryTable
 
@@ -366,6 +366,24 @@ def test_having_distinct_and_like_are_outside_the_dialect(sql):
         sqlparser.parse(sql)
 
 
+@pytest.mark.parametrize("sql", [
+    "SELECT owner, COUNT(*), ROW_NUMBER() OVER (ORDER BY owner)"
+    " FROM jobs GROUP BY owner",
+    "SELECT job_id, ROW_NUMBER() OVER (ORDER BY COUNT(*)) FROM jobs",
+    "SELECT COUNT(*) FROM jobs ORDER BY ROW_NUMBER() OVER (ORDER BY job_id)",
+], ids=["beside-group-by", "aggregate-in-window", "beside-aggregate"])
+def test_a_window_beside_grouping_is_outside_the_dialect(sql):
+    """SQLite numbers the groups; the memory engine's window pass numbers
+    rows (it answered 1, 4, 7 for three groups of three).  No service
+    statement ranks groups, so the memory engine refuses the form."""
+    database = Database(backend="memory")
+    _seed_owner_queue(database)
+    with pytest.raises(database.engine.ENGINE_ERRORS,
+                       match="beside GROUP BY or an aggregate"):
+        database.query_all(sql)
+    database.close()
+
+
 def test_integer_division_is_exact_beyond_float_precision(db):
     big = 36028797018963969  # 2**55 + 1: float round-trips lose the +1
     assert db.scalar("SELECT CAST(? AS INTEGER) / 3", (big,)) == big // 3
@@ -535,8 +553,9 @@ def _rows(db, sql, params=()):
 
 
 def test_offset_skips_before_limit_counts(db):
-    """On the streamed, sorted and ROW_NUMBER-fused paths; past the end
-    a scalar subquery yields NULL and COALESCE takes over."""
+    """On the streamed path, and on the sorted one with and without a
+    ROW_NUMBER; past the end a scalar subquery yields NULL and COALESCE
+    takes over."""
     _seed_owner_queue(db)
     by_id = "SELECT job_id FROM jobs ORDER BY job_id"
     assert _rows(db, by_id + " LIMIT 3 OFFSET 2") == [(3,), (4,), (5,)]
@@ -694,35 +713,35 @@ def _seed_ranked_pool(db):
 
 
 _EXECUTOR_SHAPES = {
-    "fused ROW_NUMBER over one source": (
+    "ranked ROW_NUMBER over one source": (
         "SELECT j.job_id, ROW_NUMBER() OVER (ORDER BY j.run_seconds) AS r"
         " FROM jobs j WHERE j.state = 'idle'"
         " ORDER BY j.run_seconds LIMIT 5"),
-    "fused, no LIMIT": (
+    "ranked, no LIMIT": (
         "SELECT j.job_id, u.user_name,"
         " ROW_NUMBER() OVER (ORDER BY u.priority, j.job_id) AS r"
         " FROM jobs j JOIN users u ON u.user_name = j.owner"
         " ORDER BY u.priority, j.job_id"),
-    "fused over a hash-joined FROM-subquery": (
+    "ranked over a hash-joined FROM-subquery": (
         "SELECT u.user_name, s.n,"
         " ROW_NUMBER() OVER (ORDER BY s.n, u.user_name) AS r"
         " FROM users u JOIN (SELECT owner AS o, COUNT(*) AS n FROM jobs"
         "                    WHERE state = 'idle' GROUP BY owner) s"
         "   ON s.o = u.user_name"
         " ORDER BY s.n, u.user_name LIMIT 5"),
-    "fused over a LEFT JOIN": (
+    "ranked over a LEFT JOIN": (
         "SELECT j.job_id, d.depends_on_job_id, ROW_NUMBER() OVER"
         " (ORDER BY j.job_id, d.depends_on_job_id) AS r"
         " FROM jobs j LEFT JOIN job_dependencies d ON d.job_id = j.job_id"
         " ORDER BY j.job_id, d.depends_on_job_id LIMIT 9"),
-    "fused over three sources": (
+    "ranked over three sources": (
         "SELECT j.job_id, u.user_name, d.depends_on_job_id,"
         " ROW_NUMBER() OVER"
         " (ORDER BY u.priority, j.job_id, d.depends_on_job_id) AS r"
         " FROM jobs j JOIN users u ON u.user_name = j.owner"
         " JOIN job_dependencies d ON d.job_id = j.job_id"
         " ORDER BY u.priority, j.job_id, d.depends_on_job_id LIMIT 6"),
-    "fused with a DESC key": (
+    "ranked with a DESC key": (
         "SELECT j.job_id, u.user_name,"
         " ROW_NUMBER() OVER (ORDER BY u.priority DESC, j.job_id) AS r"
         " FROM jobs j JOIN users u ON u.user_name = j.owner"
@@ -736,13 +755,20 @@ _EXECUTOR_SHAPES = {
         " (SELECT 1 FROM jobs o WHERE o.owner = j.owner"
         "  AND o.cmd = j.cmd AND o.state = 'held')"
         " ORDER BY j.job_id"),
+    "ROW_NUMBER in an EXISTS subquery's select list": (
+        "SELECT j.job_id FROM jobs j WHERE EXISTS"
+        " (SELECT ROW_NUMBER() OVER (ORDER BY d.job_id)"
+        "  FROM job_dependencies d WHERE d.job_id = j.job_id)"
+        " ORDER BY j.job_id"),
 }
 
 
 @pytest.mark.parametrize("shape", sorted(_EXECUTOR_SHAPES))
 def test_executor_shape_matches_sqlite(shape):
-    """Each of these is the only implementation of a dialect feature
-    the planner offers and no service statement takes its path."""
+    """Dialect features the planner offers beyond the shapes the service
+    statements take: ranked selects over every kind of source (the
+    scheduling pass ranks only an index join), correlated probes and a
+    window inside a subquery, each row for row against SQLite."""
     rows = {}
     for backend in BACKENDS:
         database = Database(backend=backend)
@@ -755,7 +781,7 @@ def test_executor_shape_matches_sqlite(shape):
 
 
 # ----------------------------------------------------------------------
-# the fused path's bounded top-K and its once-per-key join lookup
+# ranking under a LIMIT: ties, NULLs and text beside numbers
 # ----------------------------------------------------------------------
 
 def _sqlite_rank(value):
@@ -768,7 +794,7 @@ def _sqlite_rank(value):
 #: (sql, positions of its ORDER BY keys in a seeded row); ``{d0}`` and
 #: ``{d1}`` take the first two keys' directions.  A seeded row is
 #: (job_id, priority, rank, run_seconds, parent).
-_TOPK_SHAPES = {
+_RANKED_SHAPES = {
     "inner index join": (
         "SELECT j.job_id, ROW_NUMBER() OVER"
         " (ORDER BY u.priority{d0}, j.rank{d1}, j.run_seconds) AS r"
@@ -788,7 +814,7 @@ _TOPK_SHAPES = {
         (4, 3)),
 }
 
-_topk_rows = st.lists(
+_ranked_rows = st.lists(
     st.tuples(
         st.sampled_from([0.5, 1.0]),               # the owner's priority
         st.sampled_from([None, "a", "b"]),         # jobs.rank: NULLs, ties
@@ -799,7 +825,7 @@ _topk_rows = st.lists(
     min_size=1, max_size=24)
 
 
-def _seed_topk(db, rows):
+def _seed_ranked(db, rows):
     db.executemany(
         "INSERT INTO users (user_name, priority, created_at) VALUES (?, ?, 0)",
         [("u0.5", 0.5), ("u1.0", 1.0)])
@@ -814,7 +840,7 @@ def _seed_topk(db, rows):
         [(job_id,) for job_id, row in enumerate(rows, 1) if row[3]])
 
 
-def _topk_expected(rows, positions, descs, limit):
+def _ranked_expected(rows, positions, descs, limit):
     """``sorted(rows, key=...)[:limit]``, ties in stream (job_id) order:
     one stable pass per key, the last key first."""
     seeded = [(job_id, priority, rank, seconds, 1 if held else None)
@@ -830,54 +856,52 @@ def _topk_expected(rows, positions, descs, limit):
 @pytest.mark.parametrize("descs", [(False, False), (True, False),
                                    (False, True)],
                          ids=["asc", "desc-first", "mixed"])
-@pytest.mark.parametrize("shape", sorted(_TOPK_SHAPES))
-@settings(max_examples=40, deadline=None)
-@given(rows=_topk_rows, data=st.data())
-def test_fused_top_k_is_the_stable_sorted_prefix(shape, descs, rows, data):
-    """Whatever the bound drops could not have been in the output: on
-    both fused branches, for keys with ties, NULLs and numbers beside
-    text, every LIMIT around n returns the stable sorted prefix and
-    SQLite's rows.  The buffer is shrunk to 2 so that two dozen rows
-    refill it many times; DESC keys take the full sort."""
-    sql, positions = _TOPK_SHAPES[shape]
+@pytest.mark.parametrize("shape", sorted(_RANKED_SHAPES))
+@settings(deadline=None)
+@given(rows=_ranked_rows, data=st.data())
+def test_ranked_limit_is_the_stable_sorted_prefix(shape, descs, rows, data):
+    """A ranked select under a LIMIT, over an index join, one source or
+    a LEFT JOIN, for keys with ties, NULLs and numbers beside text, in
+    either direction: every LIMIT around n returns the stable sorted
+    prefix, numbered from 1, and SQLite's rows."""
+    sql, positions = _RANKED_SHAPES[shape]
     sql = sql.format(d0=" DESC" if descs[0] else "",
                      d1=" DESC" if descs[1] else "")
     n = len(rows)
     limit = data.draw(st.sampled_from(
         [0, 1, 2, n // 4, max(n - 1, 0), n, n + 5]))
     got = {}
-    with mock.patch.object(plans, "_TOPK_MIN_BUFFER", 2):
-        for backend in BACKENDS:
-            database = Database(backend=backend)
-            _seed_topk(database, rows)
-            got[backend] = [tuple(row)
-                            for row in database.query_all(sql, (limit,))]
-            database.close()
-    assert got["memory"] == _topk_expected(rows, positions, descs, limit)
+    for backend in BACKENDS:
+        database = Database(backend=backend)
+        _seed_ranked(database, rows)
+        got[backend] = [tuple(row)
+                        for row in database.query_all(sql, (limit,))]
+        database.close()
+    assert got["memory"] == _ranked_expected(rows, positions, descs, limit)
     assert got["memory"] == got["sqlite"]
 
 
-@pytest.mark.parametrize("shape", sorted(_TOPK_SHAPES))
-def test_fused_top_k_refills_at_its_real_size(shape):
-    """n far above LIMIT, keys falling in tied runs of three: most rows
-    pass the bar, so the buffer fills and is cut again and again."""
+@pytest.mark.parametrize("shape", sorted(_RANKED_SHAPES))
+def test_ranked_limit_over_tied_runs(shape):
+    """n far above LIMIT, keys falling in tied runs of three, so a LIMIT
+    cuts through a run: the rows kept are the run's first in stream
+    order."""
     rows = [(1.0, "a", float((600 - i) // 3), False) for i in range(600)]
-    sql, positions = _TOPK_SHAPES[shape]
+    sql, positions = _RANKED_SHAPES[shape]
     sql = sql.format(d0="", d1="")
     database = Database(backend="memory")
-    _seed_topk(database, rows)
-    assert "TOPK-SORT" in database.explain(sql).render()
+    _seed_ranked(database, rows)
     for limit in (1, 3, 40):
         assert [tuple(row) for row in database.query_all(sql, (limit,))] \
-            == _topk_expected(rows, positions, (False, False), limit)
+            == _ranked_expected(rows, positions, (False, False), limit)
     database.close()
 
 
-def test_join_lookup_memo_keeps_affinity_apart():
+def test_join_probes_keep_affinity_apart():
     """One execution probes a TEXT column and an INTEGER column with
     2, 2.0 and '2'.  As text the first two are '2' and '2.0', different
     buckets; as Python dict keys they are one (2 == 2.0, same hash), so
-    a per-execution memo keyed by the raw value returns the wrong rows."""
+    a probe that keys on the raw value returns the wrong rows."""
     probe = ("CASE WHEN w.workflow_id % 3 = {0} THEN 2"
              " WHEN w.workflow_id % 3 = {1} THEN 2.0 ELSE '2' END")
     text = ("SELECT w.workflow_id, u.user_name,"
@@ -908,7 +932,7 @@ def test_join_lookup_memo_keeps_affinity_apart():
         if name != "sqlite":
             for sql in statements:
                 plan = database.explain(sql).render()
-                assert "PROBE" in plan and "TOPK-SORT" in plan
+                assert "PROBE" in plan
         database.close()
     assert rows["memory"] == rows["sqlite"]
     assert [row[1] for row in rows["memory"][0]] == [

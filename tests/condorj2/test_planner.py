@@ -3,8 +3,7 @@
 Four concerns, matching the planner layer's contracts (DESIGN.md):
 
 * unit tests for the pure planning rules in ``storage.planner`` —
-  cardinality estimates, driver choice (stable on ties), and
-  ROW_NUMBER/ORDER BY/LIMIT fusion detection;
+  cardinality estimates and driver choice (stable on ties);
 * plan-cache semantics — a plan served from the cache returns exactly
   the rows a cold compile returns, both backends admit identically
   (equal ``StatementCounts`` ledgers), and repeated scheduling passes
@@ -25,7 +24,6 @@ import pytest
 from hypothesis import given, settings
 
 import repro.condorj2.storage.planner as pl
-import repro.condorj2.storage.sqlparser as sp
 from repro.cluster import JobSpec
 from repro.condorj2.beans import BeanContainer
 from repro.condorj2.database import Database
@@ -73,52 +71,6 @@ class TestChooseDriver:
 
     def test_no_candidates(self):
         assert pl.choose_driver([]) is None
-
-
-class TestFusableWindowItems:
-    def test_matching_row_number_fuses(self):
-        select = sp.parse(
-            "SELECT j.job_id, ROW_NUMBER() OVER (ORDER BY j.job_id) AS r "
-            "FROM jobs j ORDER BY j.job_id LIMIT 10")
-        assert pl.fusable_window_items(select) == [1]
-
-    def test_mismatched_order_does_not_fuse(self):
-        select = sp.parse(
-            "SELECT ROW_NUMBER() OVER (ORDER BY j.owner) AS r "
-            "FROM jobs j ORDER BY j.job_id")
-        assert pl.fusable_window_items(select) is None
-
-    def test_no_windows_means_no_fusion(self):
-        select = sp.parse("SELECT j.job_id FROM jobs j ORDER BY j.job_id")
-        assert pl.fusable_window_items(select) is None
-
-    def test_group_by_blocks_fusion(self):
-        select = sp.parse(
-            "SELECT j.owner, ROW_NUMBER() OVER (ORDER BY j.owner) AS r "
-            "FROM jobs j GROUP BY j.owner ORDER BY j.owner")
-        assert pl.fusable_window_items(select) is None
-
-    def test_no_outer_order_means_no_fusion(self):
-        select = sp.parse(
-            "SELECT ROW_NUMBER() OVER (ORDER BY j.job_id) AS r FROM jobs j")
-        assert pl.fusable_window_items(select) is None
-
-    def test_aggregate_item_blocks_fusion(self):
-        select = sp.parse(
-            "SELECT ROW_NUMBER() OVER (ORDER BY j.job_id) AS r, "
-            "COUNT(*) AS n FROM jobs j ORDER BY j.job_id")
-        assert pl.fusable_window_items(select) is None
-
-    def test_window_inside_exists_is_invisible(self):
-        # contains_window must not descend into subqueries: the outer
-        # select has no window of its own, so no fusion — but also no
-        # false rejection of the subquery-bearing WHERE.
-        select = sp.parse(
-            "SELECT j.job_id FROM jobs j WHERE EXISTS ("
-            "SELECT ROW_NUMBER() OVER (ORDER BY d.job_id) FROM deps d"
-            ") ORDER BY j.job_id")
-        assert pl.fusable_window_items(select) is None
-        assert not pl.contains_window(select.where)
 
 
 # ----------------------------------------------------------------------

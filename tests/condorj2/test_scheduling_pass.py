@@ -321,11 +321,12 @@ def test_bounded_pass_on_random_queues(pair, seed):
 
 def test_a_placing_pass_does_not_hoard_the_queue():
     """One free slot, 10,000 idle jobs, memory engine: the job side
-    reads each owner's first eligible job, not the queue, and keeps at
-    most a buffer's worth of what it reads.  A kept candidate is tracked
-    containers (a key tuple, a values list), so a pass that kept every
-    idle job would show about 60 gen-0 collections at this depth; this
-    one shows next to none."""
+    reads each owner's first eligible job, not the queue, so the ranked
+    select buffers, numbers and sorts only what that walk yields.  A
+    buffered candidate is tracked containers (an environment list and
+    its sort-key tuples), so a pass that buffered every idle job would
+    show dozens of gen-0 collections at this depth; this one shows next
+    to none."""
     pool = Pool("memory")
 
     def placing_pass(now):
