@@ -6,15 +6,16 @@ it is now the pipeline the paper's container stack implies::
     decode -> validate request -> meter -> handler -> validate response -> encode
 
 The envelope codec (decode/encode) stays at the transport boundary in
-``web/soap.py``; everything between lives here, four stages over
-:class:`~repro.condorj2.api.contracts.ContractRegistry`, each calling
-the next:
+``web/soap.py``; everything between lives here, in
+:meth:`ServiceGateway.dispatch` over
+:class:`~repro.condorj2.api.contracts.ContractRegistry`, in this order:
 
 * **validate** — the request payload is checked against the operation's
   request schema (defaults applied), and batch membership is checked
   against the contract's ``batchable`` flag;
 * **meter** — per-operation call/fault/latency statistics, per-fault-code
-  tallies, and the per-op share of the storage engine's statement ledger;
+  tallies, and the per-op share of the storage engine's statement ledger,
+  held to the contract's ``statement_budget`` once the call succeeds;
 * **translate** — storage/bean exceptions become the structured fault
   taxonomy (``CONFLICT`` for missing tuples and illegal transitions,
   ``INTERNAL`` for engine failures, ``VALIDATION`` for bad values);
@@ -85,6 +86,10 @@ class OperationStats:
     #: ``statement_budget`` (each also raised INTERNAL/budget-exceeded).
     budget_overruns: int = 0
 
+    def count_fault(self, code: str) -> None:
+        self.faults += 1
+        self.fault_codes[code] = self.fault_codes.get(code, 0) + 1
+
     @property
     def fault_rate(self) -> float:
         return self.faults / self.attempts if self.attempts else 0.0
@@ -92,17 +97,6 @@ class OperationStats:
     @property
     def mean_handler_seconds(self) -> float:
         return self.handler_seconds / self.calls if self.calls else 0.0
-
-
-@dataclass
-class Invocation:
-    """One operation dispatch travelling down the pipeline."""
-
-    operation: str
-    contract: OperationContract
-    payload: Any
-    now: float
-    in_batch: bool = False
 
 
 @dataclass
@@ -136,7 +130,8 @@ class ServiceGateway:
     # ------------------------------------------------------------------
     def dispatch(self, operation: str, payload: Any, now: float,
                  in_batch: bool = False) -> Any:
-        """Run one operation through the full pipeline.
+        """Run one operation through the full pipeline: validate the
+        request, meter the handler call, hold it to its budget.
 
         Returns the (response-validated) reply payload; raises a
         :class:`ServiceFault` subclass on any failure.
@@ -146,8 +141,61 @@ class ServiceGateway:
         except UnknownOperationFault:
             self._record_fault(UNKNOWN_OP, UnknownOperationFault.code)
             raise
-        invocation = Invocation(operation, contract, payload, now, in_batch)
-        return self._validate_request(invocation)
+        if in_batch and not contract.batchable:
+            self._record_fault(operation, ValidationFault.code)
+            raise ValidationFault(
+                f"{operation} may not ride a batch envelope",
+                subcode="not-batchable", operation=operation,
+            )
+        try:
+            payload = contract.request.validate(payload, operation=operation)
+        except ValidationFault:
+            self._record_fault(operation, ValidationFault.code)
+            raise
+
+        stats = self._stats_for(operation)
+        stats.attempts += 1
+        stats.calls += 1
+        # A scalar mark, not a snapshot: everything read below (budget,
+        # row work, the cost model) is a scalar, so no ledger is copied.
+        mark = self.counts.mark()
+        started = time.perf_counter()
+        try:
+            result = self._call_handler(contract, operation, payload, now)
+        except ServiceFault as fault:
+            stats.count_fault(fault.code)
+            raise
+        finally:
+            elapsed = time.perf_counter() - started
+            stats.handler_seconds += elapsed
+            stats.max_handler_seconds = max(stats.max_handler_seconds,
+                                            elapsed)
+            delta = self.counts.since(mark)
+            dispatched = delta.statements
+            stats.statements += dispatched
+            stats.max_statements = max(stats.max_statements, dispatched)
+            stats.row_work += delta.total()
+            stats.sim_seconds += (
+                self.costs.contract_validate_seconds
+                + self.costs.sql_cost_seconds(delta)
+                + self.costs.io_cost_seconds(delta)
+            )
+
+        # The statement budget (DESIGN.md section 9.2), asserted on every
+        # live call on whichever engine is wired in.  Enforced on the
+        # success path only, after the finally block: raising from inside
+        # `finally` would swallow a handler fault, and a faulted call
+        # already reports its own (likelier root) cause.
+        budget = contract.statement_budget
+        if dispatched > budget:
+            stats.budget_overruns += 1
+            stats.count_fault(InternalFault.code)
+            raise InternalFault(
+                f"{operation} dispatched {dispatched} statements "
+                f"against a budget of {budget}",
+                subcode="budget-exceeded", operation=operation,
+            )
+        return result
 
     def dispatch_batch(self, calls: Sequence[Tuple[str, Any]],
                        now: float, in_batch: bool = True) -> List[BatchItem]:
@@ -168,122 +216,34 @@ class ServiceGateway:
                 items.append(BatchItem(operation, fault=fault))
         return items
 
-    # ------------------------------------------------------------------
-    # pipeline stages, outermost first; each calls the next
-    # ------------------------------------------------------------------
-    def _validate_request(self, invocation: Invocation) -> Any:
-        contract = invocation.contract
-        if invocation.in_batch and not contract.batchable:
-            self._record_fault(invocation.operation, ValidationFault.code)
-            raise ValidationFault(
-                f"{invocation.operation} may not ride a batch envelope",
-                subcode="not-batchable", operation=invocation.operation,
-            )
+    def _call_handler(self, contract: OperationContract, operation: str,
+                      payload: Any, now: float) -> Any:
+        """The handler's response-validated reply, with storage and bean
+        exceptions translated into the fault taxonomy."""
         try:
-            invocation.payload = contract.request.validate(
-                invocation.payload, operation=invocation.operation
-            )
-        except ValidationFault:
-            self._record_fault(invocation.operation, ValidationFault.code)
-            raise
-        return self._meter(invocation)
-
-    def _meter(self, invocation: Invocation) -> Any:
-        stats = self._stats_for(invocation.operation)
-        stats.attempts += 1
-        stats.calls += 1
-        # A scalar mark, not a snapshot: everything read below (budget,
-        # row work, the cost model) is a scalar, so no ledger is copied.
-        mark = self.counts.mark()
-        started = time.perf_counter()
-        try:
-            result = self._translate_errors(invocation)
-        except ServiceFault as fault:
-            stats.faults += 1
-            stats.fault_codes[fault.code] = (
-                stats.fault_codes.get(fault.code, 0) + 1
-            )
-            raise
-        finally:
-            elapsed = time.perf_counter() - started
-            stats.handler_seconds += elapsed
-            stats.max_handler_seconds = max(stats.max_handler_seconds,
-                                            elapsed)
-            delta = self.counts.since(mark)
-            dispatched = delta.statements
-            stats.statements += dispatched
-            stats.max_statements = max(stats.max_statements, dispatched)
-            stats.row_work += delta.total()
-            stats.sim_seconds += (
-                self.costs.contract_validate_seconds
-                + self.costs.sql_cost_seconds(delta)
-                + self.costs.io_cost_seconds(delta)
-            )
-        # Enforced on the success path only, after the finally block:
-        # raising from inside `finally` would swallow a handler fault,
-        # and a faulted call already reports its own (likelier root)
-        # cause.
-        self._enforce_budget(invocation, stats, dispatched)
-        return result
-
-    def _enforce_budget(self, invocation: Invocation,
-                        stats: OperationStats, dispatched: int) -> None:
-        """Assert the observed dispatch count against the declared budget.
-
-        This is the runtime half of the set-orientation story (DESIGN.md
-        section 9.2): the analyzer flags any dispatch inside a
-        data-dependent loop; the meter asserts the constant on every
-        live call, on whichever storage engine is wired in.
-        """
-        budget = invocation.contract.statement_budget
-        if dispatched <= budget:
-            return
-        stats.budget_overruns += 1
-        stats.faults += 1
-        fault = InternalFault(
-            f"{invocation.operation} dispatched {dispatched} statements "
-            f"against a budget of {budget}",
-            subcode="budget-exceeded",
-            operation=invocation.operation,
-        )
-        stats.fault_codes[fault.code] = (
-            stats.fault_codes.get(fault.code, 0) + 1
-        )
-        raise fault
-
-    def _translate_errors(self, invocation: Invocation) -> Any:
-        try:
-            return self._call_handler(invocation)
+            result = self.registry.handler(operation)(payload, now)
+            try:
+                return contract.response.validate(result, operation=operation)
+            except ValidationFault as exc:
+                raise InternalFault(
+                    f"{operation} response failed its schema: {exc.detail}",
+                    subcode="response-validation", operation=operation,
+                ) from exc
         except ServiceFault:
             raise
         except BeanNotFound as exc:
             raise ConflictFault(str(exc), subcode="not-found",
-                                operation=invocation.operation) from exc
+                                operation=operation) from exc
         except BeanStateError as exc:
             raise ConflictFault(str(exc), subcode="illegal-state",
-                                operation=invocation.operation) from exc
+                                operation=operation) from exc
         except (ValueError, BeanConsistencyError) as exc:
             # A bean's invariant is broken by a value the client sent.
             raise ValidationFault(str(exc), subcode="bad-value",
-                                  operation=invocation.operation) from exc
+                                  operation=operation) from exc
         except DatabaseError as exc:
             raise InternalFault(str(exc), subcode="server-error",
-                                operation=invocation.operation) from exc
-
-    def _call_handler(self, invocation: Invocation) -> Any:
-        handler = self.registry.handler(invocation.operation)
-        result = handler(invocation.payload, invocation.now)
-        try:
-            return invocation.contract.response.validate(
-                result, operation=invocation.operation
-            )
-        except ValidationFault as exc:
-            raise InternalFault(
-                f"{invocation.operation} response failed its schema: "
-                f"{exc.detail}",
-                subcode="response-validation",
-                operation=invocation.operation,
-            ) from exc
+                                operation=operation) from exc
 
     # ------------------------------------------------------------------
     # metering interface
@@ -300,8 +260,7 @@ class ServiceGateway:
         attempt but not as a call."""
         stats = self._stats_for(operation)
         stats.attempts += 1
-        stats.faults += 1
-        stats.fault_codes[code] = stats.fault_codes.get(code, 0) + 1
+        stats.count_fault(code)
 
     def refuse_reply(self, item: BatchItem, refused: ServiceFault) -> None:
         """Turn ``item``'s result, which passed its schema but has no
@@ -312,9 +271,7 @@ class ServiceGateway:
             f"{item.operation} response has no wire form: {refused.detail}",
             subcode="response-validation", operation=item.operation,
         )
-        stats = self._stats_for(item.operation)
-        stats.faults += 1
-        stats.fault_codes[fault.code] = stats.fault_codes.get(fault.code, 0) + 1
+        self._stats_for(item.operation).count_fault(fault.code)
         item.result, item.fault = None, fault
 
     def record_malformed(self, fault: ServiceFault) -> None:

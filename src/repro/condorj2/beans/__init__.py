@@ -15,11 +15,8 @@ from repro.condorj2.beans.base import (
 from repro.condorj2.beans.entities import (
     JobBean,
     MachineBean,
-    MatchBean,
     PolicyBean,
-    RunBean,
     UserBean,
-    VmBean,
     WorkflowBean,
 )
 
@@ -31,10 +28,7 @@ __all__ = [
     "EntityBean",
     "JobBean",
     "MachineBean",
-    "MatchBean",
     "PolicyBean",
-    "RunBean",
     "UserBean",
-    "VmBean",
     "WorkflowBean",
 ]

@@ -83,28 +83,6 @@ class MachineBean(EntityBean):
             raise BeanConsistencyError("machine must have cores and vms")
 
 
-class VmBean(EntityBean):
-    """A virtual machine (scheduling slot) tuple."""
-
-    TABLE = "vms"
-
-
-class MatchBean(EntityBean):
-    """A pending job/VM pairing produced by the scheduling pass.
-
-    Matches are transient: acceptMatch deletes the match and creates a run
-    (Table 2, steps 9-10).
-    """
-
-    TABLE = "matches"
-
-
-class RunBean(EntityBean):
-    """An in-flight execution (replaces Condor's shadow process state)."""
-
-    TABLE = "runs"
-
-
 class PolicyBean(EntityBean):
     """One configuration policy, with full change history.
 

@@ -71,10 +71,11 @@ _ENGINES: Dict[str, Type[StorageEngine]] = {
 class StorageConfigError(DatabaseError):
     """A spec naming no engine in the table.
 
-    A structured fault rather than a bare ``KeyError`` (or a silent
+    A structured error rather than a bare ``KeyError`` (or a silent
     fall-through to SQLite, which an early factory version did): callers
-    see *which* name failed and *what* is available, and the gateway can
-    map it to a configuration fault instead of an internal error.
+    see *which* name failed and *what* is available.  It is raised only
+    where an engine is built, by :func:`create_engine`, which every
+    ``Database`` calls; no request reaches it.
     """
 
     def __init__(self, backend: str, available: Tuple[str, ...]):

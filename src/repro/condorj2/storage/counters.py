@@ -68,13 +68,12 @@ class StatementCounts:
     dispatches, ``prepared_misses`` counts statement-cache compilations
     and ``prepared_hits`` counts reuses of an already-prepared statement.
 
-    ``statements`` is also the ledger both halves of the
-    dispatch-complexity story read (DESIGN.md section 9.2): the service
-    gateway meters each call's ``mark()``/``since()`` of it against
-    the contract's declared ``statement_budget``, and the static
-    analyzer (:mod:`repro.condorj2.analysis.dispatch`) proves the
-    handler's dispatch count is flat in the data before trusting a
-    constant budget.
+    ``statements`` is also the ledger the runtime half of the
+    dispatch-complexity story reads (DESIGN.md section 9.2): the service
+    gateway meters each call's ``mark()``/``since()`` of it against the
+    contract's declared ``statement_budget``.  The static half
+    (:mod:`repro.condorj2.analysis.dispatch`) reads no ledger: it flags
+    any dispatch inside a data-dependent loop.
 
     ``tables`` breaks the same traffic down by principal table: per table
     and verb it records *actual* row traffic (rows really written by DML
@@ -123,7 +122,7 @@ class StatementCounts:
     #: ``run_script`` is deliberately absent (uncounted housekeeping).
     texts: Dict[str, int] = field(default_factory=dict)
     #: Lifecycle transition ledger: ``{table: {"from->to": rows}}`` —
-    #: the actual (from-state, to-state) edges DML walked on the four
+    #: the actual (from-state, to-state) edges DML walked on the three
     #: lifecycle tables, including the ``(new)``/``(gone)`` pseudo-state
     #: edges for row creation/deletion.  UPDATE and DELETE edges are
     #: captured where each engine writes the row and folded in by the

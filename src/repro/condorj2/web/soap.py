@@ -29,15 +29,15 @@ compiles once into a few actions and then recalls.  The actions fuse
 the shapes structs and arrays of scalars are made of, so a scalar field
 costs one step, not four tags.  Anything the pass cannot show the tree
 path accepts -- a tag it cannot read, a repeated key, a cast that fails,
-the depth bound -- it declines, and :func:`_read`, which alone knows the
-grammar (tags, attributes, entities, nesting, the depth bound) and
-returns a small element tree, reads it instead, for the walks to
-decode or refuse with the same payload or the same fault as ever.  No
-encoder's output is declined: the tree path carries no traffic; it
-names faults and is what the one pass is held equal to.  Whatever
-either path refuses is a typed ``MALFORMED`` fault, never a bare
-exception, so the CAS answers and meters it.  Faults ride the wire as
-``(code, subcode, detail)`` triples from the taxonomy in
+the depth bound -- it declines, and :func:`_read`, which alone states
+the whole grammar (tags, attributes, entities, nesting, the depth bound)
+and reads one token per tag into a small element tree, reads it
+instead, for the walks to decode or refuse with the same payload or the
+same fault as ever.  No encoder's output is declined: the tree path
+carries no traffic; it names faults and is what the one pass is held
+equal to.  Whatever either path refuses is a typed ``MALFORMED`` fault,
+never a bare exception, so the CAS answers and meters it.  Faults ride
+the wire as ``(code, subcode, detail)`` triples from the taxonomy in
 :mod:`repro.condorj2.api.faults`; the walk rebuilds the typed exception.
 The encoder writes a struct's or array's scalar children inside the
 container's own loop and recurses only for nested containers (and for
@@ -49,10 +49,8 @@ remembers what it has already worked out, in small module memos that
 are emptied when they reach their bound: the one pass keeps each run it
 has read and each run it has compiled, the latter with its struct keys
 cut out so that keys that never repeat still share compilations; the
-tree reader keeps each tag head it has parsed (the tag regex, the one
-statement of tag syntax, reads only heads it has not seen); the encoder
-keeps each struct key it has escaped.  None changes a byte on the wire
-or a value decoded.
+encoder keeps each struct key it has escaped.  None changes a byte on
+the wire or a value decoded.
 """
 
 from __future__ import annotations
@@ -113,7 +111,7 @@ def _escape_attr(value: str) -> str:
 _WIRE_TYPES = (str, int, dict, list, type(None), bool, float)
 
 #: ``<entry key="...">`` for struct keys already escaped.  The protocol
-#: has a few dozen; past the bound the memo is emptied, like ``_HEADS``.
+#: has a few dozen; past the bound the memo is emptied, like ``_RUNS``.
 _ENTRY_OPENINGS: Dict[str, str] = {}
 _ENTRY_OPENINGS_BOUND = 256
 
@@ -328,98 +326,64 @@ _TAG_RE = re.compile(
 )
 _ATTR_RE = re.compile(rf'({_NAME})="([^"<]*)"')
 
-#: Tag heads ``_TAG_RE`` has already read -- the text between a ``<`` and
-#: the first ``>`` after it, such as ``value type="int"`` or ``/entry`` --
-#: each with its ``(closing, tag, attrs, empty)``.  The protocol has a
-#: few dozen; a client that invents more than the bound empties the memo
-#: and is read at the regex's speed.  The ``attrs`` dicts are shared by
-#: every element with that head: read them, never hand them out.
-_HEADS: Dict[str, Tuple[str, str, Optional[Dict[str, str]], str]] = {}
-_HEADS_BOUND = 256
+#: One token of envelope text: a tag (``_TAG_RE``'s four groups), a run
+#: of character data, or a ``<`` that opens no tag.
+_TOKEN_RE = re.compile(rf"<{_TAG_RE.pattern}|([^<]+)|<")
 
 
-def _read_tag(chunk: str, head: str) -> Optional[tuple]:
-    """Parse the tag that opens ``chunk`` (envelope text from just after
-    a ``<`` up to the next one): ``(closing, tag, attrs, empty, text
-    after the tag)``, or None when no tag does.  ``attrs`` is None for
-    an end tag, and for a start tag that repeats an attribute name."""
-    match = _TAG_RE.match(chunk)
-    if match is None:
-        return None
-    closing, tag, attr_text, empty = match.groups()
-    attrs = None
-    if closing:
-        if attr_text or empty:
-            return None
-    else:
-        pairs = _ATTR_RE.findall(attr_text)
-        if "&" in attr_text:
-            pairs = [(name, unescape(raw, quoted=True))
-                     for name, raw in pairs]
-        attrs = dict(pairs)
-        if len(attrs) != len(pairs):
-            attrs = None
-    end = match.end()
-    # Remember the head only when the tag is exactly ``<head>``: a ">"
-    # inside an attribute value ends ``head`` early.
-    if end == len(head) + 1 and (closing or attrs is not None):
-        if len(_HEADS) >= _HEADS_BOUND:
-            _HEADS.clear()
-        _HEADS[head] = (closing, tag, attrs, empty)
-    return closing, tag, attrs, empty, chunk[end:]
+def _attrs(attr_text: str) -> Optional[Dict[str, str]]:
+    """The attributes ``_TAG_RE`` matched in a start tag, entities
+    decoded; None when a name repeats."""
+    pairs = _ATTR_RE.findall(attr_text)
+    if "&" in attr_text:
+        pairs = [(name, unescape(raw, quoted=True)) for name, raw in pairs]
+    attrs = dict(pairs)
+    return attrs if len(attrs) == len(pairs) else None
 
 
 def _read(envelope: str) -> Node:
-    """Scan ``envelope`` once, left to right, into its element tree.
+    """Read ``envelope``, one token per tag or run of text, into its
+    element tree.
 
-    The only function that looks at envelope text.  It checks nesting,
+    The only function that states the whole grammar.  It checks nesting,
     close-tag names, attribute syntax and depth as it goes, and raises
     :class:`MalformedFault` unless the text is exactly one element.
     """
     top: List[Node] = []
     siblings = top  # the children of the innermost open element
     open_elements: List[Tuple[str, Dict[str, str], List[Node]]] = []
-    known = _HEADS.get
-    chunks = iter(envelope.split("<"))
-    text = next(chunks)  # whatever precedes the first "<"
-    for chunk in chunks:
-        head, found, tail = chunk.partition(">")
-        parsed = known(head) if found else None
-        if parsed is not None:
-            closing, tag, attrs, empty = parsed
-        else:
-            parsed = _read_tag(chunk, head)
-            if parsed is None:
-                break  # no tag opens at this "<"
-            closing, tag, attrs, empty, tail = parsed
-        if closing:
-            if not open_elements:
+    text = ""
+    for token in _TOKEN_RE.finditer(envelope):
+        closing, tag, attr_text, empty, run = token.groups()
+        if run is not None:
+            text = unescape(run) if "&" in run else run
+        elif closing:
+            if attr_text or empty or not open_elements:
                 break
             open_tag, attrs, parent = open_elements.pop()
             if open_tag != tag or (text and siblings):
                 break
             parent.append((tag, attrs, siblings, text))
-            siblings = parent
-        elif text:
-            break  # text beside a child or outside the root
+            siblings, text = parent, ""
+        elif tag is None or text:
+            break  # no tag opens at this "<", or text beside a child
         elif len(open_elements) >= MAX_DEPTH:
             raise MalformedFault(f"elements nest deeper than {MAX_DEPTH}",
                                  subcode="too-deep")
-        elif attrs is None:
-            break  # an attribute name repeats
-        elif empty:
-            siblings.append((tag, attrs, [], ""))
         else:
-            open_elements.append((tag, attrs, siblings))
-            siblings = []
-        text = unescape(tail) if "&" in tail else tail
+            attrs = _attrs(attr_text)
+            if attrs is None:
+                break  # an attribute name repeats
+            if empty:
+                siblings.append((tag, attrs, [], ""))
+            else:
+                open_elements.append((tag, attrs, siblings))
+                siblings = []
     else:
         if len(top) == 1 and not open_elements and not text:
             return top[0]
         raise MalformedFault("envelope is not one complete element")
-    offset = len(envelope) - len(chunk) - 1 - sum(
-        len(rest) + 1 for rest in chunks)
-    raise MalformedFault(f"envelope malformed at offset {offset}")
+    raise MalformedFault(f"envelope malformed at offset {token.start()}")
 
 
 _NIL = {"xsi:nil": "true"}
@@ -449,7 +413,7 @@ _KEYED = 'entry key=""'
 #: compilation whatever their keys, so that a struct of keys that never
 #: repeat costs a cut and a lookup per field, not a compilation.  An
 #: episode of a workload reads 18-75 distinct runs; both memos are
-#: emptied when full, like ``_HEADS``.
+#: emptied when full.
 _Learned = Tuple[Tuple[tuple, ...], Tuple[str, ...]]  # actions, keys
 _RUNS: Dict[str, _Learned] = {}
 _COMPILED: Dict[str, Tuple[tuple, ...]] = {}
@@ -529,22 +493,24 @@ def _compile_run(run: str) -> Optional[Tuple[tuple, ...]]:
     cut from anywhere but the start of a tag."""
     tags = []
     for head in run.split("><"):
-        parsed = _HEADS.get(head)
-        if parsed is None:
-            parsed = _read_tag(head + ">", head)
-            if parsed is None or parsed[4]:
-                return None
-        closing, name, attrs, empty = parsed[:4]
-        if closing:
-            shape = "/" + name
-        elif attrs is None:
+        match = _TAG_RE.fullmatch(head + ">")
+        if match is None:
             return None
-        elif head.startswith(_KEYED):
-            shape = "entry#/" if empty else "entry#"
-        elif name not in _VALUE_NAMES and not empty:
-            shape = "<"
+        closing, name, attr_text, empty = match.groups()
+        if closing:
+            if attr_text or empty:
+                return None
+            shape, attrs = "/" + name, None
         else:
-            shape = name + "/" if empty else name
+            attrs = _attrs(attr_text)
+            if attrs is None:
+                return None
+            if head.startswith(_KEYED):
+                shape = "entry#/" if empty else "entry#"
+            elif name not in _VALUE_NAMES and not empty:
+                shape = "<"
+            else:
+                shape = name + "/" if empty else name
         tags.append((shape, name, attrs))
     shapes = [shape for shape, _, _ in tags]
     actions = []

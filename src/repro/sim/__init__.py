@@ -22,7 +22,7 @@ from repro.sim.errors import (
     SimError,
     SimulationLimitExceeded,
 )
-from repro.sim.events import EventHandle, EventQueue
+from repro.sim.events import EventHandle
 from repro.sim.kernel import (
     Acquire,
     Delay,
@@ -62,7 +62,6 @@ __all__ = [
     "Effect",
     "EventHandle",
     "EventLog",
-    "EventQueue",
     "Host",
     "Join",
     "LatencyModel",

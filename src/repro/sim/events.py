@@ -1,23 +1,23 @@
-"""Event queue primitives for the discrete-event kernel.
+"""Cancellable events for the discrete-event kernel.
 
-The queue is a binary heap of ``[time, seq, callback, args]`` lists.  The
-sequence number makes execution order deterministic for events scheduled
-at the same instant: whichever was scheduled first fires first.  It is
-also unique, so comparing two entries is decided by the time or the
-sequence and never reaches the callback or its arguments, which need not
-be orderable; lists led by a float and an int compare without calling
-back into Python.  Determinism matters because every experiment in the
-reproduction must be exactly repeatable from its seed.
+The kernel's queue (``Simulator._heap``) is a binary heap of ``[time,
+seq, callback, args]`` lists.  The sequence number makes execution order
+deterministic for events scheduled at the same instant: whichever was
+scheduled first fires first.  It is also unique, so comparing two
+entries is decided by the time or the sequence and never reaches the
+callback or its arguments, which need not be orderable; lists led by a
+float and an int compare without calling back into Python.  Determinism
+matters because every experiment in the reproduction must be exactly
+repeatable from its seed.
 
-The kernel pushes its own events bare; :meth:`EventQueue.push` puts a
-callable :class:`EventHandle` in the callback slot.  Cancelling empties
-that slot, and the entry is dropped when it reaches the top of the heap.
+The kernel pushes its own events bare; ``Simulator.schedule`` and
+``schedule_at`` put a callable :class:`EventHandle` in the callback
+slot.  Cancelling empties that slot, and the entry is dropped when it
+reaches the top of the heap.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
 from typing import Any, Callable, Optional
 
 from repro.sim.errors import SchedulingError
@@ -26,8 +26,8 @@ from repro.sim.errors import SchedulingError
 class EventHandle:
     """A cancellable reference to a scheduled callback.
 
-    Instances are returned by :meth:`EventQueue.push` (and by the simulator's
-    ``schedule`` helpers). Cancelling a handle is O(1): the entry stays in the
+    Instances are returned by the simulator's ``schedule`` and
+    ``schedule_at``.  Cancelling a handle is O(1): the entry stays in the
     heap but is skipped when popped.
     """
 
@@ -77,52 +77,3 @@ class EventHandle:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "fired" if self._fired else ("pending" if self.pending else "cancelled")
         return f"<EventHandle t={self.time:.6f} {state} {self.callback!r}>"
-
-
-class EventQueue:
-    """A deterministic priority queue of timestamped callbacks.
-
-    The simulator reads and pushes ``_heap`` and ``_seq`` directly; an
-    entry it pushes has no handle, and :meth:`pop` makes one if asked.
-    """
-
-    def __init__(self) -> None:
-        self._heap: list[list] = []
-        self._seq = itertools.count()
-
-    def __len__(self) -> int:
-        """Number of pending (non-cancelled) events."""
-        return sum(1 for entry in self._heap if entry[2] is not None)
-
-    def push(self, time: float, callback: Callable[..., Any], args: tuple = ()) -> EventHandle:
-        """Schedule ``callback(*args)`` at simulated ``time``."""
-        handle = EventHandle(time, callback, args)
-        entry = [time, next(self._seq), handle, args]
-        handle._entry = entry
-        heapq.heappush(self._heap, entry)
-        return handle
-
-    def peek_time(self) -> Optional[float]:
-        """Timestamp of the next live event, or None when empty."""
-        heap = self._heap
-        while heap and heap[0][2] is None:
-            heapq.heappop(heap)
-        return heap[0][0] if heap else None
-
-    def pop(self, until: Optional[float] = None) -> Optional[EventHandle]:
-        """Remove and return the next live event's handle, marked fired.
-
-        None when the queue is empty or, given ``until``, when the next
-        live event is later than that; it then stays queued.
-        """
-        time = self.peek_time()
-        if time is None or (until is not None and time > until):
-            return None
-        _, _, callback, args = heapq.heappop(self._heap)
-        if callback.__class__ is EventHandle:
-            callback._entry = None
-            handle = callback
-        else:
-            handle = EventHandle(time, callback, args)
-        handle._fired = True
-        return handle

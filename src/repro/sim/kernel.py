@@ -31,13 +31,14 @@ Example
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Optional
 
 from repro.sim.errors import ProcessError, SchedulingError, SimulationLimitExceeded
-from repro.sim.events import EventHandle, EventQueue
+from repro.sim.events import EventHandle
 from repro.sim.rng import RngRegistry
 
 
@@ -89,8 +90,8 @@ class Wait(Effect):
 
     The process is resumed with a ``(fired, value)`` tuple: ``(True, v)``
     when the signal fired with value ``v``, ``(False, None)`` when the
-    timeout elapsed first.  A negative timeout on a signal that has not
-    fired throws :class:`SchedulingError` into the process.
+    timeout elapsed first.  A negative or NaN timeout on a signal that
+    has not fired throws :class:`SchedulingError` into the process.
     """
 
     signal: "Signal"
@@ -228,11 +229,10 @@ class Simulator:
     def __init__(self, seed: int = 0):
         self.now: float = 0.0
         self.rng = RngRegistry(seed)
-        self._queue = EventQueue()
-        # The run loop and the kernel's own pushes use the queue's heap
-        # and sequence directly: bare entries, no handle.
-        self._heap = self._queue._heap
-        self._seq = self._queue._seq
+        #: The event queue: a heap of ``[time, seq, callback, args]``
+        #: entries (:mod:`repro.sim.events`).
+        self._heap: list[list] = []
+        self._seq = itertools.count()
         self._events_processed = 0
 
     # ------------------------------------------------------------------
@@ -240,15 +240,23 @@ class Simulator:
     # ------------------------------------------------------------------
     def schedule(self, delay: float, callback: Callable[..., Any], *args: Any) -> EventHandle:
         """Run ``callback(*args)`` after ``delay`` seconds of simulated time."""
-        if delay < 0:
-            raise SchedulingError(f"negative delay {delay!r}")
-        return self._queue.push(self.now + delay, callback, args)
+        if not delay >= 0:  # NaN too: it would fire between any two times
+            raise SchedulingError(f"negative or NaN delay {delay!r}")
+        return self._push(self.now + delay, callback, args)
 
     def schedule_at(self, time: float, callback: Callable[..., Any], *args: Any) -> EventHandle:
         """Run ``callback(*args)`` at absolute simulated ``time``."""
-        if time < self.now:
+        if not time >= self.now:
             raise SchedulingError(f"cannot schedule at {time!r}, now is {self.now!r}")
-        return self._queue.push(time, callback, args)
+        return self._push(time, callback, args)
+
+    def _push(self, time: float, callback: Callable[..., Any], args: tuple) -> EventHandle:
+        """Queue a cancellable event: its handle stands in the callback slot."""
+        handle = EventHandle(time, callback, args)
+        entry = [time, next(self._seq), handle, args]
+        handle._entry = entry
+        heappush(self._heap, entry)
+        return handle
 
     def _after(self, delay: float, callback: Callable[..., Any], *args: Any) -> None:
         """Kernel-internal :meth:`schedule`: no handle, ``delay`` >= 0."""
@@ -289,8 +297,8 @@ class Simulator:
             effect.resource._use(process, effect.duration, effect.tag)
         elif kind is Delay:
             seconds = effect.seconds
-            if seconds < 0:
-                self._step(process, None, SchedulingError(f"negative delay {seconds!r}"))
+            if not seconds >= 0:
+                self._step(process, None, SchedulingError(f"negative or NaN delay {seconds!r}"))
                 return
             self._after(seconds, self._step, process, None, None)
         elif kind is Wait:
@@ -310,8 +318,8 @@ class Simulator:
         if signal._fired:
             self._step(process, (True, signal._value), None)
             return
-        if timeout is not None and timeout < 0:
-            self._step(process, None, SchedulingError(f"negative timeout {timeout!r}"))
+        if timeout is not None and not timeout >= 0:
+            self._step(process, None, SchedulingError(f"negative or NaN timeout {timeout!r}"))
             return
         waiting = _Waiting(process, signal)
         signal._waiters.append(waiting)

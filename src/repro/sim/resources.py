@@ -148,8 +148,8 @@ class Resource:
 
     def _use(self, process: "Process", duration: float, tag: str) -> None:
         """Kernel entry point for the :class:`~repro.sim.kernel.Use` effect."""
-        if duration < 0:
-            self.sim._step(process, None, ResourceError(f"negative duration {duration!r}"))
+        if not duration >= 0:  # NaN too: its finish would corrupt the clock
+            self.sim._step(process, None, ResourceError(f"negative or NaN duration {duration!r}"))
         elif self._busy < self.capacity:
             self._busy += 1
             sim = self.sim

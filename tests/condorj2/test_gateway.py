@@ -4,9 +4,25 @@ import pytest
 
 from repro.cluster import ClusterSpec, RELIABLE_EXECUTION
 from repro.condorj2 import CondorJ2System
-from repro.condorj2.api import FaultCode, ServiceFault, ValidationFault
-from repro.condorj2.api.gateway import MALFORMED_OP
+from repro.condorj2.api import (
+    ConflictFault,
+    ContractRegistry,
+    FaultCode,
+    OperationContract,
+    ServiceFault,
+    ValidationFault,
+)
+from repro.condorj2.api.fields import SchemaDef, f_int, f_str
+from repro.condorj2.api.gateway import MALFORMED_OP, ServiceGateway
+from repro.condorj2.beans import (
+    BeanConsistencyError,
+    BeanNotFound,
+    BeanStateError,
+)
+from repro.condorj2.costs import CasCostModel
+from repro.condorj2.database import Database
 from repro.condorj2.logic import ReportService
+from repro.condorj2.storage import DatabaseError
 from repro.condorj2.web.soap import encode_request
 from repro.workload import fixed_length_batch
 from tests.condorj2.test_soap import MALFORMED_ENVELOPES
@@ -115,6 +131,161 @@ def test_non_batchable_operation_is_refused_in_batch():
     assert system.cas.gateway.dispatch(
         "registerMachine", system.nodes[0].describe(), 0.0
     )["status"] == "OK"
+
+
+# ----------------------------------------------------------------------
+# every fault path, metered in full
+# ----------------------------------------------------------------------
+#: What the probe handler raises after its statements, by request mode.
+_PROBE_RAISES = {
+    "conflict": lambda: ConflictFault("taken", subcode="illegal-state"),
+    "not-found": lambda: BeanNotFound("no such tuple"),
+    "illegal-state": lambda: BeanStateError("wrong state"),
+    "bad-value": lambda: ValueError("bad number"),
+    "broken-invariant": lambda: BeanConsistencyError("no cores"),
+    "server-error": lambda: DatabaseError("disk gone"),
+    "untranslated": lambda: RuntimeError("handler bug"),
+}
+
+
+def _probe_gateway():
+    """``probe`` (batchable, budget 2) and ``solo`` (not batchable): each
+    runs ``statements`` SELECTs, then raises what ``mode`` names, answers
+    off its schema (``bad-reply``) or answers OK."""
+    db = Database(backend="memory")
+    request = SchemaDef("ProbeRequest", (f_str("mode"), f_int("statements")))
+    response = SchemaDef("ProbeResponse",
+                         (f_str("status", enum=("OK",)),))
+    registry = ContractRegistry([
+        OperationContract(name=name, version="1.0", summary="fault probe",
+                          side_effect="read", request=request,
+                          response=response, statement_budget=2,
+                          batchable=name == "probe")
+        for name in ("probe", "solo")])
+
+    def handler(payload, now):
+        for _ in range(payload["statements"]):
+            db.scalar("SELECT COUNT(*) FROM jobs")
+        mode = payload["mode"]
+        if mode in _PROBE_RAISES:
+            raise _PROBE_RAISES[mode]()
+        return {"status": "NOPE" if mode == "bad-reply" else "OK"}
+
+    for name in ("probe", "solo"):
+        registry.bind(name, handler)
+    return ServiceGateway(registry, db.counts, CasCostModel())
+
+
+def _probe(mode, statements=1, operation="probe"):
+    return operation, {"mode": mode, "statements": statements}
+
+
+def _stats_row(stats):
+    return (stats.attempts, stats.calls, stats.faults, stats.fault_codes,
+            stats.statements, stats.row_work, stats.max_statements,
+            stats.budget_overruns, round(stats.sim_seconds, 12))
+
+
+#: (calls, in_batch) -> (each item's fault or result, or the exception
+#: that escaped; every touched operation's meter as ``_stats_row``).
+_V, _C, _I, _U = (FaultCode.VALIDATION, FaultCode.CONFLICT,
+                  FaultCode.INTERNAL, FaultCode.UNKNOWN_OP)
+_FAULT_PATHS = {
+    "success": (([_probe("ok", 2)], True), (
+        [{"status": "OK"}],
+        {"probe": (1, 1, 0, {}, 2, 2, 2, 0, 0.0023)})),
+    "unknown-operation": (([("nosuch", {})], True), (
+        [("UnknownOperationFault", _U, "unregistered",
+          "unknown operation 'nosuch'", "nosuch")],
+        {"(unknown)": (1, 0, 1, {_U: 1}, 0, 0, 0, 0, 0.0)})),
+    "not-batchable": (([_probe("ok", 0, "solo")], True), (
+        [("ValidationFault", _V, "not-batchable",
+          "solo may not ride a batch envelope", "solo")],
+        {"solo": (1, 0, 1, {_V: 1}, 0, 0, 0, 0, 0.0)})),
+    "not-batchable-alone": (([_probe("ok", 0, "solo")], False), (
+        [{"status": "OK"}],
+        {"solo": (1, 1, 0, {}, 0, 0, 0, 0, 0.0002)})),
+    "bad-request": (([("probe", {"mode": 7, "statements": 1})], True), (
+        [("ValidationFault", _V, "wrong-type",
+          "ProbeRequest.mode: expected string, got int", "probe")],
+        {"probe": (1, 0, 1, {_V: 1}, 0, 0, 0, 0, 0.0)})),
+    "service-fault": (([_probe("conflict")], True), (
+        [("ConflictFault", _C, "illegal-state", "taken", "")],
+        {"probe": (1, 1, 1, {_C: 1}, 1, 1, 1, 0, 0.0014)})),
+    "not-found": (([_probe("not-found")], True), (
+        [("ConflictFault", _C, "not-found", "no such tuple", "probe")],
+        {"probe": (1, 1, 1, {_C: 1}, 1, 1, 1, 0, 0.0014)})),
+    "illegal-state": (([_probe("illegal-state")], True), (
+        [("ConflictFault", _C, "illegal-state", "wrong state", "probe")],
+        {"probe": (1, 1, 1, {_C: 1}, 1, 1, 1, 0, 0.0014)})),
+    "bad-value": (([_probe("bad-value")], True), (
+        [("ValidationFault", _V, "bad-value", "bad number", "probe")],
+        {"probe": (1, 1, 1, {_V: 1}, 1, 1, 1, 0, 0.0014)})),
+    "broken-invariant": (([_probe("broken-invariant")], True), (
+        [("ValidationFault", _V, "bad-value", "no cores", "probe")],
+        {"probe": (1, 1, 1, {_V: 1}, 1, 1, 1, 0, 0.0014)})),
+    "server-error": (([_probe("server-error")], True), (
+        [("InternalFault", _I, "server-error", "disk gone", "probe")],
+        {"probe": (1, 1, 1, {_I: 1}, 1, 1, 1, 0, 0.0014)})),
+    "bad-reply": (([_probe("bad-reply")], True), (
+        [("InternalFault", _I, "response-validation",
+          "probe response failed its schema: ProbeResponse.status: "
+          "'NOPE' not in ['OK']", "probe")],
+        {"probe": (1, 1, 1, {_I: 1}, 1, 1, 1, 0, 0.0014)})),
+    "over-budget": (([_probe("ok", 3)], True), (
+        [("InternalFault", _I, "budget-exceeded",
+          "probe dispatched 3 statements against a budget of 2", "probe")],
+        {"probe": (1, 1, 1, {_I: 1}, 3, 3, 3, 1, 0.0032)})),
+    "untranslated": (([_probe("untranslated")], True), (
+        "RuntimeError",
+        {"probe": (1, 1, 0, {}, 1, 1, 1, 0, 0.0014)})),
+    "one-envelope-of-each": (([
+        _probe("ok", 2), ("nosuch", {}), _probe("ok", 0, "solo"),
+        ("probe", {"mode": 7, "statements": 1}), _probe("not-found"),
+        _probe("bad-reply", 0), _probe("ok", 3), _probe("server-error", 2),
+    ], True), (
+        [{"status": "OK"},
+         ("UnknownOperationFault", _U, "unregistered",
+          "unknown operation 'nosuch'", "nosuch"),
+         ("ValidationFault", _V, "not-batchable",
+          "solo may not ride a batch envelope", "solo"),
+         ("ValidationFault", _V, "wrong-type",
+          "ProbeRequest.mode: expected string, got int", "probe"),
+         ("ConflictFault", _C, "not-found", "no such tuple", "probe"),
+         ("InternalFault", _I, "response-validation",
+          "probe response failed its schema: ProbeResponse.status: "
+          "'NOPE' not in ['OK']", "probe"),
+         ("InternalFault", _I, "budget-exceeded",
+          "probe dispatched 3 statements against a budget of 2", "probe"),
+         ("InternalFault", _I, "server-error", "disk gone", "probe")],
+        {"(unknown)": (1, 0, 1, {_U: 1}, 0, 0, 0, 0, 0.0),
+         "solo": (1, 0, 1, {_V: 1}, 0, 0, 0, 0, 0.0),
+         "probe": (6, 5, 5, {_V: 1, _C: 1, _I: 3}, 8, 8, 3, 1, 0.0085)})),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FAULT_PATHS))
+def test_every_fault_path_meters_in_full(name):
+    """Each fault the gateway can raise, alone and all in one batch: the
+    fault that comes back (type, code, subcode, detail, operation) and
+    every meter reading but wall-clock seconds, which are only checked to
+    be charged to the calls that reached a handler."""
+    (calls, in_batch), (expected_items, expected_stats) = _FAULT_PATHS[name]
+    gateway = _probe_gateway()
+    try:
+        items = gateway.dispatch_batch(calls, 0.0, in_batch=in_batch)
+    except Exception as exc:  # noqa: BLE001 - the untranslated path
+        outcome = type(exc).__name__
+    else:
+        outcome = [item.result if item.ok else (
+            type(item.fault).__name__, item.fault.code, item.fault.subcode,
+            item.fault.detail, item.fault.operation) for item in items]
+    assert outcome == expected_items
+    assert {operation: _stats_row(stats)
+            for operation, stats in gateway.stats.items()} == expected_stats
+    for stats in gateway.stats.values():
+        assert (stats.handler_seconds > 0.0) == (stats.calls > 0)
+        assert stats.max_handler_seconds <= stats.handler_seconds
 
 
 # ----------------------------------------------------------------------

@@ -130,11 +130,11 @@ def test_seeded_parameter_bound_state_write_is_caught_on_the_bean_path(
     blind = {(f.file, f.line, f.message.split()[1]) for f in findings
              if f.rule == "unguarded-state-write"}
     assert blind == {("beans/base.py", write, table)
-                     for table in ("jobs", "machines", "vms")}
+                     for table in ("jobs", "machines")}
     delete = _line_of(root, "# seeded-bean-delete", "beans/base.py")
     illegal = [f.message for f in findings if f.line == delete
                and f.rule == "illegal-transition"]
-    assert len(illegal) == 2 and all(  # machines and vms
+    assert len(illegal) == 1 and all(  # machines
         "declares no deletable states" in message for message in illegal)
 
 

@@ -8,12 +8,14 @@ kernel, unchanged but for living in one module.  It pushes one
 chain, sends every ``Use`` through the waiter deque and gives every
 ``Wait`` a state dict and three closures.  ``test_kernel_equivalence.py``
 runs random programs on it and on ``repro.sim`` and requires the same
-resume trace, clock, event count, metered usage and queue pop order.
+resume trace, clock, event count, metered usage and bare-event order.
 
-Two behaviours differ on purpose, and the property keeps clear of both:
-here a negative ``Wait`` timeout raises ``SchedulingError`` out of
-``run`` (``repro.sim`` fails the waiting process), and ``run(max_events=n)``
-raises after exactly ``n`` events even when no further event is due.
+Three behaviours differ on purpose, and the properties keep clear of
+them: here a negative ``Wait`` timeout raises ``SchedulingError`` out of
+``run`` (``repro.sim`` fails the waiting process), ``run(max_events=n)``
+raises after exactly ``n`` events even when no further event is due,
+and a NaN time, delay or timeout is accepted (``repro.sim`` refuses it
+as it refuses a negative one).
 ``UsageMeter`` and the error types are shared with ``repro.sim``.
 """
 

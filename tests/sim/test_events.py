@@ -1,135 +1,148 @@
-"""Unit tests for the event queue."""
+"""Unit tests for scheduled events: order, cancellation and handle state.
+
+Each test runs on ``repro.sim`` and on the kernel it replaced
+(``reference_kernel.py``), through the simulator's public calls:
+``schedule``, ``schedule_at``, ``EventHandle.cancel``, ``step`` and
+``run(until=...)``.
+"""
+
+import importlib.util
+import pathlib
+import sys
 
 import pytest
 
+import repro.sim.kernel as kernel
 from repro.sim.errors import SchedulingError
-from repro.sim.events import EventQueue
 
 
-def test_pop_orders_by_time():
-    queue = EventQueue()
+def _reference():
+    """``reference_kernel.py``, loaded once under the name
+    ``test_kernel_equivalence.py`` gives it."""
+    name = "sim_reference_kernel"
+    if name not in sys.modules:
+        path = pathlib.Path(__file__).resolve().parent / "reference_kernel.py"
+        spec = importlib.util.spec_from_file_location(name, path)
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]
+
+
+reference = _reference()
+
+
+@pytest.fixture(params=[kernel, reference], ids=["repro.sim", "reference"])
+def sim(request):
+    return request.param.Simulator()
+
+
+def test_events_fire_in_time_order(sim):
     fired = []
-    queue.push(3.0, fired.append, ("c",))
-    queue.push(1.0, fired.append, ("a",))
-    queue.push(2.0, fired.append, ("b",))
-    while True:
-        handle = queue.pop()
-        if handle is None:
-            break
-        handle.callback(*handle.args)
+    sim.schedule_at(3.0, fired.append, "c")
+    sim.schedule_at(1.0, fired.append, "a")
+    sim.schedule(2.0, fired.append, "b")
+    sim.run()
     assert fired == ["a", "b", "c"]
+    assert sim.now == 3.0 and sim.events_processed == 3
 
 
-def test_same_time_preserves_insertion_order():
-    queue = EventQueue()
+def test_same_time_preserves_scheduling_order(sim):
     fired = []
     for label in "abcde":
-        queue.push(5.0, fired.append, (label,))
-    while (handle := queue.pop()) is not None:
-        handle.callback(*handle.args)
+        sim.schedule_at(5.0, fired.append, label)
+    sim.run()
     assert fired == list("abcde")
 
 
-def test_len_counts_live_events():
-    queue = EventQueue()
-    first = queue.push(1.0, lambda: None)
-    queue.push(2.0, lambda: None)
-    assert len(queue) == 2
-    first.cancel()
-    assert len(queue) == 1
-
-
-def test_cancelled_events_are_skipped():
-    queue = EventQueue()
+def test_cancelled_events_neither_fire_nor_count(sim):
     fired = []
-    keep = queue.push(1.0, fired.append, ("keep",))
-    drop = queue.push(0.5, fired.append, ("drop",))
+    keep = sim.schedule(1.0, fired.append, "keep")
+    drop = sim.schedule(0.5, fired.append, "drop")
     drop.cancel()
-    handle = queue.pop()
-    assert handle is keep
-    assert queue.pop() is None
+    assert sim.step() is True
+    assert fired == ["keep"] and sim.now == 1.0 and keep.fired
+    assert sim.step() is False
+    assert sim.events_processed == 1
 
 
-def test_peek_time_skips_cancelled():
-    queue = EventQueue()
-    early = queue.push(1.0, lambda: None)
-    queue.push(4.0, lambda: None)
-    assert queue.peek_time() == 1.0
+def test_step_skips_a_cancelled_head(sim):
+    early = sim.schedule(1.0, lambda: None)
+    sim.schedule(4.0, lambda: None)
     early.cancel()
-    assert queue.peek_time() == 4.0
+    assert sim.step() is True
+    assert sim.now == 4.0
 
 
-def test_peek_time_empty_returns_none():
-    assert EventQueue().peek_time() is None
+def test_an_empty_simulator_has_nothing_to_fire(sim):
+    assert sim.step() is False
+    sim.run()
+    assert sim.now == 0.0 and sim.events_processed == 0
 
 
-def test_pop_empty_returns_none():
-    assert EventQueue().pop() is None
-
-
-def test_cancel_after_fire_raises():
-    queue = EventQueue()
-    handle = queue.push(1.0, lambda: None)
-    queue.pop()
+def test_cancel_after_fire_raises(sim):
+    handle = sim.schedule(1.0, lambda: None)
+    sim.run()
     with pytest.raises(SchedulingError):
         handle.cancel()
 
 
-def test_cancel_twice_is_noop():
-    queue = EventQueue()
-    handle = queue.push(1.0, lambda: None)
+def test_cancel_twice_is_noop(sim):
+    handle = sim.schedule(1.0, lambda: None)
     handle.cancel()
     handle.cancel()
-    assert handle.cancelled
+    assert handle.cancelled and not handle.pending and not handle.fired
+    sim.run()
+    assert sim.events_processed == 0
 
 
-def test_handle_state_transitions():
-    queue = EventQueue()
-    handle = queue.push(1.0, lambda: None)
+def test_handle_state_transitions(sim):
+    handle = sim.schedule_at(1.0, lambda: None)
     assert handle.pending and not handle.fired and not handle.cancelled
-    queue.pop()
-    assert handle.fired and not handle.pending
+    assert handle.time == 1.0
+    sim.step()
+    assert handle.fired and not handle.pending and not handle.cancelled
 
 
-def test_same_time_order_survives_interleaved_cancels():
-    queue = EventQueue()
+def test_same_time_order_survives_interleaved_cancels(sim):
     fired = []
-    handles = [queue.push(5.0, fired.append, (label,)) for label in "abcdefgh"]
+    handles = [sim.schedule_at(5.0, fired.append, label) for label in "abcdefgh"]
     handles[0].cancel()
     handles[3].cancel()
-    late = queue.push(5.0, fired.append, ("i",))
+    late = sim.schedule_at(5.0, fired.append, "i")
     handles[7].cancel()
-    queue.push(5.0, fired.append, ("j",))
+    sim.schedule_at(5.0, fired.append, "j")
     late.cancel()
-    assert len(queue) == 6
-    while (handle := queue.pop()) is not None:
-        handle.callback(*handle.args)
+    sim.run()
     assert fired == list("bcefgj")
-    assert len(queue) == 0
+    assert sim.events_processed == 6
 
 
-def test_entries_at_one_timestamp_need_not_be_orderable():
+def test_events_at_one_time_need_not_be_orderable(sim):
     """The sequence number decides every tie, so neither the callbacks
     nor their arguments are ever compared."""
-    queue = EventQueue()
     payloads = [object(), {"a": 1}, None, lambda: None, 3, "x", {1, 2}]
+    fired = []
     for payload in payloads:
-        queue.push(1.0, (lambda value: value), (payload,))
-    popped = []
-    while (handle := queue.pop()) is not None:
-        popped.append(handle.args[0])
-    assert popped == payloads
+        sim.schedule_at(1.0, fired.append, payload)
+    sim.schedule_at(1.0, lambda first, second: fired.append((first, second)),
+                    {"x"}, [1])
+    sim.run()
+    assert fired == payloads + [({"x"}, [1])]
 
 
-def test_pop_until_leaves_later_events_queued():
-    queue = EventQueue()
-    early = queue.push(1.0, lambda: None)
-    cancelled = queue.push(2.0, lambda: None)
-    late = queue.push(3.0, lambda: None)
+def test_run_until_leaves_later_events_queued(sim):
+    fired = []
+    early = sim.schedule(1.0, fired.append, "early")
+    cancelled = sim.schedule(2.0, fired.append, "cancelled")
+    late = sim.schedule(3.0, fired.append, "late")
     cancelled.cancel()
-    assert queue.pop(until=0.5) is None
-    assert queue.pop(until=1.0) is early
-    assert queue.pop(until=2.5) is None  # the cancelled one is no event
-    assert late.pending and queue.peek_time() == 3.0 and len(queue) == 1
-    assert queue.pop(until=3.0) is late
-    assert queue.pop(until=9.0) is None
+    sim.run(until=0.5)
+    assert fired == [] and sim.now == 0.5 and early.pending
+    sim.run(until=1.0)
+    assert fired == ["early"] and early.fired and sim.now == 1.0
+    sim.run(until=2.5)  # the cancelled one is no event
+    assert fired == ["early"] and sim.now == 2.5 and late.pending
+    sim.run(until=3.0)
+    assert fired == ["early", "late"] and late.fired
+    sim.run(until=9.0)
+    assert sim.now == 9.0 and sim.events_processed == 2

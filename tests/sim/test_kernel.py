@@ -6,6 +6,7 @@ from repro.sim import (
     Delay,
     Join,
     ProcessError,
+    ResourceError,
     SchedulingError,
     Signal,
     SimulationLimitExceeded,
@@ -42,6 +43,54 @@ def test_schedule_at_past_raises():
     sim.run()
     with pytest.raises(SchedulingError):
         sim.schedule_at(1.0, lambda: None)
+
+
+NAN = float("nan")
+
+
+def test_nan_times_are_refused_and_the_clock_never_runs_back():
+    """NaN compares false with everything, so a ``< 0`` guard let it in,
+    and a NaN entry fired between any two times: events at 5, 3, NaN, 1,
+    4, 2 fired as 1, NaN, 2, 3, 4, 5."""
+    sim = Simulator()
+    with pytest.raises(SchedulingError):
+        sim.schedule(NAN, lambda: None)
+    with pytest.raises(SchedulingError):
+        sim.schedule_at(NAN, lambda: None)
+    clock = []
+    for time in (5.0, 3.0, NAN, 1.0, 4.0, 2.0):
+        try:
+            sim.schedule_at(time, lambda: clock.append(sim.now))
+        except SchedulingError:
+            clock.append("refused")
+    sim.run()
+    assert clock == ["refused", 1.0, 2.0, 3.0, 4.0, 5.0]
+
+
+@pytest.mark.parametrize("effect", ["delay", "wait", "use"])
+def test_a_nan_effect_fails_the_process_and_the_run_goes_on(effect):
+    """Like a negative duration: the error is thrown into the process,
+    the clock stays a number and a later event fires at its time."""
+    sim = Simulator()
+    server = Resource(sim, capacity=1, name="cpu")
+    made = {"delay": lambda: Delay(NAN),
+            "wait": lambda: Wait(Signal("never"), timeout=NAN),
+            "use": lambda: Use(server, NAN)}[effect]
+    seen = []
+
+    def proc():
+        try:
+            yield made()
+        except (SchedulingError, ResourceError) as exc:
+            seen.append((type(exc).__name__, sim.now))
+        yield Delay(2.0)
+        seen.append(("done", sim.now))
+
+    process = sim.spawn(proc())
+    sim.run()
+    refused = "ResourceError" if effect == "use" else "SchedulingError"
+    assert seen == [(refused, 0.0), ("done", 2.0)]
+    assert process.done and process.error is None and sim.now == 2.0
 
 
 def test_run_until_stops_clock_exactly():

@@ -8,8 +8,8 @@ and join children that fail, get cancelled, and pass negative durations
 -- runs on both, and every observable must agree: the resume trace
 ``(process, now, sent value or exception type)``, each process's
 outcome, the clock, ``events_processed`` and every ``UsageMeter``
-bucket.  A second property drives both ``EventQueue``s with the same
-pushes, cancels and pops.
+bucket.  A second property drives both simulators with the same bare
+``schedule`` / ``schedule_at`` calls, cancels, steps and bounded runs.
 
 The reference raises ``SchedulingError`` out of ``run`` on a negative
 ``Wait`` timeout where ``repro.sim`` fails the waiting process, so the
@@ -22,9 +22,9 @@ import sys
 
 from hypothesis import given, settings, strategies as st
 
-import repro.sim.events as events
 import repro.sim.kernel as kernel
 import repro.sim.resources as resources
+from repro.sim.errors import SchedulingError
 
 _REFERENCE_PATH = pathlib.Path(__file__).resolve().parent / "reference_kernel.py"
 
@@ -41,9 +41,9 @@ def _load_reference():
 
 reference = _load_reference()
 
-#: (kernel module, Resource class, EventQueue class) for each side.
-CURRENT = (kernel, resources.Resource, events.EventQueue)
-REFERENCE = (reference, reference.Resource, reference.EventQueue)
+#: (kernel module, Resource class) for each side.
+CURRENT = (kernel, resources.Resource)
+REFERENCE = (reference, reference.Resource)
 
 # ----------------------------------------------------------------------
 # programs
@@ -95,7 +95,7 @@ programs = st.fixed_dictionaries({
 
 def _run(side, program):
     """Run ``program`` on one kernel; return everything it observed."""
-    k, resource_type, _ = side
+    k, resource_type = side
     sim = k.Simulator(seed=3)
     meters = [resources.UsageMeter(bucket_seconds=1.0) for _ in range(3)]
     pool = [resource_type(sim, capacity, name=f"r{index}", meter=meter)
@@ -187,40 +187,47 @@ def test_kernel_runs_every_program_like_the_reference(program):
 
 
 # ----------------------------------------------------------------------
-# the queue on its own
+# bare events on their own
 # ----------------------------------------------------------------------
-queue_ops = st.lists(st.one_of(
-    st.tuples(st.just("push"), st.sampled_from([0.0, 1.0, 1.5, 3.0])),
+event_ops = st.lists(st.one_of(
+    st.tuples(st.just("schedule"), st.sampled_from([0.0, 1.0, 1.5, 3.0])),
+    st.tuples(st.just("schedule_at"), st.sampled_from([0.0, 1.0, 1.5, 3.0])),
     st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=20)),
-    st.tuples(st.just("pop"), st.one_of(st.none(), st.sampled_from([0.5, 1.0, 2.0]))),
-    st.tuples(st.just("peek")),
+    st.tuples(st.just("step")),
+    st.tuples(st.just("run"), st.sampled_from([0.5, 1.0, 2.0, 4.5])),
 ), max_size=40)
 
 
-def _drive(queue_type, steps):
-    queue = queue_type()
+def _drive(k, steps):
+    """Apply ``steps`` to a fresh simulator of kernel ``k``; return what
+    fired when, each step's outcome and every handle's final state."""
+    sim = k.Simulator()
     handles, seen = [], []
+
+    def fire(label):
+        seen.append((label, sim.now))
+
     for step in steps:
         kind = step[0]
-        if kind == "push":
-            handles.append(queue.push(step[1], seen.append, (len(handles),)))
+        if kind in ("schedule", "schedule_at"):
+            try:
+                handles.append(getattr(sim, kind)(step[1], fire, len(handles)))
+            except SchedulingError:
+                seen.append(("refused", kind, step[1], sim.now))
         elif kind == "cancel":
             if step[1] < len(handles) and not handles[step[1]].fired:
                 handles[step[1]].cancel()
-        elif kind == "pop":
-            handle = queue.pop(step[1])
-            if handle is not None:
-                handle.callback(*handle.args)
-                seen.append((handle.time, handle.fired, handle.pending))
+        elif kind == "step":
+            seen.append(("step", sim.step(), sim.now))
         else:
-            seen.append(queue.peek_time())
-        seen.append(len(queue))
-    while (handle := queue.pop()) is not None:
-        handle.callback(*handle.args)
-    states = [(h.pending, h.fired, h.cancelled) for h in handles]
-    return seen, states
+            sim.run(until=step[1])
+            seen.append(("run", sim.now))
+        seen.append(sim.events_processed)
+    sim.run()
+    states = [(h.time, h.pending, h.fired, h.cancelled) for h in handles]
+    return seen, states, sim.now
 
 
-@given(queue_ops)
-def test_event_queue_pops_like_the_reference(steps):
-    assert _drive(CURRENT[2], steps) == _drive(REFERENCE[2], steps)
+@given(event_ops)
+def test_bare_events_fire_like_the_reference(steps):
+    assert _drive(kernel, steps) == _drive(reference, steps)
