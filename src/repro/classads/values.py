@@ -65,11 +65,6 @@ def is_abnormal(value: Value) -> bool:
     return isinstance(value, _Sentinel)
 
 
-def is_number(value: Value) -> bool:
-    """Whether ``value`` is an int or float (bools are numbers in ClassAds)."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool) or isinstance(value, bool)
-
-
 def as_number(value: Value) -> Union[int, float, ErrorType]:
     """Coerce to a number, with booleans as 0/1; non-numbers become ERROR."""
     if isinstance(value, bool):

@@ -16,9 +16,7 @@ on the result (:mod:`cli`, ``python -m repro.condorj2.analysis``).
 
 from repro.condorj2.analysis.check import check_extracted
 from repro.condorj2.analysis.cli import analyze, main
-from repro.condorj2.analysis.dispatch import (
-    DispatchModel, build_dispatch_model, check_dispatch,
-)
+from repro.condorj2.analysis.dispatch import check_dispatch
 from repro.condorj2.analysis.extract import (
     Corpus, ExtractedStatement, SqlTemplate, extract_corpus,
 )
@@ -26,23 +24,22 @@ from repro.condorj2.analysis.findings import (
     RULES, SEVERITIES, Baseline, Finding, sort_findings,
 )
 from repro.condorj2.analysis.lifecycle import check_lifecycles
-from repro.condorj2.analysis.txn import (
-    TxnModel, build_txn_model, check_transactions,
+from repro.condorj2.analysis.source import (
+    FunctionIndex, build_function_index,
 )
+from repro.condorj2.analysis.txn import check_transactions
 
 __all__ = [
     "Baseline",
     "Corpus",
-    "DispatchModel",
     "ExtractedStatement",
     "Finding",
+    "FunctionIndex",
     "RULES",
     "SEVERITIES",
     "SqlTemplate",
-    "TxnModel",
     "analyze",
-    "build_dispatch_model",
-    "build_txn_model",
+    "build_function_index",
     "check_dispatch",
     "check_extracted",
     "check_lifecycles",

@@ -25,7 +25,7 @@ from repro.condorj2.analysis.findings import (
     SEVERITIES, Baseline, Finding, sort_findings,
 )
 from repro.condorj2.analysis.lifecycle import check_lifecycles
-from repro.condorj2.analysis.source import SourceTree
+from repro.condorj2.analysis.source import SourceTree, build_function_index
 from repro.condorj2.analysis.txn import check_transactions
 
 
@@ -34,16 +34,17 @@ def analyze(root: Path) -> Tuple[Corpus, List[Finding]]:
 
     Runs all four tiers: the per-statement schema checks, the
     cross-statement lifecycle pass, the transaction-boundary pass and
-    the dispatch-complexity pass.
+    the dispatch-complexity pass; the last two read one call graph.
     """
     source = SourceTree.of(root)  # parsed once, shared by every tier
     corpus = extract_corpus(source)
+    index = build_function_index(source)
     findings: List[Finding] = list(corpus.findings)
     for statement in corpus.statements:
         findings.extend(check_extracted(statement))
     findings.extend(check_lifecycles(corpus))
-    findings.extend(check_transactions(source))
-    findings.extend(check_dispatch(source))
+    findings.extend(check_transactions(corpus, index))
+    findings.extend(check_dispatch(index))
     return corpus, sort_findings(findings)
 
 

@@ -44,11 +44,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.condorj2 import schema
 from repro.condorj2.analysis.findings import Finding, make_finding
-from repro.condorj2.analysis.source import SourceTree
-
-#: Methods whose first argument is SQL text.
-EXECUTE_METHODS = ("execute", "executemany", "query_all", "query_one",
-                   "scalar")
+from repro.condorj2.analysis.source import EXECUTE_METHODS, SourceTree
 
 #: A template is SQL only if its leading constant text starts with one
 #: of the dialect's verbs.

@@ -229,7 +229,8 @@ class ServiceGateway:
                     f"{operation} response failed its schema: {exc.detail}",
                     subcode="response-validation", operation=operation,
                 ) from exc
-        except ServiceFault:
+        except ServiceFault as fault:
+            fault.operation = fault.operation or operation
             raise
         except BeanNotFound as exc:
             raise ConflictFault(str(exc), subcode="not-found",

@@ -445,7 +445,7 @@ SCHEMA_STATEMENTS = [
 #: over one of them (directly, through ``.items()``-style views, or
 #: through a single local rebinding such as ``tables = sorted(TABLES)``)
 #: contributes nothing to a function's dispatch complexity.  See
-#: ``analysis/dispatch.py`` and DESIGN.md section 9.2.
+#: ``analysis/source.py`` (``FunctionScan``) and DESIGN.md section 9.2.
 BOUNDED_ITERABLES: Tuple[str, ...] = (
     "TABLE_DEFS",
     "TABLES",

@@ -40,10 +40,6 @@ class Workflow:
         """All job ids in the workflow."""
         return {job.job_id for job in self.jobs}
 
-    def dependencies_of(self, job: JobSpec) -> Tuple[int, ...]:
-        """The prerequisite ids of ``job``."""
-        return job.depends_on
-
     def validate(self) -> None:
         """Check edges reference workflow members and the DAG is acyclic."""
         members = self.job_ids()

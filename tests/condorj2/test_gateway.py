@@ -210,7 +210,7 @@ _FAULT_PATHS = {
           "ProbeRequest.mode: expected string, got int", "probe")],
         {"probe": (1, 0, 1, {_V: 1}, 0, 0, 0, 0, 0.0)})),
     "service-fault": (([_probe("conflict")], True), (
-        [("ConflictFault", _C, "illegal-state", "taken", "")],
+        [("ConflictFault", _C, "illegal-state", "taken", "probe")],
         {"probe": (1, 1, 1, {_C: 1}, 1, 1, 1, 0, 0.0014)})),
     "not-found": (([_probe("not-found")], True), (
         [("ConflictFault", _C, "not-found", "no such tuple", "probe")],
@@ -243,6 +243,7 @@ _FAULT_PATHS = {
         _probe("ok", 2), ("nosuch", {}), _probe("ok", 0, "solo"),
         ("probe", {"mode": 7, "statements": 1}), _probe("not-found"),
         _probe("bad-reply", 0), _probe("ok", 3), _probe("server-error", 2),
+        _probe("conflict", 0),
     ], True), (
         [{"status": "OK"},
          ("UnknownOperationFault", _U, "unregistered",
@@ -257,10 +258,11 @@ _FAULT_PATHS = {
           "'NOPE' not in ['OK']", "probe"),
          ("InternalFault", _I, "budget-exceeded",
           "probe dispatched 3 statements against a budget of 2", "probe"),
-         ("InternalFault", _I, "server-error", "disk gone", "probe")],
+         ("InternalFault", _I, "server-error", "disk gone", "probe"),
+         ("ConflictFault", _C, "illegal-state", "taken", "probe")],
         {"(unknown)": (1, 0, 1, {_U: 1}, 0, 0, 0, 0, 0.0),
          "solo": (1, 0, 1, {_V: 1}, 0, 0, 0, 0, 0.0),
-         "probe": (6, 5, 5, {_V: 1, _C: 1, _I: 3}, 8, 8, 3, 1, 0.0085)})),
+         "probe": (7, 6, 6, {_V: 1, _C: 2, _I: 3}, 8, 8, 3, 1, 0.0087)})),
 }
 
 

@@ -23,8 +23,10 @@ from pathlib import Path
 import pytest
 
 from repro.cluster import JobSpec
-from repro.condorj2.analysis import analyze
-from repro.condorj2.analysis.txn import build_txn_model
+from repro.condorj2.analysis import (
+    analyze, build_function_index, extract_corpus,
+)
+from repro.condorj2.analysis.txn import exposure, protection, writes_of
 from repro.condorj2.beans import BeanContainer
 from repro.condorj2.database import Database
 from repro.condorj2.logic import (
@@ -230,19 +232,129 @@ def test_seeded_unprotected_multi_table_write_is_caught(tmp_path):
 # ----------------------------------------------------------------------
 
 def test_txn_model_protection_fixpoint_on_real_tree():
-    model = build_txn_model(PACKAGE_ROOT)
-    protected = {
-        "beans/entities.py:MachineBean.record_boot",
-        "beans/entities.py:PolicyBean.change_value",
-        "logic/heartbeat.py:HeartbeatService.apply_events",
-    }
-    for qualname in protected:
-        assert model.protected[qualname], qualname
+    index = build_function_index(PACKAGE_ROOT)
+    protected = protection(index)
+    exposed = exposure(index, writes_of(extract_corpus(PACKAGE_ROOT), index))
+    for qualname in ("beans/entities.py:MachineBean.record_boot",
+                     "beans/entities.py:PolicyBean.change_value"):
+        assert protected[qualname], qualname
+    # beginExecute reaches apply_events through ``self.heartbeat`` with
+    # no scope open, so apply_events must carry its own scope, and does.
+    apply = "logic/heartbeat.py:HeartbeatService.apply_events"
+    assert protected[apply] is False
+    assert exposed[apply] == set()
     # Service entry points have no resolvable callers: they must carry
     # their own scopes, and the fixpoint must not assume otherwise.
     accept = "logic/lifecycle.py:LifecycleService.accept_match"
-    assert model.protected.get(accept) is False
-    assert model.exposure[accept] == set()
+    assert protected[accept] is False
+    assert exposed[accept] == set()
+
+
+_UNSCOPED_PASS = (
+    "        with db.transaction():\n"
+    "            cursor = db.execute(\n"
+    "                MATCH_INSERT_SQL, {\"now\": now, \"limit\": free_slots}\n"
+    "            )\n"
+    "            created = cursor.rowcount\n"
+    "            if created:\n"
+    "                db.execute(MATCH_UPDATE_SQL)\n",
+    "        cursor = db.execute(\n"
+    "            MATCH_INSERT_SQL, {\"now\": now, \"limit\": free_slots}\n"
+    "        )\n"
+    "        created = cursor.rowcount\n"
+    "        if created:\n"
+    "            db.execute(MATCH_UPDATE_SQL)\n",
+)
+
+
+def test_seeded_unscoped_scheduling_pass_is_caught(tmp_path):
+    """The pass's INSERT is a module constant built by concatenation:
+    the tier reads it from the corpus, so the pass writes two tables."""
+    root = _copy_logic(tmp_path)
+    old, new = _UNSCOPED_PASS
+    _mutate(root, old, new, filename="logic/scheduling.py")
+    line = _line_of(root, "cursor = db.execute(", "logic/scheduling.py")
+    _corpus, findings = analyze(root)
+    assert [(f.line, f.message) for f in findings
+            if f.rule == "txn-unprotected-write"
+            and f.file == "logic/scheduling.py"] == [
+        (line, "SchedulingService.run_pass: writes to jobs, matches can "
+               "execute outside any transaction scope")]
+
+
+#: A two-table write protected only by its one real caller's scope, and
+#: a bare ``set(...)`` / ``rows.get(...)`` that must not alias it.
+_RESOLUTION_FIXTURE = '''\
+class ConfigService:
+    def __init__(self, db):
+        self.db = db
+
+    def get(self, name):
+        return self.db.scalar(
+            "SELECT policy_value FROM config_policies "
+            "WHERE policy_name = ?", (name,))
+
+    def set(self, name, value, now):
+        self.db.execute(
+            "UPDATE config_policies SET policy_value = ? "
+            "WHERE policy_name = ?", (value, name))
+        self.db.execute(
+            "INSERT INTO config_history (policy_name, new_value, "
+            "changed_at) VALUES (?, ?, ?)", (name, value, now))
+
+    def change(self, name, value, now):
+        with self.db.transaction():
+            self.set(name, value, now)
+
+
+def tally(rows):
+    return set(rows), rows.get("x")
+'''
+
+
+def test_call_resolution_skips_builtins_and_guarded_methods(tmp_path):
+    (tmp_path / "services.py").write_text(_RESOLUTION_FIXTURE)
+    index = build_function_index(tmp_path)
+    assert index.functions["services.py:tally"].calls == []
+    assert protection(index)["services.py:ConfigService.set"] is True
+    _corpus, findings = analyze(tmp_path)
+    assert [f.render() for f in findings if f.rule.startswith("txn-")] == []
+
+
+_SELF_ATTRIBUTE_FIXTURE = '''\
+class Requeue:
+    def __init__(self, db):
+        self.db = db
+
+    def requeue(self, job_id):
+        self.db.execute("DELETE FROM runs WHERE job_id = ?", (job_id,))
+        self.db.execute(
+            "UPDATE jobs SET state = 'idle' "
+            "WHERE job_id = ? AND state IN ('matched', 'running')",
+            (job_id,))
+
+
+class Driver:
+    def __init__(self, db, requeue):
+        self.db = db
+        self.requeue = requeue
+
+    def scoped(self, job_id):
+        requeue = self.requeue
+        with self.db.transaction():
+            requeue.requeue(job_id)
+
+    def unscoped(self, job_id):
+        self.requeue.requeue(job_id)
+'''
+
+
+def test_self_attribute_call_outside_a_scope_strips_protection(tmp_path):
+    (tmp_path / "services.py").write_text(_SELF_ATTRIBUTE_FIXTURE)
+    index = build_function_index(tmp_path)
+    assert protection(index)["services.py:Requeue.requeue"] is False
+    assert ("txn-unprotected-write", "services.py", 6) in {
+        (f.rule, f.file, f.line) for f in analyze(tmp_path)[1]}
 
 
 # ----------------------------------------------------------------------
