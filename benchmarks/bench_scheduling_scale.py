@@ -243,7 +243,8 @@ def _one_free_slot(backend, depth, dormant_users=0, edges=False):
         statements = db.counts.statements - before
         match = db.query_one("SELECT job_id, vm_id FROM matches")
         lifecycle.accept_match(match["job_id"], match["vm_id"], now=now + 0.2)
-        lifecycle.complete_job(match["job_id"], match["vm_id"], now=now + 0.4)
+        lifecycle.complete_jobs(
+            [(match["job_id"], match["vm_id"])], now=now + 0.4)
         return seconds, statements
 
     return placing_pass

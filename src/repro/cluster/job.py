@@ -60,10 +60,7 @@ class JobSpec:
     image_size_mb: int = 16
     requirements: Optional[str] = None
     rank: Optional[str] = None
-    workflow_id: Optional[int] = None
     depends_on: Tuple[int, ...] = ()
-    input_files: Tuple[str, ...] = ()
-    output_files: Tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         if self.run_seconds <= 0:

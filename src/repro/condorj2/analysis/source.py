@@ -11,8 +11,11 @@ nested scopes and direct ``begin``/``commit``/``rollback`` lines.  A
 call resolves to the same-named functions in the tree by one rule
 (:func:`_resolvable`): ``self.m()`` always; ``local.m()`` and
 ``self.attr.m()`` unless ``m`` is a common collection/str/logger method
-name; a bare ``f()`` unless ``f`` is a builtin.  So ``event.get(...)``
-and ``set(...)`` never alias ``ConfigService.get``/``set``.
+name or ``local`` is an item of a call's result; a bare ``f()`` unless
+``f`` is a builtin.  So ``event.get(...)`` and ``set(...)`` never alias
+``ConfigService.get``/``set``, ``self.config.set(...)`` does reach
+``ConfigService.set``, and ``token.start()`` on each match of a
+``finditer`` reaches no ``start`` method of the tree.
 
 Every entry point that takes a ``root`` accepts a directory or an
 already loaded :class:`SourceTree`, so one CLI run parses each file once;
@@ -25,7 +28,7 @@ import ast
 import builtins
 from dataclasses import dataclass, field
 from pathlib import Path, PurePosixPath
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple, Union
 
 from repro.condorj2.schema import BOUNDED_ITERABLES
 
@@ -43,7 +46,9 @@ EXECUTE_METHODS = ("execute", "executemany", "query_all", "query_one",
 _TXN_CONTROL = ("begin", "commit", "rollback")
 
 #: Bare-name calls to builtins are never resolved: ``set(...)`` must not
-#: alias ``ConfigService.set``, nor ``dict(row)`` a bean method.
+#: alias ``ConfigService.set``, nor ``dict(row)`` a bean method.  A
+#: builtin's name says nothing about a *method* of that name:
+#: ``self.config.set(...)`` is ``ConfigService.set``.
 _BUILTIN_NAMES = frozenset(dir(builtins))
 
 #: Method names never resolved unless the receiver is literally
@@ -57,7 +62,7 @@ _UNRESOLVED_METHODS = frozenset({
     "strip", "lstrip", "rstrip", "format", "startswith", "endswith",
     "count", "index", "find", "rfind", "partition", "rpartition",
     "lower", "upper", "replace", "record",
-}) | _BUILTIN_NAMES
+})
 
 #: Wrappers through which boundedness is transparent: ``sorted(TABLES)``
 #: is as bounded as ``TABLES``.
@@ -165,11 +170,12 @@ class Function:
     txn_control: List[int] = field(default_factory=list)
 
 
-def _resolvable(func: ast.Attribute) -> bool:
+def _resolvable(func: ast.Attribute, items: FrozenSet[str]) -> bool:
     """May this method call be resolved through the call graph?"""
     value = func.value
     if isinstance(value, ast.Name):
-        return value.id == "self" or func.attr not in _UNRESOLVED_METHODS
+        return value.id == "self" or (func.attr not in _UNRESOLVED_METHODS
+                                      and value.id not in items)
     return (isinstance(value, ast.Attribute)
             and isinstance(value.value, ast.Name)
             and value.value.id == "self"
@@ -196,6 +202,24 @@ def _local_assignments(node) -> Dict[str, ast.expr]:
             if len(values) == 1 and values[0] is not None}
 
 
+def _call_items(node) -> FrozenSet[str]:
+    """Names a loop binds to the items of a call's result.
+
+    ``for token in pattern.finditer(text)`` and ``for row in
+    db.query_all(...)`` hand out returned data — a match, a row — never
+    a collaborator, so a method call on one resolves to nothing.  A loop
+    over what the object holds (``for startd in self.startds``) still
+    resolves.
+    """
+    return frozenset(
+        target.id
+        for child in ast.walk(node)
+        if isinstance(child, (ast.For, ast.AsyncFor, ast.comprehension))
+        and isinstance(child.iter, ast.Call)
+        for target in ast.walk(child.target)
+        if isinstance(target, ast.Name))
+
+
 class FunctionScan(ast.NodeVisitor):
     """Records one function's dispatches and calls with their scope and
     loop stack.
@@ -207,9 +231,11 @@ class FunctionScan(ast.NodeVisitor):
     definitions are functions of their own and are not entered.
     """
 
-    def __init__(self, function: Function, local_env: Dict[str, ast.expr]):
+    def __init__(self, function: Function, local_env: Dict[str, ast.expr],
+                 items: FrozenSet[str]):
         self.function = function
         self.local_env = local_env
+        self.items = items
         self._scopes: List[int] = []
         self._next_scope = 0
         self._loops: List[Loop] = []
@@ -318,7 +344,7 @@ class FunctionScan(ast.NodeVisitor):
                 self.function.dispatches.append(self._site(func.attr, node))
             elif func.attr in _TXN_CONTROL:
                 self.function.txn_control.append(node.lineno)
-            elif _resolvable(func):
+            elif _resolvable(func, self.items):
                 self.function.calls.append(self._site(func.attr, node))
         elif isinstance(func, ast.Name) and func.id not in _BUILTIN_NAMES:
             self.function.calls.append(self._site(func.id, node))
@@ -355,7 +381,8 @@ def build_function_index(root) -> FunctionIndex:
         for qualname, node in functions_of(module.tree):
             function = Function(f"{module.rel}:{qualname}", module.rel,
                                 node.lineno)
-            scan = FunctionScan(function, _local_assignments(node))
+            scan = FunctionScan(function, _local_assignments(node),
+                                _call_items(node))
             for statement in node.body:
                 scan.visit(statement)
             index.add(function)

@@ -17,7 +17,6 @@ from repro.condorj2.beans.entities import (
     MachineBean,
     PolicyBean,
     UserBean,
-    WorkflowBean,
 )
 
 __all__ = [
@@ -30,5 +29,4 @@ __all__ = [
     "MachineBean",
     "PolicyBean",
     "UserBean",
-    "WorkflowBean",
 ]

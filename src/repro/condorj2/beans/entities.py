@@ -1,11 +1,12 @@
 """Concrete entity beans: the persistent objects of section 4.1.
 
-"The persistence layer consists of the entity beans that represent the
-persistent objects (e.g., users, workflows, jobs, machines, configuration
-policies, etc.) that collectively determine system state."
+The paper's persistence layer is "the entity beans that represent the
+persistent objects" that "collectively determine system state": here
+users, jobs, machines and configuration policies.
 
-One declaration per table the logic tier creates or finds by key.  The
-two beans with an operation of their own write history beside the tuple
+One declaration per table the logic tier creates or finds by key, and
+``UserBean``: submission writes users set-wise (``INSERT OR IGNORE``),
+so only the container's own tests create one.  The two beans with an operation of their own write history beside the tuple
 (:meth:`MachineBean.record_boot`, :meth:`PolicyBean.change_value`); every
 other change to these tables is a set-oriented statement in ``logic/``.
 """
@@ -23,12 +24,6 @@ class UserBean(EntityBean):
     def check_invariants(self) -> None:
         if self["accumulated_usage_seconds"] < 0:
             raise BeanConsistencyError("negative accumulated usage")
-
-
-class WorkflowBean(EntityBean):
-    """A named group of jobs submitted together."""
-
-    TABLE = "workflows"
 
 
 class JobBean(EntityBean):

@@ -116,10 +116,6 @@ class LifecycleService:
     # ------------------------------------------------------------------
     # completion (steps 14-15) + post-execution processing
     # ------------------------------------------------------------------
-    def complete_job(self, job_id: int, vm_id: str, now: float) -> None:
-        """Delete run and job tuples; write history and accounting."""
-        self.complete_jobs([(job_id, vm_id)], now)
-
     def complete_jobs(
         self, completions: Sequence[Tuple[int, str]], now: float
     ) -> None:
@@ -138,7 +134,7 @@ class LifecycleService:
             # so the statement stays one prepared-statement-cache entry
             # instead of one per distinct IN-list length.
             rows = db.query_all(
-                "SELECT j.job_id, j.owner, j.workflow_id, j.cmd, j.run_seconds,"
+                "SELECT j.job_id, j.owner, j.cmd, j.run_seconds,"
                 "       j.submitted_at, j.state, j.attempts, r.started_at"
                 " FROM jobs j LEFT JOIN runs r ON r.job_id = j.job_id"
                 " WHERE j.job_id IN (SELECT value FROM json_each(?))",
@@ -166,9 +162,9 @@ class LifecycleService:
                 )
                 history_rows.append(
                     (
-                        job_id, job["owner"], job["workflow_id"], job["cmd"],
-                        job["run_seconds"], job["submitted_at"], started_at,
-                        now, vm_id, job["attempts"],
+                        job_id, job["owner"], job["cmd"], job["run_seconds"],
+                        job["submitted_at"], started_at, now, vm_id,
+                        job["attempts"],
                     )
                 )
                 accounting_rows.append((job["owner"], job_id, vm_id, wall, now))
@@ -182,9 +178,9 @@ class LifecycleService:
             db.executemany(
                 """
                 INSERT INTO job_history
-                    (job_id, owner, workflow_id, cmd, run_seconds, submitted_at,
+                    (job_id, owner, cmd, run_seconds, submitted_at,
                      started_at, completed_at, final_state, vm_id, attempts)
-                VALUES (?, ?, ?, ?, ?, ?, ?, ?, 'completed', ?, ?)
+                VALUES (?, ?, ?, ?, ?, ?, ?, 'completed', ?, ?)
                 """,
                 history_rows,
             )

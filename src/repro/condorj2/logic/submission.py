@@ -1,4 +1,4 @@
-"""Job and workflow submission services.
+"""Job submission services.
 
 "User invokes submit job service on CAS; CAS inserts a job tuple into
 database" — Table 2, steps 1-2.  Submission is the simplest illustration
@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import List, Sequence
 
 from repro.cluster.job import JobSpec
-from repro.condorj2.beans import BeanContainer, JobBean, UserBean, WorkflowBean
+from repro.condorj2.beans import BeanContainer, JobBean
 from repro.condorj2.beans.base import BeanNotFound, BeanStateError
 
 #: OR IGNORE: a duplicate id in a spec's depends_on tuple is harmless
@@ -29,13 +29,6 @@ class SubmissionService:
 
     def __init__(self, container: BeanContainer):
         self.container = container
-
-    def ensure_user(self, user_name: str, now: float) -> UserBean:
-        """Find or create the user tuple for ``user_name``."""
-        existing = self.container.find_optional(UserBean, user_name)
-        if existing is not None:
-            return existing
-        return self.container.create(UserBean, user_name=user_name, created_at=now)
 
     def submit_job(self, spec: JobSpec, now: float) -> int:
         """Insert one job tuple; returns the job id."""
@@ -62,7 +55,6 @@ class SubmissionService:
                     {
                         "job_id": spec.job_id,
                         "owner": spec.owner,
-                        "workflow_id": spec.workflow_id,
                         "cmd": spec.cmd,
                         "args": " ".join(spec.args),
                         "state": "idle",
@@ -82,20 +74,6 @@ class SubmissionService:
             if edges:
                 db.executemany(_DEPENDENCY_INSERT_SQL, edges)
         return [spec.job_id for spec in specs]
-
-    def submit_workflow(
-        self, name: str, owner: str, specs: Sequence[JobSpec], now: float
-    ) -> int:
-        """Create a workflow tuple and its member jobs atomically."""
-        with self.container.db.transaction():
-            self.ensure_user(owner, now)
-            workflow = self.container.create(
-                WorkflowBean, owner=owner, name=name, submitted_at=now
-            )
-            for spec in specs:
-                spec.workflow_id = workflow.pk_value
-            self.submit_jobs(specs, now)
-        return workflow.pk_value
 
     def remove_job(self, job_id: int) -> None:
         """User-initiated removal of a queued (not running) job."""

@@ -6,8 +6,8 @@ extensibility problem reduces to a data-modeling/schema design problem"
 Condor keeps in daemon memory lives here as a tuple.
 
 Operational tables
-    users, workflows, jobs, job_dependencies, machines, vms, matches,
-    runs, config_policies
+    users, jobs, job_dependencies, machines, vms, matches, runs,
+    config_policies
 
 Dependency edges are first-class tuples (``job_dependencies``), so the
 scheduling pass gates a dependent job with one indexed anti-join instead
@@ -15,13 +15,17 @@ of parsing a comma-separated string per job.
 
 Historical tables (the paper calls out configuration management and
 historical machine information as major CondorJ2 components)
-    job_history, machine_boot_history, machine_history, config_history,
-    accounting
+    job_history, machine_boot_history, config_history, accounting
 
 The ``matches`` and ``runs`` tables mirror Table 2's steps exactly: the
 scheduling pass *inserts match tuples*; acceptMatch *deletes the match and
 inserts a run tuple*; completion *deletes the run and job tuples* (moving
 the job into history).
+
+A table or an index is declared only when some statement uses it:
+``tests/condorj2/test_analysis.py`` holds every index to a place in
+SQLite's plan of some extracted statement, and every table to being the
+principal table of one.
 """
 
 from __future__ import annotations
@@ -139,22 +143,10 @@ TABLE_DEFS: Tuple[TableDef, ...] = (
         primary_key=("user_name",),
     ),
     TableDef(
-        name="workflows",
-        columns=(
-            _col("workflow_id", "INTEGER"),
-            _col("owner", "TEXT", not_null=True),
-            _col("name", "TEXT", not_null=True, default="workflow"),
-            _col("submitted_at", "REAL", not_null=True),
-        ),
-        primary_key=("workflow_id",),
-        foreign_keys=(ForeignKeyDef("owner", "users", "user_name"),),
-    ),
-    TableDef(
         name="jobs",
         columns=(
             _col("job_id", "INTEGER"),
             _col("owner", "TEXT", not_null=True),
-            _col("workflow_id", "INTEGER"),
             _col("cmd", "TEXT", not_null=True),
             _col("args", "TEXT", not_null=True, default=""),
             _col("state", "TEXT", not_null=True, default="idle",
@@ -168,20 +160,17 @@ TABLE_DEFS: Tuple[TableDef, ...] = (
             _col("attempts", "INTEGER", not_null=True, default=0),
         ),
         primary_key=("job_id",),
-        foreign_keys=(
-            ForeignKeyDef("owner", "users", "user_name"),
-            ForeignKeyDef("workflow_id", "workflows", "workflow_id"),
-        ),
+        foreign_keys=(ForeignKeyDef("owner", "users", "user_name"),),
         indexes=(
             # Covering index for the scheduling pass's hot predicate:
             # eligible idle jobs joined to users by owner, scanned in
             # (state, job_id) order without touching the base table.  The
             # monitoring reads count its (state) and (state, owner)
-            # ranges, so no index leads with owner: the FK to users is
-            # never checked from the child side (no user is deleted and
-            # no user_name rewritten).
+            # ranges, and SQLite counts the whole table through it (the
+            # smallest b-tree of jobs).  No index leads with owner: the
+            # FK to users is never checked from the child side (no user
+            # is deleted and no user_name rewritten).
             IndexDef("idx_jobs_state_owner", ("state", "owner", "job_id")),
-            IndexDef("idx_jobs_workflow", ("workflow_id",)),
         ),
     ),
     TableDef(
@@ -194,13 +183,6 @@ TABLE_DEFS: Tuple[TableDef, ...] = (
         rowid=False,
         foreign_keys=(
             ForeignKeyDef("job_id", "jobs", "job_id", on_delete="cascade"),
-        ),
-        indexes=(
-            # Reverse edge for "who is waiting on job X" queries; the
-            # forward (job_id, depends_on_job_id) order is the primary
-            # key itself.
-            IndexDef("idx_job_dependencies_parent",
-                     ("depends_on_job_id", "job_id")),
         ),
     ),
     TableDef(
@@ -254,16 +236,13 @@ TABLE_DEFS: Tuple[TableDef, ...] = (
         ),
         primary_key=("match_id",),
         autoincrement=True,
+        # UNIQUE(job_id) and UNIQUE(vm_id) are every access path SQLite
+        # takes here: MATCHINFO searches vm_id and reads job_id from the
+        # row, so a covering (vm_id, job_id) index would go unread.
         unique=(("job_id",), ("vm_id",)),
         foreign_keys=(
             ForeignKeyDef("job_id", "jobs", "job_id"),
             ForeignKeyDef("vm_id", "vms", "vm_id"),
-        ),
-        indexes=(
-            # Covering index: MATCHINFO assembly reads (vm_id -> job_id)
-            # without the base table (the UNIQUE constraint indexes vm_id
-            # alone).
-            IndexDef("idx_matches_vm_job", ("vm_id", "job_id")),
         ),
     ),
     TableDef(
@@ -276,19 +255,18 @@ TABLE_DEFS: Tuple[TableDef, ...] = (
         ),
         primary_key=("run_id",),
         autoincrement=True,
+        # As for matches, the two UNIQUE indexes serve every statement.
         unique=(("job_id",), ("vm_id",)),
         foreign_keys=(
             ForeignKeyDef("job_id", "jobs", "job_id"),
             ForeignKeyDef("vm_id", "vms", "vm_id"),
         ),
-        indexes=(IndexDef("idx_runs_vm_job", ("vm_id", "job_id")),),
     ),
     TableDef(
         name="job_history",
         columns=(
             _col("job_id", "INTEGER"),
             _col("owner", "TEXT", not_null=True),
-            _col("workflow_id", "INTEGER"),
             _col("cmd", "TEXT", not_null=True),
             _col("run_seconds", "REAL", not_null=True),
             _col("submitted_at", "REAL", not_null=True),
@@ -319,18 +297,6 @@ TABLE_DEFS: Tuple[TableDef, ...] = (
         primary_key=("boot_id",),
         autoincrement=True,
         indexes=(IndexDef("idx_boot_history_machine", ("machine_name",)),),
-    ),
-    TableDef(
-        name="machine_history",
-        columns=(
-            _col("sample_id", "INTEGER"),
-            _col("machine_name", "TEXT", not_null=True),
-            _col("sampled_at", "REAL", not_null=True),
-            _col("state", "TEXT", not_null=True),
-            _col("busy_vms", "INTEGER", not_null=True, default=0),
-        ),
-        primary_key=("sample_id",),
-        autoincrement=True,
     ),
     TableDef(
         name="config_policies",

@@ -9,8 +9,6 @@ Public surface:
   and 5.3.3.
 * :func:`pulsed_batches`, :func:`paper_large_cluster_pulses` — the pulsed
   ramp-up of section 5.2.2.
-* :class:`Workflow`, :func:`two_stage_workflow` — dependency workflows
-  (section 5.1.3).
 * Demand arithmetic: :func:`scheduling_throughput_demand`,
   :func:`optimal_makespan_seconds`, etc.
 """
@@ -29,15 +27,9 @@ from repro.workload.jobs import (
     throughput_preload,
     total_work_seconds,
 )
-from repro.workload.workflow import (
-    Workflow,
-    two_stage_workflow,
-    workflow_throughput_profile,
-)
 
 __all__ = [
     "Pulse",
-    "Workflow",
     "average_job_seconds",
     "fixed_length_batch",
     "mixed_batch",
@@ -49,6 +41,4 @@ __all__ = [
     "scheduling_throughput_demand",
     "throughput_preload",
     "total_work_seconds",
-    "two_stage_workflow",
-    "workflow_throughput_profile",
 ]

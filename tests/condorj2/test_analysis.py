@@ -12,7 +12,9 @@ Five properties are enforced here:
   the memory engine runs exactly the extracted corpus: every statement
   it runs was extracted, and every extracted statement (one render of
   each template) runs, so the engines reject whatever does not parse,
-  names what does not exist, or binds the wrong parameters;
+  names what does not exist, or binds the wrong parameters; and the
+  schema declares nothing the corpus leaves untouched (every index is
+  in some statement's SQLite plan, every table some statement's own);
 * **rules** — each checker rule and the planner-backed index advisor
   fire on targeted statements and stay silent on correct ones;
 * **no SQL built from values** — the ``fstring-value-interpolation``
@@ -27,6 +29,7 @@ Five properties are enforced here:
 
 import ast
 import json
+import re
 import textwrap
 from pathlib import Path
 
@@ -54,7 +57,9 @@ from repro.condorj2.logic import (
     SubmissionService,
 )
 from repro.condorj2.logic.queries import ReportService
+from repro.condorj2.schema import TABLE_DEFS
 from repro.condorj2.storage import planner
+from repro.condorj2.storage.counters import statement_table
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 SRC_ROOT = REPO_ROOT / "src" / "repro"
@@ -260,6 +265,32 @@ def test_corpus_covers_runtime_statements(backend):
         f"{unexecuted}")
 
 
+def test_schema_declares_only_what_statements_touch():
+    """The other side of coverage: what ``TABLE_DEFS`` declares, some
+    statement uses.  An index no plan reads is paid on every write of
+    its table for nothing, so each one must appear in SQLite's
+    ``EXPLAIN QUERY PLAN`` of at least one extracted render.  Each table
+    must be the principal table of a render — ``Database.table_count``'s
+    per-table template names every table and so proves nothing."""
+    db = Database(backend="sqlite")
+    planned, principal = set(), set()
+    for statement in extract_corpus(PACKAGE_ROOT).statements:
+        table_count = (statement.file == "database.py"
+                       and not statement.constant)
+        for sql in statement.renders:
+            planned.update(re.findall(r"\bINDEX (\w+)",
+                                      db.explain(sql).render()))
+            if not table_count:
+                principal.add(statement_table(sql))
+    db.close()
+    unread = [index.name for tdef in TABLE_DEFS for index in tdef.indexes
+              if index.name not in planned]
+    untouched = [tdef.name for tdef in TABLE_DEFS
+                 if tdef.name not in principal]
+    assert {"unread indexes": unread, "untouched tables": untouched} == {
+        "unread indexes": [], "untouched tables": []}
+
+
 # ----------------------------------------------------------------------
 # checker rules
 # ----------------------------------------------------------------------
@@ -310,10 +341,11 @@ def test_insert_not_null_coverage():
     assert any("recorded_at" in f.message for f in omitted)
     # Silent on every engine while the SELECT finds no row.
     findings = _check_sql(
-        "INSERT INTO machine_history (machine_name, sampled_at) "
-        "SELECT machine_name, 0 FROM machines WHERE state = 'offline'")
+        "INSERT INTO config_history (policy_name, new_value, changed_at) "
+        "SELECT policy_name, policy_value, 0 FROM config_policies "
+        "WHERE scope = 'none'")
     assert [f.message for f in findings if f.rule == "not-null-write"] == [
-        "insert into 'machine_history' omits NOT NULL column 'state' "
+        "insert into 'config_history' omits NOT NULL column 'changed_by' "
         "(no default)"]
 
 
@@ -359,7 +391,7 @@ def test_unused_named_parameter_is_a_warning():
 # ----------------------------------------------------------------------
 
 def test_advisor_stays_quiet_on_indexed_access():
-    assert _check_sql("SELECT * FROM jobs WHERE workflow_id = ?") == []
+    assert _check_sql("SELECT * FROM vms WHERE machine_name = ?") == []
     assert _check_sql("SELECT * FROM jobs WHERE job_id = ?") == []
     assert _check_sql(
         "SELECT * FROM runs WHERE job_id = ?") == []  # unique

@@ -637,9 +637,9 @@ _PINNED_OPS = {
 _PINNED_HOST = {"user": 0.01865546875, "system": 0.0018000000000000004,
                 "io": 0.004}
 #: The WAL engine also prices its commit points and the WAL frames each
-#: one writes (five per commit here).
-_PINNED_WAL = {"submitJob": 0.00901109375, "submitJobs": 0.00961109375,
-               "io": 0.0082}
+#: one writes (four per commit here).
+_PINNED_WAL = {"submitJob": 0.00899109375, "submitJobs": 0.00959109375,
+               "io": 0.00816}
 
 
 @pytest.mark.parametrize("backend", ["sqlite", "memory", "wal"])

@@ -321,6 +321,91 @@ def test_call_resolution_skips_builtins_and_guarded_methods(tmp_path):
     assert [f.render() for f in findings if f.rule.startswith("txn-")] == []
 
 
+#: A two-table write whose one caller reaches it through a collaborator,
+#: by a method named like a builtin: ``self.config.set(...)`` is no
+#: call to ``set``.
+_BUILTIN_NAMED_METHOD_FIXTURE = '''\
+class ConfigService:
+    def __init__(self, db):
+        self.db = db
+
+    def set(self, name, value, now):
+        self.db.execute(
+            "UPDATE config_policies SET policy_value = ? "
+            "WHERE policy_name = ?", (value, name))
+        self.db.execute(
+            "INSERT INTO config_history (policy_name, new_value, "
+            "changed_at) VALUES (?, ?, ?)", (name, value, now))
+
+
+class Registry:
+    def __init__(self, db, config):
+        self.db = db
+        self.config = config
+
+    def set_policy(self, name, value, now):
+        with self.db.transaction():
+            self.config.set(name, value, now)
+'''
+
+
+def test_builtin_named_method_on_a_collaborator_resolves(tmp_path):
+    (tmp_path / "services.py").write_text(_BUILTIN_NAMED_METHOD_FIXTURE)
+    index = build_function_index(tmp_path)
+    assert [call.name for call in
+            index.functions["services.py:Registry.set_policy"].calls] \
+        == ["transaction", "set"]
+    assert protection(index)["services.py:ConfigService.set"] is True
+    _corpus, findings = analyze(tmp_path)
+    assert [f.render() for f in findings if f.rule.startswith("txn-")] == []
+
+
+#: A method named like a service's, called on each match a regex hands
+#: out, beside a loop over collaborators the object holds.
+_LOOP_ITEM_FIXTURE = '''\
+import re
+
+_WORD = re.compile(r"[a-z]+")
+
+
+class Server:
+    def __init__(self, db):
+        self.db = db
+
+    def start(self, now):
+        self.db.execute(
+            "UPDATE config_policies SET updated_at = ?", (now,))
+
+
+class Pool:
+    def __init__(self, servers):
+        self.servers = servers
+
+    def boot(self, now):
+        for server in self.servers:
+            server.start(now)
+
+
+def offsets(text):
+    return [token.start() for token in _WORD.finditer(text)]
+'''
+
+
+def test_items_of_a_call_result_resolve_no_method(tmp_path):
+    """``token.start()`` on an ``re.Match`` is not ``Server.start``; the
+    servers a pool holds are collaborators, so ``Pool.boot`` still
+    dispatches once per server."""
+    (tmp_path / "services.py").write_text(_LOOP_ITEM_FIXTURE)
+    index = build_function_index(tmp_path)
+    assert [call.name for call in
+            index.functions["services.py:offsets"].calls] == ["finditer"]
+    assert [call.name for call in
+            index.functions["services.py:Pool.boot"].calls] == ["start"]
+    _corpus, findings = analyze(tmp_path)
+    assert [(f.rule, f.line) for f in findings
+            if f.rule == "per-row-dispatch"] == [("per-row-dispatch", 21)]
+
+
 _SELF_ATTRIBUTE_FIXTURE = '''\
 class Requeue:
     def __init__(self, db):

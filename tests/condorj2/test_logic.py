@@ -56,16 +56,6 @@ def test_submit_jobs_batch(services):
     assert container.db.table_count("jobs") == 3
 
 
-def test_submit_workflow_links_members(services):
-    container, submission, *_ = services
-    specs = [JobSpec(owner="w"), JobSpec(owner="w")]
-    wf_id = submission.submit_workflow("etl", "w", specs, now=0.0)
-    rows = container.db.query_all(
-        "SELECT workflow_id FROM jobs WHERE workflow_id = ?", (wf_id,)
-    )
-    assert len(rows) == 2
-
-
 def test_remove_idle_job(services):
     container, submission, *_ = services
     job_id = submission.submit_job(JobSpec(), now=0.0)
@@ -159,7 +149,7 @@ def test_scheduling_defers_dependent_jobs(services):
     # Complete the parent; the child becomes eligible.
     match = container.db.query_one("SELECT vm_id FROM matches")
     lifecycle.accept_match(parent.job_id, match["vm_id"], now=2.0)
-    lifecycle.complete_job(parent.job_id, match["vm_id"], now=3.0)
+    lifecycle.complete_jobs([(parent.job_id, match["vm_id"])], now=3.0)
     scheduling.run_pass(now=4.0)
     matched = [r["job_id"] for r in container.db.query_all("SELECT job_id FROM matches")]
     assert child.job_id in matched
@@ -251,7 +241,7 @@ def test_complete_job_performs_post_execution_processing(services):
     lifecycle = services[3]
     job_id, vm_id = full_cycle(services)
     lifecycle.accept_match(job_id, vm_id, now=2.0)
-    lifecycle.complete_job(job_id, vm_id, now=62.0)
+    lifecycle.complete_jobs([(job_id, vm_id)], now=62.0)
     # Operational tuples gone (Table 2, step 15).
     assert container.db.table_count("jobs") == 0
     assert container.db.table_count("runs") == 0
@@ -271,7 +261,7 @@ def test_complete_unstarted_job_rejected(services):
     lifecycle = services[3]
     job_id, vm_id = full_cycle(services)
     with pytest.raises(BeanStateError):
-        lifecycle.complete_job(job_id, vm_id, now=10.0)
+        lifecycle.complete_jobs([(job_id, vm_id)], now=10.0)
 
 
 def test_drop_requeues_job(services):
@@ -298,7 +288,7 @@ def test_history_records_completions_only_and_reports_nothing_else(services):
     assert container.db.table_count("job_history") == 0
     services[2].run_pass(now=4.0)
     lifecycle.accept_match(job_id, vm_id, now=5.0)
-    lifecycle.complete_job(job_id, vm_id, now=65.0)
+    lifecycle.complete_jobs([(job_id, vm_id)], now=65.0)
     outcomes = container.db.query_all("SELECT final_state FROM job_history")
     assert [row["final_state"] for row in outcomes] == ["completed"]
     assert not hasattr(reports, "drops_by_machine")
@@ -450,18 +440,33 @@ def test_user_summary_and_job_detail(services):
     detail = reports.job_detail(job_id)
     assert detail["source"] == "queue"
     lifecycle.accept_match(job_id, vm_id, now=2.0)
-    lifecycle.complete_job(job_id, vm_id, now=62.0)
+    lifecycle.complete_jobs([(job_id, vm_id)], now=62.0)
     detail = reports.job_detail(job_id)
     assert detail["source"] == "history"
     assert reports.job_detail(987654) is None
     assert reports.user_summary("alice")["completed"] == 1
 
 
+def test_job_detail_is_the_row_and_its_source(services):
+    """A jobDetail reply carries a table's columns and nothing else."""
+    container, submission, scheduling, lifecycle, heartbeat, reports, _ = services
+    job_id, vm_id = full_cycle(services)
+
+    def columns(table):
+        return {col.name for col in TABLE_BY_NAME[table].columns}
+
+    assert set(reports.job_detail(job_id)) == columns("jobs") | {"source"}
+    lifecycle.accept_match(job_id, vm_id, now=2.0)
+    lifecycle.complete_jobs([(job_id, vm_id)], now=62.0)
+    assert (set(reports.job_detail(job_id))
+            == columns("job_history") | {"source"})
+
+
 def test_accounting_by_user_aggregates(services):
     container, submission, scheduling, lifecycle, heartbeat, reports, _ = services
     job_id, vm_id = full_cycle(services)
     lifecycle.accept_match(job_id, vm_id, now=2.0)
-    lifecycle.complete_job(job_id, vm_id, now=62.0)
+    lifecycle.complete_jobs([(job_id, vm_id)], now=62.0)
     rows = reports.accounting_by_user()
     assert rows[0]["owner"] == "alice"
     assert rows[0]["jobs"] == 1

@@ -129,13 +129,13 @@ def test_autoincrement_keys_are_never_reused(db):
 
 
 def test_plain_integer_pk_assigns_max_plus_one(db):
-    db.execute("INSERT INTO users (user_name, created_at) VALUES ('u', 0)")
     db.execute(
-        "INSERT INTO workflows (workflow_id, owner, submitted_at)"
-        " VALUES (7, 'u', 0)"
+        "INSERT INTO job_history (job_id, owner, cmd, run_seconds,"
+        " submitted_at, final_state) VALUES (7, 'u', 'c', 1, 0, 'completed')"
     )
     assigned = db.execute(
-        "INSERT INTO workflows (owner, submitted_at) VALUES ('u', 1)"
+        "INSERT INTO job_history (owner, cmd, run_seconds, submitted_at,"
+        " final_state) VALUES ('u', 'c', 1, 1, 'completed')"
     ).lastrowid
     assert assigned == 8
 
@@ -395,20 +395,19 @@ def test_integer_division_is_exact_beyond_float_precision(db):
 def test_comparison_affinity_coerces_text_parameters(db):
     """A text parameter compared to a numeric-affinity column converts
     to a number, on equality, IN membership and range predicates."""
-    db.execute("INSERT INTO users (user_name, created_at) VALUES ('u', 0)")
     db.execute(
-        "INSERT INTO workflows (workflow_id, owner, submitted_at)"
-        " VALUES (5, 'u', 0)"
+        "INSERT INTO job_history (job_id, owner, cmd, run_seconds,"
+        " submitted_at, final_state) VALUES (5, 'u', 'c', 1, 0, 'completed')"
     )
     assert db.scalar(
-        "SELECT workflow_id FROM workflows WHERE workflow_id = ?", ("5",)
+        "SELECT job_id FROM job_history WHERE job_id = ?", ("5",)
     ) == 5
     assert db.scalar(
-        "SELECT workflow_id FROM workflows WHERE workflow_id IN (?, ?)",
+        "SELECT job_id FROM job_history WHERE job_id IN (?, ?)",
         ("5", "9"),
     ) == 5
     assert db.scalar(
-        "SELECT workflow_id FROM workflows WHERE workflow_id > ?", ("4",)
+        "SELECT job_id FROM job_history WHERE job_id > ?", ("4",)
     ) == 5
 
 
@@ -902,16 +901,16 @@ def test_join_probes_keep_affinity_apart():
     2, 2.0 and '2'.  As text the first two are '2' and '2.0', different
     buckets; as Python dict keys they are one (2 == 2.0, same hash), so
     a probe that keys on the raw value returns the wrong rows."""
-    probe = ("CASE WHEN w.workflow_id % 3 = {0} THEN 2"
-             " WHEN w.workflow_id % 3 = {1} THEN 2.0 ELSE '2' END")
-    text = ("SELECT w.workflow_id, u.user_name,"
-            " ROW_NUMBER() OVER (ORDER BY w.workflow_id) AS r"
-            " FROM workflows w JOIN users u ON u.user_name = " + probe +
-            " ORDER BY w.workflow_id LIMIT 50")
-    integer = ("SELECT w.workflow_id, j.job_id,"
-               " ROW_NUMBER() OVER (ORDER BY w.workflow_id) AS r"
-               " FROM workflows w JOIN jobs j ON j.job_id = " + probe +
-               " ORDER BY w.workflow_id LIMIT 50")
+    probe = ("CASE WHEN h.job_id % 3 = {0} THEN 2"
+             " WHEN h.job_id % 3 = {1} THEN 2.0 ELSE '2' END")
+    text = ("SELECT h.job_id, u.user_name,"
+            " ROW_NUMBER() OVER (ORDER BY h.job_id) AS r"
+            " FROM job_history h JOIN users u ON u.user_name = " + probe +
+            " ORDER BY h.job_id LIMIT 50")
+    integer = ("SELECT h.job_id, j.job_id,"
+               " ROW_NUMBER() OVER (ORDER BY h.job_id) AS r"
+               " FROM job_history h JOIN jobs j ON j.job_id = " + probe +
+               " ORDER BY h.job_id LIMIT 50")
     # either of 2 and 2.0 is probed first in one of the two orders
     statements = [sql.format(*order) for sql in (text, integer)
                   for order in ((1, 2), (2, 1))]
@@ -922,8 +921,9 @@ def test_join_probes_keep_affinity_apart():
             "INSERT INTO users (user_name, created_at) VALUES (?, 0)",
             [("2",), ("2.0",)])
         database.executemany(
-            "INSERT INTO workflows (workflow_id, owner, submitted_at)"
-            " VALUES (?, '2', 0)", [(n,) for n in range(1, 7)])
+            "INSERT INTO job_history (job_id, owner, cmd, run_seconds,"
+            " submitted_at, final_state) VALUES (?, '2', 'c', 1, 0,"
+            " 'completed')", [(n,) for n in range(1, 7)])
         database.execute(
             "INSERT INTO jobs (job_id, owner, cmd, run_seconds,"
             " submitted_at) VALUES (2, '2', 'c', 1, 0)")

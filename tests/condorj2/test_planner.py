@@ -334,36 +334,37 @@ def test_correlated_exists_all_null_keys_matches_sqlite():
 
 
 #: The outer row's probe: NULL, 2, 2.0 and '2' in turn.
-_PROBE = ("CASE WHEN w.workflow_id % 4 = 0 THEN NULL"
-          " WHEN w.workflow_id % 4 = 1 THEN 2"
-          " WHEN w.workflow_id % 4 = 2 THEN 2.0 ELSE '2' END")
+_PROBE = ("CASE WHEN h.job_id % 4 = 0 THEN NULL"
+          " WHEN h.job_id % 4 = 1 THEN 2"
+          " WHEN h.job_id % 4 = 2 THEN 2.0 ELSE '2' END")
 
 #: Two-source correlated EXISTS driven by one equality lookup, against a
 #: TEXT column (``users.user_name``) and an INTEGER one
 #: (``job_dependencies.job_id``, the scheduling pass's own shape).  The
 #: second source's ON reads the outer row too, so a bucket that is not
-#: empty still admits only workflows 1-4.
+#: empty still admits only history rows 1-4.
 _TWO_SOURCE_EXISTS = {
     "TEXT": ("users AS u",
              "SELECT 1 FROM users u JOIN jobs j ON j.owner = u.user_name"
-             " AND w.workflow_id <= 4 WHERE u.user_name = " + _PROBE),
+             " AND h.job_id <= 4 WHERE u.user_name = " + _PROBE),
     "INTEGER": ("job_dependencies AS d",
                 "SELECT 1 FROM job_dependencies d"
                 " JOIN jobs p ON p.job_id = d.depends_on_job_id"
-                " AND w.workflow_id <= 4 WHERE d.job_id = " + _PROBE),
+                " AND h.job_id <= 4 WHERE d.job_id = " + _PROBE),
 }
 
 
 def _probe_fixture(backend):
-    """Users '2' and 'ann' (no '2.0'), eight workflows, and job 2 with
+    """Users '2' and 'ann' (no '2.0'), eight history rows, and job 2 with
     one edge to a job that is in ``jobs``."""
     db = Database(backend=backend)
     db.executemany(
         "INSERT INTO users (user_name, created_at) VALUES (?, 0)",
         [("2",), ("ann",)])
     db.executemany(
-        "INSERT INTO workflows (workflow_id, owner, submitted_at)"
-        " VALUES (?, 'ann', 0)", [(n,) for n in range(1, 9)])
+        "INSERT INTO job_history (job_id, owner, cmd, run_seconds,"
+        " submitted_at, final_state) VALUES (?, 'ann', 'c', 1, 0,"
+        " 'completed')", [(n,) for n in range(1, 9)])
     db.executemany(
         "INSERT INTO jobs (job_id, owner, cmd, run_seconds, submitted_at)"
         " VALUES (?, ?, 'c', 1, 0)", [(1, "ann"), (2, "2")])
@@ -379,9 +380,9 @@ def test_exists_over_an_empty_driving_bucket_matches_sqlite(column, negated):
     that is not empty still runs the join.  NULL and, against TEXT,
     2.0 ('2.0') find no row; 2 and '2' do."""
     source, sub = _TWO_SOURCE_EXISTS[column]
-    sql = ("SELECT w.workflow_id FROM workflows w WHERE "
+    sql = ("SELECT h.job_id FROM job_history h WHERE "
            + ("NOT EXISTS (" if negated else "EXISTS (") + sub
-           + ") ORDER BY w.workflow_id")
+           + ") ORDER BY h.job_id")
     rows = {}
     for backend in ENGINES:
         db = _probe_fixture(backend)

@@ -310,8 +310,8 @@ def test_bounded_pass_on_random_queues(pair, seed):
                 job_id, vm_id = row["job_id"], row["vm_id"]
                 pair.both(lambda pool: pool.lifecycle.accept_match(
                     job_id, vm_id, now + 0.6))
-                pair.both(lambda pool: pool.lifecycle.complete_job(
-                    job_id, vm_id, now + 0.7))
+                pair.both(lambda pool: pool.lifecycle.complete_jobs(
+                    [(job_id, vm_id)], now + 0.7))
         pair.run_pass(now + 0.8)
 
 
@@ -338,7 +338,8 @@ def test_a_placing_pass_does_not_hoard_the_queue():
         collections = gc.get_stats()[0]["collections"] - collections
         match = pool.db.query_one("SELECT job_id, vm_id FROM matches")
         pool.lifecycle.accept_match(match["job_id"], match["vm_id"], now + 0.2)
-        pool.lifecycle.complete_job(match["job_id"], match["vm_id"], now + 0.4)
+        pool.lifecycle.complete_jobs(
+            [(match["job_id"], match["vm_id"])], now + 0.4)
         return statements, collections
 
     try:

@@ -278,7 +278,7 @@ def _seed_workload(services, rng):
             continue  # leave pending
         lifecycle.accept_match(row["job_id"], row["vm_id"], now=3.0)
         if index % 3 == 1:
-            lifecycle.complete_job(row["job_id"], row["vm_id"], now=50.0)
+            lifecycle.complete_jobs([(row["job_id"], row["vm_id"])], now=50.0)
     return container
 
 
@@ -327,7 +327,7 @@ def test_dependency_gates_until_parent_reaches_history(services):
     assert matched == [parent.job_id]  # child gated: parent still in jobs
     match = container.db.query_one("SELECT vm_id FROM matches")
     lifecycle.accept_match(parent.job_id, match["vm_id"], now=2.0)
-    lifecycle.complete_job(parent.job_id, match["vm_id"], now=32.0)
+    lifecycle.complete_jobs([(parent.job_id, match["vm_id"])], now=32.0)
     assert container.db.scalar(
         "SELECT COUNT(*) FROM job_history WHERE job_id = ?", (parent.job_id,)
     ) == 1

@@ -11,7 +11,7 @@ from repro.cluster import (
 from repro.condorj2 import CondorJ2System
 from repro.condorj2.costs import CasCostModel
 from repro.condorj2.startd import StartdConfig
-from repro.workload import fixed_length_batch, mixed_batch, two_stage_workflow
+from repro.workload import fixed_length_batch, mixed_batch
 
 
 def small_system(**kwargs):
@@ -108,9 +108,10 @@ def test_seeded_pool_is_pinned_event_for_event():
     guard (one SELECT fewer for each of the 48 accepts), 1465 -> 1448
     when boot stopped installing four policies nothing runs on and
     installed the other two in one batch (18 statements -> 1).  On wal
-    the event count is one higher since that backend became SQLite in WAL
-    mode: the cost model prices each commit's WAL frames and the run's two
-    checkpoints, and that moves one event."""
+    the cost model also prices each commit's WAL frames and the run's
+    checkpoints, so a change to the pages a commit writes can move the
+    event count there alone (it read one higher while jobs carried an
+    index no statement read)."""
     system = small_system(execution=FLAKY_EXECUTION, seed=9)
     # Ids from here, not the process-wide counter: an id's digits are
     # bytes on the wire, and bytes are simulated transport time.
@@ -125,7 +126,7 @@ def test_seeded_pool_is_pinned_event_for_event():
     assert (
         system.sim.events_processed, system.sim.now, db.counts.statements,
         db.table_count("job_history"), system.cas.scheduling.matches_created,
-    ) == (2881 if db.engine.name == "wal" else 2880, 210.0, 1448, 36, 48)
+    ) == (2880, 210.0, 1448, 36, 48)
 
 
 def test_mixed_workload_dependency_free_ordering():
@@ -136,16 +137,18 @@ def test_mixed_workload_dependency_free_ordering():
 
 
 def test_workflow_dependencies_enforced_end_to_end():
+    """Section 5.1.3's fan-in: one stage-2 job waits on four stage-1
+    jobs, and starts only after the last of them completes."""
     system = small_system()
-    wf = two_stage_workflow(stage1_count=4, stage2_count=1, fan_in=4,
-                            stage1_seconds=20.0, stage2_seconds=30.0)
-    system.submit_at(0.0, wf.jobs)
+    stage1 = [JobSpec(run_seconds=20.0) for _ in range(4)]
+    stage2 = JobSpec(run_seconds=30.0,
+                     depends_on=tuple(job.job_id for job in stage1))
+    system.submit_at(0.0, stage1 + [stage2])
     system.run_until_complete(expected_jobs=5, max_seconds=3600.0)
     history = system.cas.db.query_all(
         "SELECT job_id, started_at FROM job_history"
     )
     started = {row["job_id"]: row["started_at"] for row in history}
-    stage2 = [j for j in wf.jobs if j.depends_on][0]
     for dep in stage2.depends_on:
         completed_at = system.cas.db.scalar(
             "SELECT completed_at FROM job_history WHERE job_id = ?", (dep,)
