@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Administrator's tour: configuration, history and failure handling.
 
-Shows the operational side the paper argues for: policies with audit
-history and point-in-time reconstruction, machine boot history, missing-
-machine detection, and the transactional no-lost-jobs guarantee when
-execute nodes drop work.
+Shows the operational side the paper argues for: policies with an audit
+trail and machine boot history, both plain tables read with plain SQL,
+and the transactional no-lost-jobs guarantee when execute nodes drop
+work.
 
 Run:  python examples/admin_console.py
 """
@@ -30,20 +30,24 @@ def main() -> None:
         execution=flaky,
     )
     config = system.cas.config
+    db = system.cas.db
     system.start()
 
-    # 1. Configuration management with history.
+    # 1. Configuration management: every change leaves an audit row.
     system.sim.run(until=10.0)
     config.set("scheduling_interval_seconds", "0.5", system.sim.now, "admin")
     system.sim.run(until=20.0)
     config.set("scheduling_interval_seconds", "2.0", system.sim.now, "admin")
     print("policy history for scheduling_interval_seconds:")
-    for change in config.history("scheduling_interval_seconds"):
+    for change in db.query_all(
+        "SELECT changed_at, old_value, new_value, changed_by "
+        "FROM config_history WHERE policy_name = ? ORDER BY change_id",
+        ("scheduling_interval_seconds",),
+    ):
         print(f"  t={change['changed_at']:6.1f}  "
               f"{change['old_value']} -> {change['new_value']} "
               f"(by {change['changed_by']})")
-    print("value in force at t=15:",
-          config.value_at("scheduling_interval_seconds", 15.0), "\n")
+    print()
 
     # 2. Run a workload on the flaky cluster.
     jobs = fixed_length_batch(30, run_seconds=45.0, owner="ops")
@@ -57,22 +61,17 @@ def main() -> None:
           "- the transactional queue never loses a job\n")
 
     # 3. Machine boot history (recorded at registration).
-    reports = system.cas.reports
-    boots = reports.machine_boot_records(system.nodes[0].name)
-    print(f"boot history for {system.nodes[0].name}: "
-          f"{[(b['booted_at'], b['cores']) for b in boots]}")
-
-    # 4. Missing-machine sweep: stop one startd and let the server notice.
-    victim = system.startds[0]
-    victim.stop()
-    system.sim.run(until=system.sim.now + 1000.0)
-    marked = system.cas.heartbeat.mark_missing_machines(
-        system.sim.now, timeout_seconds=900.0
+    name = system.nodes[0].name
+    boots = db.query_all(
+        "SELECT booted_at, cores FROM machine_boot_history "
+        "WHERE machine_name = ? ORDER BY boot_id",
+        (name,),
     )
-    print(f"\nmissing-machine sweep marked {marked} machine(s) missing")
+    print(f"boot history for {name}: "
+          f"{[(b['booted_at'], b['cores']) for b in boots]}")
     print(system.cas.site.pool_page())
 
-    # 5. Per-operation web-service statistics: the gateway meter shows
+    # 4. Per-operation web-service statistics: the gateway meter shows
     # calls, fault rates and latency for every contract-dispatched op
     # (acceptMatch arrives in multiplexed batch envelopes; "execution
     # began" is a heartbeat event, so beginExecute has no row).

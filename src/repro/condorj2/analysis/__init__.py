@@ -6,9 +6,8 @@ into a checkable property.  It reads and parses the sources once
 (:mod:`source`), extracts the complete statement corpus from them
 (:mod:`extract`), checks each statement against the declared schema
 for what an engine runs silently — literals outside a column's domain
-or affinity, omitted NOT NULL columns (:mod:`check`), applies the planner's costing rules to flag
-index-less equality access (:mod:`advisor`), reasons across statements
-about declared lifecycles (:mod:`lifecycle`) and transaction
+or affinity, omitted NOT NULL columns (:mod:`check`), reasons across
+statements about declared lifecycles (:mod:`lifecycle`) and transaction
 boundaries (:mod:`txn`), flags every statement dispatched per row or
 inside an unbounded loop or recursion (:mod:`dispatch`), and gates CI
 on the result (:mod:`cli`, ``python -m repro.condorj2.analysis``).

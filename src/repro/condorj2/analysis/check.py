@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from typing import FrozenSet, List, Optional, Tuple
 
 from repro.condorj2 import schema
-from repro.condorj2.analysis import advisor
 from repro.condorj2.analysis.extract import ExtractedStatement
 from repro.condorj2.analysis.findings import Finding, make_finding
 from repro.condorj2.storage import sqlparser as sp
@@ -338,8 +337,6 @@ def check_extracted(statement: ExtractedStatement) -> List[Finding]:
         checker = _Checker(statement.file, statement.line, render)
         checker.check(parsed.ast)
         findings.extend(checker.findings)
-        findings.extend(advisor.advise(
-            parsed.ast, statement.file, statement.line, render))
         if statement.constant and statement.named is not None:
             extra = sorted(set(statement.named) - set(parsed.named_params))
             if extra:

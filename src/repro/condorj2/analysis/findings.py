@@ -14,9 +14,10 @@ human message.  Severities mean exactly three things:
 * ``warning`` — the statement executes but something about it is
   suspicious (affinity-coercing writes, unused named parameters,
   value-bearing dynamic text).  Reported, never gating.
-* ``advice`` — the statement is correct but could be better (a full
-  scan that a declared index would turn into a probe, a bounded
-  identifier template).  Reported, never gating.
+* ``advice`` — the statement is correct but could be better (a bounded
+  identifier template, a declared lifecycle edge no statement walks).
+  Reported, never gating.  Which access path a statement takes is
+  SQLite's to say: tier-1 reads its plan of every render.
 
 The :class:`Baseline` is the adoption mechanism: a committed JSON file
 of finding fingerprints that are *known and accepted*.  The CI gate is
@@ -61,9 +62,6 @@ RULES: Dict[str, Tuple[str, str]] = {
     "templated-sql": (
         "advice", "statement text varies over a bounded identifier "
                   "template (one cache entry per bean/table)"),
-    "full-scan": (
-        "advice", "equality predicate has no supporting index; the "
-                  "driver is a full scan"),
     # -- lifecycle tier (cross-statement; DESIGN.md section 9) ---------
     "illegal-transition": (
         "error", "statement implies a state transition the declared "

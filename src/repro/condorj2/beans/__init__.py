@@ -16,7 +16,6 @@ from repro.condorj2.beans.entities import (
     JobBean,
     MachineBean,
     PolicyBean,
-    UserBean,
 )
 
 __all__ = [
@@ -28,5 +27,4 @@ __all__ = [
     "JobBean",
     "MachineBean",
     "PolicyBean",
-    "UserBean",
 ]

@@ -2,11 +2,11 @@
 
 The paper's persistence layer is "the entity beans that represent the
 persistent objects" that "collectively determine system state": here
-users, jobs, machines and configuration policies.
+jobs, machines and configuration policies.
 
-One declaration per table the logic tier creates or finds by key, and
-``UserBean``: submission writes users set-wise (``INSERT OR IGNORE``),
-so only the container's own tests create one.  The two beans with an operation of their own write history beside the tuple
+One declaration per table the logic tier creates or finds by key (users
+are written set-wise, by submission's ``INSERT OR IGNORE``, so no bean
+stands for one).  The two beans with an operation of their own write history beside the tuple
 (:meth:`MachineBean.record_boot`, :meth:`PolicyBean.change_value`); every
 other change to these tables is a set-oriented statement in ``logic/``.
 """
@@ -14,16 +14,6 @@ other change to these tables is a set-oriented statement in ``logic/``.
 from __future__ import annotations
 
 from repro.condorj2.beans.base import BeanConsistencyError, EntityBean
-
-
-class UserBean(EntityBean):
-    """A pool user with a fair-share priority and accumulated usage."""
-
-    TABLE = "users"
-
-    def check_invariants(self) -> None:
-        if self["accumulated_usage_seconds"] < 0:
-            raise BeanConsistencyError("negative accumulated usage")
 
 
 class JobBean(EntityBean):

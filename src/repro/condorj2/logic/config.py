@@ -1,20 +1,21 @@
-"""Configuration management: operational values plus full history.
+"""Configuration management: operational values plus an audit trail.
 
 The real CondorJ2 spends ~11,000 lines on configuration management,
 "operational and historical" (section 4.2.3.1).  The data-centric essence:
 policies are tuples, changes are transactions, and every change leaves an
-audit record that can be queried like everything else.
+audit record in ``config_history``, a table like every other, read with
+plain SQL.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.condorj2.beans import BeanContainer, PolicyBean
 
 
 class ConfigService:
-    """Typed access to configuration policies with change history."""
+    """Typed access to configuration policies, auditing every change."""
 
     def __init__(self, container: BeanContainer):
         self.container = container
@@ -61,45 +62,3 @@ class ConfigService:
                 )
             else:
                 bean.change_value(value, now, changed_by)
-
-    def history(self, name: str) -> List[Dict[str, Any]]:
-        """All recorded changes for one policy, oldest first."""
-        rows = self.container.db.query_all(
-            "SELECT * FROM config_history WHERE policy_name = ? ORDER BY change_id",
-            (name,),
-        )
-        return [dict(row) for row in rows]
-
-    def value_at(self, name: str, time: float) -> Optional[str]:
-        """Point-in-time reconstruction: the value in force at ``time``.
-
-        Before a policy's first recorded change, the value in force is
-        the one that change replaced: an installed default, or None for
-        a policy ``set`` created (its first history row's ``old_value``
-        is NULL).
-        """
-        db = self.container.db
-        row = db.query_one(
-            """
-            SELECT new_value FROM config_history
-            WHERE policy_name = ? AND changed_at <= ?
-            ORDER BY change_id DESC LIMIT 1
-            """,
-            (name, time),
-        )
-        if row is not None:
-            return row["new_value"]
-        row = db.query_one(
-            """
-            SELECT old_value FROM config_history
-            WHERE policy_name = ? AND changed_at > ?
-            ORDER BY change_id LIMIT 1
-            """,
-            (name, time),
-        )
-        if row is not None:
-            return row["old_value"]
-        bean = self.container.find_optional(PolicyBean, name)
-        if bean is not None and bean["updated_at"] <= time:
-            return bean["policy_value"]
-        return None

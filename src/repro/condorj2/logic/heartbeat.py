@@ -105,7 +105,7 @@ class HeartbeatService:
         with self.container.db.transaction():
             refreshed = self.container.db.execute(
                 "UPDATE machines SET last_heartbeat = ?, state = 'alive' "
-                "WHERE machine_name = ? AND state IN ('alive', 'missing')",
+                "WHERE machine_name = ? AND state = 'alive'",
                 (now, machine_name),
             )
             if refreshed.rowcount == 0:
@@ -221,18 +221,3 @@ class HeartbeatService:
                 self.lifecycle.complete_jobs(completions, now)
             if drops:
                 self.lifecycle.report_drops(drops, now)
-
-    # ------------------------------------------------------------------
-    # liveness sweep (server-side)
-    # ------------------------------------------------------------------
-    def mark_missing_machines(self, now: float, timeout_seconds: float) -> int:
-        """Mark machines whose last heartbeat is too old as missing."""
-        with self.container.db.transaction():
-            cursor = self.container.db.execute(
-                """
-                UPDATE machines SET state = 'missing'
-                WHERE state = 'alive' AND last_heartbeat < ?
-                """,
-                (now - timeout_seconds,),
-            )
-            return cursor.rowcount

@@ -26,17 +26,14 @@ from repro.condorj2.database import Database
 
 #: Jobs per state in one row.  ``total`` is the table's size, which
 #: SQLite reads from a B-tree without visiting a row; each other count is
-#: one range of ``idx_jobs_state_owner``, bounded by the slots (matched,
-#: running) or by an operator (held), never by the queue.  ``state`` is
-#: NOT NULL and CHECKed to six values, so idle is exactly the total less
-#: the five listed here — every state of the CHECK domain but idle.
+#: one range of ``idx_jobs_state_owner``, bounded by the slots, never by
+#: the queue.  ``state`` is NOT NULL and CHECKed to three values, so idle
+#: is exactly the total less the two listed here — every state of the
+#: CHECK domain but idle.
 QUEUE_SUMMARY_SQL = """
 SELECT (SELECT COUNT(*) FROM jobs) AS total,
        (SELECT COUNT(*) FROM jobs WHERE state = 'matched') AS matched,
-       (SELECT COUNT(*) FROM jobs WHERE state = 'running') AS running,
-       (SELECT COUNT(*) FROM jobs WHERE state = 'completed') AS completed,
-       (SELECT COUNT(*) FROM jobs WHERE state = 'removed') AS removed,
-       (SELECT COUNT(*) FROM jobs WHERE state = 'held') AS held
+       (SELECT COUNT(*) FROM jobs WHERE state = 'running') AS running
 """
 
 #: One owner's idle and running jobs, each counted inside the covering
@@ -116,27 +113,6 @@ class ReportService:
             detail["source"] = "history"
             return detail
         return None
-
-    def throughput_by_minute(self) -> List[Dict[str, Any]]:
-        """Completions bucketed per minute — Figure 12's series as SQL."""
-        rows = self.db.query_all(
-            """
-            SELECT CAST(completed_at / 60 AS INTEGER) AS minute, COUNT(*) AS n
-            FROM job_history
-            WHERE completed_at IS NOT NULL
-            GROUP BY minute ORDER BY minute
-            """
-        )
-        return [dict(row) for row in rows]
-
-    def machine_boot_records(self, machine_name: str) -> List[Dict[str, Any]]:
-        """Historical machine information (section 4.2.3.1's ~9,000 lines)."""
-        rows = self.db.query_all(
-            "SELECT * FROM machine_boot_history WHERE machine_name = ? "
-            "ORDER BY booted_at",
-            (machine_name,),
-        )
-        return [dict(row) for row in rows]
 
     def accounting_by_user(self) -> List[Dict[str, Any]]:
         """Total charged wall-seconds per user."""

@@ -82,7 +82,7 @@ class SubmissionService:
             db.execute("DELETE FROM matches WHERE job_id = ?", (job_id,))
             removed = db.execute(
                 "DELETE FROM jobs WHERE job_id = ? "
-                "AND state IN ('idle', 'matched', 'held')",
+                "AND state IN ('idle', 'matched')",
                 (job_id,),
             )
             if removed.rowcount == 0:

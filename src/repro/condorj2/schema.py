@@ -23,9 +23,10 @@ inserts a run tuple*; completion *deletes the run and job tuples* (moving
 the job into history).
 
 A table or an index is declared only when some statement uses it:
-``tests/condorj2/test_analysis.py`` holds every index to a place in
-SQLite's plan of some extracted statement, and every table to being the
-principal table of one.
+``tests/condorj2/test_analysis.py`` holds every index to a search (or an
+ordered scan) in SQLite's plan of some extracted statement, and every
+table to being the principal table of one.  A state is declared only
+when some statement writes it.
 """
 
 from __future__ import annotations
@@ -150,8 +151,7 @@ TABLE_DEFS: Tuple[TableDef, ...] = (
             _col("cmd", "TEXT", not_null=True),
             _col("args", "TEXT", not_null=True, default=""),
             _col("state", "TEXT", not_null=True, default="idle",
-                 check_in=("idle", "matched", "running", "completed",
-                           "removed", "held")),
+                 check_in=("idle", "matched", "running")),
             _col("run_seconds", "REAL", not_null=True),
             _col("image_size_mb", "INTEGER", not_null=True, default=16),
             _col("requirements", "TEXT"),
@@ -195,18 +195,11 @@ TABLE_DEFS: Tuple[TableDef, ...] = (
             _col("memory_mb", "REAL", not_null=True, default=512),
             _col("vm_count", "INTEGER", not_null=True, default=1),
             _col("state", "TEXT", not_null=True, default="alive",
-                 check_in=("alive", "missing", "offline")),
+                 check_in=("alive", "offline")),
             _col("last_heartbeat", "REAL", not_null=True, default=0),
             _col("boot_count", "INTEGER", not_null=True, default=0),
         ),
         primary_key=("machine_name",),
-        indexes=(
-            # The liveness sweep updates machines by state (alive ->
-            # missing past the heartbeat deadline); the leading state
-            # column lets that pass probe instead of scanning the whole
-            # machine table.
-            IndexDef("idx_machines_state", ("state", "last_heartbeat")),
-        ),
     ),
     TableDef(
         name="vms",
@@ -277,11 +270,7 @@ TABLE_DEFS: Tuple[TableDef, ...] = (
             _col("attempts", "INTEGER", not_null=True, default=0),
         ),
         primary_key=("job_id",),
-        indexes=(
-            IndexDef("idx_job_history_owner", ("owner",)),
-            # Throughput-by-minute reports scan completions in time order.
-            IndexDef("idx_job_history_completed", ("completed_at",)),
-        ),
+        indexes=(IndexDef("idx_job_history_owner", ("owner",)),),
     ),
     TableDef(
         name="machine_boot_history",
@@ -296,7 +285,6 @@ TABLE_DEFS: Tuple[TableDef, ...] = (
         ),
         primary_key=("boot_id",),
         autoincrement=True,
-        indexes=(IndexDef("idx_boot_history_machine", ("machine_name",)),),
     ),
     TableDef(
         name="config_policies",
@@ -321,14 +309,6 @@ TABLE_DEFS: Tuple[TableDef, ...] = (
         ),
         primary_key=("change_id",),
         autoincrement=True,
-        indexes=(
-            # Per-policy audit trail: history/value_at probe by
-            # policy_name and order by change_id — (policy_name,
-            # change_id) serves both from one index.  Flagged by the
-            # static index advisor before it existed.
-            IndexDef("idx_config_history_policy",
-                     ("policy_name", "change_id")),
-        ),
     ),
     TableDef(
         name="accounting",
@@ -510,12 +490,12 @@ def _lifecycle(table: str, transitions: Dict[str, set],
 #:
 #: * jobs — the paper's job state machine.  Rows are born idle; the
 #:   operational tuple is deleted on completion (from ``running``,
-#:   archived to ``job_history``) or by ``removeJob`` (from any queued
-#:   state: ``idle``, ``matched`` or ``held``).
-#: * machines — liveness: heartbeats keep a machine ``alive``, the sweep
-#:   moves it to ``missing``, and ``offline`` is an administrative
-#:   quarantine an operator may impose from either live state and that
-#:   only an explicit re-enable leaves.  Machine rows are never deleted.
+#:   archived to ``job_history``) or by ``removeJob`` (from a queued
+#:   state: ``idle`` or ``matched``).
+#: * machines — liveness: heartbeats keep a machine ``alive``, and
+#:   ``offline`` is an administrative quarantine that a heartbeat
+#:   cannot lift and only an explicit re-enable leaves.  Machine rows
+#:   are never deleted.
 #: * vms — slot occupancy: ``idle -> claiming`` on acceptMatch, then to
 #:   ``busy`` (started event) and back to ``idle`` on completion/drop.
 #:   The startd's reported states may skip intermediate hops (delta
@@ -523,15 +503,13 @@ def _lifecycle(table: str, transitions: Dict[str, set],
 LIFECYCLES: Dict[str, LifecycleDef] = {
     "jobs": _lifecycle(
         "jobs",
-        {"idle": {"matched", "held"},
+        {"idle": {"matched"},
          "matched": {"running", "idle"},
-         "running": {"completed", "idle"},
-         "held": {"idle"}},
-        create=("idle",), delete=("idle", "matched", "running", "held")),
+         "running": {"idle"}},
+        create=("idle",), delete=("idle", "matched", "running")),
     "machines": _lifecycle(
         "machines",
-        {"alive": {"missing", "offline"},
-         "missing": {"alive", "offline"},
+        {"alive": {"offline"},
          "offline": {"alive"}},
         create=("alive",)),
     "vms": _lifecycle(

@@ -10,8 +10,7 @@ halves:
   declared names, with no reference to engine state.  The compiler
   feeds in cheap table statistics (live row counts and per-index distinct
   counts) and gets back *decisions*: which WHERE conjunct should drive a
-  scan (:func:`choose_driver`); the static advisor asks the same rule of
-  declared paths (:func:`advise_equality_access`).
+  scan (:func:`choose_driver`).
 
 * **The EXPLAIN surface** — :class:`PlanNode` / :class:`ExplainReport`
   are the engine-neutral plan tree both backends render: the memory
@@ -30,7 +29,7 @@ outer row, and its driving index lookup is what keeps that cheap.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 
 # ----------------------------------------------------------------------
@@ -150,69 +149,3 @@ def choose_driver(
         if best is None or candidate.est_rows < best.est_rows:
             best = candidate
     return best
-
-
-# ----------------------------------------------------------------------
-# static access-path advice (no engine required)
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class AccessAdvice:
-    """The costing verdict for one table access, computed statically.
-
-    This is the planner's driver-selection rule applied to *declared*
-    access paths instead of live statistics: both the memory engine's
-    executor and the static index advisor ask «given these equality
-    conjuncts, is there an index/PK/unique whose leading column lets the
-    scan probe instead of walking the table?».  ``supported`` carries
-    the name of the chosen path; ``suggested_columns`` is the covering
-    index a full scan would need (empty when supported or when there is
-    nothing to index).
-    """
-
-    table: str
-    eq_columns: Tuple[str, ...]
-    supported: Optional[str]
-    suggested_columns: Tuple[str, ...]
-
-    @property
-    def full_scan(self) -> bool:
-        return self.supported is None and bool(self.eq_columns)
-
-
-def advise_equality_access(
-    table: str,
-    eq_columns: Sequence[str],
-    primary_key: Sequence[str] = (),
-    unique: Sequence[Sequence[str]] = (),
-    indexes: Mapping[str, Sequence[str]] = {},
-) -> AccessAdvice:
-    """Pure costing entry point: can these equality conjuncts be driven?
-
-    An access path supports the scan when its *leading* column appears
-    among the equality conjuncts — the same leftmost-prefix rule the
-    engines' index probes implement.  Declared paths are tried in a
-    deterministic order (primary key, unique constraints, secondary
-    indexes) so advice is stable across runs.  When nothing supports the
-    scan the advice names the index to create: the equality columns in
-    statement order, which makes every conjunct a probe key.
-    """
-    eq = tuple(dict.fromkeys(eq_columns))  # dedupe, keep statement order
-    if not eq:
-        return AccessAdvice(table=table, eq_columns=(), supported=None,
-                            suggested_columns=())
-    if primary_key and primary_key[0] in eq:
-        return AccessAdvice(table=table, eq_columns=eq,
-                            supported="primary key", suggested_columns=())
-    for columns in unique:
-        if columns and columns[0] in eq:
-            name = f"unique({', '.join(columns)})"
-            return AccessAdvice(table=table, eq_columns=eq,
-                                supported=name, suggested_columns=())
-    for name in sorted(indexes):
-        columns = indexes[name]
-        if columns and columns[0] in eq:
-            return AccessAdvice(table=table, eq_columns=eq,
-                                supported=name, suggested_columns=())
-    return AccessAdvice(table=table, eq_columns=eq, supported=None,
-                        suggested_columns=eq)

@@ -37,7 +37,11 @@ from repro.condorj2.storage.transitions import TransitionSpec, transition_spec
 
 @dataclass
 class Statement:
-    """One cached statement: what its text implies, and usage."""
+    """One cached statement: what its text implies, and its plan.
+
+    How often a text was dispatched is ``StatementCounts.texts``, which
+    no eviction resets.
+    """
 
     sql: str
     #: Accounting verb and principal table (``storage/counters.py``).
@@ -49,8 +53,6 @@ class Statement:
     #: The engine's compiled artifact for ``sql`` (None on engines that
     #: compile natively).
     plan: Any = None
-    #: Dispatches served, the admitting one included.
-    uses: int = 1
 
 
 def describe(sql: str) -> Statement:
@@ -88,7 +90,6 @@ class StatementCache:
         """The entry on a hit (now most recently used), None on a miss."""
         entry = self._entries.get(sql)
         if entry is not None:
-            entry.uses += 1
             self._entries.move_to_end(sql)
         return entry
 
@@ -102,7 +103,7 @@ class StatementCache:
         return False
 
     def peek(self, sql: str) -> Optional[Statement]:
-        """Lookup that leaves recency and ``uses`` alone (observability)."""
+        """Lookup that leaves recency alone (observability)."""
         return self._entries.get(sql)
 
     def entries(self) -> List[Statement]:

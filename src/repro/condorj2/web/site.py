@@ -187,19 +187,19 @@ class PoolWebSite:
         )
 
     def _hot_plan_report(self) -> Optional[str]:
-        """EXPLAIN for the most-executed cached statement (uncounted)."""
+        """EXPLAIN for the most-dispatched statement text (uncounted)."""
         db = self.reports.db
-        entries = db.statement_cache.entries()
-        if not entries:
+        texts = db.counts.texts
+        if not texts:
             return None
-        hottest = max(entries, key=lambda entry: entry.uses)
+        sql = max(texts, key=texts.get)
         try:
-            plan = db.explain(hottest.sql).render()
+            plan = db.explain(sql).render()
         except (NotImplementedError, DatabaseError) as exc:
             plan = f"  explain unavailable: {exc}"
-        return (f"Hottest Plan ({hottest.uses} uses, "
+        return (f"Hottest Plan ({texts[sql]} uses, "
                 f"engine={db.engine.name})\n"
-                f"  {hottest.sql}\n" + plan)
+                f"  {sql}\n" + plan)
 
     def _operations_report(self) -> Optional[str]:
         """Per-operation gateway meter: calls, faults, latency, charge."""

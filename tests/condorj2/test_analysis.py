@@ -1,6 +1,6 @@
 """Tier-1 tests for the schema-aware SQL static analyzer.
 
-Five properties are enforced here:
+Six properties are enforced here:
 
 * **the gate** — the committed tree has zero findings the committed
   baseline does not absorb (and zero errors outright), which is the
@@ -14,9 +14,13 @@ Five properties are enforced here:
   each template) runs, so the engines reject whatever does not parse,
   names what does not exist, or binds the wrong parameters; and the
   schema declares nothing the corpus leaves untouched (every index is
-  in some statement's SQLite plan, every table some statement's own);
-* **rules** — each checker rule and the planner-backed index advisor
-  fire on targeted statements and stay silent on correct ones;
+  searched, or scanned for its order, in some statement's SQLite plan;
+  every table is some statement's own);
+* **plans** — SQLite's plans of the corpus scan only the pinned few
+  tables without searching an index, and each of the two plan gates
+  fails its seeded mutant;
+* **rules** — each checker rule fires on targeted statements and stays
+  silent on correct ones;
 * **no SQL built from values** — the ``fstring-value-interpolation``
   rule over the whole source tree, wider than the analyzer's default
   package root.  The pre-refactor scheduler gated dependencies with
@@ -28,10 +32,12 @@ Five properties are enforced here:
 """
 
 import ast
+import dataclasses
 import json
 import re
 import textwrap
 from pathlib import Path
+from typing import NamedTuple, Optional
 
 import pytest
 
@@ -57,8 +63,8 @@ from repro.condorj2.logic import (
     SubmissionService,
 )
 from repro.condorj2.logic.queries import ReportService
-from repro.condorj2.schema import TABLE_DEFS
-from repro.condorj2.storage import planner
+from repro.condorj2.schema import TABLE_BY_NAME, TABLE_DEFS, IndexDef, render_ddl
+from repro.condorj2.storage import SqliteStorageEngine, sqlparser as sp
 from repro.condorj2.storage.counters import statement_table
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -220,7 +226,6 @@ def _run_service_workload(backend):
     with pytest.raises(BeanNotFound):
         heartbeat.process({"machine": "m99", "vms": [], "events": []},
                           now + 15)
-    heartbeat.mark_missing_machines(now + 500, timeout_seconds=60.0)
     submission.remove_job(third.job_id)
 
     config.install_defaults(now, {"scheduling_interval_seconds": "1.0"})
@@ -228,17 +233,12 @@ def _run_service_workload(backend):
                changed_by="test")
     config.set("fresh_knob", "1", now + 20, changed_by="test")
     config.get("scheduling_interval_seconds")
-    config.history("scheduling_interval_seconds")
-    config.value_at("scheduling_interval_seconds", now + 21)
-    config.value_at("scheduling_interval_seconds", now + 10)
 
     reports.queue_summary()
     reports.pool_status()
     reports.user_summary("alice")
     reports.job_detail(second.job_id)
     reports.job_detail(done["job_id"])  # from history
-    reports.throughput_by_minute()
-    reports.machine_boot_records("m00")
     reports.accounting_by_user()
 
     texts = dict(db.counts.texts)
@@ -265,30 +265,179 @@ def test_corpus_covers_runtime_statements(backend):
         f"{unexecuted}")
 
 
+class _Step(NamedTuple):
+    """One step of SQLite's plan of a render that reads a base table."""
+
+    site: str  # file:line of the statement the render belongs to
+    verb: str  # 'SCAN' or 'SEARCH'
+    table: str
+    index: Optional[str]
+    covering: bool
+
+
+#: ``SCAN``/``SEARCH``, the source, and the index with its ``COVERING``
+#: mark.  SQLite before 3.36 spells the source ``TABLE jobs AS j``, later
+#: ones ``j``: both are read, because CI's matrix runs more than one.
+_PLAN_STEP = re.compile(r"(SCAN|SEARCH) (?:TABLE )?(\w+)(?: AS (\w+))?"
+                        r"(?: USING (COVERING )?INDEX (\w+))?")
+
+
+def _read_step(detail, aliases):
+    """``(verb, table, index, covering)`` for a plan line that reads a
+    base table, resolving an alias through ``aliases``; None otherwise
+    (a constant row, a subquery, ``json_each``)."""
+    match = _PLAN_STEP.match(detail)
+    if match is None:
+        return None
+    verb, name, alias, covering, index = match.groups()
+    table = name if alias else aliases.get(name, name)
+    if table not in TABLE_BY_NAME:
+        return None
+    return verb, table, index, covering is not None
+
+
+def _counts_every_table(statement):
+    """``Database.table_count``'s per-table template: it names and scans
+    every table by design, so it proves nothing about any of them."""
+    return statement.file == "database.py" and not statement.constant
+
+
+def _plan_steps(statements, table_defs=TABLE_DEFS):
+    """Every base-table step of SQLite's plan of every render, on a
+    database built from ``table_defs``, ``table_count``'s aside."""
+    engine = SqliteStorageEngine()
+    engine.run_script([ddl for tdef in table_defs for ddl in render_ddl(tdef)])
+    steps = []
+    try:
+        for statement in statements:
+            if _counts_every_table(statement):
+                continue
+            site = f"{statement.file}:{statement.line}"
+            for sql in statement.renders:
+                aliases = {
+                    source.alias: source.name
+                    for node in sp.walk(sp.parse_info(sql).ast)
+                    if isinstance(node, sp.Select)
+                    for source in node.sources if source.kind == "table"}
+                nodes = list(engine.explain(sql).root.children)
+                while nodes:
+                    node = nodes.pop()
+                    nodes.extend(node.children)
+                    step = _read_step(node.detail, aliases)
+                    if step is not None:
+                        steps.append(_Step(site, *step))
+    finally:
+        engine.close()
+    return steps
+
+
+def _unread_indexes(table_defs, steps):
+    """Declared indexes no plan searches or scans for its order.  A
+    covering full scan earns nothing: SQLite counts a whole table through
+    its narrowest index, so any index on a counted table would pass."""
+    credited = {step.index for step in steps
+                if step.index and (step.verb == "SEARCH" or not step.covering)}
+    return [index.name for tdef in table_defs for index in tdef.indexes
+            if index.name not in credited]
+
+
+def _full_scans(steps):
+    """Each base table some render scans, with the renders' sites."""
+    scans = {}
+    for step in steps:
+        if step.verb == "SCAN":
+            scans.setdefault(step.table, set()).add(step.site)
+    return scans
+
+
+#: Renders that read a whole table instead of searching it, per table:
+#: ``queueSummary``'s total (jobs), ``poolStatus`` (machines, vms), the
+#: accounting report's ordered scan, and the scheduling pass, which
+#: probes once per registered user (ROADMAP item 12(a)).
+FULL_SCANS = {"accounting": 1, "jobs": 1, "machines": 1, "users": 1,
+              "vms": 1}
+
+
 def test_schema_declares_only_what_statements_touch():
     """The other side of coverage: what ``TABLE_DEFS`` declares, some
-    statement uses.  An index no plan reads is paid on every write of
-    its table for nothing, so each one must appear in SQLite's
+    statement uses.  An index is paid on every write of its table, so
+    each one must be searched, or scanned for its order, in SQLite's
     ``EXPLAIN QUERY PLAN`` of at least one extracted render.  Each table
     must be the principal table of a render — ``Database.table_count``'s
     per-table template names every table and so proves nothing."""
-    db = Database(backend="sqlite")
-    planned, principal = set(), set()
-    for statement in extract_corpus(PACKAGE_ROOT).statements:
-        table_count = (statement.file == "database.py"
-                       and not statement.constant)
-        for sql in statement.renders:
-            planned.update(re.findall(r"\bINDEX (\w+)",
-                                      db.explain(sql).render()))
-            if not table_count:
-                principal.add(statement_table(sql))
-    db.close()
-    unread = [index.name for tdef in TABLE_DEFS for index in tdef.indexes
-              if index.name not in planned]
+    statements = extract_corpus(PACKAGE_ROOT).statements
+    principal = {statement_table(sql) for statement in statements
+                 if not _counts_every_table(statement)
+                 for sql in statement.renders}
+    unread = _unread_indexes(TABLE_DEFS, _plan_steps(statements))
     untouched = [tdef.name for tdef in TABLE_DEFS
                  if tdef.name not in principal]
     assert {"unread indexes": unread, "untouched tables": untouched} == {
         "unread indexes": [], "untouched tables": []}
+
+
+def test_full_scans_are_the_pinned_few():
+    """A render that scans a base table reads all of it on every call,
+    so each one is pinned here, and a new one fails naming its table."""
+    scans = _full_scans(_plan_steps(extract_corpus(PACKAGE_ROOT).statements))
+    assert {table: len(sites) for table, sites in scans.items()} \
+        == FULL_SCANS, scans
+
+
+#: An equality on a column no index leads with.
+_SCAN_MUTANT = '''\
+class Repo:
+    def by_command(self, db, cmd):
+        return db.query_all("SELECT job_id FROM jobs WHERE cmd = ?", (cmd,))
+'''
+
+
+def test_a_seeded_full_scan_fails_the_scan_gate(tmp_path):
+    (tmp_path / "fixture.py").write_text(_SCAN_MUTANT)
+    statements = (extract_corpus(PACKAGE_ROOT).statements
+                  + extract_corpus(tmp_path).statements)
+    scans = _full_scans(_plan_steps(statements))
+    assert {table: len(sites) for table, sites in scans.items()} \
+        == dict(FULL_SCANS, jobs=2)
+    assert "fixture.py:3" in scans["jobs"]
+
+
+def test_an_index_only_a_covering_scan_reaches_fails_the_credit_rule():
+    """Given ``machines(state, last_heartbeat)``, SQLite answers
+    ``poolStatus``'s count of machines by state with a covering full
+    scan of it, so the index is in a plan, but no statement searches it
+    or needs its order."""
+    extra = IndexDef("idx_machines_state", ("state", "last_heartbeat"))
+    mutant = tuple(
+        dataclasses.replace(tdef, indexes=tdef.indexes + (extra,))
+        if tdef.name == "machines" else tdef
+        for tdef in TABLE_DEFS)
+    steps = _plan_steps(extract_corpus(PACKAGE_ROOT).statements, mutant)
+    assert [(step.verb, step.covering) for step in steps
+            if step.index == extra.name] == [("SCAN", True)]
+    assert _unread_indexes(mutant, steps) == [extra.name]
+
+
+@pytest.mark.parametrize("newer, older, step", [
+    ("SCAN u", "SCAN TABLE users AS u", ("SCAN", "users", None, False)),
+    ("SCAN accounting USING INDEX idx_accounting_owner",
+     "SCAN TABLE accounting USING INDEX idx_accounting_owner",
+     ("SCAN", "accounting", "idx_accounting_owner", False)),
+    ("SEARCH j USING COVERING INDEX idx_jobs_state_owner (state=?)",
+     "SEARCH TABLE jobs AS j USING COVERING INDEX idx_jobs_state_owner "
+     "(state=?)",
+     ("SEARCH", "jobs", "idx_jobs_state_owner", True)),
+    ("SEARCH jobs USING INTEGER PRIMARY KEY (rowid=?)",
+     "SEARCH TABLE jobs USING INTEGER PRIMARY KEY (rowid=?)",
+     ("SEARCH", "jobs", None, False)),
+    ("SCAN CONSTANT ROW", "SCAN CONSTANT ROW", None),
+    ("SCAN (subquery-9)", "SCAN SUBQUERY 9", None),
+    ("SCAN json_each VIRTUAL TABLE INDEX 1:",
+     "SCAN TABLE json_each VIRTUAL TABLE INDEX 1:", None),
+])
+def test_plan_steps_read_both_sqlite_spellings(newer, older, step):
+    aliases = {"u": "users", "j": "jobs"}
+    assert _read_step(newer, aliases) == _read_step(older, aliases) == step
 
 
 # ----------------------------------------------------------------------
@@ -384,59 +533,6 @@ def test_unused_named_parameter_is_a_warning():
         ("param-extra", "warning")]
     assert "'bogus'" in findings[0].message
     assert _check_sql(sql, named=("owner", "state")) == []
-
-
-# ----------------------------------------------------------------------
-# index advisor
-# ----------------------------------------------------------------------
-
-def test_advisor_stays_quiet_on_indexed_access():
-    assert _check_sql("SELECT * FROM vms WHERE machine_name = ?") == []
-    assert _check_sql("SELECT * FROM jobs WHERE job_id = ?") == []
-    assert _check_sql(
-        "SELECT * FROM runs WHERE job_id = ?") == []  # unique
-
-
-def test_advisor_flags_unindexed_equality():
-    findings = _check_sql("SELECT * FROM jobs WHERE cmd = ?")
-    matching = [f for f in findings if f.rule == "full-scan"]
-    assert matching and matching[0].severity == "advice"
-    assert "jobs(cmd)" in matching[0].message
-
-
-def test_advisor_collects_on_clause_conjuncts():
-    findings = _check_sql(
-        "SELECT j.job_id FROM jobs j "
-        "JOIN accounting a ON a.job_id = j.job_id "
-        "WHERE j.state = 'idle'")
-    # accounting is probed by job_id (from the ON clause) but only has
-    # an owner index; jobs itself is supported and not reported.
-    matching = [f for f in findings if f.rule == "full-scan"]
-    assert len(matching) == 1
-    assert "accounting(job_id)" in matching[0].message
-
-
-def test_advisor_unconstrained_scan_is_not_flagged():
-    assert _check_sql(
-        "SELECT state, COUNT(*) FROM jobs GROUP BY state ORDER BY state") == []
-
-
-def test_planner_advises_equality_access_paths():
-    advice = planner.advise_equality_access(
-        "t", ["b", "a"], primary_key=("a",))
-    assert advice.supported == "primary key" and not advice.full_scan
-    advice = planner.advise_equality_access(
-        "t", ["b"], primary_key=("a",), unique=(("b", "c"),))
-    assert advice.supported == "unique(b, c)"
-    advice = planner.advise_equality_access(
-        "t", ["c"], primary_key=("a",), indexes={"idx_c": ("c",)})
-    assert advice.supported == "idx_c"
-    advice = planner.advise_equality_access(
-        "t", ["d", "d", "e"], primary_key=("a",))
-    assert advice.full_scan
-    assert advice.suggested_columns == ("d", "e")  # deduped, in order
-    advice = planner.advise_equality_access("t", [])
-    assert not advice.full_scan and advice.supported is None
 
 
 # ----------------------------------------------------------------------

@@ -9,7 +9,6 @@ from repro.condorj2.beans import (
     JobBean,
     MachineBean,
     PolicyBean,
-    UserBean,
 )
 from repro.condorj2.database import Database, DatabaseError
 
@@ -19,12 +18,18 @@ def container():
     return BeanContainer(Database())
 
 
-def make_user(container, name="alice"):
-    return container.create(UserBean, user_name=name, created_at=0.0)
+def make_policy(container, name="p", value="1"):
+    return container.create(
+        PolicyBean, policy_name=name, policy_value=value, scope="pool",
+        updated_at=0.0, updated_by="system",
+    )
 
 
 def make_job(container, owner="alice", **overrides):
-    make_user(container, owner) if container.find_optional(UserBean, owner) is None else None
+    container.db.execute(
+        "INSERT OR IGNORE INTO users (user_name, created_at) VALUES (?, 0.0)",
+        (owner,),
+    )
     fields = dict(
         owner=owner, cmd="/bin/x", state="idle", run_seconds=60.0,
         submitted_at=0.0, attempts=0,
@@ -34,40 +39,39 @@ def make_job(container, owner="alice", **overrides):
 
 
 def test_create_and_find_round_trip(container):
-    user = make_user(container)
-    found = container.find(UserBean, "alice")
-    assert found["user_name"] == "alice"
-    assert found.pk_value == user.pk_value
+    policy = make_policy(container)
+    found = container.find(PolicyBean, "p")
+    assert found["policy_value"] == "1"
+    assert found.pk_value == policy.pk_value
 
 
 def test_find_missing_raises(container):
     with pytest.raises(BeanNotFound):
-        container.find(UserBean, "nobody")
-    assert container.find_optional(UserBean, "nobody") is None
+        container.find(PolicyBean, "nobody")
+    assert container.find_optional(PolicyBean, "nobody") is None
+
+
+def _policy_row(name):
+    return {"policy_name": name, "policy_value": "1", "updated_at": 0.0}
 
 
 def test_create_batch_inserts_without_beans(container):
     before = container.instantiations
     created = container.create_batch(
-        UserBean,
-        [
-            {"user_name": "a", "created_at": 0.0},
-            {"user_name": "b", "created_at": 0.0},
-        ],
-    )
+        PolicyBean, [_policy_row("a"), _policy_row("b")])
     assert created == 2
     assert container.instantiations == before  # footnote 1: no bean per tuple
-    assert container.db.table_count("users") == 2
+    assert container.db.table_count("config_policies") == 2
     assert container.db.counts.batches >= 1
 
 
 def test_create_batch_rejects_heterogeneous_rows(container):
     with pytest.raises(DatabaseError):
         container.create_batch(
-            UserBean,
+            PolicyBean,
             [
-                {"user_name": "a", "created_at": 0.0},
-                {"created_at": 0.0, "user_name": "b"},
+                _policy_row("a"),
+                {"updated_at": 0.0, "policy_value": "1", "policy_name": "b"},
             ],
         )
 
@@ -75,9 +79,7 @@ def test_create_batch_rejects_heterogeneous_rows(container):
 def test_create_batch_rejects_unknown_columns(container):
     with pytest.raises(DatabaseError):
         container.create_batch(
-            UserBean,
-            [{"user_name": "a", "created_at": 0.0, "cmd) SELECT": "x"}],
-        )
+            PolicyBean, [dict(_policy_row("a"), **{"cmd) SELECT": "x"})])
 
 
 def test_machine_heartbeat_and_boot_history(container):
@@ -97,10 +99,7 @@ def test_machine_heartbeat_and_boot_history(container):
 
 
 def test_policy_change_writes_history(container):
-    policy = container.create(
-        PolicyBean, policy_name="p", policy_value="1", scope="pool",
-        updated_at=0.0, updated_by="system",
-    )
+    policy = make_policy(container)
     policy.change_value("2", 10.0, changed_by="admin")
     policy.change_value("3", 20.0, changed_by="admin")
     history = container.db.query_all(
@@ -113,11 +112,11 @@ def test_policy_change_writes_history(container):
 
 
 def test_container_counts_instantiations(container):
-    make_user(container, "a")
+    make_policy(container, "a")
     before = container.instantiations
-    container.find(UserBean, "a")
-    container.find_optional(UserBean, "a")
-    container.find_optional(UserBean, "nobody")
+    container.find(PolicyBean, "a")
+    container.find_optional(PolicyBean, "a")
+    container.find_optional(PolicyBean, "nobody")
     assert container.instantiations == before + 2
 
 

@@ -255,14 +255,6 @@ class TraceRunner:
             else:
                 pool.submission.remove_job(job["job_id"])
 
-    def op_mark_missing(self):
-        timeout = self.rng.uniform(10.0, 200.0)
-        marked = {
-            pool.heartbeat.mark_missing_machines(self.now, timeout)
-            for pool in self.pools
-        }
-        assert len(marked) == 1, "engines disagree on missing machines"
-
     def op_config_change(self):
         name = self.rng.choice(["scheduling_interval_seconds", "fuzz_knob"])
         value = str(self.rng.randint(1, 1000))
@@ -309,7 +301,6 @@ class TraceRunner:
         ("complete", 3, op_complete_jobs),
         ("drop", 1, op_drop_job),
         ("remove", 1, op_remove_job),
-        ("missing", 1, op_mark_missing),
         ("config", 1, op_config_change),
         ("affinity", 1, op_cross_affinity),
         ("outer-column", 1, op_outer_column_subquery),
@@ -676,9 +667,9 @@ def test_refused_removal_rolls_the_match_delete_back(backend):
     cannot reach (``matches`` and ``'matched'`` move together), parked
     here with raw SQL — so the refusal must put the match back."""
     pool = _queued_matched_and_running(backend)
-    pool.db.execute("UPDATE jobs SET state = 'completed' WHERE job_id = 2")
+    pool.db.execute("UPDATE jobs SET state = 'running' WHERE job_id = 2")
     before = dump_tables(pool.db)
-    with pytest.raises(BeanStateError, match="'completed'"):
+    with pytest.raises(BeanStateError, match="'running'"):
         pool.submission.remove_job(2)
     assert pool.db.table_count("matches") == 1
     assert dump_tables(pool.db) == before

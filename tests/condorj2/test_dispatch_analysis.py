@@ -11,7 +11,7 @@ Three properties are enforced here:
   error by exactly the intended rule with exact file:line provenance;
 * **runtime cross-check** — the batched code paths the analyzer
   certified really do dispatch a flat number of statements as the data
-  grows (drop batches, config history reads, heartbeat events).
+  grows (drop batches, config changes, heartbeat events).
 """
 
 import shutil
@@ -210,18 +210,20 @@ def test_report_drops_is_four_statements_flat_in_batch_size():
     assert delta.commits == 1
 
 
-def test_value_at_statements_are_flat_in_history_length():
-    def read(changes):
+def test_config_change_statements_are_flat_in_history_length():
+    """A change finds the policy, appends its audit row and updates it:
+    three statements however long the policy's history already is."""
+    def change(earlier):
         container = BeanContainer(Database())
         config = ConfigService(container)
         config.install_defaults(0.0, {"x": "0"})
-        for index in range(1, changes + 1):
+        for index in range(1, earlier + 1):
             config.set("x", str(index), now=float(10 * index))
         before = container.db.counts.snapshot()
-        assert config.value_at("x", 5.0) == "0"
+        config.set("x", "last", now=1000.0)
         return container.db.counts.delta(before).statements
 
-    assert read(1) == read(30) == 2
+    assert change(1) == change(30) == 3
 
 
 def test_heartbeat_drop_events_dispatch_flat_statement_counts():

@@ -293,7 +293,7 @@ def test_history_records_completions_only_and_reports_nothing_else(services):
     assert [row["final_state"] for row in outcomes] == ["completed"]
     assert not hasattr(reports, "drops_by_machine")
     assert [index.name for index in TABLE_BY_NAME["job_history"].indexes] == [
-        "idx_job_history_owner", "idx_job_history_completed"]
+        "idx_job_history_owner"]
 
 
 # ----------------------------------------------------------------------
@@ -363,29 +363,6 @@ def test_heartbeat_unknown_event_kind_raises(services):
         )
 
 
-def test_mark_missing_machines(services):
-    container = services[0]
-    heartbeat = services[4]
-    register_machine(heartbeat, "m1", now=0.0)
-    register_machine(heartbeat, "m2", now=0.0)
-    heartbeat.process({"machine": "m2", "vms": [], "events": []}, now=1000.0)
-    marked = heartbeat.mark_missing_machines(now=1000.0, timeout_seconds=900.0)
-    assert marked == 1
-    states = {r["machine_name"]: r["state"] for r in
-              container.db.query_all("SELECT machine_name, state FROM machines")}
-    assert states == {"m1": "missing", "m2": "alive"}
-
-
-def test_heartbeat_revives_missing_machine(services):
-    container = services[0]
-    heartbeat = services[4]
-    register_machine(heartbeat, "m1", now=0.0)
-    heartbeat.mark_missing_machines(now=1000.0, timeout_seconds=900.0)
-    heartbeat.process({"machine": "m1", "vms": [], "events": []}, now=1001.0)
-    machine = container.db.query_one("SELECT state FROM machines")
-    assert machine["state"] == "alive"
-
-
 def test_heartbeat_unknown_machine_raises(services):
     heartbeat = services[4]
     with pytest.raises(BeanNotFound):
@@ -401,7 +378,7 @@ def test_heartbeat_cannot_revive_quarantined_machine(services):
     register_machine(heartbeat, "m1", now=0.0)
     container.db.execute(
         "UPDATE machines SET state = 'offline' "
-        "WHERE machine_name = ? AND state IN ('alive', 'missing')",
+        "WHERE machine_name = ? AND state = 'alive'",
         ("m1",),
     )
     with pytest.raises(BeanStateError, match="offline"):
@@ -490,53 +467,8 @@ def test_config_set_records_history(services):
     config = services[6]
     config.set("x", "1", now=1.0)
     config.set("x", "2", now=2.0)
-    history = config.history("x")
-    assert [h["new_value"] for h in history] == ["1", "2"]
-    assert history[1]["old_value"] == "1"
-
-
-def test_config_point_in_time_reconstruction(services):
-    config = services[6]
-    config.set("x", "1", now=10.0)
-    config.set("x", "2", now=20.0)
-    config.set("x", "3", now=30.0)
-    assert config.value_at("x", 5.0) is None
-    assert config.value_at("x", 15.0) == "1"
-    assert config.value_at("x", 25.0) == "2"
-    assert config.value_at("x", 35.0) == "3"
-
-
-def test_config_value_at_before_a_change_reads_the_installed_default(
-        services):
-    config = services[6]
-    config.install_defaults(0.0, {"x": "1.0"})
-    assert config.value_at("x", 5.0) == "1.0"
-    config.set("x", "0.5", now=10.0)
-    assert config.value_at("x", 5.0) == "1.0"
-    assert config.value_at("x", 15.0) == "0.5"
-
-
-def test_config_value_at_before_a_set_created_policy_is_none(services):
-    config = services[6]
-    config.set("x", "1", now=10.0)
-    config.set("x", "2", now=20.0)
-    assert config.value_at("x", 5.0) is None
-    assert config.value_at("x", 10.0) == "1"
-
-
-def test_config_value_at_before_an_installed_default_is_none(services):
-    config = services[6]
-    config.install_defaults(10.0, {"x": "1.0"})
-    assert config.value_at("x", 5.0) is None
-    assert config.value_at("x", 10.0) == "1.0"
-    assert config.value_at("never-installed", 10.0) is None
-
-
-def test_config_value_at_walks_every_change_of_an_installed_default(
-        services):
-    config = services[6]
-    config.install_defaults(0.0, {"x": "a"})
-    config.set("x", "b", now=10.0)
-    config.set("x", "c", now=20.0)
-    assert [config.value_at("x", t) for t in (5.0, 10.0, 15.0, 25.0)] \
-        == ["a", "b", "b", "c"]
+    history = services[0].db.query_all(
+        "SELECT old_value, new_value FROM config_history "
+        "WHERE policy_name = 'x' ORDER BY change_id")
+    assert [(h["old_value"], h["new_value"]) for h in history] == [
+        (None, "1"), ("1", "2")]

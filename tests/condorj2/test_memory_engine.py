@@ -533,7 +533,7 @@ def test_limit_sees_no_column(db):
 
 def _seed_owner_queue(db):
     """ann holds the odd job ids 1..11 and bob the even ones 2..12;
-    every third job is held.  ``submitted_at`` runs against job_id:
+    every third job is matched.  ``submitted_at`` runs against job_id:
     job j was submitted at 5j mod 12, so the two orders differ.  Idle:
     ann 1, 5, 7, 11 and bob 2, 4, 8, 10."""
     db.executemany(
@@ -543,7 +543,7 @@ def _seed_owner_queue(db):
         "INSERT INTO jobs (job_id, owner, cmd, state, run_seconds,"
         " submitted_at) VALUES (?, ?, 'c', ?, 1, ?)",
         [(job_id, "ann" if job_id % 2 else "bob",
-          "held" if job_id % 3 == 0 else "idle", float(job_id * 5 % 12))
+          "matched" if job_id % 3 == 0 else "idle", float(job_id * 5 % 12))
          for job_id in range(1, 13)])
 
 
@@ -603,7 +603,7 @@ def test_coalesce_takes_the_first_non_null(db):
 
 
 #: Each owner's idle jobs up to the owner's ``?``-th eligible one — the
-#: job side of ``MATCH_INSERT_SQL``, held jobs standing in for jobs a
+#: job side of ``MATCH_INSERT_SQL``, matched jobs standing in for jobs a
 #: live prerequisite holds back.
 _KTH_WALK = (
     "SELECT u.user_name, j.job_id FROM users u CROSS JOIN jobs j"
@@ -692,7 +692,7 @@ def test_memory_walks_what_it_reads():
 
 def _seed_ranked_pool(db):
     """Three users of distinct priority, twelve jobs with distinct run
-    times (three held), two dependencies on every third job."""
+    times (three matched), two dependencies on every third job."""
     for index, name in enumerate(("ann", "bob", "cy")):
         db.execute(
             "INSERT INTO users (user_name, priority, created_at)"
@@ -702,7 +702,7 @@ def _seed_ranked_pool(db):
             "INSERT INTO jobs (job_id, owner, cmd, state, run_seconds,"
             " submitted_at) VALUES (?, ?, ?, ?, ?, 0)",
             (job_id, ("ann", "bob", "cy")[job_id % 3],
-             f"/bin/{job_id % 2}", "held" if job_id in (4, 8, 11) else "idle",
+             f"/bin/{job_id % 2}", "matched" if job_id in (4, 8, 11) else "idle",
              float((job_id * 7) % 13)))
     db.executemany(
         "INSERT INTO job_dependencies (job_id, depends_on_job_id)"
@@ -752,7 +752,7 @@ _EXECUTOR_SHAPES = {
     "two-key correlated EXISTS, probed per outer row": (
         "SELECT j.job_id FROM jobs j WHERE EXISTS"
         " (SELECT 1 FROM jobs o WHERE o.owner = j.owner"
-        "  AND o.cmd = j.cmd AND o.state = 'held')"
+        "  AND o.cmd = j.cmd AND o.state = 'matched')"
         " ORDER BY j.job_id"),
     "ROW_NUMBER in an EXISTS subquery's select list": (
         "SELECT j.job_id FROM jobs j WHERE EXISTS"
@@ -1031,7 +1031,7 @@ _job_op_strategy = st.lists(
     st.tuples(
         st.sampled_from(["insert", "state", "owner", "delete", "txn-abort"]),
         st.integers(1, 8),
-        st.sampled_from(["idle", "matched", "held"]),
+        st.sampled_from(["idle", "matched", "running"]),
         st.sampled_from(["ann", "bob"]),
     ),
     min_size=1,

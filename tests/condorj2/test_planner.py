@@ -116,7 +116,7 @@ def test_cached_plan_returns_identical_rows(backend):
     "SELECT COUNT(*) FROM jobs WHERE state = 'idle'",
     "SELECT job_id FROM jobs WHERE owner = 'alice' ORDER BY job_id",
     "SELECT user_name, priority FROM users ORDER BY user_name",
-    "UPDATE jobs SET state = 'held' WHERE job_id = 1",
+    "UPDATE jobs SET state = 'matched' WHERE job_id = 1",
     "UPDATE jobs SET state = 'idle' WHERE job_id = 1",
 ]), min_size=1, max_size=12))
 def test_plan_ledger_identical_across_backends(statements):
@@ -253,7 +253,7 @@ def test_memory_explain_profiled_dml_rolls_back():
         "SELECT job_id, state FROM jobs ORDER BY job_id")]
     before_counts = db.counts.snapshot()
     report = db.explain(
-        "UPDATE jobs SET state = 'held' WHERE state = ?", ("idle",))
+        "UPDATE jobs SET state = 'matched' WHERE state = ?", ("idle",))
     assert report.root.op == "STATEMENT"
     after_rows = [tuple(r) for r in db.query_all(
         "SELECT job_id, state FROM jobs ORDER BY job_id")]
@@ -289,7 +289,7 @@ def _null_key_fixture(backend):
         [("alice", "c", 1.0, "idle", 0.0, None),
          ("alice", "c", 1.0, "idle", 0.0, "mem>1"),
          ("alice", "c", 1.0, "idle", 0.0, "mem>2"),
-         ("alice", "c", 1.0, "held", 0.0, None)]
+         ("alice", "c", 1.0, "matched", 0.0, None)]
         * 5,
     )
     return db
@@ -303,7 +303,7 @@ def test_correlated_exists_null_probe_matches_sqlite(negated):
     sql = (
         "SELECT j.job_id FROM jobs j WHERE " + word + " ("
         "SELECT 1 FROM jobs o WHERE o.requirements = j.requirements "
-        "AND o.state = 'held') ORDER BY j.job_id"
+        "AND o.state = 'matched') ORDER BY j.job_id"
     )
     rows = {}
     for backend in ENGINES:
@@ -320,7 +320,7 @@ def test_correlated_exists_all_null_keys_matches_sqlite():
     sql = (
         "SELECT j.job_id FROM jobs j WHERE NOT EXISTS ("
         "SELECT 1 FROM jobs o WHERE o.requirements = j.requirements "
-        "AND o.state = 'removed') ORDER BY j.job_id"
+        "AND o.state = 'running') ORDER BY j.job_id"
     )
     rows = {}
     for backend in ENGINES:
@@ -424,12 +424,12 @@ _EXISTS_SHAPES = {
     "two inner sources":
         "SELECT 1 FROM job_dependencies d"
         " JOIN jobs p ON p.job_id = d.depends_on_job_id"
-        " WHERE d.job_id = j.job_id AND p.state = 'held'",
+        " WHERE d.job_id = j.job_id AND p.state = 'matched'",
 }
 
 
 def _edge_fixture(backend):
-    """Jobs 1-6, idle and held by turns, and edges 2->1, 3->1, 3->2,
+    """Jobs 1-6, idle and matched by turns, and edges 2->1, 3->1, 3->2,
     5->4 and 6->9 (job 9 is not in ``jobs``)."""
     db = Database(backend=backend)
     db.executemany(
@@ -438,8 +438,8 @@ def _edge_fixture(backend):
     db.executemany(
         "INSERT INTO jobs (job_id, owner, cmd, run_seconds, state,"
         " submitted_at) VALUES (?, ?, 'c', 1, ?, 0)",
-        [(1, "ann", "held"), (2, "idle", "idle"), (3, "ann", "held"),
-         (4, "ann", "held"), (5, "ann", "idle"), (6, "idle", "held")])
+        [(1, "ann", "matched"), (2, "idle", "idle"), (3, "ann", "matched"),
+         (4, "ann", "matched"), (5, "ann", "idle"), (6, "idle", "matched")])
     db.executemany(
         "INSERT INTO job_dependencies (job_id, depends_on_job_id)"
         " VALUES (?, ?)", [(2, 1), (3, 1), (3, 2), (5, 4), (6, 9)])

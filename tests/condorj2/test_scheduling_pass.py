@@ -198,11 +198,10 @@ def test_no_free_slot_when_every_idle_vm_is_matched_or_running(pair):
         "transaction")
 
 
-@pytest.mark.parametrize("state", ("missing", "offline"))
-def test_no_free_slot_when_the_machine_is_not_alive(pair, state):
+def test_no_free_slot_when_the_machine_is_not_alive(pair):
     register(pair, "m1", vm_count=2)
     pair.both(lambda pool: pool.db.execute(
-        "UPDATE machines SET state = ? WHERE machine_name = 'm1'", (state,)))
+        "UPDATE machines SET state = 'offline' WHERE machine_name = 'm1'"))
     submit(pair, [JobSpec(owner="alice") for _ in range(3)])
     created, delta = pair.run_pass(1.0)
     assert created == 0

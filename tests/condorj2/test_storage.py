@@ -18,7 +18,7 @@ import pytest
 from repro.cluster import JobSpec
 from repro.condorj2.beans import BeanContainer
 from repro.condorj2.costs import CasCostModel
-from repro.condorj2.database import Database
+from repro.condorj2.database import Database, DatabaseError
 from repro.condorj2.logic import (
     HeartbeatService,
     LifecycleService,
@@ -71,8 +71,20 @@ def test_cache_hits_and_misses_are_counted(db):
     # one cache, so the engine-side view of the ledger is the same pair
     assert (db.counts.plan_hits, db.counts.plan_misses) == (1, 2)
     entry = db.statement_cache.peek("SELECT 1")
-    assert (entry.verb, entry.table, entry.spec, entry.uses) == (
-        "SELECT", "", None, 2)
+    assert (entry.verb, entry.table, entry.spec) == ("SELECT", "", None)
+    assert db.counts.texts == {"SELECT 1": 2, "SELECT 2": 1}
+
+
+def test_dispatch_ledger_outlives_eviction(db):
+    """``counts.texts`` is the one per-text dispatch count: an LRU
+    eviction drops the cache entry, not the text's history."""
+    db.statement_cache.capacity = 1
+    for sql in ("SELECT 1", "SELECT 2", "SELECT 1"):
+        db.execute(sql)
+    assert db.counts.plan_evictions == 2
+    assert [entry.sql for entry in db.statement_cache.entries()] == [
+        "SELECT 1"]
+    assert db.counts.texts == {"SELECT 1": 2, "SELECT 2": 1}
 
 
 def _touch(cache, sql):
@@ -94,9 +106,12 @@ def test_cache_evicts_least_recently_used():
     assert [entry.sql for entry in cache.entries()] == [
         "SELECT 'a'", "SELECT 'c'"]  # least- to most-recently used
     assert _touch(cache, "SELECT 'b'") == (False, True)  # a miss again
-    assert cache.peek("SELECT 'b'").uses == 1
     assert cache.peek("SELECT 'a'") is None
-    assert cache.peek("SELECT 'c'").uses == 1  # peek counts no use
+    assert [entry.sql for entry in cache.entries()] == [
+        "SELECT 'c'", "SELECT 'b'"]
+    cache.peek("SELECT 'c'")  # peek leaves recency alone
+    assert [entry.sql for entry in cache.entries()] == [
+        "SELECT 'c'", "SELECT 'b'"]
 
 
 def test_cache_capacity_must_be_positive():
@@ -107,7 +122,7 @@ def test_cache_capacity_must_be_positive():
 def test_cache_entry_holds_the_lifecycle_classification(db):
     """What eviction re-computes: verb, table, transition spec, plan."""
     sql = "UPDATE jobs SET state = ? WHERE job_id = ?"
-    db.execute(sql, ("held", 1))
+    db.execute(sql, ("matched", 1))
     entry = db.statement_cache.peek(sql)
     assert (entry.verb, entry.table) == ("UPDATE", "jobs")
     assert entry.spec.to_param == 0 and entry.spec.guard_states is None
@@ -247,11 +262,13 @@ def _seed_workload(services, rng):
     container, submission, scheduling, lifecycle, heartbeat = services
     for m in range(12):
         register_machine(heartbeat, f"m{m:02d}", vm_count=rng.randint(1, 4))
-    # Most machines go silent and are swept to 'missing'; a couple keep
-    # heartbeating, so the pass must skip VMs on dead machines.
+    # Most machines go silent and an operator takes them offline; a
+    # couple keep heartbeating, so the pass must skip VMs on dead machines.
     for name in ("m00", "m01", "m02", "m03"):
         heartbeat.process({"machine": name, "vms": [], "events": []}, now=500.0)
-    heartbeat.mark_missing_machines(now=1000.0, timeout_seconds=900.0)
+    container.db.execute(
+        "UPDATE machines SET state = 'offline' "
+        "WHERE state = 'alive' AND last_heartbeat < ?", (100.0,))
     for name in ("m00", "m01", "m02", "m03"):
         heartbeat.process({"machine": name, "vms": [], "events": []}, now=1000.0)
 
@@ -493,3 +510,30 @@ def test_unknown_env_default_raises_structured_fault(monkeypatch):
     with pytest.raises(StorageConfigError) as excinfo:
         create_engine()
     assert excinfo.value.backend == "bogus"
+
+
+# ----------------------------------------------------------------------
+# state domains declare only what a statement writes
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("backend", ["sqlite", "memory"])
+@pytest.mark.parametrize("sql, state", [
+    ("UPDATE jobs SET state = ? WHERE job_id = 1", "held"),
+    ("UPDATE jobs SET state = ? WHERE job_id = 1", "completed"),
+    ("UPDATE jobs SET state = ? WHERE job_id = 1", "removed"),
+    ("UPDATE machines SET state = ? WHERE machine_name = 'm'", "missing"),
+])
+def test_no_row_can_be_parked_in_a_state_no_statement_writes(
+        backend, sql, state):
+    """Completion and removal delete the job tuple, and no pool marks a
+    machine missing, so those states are outside the CHECK domain and
+    every engine refuses a row in one."""
+    db = Database(backend=backend)
+    try:
+        db.execute("INSERT INTO users (user_name, created_at) VALUES ('u', 0)")
+        db.execute("INSERT INTO jobs (job_id, owner, cmd, run_seconds, "
+                   "submitted_at) VALUES (1, 'u', 'c', 1, 0)")
+        db.execute("INSERT INTO machines (machine_name) VALUES ('m')")
+        with pytest.raises(DatabaseError, match="CHECK"):
+            db.execute(sql, (state,))
+    finally:
+        db.close()

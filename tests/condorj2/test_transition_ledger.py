@@ -270,15 +270,15 @@ def db(request):
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_batch_whose_later_rows_rematch_an_earlier_rows_write(backend):
     """Row 2 matches what row 1 wrote.  A from-state read taken before
-    the batch saw three idle jobs and no held one: it named row 1's
+    the batch saw three idle jobs and no matched one: it named row 1's
     edges and lost row 2's.  (Unaudited: the rows undo each other, so
     this is the one shape a before-and-after diff cannot see.)"""
     db = _three_idle_jobs(backend, audited=False)
     try:
         db.executemany("UPDATE jobs SET state = ? WHERE state = ?",
-                       [("held", "idle"), ("idle", "held")])
+                       [("matched", "idle"), ("idle", "matched")])
         assert _ledger(db.counts) == {
-            "jobs": {"idle->held": 3, "held->idle": 3}}
+            "jobs": {"idle->matched": 3, "matched->idle": 3}}
     finally:
         db.close()
 
@@ -286,10 +286,10 @@ def test_batch_whose_later_rows_rematch_an_earlier_rows_write(backend):
 def test_computed_target_is_attributed_row_by_row(db):
     """``SET state = CASE ..`` names no target in the text; the write
     knows what it wrote."""
-    db.execute("UPDATE jobs SET state = CASE WHEN job_id = 1 THEN 'held'"
-               " ELSE 'removed' END WHERE state = 'idle'")
+    db.execute("UPDATE jobs SET state = CASE WHEN job_id = 1 THEN 'matched'"
+               " ELSE 'running' END WHERE state = 'idle'")
     assert _ledger(db.counts) == {
-        "jobs": {"idle->held": 1, "idle->removed": 2}}
+        "jobs": {"idle->matched": 1, "idle->running": 2}}
 
 
 def test_refresh_that_reasserts_the_state_is_a_self_loop(db):
@@ -301,10 +301,10 @@ def test_refresh_that_reasserts_the_state_is_a_self_loop(db):
 def test_unguarded_bean_delete_names_the_state_it_removed(db):
     """The by-key DELETE the bean path used to issue (``EntityBean.remove``
     is gone; the shape is what the ledger must still attribute)."""
-    db.execute("UPDATE jobs SET state = ? WHERE job_id = ?", ("removed", 2))
+    db.execute("UPDATE jobs SET state = ? WHERE job_id = ?", ("running", 2))
     db.execute("DELETE FROM jobs WHERE job_id = ?", (2,))  # no guard in the text
     assert _ledger(db.counts) == {
-        "jobs": {"idle->removed": 1, f"removed->{GONE}": 1}}
+        "jobs": {"idle->running": 1, f"running->{GONE}": 1}}
 
 
 def test_statement_that_fails_half_way_records_nothing_and_leaks_nothing(db):
@@ -323,8 +323,8 @@ def test_statement_that_fails_half_way_records_nothing_and_leaks_nothing(db):
     assert _ledger(db.counts) == {}
     assert db.scalar("SELECT COUNT(*) FROM vms WHERE state = 'idle'") == 2
     db.execute("UPDATE users SET priority = 0.9")
-    db.execute("UPDATE jobs SET state = 'held' WHERE job_id = 3")
-    assert _ledger(db.counts) == {"jobs": {"idle->held": 1}}
+    db.execute("UPDATE jobs SET state = 'matched' WHERE job_id = 3")
+    assert _ledger(db.counts) == {"jobs": {"idle->matched": 1}}
 
 
 def test_rollback_undoes_the_rows_and_keeps_the_ledger(db):
@@ -332,12 +332,12 @@ def test_rollback_undoes_the_rows_and_keeps_the_ledger(db):
     and — as before — it does not take back what was recorded."""
     with pytest.raises(RuntimeError):
         with db.transaction():
-            db.execute("UPDATE jobs SET state = 'held' WHERE job_id = 1")
+            db.execute("UPDATE jobs SET state = 'matched' WHERE job_id = 1")
             db.execute("DELETE FROM jobs WHERE job_id = 2")
             raise RuntimeError("abandon")
     assert db.scalar("SELECT COUNT(*) FROM jobs WHERE state = 'idle'") == 3
     assert _ledger(db.counts) == {
-        "jobs": {"idle->held": 1, f"idle->{GONE}": 1}}
+        "jobs": {"idle->matched": 1, f"idle->{GONE}": 1}}
 
 
 def test_explain_sandbox_leaves_the_ledger_alone():
@@ -351,7 +351,7 @@ def test_explain_sandbox_leaves_the_ledger_alone():
             "INSERT INTO jobs (job_id, owner, cmd, run_seconds, submitted_at)"
             " VALUES (1, 'alice', 'x', 1.0, 0)")
         before = _ledger(db.counts)
-        db.explain("UPDATE jobs SET state = 'held' WHERE job_id = ?", (1,))
+        db.explain("UPDATE jobs SET state = 'matched' WHERE job_id = ?", (1,))
         db.explain("DELETE FROM jobs WHERE job_id = ?", (1,))
         assert _ledger(db.counts) == before
         db.execute("UPDATE users SET priority = 0.9")
@@ -368,14 +368,14 @@ def test_wal_recovery_replays_rows_without_recording_edges(tmp_path):
     db.execute(
         "INSERT INTO jobs (job_id, owner, cmd, run_seconds, submitted_at)"
         " VALUES (1, 'alice', 'x', 1.0, 0)")
-    db.execute("UPDATE jobs SET state = 'held' WHERE job_id = 1")
+    db.execute("UPDATE jobs SET state = 'matched' WHERE job_id = 1")
     db.close()
     recovered = Database(spec)
     try:
         assert recovered.counts.transitions == {}
-        assert recovered.scalar("SELECT state FROM jobs") == "held"
+        assert recovered.scalar("SELECT state FROM jobs") == "matched"
         recovered.execute("UPDATE jobs SET state = 'idle' WHERE job_id = 1")
-        assert _ledger(recovered.counts) == {"jobs": {"held->idle": 1}}
+        assert _ledger(recovered.counts) == {"jobs": {"matched->idle": 1}}
     finally:
         recovered.close()
 
@@ -391,15 +391,15 @@ def test_reopened_sqlite_file_records_again(tmp_path):
     first.execute(
         "INSERT INTO jobs (job_id, owner, cmd, run_seconds, submitted_at)"
         " VALUES (1, 'a', 'x', 1.0, 0)")
-    first.execute("UPDATE jobs SET state = 'held' WHERE job_id = 1")
+    first.execute("UPDATE jobs SET state = 'matched' WHERE job_id = 1")
     first.close()
     assert _ledger(first.counts) == {
-        "jobs": {f"{BORN}->idle": 1, "idle->held": 1}}
+        "jobs": {f"{BORN}->idle": 1, "idle->matched": 1}}
     second = create_engine(url)
     try:
-        second.execute("UPDATE jobs SET state = 'removed' WHERE job_id = 1")
+        second.execute("UPDATE jobs SET state = 'running' WHERE job_id = 1")
         second.execute("DELETE FROM jobs WHERE job_id = 1")
         assert _ledger(second.counts) == {
-            "jobs": {"held->removed": 1, f"removed->{GONE}": 1}}
+            "jobs": {"matched->running": 1, f"running->{GONE}": 1}}
     finally:
         second.close()
