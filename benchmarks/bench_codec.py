@@ -1,25 +1,29 @@
-"""Perf smoke: the one-pass envelope decoder against the tree path.
+"""Perf smoke: the one-pass envelope decoder against the reference codec.
 
 Every public decoder reads an envelope in one pass (``soap._scan``),
-which builds the payload as it reads and falls back on the tree reader
-(``soap._read``, one regex token per tag, and the walk) only for text it
-cannot show the tree path accepts.  Both paths run in this process, on the same envelope, taking
-turns sample by sample because this host's speed drifts; each reading
-is the minimum of ``ROUNDS`` samples.  Two gates:
+which builds the payload as it reads.  ``tests/condorj2/reference_codec.py``
+keeps the tree path it replaced (``_read``, one regex token per tag,
+and the walk), the oracle the tests hold the one pass to.  Both run in
+this process, on the same envelope, taking turns sample by sample
+because this host's speed drifts; each reading is the minimum of
+``ROUNDS`` samples.  Two gates:
 
 * the 100-job ``submitJobs`` envelope, the largest the workloads send,
-  decodes in at most ``BULK_BUDGET`` x the tree path's time, memos warm;
+  decodes in at most ``BULK_BUDGET`` x the reference's time, memos warm;
 * a struct of 2,000 keys that never repeat, where no run of tags is the
   same as another on the wire, decodes in at most
-  ``DISTINCT_KEYS_BUDGET`` x the tree path's time with every memo
+  ``DISTINCT_KEYS_BUDGET`` x the reference's time with every memo
   emptied before each decode: input that does not repeat costs no more
-  than the tree path.
+  than the reference.
 
 Run with ``python -m pytest benchmarks/bench_codec.py -q -s``; the
 readings are printed.
 """
 
+import importlib.util
+import pathlib
 import random
+import sys
 import time
 
 import pytest
@@ -32,11 +36,14 @@ OWNERS = [f"user{index:02d}" for index in range(13)]
 
 #: Each budget is the gate it replaced (0.8 and 1.2 of a tree path that
 #: memoised tag heads) times the smallest ratio of that tree path's time
-#: to the token loop's in twelve interleaved readings (0.353 and 0.490),
-#: rounded down: the absolute bound is no looser.
+#: to the token loop's, the reference's, in twelve interleaved readings
+#: (0.353 and 0.490), rounded down: the absolute bound is no looser.
 BULK_BUDGET = 0.28
 DISTINCT_KEYS_BUDGET = 0.58
 ROUNDS = 15
+
+_REFERENCE_PATH = (pathlib.Path(__file__).resolve().parent.parent / "tests"
+                   / "condorj2" / "reference_codec.py")
 
 
 def _bulk_envelope():
@@ -60,14 +67,14 @@ def _empty_memos():
     soap._COMPILED.clear()
 
 
-def _tree_decode(envelope):
-    """``decode_envelope`` with the one pass declining: the tree path."""
-    scan = soap._scan
-    soap._scan = lambda envelope: None
-    try:
-        return decode_envelope(envelope)
-    finally:
-        soap._scan = scan
+def _load_reference():
+    name = "condorj2_reference_codec"
+    if name not in sys.modules:
+        spec = importlib.util.spec_from_file_location(name, _REFERENCE_PATH)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+    return sys.modules[name]
 
 
 def _sample(decode, envelope, cold, repeat):
@@ -83,14 +90,15 @@ def _sample(decode, envelope, cold, repeat):
 
 
 def _readings(envelope, cold, repeat):
-    """(one pass, tree path) seconds per decode, min of ``ROUNDS``."""
-    assert decode_envelope(envelope) == _tree_decode(envelope)
-    one_pass, tree = [], []
-    turns = [(decode_envelope, one_pass), (_tree_decode, tree)]
+    """(one pass, reference) seconds per decode, min of ``ROUNDS``."""
+    reference_decode = _load_reference().decode_envelope
+    assert decode_envelope(envelope) == reference_decode(envelope)
+    one_pass, reference = [], []
+    turns = [(decode_envelope, one_pass), (reference_decode, reference)]
     for round_ in range(ROUNDS):
         for decode, samples in turns[::-1] if round_ % 2 else turns:
             samples.append(_sample(decode, envelope, cold, repeat))
-    return min(one_pass), min(tree)
+    return min(one_pass), min(reference)
 
 
 @pytest.mark.parametrize("name, envelope, cold, repeat, budget", [
@@ -98,11 +106,11 @@ def _readings(envelope, cold, repeat):
     ("2,000 distinct keys, cold memos", _distinct_keys_envelope(), True, 3,
      DISTINCT_KEYS_BUDGET),
 ])
-def test_one_pass_within_budget_of_the_tree_path(name, envelope, cold,
+def test_one_pass_within_budget_of_the_reference(name, envelope, cold,
                                                  repeat, budget):
-    one_pass, tree = _readings(envelope, cold, repeat)
-    ratio = one_pass / tree
+    one_pass, reference = _readings(envelope, cold, repeat)
+    ratio = one_pass / reference
     print(f"\n{name} ({len(envelope) / 1024:.1f} KiB): one pass "
-          f"{one_pass * 1e6:.0f} us, tree path {tree * 1e6:.0f} us, "
+          f"{one_pass * 1e6:.0f} us, reference {reference * 1e6:.0f} us, "
           f"ratio {ratio:.2f} (budget {budget})")
     assert ratio <= budget

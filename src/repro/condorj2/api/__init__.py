@@ -9,7 +9,7 @@ The package splits the old name->handler dict into layers:
   message schemas (the ``TABLE_DEFS`` idiom applied to messages);
 * :mod:`repro.condorj2.api.contracts` — one declarative
   :class:`OperationContract` per operation: name, version, side-effect
-  class, request/response schemas, batchability, routing key;
+  class, request/response schemas, batchability, statement budget;
 * :mod:`repro.condorj2.api.gateway` — the dispatch pipeline
   (validate -> meter -> translate -> handler -> validate response) and
   the multiplexed batch executor;

@@ -2,11 +2,9 @@
 
 Every operation the CAS exposes — daemon-facing and client-facing alike —
 is registered here as **data**: name, version, side-effect class,
-request/response schemas, batchability and a routing key.  The
+request/response schemas, batchability and a statement budget.  The
 dispatch pipeline (:mod:`repro.condorj2.api.gateway`) validates against
-these specs, API.md is generated from them, and the ROADMAP's sharding
-item gets its seam: the routing key names the request field whose value
-will pick a shard once the operational store is partitioned.
+these specs and API.md is generated from them.
 
 The contract table is the WSDL of the reproduction — the registry in
 ``web/services.py`` binds handlers to it and refuses to start if the two
@@ -16,7 +14,7 @@ ever disagree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Tuple
 
 from repro.condorj2.api.faults import UnknownOperationFault
 from repro.condorj2.api.fields import (
@@ -54,10 +52,6 @@ class OperationContract:
     statement_budget: int
     #: May this operation ride a multiplexed batch envelope?
     batchable: bool = True
-    #: Dotted path (with ``[index]`` steps) into the *request* payload
-    #: naming the value a sharded deployment would route on; None means
-    #: the operation is shard-agnostic (pure reads over the whole pool).
-    routing_key: Optional[str] = None
 
 
 # ----------------------------------------------------------------------
@@ -100,8 +94,7 @@ _HEARTBEAT_RESPONSE = SchemaDef(
 
 
 def _contract(name, version, summary, side_effect, request_fields,
-              response, *, statement_budget, batchable=True,
-              routing_key=None):
+              response, *, statement_budget, batchable=True):
     return OperationContract(
         name=name,
         version=version,
@@ -111,7 +104,6 @@ def _contract(name, version, summary, side_effect, request_fields,
         response=response,
         statement_budget=statement_budget,
         batchable=batchable,
-        routing_key=routing_key,
     )
 
 
@@ -135,7 +127,6 @@ CONTRACTS: Tuple[OperationContract, ...] = (
         # Boot-time handshake: it re-keys the machine's tuples, so it
         # must not be reordered against other ops in one envelope.
         batchable=False,
-        routing_key="name",
         statement_budget=12,
     ),
     _contract(
@@ -165,7 +156,6 @@ CONTRACTS: Tuple[OperationContract, ...] = (
             ),
         ),
         _HEARTBEAT_RESPONSE,
-        routing_key="machine",
         statement_budget=28,
     ),
     _contract(
@@ -179,7 +169,6 @@ CONTRACTS: Tuple[OperationContract, ...] = (
             f_int("job_id"),
             f_str("vm_id"),
         )),
-        routing_key="vm_id",
         statement_budget=8,
     ),
     _contract(
@@ -189,7 +178,6 @@ CONTRACTS: Tuple[OperationContract, ...] = (
         "write",
         (f_str("machine"), f_int("job_id"), f_str("vm_id")),
         _STATUS_ONLY,
-        routing_key="machine",
         statement_budget=1,
     ),
     _contract(
@@ -203,7 +191,6 @@ CONTRACTS: Tuple[OperationContract, ...] = (
             f_str("reason", required=False, default=""),
         ),
         _STATUS_ONLY,
-        routing_key="vm_id",
         statement_budget=8,
     ),
     # -- client-facing services -----------------------------------------
@@ -216,7 +203,6 @@ CONTRACTS: Tuple[OperationContract, ...] = (
             f_str("status", enum=("OK",)),
             f_int("job_id"),
         )),
-        routing_key="owner",
         statement_budget=6,
     ),
     _contract(
@@ -228,7 +214,6 @@ CONTRACTS: Tuple[OperationContract, ...] = (
             f_str("status", enum=("OK",)),
             f_list("job_ids", f_int("job_id")),
         )),
-        routing_key="jobs[0].owner",
         statement_budget=8,
     ),
     _contract(
@@ -237,7 +222,6 @@ CONTRACTS: Tuple[OperationContract, ...] = (
         "write",
         (f_int("job_id"),),
         _STATUS_ONLY,
-        routing_key="job_id",
         statement_budget=3,
     ),
     _contract(
@@ -275,7 +259,6 @@ CONTRACTS: Tuple[OperationContract, ...] = (
             f_int("completed"),
             f_float("usage_seconds"),
         )),
-        routing_key="owner",
         statement_budget=6,
     ),
     _contract(
@@ -286,7 +269,6 @@ CONTRACTS: Tuple[OperationContract, ...] = (
         SchemaDef("JobDetailResponse", (
             f_str("source", enum=("queue", "history")),
         ), allow_extra=True, nullable=True),
-        routing_key="job_id",
         statement_budget=5,
     ),
     _contract(

@@ -28,10 +28,10 @@ changing a contract.  A freshness test pins this file to the registry.*
 
 Every operation the CondorJ2 Application Server exposes is registered as
 a declarative contract: name, version, request/response schemas,
-side-effect class, batchability and a routing key (the request field a
-sharded deployment would partition on).  Requests ride single-op SOAP
-envelopes or a multiplexed **batch envelope** (`<batch>`) carrying N
-independent operations in one HTTP round-trip, answered per-op.
+side-effect class, batchability and a statement budget.  Requests ride
+single-op SOAP envelopes or a multiplexed **batch envelope** (`<batch>`)
+carrying N independent operations in one HTTP round-trip, answered
+per-op.
 """
 
 
@@ -111,8 +111,6 @@ def _operation_section(contract: OperationContract) -> List[str]:
         "",
         f"- side effect: **{contract.side_effect}**",
         f"- batchable: **{'yes' if contract.batchable else 'no'}**",
-        f"- routing key: "
-        f"{'`' + contract.routing_key + '`' if contract.routing_key else '(shard-agnostic)'}",
         f"- statement budget: `{contract.statement_budget}`",
         "",
     ]
@@ -143,15 +141,14 @@ def render_api_markdown() -> str:
     lines: List[str] = [_HEADER]
     lines.append("## Operations")
     lines.append("")
-    lines.append("| operation | version | side effect | batchable | routing key |")
-    lines.append("|---|---|---|---|---|")
+    lines.append("| operation | version | side effect | batchable |")
+    lines.append("|---|---|---|---|")
     for contract in sorted(CONTRACTS, key=lambda c: c.name):
         lines.append(
             f"| [`{contract.name}`](#{contract.name.lower()}-v"
             f"{contract.version.replace('.', '')}) "
             f"| {contract.version} | {contract.side_effect} "
-            f"| {'yes' if contract.batchable else 'no'} "
-            f"| {'`' + contract.routing_key + '`' if contract.routing_key else '-'} |"
+            f"| {'yes' if contract.batchable else 'no'} |"
         )
     lines.append("")
     for contract in sorted(CONTRACTS, key=lambda c: c.name):

@@ -104,7 +104,7 @@ class HeartbeatService:
         machine_name = payload["machine"]
         with self.container.db.transaction():
             refreshed = self.container.db.execute(
-                "UPDATE machines SET last_heartbeat = ?, state = 'alive' "
+                "UPDATE machines SET last_heartbeat = ? "
                 "WHERE machine_name = ? AND state = 'alive'",
                 (now, machine_name),
             )

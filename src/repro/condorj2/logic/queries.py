@@ -77,8 +77,8 @@ class ReportService:
             "machines_alive": machines["alive"] or 0,
             "vms_idle": vm_states.get("idle", 0),
             "vms_busy": vm_states.get("busy", 0) + vm_states.get("claiming", 0),
-            "matches_pending": self.db.table_count("matches"),
-            "runs_in_flight": self.db.table_count("runs"),
+            "matches_pending": self.db.scalar("SELECT COUNT(*) FROM matches"),
+            "runs_in_flight": self.db.scalar("SELECT COUNT(*) FROM runs"),
         }
 
     def user_summary(self, owner: str) -> Dict[str, Any]:

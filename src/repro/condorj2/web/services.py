@@ -9,8 +9,8 @@ system services".
 
 Every operation is declared as an
 :class:`~repro.condorj2.api.contracts.OperationContract` (name, version,
-request/response schemas, side-effect class, batchability, routing key);
-this module *binds* those contracts to the application-logic layer and
+request/response schemas, side-effect class, batchability, statement
+budget); this module *binds* those contracts to the application-logic layer and
 wraps the bindings in a :class:`~repro.condorj2.api.gateway.ServiceGateway`
 so every dispatch is validated and metered.  Handlers receive payloads
 the gateway has already validated and defaulted, and their replies are

@@ -27,18 +27,16 @@ character data; between two pieces lies a *run* of tags, such as
 ``</value></entry><entry key="owner"><value type="string">``, which it
 compiles once into a few actions and then recalls.  The actions fuse
 the shapes structs and arrays of scalars are made of, so a scalar field
-costs one step, not four tags.  Anything the pass cannot show the tree
-path accepts -- a tag it cannot read, a repeated key, a cast that fails,
-the depth bound -- it declines, and :func:`_read`, which alone states
-the whole grammar (tags, attributes, entities, nesting, the depth bound)
-and reads one token per tag into a small element tree, reads it
-instead, for the walks to decode or refuse with the same payload or the
-same fault as ever.  No encoder's output is declined: the tree path
-carries no traffic; it names faults and is what the one pass is held
-equal to.  Whatever either path refuses is a typed ``MALFORMED`` fault,
-never a bare exception, so the CAS answers and meters it.  Faults ride
-the wire as ``(code, subcode, detail)`` triples from the taxonomy in
-:mod:`repro.condorj2.api.faults`; the walk rebuilds the typed exception.
+costs one step, not four tags.  It reads the canonical spelling the
+encoders write, and where it stops it raises a typed ``MALFORMED``
+fault, never a bare exception, so the CAS answers and meters it: its
+subcode is ``too-deep`` at the depth bound, ``bad-element`` for a value
+that does not decode, ``bad-envelope`` for anything else, and its detail
+the offset of the run of tags the pass stopped in.  The tree path it
+replaced is kept in the tests as the reference codec it is held to.
+Faults ride the wire as ``(code, subcode, detail)`` triples from the
+taxonomy in :mod:`repro.condorj2.api.faults`; the walk rebuilds the
+typed exception.
 The encoder writes a struct's or array's scalar children inside the
 container's own loop and recurses only for nested containers (and for
 subclass instances and children past the depth bound).
@@ -309,8 +307,8 @@ def encode_batch_response(
 
 
 # ----------------------------------------------------------------------
-# decoding, the tree path: a reader that knows the grammar (the walks that
-# know the words follow the one pass)
+# decoding: the tag syntax, then the one pass, then the walks that know
+# the words
 # ----------------------------------------------------------------------
 #: One parsed element: ``(tag, attributes, child elements, text)``.  An
 #: element holds children or text, never both; an empty one holds neither.
@@ -318,17 +316,13 @@ Node = Tuple[str, Dict[str, str], List[Any], str]
 
 #: An element or attribute name.
 _NAME = r'[^\s<>/="]+'
-#: What may follow a ``<``: a start, end or empty-element tag with
-#: well-formed attributes, through its ``>``.  The only place tag syntax
-#: is written down; a ``<`` this does not match condemns the envelope.
+#: A start, end or empty-element tag with well-formed attributes, less
+#: its ``<``.  The only place tag syntax is written down; a head of a run
+#: this does not match condemns the envelope.
 _TAG_RE = re.compile(
     rf'(/?)({_NAME})((?:\s+{_NAME}="[^"<]*")*)\s*(/?)>'
 )
 _ATTR_RE = re.compile(rf'({_NAME})="([^"<]*)"')
-
-#: One token of envelope text: a tag (``_TAG_RE``'s four groups), a run
-#: of character data, or a ``<`` that opens no tag.
-_TOKEN_RE = re.compile(rf"<{_TAG_RE.pattern}|([^<]+)|<")
 
 
 def _attrs(attr_text: str) -> Optional[Dict[str, str]]:
@@ -339,51 +333,6 @@ def _attrs(attr_text: str) -> Optional[Dict[str, str]]:
         pairs = [(name, unescape(raw, quoted=True)) for name, raw in pairs]
     attrs = dict(pairs)
     return attrs if len(attrs) == len(pairs) else None
-
-
-def _read(envelope: str) -> Node:
-    """Read ``envelope``, one token per tag or run of text, into its
-    element tree.
-
-    The only function that states the whole grammar.  It checks nesting,
-    close-tag names, attribute syntax and depth as it goes, and raises
-    :class:`MalformedFault` unless the text is exactly one element.
-    """
-    top: List[Node] = []
-    siblings = top  # the children of the innermost open element
-    open_elements: List[Tuple[str, Dict[str, str], List[Node]]] = []
-    text = ""
-    for token in _TOKEN_RE.finditer(envelope):
-        closing, tag, attr_text, empty, run = token.groups()
-        if run is not None:
-            text = unescape(run) if "&" in run else run
-        elif closing:
-            if attr_text or empty or not open_elements:
-                break
-            open_tag, attrs, parent = open_elements.pop()
-            if open_tag != tag or (text and siblings):
-                break
-            parent.append((tag, attrs, siblings, text))
-            siblings, text = parent, ""
-        elif tag is None or text:
-            break  # no tag opens at this "<", or text beside a child
-        elif len(open_elements) >= MAX_DEPTH:
-            raise MalformedFault(f"elements nest deeper than {MAX_DEPTH}",
-                                 subcode="too-deep")
-        else:
-            attrs = _attrs(attr_text)
-            if attrs is None:
-                break  # an attribute name repeats
-            if empty:
-                siblings.append((tag, attrs, [], ""))
-            else:
-                open_elements.append((tag, attrs, siblings))
-                siblings = []
-    else:
-        if len(top) == 1 and not open_elements and not text:
-            return top[0]
-        raise MalformedFault("envelope is not one complete element")
-    raise MalformedFault(f"envelope malformed at offset {token.start()}")
 
 
 _NIL = {"xsi:nil": "true"}
@@ -437,7 +386,7 @@ _EMPTY = 11           # <payload .../>, <item .../>
 
 #: Names that may be part of a payload.  An element with any other name
 #: is a node, and one with these names is only ever part of a payload:
-#: the one pass declines a ``<value>``, say, inside a ``<soap:Fault>``.
+#: the one pass refuses a ``<value>``, say, inside a ``<soap:Fault>``.
 _VALUE_NAMES = frozenset(("payload", "value", "item", "entry"))
 #: The elements whose ``<payload>`` child the one pass decodes.
 _CARRIERS = ("op", "opResponse")
@@ -453,8 +402,8 @@ _PAYLOAD_LEAF = 5  # node is its carrier's children
 
 
 class _Decoded:
-    """A ``<payload>`` the one pass decoded as it read it, where
-    :func:`_read` puts the payload's node."""
+    """A ``<payload>`` the one pass decoded as it read it, standing in
+    its carrier's children."""
 
     __slots__ = ("payload",)
 
@@ -470,9 +419,9 @@ def _nil(text: str) -> None:
 
 
 def _kind(attrs: Dict[str, str]) -> Any:
-    """What a value element with ``attrs`` decodes as, by the walk's
-    rules: ``dict`` or ``list`` for a container, a cast of its text for a
-    scalar or nil, None for nothing."""
+    """What a value element with ``attrs`` decodes as: ``dict`` or
+    ``list`` for a container, a cast of its text for a scalar or nil,
+    None for nothing."""
     kind = attrs.get("type")
     if kind == "struct":
         return dict
@@ -483,32 +432,69 @@ def _kind(attrs: Dict[str, str]) -> Any:
     return _nil if attrs == _NIL else None
 
 
-def _compile_run(run: str) -> Optional[Tuple[tuple, ...]]:
+#: What a refusal says, by subcode, before where the one pass stopped.
+_REFUSALS = {
+    "too-deep": f"elements nest deeper than {MAX_DEPTH}",
+    "bad-element": "undecodable value",
+    "bad-envelope": "envelope malformed",
+}
+
+
+def _refused(pieces: List[str], index: int, subcode: str) -> MalformedFault:
+    """The fault of a refusal in the run of tags ``pieces[index]``,
+    located by the offset of the run's ``<`` in the envelope."""
+    offset = sum(map(len, pieces[:index])) + index  # and each text's > <
+    return MalformedFault(
+        f"{_REFUSALS[subcode]} in the run of tags at offset {offset}",
+        subcode=subcode)
+
+
+def _misplaced(mode: int, tag: Any, name: str, text: str,
+               too_deep: bool) -> str:
+    """The subcode of a refused opening tag ``name`` in the innermost
+    open ``tag``: text before it, the depth bound, a value element
+    outside a payload and an ``<entry>`` not written ``<entry key="``
+    are the envelope's fault; any other tag where a value is, the
+    value's."""
+    if text:
+        return "bad-envelope"
+    if too_deep:
+        return "too-deep"
+    if (mode == _ELEMENT and tag not in _CARRIERS) or name == "entry":
+        return "bad-envelope"
+    return "bad-element"
+
+
+def _compile_run(run: str) -> Union[Tuple[tuple, ...], str]:
     """The actions of one run of tags with its keys cut out, ``(code,
     name, attrs, kind, slot)`` each: ``kind`` what a value element
     decodes as, ``slot`` the index of a field's key among the run's keys,
     and ``name``, for the two group actions, the names closed or the
-    ``(name, attrs)`` pairs opened.  None when a head is not one whole
-    tag, an attribute repeats, a keyed tag is not a field, or a key was
-    cut from anywhere but the start of a tag."""
+    ``(name, attrs)`` pairs opened.  The subcode of the refusal instead
+    when a head is not one whole tag, an attribute repeats, a keyed tag
+    is not a field, a ``</value>`` is not followed by its ``</entry>``,
+    or ``entry key="`` stands anywhere but at the start of a tag."""
     tags = []
     for head in run.split("><"):
         match = _TAG_RE.fullmatch(head + ">")
         if match is None:
-            return None
+            return "bad-envelope"
         closing, name, attr_text, empty = match.groups()
         if closing:
             if attr_text or empty:
-                return None
+                return "bad-envelope"
             shape, attrs = "/" + name, None
         else:
             attrs = _attrs(attr_text)
             if attrs is None:
-                return None
+                return "bad-envelope"
             if head.startswith(_KEYED):
                 shape = "entry#/" if empty else "entry#"
-            elif name not in _VALUE_NAMES and not empty:
+            elif name not in _VALUE_NAMES:
                 shape = "<"
+                if empty:  # read as opened and closed: <b></b>
+                    tags.append((shape, name, attrs))
+                    shape, attrs = "/" + name, None
             else:
                 shape = name + "/" if empty else name
         tags.append((shape, name, attrs))
@@ -528,6 +514,9 @@ def _compile_run(run: str) -> Optional[Tuple[tuple, ...]]:
         elif ahead[:2] == ["/value", "/entry"]:
             actions.append((_FIELD_END, "value", None, None, None))
             index += 2
+        elif shape == "/value":  # an entry holds its value and no more
+            return "bad-element" if ahead[1:2] and ahead[1][0] != "/" \
+                else "bad-envelope"
         elif ahead[:2] == ["entry#", "value"]:
             actions.append((_FIELD, "value", None, _kind(tags[index + 1][2]),
                             slot))
@@ -539,7 +528,7 @@ def _compile_run(run: str) -> Optional[Tuple[tuple, ...]]:
             slot += 1
             index += 3
         elif shape.startswith("entry#"):
-            return None
+            return "bad-element"
         elif ahead[:2] == ["/item", "item"]:
             kind = _kind(tags[index + 1][2])
             fast = kind not in (dict, list, None)
@@ -564,20 +553,22 @@ def _compile_run(run: str) -> Optional[Tuple[tuple, ...]]:
             actions.append((_EMPTY if shape[-1] == "/" else _OPEN, name,
                             attrs, _kind(attrs), None))
             index += 1
-    if run.count(_KEYED) != slot:
-        return None  # a key cut from inside another attribute's value
+    if run.count('entry key="') != slot:
+        return "bad-envelope"  # entry key=" inside another attribute
     return tuple(actions)
 
 
-def _learn_run(run: str) -> Optional[_Learned]:
-    """The actions and keys of a run ``_RUNS`` does not hold, or None."""
+def _learn_run(pieces: List[str], index: int) -> _Learned:
+    """The actions and keys of the run ``pieces[index]``, which ``_RUNS``
+    does not hold; raises the refusal where it does not compile."""
+    run = pieces[index]
     cut = _KEYS(run)
     keyless = _KEYED.join(cut[::2])
     compiled = _COMPILED.get(keyless)
     if compiled is None:
         compiled = _compile_run(keyless)
-        if compiled is None:
-            return None
+        if isinstance(compiled, str):
+            raise _refused(pieces, index, compiled)
         if len(_COMPILED) >= _RUNS_BOUND:
             _COMPILED.clear()
         _COMPILED[keyless] = compiled
@@ -589,21 +580,19 @@ def _learn_run(run: str) -> Optional[_Learned]:
     return learned
 
 
-def _scan(envelope: str) -> Optional[Node]:
-    """Read ``envelope`` in one pass, or decline with None.
-
-    Returns the tree :func:`_read` returns, except that each
+def _scan(envelope: str) -> Node:
+    """Read ``envelope`` in one pass into its element tree, in which each
     ``<payload>`` directly inside an ``<op>`` or ``<opResponse>`` is
-    already decoded: a :class:`_Decoded` stands where its node would.  It
-    declines wherever it cannot show that ``_read`` and the walk accept
-    the text -- a tag it cannot read, a repeated key or attribute, a cast
-    that fails, text beside a child, a close tag that names another
-    element, the depth bound, a shape no encoder writes -- and then
-    ``_read`` and the walk decide, with the payload or the fault they
-    always gave.  Output from any encoder never declines.
+    already decoded: a :class:`_Decoded` stands where its node would.
+
+    Raises :class:`MalformedFault` where it stops: ``too-deep`` at the
+    depth bound, ``bad-element`` for a value that does not decode (a
+    cast that fails, a repeated key, an unknown type, text or an element
+    where a value is), ``bad-envelope`` for any other text that is not
+    what the encoders write.  It names the first fault it meets.
     """
     if envelope[:1] != "<" or envelope[-1:] != ">":
-        return None
+        raise MalformedFault("envelope is not one complete element")
     pieces = _CUT(envelope[1:-1])
     runs = _RUNS
     top: List[Any] = []
@@ -612,16 +601,14 @@ def _scan(envelope: str) -> Optional[Node]:
     mode, node, tag, aux = _ELEMENT, top, None, None
     key: Any = None
     cast: Any = None
-    depth = 0  # elements open, as _read counts them
+    depth = 0  # elements open
     text = ""
     for index in range(0, len(pieces), 2):
         if index:
             text = pieces[index - 1]
             if "&" in text:
                 text = unescape(text)
-        learned = runs.get(pieces[index]) or _learn_run(pieces[index])
-        if learned is None:
-            return None
+        learned = runs.get(pieces[index]) or _learn_run(pieces, index)
         actions, keys = learned
         for code, name, attrs, kind, slot in actions:
             if code == _NEXT_LEAF:
@@ -629,10 +616,10 @@ def _scan(envelope: str) -> Optional[Node]:
                     try:
                         node[key] = cast(text)
                     except (KeyError, ValueError):
-                        return None
+                        raise _refused(pieces, index, "bad-element") from None
                     key, cast, text = keys[slot], kind, ""
                     if key in node:
-                        return None
+                        raise _refused(pieces, index, "bad-element")
                     continue
                 code = _NEXT_FIELD
             elif code == _NEXT_ITEM_LEAF:
@@ -640,7 +627,7 @@ def _scan(envelope: str) -> Optional[Node]:
                     try:
                         node.append(cast(text))
                     except (KeyError, ValueError):
-                        return None
+                        raise _refused(pieces, index, "bad-element") from None
                     cast, text = kind, ""
                     continue
                 code = _NEXT_ITEM
@@ -649,15 +636,17 @@ def _scan(envelope: str) -> Optional[Node]:
                     try:
                         node[key] = cast(text)
                     except (KeyError, ValueError):
-                        return None
+                        raise _refused(pieces, index, "bad-element") from None
                     mode = _STRUCT
                 elif (mode == _STRUCT or mode == _ARRAY) and tag == "value" \
                         and not text:
                     value, field = node, aux
                     mode, node, tag, aux = pop()
                     node[field] = value
-                else:
-                    return None
+                else:  # text in an empty container is the value's fault
+                    raise _refused(pieces, index, "bad-element" if (
+                        mode == _STRUCT or mode == _ARRAY) and tag == "value"
+                        and not node else "bad-envelope")
                 depth -= 2
                 text = ""
                 if code == _FIELD_END:
@@ -665,7 +654,8 @@ def _scan(envelope: str) -> Optional[Node]:
             if code <= _EMPTY_FIELD:  # <entry key="..."><value ...>
                 if mode != _STRUCT or text or depth + 1 >= MAX_DEPTH \
                         or kind is None or keys[slot] in node:
-                    return None
+                    raise _refused(pieces, index, _misplaced(
+                        mode, tag, name, text, depth + 1 >= MAX_DEPTH))
                 if code == _EMPTY_FIELD:
                     if kind is dict or kind is list:
                         node[keys[slot]] = kind()
@@ -673,7 +663,7 @@ def _scan(envelope: str) -> Optional[Node]:
                     try:
                         node[keys[slot]] = kind("")
                     except (KeyError, ValueError):
-                        return None
+                        raise _refused(pieces, index, "bad-element") from None
                 elif kind is dict or kind is list:
                     push((mode, node, tag, aux))
                     mode = _STRUCT if kind is dict else _ARRAY
@@ -685,10 +675,10 @@ def _scan(envelope: str) -> Optional[Node]:
                 continue
             if code == _CLOSE_ELEMENTS:
                 if mode != _ELEMENT:
-                    return None
+                    raise _refused(pieces, index, "bad-envelope")
                 for closing in name:
                     if closing != tag or (text and node):
-                        return None
+                        raise _refused(pieces, index, "bad-envelope")
                     element = (tag, aux, node, text)
                     mode, node, tag, aux = pop()
                     node.append(element)
@@ -697,7 +687,8 @@ def _scan(envelope: str) -> Optional[Node]:
                 continue
             if code == _OPEN_ELEMENTS:
                 if mode != _ELEMENT or text or depth + len(name) > MAX_DEPTH:
-                    return None
+                    raise _refused(pieces, index, _misplaced(
+                        mode, tag, "", text, depth + len(name) > MAX_DEPTH))
                 for opening, attributes in name:
                     push((mode, node, tag, aux))
                     node, tag, aux = [], opening, attributes
@@ -707,11 +698,11 @@ def _scan(envelope: str) -> Optional[Node]:
                 if mode == _ITEM_LEAF or mode == _PAYLOAD_LEAF:
                     leaf = mode == _ITEM_LEAF
                     if name != ("item" if leaf else "payload"):
-                        return None
+                        raise _refused(pieces, index, "bad-envelope")
                     try:
                         value = cast(text)
                     except (KeyError, ValueError):
-                        return None
+                        raise _refused(pieces, index, "bad-element") from None
                     if leaf:
                         node.append(value)
                         mode = _ARRAY
@@ -723,26 +714,31 @@ def _scan(envelope: str) -> Optional[Node]:
                     value = node
                     mode, node, tag, aux = pop()
                     node.append(value if mode == _ARRAY else _Decoded(value))
-                else:
-                    return None
+                else:  # text in an empty container is the value's fault
+                    raise _refused(pieces, index, "bad-element" if (
+                        mode == _STRUCT or mode == _ARRAY) and name == tag
+                        and not node else "bad-envelope")
                 depth -= 1
                 text = ""
                 if code == _CLOSE:
                     continue
             # <payload ...> in a carrier, <item ...> in an array
             if text or depth >= MAX_DEPTH or kind is None:
-                return None
+                raise _refused(pieces, index, _misplaced(
+                    mode, tag, name, text, depth >= MAX_DEPTH))
             if mode == _ELEMENT:
                 if name != "payload" or tag not in _CARRIERS:
-                    return None
+                    raise _refused(pieces, index, _misplaced(
+                        mode, tag, name, "", False))
             elif mode != _ARRAY or name != "item":
-                return None
+                raise _refused(pieces, index, _misplaced(
+                    mode, tag, name, "", False))
             if code == _EMPTY:
                 try:
                     value = kind() if kind is dict or kind is list \
                         else kind("")
                 except (KeyError, ValueError):
-                    return None
+                    raise _refused(pieces, index, "bad-element") from None
                 node.append(value if mode == _ARRAY else _Decoded(value))
             elif kind is dict or kind is list:
                 push((mode, node, tag, aux))
@@ -754,50 +750,20 @@ def _scan(envelope: str) -> Optional[Node]:
                 cast = kind
                 depth += 1
     if depth or len(top) != 1:
-        return None
+        raise MalformedFault("envelope is not one complete element")
     return top[0]
 
 
 def _body(envelope: str) -> Node:
-    """Read ``envelope`` -- in one pass, or with :func:`_read` where the
-    pass declines -- and return the single element inside
+    """Read ``envelope`` in one pass and return the single element inside
     ``soap:Envelope/soap:Body``."""
-    node = _scan(envelope) or _read(envelope)
+    node = _scan(envelope)
     for wrapper in ("soap:Envelope", "soap:Body"):
         tag, _, children, _ = node
         if tag != wrapper or len(children) != 1:
             raise MalformedFault(f"<{tag}> is not <{wrapper}> around a child")
         node = children[0]
     return node
-
-
-def _decode_value(node: Node, expected: str) -> Payload:
-    """Decode the value element ``node``, which must be tagged ``expected``."""
-    tag, attrs, children, text = node
-    kind = attrs.get("type")
-    if tag != expected:
-        pass
-    elif kind == "struct":
-        result: Dict[str, Payload] = {}
-        for entry, keyed, values, _ in children:
-            if entry != "entry" or "key" not in keyed or len(values) != 1:
-                break
-            result[keyed["key"]] = _decode_value(values[0], "value")
-        else:
-            if not text and len(result) == len(children):
-                return result
-    elif kind == "array":
-        if not text:
-            return [_decode_value(child, "item") for child in children]
-    elif kind in _SCALARS and not children:
-        try:
-            return _SCALARS[kind](text)
-        except (KeyError, ValueError):
-            pass
-    elif attrs == _NIL and not (children or text):
-        return None
-    raise MalformedFault(f"undecodable <{tag}> element {attrs!r}",
-                         subcode="bad-element")
 
 
 def _decode_carrier(node: Node, expected: str) -> Tuple[str, Payload]:
@@ -811,8 +777,9 @@ def _decode_carrier(node: Node, expected: str) -> Tuple[str, Payload]:
         payload = None
     elif isinstance(children[0], _Decoded):
         payload = children[0].payload
-    else:
-        payload = _decode_value(children[0], "payload")
+    else:  # an element, which the one pass never reads as a payload
+        raise MalformedFault(f"undecodable <{children[0][0]}> element "
+                             f"{children[0][1]!r}", subcode="bad-element")
     return attrs.get("name", ""), payload
 
 

@@ -351,11 +351,12 @@ def _full_scans(steps):
 
 
 #: Renders that read a whole table instead of searching it, per table:
-#: ``queueSummary``'s total (jobs), ``poolStatus`` (machines, vms), the
-#: accounting report's ordered scan, and the scheduling pass, which
-#: probes once per registered user (ROADMAP item 12(a)).
-FULL_SCANS = {"accounting": 1, "jobs": 1, "machines": 1, "users": 1,
-              "vms": 1}
+#: ``queueSummary``'s total (jobs), ``poolStatus`` (machines, vms, and
+#: its counts of matches and runs, both tables bounded by the slot
+#: count), the accounting report's ordered scan, and the scheduling
+#: pass, which probes once per registered user (ROADMAP item 12(a)).
+FULL_SCANS = {"accounting": 1, "jobs": 1, "machines": 1, "matches": 1,
+              "runs": 1, "users": 1, "vms": 1}
 
 
 def test_schema_declares_only_what_statements_touch():

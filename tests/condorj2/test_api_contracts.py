@@ -222,13 +222,3 @@ def test_conflict_faults_carry_state_subcodes(gateway):
     assert excinfo.value.subcode == "not-found"
 
 
-# ----------------------------------------------------------------------
-# routing keys: the sharding seam
-# ----------------------------------------------------------------------
-def test_write_operations_declare_routing_keys_where_shardable():
-    """Every startd-facing write routes by machine or VM — the seam the
-    ROADMAP's sharding item needs."""
-    by_name = {contract.name: contract for contract in CONTRACTS}
-    for name in ("registerMachine", "heartbeat", "beginExecute",
-                 "acceptMatch", "reportDrop"):
-        assert by_name[name].routing_key is not None, name
