@@ -7,9 +7,9 @@ response, MATCHINFO for idle VMs.  "Execute nodes in CondorJ2 always initiate an
 interaction they have with the CAS" (section 5.2.1).
 
 A heartbeat is set-oriented on the server side: the machine refresh is
-one guarded UPDATE, the reported VM states are one batched UPDATE, and
-embedded completion events are handed to the lifecycle service as one
-batch.
+one UPDATE by key (a miss means the machine is unknown), the reported
+VM states are one batched UPDATE, and embedded completion events are
+handed to the lifecycle service as one batch.
 
 The MATCHINFO probe is further gated by a server-side per-machine dirty
 flag: match tuples can only appear through writes to ``matches``, and the
@@ -28,10 +28,9 @@ from __future__ import annotations
 from typing import Any, Dict, List, Tuple
 
 from repro.condorj2.beans import BeanContainer, MachineBean
-from repro.condorj2.beans.base import BeanNotFound, BeanStateError
+from repro.condorj2.beans.base import BeanNotFound
 from repro.condorj2.logic.lifecycle import LifecycleService
 from repro.condorj2.logic.scheduling import SchedulingService
-from repro.condorj2.schema import VM_STATES
 
 
 class HeartbeatService:
@@ -105,37 +104,21 @@ class HeartbeatService:
         with self.container.db.transaction():
             refreshed = self.container.db.execute(
                 "UPDATE machines SET last_heartbeat = ? "
-                "WHERE machine_name = ? AND state = 'alive'",
+                "WHERE machine_name = ?",
                 (now, machine_name),
             )
             if refreshed.rowcount == 0:
-                # Guard miss: the machine is unknown, or an operator
-                # quarantined it ('offline') and a heartbeat must not
-                # silently resurrect it.  Only this failure path pays
-                # the disambiguating SELECT.
-                known = self.container.db.scalar(
-                    "SELECT COUNT(*) FROM machines WHERE machine_name = ?",
-                    (machine_name,),
-                )
-                if not known:
-                    raise BeanNotFound(f"machines[{machine_name!r}] not found")
-                raise BeanStateError(
-                    f"machines[{machine_name!r}] is offline; heartbeats "
-                    f"cannot revive a quarantined machine"
-                )
+                raise BeanNotFound(f"machines[{machine_name!r}] not found")
             # Job events first: completions free VMs for new matches.
             self.apply_events(payload.get("events", ()), now)
-            vm_updates: List[Tuple[str, float, str]] = []
-            for vm_info in payload.get("vms", ()):
-                state = vm_info["state"]
-                if state not in VM_STATES:
-                    raise BeanStateError(
-                        f"vms[{vm_info['vm_id']!r}]: unknown vm state {state!r}"
-                    )
-                vm_updates.append((state, now, vm_info["vm_id"]))
+            vm_updates: List[Tuple[str, float, str]] = [
+                (vm_info["state"], now, vm_info["vm_id"])
+                for vm_info in payload.get("vms", ())
+            ]
             if vm_updates:
-                # Reported states only apply to live slots: a quarantined
-                # ('offline') VM keeps its state until re-enabled.
+                # Reported states only apply to live slots: a slot
+                # reported 'offline' stays there (the contract's enum
+                # has already refused any state outside VM_STATES).
                 self.container.db.executemany(
                     "UPDATE vms SET state = ?, last_update = ? "
                     "WHERE vm_id = ? AND state IN ('idle', 'claiming', 'busy')",
@@ -191,7 +174,7 @@ class HeartbeatService:
         Starts go first, so a job that began and ended between two beats
         still walks its slot ``claiming -> busy -> idle``.  A replayed
         ``started`` is harmless: the guard leaves a slot that has since
-        gone idle (or offline) as it is.
+        gone idle (or been reported offline) as it is.
         """
         completions: List[Tuple[int, str]] = []
         drops: List[Tuple[int, str, str]] = []

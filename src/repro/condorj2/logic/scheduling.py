@@ -16,7 +16,10 @@ with the ranked eligible jobs via window functions, probing the index
 once per user and reading each owner's idle jobs only up to that
 owner's ``:limit``-th eligible one; and one set ``UPDATE`` flips the
 matched jobs' state.  There is no Python loop over jobs or VMs anywhere
-in the pass.
+in the pass.  The machine side is ``vms`` alone: a machine row is born
+``alive`` and never leaves it, and the ``vms.machine_name`` foreign key
+already guarantees the row, so no statement of the pass reads
+``machines``.
 
 Jobs are matched FIFO within user priority; a dependency edge in
 ``job_dependencies`` holds a job back while its prerequisite is still
@@ -30,14 +33,12 @@ from typing import List
 
 from repro.condorj2.beans import BeanContainer
 
-#: The slots a pass may fill: idle VMs of live machines that no match or
-#: run already holds.  The probe counts this relation and the INSERT
-#: ranks it, so the two cannot drift apart.
+#: The slots a pass may fill: idle VMs that no match or run already
+#: holds.  The probe counts this relation and the INSERT ranks it, so the
+#: two cannot drift apart.
 _FREE_SLOTS_SQL = """
     FROM vms v
-    JOIN machines m ON m.machine_name = v.machine_name
     WHERE v.state = 'idle'
-      AND m.state = 'alive'
       AND NOT EXISTS (SELECT 1 FROM matches mt WHERE mt.vm_id = v.vm_id)
       AND NOT EXISTS (SELECT 1 FROM runs r WHERE r.vm_id = v.vm_id)
 """

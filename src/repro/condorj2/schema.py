@@ -195,7 +195,7 @@ TABLE_DEFS: Tuple[TableDef, ...] = (
             _col("memory_mb", "REAL", not_null=True, default=512),
             _col("vm_count", "INTEGER", not_null=True, default=1),
             _col("state", "TEXT", not_null=True, default="alive",
-                 check_in=("alive", "offline")),
+                 check_in=("alive",)),
             _col("last_heartbeat", "REAL", not_null=True, default=0),
             _col("boot_count", "INTEGER", not_null=True, default=0),
         ),
@@ -214,8 +214,9 @@ TABLE_DEFS: Tuple[TableDef, ...] = (
         foreign_keys=(ForeignKeyDef("machine_name", "machines", "machine_name"),),
         indexes=(
             IndexDef("idx_vms_machine", ("machine_name",)),
-            # Covering index for the idle-VM side of the scheduling pass:
-            # state probe resolves machine and vm_id from the index alone.
+            # Covering index for the idle-VM probes: the pass's free slots
+            # (state) and a beat's idle-VM check (state, machine_name) read
+            # vm_id and the count from the index alone.
             IndexDef("idx_vms_state", ("state", "machine_name", "vm_id")),
         ),
     ),
@@ -492,14 +493,16 @@ def _lifecycle(table: str, transitions: Dict[str, set],
 #:   operational tuple is deleted on completion (from ``running``,
 #:   archived to ``job_history``) or by ``removeJob`` (from a queued
 #:   state: ``idle`` or ``matched``).
-#: * machines — liveness: heartbeats keep a machine ``alive``, and
-#:   ``offline`` is an administrative quarantine that a heartbeat
-#:   cannot lift and only an explicit re-enable leaves.  Machine rows
-#:   are never deleted.
+#: * machines — born ``alive`` and never moved: a heartbeat refreshes
+#:   only ``last_heartbeat``.  The one-state lifecycle still makes any
+#:   other state write, and any DELETE (machine rows are never
+#:   deleted), an analyzer error.
 #: * vms — slot occupancy: ``idle -> claiming`` on acceptMatch, then to
 #:   ``busy`` (started event) and back to ``idle`` on completion/drop.
 #:   The startd's reported states may skip intermediate hops (delta
 #:   reporting), so reported edges among the live states are declared.
+#:   A slot the startd reports ``offline`` stays there: the reported-state
+#:   UPDATE only moves live slots, so no statement leaves it.
 LIFECYCLES: Dict[str, LifecycleDef] = {
     "jobs": _lifecycle(
         "jobs",
@@ -507,17 +510,12 @@ LIFECYCLES: Dict[str, LifecycleDef] = {
          "matched": {"running", "idle"},
          "running": {"idle"}},
         create=("idle",), delete=("idle", "matched", "running")),
-    "machines": _lifecycle(
-        "machines",
-        {"alive": {"offline"},
-         "offline": {"alive"}},
-        create=("alive",)),
+    "machines": _lifecycle("machines", {}, create=("alive",)),
     "vms": _lifecycle(
         "vms",
         {"idle": {"claiming", "busy", "offline"},
          "claiming": {"idle", "busy", "offline"},
-         "busy": {"idle", "offline"},
-         "offline": {"idle"}},
+         "busy": {"idle", "offline"}},
         create=("idle",)),
 }
 

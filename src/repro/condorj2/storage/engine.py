@@ -224,6 +224,7 @@ class StorageEngine(ABC):
         """Execute uncounted housekeeping DDL (schema creation)."""
 
     # -- observability --------------------------------------------------
+    @abstractmethod
     def explain(self, sql: str, params: Sequence[Any] = None) -> ExplainReport:
         """The engine's chosen plan for ``sql`` as a :class:`PlanNode`
         tree; uncounted.
@@ -233,8 +234,6 @@ class StorageEngine(ABC):
         report carries actual row counts and per-operator timings next
         to the estimates.
         """
-        raise NotImplementedError(
-            f"engine {self.name!r} does not support EXPLAIN")
 
     # -- transactions ---------------------------------------------------
     @abstractmethod

@@ -195,7 +195,7 @@ class PoolWebSite:
         sql = max(texts, key=texts.get)
         try:
             plan = db.explain(sql).render()
-        except (NotImplementedError, DatabaseError) as exc:
+        except DatabaseError as exc:
             plan = f"  explain unavailable: {exc}"
         return (f"Hottest Plan ({texts[sql]} uses, "
                 f"engine={db.engine.name})\n"

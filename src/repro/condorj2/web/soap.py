@@ -710,7 +710,7 @@ def _scan(envelope: str) -> Node:
                         node.append(_Decoded(value))
                         mode = _ELEMENT
                 elif (mode == _STRUCT or mode == _ARRAY) and name == tag \
-                        and tag != "value" and not text:
+                        and not text:
                     value = node
                     mode, node, tag, aux = pop()
                     node.append(value if mode == _ARRAY else _Decoded(value))

@@ -163,11 +163,15 @@ def test_unknown_field(gateway):
 
 
 def test_enum_violation(gateway):
+    """The contract's enum is the one check of a reported VM state: the
+    gateway refuses the call before the handler dispatches anything."""
+    before = gateway.counts.statements
     fault = _fault(gateway, "heartbeat", {
         "machine": "m", "vms": [{"vm_id": "v", "state": "exploded"}],
     })
     assert fault.subcode == "bad-value"
     assert "exploded" in fault.detail
+    assert gateway.counts.statements == before
 
 
 @pytest.mark.parametrize("backend", ("sqlite", "memory", "wal"))

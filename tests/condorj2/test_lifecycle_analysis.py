@@ -3,8 +3,9 @@
 Three properties are enforced here:
 
 * **static soundness** — an unmutated copy of the service layer yields
-  zero lifecycle/transaction errors, and the interprocedural protection
-  fixpoint reaches the verdicts the code is written against
+  zero lifecycle/transaction errors, the tree implements every declared
+  edge and writes every declared state, and the interprocedural
+  protection fixpoint reaches the verdicts the code is written against
   (``record_boot``/``change_value`` are protected by their callers);
 * **sensitivity** — seeded mutations (an illegal transition target, a
   stripped state guard, a parameter-bound state write put back on the
@@ -14,7 +15,8 @@ Three properties are enforced here:
 * **runtime cross-check** — a full service workload's observed
   transition ledger is a subset of the declared lifecycle graphs on all
   three storage backends, the ledgers agree across backends, and the
-  workload walks a meaningful share of the declared edges.
+  workload walks a meaningful share of the declared edges and reaches
+  every declared state.
 """
 
 import shutil
@@ -26,6 +28,7 @@ from repro.cluster import JobSpec
 from repro.condorj2.analysis import (
     analyze, build_function_index, extract_corpus,
 )
+from repro.condorj2.analysis.lifecycle import build_graphs
 from repro.condorj2.analysis.txn import exposure, protection, writes_of
 from repro.condorj2.beans import BeanContainer
 from repro.condorj2.database import Database
@@ -171,9 +174,20 @@ def test_every_lifecycle_update_and_delete_in_the_tree_is_constant_text():
             assert spec.guard_states, (statement.file, statement.line, sql)
             writers.append((spec.table, statement.file.split("/")[0]))
     assert {layer for table, layer in writers if table == "jobs"} == {"logic"}
-    # No code moves a machine's state: a beat refreshes last_heartbeat
-    # under its 'alive' guard, and only an operator takes one offline.
+    # No code moves a machine's state: a machine is born 'alive', the one
+    # state its lifecycle declares, and a beat refreshes last_heartbeat.
     assert {table for table, _ in writers} == {"jobs", "vms"}
+
+
+def test_every_declared_edge_and_state_has_a_writer_in_the_tree():
+    """The declaration holds only what the tree walks: every declared
+    state-to-state edge has an implementing statement, and every state
+    of every lifecycle has a writer."""
+    graphs, _findings = build_graphs(extract_corpus(PACKAGE_ROOT))
+    assert set(graphs) == set(LIFECYCLES)
+    for table, graph in graphs.items():
+        assert graph.unimplemented() == [], table
+        assert graph.dead_states() == [], table
 
 
 _SPLIT_FUNCTION = '''
@@ -481,7 +495,10 @@ def _drive_workload(db):
     if len(pending) > 1:
         lifecycle.report_drop(pending[1]["job_id"], pending[1]["vm_id"],
                               now + 11, reason="test-drop")
-    heartbeat.process({"machine": "m01", "vms": [], "events": []}, now + 600)
+    # The startd reports m01's one slot offline.
+    heartbeat.process(
+        {"machine": "m01", "vms": [{"vm_id": "vm0@m01", "state": "offline"}],
+         "events": []}, now + 600)
     return {table: dict(edges)
             for table, edges in db.counts.transitions.items()}
 
@@ -512,11 +529,14 @@ def test_observed_transitions_subset_of_declared(backend, tmp_path):
                 f"{table}: observed {edge} not in the declared lifecycle")
             if source != target:
                 walked.setdefault(table, set()).add((source, target))
-    # The workload is rich enough to be a meaningful cross-check.
+    # The workload is rich enough to be a meaningful cross-check: it
+    # reaches every declared state of every lifecycle.
     assert len(walked["jobs"]) >= 4
     assert len(walked["vms"]) >= 3
-    # Machines are born alive, a beat only refreshes last_heartbeat, and
-    # only an operator moves one.
+    for table, lifecycle in LIFECYCLES.items():
+        reached = {edge.split("->", 1)[1] for edge in observed[table]}
+        assert reached >= set(lifecycle.states), table
+    # Machines are born alive and a beat only refreshes last_heartbeat.
     assert set(observed["machines"]) == {"(new)->alive"}
 
 

@@ -198,22 +198,6 @@ def test_no_free_slot_when_every_idle_vm_is_matched_or_running(pair):
         "transaction")
 
 
-def test_no_free_slot_when_the_machine_is_not_alive(pair):
-    register(pair, "m1", vm_count=2)
-    pair.both(lambda pool: pool.db.execute(
-        "UPDATE machines SET state = 'offline' WHERE machine_name = 'm1'"))
-    submit(pair, [JobSpec(owner="alice") for _ in range(3)])
-    created, delta = pair.run_pass(1.0)
-    assert created == 0
-    assert (delta.statements, delta.commits) == (1, 0)
-    # The machine comes back: the same queue now places.
-    pair.both(lambda pool: pool.db.execute(
-        "UPDATE machines SET state = 'alive' WHERE machine_name = 'm1'"))
-    created, delta = pair.run_pass(2.0)
-    assert created == 2
-    assert (delta.statements, delta.commits) == (3, 1)
-
-
 def test_gated_pass_leaves_the_wal_untouched(tmp_path):
     from repro.condorj2.database import Database
     from repro.condorj2.storage import WalStorageEngine
@@ -375,6 +359,24 @@ def test_sqlite_probe_and_update_do_not_walk_the_queue():
         probe = [node.detail for node in _plan_nodes(
             pool.db.explain(PASS_PROBE_SQL))]
         assert not any(step.startswith("SCAN jobs") for step in probe)
+    finally:
+        pool.close()
+
+
+def test_sqlite_pass_reads_no_machine_row():
+    """A free slot is a row of ``vms`` alone: the machine is born alive
+    and stays so, and the foreign key already guarantees its row, so
+    neither the probe nor the INSERT has a ``machines`` step."""
+    pool = Pool("sqlite")
+    try:
+        pool.heartbeat.register_machine({"name": "m1", "vm_count": 4}, 0.0)
+        pool.submission.submit_jobs([JobSpec(owner="alice")], 0.0)
+        for sql, params in ((PASS_PROBE_SQL, None),
+                            (MATCH_INSERT_SQL, {"now": 1.0, "limit": 4})):
+            steps = [node.detail for node in _plan_nodes(
+                pool.db.explain(sql, params))]
+            assert not any(re.match(r"(SEARCH|SCAN) (m|machines)\b", step)
+                           or "machines" in step for step in steps), steps
     finally:
         pool.close()
 

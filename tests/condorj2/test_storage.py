@@ -221,9 +221,7 @@ def _reference_pass_pairs(db, limit=1000):
             """
             SELECT v.vm_id
             FROM vms v
-            JOIN machines m ON m.machine_name = v.machine_name
             WHERE v.state = 'idle'
-              AND m.state = 'alive'
               AND v.vm_id NOT IN (SELECT vm_id FROM matches)
               AND v.vm_id NOT IN (SELECT vm_id FROM runs)
             ORDER BY v.vm_id
@@ -258,19 +256,10 @@ def _reference_pass_pairs(db, limit=1000):
 
 
 def _seed_workload(services, rng):
-    """A messy pool: machines in all states, jobs in all states."""
+    """A messy pool: jobs in all states, slots free, matched and running."""
     container, submission, scheduling, lifecycle, heartbeat = services
     for m in range(12):
         register_machine(heartbeat, f"m{m:02d}", vm_count=rng.randint(1, 4))
-    # Most machines go silent and an operator takes them offline; a
-    # couple keep heartbeating, so the pass must skip VMs on dead machines.
-    for name in ("m00", "m01", "m02", "m03"):
-        heartbeat.process({"machine": name, "vms": [], "events": []}, now=500.0)
-    container.db.execute(
-        "UPDATE machines SET state = 'offline' "
-        "WHERE state = 'alive' AND last_heartbeat < ?", (100.0,))
-    for name in ("m00", "m01", "m02", "m03"):
-        heartbeat.process({"machine": name, "vms": [], "events": []}, now=1000.0)
 
     owners = [f"user{u}" for u in range(5)]
     specs = []
@@ -521,12 +510,13 @@ def test_unknown_env_default_raises_structured_fault(monkeypatch):
     ("UPDATE jobs SET state = ? WHERE job_id = 1", "completed"),
     ("UPDATE jobs SET state = ? WHERE job_id = 1", "removed"),
     ("UPDATE machines SET state = ? WHERE machine_name = 'm'", "missing"),
+    ("UPDATE machines SET state = ? WHERE machine_name = 'm'", "offline"),
 ])
 def test_no_row_can_be_parked_in_a_state_no_statement_writes(
         backend, sql, state):
     """Completion and removal delete the job tuple, and no pool marks a
-    machine missing, so those states are outside the CHECK domain and
-    every engine refuses a row in one."""
+    machine missing or takes one offline, so those states are outside
+    the CHECK domain and every engine refuses a row in one."""
     db = Database(backend=backend)
     try:
         db.execute("INSERT INTO users (user_name, created_at) VALUES ('u', 0)")
