@@ -53,7 +53,6 @@ import pytest
 
 from repro.cluster import JobSpec
 from repro.cluster.job import next_job_id
-from repro.condorj2.beans import BeanContainer
 from repro.condorj2.database import Database
 from repro.condorj2.logic import (
     HeartbeatService,
@@ -127,30 +126,30 @@ def _pool_with_queue(n_jobs, backend=None, vm_count=VM_COUNT,
     owners, and ``dormant_users`` more registered users with no job.
     With ``edges`` every job depends on a prerequisite that has finished:
     an id no longer in ``jobs``, so the edge holds nothing back."""
-    container = BeanContainer(Database(backend=backend))
-    submission = SubmissionService(container)
-    scheduling = SchedulingService(container)
-    lifecycle = LifecycleService(container)
-    heartbeat = HeartbeatService(container, scheduling, lifecycle)
+    db = Database(backend=backend)
+    submission = SubmissionService(db)
+    scheduling = SchedulingService(db)
+    lifecycle = LifecycleService(db)
+    heartbeat = HeartbeatService(db, scheduling, lifecycle)
     for m in range(-(-vm_count // 8)):
         heartbeat.register_machine(
             {"name": f"m{m:03d}", "vm_count": min(8, vm_count - 8 * m)}, 0.0)
     if dormant_users:
-        with container.db.transaction():
-            container.db.executemany(
+        with db.transaction():
+            db.executemany(
                 "INSERT INTO users (user_name, created_at) VALUES (?, 0.0)",
                 [(f"dormant{u}",) for u in range(dormant_users)])
     specs = [JobSpec(owner=f"user{i % 13}",
                      depends_on=(next_job_id(),) if edges else ())
              for i in range(n_jobs)]
     submission.submit_jobs(specs, now=0.0)
-    return container, scheduling, lifecycle
+    return db, scheduling, lifecycle
 
 
-def _pass_statements(container, scheduling, now):
-    before = container.db.counts.snapshot()
+def _pass_statements(db, scheduling, now):
+    before = db.counts.snapshot()
     created = scheduling.run_pass(now)
-    delta = container.db.counts.delta(before)
+    delta = db.counts.delta(before)
     return created, delta.statements, delta.commits
 
 
@@ -160,9 +159,9 @@ def test_scheduling_pass_statement_count_flat_1k_to_50k(benchmark):
     pools = {depth: _pool_with_queue(depth) for depth in QUEUE_DEPTHS}
 
     def run_passes():
-        for depth, (container, scheduling, _) in pools.items():
+        for depth, (db, scheduling, _) in pools.items():
             observations[depth] = _pass_statements(
-                container, scheduling, now=float(scheduling.passes + 1)
+                db, scheduling, now=float(scheduling.passes + 1)
             )
 
     benchmark.pedantic(run_passes, rounds=1, iterations=1)
@@ -187,8 +186,8 @@ def test_scheduling_pass_statement_count_flat_1k_to_50k(benchmark):
     assert commits == 1
     assert all(created == VM_COUNT for created, _, _ in observations.values())
     # The saturated pool's next pass stops at its probe, at every depth.
-    for container, scheduling, _ in pools.values():
-        assert _pass_statements(container, scheduling, now=99.0) == (0, 1, 0)
+    for db, scheduling, _ in pools.values():
+        assert _pass_statements(db, scheduling, now=99.0) == (0, 1, 0)
 
 
 @pytest.mark.parametrize("depth", QUEUE_DEPTHS)
@@ -200,7 +199,7 @@ def test_scheduling_pass_wall_clock_by_depth(benchmark, depth):
     the timed rounds measure only the steady-state no-capacity probe —
     cold-start cost is reported separately by the cold/warm split test.
     """
-    container, scheduling, _ = _pool_with_queue(depth)
+    db, scheduling, _ = _pool_with_queue(depth)
 
     def one_pass():
         return scheduling.run_pass(now=float(scheduling.passes + 1))
@@ -211,16 +210,16 @@ def test_scheduling_pass_wall_clock_by_depth(benchmark, depth):
 
 
 def _cold_pass(backend, depth, edges=False):
-    """``(seconds, container, scheduling)``: the first pass on a fresh
+    """``(seconds, db, scheduling)``: the first pass on a fresh
     pool of ``depth`` queued jobs — plan compiles plus the real
     ``VM_COUNT``-match work."""
-    container, scheduling, _ = _pool_with_queue(depth, backend=backend,
-                                                edges=edges)
+    db, scheduling, _ = _pool_with_queue(depth, backend=backend,
+                                         edges=edges)
     start = time.perf_counter()
     created = scheduling.run_pass(now=1.0)
     seconds = time.perf_counter() - start
     assert created == VM_COUNT
-    return seconds, container, scheduling
+    return seconds, db, scheduling
 
 
 def _one_free_slot(backend, depth, dormant_users=0, edges=False):
@@ -228,10 +227,9 @@ def _one_free_slot(backend, depth, dormant_users=0, edges=False):
     that times one placing pass on it (K = 1) — ``(seconds,
     statements)`` — then runs the placed job to completion to free the
     slot again.  The pool's first pass is its cold one."""
-    container, scheduling, lifecycle = _pool_with_queue(
+    db, scheduling, lifecycle = _pool_with_queue(
         depth, backend=backend, vm_count=1, dormant_users=dormant_users,
         edges=edges)
-    db = container.db
 
     def placing_pass():
         now = float(scheduling.passes + 1)
@@ -260,9 +258,9 @@ def _measure_backend(backend, depth, cold_samples=3):
     passes.  Also reports the plan-cache hit rate over the whole run.
     """
     cold_seconds = []
-    container = scheduling = None
+    db = scheduling = None
     for _ in range(cold_samples):
-        seconds, container, scheduling = _cold_pass(backend, depth)
+        seconds, db, scheduling = _cold_pass(backend, depth)
         cold_seconds.append(seconds)
     for _ in range(WARMUP_PASSES):
         scheduling.run_pass(now=float(scheduling.passes + 1))
@@ -276,7 +274,7 @@ def _measure_backend(backend, depth, cold_samples=3):
         "cold_pass_us": round(min(cold_seconds) * 1e6, 1),
         "warm_pass_us": round(warm_seconds * 1e6, 1),
         "plan_cache_hit_rate": round(
-            container.db.counts.hit_rate(), 4
+            db.counts.hit_rate(), 4
         ),
     }
 
@@ -304,8 +302,7 @@ def _measure_regimes(backend, depth=QUEUE_DEPTHS[-1]):
                                     for _ in range(TIMED_REGIME_PASSES)))
         rows.append((regime, queued, seconds, set(statements)))
 
-    container, scheduling, _ = _pool_with_queue(0, backend=backend)
-    db = container.db
+    db, scheduling, _ = _pool_with_queue(0, backend=backend)
     scheduling.run_pass(now=1.0)  # compiles the probe
     seconds, statements = [], set()
     for n in range(TIMED_REGIME_PASSES):
@@ -489,11 +486,11 @@ def test_scheduling_pass_backend_comparison(benchmark):
 
     def run_backends():
         for backend in BACKENDS:
-            container, scheduling, _ = _pool_with_queue(
+            db, scheduling, _ = _pool_with_queue(
                 depth, backend=backend)
             start = time.perf_counter()
             created, statements, commits = _pass_statements(
-                container, scheduling, now=1.0
+                db, scheduling, now=1.0
             )
             elapsed = time.perf_counter() - start
             observations[backend] = (created, statements, commits, elapsed)
@@ -529,9 +526,9 @@ def queue_summary_us():
              for depth in FLATNESS_DEPTHS]
     reports = {}
     for backend, depth in pairs:
-        container, scheduling, _ = _pool_with_queue(depth, backend=backend)
+        db, scheduling, _ = _pool_with_queue(depth, backend=backend)
         assert scheduling.run_pass(now=1.0) == VM_COUNT
-        reports[backend, depth] = ReportService(container.db)
+        reports[backend, depth] = ReportService(db)
     samples = {pair: [] for pair in pairs}
     for n in range(3 + TIMED_READS):
         for (backend, depth), report in reports.items():

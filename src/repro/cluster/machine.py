@@ -30,8 +30,6 @@ class VmState(enum.Enum):
     CLAIMING = "claiming"
     #: Executing a job.
     BUSY = "busy"
-    #: Administratively offline.
-    OFFLINE = "offline"
 
 
 class VirtualMachine:

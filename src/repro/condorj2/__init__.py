@@ -5,9 +5,9 @@ Layers (Figure 4 of the paper):
 * :mod:`repro.condorj2.schema` / :mod:`repro.condorj2.storage` /
   :mod:`repro.condorj2.database` — the RDBMS substrate: the relational
   schema, the pluggable storage engine (SQLite standing in for DB2) and
-  the access-layer facade.
-* :mod:`repro.condorj2.beans` — the persistence layer (entity beans with
-  container-managed persistence).
+  the access-layer facade.  Together they are the paper's persistence
+  layer: each entity's key, fields and states are declared once in
+  ``schema``, and ``database`` scopes access and transactions.
 * :mod:`repro.condorj2.logic` — the application-logic layer
   (coarse-grained services).
 * :mod:`repro.condorj2.api` — the service contracts: typed, versioned

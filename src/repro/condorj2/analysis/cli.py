@@ -62,7 +62,6 @@ def report_dict(corpus: Corpus, findings: Sequence[Finding],
         "files_scanned": corpus.files_scanned,
         "statements": len(corpus.statements),
         "renders": sum(len(s.renders) for s in corpus.statements),
-        "beans": [bean.name for bean in corpus.beans],
         "summary": _summary(findings),
         "new_summary": _summary(new_findings),
         "findings": [finding.to_dict() for finding in findings],

@@ -10,9 +10,8 @@ Resolution follows the shapes the codebase actually uses:
 
 * plain string constants (adjacent literals fold into one constant),
 * f-strings, whose interpolations become slots classified by the
-  identifier allow-list (``bean_class.TABLE``, ``columns``,
-  ``placeholders``, ...) — anything else is a *value* slot, the
-  injection signal,
+  identifier allow-list (``table``) — anything else is a *value* slot,
+  the injection signal,
 * ``+`` concatenation of resolvable pieces,
 * names bound by a single assignment in the enclosing function or at
   module scope (``MATCH_INSERT_SQL``); a name that is assigned twice or
@@ -27,11 +26,9 @@ if its leading constant text starts with a dialect verb, which excludes
 ``f"EXPLAIN QUERY PLAN {sql}"``.
 
 Identifier templates are *rendered* into concrete statements the checker
-can parse: bean-anchored slots render once per registered bean (the
-classes whose ``TABLE`` constant names a schema table), and the bare
-``table`` slot renders once per schema table.  Rendering is what makes
-the container's generic create / find checkable — by the schema rules
-and by the lifecycle pass alike — against every table it serves.
+can parse: the ``table`` slot renders once per schema table.  The one
+such template is ``Database.table_count``; every other statement the
+services send is written out as a constant.
 """
 
 from __future__ import annotations
@@ -40,7 +37,7 @@ import ast
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.condorj2 import schema
 from repro.condorj2.analysis.findings import Finding, make_finding
@@ -57,18 +54,9 @@ SQL_MARKERS = (
     " FROM ", " WHERE ", " VALUES ",
 )
 
-#: Allow-listed f-string interpolations and what they interpolate.
-#: ``table``/``pk`` render per bean (or per schema table for the bare
-#: ``table`` identifier), ``columns``/``placeholders`` render from the
-#: bean's column list.
-SLOT_CATEGORIES: Dict[str, str] = {
-    "bean_class.TABLE": "table",
-    "bean_class.PK": "pk",
-    "columns": "columns",
-    "column_list": "columns",
-    "placeholders": "placeholders",
-    "table": "table",
-}
+#: Allow-listed f-string interpolations and what they interpolate:
+#: ``table`` renders once per schema table.
+SLOT_CATEGORIES: Dict[str, str] = {"table": "table"}
 
 #: Files allowed to interpolate extra expressions into SQL-looking
 #: strings, keyed by path suffix.  The parser builds error messages from
@@ -125,21 +113,6 @@ class SqlTemplate:
             self.parts[0], str) else ""
 
 
-@dataclass(frozen=True)
-class BeanInfo:
-    """A class whose TABLE constant names a schema table."""
-
-    name: str
-    table: str
-    pk: str
-    #: Every column but the key, in declaration order.
-    fields: Tuple[str, ...]
-
-    @property
-    def insert_columns(self) -> Tuple[str, ...]:
-        return (self.pk,) + self.fields
-
-
 @dataclass
 class ExtractedStatement:
     """One SQL-bearing call site."""
@@ -149,7 +122,7 @@ class ExtractedStatement:
     method: str
     template: SqlTemplate
     #: Concrete statement texts the checker validates (the constant text
-    #: itself, or one render per bean/table for identifier templates;
+    #: itself, or one render per table for an identifier template;
     #: empty when the template has value slots).
     renders: List[str] = field(default_factory=list)
     #: Named parameter keys at the call site, if a dict literal.
@@ -175,7 +148,6 @@ class Corpus:
 
     root: Path
     statements: List[ExtractedStatement] = field(default_factory=list)
-    beans: List[BeanInfo] = field(default_factory=list)
     #: Findings produced at extraction time (dynamic/templated SQL and
     #: the f-string injection rule).
     findings: List[Finding] = field(default_factory=list)
@@ -215,50 +187,13 @@ def _allowed_for(rel: str) -> Set[str]:
 
 
 # ----------------------------------------------------------------------
-# bean registry
-# ----------------------------------------------------------------------
-
-def _class_str_const(node: ast.ClassDef, name: str) -> Optional[str]:
-    for statement in node.body:
-        if isinstance(statement, ast.Assign):
-            for target in statement.targets:
-                if isinstance(target, ast.Name) and target.id == name:
-                    if isinstance(statement.value, ast.Constant) and \
-                            isinstance(statement.value.value, str):
-                        return statement.value.value
-    return None
-
-
-def scan_beans(trees: Iterable[ast.Module]) -> List[BeanInfo]:
-    """Collect classes whose ``TABLE`` constant names a schema table.
-
-    Key and fields come from the table's declaration, exactly as
-    ``EntityBean.__init_subclass__`` fills them at import time; a table
-    with a composite key has no bean.
-    """
-    beans: List[BeanInfo] = []
-    for tree in trees:
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            tdef = schema.TABLE_BY_NAME.get(_class_str_const(node, "TABLE"))
-            if tdef is not None and len(tdef.primary_key) == 1:
-                beans.append(BeanInfo(node.name, tdef.name,
-                                      tdef.primary_key[0],
-                                      tdef.non_key_columns))
-    return beans
-
-
-# ----------------------------------------------------------------------
 # template resolution
 # ----------------------------------------------------------------------
 
 class _ModuleExtractor:
-    def __init__(self, tree: ast.Module, rel: str,
-                 beans: Sequence[BeanInfo]):
+    def __init__(self, tree: ast.Module, rel: str):
         self.tree = tree
         self.rel = rel
-        self.beans = beans
         self.allowed = _allowed_for(rel)
         self.module_env = self._collect_assigns(tree, module_level=True)
         self.statements: List[ExtractedStatement] = []
@@ -349,44 +284,17 @@ class _ModuleExtractor:
         return tuple(key.value for key in node.keys)
 
     # -- rendering ------------------------------------------------------
-    def _render(self, template: SqlTemplate) -> List[str]:
+    @staticmethod
+    def _render(template: SqlTemplate) -> List[str]:
         if template.constant:
             return ["".join(template.parts)]
-        categories = {slot.category for slot in template.slots}
-        if not categories <= _RENDERABLE:
+        if not {slot.category for slot in template.slots} <= _RENDERABLE:
             return []
-        bean_anchored = any(
-            slot.expr.startswith("bean_class.") for slot in template.slots
-        )
-        if bean_anchored:
-            return [self._render_one(template, bean) for bean in self.beans]
-        if "table" in categories:
-            return [
-                self._render_one(template, None, table=table)
-                for table in schema.TABLES
-            ]
-        return [self._render_one(template, None)]
-
-    @staticmethod
-    def _render_one(template: SqlTemplate, bean: Optional[BeanInfo],
-                    table: Optional[str] = None) -> str:
-        columns = bean.insert_columns if bean else ()
-        pieces: List[str] = []
-        for part in template.parts:
-            if isinstance(part, str):
-                pieces.append(part)
-                continue
-            category = part.category
-            if category == "table":
-                pieces.append(bean.table if bean else (table or "jobs"))
-            elif category == "pk":
-                pieces.append(bean.pk if bean else "rowid")
-            elif category == "columns":
-                pieces.append(", ".join(columns))
-            elif category == "placeholders":
-                count = len(columns) if columns else 1
-                pieces.append(", ".join("?" for _ in range(count)))
-        return "".join(pieces)
+        return [
+            "".join(part if isinstance(part, str) else table
+                    for part in template.parts)
+            for table in schema.TABLES
+        ]
 
     # -- walking --------------------------------------------------------
     def run(self) -> None:
@@ -508,9 +416,8 @@ def extract_corpus(root) -> Corpus:
     source = SourceTree.of(root)
     corpus = Corpus(root=source.root)
     corpus.files_scanned = len(source.modules)
-    corpus.beans = scan_beans(module.tree for module in source.modules)
     for module in source.modules:
-        extractor = _ModuleExtractor(module.tree, module.rel, corpus.beans)
+        extractor = _ModuleExtractor(module.tree, module.rel)
         extractor.run()
         corpus.statements.extend(extractor.statements)
         corpus.findings.extend(extractor.findings)

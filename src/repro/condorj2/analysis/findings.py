@@ -61,7 +61,7 @@ RULES: Dict[str, Tuple[str, str]] = {
                    "identifier template (plan-cache busting)"),
     "templated-sql": (
         "advice", "statement text varies over a bounded identifier "
-                  "template (one cache entry per bean/table)"),
+                  "template (one cache entry per table)"),
     # -- lifecycle tier (cross-statement; DESIGN.md section 9) ---------
     "illegal-transition": (
         "error", "statement implies a state transition the declared "

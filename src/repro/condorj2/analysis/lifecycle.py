@@ -21,9 +21,8 @@ INSERT's literal or default state implies a creation edge out of
 * ``dead-state`` (advice) — a state no statement can ever write.
 
 Every render of every statement is read: a constant text is its own
-render, an identifier template (the container's generic INSERT) is
-rendered once per bean, so a write to a lifecycle column is judged by
-these rules wherever it is spelled.  The runtime transition ledger
+render, an identifier template once per table, so a write to a
+lifecycle column is judged by these rules wherever it is spelled.  The runtime transition ledger
 (``StatementCounts.transitions`` — observed ⊆ declared is a tier-1
 test) checks the same declaration from the other side, and the pool's
 statistics page shows the edges it walked.

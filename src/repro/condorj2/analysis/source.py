@@ -46,14 +46,13 @@ EXECUTE_METHODS = ("execute", "executemany", "query_all", "query_one",
 _TXN_CONTROL = ("begin", "commit", "rollback")
 
 #: Bare-name calls to builtins are never resolved: ``set(...)`` must not
-#: alias ``ConfigService.set``, nor ``dict(row)`` a bean method.  A
-#: builtin's name says nothing about a *method* of that name:
+#: alias ``ConfigService.set``.  A builtin's name says nothing about a *method* of that name:
 #: ``self.config.set(...)`` is ``ConfigService.set``.
 _BUILTIN_NAMES = frozenset(dir(builtins))
 
 #: Method names never resolved unless the receiver is literally
 #: ``self``: dict/set/list/str methods and the event-log ``record``
-#: would otherwise alias same-named service/bean methods
+#: would otherwise alias same-named service methods
 #: (``event.get`` → ``ConfigService.get``).
 _UNRESOLVED_METHODS = frozenset({
     "get", "update", "items", "keys", "values", "append", "extend",

@@ -3,8 +3,8 @@
 The paper's footnote 7 — "ensuring that the job queue manager does not
 drop jobs is one reason why job management requires transactions" — is a
 property of *call structure*, not of any single statement.  This pass
-reads the call graph of the application layers (``logic/``, ``beans/``,
-the SOAP facade, ``startd.py``) that :func:`source.build_function_index`
+reads the call graph of the application layers (``logic/``, the SOAP
+facade, ``startd.py``) that :func:`source.build_function_index`
 scans, in which every execute-family dispatch carries its enclosing
 ``with …transaction()`` scope.  Which dispatches *write*, and to which
 table, is read from the extracted corpus by ``(file, line)``: the SQL

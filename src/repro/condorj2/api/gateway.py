@@ -16,7 +16,7 @@ The envelope codec (decode/encode) stays at the transport boundary in
 * **meter** — per-operation call/fault/latency statistics, per-fault-code
   tallies, and the per-op share of the storage engine's statement ledger,
   held to the contract's ``statement_budget`` once the call succeeds;
-* **translate** — storage/bean exceptions become the structured fault
+* **translate** — storage/service exceptions become the structured fault
   taxonomy (``CONFLICT`` for missing tuples and illegal transitions,
   ``INTERNAL`` for engine failures, ``VALIDATION`` for bad values);
 * **validate response** — a handler reply that fails its own response
@@ -46,10 +46,7 @@ from repro.condorj2.api.faults import (
     UnknownOperationFault,
     ValidationFault,
 )
-from repro.condorj2.beans.base import (
-    BeanConsistencyError, BeanNotFound, BeanStateError,
-)
-from repro.condorj2.storage import DatabaseError
+from repro.condorj2.database import DatabaseError, RowNotFound, RowStateError
 
 #: Pseudo-operations under which protocol-level faults are metered (the
 #: request never resolved to a real operation, but the stats page still
@@ -218,7 +215,7 @@ class ServiceGateway:
 
     def _call_handler(self, contract: OperationContract, operation: str,
                       payload: Any, now: float) -> Any:
-        """The handler's response-validated reply, with storage and bean
+        """The handler's response-validated reply, with storage and service
         exceptions translated into the fault taxonomy."""
         try:
             result = self.registry.handler(operation)(payload, now)
@@ -232,14 +229,14 @@ class ServiceGateway:
         except ServiceFault as fault:
             fault.operation = fault.operation or operation
             raise
-        except BeanNotFound as exc:
+        except RowNotFound as exc:
             raise ConflictFault(str(exc), subcode="not-found",
                                 operation=operation) from exc
-        except BeanStateError as exc:
+        except RowStateError as exc:
             raise ConflictFault(str(exc), subcode="illegal-state",
                                 operation=operation) from exc
-        except (ValueError, BeanConsistencyError) as exc:
-            # A bean's invariant is broken by a value the client sent.
+        except ValueError as exc:
+            # A value the client sent breaks a rule of the handler's.
             raise ValidationFault(str(exc), subcode="bad-value",
                                   operation=operation) from exc
         except DatabaseError as exc:

@@ -29,7 +29,6 @@ from repro.condorj2.api.faults import (
     UnknownOperationFault,
 )
 from repro.condorj2.api.gateway import MALFORMED_OP, UNKNOWN_OP
-from repro.condorj2.beans import BeanContainer
 from repro.condorj2.costs import CasCostModel
 from repro.condorj2.database import Database
 from repro.condorj2.logic import (
@@ -81,21 +80,20 @@ class CondorJ2ApplicationServer:
         self.log = log if log is not None else EventLog()
 
         # container plumbing
-        self.container = BeanContainer(self.db)
         self.threads = Resource(sim, self.costs.thread_pool_size, name="cas.threads")
         self.connections = Resource(
             sim, self.costs.connection_pool_size, name="cas.connections"
         )
 
         # the layered services (logic layer over the persistence layer)
-        self.submission = SubmissionService(self.container)
-        self.scheduling = SchedulingService(self.container)
-        self.lifecycle = LifecycleService(self.container, log=self.log)
+        self.submission = SubmissionService(self.db)
+        self.scheduling = SchedulingService(self.db)
+        self.lifecycle = LifecycleService(self.db, log=self.log)
         self.heartbeat = HeartbeatService(
-            self.container, self.scheduling, self.lifecycle
+            self.db, self.scheduling, self.lifecycle
         )
         self.reports = ReportService(self.db)
-        self.config = ConfigService(self.container)
+        self.config = ConfigService(self.db)
         self.registry = WebServiceRegistry(
             self.submission,
             self.scheduling,

@@ -99,7 +99,8 @@ class CasCostModel:
     db_background_io_seconds: float = 45.0
 
     # -- startup ----------------------------------------------------------
-    #: One-time user CPU at boot (bean allocation, cache fill, JIT).
+    #: One-time user CPU at boot (the paper's startup spike: connection
+    #: and cache fill, JIT), charged as one lump.
     startup_cpu_seconds: float = 40.0
     #: One-time disk at boot (connection creation, catalog reads).
     startup_io_seconds: float = 15.0

@@ -13,8 +13,8 @@ matter for the reproduction:
 
 The engine itself — connection, statement cache, accounting —
 lives in :mod:`repro.condorj2.storage`; this module adds the query
-helpers, transaction scoping and schema bootstrap the bean container and
-the logic layer program against.
+helpers, transaction scoping and schema bootstrap the logic layer
+programs against, and the two refusals its services raise.
 """
 
 from __future__ import annotations
@@ -34,8 +34,18 @@ from repro.condorj2.storage import (
 __all__ = [
     "Database",
     "DatabaseError",
+    "RowNotFound",
+    "RowStateError",
     "StatementCounts",
 ]
+
+
+class RowNotFound(DatabaseError):
+    """A service call named a tuple that does not exist."""
+
+
+class RowStateError(DatabaseError):
+    """A service call found its tuple in a state that forbids it (rule a)."""
 
 
 class Database:

@@ -1,4 +1,4 @@
-"""The application-logic layer: coarse-grained services over entity beans.
+"""The application-logic layer: coarse-grained services over the store.
 
 "This 'granularity mismatch' is resolved in an application logic layer
 that wraps the persistence layer ... All interaction with the system goes

@@ -11,14 +11,16 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from repro.condorj2.beans import BeanContainer, PolicyBean
+from repro.condorj2.database import Database
+
+_VALUE_SQL = "SELECT policy_value FROM config_policies WHERE policy_name = ?"
 
 
 class ConfigService:
     """Typed access to configuration policies, auditing every change."""
 
-    def __init__(self, container: BeanContainer):
-        self.container = container
+    def __init__(self, db: Database):
+        self.db = db
 
     def install_defaults(self, now: float, defaults: Dict[str, str]) -> None:
         """Create any missing default policies (scope 'pool').
@@ -27,7 +29,7 @@ class ConfigService:
         actually runs on (storage backend, scheduling interval), so the
         admin console reports the configuration in force.
         """
-        self.container.db.executemany(
+        self.db.executemany(
             "INSERT OR IGNORE INTO config_policies "
             "(policy_name, policy_value, scope, updated_at, updated_by) "
             "VALUES (?, ?, 'pool', ?, 'system')",
@@ -36,29 +38,30 @@ class ConfigService:
 
     def get(self, name: str, default: Optional[str] = None) -> Optional[str]:
         """Current value of a policy (None/default when absent)."""
-        bean = self.container.find_optional(PolicyBean, name)
-        if bean is None:
-            return default
-        return bean["policy_value"]
+        value = self.db.scalar(_VALUE_SQL, (name,))
+        return default if value is None else value
 
     def set(self, name: str, value: str, now: float, changed_by: str = "admin") -> None:
         """Create or change a policy, recording history on change."""
-        with self.container.db.transaction():
-            bean = self.container.find_optional(PolicyBean, name)
-            if bean is None:
-                self.container.create(
-                    PolicyBean,
-                    policy_name=name,
-                    policy_value=value,
-                    scope="pool",
-                    updated_at=now,
-                    updated_by=changed_by,
-                )
-                self.container.db.execute(
-                    "INSERT INTO config_history "
-                    "(policy_name, old_value, new_value, changed_at, changed_by) "
-                    "VALUES (?, NULL, ?, ?, ?)",
+        db = self.db
+        with db.transaction():
+            old = db.scalar(_VALUE_SQL, (name,))
+            if old is None:
+                db.execute(
+                    "INSERT INTO config_policies "
+                    "(policy_name, policy_value, scope, updated_at, updated_by) "
+                    "VALUES (?, ?, 'pool', ?, ?)",
                     (name, value, now, changed_by),
                 )
             else:
-                bean.change_value(value, now, changed_by)
+                db.execute(
+                    "UPDATE config_policies SET policy_value = ?, updated_at = ?, "
+                    "updated_by = ? WHERE policy_name = ?",
+                    (value, now, changed_by, name),
+                )
+            db.execute(
+                "INSERT INTO config_history "
+                "(policy_name, old_value, new_value, changed_at, changed_by) "
+                "VALUES (?, ?, ?, ?, ?)",
+                (name, old, value, now, changed_by),
+            )

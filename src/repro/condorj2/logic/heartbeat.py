@@ -27,8 +27,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Tuple
 
-from repro.condorj2.beans import BeanContainer, MachineBean
-from repro.condorj2.beans.base import BeanNotFound
+from repro.condorj2.database import Database, RowNotFound
 from repro.condorj2.logic.lifecycle import LifecycleService
 from repro.condorj2.logic.scheduling import SchedulingService
 
@@ -38,11 +37,11 @@ class HeartbeatService:
 
     def __init__(
         self,
-        container: BeanContainer,
+        db: Database,
         scheduling: SchedulingService,
         lifecycle: LifecycleService,
     ):
-        self.container = container
+        self.db = db
         self.scheduling = scheduling
         self.lifecycle = lifecycle
         self.heartbeats_processed = 0
@@ -57,30 +56,61 @@ class HeartbeatService:
     # machine registration
     # ------------------------------------------------------------------
     def register_machine(self, description: Dict[str, Any], now: float) -> None:
-        """First contact (or reboot): create/refresh machine and VM tuples."""
+        """First contact (or reboot): create/refresh machine and VM tuples.
+
+        Every (re)boot bumps the boot counter and writes a history record
+        of the machine's stored attributes.  The paper calls this out as a
+        source of the Figure 10 startup spike: "whenever an execute machine
+        restarts, the CAS monitors and records extra historical
+        information about machine attributes that only change when the
+        machine is rebooted".
+        """
         name = description["name"]
         vm_count = description.get("vm_count", 1)
-        with self.container.db.transaction():
-            machine = self.container.find_optional(MachineBean, name)
+        cores = description.get("cores", 1)
+        if cores <= 0 or vm_count <= 0:
+            raise ValueError("machine must have cores and vms")
+        db = self.db
+        with db.transaction():
+            machine = db.query_one(
+                "SELECT arch, opsys, cores, memory_mb, boot_count "
+                "FROM machines WHERE machine_name = ?",
+                (name,),
+            )
             if machine is None:
-                machine = self.container.create(
-                    MachineBean,
-                    machine_name=name,
-                    arch=description.get("arch", "INTEL"),
-                    opsys=description.get("opsys", "LINUX"),
-                    cores=description.get("cores", 1),
-                    memory_mb=description.get("memory_mb", 512),
-                    vm_count=vm_count,
-                    state="alive",
-                    last_heartbeat=now,
-                    boot_count=0,
+                attributes = (
+                    description.get("arch", "INTEL"),
+                    description.get("opsys", "LINUX"),
+                    cores,
+                    description.get("memory_mb", 512),
                 )
-            self.container.db.executemany(
+                boots = 1
+                db.execute(
+                    "INSERT INTO machines (machine_name, arch, opsys, cores, "
+                    "memory_mb, vm_count, state, last_heartbeat, boot_count) "
+                    "VALUES (?, ?, ?, ?, ?, ?, 'alive', ?, 0)",
+                    (name, *attributes, vm_count, now),
+                )
+            else:
+                attributes = (machine["arch"], machine["opsys"],
+                              machine["cores"], machine["memory_mb"])
+                boots = machine["boot_count"] + 1
+            db.executemany(
                 "INSERT OR IGNORE INTO vms (vm_id, machine_name, state, last_update) "
                 "VALUES (?, ?, 'idle', ?)",
                 [(f"vm{index}@{name}", name, now) for index in range(vm_count)],
             )
-            machine.record_boot(now)
+            db.execute(
+                "UPDATE machines SET boot_count = ?, last_heartbeat = ? "
+                "WHERE machine_name = ?",
+                (boots, now, name),
+            )
+            db.execute(
+                "INSERT INTO machine_boot_history "
+                "(machine_name, booted_at, arch, opsys, cores, memory_mb) "
+                "VALUES (?, ?, ?, ?, ?, ?)",
+                (name, now, *attributes),
+            )
 
     # ------------------------------------------------------------------
     # the heartbeat proper
@@ -101,14 +131,14 @@ class HeartbeatService:
         """
         self.heartbeats_processed += 1
         machine_name = payload["machine"]
-        with self.container.db.transaction():
-            refreshed = self.container.db.execute(
+        with self.db.transaction():
+            refreshed = self.db.execute(
                 "UPDATE machines SET last_heartbeat = ? "
                 "WHERE machine_name = ?",
                 (now, machine_name),
             )
             if refreshed.rowcount == 0:
-                raise BeanNotFound(f"machines[{machine_name!r}] not found")
+                raise RowNotFound(f"machines[{machine_name!r}] not found")
             # Job events first: completions free VMs for new matches.
             self.apply_events(payload.get("events", ()), now)
             vm_updates: List[Tuple[str, float, str]] = [
@@ -116,10 +146,11 @@ class HeartbeatService:
                 for vm_info in payload.get("vms", ())
             ]
             if vm_updates:
-                # Reported states only apply to live slots: a slot
-                # reported 'offline' stays there (the contract's enum
-                # has already refused any state outside VM_STATES).
-                self.container.db.executemany(
+                # The contract's enum has already refused any state
+                # outside VM_STATES.  The guard spans the whole domain:
+                # it names the write's from-states for the lifecycle
+                # pass, which refuses an unguarded state write.
+                self.db.executemany(
                     "UPDATE vms SET state = ?, last_update = ? "
                     "WHERE vm_id = ? AND state IN ('idle', 'claiming', 'busy')",
                     vm_updates,
@@ -143,7 +174,7 @@ class HeartbeatService:
         immutable while a match exists), writes are what the counter
         counts, and a no-op scheduling pass writes zero rows.
         """
-        counts = self.container.db.counts
+        counts = self.db.counts
         # A rollback restores rows without reverting the write counter,
         # so a mark recorded inside a later-aborted transaction could
         # otherwise assert "empty" against resurrected matches; any
@@ -161,7 +192,7 @@ class HeartbeatService:
 
     def _has_idle_vm(self, machine_name: str) -> bool:
         return bool(
-            self.container.db.scalar(
+            self.db.scalar(
                 "SELECT COUNT(*) FROM vms WHERE machine_name = ? AND state = 'idle'",
                 (machine_name,),
             )
@@ -174,7 +205,7 @@ class HeartbeatService:
         Starts go first, so a job that began and ended between two beats
         still walks its slot ``claiming -> busy -> idle``.  A replayed
         ``started`` is harmless: the guard leaves a slot that has since
-        gone idle (or been reported offline) as it is.
+        gone idle as it is.
         """
         completions: List[Tuple[int, str]] = []
         drops: List[Tuple[int, str, str]] = []
@@ -193,9 +224,9 @@ class HeartbeatService:
                 started_vms.append((now, event["vm_id"]))
             else:
                 raise ValueError(f"unknown heartbeat event kind {kind!r}")
-        with self.container.db.transaction():
+        with self.db.transaction():
             if started_vms:
-                self.container.db.executemany(
+                self.db.executemany(
                     "UPDATE vms SET state = 'busy', last_update = ? "
                     "WHERE vm_id = ? AND state IN ('claiming', 'busy')",
                     started_vms,

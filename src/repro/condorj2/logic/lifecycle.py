@@ -19,16 +19,15 @@ from __future__ import annotations
 import json
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.condorj2.beans import BeanContainer
-from repro.condorj2.beans.base import BeanNotFound, BeanStateError
+from repro.condorj2.database import Database, RowNotFound, RowStateError
 from repro.sim.monitor import EventLog
 
 
 class LifecycleService:
     """State transitions for matched/running jobs."""
 
-    def __init__(self, container: BeanContainer, log: Optional[EventLog] = None):
-        self.container = container
+    def __init__(self, db: Database, log: Optional[EventLog] = None):
+        self.db = db
         self.log = log if log is not None else EventLog()
 
     # ------------------------------------------------------------------
@@ -36,33 +35,33 @@ class LifecycleService:
     # ------------------------------------------------------------------
     def accept_match(self, job_id: int, vm_id: str, now: float) -> dict:
         """The startd accepted a match: match -> run, job -> running."""
-        with self.container.db.transaction():
-            matched = self.container.db.execute(
+        with self.db.transaction():
+            matched = self.db.execute(
                 "DELETE FROM matches WHERE job_id = ? AND vm_id = ?",
                 (job_id, vm_id),
             )
             if matched.rowcount == 0:
-                raise BeanNotFound(f"no match for job {job_id} on {vm_id}")
-            self.container.db.execute(
+                raise RowNotFound(f"no match for job {job_id} on {vm_id}")
+            self.db.execute(
                 "INSERT INTO runs (job_id, vm_id, started_at) VALUES (?, ?, ?)",
                 (job_id, vm_id, now),
             )
-            updated = self.container.db.execute(
+            updated = self.db.execute(
                 "UPDATE jobs SET state = 'running', attempts = attempts + 1 "
                 "WHERE job_id = ? AND state = 'matched'",
                 (job_id,),
             )
             if updated.rowcount == 0:
-                raise BeanStateError(
+                raise RowStateError(
                     f"jobs[{job_id!r}]: illegal transition to 'running'"
                 )
-            claimed = self.container.db.execute(
+            claimed = self.db.execute(
                 "UPDATE vms SET state = 'claiming', last_update = ? "
                 "WHERE vm_id = ? AND state = 'idle'",
                 (now, vm_id),
             )
             if claimed.rowcount == 0:
-                raise BeanStateError(
+                raise RowStateError(
                     f"vms[{vm_id!r}]: cannot claim a non-idle slot"
                 )
         self.log.record(now, "job_started", job_id=job_id, vm_id=vm_id)
@@ -93,7 +92,7 @@ class LifecycleService:
         """
         if not drops:
             return
-        db = self.container.db
+        db = self.db
         job_rows = [(job_id,) for job_id, _vm_id, _reason in drops]
         with db.transaction():
             db.executemany("DELETE FROM runs WHERE job_id = ?", job_rows)
@@ -127,7 +126,7 @@ class LifecycleService:
         """
         if not completions:
             return
-        db = self.container.db
+        db = self.db
         job_ids = [job_id for job_id, _ in completions]
         with db.transaction():
             # json_each keeps the SQL text constant across batch sizes,
@@ -144,9 +143,9 @@ class LifecycleService:
             for job_id in job_ids:
                 job = by_id.get(job_id)
                 if job is None:
-                    raise BeanNotFound(f"jobs[{job_id!r}] not found")
+                    raise RowNotFound(f"jobs[{job_id!r}] not found")
                 if job["state"] != "running":
-                    raise BeanStateError(
+                    raise RowStateError(
                         f"completion for job {job_id} in state {job['state']!r}"
                     )
 

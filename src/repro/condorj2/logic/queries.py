@@ -66,15 +66,14 @@ class ReportService:
 
     def pool_status(self) -> Dict[str, Any]:
         """The condor_status equivalent: machines, VMs, load."""
-        machines = self.db.query_one(
-            "SELECT COUNT(*) AS total, "
-            "SUM(CASE WHEN state='alive' THEN 1 ELSE 0 END) AS alive FROM machines"
-        )
+        # Every machine is alive: that is the whole of machines.state's
+        # domain, so one count answers both fields.
+        machines = self.db.scalar("SELECT COUNT(*) FROM machines")
         vms = self.db.query_all("SELECT state, COUNT(*) AS n FROM vms GROUP BY state")
         vm_states = {row["state"]: row["n"] for row in vms}
         return {
-            "machines_total": machines["total"] or 0,
-            "machines_alive": machines["alive"] or 0,
+            "machines_total": machines,
+            "machines_alive": machines,
             "vms_idle": vm_states.get("idle", 0),
             "vms_busy": vm_states.get("busy", 0) + vm_states.get("claiming", 0),
             "matches_pending": self.db.scalar("SELECT COUNT(*) FROM matches"),

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.condorj2.beans import BeanContainer
+from repro.condorj2.database import Database
 
 #: The slots a pass may fill: idle VMs that no match or run already
 #: holds.  The probe counts this relation and the INSERT ranks it, so the
@@ -128,8 +128,8 @@ WHERE +state = 'idle'
 class SchedulingService:
     """Creates match tuples pairing idle jobs with idle VMs."""
 
-    def __init__(self, container: BeanContainer):
-        self.container = container
+    def __init__(self, db: Database):
+        self.db = db
         self.passes = 0
         self.matches_created = 0
 
@@ -143,7 +143,7 @@ class SchedulingService:
         opens no transaction.
         """
         self.passes += 1
-        db = self.container.db
+        db = self.db
         free_slots = db.scalar(PASS_PROBE_SQL)
         if not free_slots:
             return 0
@@ -159,7 +159,7 @@ class SchedulingService:
 
     def pending_matches_for_machine(self, machine_name: str) -> List[dict]:
         """MATCHINFO payload for one machine's VMs (Table 2, step 8)."""
-        rows = self.container.db.query_all(
+        rows = self.db.query_all(
             """
             SELECT mt.job_id, mt.vm_id, j.cmd, j.args, j.run_seconds, j.owner
             FROM matches mt

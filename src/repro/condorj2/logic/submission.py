@@ -13,8 +13,7 @@ from __future__ import annotations
 from typing import List, Sequence
 
 from repro.cluster.job import JobSpec
-from repro.condorj2.beans import BeanContainer, JobBean
-from repro.condorj2.beans.base import BeanNotFound, BeanStateError
+from repro.condorj2.database import Database, RowNotFound, RowStateError
 
 #: OR IGNORE: a duplicate id in a spec's depends_on tuple is harmless
 #: (the edge set is what gates scheduling), and must not abort the batch.
@@ -27,8 +26,8 @@ _DEPENDENCY_INSERT_SQL = (
 class SubmissionService:
     """Coarse-grained submission operations."""
 
-    def __init__(self, container: BeanContainer):
-        self.container = container
+    def __init__(self, db: Database):
+        self.db = db
 
     def submit_job(self, spec: JobSpec, now: float) -> int:
         """Insert one job tuple; returns the job id."""
@@ -42,29 +41,22 @@ class SubmissionService:
         """
         if not specs:
             return []
-        db = self.container.db
+        db = self.db
         with db.transaction():
             owners = sorted({spec.owner for spec in specs})
             db.executemany(
                 "INSERT OR IGNORE INTO users (user_name, created_at) VALUES (?, ?)",
                 [(owner, now) for owner in owners],
             )
-            self.container.create_batch(
-                JobBean,
+            db.executemany(
+                "INSERT INTO jobs (job_id, owner, cmd, args, state, "
+                "run_seconds, image_size_mb, requirements, rank, "
+                "submitted_at, attempts) "
+                "VALUES (?, ?, ?, ?, 'idle', ?, ?, ?, ?, ?, 0)",
                 [
-                    {
-                        "job_id": spec.job_id,
-                        "owner": spec.owner,
-                        "cmd": spec.cmd,
-                        "args": " ".join(spec.args),
-                        "state": "idle",
-                        "run_seconds": spec.run_seconds,
-                        "image_size_mb": spec.image_size_mb,
-                        "requirements": spec.requirements,
-                        "rank": spec.rank,
-                        "submitted_at": now,
-                        "attempts": 0,
-                    }
+                    (spec.job_id, spec.owner, spec.cmd, " ".join(spec.args),
+                     spec.run_seconds, spec.image_size_mb,
+                     spec.requirements, spec.rank, now)
                     for spec in specs
                 ],
             )
@@ -77,7 +69,7 @@ class SubmissionService:
 
     def remove_job(self, job_id: int) -> None:
         """User-initiated removal of a queued (not running) job."""
-        db = self.container.db
+        db = self.db
         with db.transaction():
             db.execute("DELETE FROM matches WHERE job_id = ?", (job_id,))
             removed = db.execute(
@@ -92,7 +84,7 @@ class SubmissionService:
                     "SELECT state FROM jobs WHERE job_id = ?", (job_id,)
                 )
                 if state is None:
-                    raise BeanNotFound(f"jobs[{job_id!r}] not found")
-                raise BeanStateError(
+                    raise RowNotFound(f"jobs[{job_id!r}] not found")
+                raise RowStateError(
                     f"cannot remove job {job_id} in state {state!r}"
                 )

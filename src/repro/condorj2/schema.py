@@ -39,9 +39,8 @@ from typing import Any, Dict, FrozenSet, List, Mapping, Optional, Tuple
 # ----------------------------------------------------------------------
 # ``TABLE_DEFS`` below is the schema, said once.  The pure-Python engine
 # builds its tables from it directly; SQLite gets ``SCHEMA_STATEMENTS``,
-# which is ``render_ddl`` applied to it; ``TABLES``, ``VM_STATES``, the
-# lifecycle state domains, each entity bean's key and fields and the
-# analyzer's bean registry are all read back from it.  A column, an index
+# which is ``render_ddl`` applied to it; ``TABLES``, ``VM_STATES`` and the
+# lifecycle state domains are read back from it.  A column, an index
 # or a table is therefore one edit here.  (Rendered, not introspected out
 # of SQLite: CHECK domains, AUTOINCREMENT and WITHOUT ROWID are in no
 # PRAGMA, and the memory engine boots without ``sqlite3``.)
@@ -108,12 +107,6 @@ class TableDef:
             if col.name == name:
                 return col
         raise KeyError(name)
-
-    @property
-    def non_key_columns(self) -> Tuple[str, ...]:
-        """Every column outside the primary key, in declaration order."""
-        return tuple(col.name for col in self.columns
-                     if col.name not in self.primary_key)
 
     @property
     def integer_primary_key(self) -> Optional[str]:
@@ -207,7 +200,7 @@ TABLE_DEFS: Tuple[TableDef, ...] = (
             _col("vm_id", "TEXT"),
             _col("machine_name", "TEXT", not_null=True),
             _col("state", "TEXT", not_null=True, default="idle",
-                 check_in=("idle", "claiming", "busy", "offline")),
+                 check_in=("idle", "claiming", "busy")),
             _col("last_update", "REAL", not_null=True, default=0),
         ),
         primary_key=("vm_id",),
@@ -500,9 +493,7 @@ def _lifecycle(table: str, transitions: Dict[str, set],
 #: * vms — slot occupancy: ``idle -> claiming`` on acceptMatch, then to
 #:   ``busy`` (started event) and back to ``idle`` on completion/drop.
 #:   The startd's reported states may skip intermediate hops (delta
-#:   reporting), so reported edges among the live states are declared.
-#:   A slot the startd reports ``offline`` stays there: the reported-state
-#:   UPDATE only moves live slots, so no statement leaves it.
+#:   reporting), so reported edges among the three states are declared.
 LIFECYCLES: Dict[str, LifecycleDef] = {
     "jobs": _lifecycle(
         "jobs",
@@ -513,9 +504,9 @@ LIFECYCLES: Dict[str, LifecycleDef] = {
     "machines": _lifecycle("machines", {}, create=("alive",)),
     "vms": _lifecycle(
         "vms",
-        {"idle": {"claiming", "busy", "offline"},
-         "claiming": {"idle", "busy", "offline"},
-         "busy": {"idle", "offline"}},
+        {"idle": {"claiming", "busy"},
+         "claiming": {"idle", "busy"},
+         "busy": {"idle"}},
         create=("idle",)),
 }
 

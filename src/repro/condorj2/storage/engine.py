@@ -1,7 +1,7 @@
 """The pluggable storage engine behind the CondorJ2 access layer.
 
 :class:`StorageEngine` is the contract the access layer (and through it
-the bean container and the application-logic services) programs against:
+the application-logic services) programs against:
 statement execution with centralized accounting, batched execution, and
 explicit transaction control.  :class:`SqliteStorageEngine` is the bundled
 SQL-executing implementation — an in-process SQLite database executing the

@@ -80,7 +80,7 @@ class WebServiceRegistry:
             self.contracts.bind(name, handler)
         self.contracts.assert_fully_bound()
         self.gateway = ServiceGateway(
-            self.contracts, submission.container.db.counts, costs
+            self.contracts, submission.db.counts, costs
         )
 
     # ------------------------------------------------------------------

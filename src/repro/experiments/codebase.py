@@ -29,7 +29,6 @@ COMPONENTS: Dict[str, List[str]] = {
     # Common services: everything needed to submit, match, run, monitor.
     "condor-common": ["condor"],
     "condorj2-common": [
-        "condorj2/beans",
         "condorj2/logic/submission.py",
         "condorj2/logic/scheduling.py",
         "condorj2/logic/heartbeat.py",

@@ -26,9 +26,9 @@ Six properties are enforced here:
   package root.  The pre-refactor scheduler gated dependencies with
   ``f"SELECT COUNT(*) ... IN ({depends_on})"``; the normalized
   ``job_dependencies`` table removed it and this keeps it from coming
-  back.  The allow-list (``SLOT_CATEGORIES`` — the bean container's
-  schema-constant identifiers and placeholder lists — plus per-file
-  exemptions for the parser's diagnostics) is pinned here.
+  back.  The allow-list (``SLOT_CATEGORIES`` — the one ``table`` slot
+  of ``Database.table_count`` — plus per-file exemptions for the
+  parser's diagnostics) is pinned here.
 """
 
 import ast
@@ -53,8 +53,7 @@ from repro.condorj2.analysis.extract import (
     SqlTemplate,
     extract_corpus,
 )
-from repro.condorj2.beans import BeanContainer, BeanNotFound, BeanStateError
-from repro.condorj2.database import Database
+from repro.condorj2.database import Database, RowNotFound, RowStateError
 from repro.condorj2.logic import (
     ConfigService,
     HeartbeatService,
@@ -179,12 +178,11 @@ def _run_service_workload(backend):
     ledger is exactly the runtime corpus the extractor must cover.
     """
     db = Database(backend=backend)
-    container = BeanContainer(db)
-    submission = SubmissionService(container)
-    scheduling = SchedulingService(container)
-    lifecycle = LifecycleService(container)
-    heartbeat = HeartbeatService(container, scheduling, lifecycle)
-    config = ConfigService(container)
+    submission = SubmissionService(db)
+    scheduling = SchedulingService(db)
+    lifecycle = LifecycleService(db)
+    heartbeat = HeartbeatService(db, scheduling, lifecycle)
+    config = ConfigService(db)
     reports = ReportService(db)
 
     now = 1000.0
@@ -206,7 +204,7 @@ def _run_service_workload(backend):
         lifecycle.accept_match(row["job_id"], row["vm_id"], now + 1)
     assert len(pending) == 2
     done, dropped = pending
-    with pytest.raises(BeanStateError):  # a running job is not removable
+    with pytest.raises(RowStateError):  # a running job is not removable
         submission.remove_job(done["job_id"])
 
     # Start and complete one run, drop another, through the heartbeat
@@ -223,7 +221,7 @@ def _run_service_workload(backend):
 
     heartbeat.process({"machine": "m01", "events": [], "vms": [
         {"vm_id": "vm0@m01", "state": "idle"}]}, now + 14)
-    with pytest.raises(BeanNotFound):
+    with pytest.raises(RowNotFound):
         heartbeat.process({"machine": "m99", "vms": [], "events": []},
                           now + 15)
     submission.remove_job(third.job_id)
@@ -255,8 +253,16 @@ def test_corpus_covers_runtime_statements(backend):
     wrong parameters (the analyzer leaves those errors to them)."""
     texts = _run_service_workload(backend)
     corpus = extract_corpus(PACKAGE_ROOT)
-    uncovered = [sql for sql in texts if corpus.covers(sql) is None]
+    covering = {sql: corpus.covers(sql) for sql in texts}
+    uncovered = [sql for sql, statement in covering.items()
+                 if statement is None]
     assert uncovered == [], f"runtime statements not extracted: {uncovered}"
+    # Every statement the services send is written out as a constant;
+    # only table_count's per-table template renders its text.
+    templated = [sql for sql, statement in covering.items()
+                 if not statement.constant
+                 and not _counts_every_table(statement)]
+    assert templated == [], f"runtime statements not literal: {templated}"
     unexecuted = [f"{statement.file}:{statement.line}"
                   for statement in corpus.statements
                   if not any(sql in texts for sql in statement.renders)]
@@ -404,11 +410,11 @@ def test_a_seeded_full_scan_fails_the_scan_gate(tmp_path):
 
 
 def test_an_index_only_a_covering_scan_reaches_fails_the_credit_rule():
-    """Given ``machines(state, last_heartbeat)``, SQLite answers
-    ``poolStatus``'s count of machines by state with a covering full
-    scan of it, so the index is in a plan, but no statement searches it
-    or needs its order."""
-    extra = IndexDef("idx_machines_state", ("state", "last_heartbeat"))
+    """Given ``machines(last_heartbeat)``, SQLite answers
+    ``poolStatus``'s count of machines with a covering full scan of it,
+    the narrowest b-tree of the table, so the index is in a plan, but no
+    statement searches it or needs its order."""
+    extra = IndexDef("idx_machines_heartbeat", ("last_heartbeat",))
     mutant = tuple(
         dataclasses.replace(tdef, indexes=tdef.indexes + (extra,))
         if tdef.name == "machines" else tdef
@@ -626,12 +632,10 @@ def test_lint_catches_the_original_offender(tmp_path):
     assert "depends_on" not in SLOT_CATEGORIES
 
 
-def test_allow_lists_match_the_bean_container_idiom():
-    """The allow-list is exactly the reviewed identifier expressions."""
-    assert set(SLOT_CATEGORIES) == {
-        "bean_class.TABLE", "bean_class.PK",
-        "columns", "column_list", "placeholders", "table",
-    }
+def test_allow_lists_are_the_one_table_slot():
+    """The allow-list is exactly the reviewed identifier expressions:
+    ``table``, which ``Database.table_count`` interpolates."""
+    assert SLOT_CATEGORIES == {"table": "table"}
     assert ALLOWED_BY_FILE_SUFFIX == {
         "storage/sqlparser.py": {
             "self.sql", "self.peek().value", "token.value",

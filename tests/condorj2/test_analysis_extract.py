@@ -10,7 +10,7 @@ arguments it cannot resolve (a text grown by ``sql += ...`` is one).
 import textwrap
 
 from repro.condorj2.analysis.extract import extract_corpus
-from repro.condorj2.schema import TABLE_BY_NAME
+from repro.condorj2.schema import TABLES
 from repro.condorj2.storage import sqlparser
 
 
@@ -89,34 +89,29 @@ def test_module_level_constant_is_resolved(tmp_path):
     assert statement.method == "executemany"
 
 
-def test_allowed_fstring_slots_render_per_bean(tmp_path):
+def test_only_the_table_slot_renders(tmp_path):
+    """``table`` is the one allow-listed slot, rendered once per schema
+    table; an entity's TABLE/PK constants are value slots like any
+    other, so the text is neither rendered nor checked."""
     corpus = _extract(tmp_path, '''
-        class WidgetBean:
-            TABLE = "jobs"
+        class Store:
+            def table_count(self, table):
+                return self.scalar(f"SELECT COUNT(*) FROM {table}")
 
-        class NotABean:
-            TABLE = "widgets"
-
-        class Container:
-            def find(self, bean_class, pk):
-                return self.db.query_one(
-                    f"SELECT * FROM {bean_class.TABLE} "
-                    f"WHERE {bean_class.PK} = ?",
+            def find(self, entity, pk):
+                return self.query_one(
+                    f"SELECT * FROM {entity.TABLE} WHERE {entity.PK} = ?",
                     (pk,),
                 )
         ''')
-    # a bean is a class whose TABLE names a schema table; key and fields
-    # come from the declaration, not from the class body
-    assert [bean.name for bean in corpus.beans] == ["WidgetBean"]
-    (bean,) = corpus.beans
-    assert bean.pk == "job_id"
-    assert bean.insert_columns == tuple(
-        col.name for col in TABLE_BY_NAME["jobs"].columns)
-    assert len(corpus.statements) == 1
-    statement = corpus.statements[0]
-    assert not statement.constant
-    assert statement.renders == ["SELECT * FROM jobs WHERE job_id = ?"]
-    assert [f.rule for f in corpus.findings] == ["templated-sql"]
+    count, find = corpus.statements
+    assert not count.constant
+    assert count.renders == [f"SELECT COUNT(*) FROM {table}"
+                             for table in TABLES]
+    assert find.renders == []
+    assert sorted(f.rule for f in corpus.findings) == [
+        "dynamic-sql", "fstring-value-interpolation",
+        "fstring-value-interpolation", "templated-sql"]
 
 
 def test_text_grown_by_augmented_assignment_is_not_resolved(tmp_path):

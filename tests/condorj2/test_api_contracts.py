@@ -162,15 +162,17 @@ def test_unknown_field(gateway):
     assert "force" in fault.detail
 
 
-def test_enum_violation(gateway):
+@pytest.mark.parametrize("state", ("exploded", "offline"))
+def test_enum_violation(gateway, state):
     """The contract's enum is the one check of a reported VM state: the
-    gateway refuses the call before the handler dispatches anything."""
+    gateway refuses the call before the handler dispatches anything.
+    ``offline`` is no state of a slot: no pool ever moves one there."""
     before = gateway.counts.statements
     fault = _fault(gateway, "heartbeat", {
-        "machine": "m", "vms": [{"vm_id": "v", "state": "exploded"}],
+        "machine": "m", "vms": [{"vm_id": "v", "state": state}],
     })
-    assert fault.subcode == "bad-value"
-    assert "exploded" in fault.detail
+    assert (fault.code, fault.subcode) == (FaultCode.VALIDATION, "bad-value")
+    assert state in fault.detail
     assert gateway.counts.statements == before
 
 

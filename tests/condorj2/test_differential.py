@@ -23,8 +23,9 @@ import random
 import pytest
 
 from repro.cluster import JobSpec
-from repro.condorj2.beans import BeanContainer, BeanNotFound, BeanStateError
-from repro.condorj2.database import Database, DatabaseError
+from repro.condorj2.database import (
+    Database, DatabaseError, RowNotFound, RowStateError,
+)
 from repro.condorj2.logic import (
     ConfigService,
     HeartbeatService,
@@ -79,15 +80,14 @@ class Pool:
 
     def __init__(self, backend, database=None):
         self.backend = backend
-        self.container = BeanContainer(database or Database(backend=backend))
-        self.db = self.container.db
-        self.submission = SubmissionService(self.container)
-        self.scheduling = SchedulingService(self.container)
-        self.lifecycle = LifecycleService(self.container)
+        self.db = database or Database(backend=backend)
+        self.submission = SubmissionService(self.db)
+        self.scheduling = SchedulingService(self.db)
+        self.lifecycle = LifecycleService(self.db)
         self.heartbeat = HeartbeatService(
-            self.container, self.scheduling, self.lifecycle
+            self.db, self.scheduling, self.lifecycle
         )
-        self.config = ConfigService(self.container)
+        self.config = ConfigService(self.db)
 
     def close(self):
         self.db.close()
@@ -250,7 +250,7 @@ class TraceRunner:
         job = self.rng.choice(sorted(jobs, key=lambda row: row["job_id"]))
         for pool in self.pools:
             if job["state"] == "running":
-                with pytest.raises(BeanStateError, match="'running'"):
+                with pytest.raises(RowStateError, match="'running'"):
                     pool.submission.remove_job(job["job_id"])
             else:
                 pool.submission.remove_job(job["job_id"])
@@ -628,8 +628,8 @@ def test_remove_job_is_two_guarded_statements_on_every_backend():
         pool = _queued_matched_and_running(backend)
         db = pool.db
         steps = []
-        for job_id, error in ((2, None), (3, None), (1, BeanStateError),
-                              (2, BeanNotFound), (99, BeanNotFound)):
+        for job_id, error in ((2, None), (3, None), (1, RowStateError),
+                              (2, RowNotFound), (99, RowNotFound)):
             mark, edges = db.counts.mark(), dict(
                 db.counts.transitions.get("jobs", {}))
             if error is None:
@@ -669,7 +669,7 @@ def test_refused_removal_rolls_the_match_delete_back(backend):
     pool = _queued_matched_and_running(backend)
     pool.db.execute("UPDATE jobs SET state = 'running' WHERE job_id = 2")
     before = dump_tables(pool.db)
-    with pytest.raises(BeanStateError, match="'running'"):
+    with pytest.raises(RowStateError, match="'running'"):
         pool.submission.remove_job(2)
     assert pool.db.table_count("matches") == 1
     assert dump_tables(pool.db) == before

@@ -18,7 +18,6 @@ import shutil
 from pathlib import Path
 
 from repro.condorj2.analysis.dispatch import check_dispatch
-from repro.condorj2.beans import BeanContainer
 from repro.condorj2.database import Database
 from repro.condorj2.logic import (
     ConfigService,
@@ -81,12 +80,12 @@ _PER_ROW_MODULE = '''\
 
 
 class PerRowService:
-    def __init__(self, container):
-        self.container = container
+    def __init__(self, db):
+        self.db = db
 
     def requeue_all(self, job_ids, now):
         for job_id in job_ids:
-            self.container.db.execute(  # seeded-per-row
+            self.db.execute(  # seeded-per-row
                 "UPDATE jobs SET state = 'idle' WHERE job_id = ?",
                 (job_id,),
             )
@@ -105,11 +104,11 @@ _CALL_EDGE_MODULE = '''\
 
 
 class EdgeService:
-    def __init__(self, container):
-        self.container = container
+    def __init__(self, db):
+        self.db = db
 
     def _touch_one(self, job_id):
-        self.container.db.execute(
+        self.db.execute(
             "UPDATE jobs SET state = 'idle' WHERE job_id = ?", (job_id,))
 
     def touch_all(self, job_ids):
@@ -130,13 +129,13 @@ _WHILE_MODULE = '''\
 
 
 class DrainService:
-    def __init__(self, container):
-        self.container = container
+    def __init__(self, db):
+        self.db = db
 
     def drain(self, limit):
         count = 0
         while count < limit:
-            self.container.db.execute(  # seeded-while-dispatch
+            self.db.execute(  # seeded-while-dispatch
                 "DELETE FROM jobs WHERE job_id = "
                 "(SELECT MIN(job_id) FROM jobs)")
             count += 1
@@ -152,8 +151,8 @@ def test_seeded_unbounded_while_dispatch_is_an_error(tmp_path):
 
 
 _HANDLER_WHILE = (
-    "            return []\n        db = self.container.db\n",
-    "            return []\n        db = self.container.db\n"
+    "            return []\n        db = self.db\n",
+    "            return []\n        db = self.db\n"
     "        pending = list(specs)\n"
     "        while pending:\n"
     "            db.execute(  # seeded-handler-while\n"
@@ -172,12 +171,12 @@ def test_seeded_handler_while_dispatch_is_an_error(tmp_path):
 
 
 _RECURSION = (
-    "            return []\n        db = self.container.db\n",
+    "            return []\n        db = self.db\n",
     "            return []\n"
     "        if len(specs) > 1000:\n"
     "            self.submit_jobs(specs[1000:], now)  # seeded-recursion\n"
     "            specs = specs[:1000]\n"
-    "        db = self.container.db\n",
+    "        db = self.db\n",
 )
 
 
@@ -200,47 +199,47 @@ def test_unmutated_copy_of_the_service_layer_is_clean(tmp_path):
 # ----------------------------------------------------------------------
 
 def test_report_drops_is_four_statements_flat_in_batch_size():
-    container = BeanContainer(Database())
-    lifecycle = LifecycleService(container)
+    db = Database()
+    lifecycle = LifecycleService(db)
     drops = [(index, f"m1.vm{index}", "flaky") for index in range(1, 26)]
-    before = container.db.counts.snapshot()
+    before = db.counts.snapshot()
     lifecycle.report_drops(drops, now=1.0)
-    delta = container.db.counts.delta(before)
+    delta = db.counts.delta(before)
     assert delta.statements == 4
     assert delta.commits == 1
 
 
 def test_config_change_statements_are_flat_in_history_length():
-    """A change finds the policy, appends its audit row and updates it:
+    """A change finds the policy, updates it and appends its audit row:
     three statements however long the policy's history already is."""
     def change(earlier):
-        container = BeanContainer(Database())
-        config = ConfigService(container)
+        db = Database()
+        config = ConfigService(db)
         config.install_defaults(0.0, {"x": "0"})
         for index in range(1, earlier + 1):
             config.set("x", str(index), now=float(10 * index))
-        before = container.db.counts.snapshot()
+        before = db.counts.snapshot()
         config.set("x", "last", now=1000.0)
-        return container.db.counts.delta(before).statements
+        return db.counts.delta(before).statements
 
     assert change(1) == change(30) == 3
 
 
 def test_heartbeat_drop_events_dispatch_flat_statement_counts():
     def beat(drop_count):
-        container = BeanContainer(Database())
-        scheduling = SchedulingService(container)
-        lifecycle = LifecycleService(container)
-        heartbeat = HeartbeatService(container, scheduling, lifecycle)
+        db = Database()
+        scheduling = SchedulingService(db)
+        lifecycle = LifecycleService(db)
+        heartbeat = HeartbeatService(db, scheduling, lifecycle)
         heartbeat.register_machine({"name": "m1", "vm_count": 2}, 0.0)
         events = [
             {"kind": "dropped", "job_id": index, "vm_id": "m1.vm1",
              "reason": "flaky"}
             for index in range(1, drop_count + 1)
         ]
-        before = container.db.counts.snapshot()
+        before = db.counts.snapshot()
         heartbeat.process({"machine": "m1", "vms": [], "events": events},
                           now=1.0)
-        return container.db.counts.delta(before).statements
+        return db.counts.delta(before).statements
 
     assert beat(2) == beat(20)

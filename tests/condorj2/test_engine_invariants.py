@@ -14,7 +14,6 @@ shape the cost model prices.
 import pytest
 
 from repro.cluster import JobSpec
-from repro.condorj2.beans import BeanContainer
 from repro.condorj2.database import Database
 from repro.condorj2.logic import (
     HeartbeatService,
@@ -27,12 +26,12 @@ BACKENDS = ("sqlite", "memory", "wal")
 
 
 def build_services(backend):
-    container = BeanContainer(Database(backend=backend))
-    submission = SubmissionService(container)
-    scheduling = SchedulingService(container)
-    lifecycle = LifecycleService(container)
-    heartbeat = HeartbeatService(container, scheduling, lifecycle)
-    return container, submission, scheduling, lifecycle, heartbeat
+    db = Database(backend=backend)
+    submission = SubmissionService(db)
+    scheduling = SchedulingService(db)
+    lifecycle = LifecycleService(db)
+    heartbeat = HeartbeatService(db, scheduling, lifecycle)
+    return db, submission, scheduling, lifecycle, heartbeat
 
 
 def register(heartbeat, name="m1", vm_count=4, now=0.0):
@@ -46,15 +45,15 @@ def register(heartbeat, name="m1", vm_count=4, now=0.0):
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("depth", (50, 800))
 def test_scheduling_pass_is_two_statements(backend, depth):
-    container, submission, scheduling, _, heartbeat = build_services(backend)
+    db, submission, scheduling, _, heartbeat = build_services(backend)
     for machine in range(4):
         register(heartbeat, f"m{machine}", vm_count=4)
     submission.submit_jobs(
         [JobSpec(owner=f"u{i % 5}") for i in range(depth)], now=0.0
     )
-    before = container.db.counts.snapshot()
+    before = db.counts.snapshot()
     created = scheduling.run_pass(now=1.0)
-    delta = container.db.counts.delta(before)
+    delta = db.counts.delta(before)
     assert created == 16
     assert delta.statements == 3, (
         "a placing pass is the probe, one INSERT..SELECT and one set "
@@ -66,10 +65,10 @@ def test_scheduling_pass_is_two_statements(backend, depth):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_empty_pass_is_one_statement(backend):
-    container, _, scheduling, _, _ = build_services(backend)
-    before = container.db.counts.snapshot()
+    db, _, scheduling, _, _ = build_services(backend)
+    before = db.counts.snapshot()
     assert scheduling.run_pass(now=1.0) == 0
-    delta = container.db.counts.delta(before)
+    delta = db.counts.delta(before)
     assert delta.statements == 1  # the probe found no idle job
     assert delta.total() == 1
     assert delta.commits == 0  # a gated pass opens no transaction
@@ -94,13 +93,13 @@ def test_idle_beat_statement_count_is_pinned(backend):
     """Steady-state idle beats skip the MATCHINFO SELECT: 3 statements
     (machine refresh, idle-VM probe, the gated pass's probe) instead of
     5."""
-    container, _, scheduling, _, heartbeat = build_services(backend)
+    db, _, scheduling, _, heartbeat = build_services(backend)
     register(heartbeat, "m1", vm_count=2)
     _beat(heartbeat, "m1", now=1.0)  # first beat pays the full price
     skipped_before = heartbeat.matchinfo_selects_skipped
-    before = container.db.counts.snapshot()
+    before = db.counts.snapshot()
     response = _beat(heartbeat, "m1", now=2.0)
-    delta = container.db.counts.delta(before)
+    delta = db.counts.delta(before)
     assert response["status"] == "OK"
     assert delta.statements == 3
     assert delta.select == 2, (
@@ -112,7 +111,7 @@ def test_idle_beat_statement_count_is_pinned(backend):
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_dirty_flag_never_hides_fresh_matches(backend):
     """A match created by any path re-arms the machine's MATCHINFO probe."""
-    container, submission, scheduling, _, heartbeat = build_services(backend)
+    db, submission, scheduling, _, heartbeat = build_services(backend)
     register(heartbeat, "m1", vm_count=1)
     register(heartbeat, "m2", vm_count=1)
     assert _beat(heartbeat, "m1", now=1.0)["status"] == "OK"  # marked clean
@@ -127,7 +126,7 @@ def test_dirty_flag_never_hides_fresh_matches(backend):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_dirty_flag_rearms_after_accept_and_drop(backend):
-    container, submission, scheduling, lifecycle, heartbeat = \
+    db, submission, scheduling, lifecycle, heartbeat = \
         build_services(backend)
     register(heartbeat, "m1", vm_count=1)
     submission.submit_jobs([JobSpec()], now=0.0)
@@ -153,7 +152,7 @@ def test_rollback_invalidates_clean_marks(backend):
     """A rollback restores rows without reverting the write counter, so
     it must invalidate every clean mark — otherwise a match deleted in
     an aborted transaction could stay hidden after being restored."""
-    container, submission, scheduling, _, heartbeat = build_services(backend)
+    db, submission, scheduling, _, heartbeat = build_services(backend)
     register(heartbeat, "m1", vm_count=1)
     submission.submit_jobs([JobSpec()], now=0.0)
     response = _beat(heartbeat, "m1", now=1.0)
@@ -161,7 +160,6 @@ def test_rollback_invalidates_clean_marks(backend):
     job_id = response["matches"][0]["job_id"]
     # Delete the match inside a transaction, observe empty (mark set),
     # then abort: the match row comes back but the counters do not move.
-    db = container.db
     with pytest.raises(RuntimeError):
         with db.transaction():
             db.execute("DELETE FROM matches WHERE job_id = ?", (job_id,))
@@ -177,13 +175,13 @@ def test_idle_pool_sql_shrinks_with_dirty_flag(backend):
     """Fifty idle beats cost 2 fewer SELECT dispatches each than the
     pre-fix path (the MATCHINFO SELECT plus its re-check after the
     inline pass)."""
-    container, _, _, _, heartbeat = build_services(backend)
+    db, _, _, _, heartbeat = build_services(backend)
     register(heartbeat, "m1", vm_count=2)
     _beat(heartbeat, "m1", now=0.5)
-    before = container.db.counts.snapshot()
+    before = db.counts.snapshot()
     for beat in range(50):
         _beat(heartbeat, "m1", now=1.0 + beat)
-    delta = container.db.counts.delta(before)
+    delta = db.counts.delta(before)
     assert delta.statements == 3 * 50
     assert delta.select == 2 * 50, (
         "per beat: the idle-VM probe and the gated pass's probe (the "
@@ -202,7 +200,7 @@ def test_cache_ledger_pairs_are_equal_by_construction(backend):
     statement was admitted exactly once, and the eviction count is what
     the cache's occupancy implies.  (What lets a later benchmark change
     report one pair instead of two; the cache keeps no third copy.)"""
-    container, submission, scheduling, lifecycle, heartbeat = \
+    db, submission, scheduling, lifecycle, heartbeat = \
         build_services(backend)
     register(heartbeat, "m1", vm_count=2)
     submission.submit_jobs([JobSpec(owner="alice") for _ in range(4)], now=0.0)
@@ -210,7 +208,6 @@ def test_cache_ledger_pairs_are_equal_by_construction(backend):
         response = _beat(heartbeat, "m1", now=1.0 + beat)
         for match in response.get("matches", ()):
             lifecycle.accept_match(match["job_id"], match["vm_id"], now=2.0)
-    db = container.db
     for index in range(db.statement_cache.capacity + 5):  # force evictions
         db.execute(f"SELECT {index} FROM users")  # sql-ident: distinct texts
     counts, cache = db.counts, db.statement_cache

@@ -14,13 +14,8 @@ from repro.condorj2.api import (
 )
 from repro.condorj2.api.fields import SchemaDef, f_int, f_str
 from repro.condorj2.api.gateway import MALFORMED_OP, ServiceGateway
-from repro.condorj2.beans import (
-    BeanConsistencyError,
-    BeanNotFound,
-    BeanStateError,
-)
 from repro.condorj2.costs import CasCostModel
-from repro.condorj2.database import Database
+from repro.condorj2.database import Database, RowNotFound, RowStateError
 from repro.condorj2.logic import ReportService
 from repro.condorj2.storage import DatabaseError
 from repro.condorj2.web.soap import encode_request
@@ -139,10 +134,9 @@ def test_non_batchable_operation_is_refused_in_batch():
 #: What the probe handler raises after its statements, by request mode.
 _PROBE_RAISES = {
     "conflict": lambda: ConflictFault("taken", subcode="illegal-state"),
-    "not-found": lambda: BeanNotFound("no such tuple"),
-    "illegal-state": lambda: BeanStateError("wrong state"),
+    "not-found": lambda: RowNotFound("no such tuple"),
+    "illegal-state": lambda: RowStateError("wrong state"),
     "bad-value": lambda: ValueError("bad number"),
-    "broken-invariant": lambda: BeanConsistencyError("no cores"),
     "server-error": lambda: DatabaseError("disk gone"),
     "untranslated": lambda: RuntimeError("handler bug"),
 }
@@ -220,9 +214,6 @@ _FAULT_PATHS = {
         {"probe": (1, 1, 1, {_C: 1}, 1, 1, 1, 0, 0.0014)})),
     "bad-value": (([_probe("bad-value")], True), (
         [("ValidationFault", _V, "bad-value", "bad number", "probe")],
-        {"probe": (1, 1, 1, {_V: 1}, 1, 1, 1, 0, 0.0014)})),
-    "broken-invariant": (([_probe("broken-invariant")], True), (
-        [("ValidationFault", _V, "bad-value", "no cores", "probe")],
         {"probe": (1, 1, 1, {_V: 1}, 1, 1, 1, 0, 0.0014)})),
     "server-error": (([_probe("server-error")], True), (
         [("InternalFault", _I, "server-error", "disk gone", "probe")],
@@ -361,9 +352,9 @@ def test_fault_paths_end_to_end(envelope_factory, expected_code,
 ], ids=["no-vms", "no-cores"])
 def test_a_machine_without_cores_or_vms_is_the_clients_bad_value(
         description):
-    """The bean's invariant refuses the machine; the value is the
-    client's, so the fault is VALIDATION/bad-value, not the INTERNAL a
-    client reads as a server bug, and the transaction writes nothing."""
+    """registerMachine refuses the machine before any statement; the
+    value is the client's, so the fault is VALIDATION/bad-value, not the
+    INTERNAL a client reads as a server bug, and nothing is written."""
     system = small_system()
     system.start()
     system.sim.run(until=5.0)
@@ -373,6 +364,7 @@ def test_a_machine_without_cores_or_vms_is_the_clients_bad_value(
     fault = process.error
     assert isinstance(fault, ServiceFault)
     assert (fault.code, fault.subcode) == (FaultCode.VALIDATION, "bad-value")
+    assert fault.detail == "machine must have cores and vms"
     stats = system.cas.gateway.stats["registerMachine"]
     assert stats.fault_codes == {FaultCode.VALIDATION: 1}
     assert system.cas.faults_returned == faults_before + 1

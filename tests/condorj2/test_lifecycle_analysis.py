@@ -6,10 +6,10 @@ Three properties are enforced here:
   zero lifecycle/transaction errors, the tree implements every declared
   edge and writes every declared state, and the interprocedural
   protection fixpoint reaches the verdicts the code is written against
-  (``record_boot``/``change_value`` are protected by their callers);
+  (``complete_jobs`` is protected by its one caller's scope);
 * **sensitivity** — seeded mutations (an illegal transition target, a
-  stripped state guard, a parameter-bound state write put back on the
-  bean path or in a service, a transition split across two transaction
+  stripped state guard, a parameter-bound state write in a per-table
+  template or in a service, a transition split across two transaction
   scopes) are each caught by exactly the intended rule with exact
   file:line provenance;
 * **runtime cross-check** — a full service workload's observed
@@ -30,7 +30,6 @@ from repro.condorj2.analysis import (
 )
 from repro.condorj2.analysis.lifecycle import build_graphs
 from repro.condorj2.analysis.txn import exposure, protection, writes_of
-from repro.condorj2.beans import BeanContainer
 from repro.condorj2.database import Database
 from repro.condorj2.logic import (
     HeartbeatService,
@@ -50,11 +49,9 @@ PACKAGE_ROOT = REPO_ROOT / "src" / "repro" / "condorj2"
 # ----------------------------------------------------------------------
 
 def _copy_logic(tmp_path):
-    """An analyzable tree holding a private copy of ``logic/`` and of
-    the ``beans/`` it calls."""
+    """An analyzable tree holding a private copy of ``logic/``."""
     root = tmp_path / "tree"
     shutil.copytree(PACKAGE_ROOT / "logic", root / "logic")
-    shutil.copytree(PACKAGE_ROOT / "beans", root / "beans")
     return root
 
 
@@ -88,7 +85,7 @@ def test_seeded_illegal_transition_is_caught(tmp_path):
     root = _copy_logic(tmp_path)
     _mutate(root, "SET state = 'running', attempts",
             "SET state = 'completed', attempts")
-    line = _line_of(root, "updated = self.container.db.execute(")
+    line = _line_of(root, "updated = self.db.execute(")
     assert ("illegal-transition", "logic/lifecycle.py", line) \
         in _error_sites(root)
 
@@ -97,49 +94,43 @@ def test_seeded_unguarded_state_write_is_caught(tmp_path):
     """The VM claim stripped of its state guard writes blind."""
     root = _copy_logic(tmp_path)
     _mutate(root, "WHERE vm_id = ? AND state = 'idle'", "WHERE vm_id = ?")
-    line = _line_of(root, "claimed = self.container.db.execute(")
+    line = _line_of(root, "claimed = self.db.execute(")
     assert ("unguarded-state-write", "logic/lifecycle.py", line) \
         in _error_sites(root)
 
 
-_BEAN_STATE_WRITE = '''
+_TABLE_STATE_WRITE = '''\
+def set_state(db, table, key, state):
+    """Seeded defect: the row-at-a-time state write, as generic as
+    the entity-bean path once spelled it."""
+    db.execute(  # seeded-table-state-write
+        f"UPDATE {table} SET state = ? WHERE rowid = ?", (state, key))
 
-    def set_state(self, bean_class, pk, state):
-        """Seeded defect: the row-at-a-time state write, back on the
-        bean path and as generic as it ever was."""
-        self.db.execute(  # seeded-bean-state-write
-            f"UPDATE {bean_class.TABLE} SET state = ? "
-            f"WHERE {bean_class.PK} = ?",
-            (state, pk),
-        )
 
-    def remove(self, bean_class, pk):
-        self.db.execute(  # seeded-bean-delete
-            f"DELETE FROM {bean_class.TABLE} WHERE {bean_class.PK} = ?",
-            (pk,),
-        )
+def remove(db, table, key):
+    db.execute(  # seeded-table-delete
+        f"DELETE FROM {table} WHERE rowid = ?", (key,))
 '''
 
 
-def test_seeded_parameter_bound_state_write_is_caught_on_the_bean_path(
+def test_seeded_parameter_bound_state_write_is_caught_on_a_table_template(
         tmp_path):
     """The lifecycle pass reads every render of a template, so a generic
-    ``UPDATE {table} SET state = ?`` on the container is an unguarded
-    write of each lifecycle table a bean serves, and a generic DELETE an
-    illegal transition of the one whose rows are never deleted."""
+    ``UPDATE {table} SET state = ?`` is an unguarded write of each
+    lifecycle table, and a generic DELETE an illegal transition of each
+    one whose rows are never deleted."""
     root = _copy_logic(tmp_path)
-    target = root / "beans" / "base.py"
-    target.write_text(target.read_text() + _BEAN_STATE_WRITE)
+    (root / "logic" / "generic.py").write_text(_TABLE_STATE_WRITE)
     _corpus, findings = analyze(root)
-    write = _line_of(root, "# seeded-bean-state-write", "beans/base.py")
+    write = _line_of(root, "# seeded-table-state-write", "logic/generic.py")
     blind = {(f.file, f.line, f.message.split()[1]) for f in findings
              if f.rule == "unguarded-state-write"}
-    assert blind == {("beans/base.py", write, table)
-                     for table in ("jobs", "machines")}
-    delete = _line_of(root, "# seeded-bean-delete", "beans/base.py")
+    assert blind == {("logic/generic.py", write, table)
+                     for table in ("jobs", "machines", "vms")}
+    delete = _line_of(root, "# seeded-table-delete", "logic/generic.py")
     illegal = [f.message for f in findings if f.line == delete
                and f.rule == "illegal-transition"]
-    assert len(illegal) == 1 and all(  # machines
+    assert len(illegal) == 2 and all(  # machines, vms
         "declares no deletable states" in message for message in illegal)
 
 
@@ -192,16 +183,16 @@ def test_every_declared_edge_and_state_has_a_writer_in_the_tree():
 
 _SPLIT_FUNCTION = '''
 
-def requeue_job_split(container, job_id, now):
+def requeue_job_split(db, job_id, now):
     """Seeded defect: the transition and its cleanup commit separately."""
-    with container.db.transaction():
-        container.db.execute(  # seeded-split-write
+    with db.transaction():
+        db.execute(  # seeded-split-write
             "UPDATE jobs SET state = 'idle' "
             "WHERE job_id = ? AND state IN ('matched', 'running')",
             (job_id,),
         )
-    with container.db.transaction():
-        container.db.execute(
+    with db.transaction():
+        db.execute(
             "DELETE FROM matches WHERE job_id = ?", (job_id,)
         )
 '''
@@ -220,13 +211,13 @@ _UNPROTECTED_FIXTURE = '''\
 class BrokenService:
     """Seeded defect: two-table requeue with no transaction scope."""
 
-    def __init__(self, container):
-        self.container = container
+    def __init__(self, db):
+        self.db = db
 
     def requeue(self, job_id, now):
-        self.container.db.execute(  # seeded-unprotected-write
+        self.db.execute(  # seeded-unprotected-write
             "DELETE FROM runs WHERE job_id = ?", (job_id,))
-        self.container.db.execute(
+        self.db.execute(
             "UPDATE jobs SET state = 'idle' "
             "WHERE job_id = ? AND state IN ('matched', 'running')",
             (job_id,),
@@ -251,9 +242,9 @@ def test_txn_model_protection_fixpoint_on_real_tree():
     index = build_function_index(PACKAGE_ROOT)
     protected = protection(index)
     exposed = exposure(index, writes_of(extract_corpus(PACKAGE_ROOT), index))
-    for qualname in ("beans/entities.py:MachineBean.record_boot",
-                     "beans/entities.py:PolicyBean.change_value"):
-        assert protected[qualname], qualname
+    # apply_events, the one caller of complete_jobs, calls it inside
+    # its scope.
+    assert protected["logic/lifecycle.py:LifecycleService.complete_jobs"]
     # beginExecute reaches apply_events through ``self.heartbeat`` with
     # no scope open, so apply_events must carry its own scope, and does.
     apply = "logic/heartbeat.py:HeartbeatService.apply_events"
@@ -464,11 +455,10 @@ def test_self_attribute_call_outside_a_scope_strips_protection(tmp_path):
 
 def _drive_workload(db):
     """Every lifecycle table through its paces, services only."""
-    container = BeanContainer(db)
-    submission = SubmissionService(container)
-    scheduling = SchedulingService(container)
-    lifecycle = LifecycleService(container)
-    heartbeat = HeartbeatService(container, scheduling, lifecycle)
+    submission = SubmissionService(db)
+    scheduling = SchedulingService(db)
+    lifecycle = LifecycleService(db)
+    heartbeat = HeartbeatService(db, scheduling, lifecycle)
 
     now = 1000.0
     heartbeat.register_machine({"name": "m00", "vm_count": 2}, now)
@@ -495,10 +485,6 @@ def _drive_workload(db):
     if len(pending) > 1:
         lifecycle.report_drop(pending[1]["job_id"], pending[1]["vm_id"],
                               now + 11, reason="test-drop")
-    # The startd reports m01's one slot offline.
-    heartbeat.process(
-        {"machine": "m01", "vms": [{"vm_id": "vm0@m01", "state": "offline"}],
-         "events": []}, now + 600)
     return {table: dict(edges)
             for table, edges in db.counts.transitions.items()}
 

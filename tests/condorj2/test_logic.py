@@ -3,9 +3,12 @@
 import pytest
 
 from repro.cluster import JobSpec
-from repro.condorj2.beans import BeanContainer, BeanStateError
-from repro.condorj2.beans.base import BeanNotFound
-from repro.condorj2.database import Database
+from repro.condorj2.database import (
+    Database,
+    DatabaseError,
+    RowNotFound,
+    RowStateError,
+)
 from repro.condorj2.logic import (
     ConfigService,
     HeartbeatService,
@@ -19,14 +22,14 @@ from repro.condorj2.schema import TABLE_BY_NAME
 
 @pytest.fixture
 def services():
-    container = BeanContainer(Database())
-    submission = SubmissionService(container)
-    scheduling = SchedulingService(container)
-    lifecycle = LifecycleService(container)
-    heartbeat = HeartbeatService(container, scheduling, lifecycle)
-    reports = ReportService(container.db)
-    config = ConfigService(container)
-    return container, submission, scheduling, lifecycle, heartbeat, reports, config
+    db = Database()
+    submission = SubmissionService(db)
+    scheduling = SchedulingService(db)
+    lifecycle = LifecycleService(db)
+    heartbeat = HeartbeatService(db, scheduling, lifecycle)
+    reports = ReportService(db)
+    config = ConfigService(db)
+    return db, submission, scheduling, lifecycle, heartbeat, reports, config
 
 
 def register_machine(heartbeat, name="m1", vm_count=2, now=0.0):
@@ -41,38 +44,80 @@ def register_machine(heartbeat, name="m1", vm_count=2, now=0.0):
 # submission
 # ----------------------------------------------------------------------
 def test_submit_job_inserts_tuple(services):
-    container, submission, *_ = services
+    db, submission, *_ = services
     job_id = submission.submit_job(JobSpec(owner="alice", run_seconds=30.0), now=1.0)
-    row = container.db.query_one("SELECT * FROM jobs WHERE job_id = ?", (job_id,))
+    row = db.query_one("SELECT * FROM jobs WHERE job_id = ?", (job_id,))
     assert row["owner"] == "alice"
     assert row["state"] == "idle"
-    assert container.db.table_count("users") == 1
+    assert db.table_count("users") == 1
 
 
 def test_submit_jobs_batch(services):
-    container, submission, *_ = services
+    db, submission, *_ = services
     ids = submission.submit_jobs([JobSpec(), JobSpec(), JobSpec()], now=0.0)
     assert len(ids) == 3
-    assert container.db.table_count("jobs") == 3
+    assert db.table_count("jobs") == 3
+
+
+def test_submitted_job_row_carries_its_spec(services):
+    db, submission, *_ = services
+    spec = JobSpec(owner="bob", cmd="/bin/sim", args=("-n", "4"),
+                   run_seconds=12.5, image_size_mb=64,
+                   requirements="Arch == \"INTEL\"", rank="Memory")
+    submission.submit_job(spec, now=7.0)
+    row = db.query_one(
+        "SELECT owner, cmd, args, state, run_seconds, image_size_mb, "
+        "requirements, rank, submitted_at, attempts FROM jobs "
+        "WHERE job_id = ?", (spec.job_id,))
+    assert tuple(row) == ("bob", "/bin/sim", "-n 4", "idle", 12.5, 64,
+                          "Arch == \"INTEL\"", "Memory", 7.0, 0)
+
+
+def test_submit_jobs_is_three_batches_whatever_its_size(services):
+    """One batch each for owners, job tuples and dependency edges; no
+    statement per job (footnote 1: no object per tuple either)."""
+    db, submission, *_ = services
+    first = JobSpec(owner="alice")
+    specs = [first, JobSpec(owner="bob"),
+             JobSpec(owner="alice", depends_on=(first.job_id,)),
+             JobSpec(owner="carol"), JobSpec(owner="bob")]
+    before = db.counts.snapshot()
+    submission.submit_jobs(specs, now=0.0)
+    spent = db.counts.delta(before)
+    assert (spent.statements, spent.batches) == (3, 3)
+    assert spent.insert == 3 + 5 + 1  # rows of work, one per parameter row
+    assert db.table_count("users") == 3
+    assert db.table_count("jobs") == 5
+    assert db.table_count("job_dependencies") == 1
+
+
+def test_submit_jobs_refuses_the_whole_batch_on_one_bad_row(services):
+    db, submission, *_ = services
+    taken = submission.submit_job(JobSpec(owner="alice"), now=0.0)
+    fresh = JobSpec(owner="dave")
+    with pytest.raises(DatabaseError):
+        submission.submit_jobs([fresh, JobSpec(job_id=taken)], now=1.0)
+    assert [row[0] for row in db.query_all("SELECT job_id FROM jobs")] == [taken]
+    assert db.scalar("SELECT COUNT(*) FROM users WHERE user_name = 'dave'") == 0
 
 
 def test_remove_idle_job(services):
-    container, submission, *_ = services
+    db, submission, *_ = services
     job_id = submission.submit_job(JobSpec(), now=0.0)
     submission.remove_job(job_id)
-    assert container.db.table_count("jobs") == 0
+    assert db.table_count("jobs") == 0
 
 
 def test_remove_matched_job_takes_its_match_and_frees_the_slot(services):
-    container, submission, scheduling, _, heartbeat, *_ = services
+    db, submission, scheduling, _, heartbeat, *_ = services
     register_machine(heartbeat, vm_count=1)
     first = submission.submit_job(JobSpec(), now=0.0)
     second = submission.submit_job(JobSpec(), now=0.0)
     assert scheduling.run_pass(now=1.0) == 1
     submission.remove_job(first)
-    assert container.db.table_count("matches") == 0
+    assert db.table_count("matches") == 0
     assert scheduling.run_pass(now=2.0) == 1  # the slot goes to the next job
-    assert container.db.scalar("SELECT job_id FROM matches") == second
+    assert db.scalar("SELECT job_id FROM matches") == second
 
 
 def test_remove_unknown_or_already_removed_job_is_not_found(services):
@@ -80,33 +125,33 @@ def test_remove_unknown_or_already_removed_job_is_not_found(services):
     job_id = submission.submit_job(JobSpec(), now=0.0)
     submission.remove_job(job_id)
     for missing in (job_id, 10 ** 9):
-        with pytest.raises(BeanNotFound):
+        with pytest.raises(RowNotFound):
             submission.remove_job(missing)
 
 
 def test_remove_running_job_rejected(services):
-    container, submission, scheduling, lifecycle, heartbeat, *_ = services
+    db, submission, scheduling, lifecycle, heartbeat, *_ = services
     register_machine(heartbeat)
     job_id = submission.submit_job(JobSpec(), now=0.0)
     scheduling.run_pass(now=1.0)
-    match = container.db.query_one("SELECT vm_id FROM matches WHERE job_id = ?", (job_id,))
+    match = db.query_one("SELECT vm_id FROM matches WHERE job_id = ?", (job_id,))
     lifecycle.accept_match(job_id, match["vm_id"], now=2.0)
-    with pytest.raises(BeanStateError, match="in state 'running'"):
+    with pytest.raises(RowStateError, match="in state 'running'"):
         submission.remove_job(job_id)
-    assert container.db.table_count("runs") == 1
+    assert db.table_count("runs") == 1
 
 
 # ----------------------------------------------------------------------
 # scheduling
 # ----------------------------------------------------------------------
 def test_scheduling_pass_creates_matches(services):
-    container, submission, scheduling, _, heartbeat, *_ = services
+    db, submission, scheduling, _, heartbeat, *_ = services
     register_machine(heartbeat, vm_count=2)
     submission.submit_jobs([JobSpec(), JobSpec(), JobSpec()], now=0.0)
     created = scheduling.run_pass(now=1.0)
     assert created == 2  # limited by idle VMs
-    assert container.db.table_count("matches") == 2
-    states = [r["state"] for r in container.db.query_all(
+    assert db.table_count("matches") == 2
+    states = [r["state"] for r in db.query_all(
         "SELECT state FROM jobs ORDER BY job_id")]
     assert states.count("matched") == 2
     assert states.count("idle") == 1
@@ -121,42 +166,42 @@ def test_scheduling_pass_idempotent_when_no_capacity(services):
 
 
 def test_scheduling_respects_user_priority(services):
-    container, submission, scheduling, _, heartbeat, *_ = services
+    db, submission, scheduling, _, heartbeat, *_ = services
     register_machine(heartbeat, vm_count=1)
     low = JobSpec(owner="low-priority")
     high = JobSpec(owner="high-priority")
     submission.submit_jobs([low, high], now=0.0)
-    container.db.execute(
+    db.execute(
         "UPDATE users SET priority = 0.9 WHERE user_name = 'low-priority'"
     )
-    container.db.execute(
+    db.execute(
         "UPDATE users SET priority = 0.1 WHERE user_name = 'high-priority'"
     )
     scheduling.run_pass(now=1.0)
-    match = container.db.query_one("SELECT job_id FROM matches")
+    match = db.query_one("SELECT job_id FROM matches")
     assert match["job_id"] == high.job_id
 
 
 def test_scheduling_defers_dependent_jobs(services):
-    container, submission, scheduling, lifecycle, heartbeat, *_ = services
+    db, submission, scheduling, lifecycle, heartbeat, *_ = services
     register_machine(heartbeat, vm_count=2)
     parent = JobSpec()
     child = JobSpec(depends_on=(parent.job_id,))
     submission.submit_jobs([parent, child], now=0.0)
     scheduling.run_pass(now=1.0)
-    matched = [r["job_id"] for r in container.db.query_all("SELECT job_id FROM matches")]
+    matched = [r["job_id"] for r in db.query_all("SELECT job_id FROM matches")]
     assert matched == [parent.job_id]
     # Complete the parent; the child becomes eligible.
-    match = container.db.query_one("SELECT vm_id FROM matches")
+    match = db.query_one("SELECT vm_id FROM matches")
     lifecycle.accept_match(parent.job_id, match["vm_id"], now=2.0)
     lifecycle.complete_jobs([(parent.job_id, match["vm_id"])], now=3.0)
     scheduling.run_pass(now=4.0)
-    matched = [r["job_id"] for r in container.db.query_all("SELECT job_id FROM matches")]
+    matched = [r["job_id"] for r in db.query_all("SELECT job_id FROM matches")]
     assert child.job_id in matched
 
 
 def test_pending_matches_scoped_to_machine(services):
-    container, submission, scheduling, _, heartbeat, *_ = services
+    db, submission, scheduling, _, heartbeat, *_ = services
     register_machine(heartbeat, "m1", vm_count=1)
     register_machine(heartbeat, "m2", vm_count=1)
     submission.submit_jobs([JobSpec(), JobSpec()], now=0.0)
@@ -172,29 +217,29 @@ def test_pending_matches_scoped_to_machine(services):
 # lifecycle
 # ----------------------------------------------------------------------
 def full_cycle(services, now=0.0):
-    container, submission, scheduling, lifecycle, heartbeat, *_ = services
+    db, submission, scheduling, lifecycle, heartbeat, *_ = services
     register_machine(heartbeat)
     job_id = submission.submit_job(JobSpec(owner="alice", run_seconds=60.0), now)
     scheduling.run_pass(now + 1)
-    match = container.db.query_one("SELECT vm_id FROM matches WHERE job_id = ?", (job_id,))
+    match = db.query_one("SELECT vm_id FROM matches WHERE job_id = ?", (job_id,))
     return job_id, match["vm_id"]
 
 
 def test_accept_match_moves_match_to_run(services):
-    container, *_ = services
+    db, *_ = services
     lifecycle = services[3]
     job_id, vm_id = full_cycle(services)
     response = lifecycle.accept_match(job_id, vm_id, now=2.0)
     assert response["status"] == "OK"
-    assert container.db.table_count("matches") == 0
-    assert container.db.table_count("runs") == 1
-    job = container.db.query_one("SELECT state FROM jobs WHERE job_id = ?", (job_id,))
+    assert db.table_count("matches") == 0
+    assert db.table_count("runs") == 1
+    job = db.query_one("SELECT state FROM jobs WHERE job_id = ?", (job_id,))
     assert job["state"] == "running"
 
 
 def test_accept_match_unknown_pair_raises(services):
     lifecycle = services[3]
-    with pytest.raises(BeanNotFound):
+    with pytest.raises(RowNotFound):
         lifecycle.accept_match(999, "vm0@nowhere", now=0.0)
 
 
@@ -202,56 +247,56 @@ def test_accept_match_rejects_job_not_in_matched_state(services):
     """The jobs guard is a lifecycle check, and its failure is atomic:
     the match and run tuples written earlier in the transaction roll
     back (the paper's footnote-7 guarantee)."""
-    container = services[0]
+    db = services[0]
     lifecycle = services[3]
     job_id, vm_id = full_cycle(services)
-    container.db.execute(
+    db.execute(
         "UPDATE jobs SET state = 'idle' "
         "WHERE job_id = ? AND state = 'matched'",
         (job_id,),
     )
-    with pytest.raises(BeanStateError, match="illegal transition to 'running'"):
+    with pytest.raises(RowStateError, match="illegal transition to 'running'"):
         lifecycle.accept_match(job_id, vm_id, now=2.0)
-    assert container.db.table_count("matches") == 1
-    assert container.db.table_count("runs") == 0
-    job = container.db.query_one(
+    assert db.table_count("matches") == 1
+    assert db.table_count("runs") == 0
+    job = db.query_one(
         "SELECT state FROM jobs WHERE job_id = ?", (job_id,))
     assert job["state"] == "idle"
 
 
 def test_accept_match_rejects_non_idle_vm(services):
-    container = services[0]
+    db = services[0]
     lifecycle = services[3]
     job_id, vm_id = full_cycle(services)
-    container.db.execute(
-        "UPDATE vms SET state = 'offline' WHERE vm_id = ? AND state = 'idle'",
+    db.execute(
+        "UPDATE vms SET state = 'busy' WHERE vm_id = ? AND state = 'idle'",
         (vm_id,),
     )
-    with pytest.raises(BeanStateError, match="cannot claim a non-idle slot"):
+    with pytest.raises(RowStateError, match="cannot claim a non-idle slot"):
         lifecycle.accept_match(job_id, vm_id, now=2.0)
     # The whole acceptMatch rolled back: the job is still matched.
-    job = container.db.query_one(
+    job = db.query_one(
         "SELECT state FROM jobs WHERE job_id = ?", (job_id,))
     assert job["state"] == "matched"
-    assert container.db.table_count("matches") == 1
+    assert db.table_count("matches") == 1
 
 
 def test_complete_job_performs_post_execution_processing(services):
-    container = services[0]
+    db = services[0]
     lifecycle = services[3]
     job_id, vm_id = full_cycle(services)
     lifecycle.accept_match(job_id, vm_id, now=2.0)
     lifecycle.complete_jobs([(job_id, vm_id)], now=62.0)
     # Operational tuples gone (Table 2, step 15).
-    assert container.db.table_count("jobs") == 0
-    assert container.db.table_count("runs") == 0
+    assert db.table_count("jobs") == 0
+    assert db.table_count("runs") == 0
     # History + accounting written.
-    history = container.db.query_one("SELECT * FROM job_history WHERE job_id = ?", (job_id,))
+    history = db.query_one("SELECT * FROM job_history WHERE job_id = ?", (job_id,))
     assert history["final_state"] == "completed"
     assert history["completed_at"] == 62.0
-    accounting = container.db.query_one("SELECT * FROM accounting WHERE job_id = ?", (job_id,))
+    accounting = db.query_one("SELECT * FROM accounting WHERE job_id = ?", (job_id,))
     assert accounting["wall_seconds"] == pytest.approx(60.0)
-    usage = container.db.scalar(
+    usage = db.scalar(
         "SELECT accumulated_usage_seconds FROM users WHERE user_name = 'alice'"
     )
     assert usage == pytest.approx(60.0)
@@ -260,20 +305,20 @@ def test_complete_job_performs_post_execution_processing(services):
 def test_complete_unstarted_job_rejected(services):
     lifecycle = services[3]
     job_id, vm_id = full_cycle(services)
-    with pytest.raises(BeanStateError):
+    with pytest.raises(RowStateError):
         lifecycle.complete_jobs([(job_id, vm_id)], now=10.0)
 
 
 def test_drop_requeues_job(services):
-    container = services[0]
+    db = services[0]
     lifecycle = services[3]
     job_id, vm_id = full_cycle(services)
     lifecycle.accept_match(job_id, vm_id, now=2.0)
     lifecycle.report_drop(job_id, vm_id, now=3.0, reason="setup-timeout")
-    job = container.db.query_one("SELECT state FROM jobs WHERE job_id = ?", (job_id,))
+    job = db.query_one("SELECT state FROM jobs WHERE job_id = ?", (job_id,))
     assert job["state"] == "idle"
-    assert container.db.table_count("runs") == 0
-    vm = container.db.query_one("SELECT state FROM vms WHERE vm_id = ?", (vm_id,))
+    assert db.table_count("runs") == 0
+    vm = db.query_one("SELECT state FROM vms WHERE vm_id = ?", (vm_id,))
     assert vm["state"] == "idle"
 
 
@@ -281,15 +326,15 @@ def test_history_records_completions_only_and_reports_nothing_else(services):
     """A drop requeues the job and writes no history row, so no report
     filters ``job_history`` by outcome and no index is kept for one
     (drop statistics come from the event log: ``drop_stats``)."""
-    container, lifecycle, reports = services[0], services[3], services[5]
+    db, lifecycle, reports = services[0], services[3], services[5]
     job_id, vm_id = full_cycle(services)
     lifecycle.accept_match(job_id, vm_id, now=2.0)
     lifecycle.report_drop(job_id, vm_id, now=3.0, reason="setup-timeout")
-    assert container.db.table_count("job_history") == 0
+    assert db.table_count("job_history") == 0
     services[2].run_pass(now=4.0)
     lifecycle.accept_match(job_id, vm_id, now=5.0)
     lifecycle.complete_jobs([(job_id, vm_id)], now=65.0)
-    outcomes = container.db.query_all("SELECT final_state FROM job_history")
+    outcomes = db.query_all("SELECT final_state FROM job_history")
     assert [row["final_state"] for row in outcomes] == ["completed"]
     assert not hasattr(reports, "drops_by_machine")
     assert [index.name for index in TABLE_BY_NAME["job_history"].indexes] == [
@@ -300,19 +345,83 @@ def test_history_records_completions_only_and_reports_nothing_else(services):
 # heartbeat
 # ----------------------------------------------------------------------
 def test_register_machine_creates_tuples_and_boot_history(services):
-    container = services[0]
+    db = services[0]
     heartbeat = services[4]
-    register_machine(heartbeat, "m9", vm_count=3)
-    assert container.db.table_count("machines") == 1
-    assert container.db.table_count("vms") == 3
-    assert container.db.table_count("machine_boot_history") == 1
+    heartbeat.register_machine(
+        {"name": "m9", "arch": "SPARC", "opsys": "SOLARIS", "cores": 2,
+         "memory_mb": 1024.0, "vm_count": 3}, 1.0)
+    assert db.table_count("machines") == 1
+    assert db.table_count("vms") == 3
+    assert db.table_count("machine_boot_history") == 1
     register_machine(heartbeat, "m9", vm_count=3, now=100.0)  # reboot
-    assert container.db.table_count("machine_boot_history") == 2
-    assert container.db.table_count("vms") == 3  # no duplicates
+    assert db.table_count("vms") == 3  # no duplicates
+    machine = db.query_one(
+        "SELECT boot_count, last_heartbeat FROM machines "
+        "WHERE machine_name = 'm9'")
+    assert tuple(machine) == (2, 100.0)
+    # Each boot records the attributes the machine was first stored
+    # with: they change only when the machine is rebooted.
+    history = db.query_all(
+        "SELECT booted_at, arch, opsys, cores, memory_mb "
+        "FROM machine_boot_history ORDER BY boot_id")
+    assert [tuple(row) for row in history] == [
+        (1.0, "SPARC", "SOLARIS", 2, 1024.0),
+        (100.0, "SPARC", "SOLARIS", 2, 1024.0)]
+
+
+def test_first_contact_stores_the_machine_as_described(services):
+    db = services[0]
+    heartbeat = services[4]
+    heartbeat.register_machine(
+        {"name": "m5", "arch": "X86_64", "opsys": "OSX", "cores": 8,
+         "memory_mb": 4096.0, "vm_count": 2}, 3.0)
+    machine = db.query_one(
+        "SELECT arch, opsys, cores, memory_mb, vm_count, state, "
+        "last_heartbeat, boot_count FROM machines WHERE machine_name = 'm5'")
+    assert tuple(machine) == ("X86_64", "OSX", 8, 4096.0, 2, "alive", 3.0, 1)
+    vms = db.query_all(
+        "SELECT vm_id, state, last_update FROM vms "
+        "WHERE machine_name = 'm5' ORDER BY vm_id")
+    assert [tuple(vm) for vm in vms] == [
+        ("vm0@m5", "idle", 3.0), ("vm1@m5", "idle", 3.0)]
+
+
+def _verbs(db, action):
+    """The leading verb of every statement ``action`` dispatches, sorted
+    (the text ledger keeps first-ever-seen order, not this call's)."""
+    before = db.counts.snapshot()
+    action()
+    texts = db.counts.delta(before).texts
+    return sorted(sql.split()[0] for sql, n in texts.items() for _ in range(n))
+
+
+def test_register_machine_reads_no_row_back_after_its_insert(services):
+    """First contact looks the machine up once and then only writes;
+    a re-registration skips the machine INSERT."""
+    db = services[0]
+    heartbeat = services[4]
+    first = _verbs(db, lambda: register_machine(heartbeat, "m7", now=1.0))
+    assert first == ["INSERT", "INSERT", "INSERT", "SELECT", "UPDATE"]
+    again = _verbs(db, lambda: register_machine(heartbeat, "m7", now=2.0))
+    assert again == ["INSERT", "INSERT", "SELECT", "UPDATE"]
+
+
+@pytest.mark.parametrize("description", [
+    {"name": "m-bad", "cores": 0, "vm_count": 2},
+    {"name": "m-bad", "cores": 2, "vm_count": 0},
+], ids=["no-cores", "no-vms"])
+def test_register_machine_refuses_no_cores_or_vms_before_any_statement(
+        services, description):
+    db = services[0]
+    heartbeat = services[4]
+    before = db.counts.statements
+    with pytest.raises(ValueError, match="^machine must have cores and vms$"):
+        heartbeat.register_machine(description, 0.0)
+    assert db.counts.statements == before
 
 
 def test_heartbeat_updates_machine_and_vms(services):
-    container = services[0]
+    db = services[0]
     heartbeat = services[4]
     register_machine(heartbeat, "m1", vm_count=2)
     response = heartbeat.process(
@@ -322,9 +431,9 @@ def test_heartbeat_updates_machine_and_vms(services):
         now=50.0,
     )
     assert response["status"] == "OK"
-    machine = container.db.query_one("SELECT last_heartbeat FROM machines")
+    machine = db.query_one("SELECT last_heartbeat FROM machines")
     assert machine["last_heartbeat"] == 50.0
-    vm = container.db.query_one("SELECT state FROM vms WHERE vm_id = 'vm0@m1'")
+    vm = db.query_one("SELECT state FROM vms WHERE vm_id = 'vm0@m1'")
     assert vm["state"] == "busy"
 
 
@@ -340,7 +449,7 @@ def test_heartbeat_returns_matchinfo(services):
 
 
 def test_heartbeat_completion_event_flow(services):
-    container, submission, scheduling, lifecycle, heartbeat, *_ = services
+    db, submission, scheduling, lifecycle, heartbeat, *_ = services
     job_id, vm_id = full_cycle(services)
     lifecycle.accept_match(job_id, vm_id, now=2.0)
     response = heartbeat.process(
@@ -348,8 +457,8 @@ def test_heartbeat_completion_event_flow(services):
          "events": [{"kind": "completed", "job_id": job_id, "vm_id": vm_id}]},
         now=62.0,
     )
-    assert container.db.table_count("job_history") == 1
-    assert container.db.table_count("jobs") == 0
+    assert db.table_count("job_history") == 1
+    assert db.table_count("jobs") == 0
 
 
 def test_heartbeat_unknown_event_kind_raises(services):
@@ -366,13 +475,13 @@ def test_heartbeat_unknown_event_kind_raises(services):
 def test_heartbeat_unknown_machine_raises(services):
     """The refresh by key is the whole check: a miss is an unknown
     machine, and no second statement asks why."""
-    container = services[0]
+    db = services[0]
     heartbeat = services[4]
-    before = container.db.counts.statements
-    with pytest.raises(BeanNotFound):
+    before = db.counts.statements
+    with pytest.raises(RowNotFound):
         heartbeat.process({"machine": "ghost", "vms": [], "events": []},
                           now=1.0)
-    assert container.db.counts.statements - before == 1
+    assert db.counts.statements - before == 1
 
 
 # ----------------------------------------------------------------------
@@ -398,7 +507,7 @@ def test_pool_status_counts(services):
 
 
 def test_user_summary_and_job_detail(services):
-    container, submission, scheduling, lifecycle, heartbeat, reports, _ = services
+    db, submission, scheduling, lifecycle, heartbeat, reports, _ = services
     job_id, vm_id = full_cycle(services)
     assert reports.user_summary("alice")["idle"] == 0  # job is matched
     detail = reports.job_detail(job_id)
@@ -413,7 +522,7 @@ def test_user_summary_and_job_detail(services):
 
 def test_job_detail_is_the_row_and_its_source(services):
     """A jobDetail reply carries a table's columns and nothing else."""
-    container, submission, scheduling, lifecycle, heartbeat, reports, _ = services
+    db, submission, scheduling, lifecycle, heartbeat, reports, _ = services
     job_id, vm_id = full_cycle(services)
 
     def columns(table):
@@ -427,7 +536,7 @@ def test_job_detail_is_the_row_and_its_source(services):
 
 
 def test_accounting_by_user_aggregates(services):
-    container, submission, scheduling, lifecycle, heartbeat, reports, _ = services
+    db, submission, scheduling, lifecycle, heartbeat, reports, _ = services
     job_id, vm_id = full_cycle(services)
     lifecycle.accept_match(job_id, vm_id, now=2.0)
     lifecycle.complete_jobs([(job_id, vm_id)], now=62.0)
@@ -454,8 +563,25 @@ def test_config_set_records_history(services):
     config = services[6]
     config.set("x", "1", now=1.0)
     config.set("x", "2", now=2.0)
-    history = services[0].db.query_all(
+    config.set("x", "3", now=3.0, changed_by="ops")
+    history = services[0].query_all(
         "SELECT old_value, new_value FROM config_history "
         "WHERE policy_name = 'x' ORDER BY change_id")
     assert [(h["old_value"], h["new_value"]) for h in history] == [
-        (None, "1"), ("1", "2")]
+        (None, "1"), ("1", "2"), ("2", "3")]
+    stored = services[0].query_one(
+        "SELECT policy_value, updated_at, updated_by FROM config_policies "
+        "WHERE policy_name = 'x'")
+    assert tuple(stored) == ("3", 3.0, "ops")
+
+
+def test_config_set_reads_only_the_old_value(services):
+    """A new name and a change each read the old value once, write the
+    policy, and append one history row; nothing is read back."""
+    db = services[0]
+    config = services[6]
+    created = _verbs(db, lambda: config.set("y", "1", now=1.0))
+    assert created == ["INSERT", "INSERT", "SELECT"]
+    changed = _verbs(db, lambda: config.set("y", "2", now=2.0))
+    assert changed == ["INSERT", "SELECT", "UPDATE"]
+    assert config.get("y") == "2"

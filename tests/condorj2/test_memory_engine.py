@@ -950,7 +950,7 @@ _op_strategy = st.lists(
     st.tuples(
         st.sampled_from(["insert", "update", "delete", "txn-abort"]),
         st.integers(0, 11),
-        st.sampled_from(["idle", "busy", "claiming", "offline"]),
+        st.sampled_from(["idle", "busy", "claiming"]),
     ),
     min_size=1,
     max_size=40,

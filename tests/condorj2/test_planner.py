@@ -25,7 +25,6 @@ from hypothesis import given, settings
 
 import repro.condorj2.storage.planner as pl
 from repro.cluster import JobSpec
-from repro.condorj2.beans import BeanContainer
 from repro.condorj2.database import Database
 from repro.condorj2.logic import (
     HeartbeatService,
@@ -146,17 +145,17 @@ def test_plan_ledger_identical_across_backends(statements):
 def test_scheduling_passes_converge_to_full_hit_rate(backend):
     """After the cold pass compiles the scheduling statements, every
     later pass runs entirely from the plan cache."""
-    container = BeanContainer(Database(backend=backend))
-    submission = SubmissionService(container)
-    scheduling = SchedulingService(container)
-    lifecycle = LifecycleService(container)
-    heartbeat = HeartbeatService(container, scheduling, lifecycle)
+    db = Database(backend=backend)
+    submission = SubmissionService(db)
+    scheduling = SchedulingService(db)
+    lifecycle = LifecycleService(db)
+    heartbeat = HeartbeatService(db, scheduling, lifecycle)
     for m in range(2):
         heartbeat.register_machine(
             {"name": f"m{m:03d}", "vm_count": 4}, 0.0)
     submission.submit_jobs(
         [JobSpec(owner=f"user{i % 3}") for i in range(50)], now=0.0)
-    counts = container.db.counts
+    counts = db.counts
     scheduling.run_pass(now=1.0)  # cold: compiles the pass's plans
     misses_after_cold = counts.plan_misses
     hits_before = counts.plan_hits

@@ -16,7 +16,6 @@ import random
 import pytest
 
 from repro.cluster import JobSpec
-from repro.condorj2.beans import BeanContainer
 from repro.condorj2.costs import CasCostModel
 from repro.condorj2.database import Database, DatabaseError
 from repro.condorj2.logic import (
@@ -46,12 +45,12 @@ def db():
 
 @pytest.fixture
 def services():
-    container = BeanContainer(Database())
-    submission = SubmissionService(container)
-    scheduling = SchedulingService(container)
-    lifecycle = LifecycleService(container)
-    heartbeat = HeartbeatService(container, scheduling, lifecycle)
-    return container, submission, scheduling, lifecycle, heartbeat
+    db = Database()
+    submission = SubmissionService(db)
+    scheduling = SchedulingService(db)
+    lifecycle = LifecycleService(db)
+    heartbeat = HeartbeatService(db, scheduling, lifecycle)
+    return db, submission, scheduling, lifecycle, heartbeat
 
 
 def register_machine(heartbeat, name="m1", vm_count=2, now=0.0):
@@ -185,7 +184,7 @@ def test_pluggable_engine_is_used(db):
 def test_completion_batch_sizes_share_statement_text(services):
     """The whole lifecycle flow converges on a fixed SQL working set:
     a different completion batch size must not mint new cache entries."""
-    container, submission, scheduling, lifecycle, heartbeat = services
+    db, submission, scheduling, lifecycle, heartbeat = services
     register_machine(heartbeat, "m1", vm_count=3)
 
     def run_batch(specs):
@@ -193,16 +192,16 @@ def test_completion_batch_sizes_share_statement_text(services):
         scheduling.run_pass(now=1.0)
         pairs = [
             (row["job_id"], row["vm_id"])
-            for row in container.db.query_all("SELECT job_id, vm_id FROM matches")
+            for row in db.query_all("SELECT job_id, vm_id FROM matches")
         ]
         for job_id, vm_id in pairs:
             lifecycle.accept_match(job_id, vm_id, now=2.0)
         lifecycle.complete_jobs(pairs, now=3.0)
 
     run_batch([JobSpec()])
-    misses_before = container.db.counts.plan_misses
+    misses_before = db.counts.plan_misses
     run_batch([JobSpec(), JobSpec(), JobSpec()])
-    assert container.db.counts.plan_misses == misses_before
+    assert db.counts.plan_misses == misses_before
 
 
 # ----------------------------------------------------------------------
@@ -257,7 +256,7 @@ def _reference_pass_pairs(db, limit=1000):
 
 def _seed_workload(services, rng):
     """A messy pool: jobs in all states, slots free, matched and running."""
-    container, submission, scheduling, lifecycle, heartbeat = services
+    db, submission, scheduling, lifecycle, heartbeat = services
     for m in range(12):
         register_machine(heartbeat, f"m{m:02d}", vm_count=rng.randint(1, 4))
 
@@ -271,37 +270,37 @@ def _seed_workload(services, rng):
         specs.append(spec)
     submission.submit_jobs(specs, now=1.0)
     for owner in owners:
-        container.db.execute(
+        db.execute(
             "UPDATE users SET priority = ? WHERE user_name = ?",
             (rng.random(), owner),
         )
     # Run some jobs to completion so history-gated dependencies open up,
     # and leave some matches/runs in flight.
     scheduling.run_pass(now=2.0)
-    matches = container.db.query_all("SELECT job_id, vm_id FROM matches")
+    matches = db.query_all("SELECT job_id, vm_id FROM matches")
     for index, row in enumerate(matches):
         if index % 3 == 0:
             continue  # leave pending
         lifecycle.accept_match(row["job_id"], row["vm_id"], now=3.0)
         if index % 3 == 1:
             lifecycle.complete_jobs([(row["job_id"], row["vm_id"])], now=50.0)
-    return container
+    return db
 
 
 @pytest.mark.parametrize("seed", [7, 21, 1234])
 def test_set_oriented_pass_matches_reference_loop(services, seed):
-    container, _, scheduling, _, _ = services
+    db, _, scheduling, _, _ = services
     rng = random.Random(seed)
     _seed_workload(services, rng)
-    expected = _reference_pass_pairs(container.db)
+    expected = _reference_pass_pairs(db)
     before = {
         (row["job_id"], row["vm_id"])
-        for row in container.db.query_all("SELECT job_id, vm_id FROM matches")
+        for row in db.query_all("SELECT job_id, vm_id FROM matches")
     }
     created = scheduling.run_pass(now=100.0)
     after = [
         (row["job_id"], row["vm_id"])
-        for row in container.db.query_all(
+        for row in db.query_all(
             "SELECT job_id, vm_id FROM matches ORDER BY vm_id"
         )
         if (row["job_id"], row["vm_id"]) not in before
@@ -310,7 +309,7 @@ def test_set_oriented_pass_matches_reference_loop(services, seed):
     assert sorted(after) == sorted(expected)
     # Every matched job was flipped by the single set UPDATE.
     for job_id, _ in expected:
-        state = container.db.scalar(
+        state = db.scalar(
             "SELECT state FROM jobs WHERE job_id = ?", (job_id,)
         )
         assert state == "matched"
@@ -320,7 +319,7 @@ def test_set_oriented_pass_matches_reference_loop(services, seed):
 # dependency gating across jobs / job_history
 # ----------------------------------------------------------------------
 def test_dependency_gates_until_parent_reaches_history(services):
-    container, submission, scheduling, lifecycle, heartbeat = services
+    db, submission, scheduling, lifecycle, heartbeat = services
     register_machine(heartbeat, vm_count=2)
     parent = JobSpec(run_seconds=30.0)
     child = JobSpec(depends_on=(parent.job_id,))
@@ -328,25 +327,25 @@ def test_dependency_gates_until_parent_reaches_history(services):
     scheduling.run_pass(now=1.0)
     matched = [
         row["job_id"]
-        for row in container.db.query_all("SELECT job_id FROM matches")
+        for row in db.query_all("SELECT job_id FROM matches")
     ]
     assert matched == [parent.job_id]  # child gated: parent still in jobs
-    match = container.db.query_one("SELECT vm_id FROM matches")
+    match = db.query_one("SELECT vm_id FROM matches")
     lifecycle.accept_match(parent.job_id, match["vm_id"], now=2.0)
     lifecycle.complete_jobs([(parent.job_id, match["vm_id"])], now=32.0)
-    assert container.db.scalar(
+    assert db.scalar(
         "SELECT COUNT(*) FROM job_history WHERE job_id = ?", (parent.job_id,)
     ) == 1
     scheduling.run_pass(now=33.0)
     matched = [
         row["job_id"]
-        for row in container.db.query_all("SELECT job_id FROM matches")
+        for row in db.query_all("SELECT job_id FROM matches")
     ]
     assert child.job_id in matched
 
 
 def test_dependency_on_unknown_job_does_not_gate(services):
-    container, submission, scheduling, _, heartbeat = services
+    db, submission, scheduling, _, heartbeat = services
     register_machine(heartbeat, vm_count=1)
     orphan = JobSpec(depends_on=(987654321,))
     submission.submit_jobs([orphan], now=0.0)
@@ -354,41 +353,41 @@ def test_dependency_on_unknown_job_does_not_gate(services):
 
 
 def test_duplicate_dependency_ids_do_not_abort_batch(services):
-    container, submission, _, _, _ = services
+    db, submission, _, _, _ = services
     parent = JobSpec()
     child = JobSpec(depends_on=(parent.job_id, parent.job_id))
     submission.submit_jobs([parent, child], now=0.0)
-    assert container.db.table_count("job_dependencies") == 1
-    assert container.db.table_count("jobs") == 2
+    assert db.table_count("job_dependencies") == 1
+    assert db.table_count("jobs") == 2
 
 
 def test_dependency_edges_cascade_with_job_deletion(services):
-    container, submission, _, _, _ = services
+    db, submission, _, _, _ = services
     parent = JobSpec()
     child = JobSpec(depends_on=(parent.job_id,))
     submission.submit_jobs([parent, child], now=0.0)
-    assert container.db.table_count("job_dependencies") == 1
+    assert db.table_count("job_dependencies") == 1
     submission.remove_job(child.job_id)
-    assert container.db.table_count("job_dependencies") == 0
+    assert db.table_count("job_dependencies") == 0
 
 
 # ----------------------------------------------------------------------
 # O(1) statements per scheduling pass
 # ----------------------------------------------------------------------
 def _statements_for_queue_depth(n_jobs):
-    container = BeanContainer(Database())
-    submission = SubmissionService(container)
-    scheduling = SchedulingService(container)
-    lifecycle = LifecycleService(container)
-    heartbeat = HeartbeatService(container, scheduling, lifecycle)
+    db = Database()
+    submission = SubmissionService(db)
+    scheduling = SchedulingService(db)
+    lifecycle = LifecycleService(db)
+    heartbeat = HeartbeatService(db, scheduling, lifecycle)
     for m in range(4):
         register_machine(heartbeat, f"m{m}", vm_count=4)
     submission.submit_jobs(
         [JobSpec(owner=f"u{i % 7}") for i in range(n_jobs)], now=0.0
     )
-    before = container.db.counts.snapshot()
+    before = db.counts.snapshot()
     created = scheduling.run_pass(now=1.0)
-    delta = container.db.counts.delta(before)
+    delta = db.counts.delta(before)
     assert created == 16  # all VMs filled regardless of depth
     return delta.statements, delta.total(), delta.commits
 
@@ -407,12 +406,12 @@ def test_run_pass_statement_count_flat_in_queue_length():
 
 def test_set_dml_charges_per_affected_row(services):
     """The set-oriented pass costs the CPU model what the old loop did."""
-    container, submission, scheduling, _, heartbeat = services
+    db, submission, scheduling, _, heartbeat = services
     register_machine(heartbeat, vm_count=4)
     submission.submit_jobs([JobSpec() for _ in range(10)], now=0.0)
-    before = container.db.counts.snapshot()
+    before = db.counts.snapshot()
     created = scheduling.run_pass(now=1.0)
-    delta = container.db.counts.delta(before)
+    delta = db.counts.delta(before)
     assert created == 4
     assert delta.insert == 4  # one INSERT..SELECT, four match rows
     assert delta.update == 4  # one set UPDATE, four jobs flipped
@@ -421,10 +420,10 @@ def test_set_dml_charges_per_affected_row(services):
 
 
 def test_idle_pass_executes_single_statement(services):
-    container, _, scheduling, _, _ = services
-    before = container.db.counts.snapshot()
+    db, _, scheduling, _, _ = services
+    before = db.counts.snapshot()
     assert scheduling.run_pass(now=1.0) == 0
-    delta = container.db.counts.delta(before)
+    delta = db.counts.delta(before)
     assert delta.statements == 1, (
         "an empty queue stops the pass at its probe: no INSERT, no UPDATE")
     assert delta.total() == 1  # the probe is one unit of row work
@@ -511,18 +510,21 @@ def test_unknown_env_default_raises_structured_fault(monkeypatch):
     ("UPDATE jobs SET state = ? WHERE job_id = 1", "removed"),
     ("UPDATE machines SET state = ? WHERE machine_name = 'm'", "missing"),
     ("UPDATE machines SET state = ? WHERE machine_name = 'm'", "offline"),
+    ("UPDATE vms SET state = ? WHERE vm_id = 'v'", "offline"),
 ])
 def test_no_row_can_be_parked_in_a_state_no_statement_writes(
         backend, sql, state):
     """Completion and removal delete the job tuple, and no pool marks a
-    machine missing or takes one offline, so those states are outside
-    the CHECK domain and every engine refuses a row in one."""
+    machine missing or takes a machine or a slot offline, so those
+    states are outside the CHECK domain and every engine refuses a row
+    in one."""
     db = Database(backend=backend)
     try:
         db.execute("INSERT INTO users (user_name, created_at) VALUES ('u', 0)")
         db.execute("INSERT INTO jobs (job_id, owner, cmd, run_seconds, "
                    "submitted_at) VALUES (1, 'u', 'c', 1, 0)")
         db.execute("INSERT INTO machines (machine_name) VALUES ('m')")
+        db.execute("INSERT INTO vms (vm_id, machine_name) VALUES ('v', 'm')")
         with pytest.raises(DatabaseError, match="CHECK"):
             db.execute(sql, (state,))
     finally:

@@ -298,9 +298,9 @@ def test_refresh_that_reasserts_the_state_is_a_self_loop(db):
     assert _ledger(db.counts) == {"jobs": {"idle->idle": 3}}
 
 
-def test_unguarded_bean_delete_names_the_state_it_removed(db):
-    """The by-key DELETE the bean path used to issue (``EntityBean.remove``
-    is gone; the shape is what the ledger must still attribute)."""
+def test_unguarded_by_key_delete_names_the_state_it_removed(db):
+    """A by-key DELETE with no state guard in its text: the ledger still
+    attributes the edge to the state the row was in."""
     db.execute("UPDATE jobs SET state = ? WHERE job_id = ?", ("running", 2))
     db.execute("DELETE FROM jobs WHERE job_id = ?", (2,))  # no guard in the text
     assert _ledger(db.counts) == {
@@ -317,7 +317,7 @@ def test_statement_that_fails_half_way_records_nothing_and_leaks_nothing(db):
                    [("vm0@m00",), ("vm1@m00",)])
     db.counts.transitions.clear()
     with pytest.raises(DatabaseError):
-        db.execute("UPDATE vms SET state = 'offline', last_update ="
+        db.execute("UPDATE vms SET state = 'busy', last_update ="
                    " CASE WHEN vm_id = 'vm1@m00' THEN NULL ELSE 1 END"
                    " WHERE machine_name = 'm00'")
     assert _ledger(db.counts) == {}

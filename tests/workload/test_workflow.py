@@ -11,7 +11,6 @@ while any job it depends on is still in ``jobs``.
 import pytest
 
 from repro.cluster import JobSpec
-from repro.condorj2.beans import BeanContainer
 from repro.condorj2.database import Database
 from repro.condorj2.logic import (
     HeartbeatService,
@@ -43,30 +42,30 @@ def two_stage(stage1_count=960, stage2_count=240, fan_in=4,
 
 @pytest.fixture
 def services():
-    container = BeanContainer(Database())
-    submission = SubmissionService(container)
-    scheduling = SchedulingService(container)
-    lifecycle = LifecycleService(container)
-    heartbeat = HeartbeatService(container, scheduling, lifecycle)
-    yield container, submission, scheduling, lifecycle, heartbeat
-    container.db.close()
+    db = Database()
+    submission = SubmissionService(db)
+    scheduling = SchedulingService(db)
+    lifecycle = LifecycleService(db)
+    heartbeat = HeartbeatService(db, scheduling, lifecycle)
+    yield db, submission, scheduling, lifecycle, heartbeat
+    db.close()
 
 
 def register_machine(heartbeat, vm_count):
     heartbeat.register_machine({"name": "m1", "vm_count": vm_count}, 0.0)
 
 
-def matched_ids(container):
+def matched_ids(db):
     return sorted(row["job_id"] for row in
-                  container.db.query_all("SELECT job_id FROM matches"))
+                  db.query_all("SELECT job_id FROM matches"))
 
 
-def run_one_pass(container, scheduling, lifecycle, now):
+def run_one_pass(db, scheduling, lifecycle, now):
     """Match, accept and complete everything one pass claims; return the
     claimed job ids."""
     scheduling.run_pass(now=now)
     claimed = [(row["job_id"], row["vm_id"]) for row in
-               container.db.query_all("SELECT job_id, vm_id FROM matches")]
+               db.query_all("SELECT job_id, vm_id FROM matches")]
     for job_id, vm_id in claimed:
         lifecycle.accept_match(job_id, vm_id, now=now + 1.0)
     lifecycle.complete_jobs(claimed, now=now + 2.0)
@@ -74,10 +73,9 @@ def run_one_pass(container, scheduling, lifecycle, now):
 
 
 def test_two_stage_counts_match_paper_example(services):
-    container, submission, *_ = services
+    db, submission, *_ = services
     stage1, stage2 = two_stage()
     submission.submit_jobs(stage1 + stage2, now=0.0)
-    db = container.db
     assert db.table_count("jobs") == 960 + 240
     assert db.table_count("job_dependencies") == 240 * 4
     fan_ins = db.query_all(
@@ -107,16 +105,16 @@ def test_throughput_profile_matches_paper_numbers():
 
 
 def test_topological_order_respects_dependencies(services):
-    container, submission, scheduling, lifecycle, heartbeat = services
+    db, submission, scheduling, lifecycle, heartbeat = services
     register_machine(heartbeat, vm_count=4)
     stage1, stage2 = two_stage(stage1_count=8, stage2_count=2)
     submission.submit_jobs(stage1 + stage2, now=0.0)
     pass_of = {}
     for number in range(6):
-        for job_id in run_one_pass(container, scheduling, lifecycle,
+        for job_id in run_one_pass(db, scheduling, lifecycle,
                                    now=10.0 * (number + 1)):
             pass_of[job_id] = number
-    assert container.db.table_count("jobs") == 0
+    assert db.table_count("jobs") == 0
     assert len(pass_of) == 10
     for job in stage2:
         for dep in job.depends_on:
@@ -124,30 +122,30 @@ def test_topological_order_respects_dependencies(services):
 
 
 def test_ready_jobs_gate_on_completion(services):
-    container, submission, scheduling, lifecycle, heartbeat = services
+    db, submission, scheduling, lifecycle, heartbeat = services
     register_machine(heartbeat, vm_count=5)
     stage1, (child,) = two_stage(stage1_count=4, stage2_count=1)
     submission.submit_jobs(stage1 + [child], now=0.0)
     scheduling.run_pass(now=1.0)
     claimed = {row["job_id"]: row["vm_id"] for row in
-               container.db.query_all("SELECT job_id, vm_id FROM matches")}
+               db.query_all("SELECT job_id, vm_id FROM matches")}
     assert sorted(claimed) == sorted(job.job_id for job in stage1)
     for job_id, vm_id in claimed.items():
         lifecycle.accept_match(job_id, vm_id, now=2.0)
     first_three = [(job.job_id, claimed[job.job_id]) for job in stage1[:3]]
     lifecycle.complete_jobs(first_three, now=3.0)
     scheduling.run_pass(now=4.0)
-    assert child.job_id not in matched_ids(container)
+    assert child.job_id not in matched_ids(db)
     last = stage1[3].job_id
     lifecycle.complete_jobs([(last, claimed[last])], now=5.0)
     scheduling.run_pass(now=6.0)
-    assert matched_ids(container) == [child.job_id]
+    assert matched_ids(db) == [child.job_id]
 
 
 def test_dependency_cycle_never_matches(services):
     """Nothing rejects a cycle at submission: its members wait on each
     other and stay idle, while a job outside it is matched."""
-    container, submission, scheduling, _, heartbeat = services
+    db, submission, scheduling, _, heartbeat = services
     register_machine(heartbeat, vm_count=3)
     a = JobSpec()
     b = JobSpec(depends_on=(a.job_id,))
@@ -155,19 +153,19 @@ def test_dependency_cycle_never_matches(services):
     free = JobSpec()
     submission.submit_jobs([a, b, free], now=0.0)
     assert scheduling.run_pass(now=1.0) == 1
-    assert matched_ids(container) == [free.job_id]
+    assert matched_ids(db) == [free.job_id]
     assert scheduling.run_pass(now=2.0) == 0
 
 
 def test_removed_parent_releases_its_dependents(services):
     """The gate is a parent still in ``jobs``: removing a queued parent
     lets its child run, though the child's edge to it remains."""
-    container, submission, scheduling, _, heartbeat = services
+    db, submission, scheduling, _, heartbeat = services
     register_machine(heartbeat, vm_count=2)
     parent = JobSpec()
     child = JobSpec(depends_on=(parent.job_id,))
     submission.submit_jobs([parent, child], now=0.0)
     submission.remove_job(parent.job_id)
-    assert container.db.table_count("job_dependencies") == 1
+    assert db.table_count("job_dependencies") == 1
     assert scheduling.run_pass(now=1.0) == 1
-    assert matched_ids(container) == [child.job_id]
+    assert matched_ids(db) == [child.job_id]
