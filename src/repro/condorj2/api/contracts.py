@@ -132,7 +132,10 @@ CONTRACTS: Tuple[OperationContract, ...] = (
     _contract(
         "heartbeat", "1.1",
         "Liveness + VM states + embedded job events; returns MATCHINFO "
-        "for idle VMs (Table 2, steps 3-4, 7-8, 12-15).",
+        "for idle VMs (Table 2, steps 3-4, 7-8, 12-15). A reported state "
+        "is stored only where it moves the slot along a declared edge: a "
+        "slot already in that state is not rewritten, and a stale "
+        "`claiming` never demotes `busy`.",
         "write",
         (
             f_str("machine"),

@@ -9,7 +9,14 @@ interaction they have with the CAS" (section 5.2.1).
 A heartbeat is set-oriented on the server side: the machine refresh is
 one UPDATE by key (a miss means the machine is unknown), the reported
 VM states are one batched UPDATE, and embedded completion events are
-handed to the lifecycle service as one batch.
+handed to the lifecycle service as one batch.  The batch is charged per
+reported slot but writes a row only where the report moves the slot
+along a declared edge: the startd sends its whole slot table every fifth
+beat, and a slot already in the reported state is not rewritten (no
+row, no index entry, no ledger edge).  Nor is a stale ``claiming``: the
+startd queues ``started`` when it spawns the starter, before its own
+slot leaves ``claiming``, so a report can trail the event that made the
+slot ``busy``.
 
 The MATCHINFO probe is further gated by a server-side per-machine dirty
 flag: match tuples can only appear through writes to ``matches``, and the
@@ -58,52 +65,48 @@ class HeartbeatService:
     def register_machine(self, description: Dict[str, Any], now: float) -> None:
         """First contact (or reboot): create/refresh machine and VM tuples.
 
-        Every (re)boot bumps the boot counter and writes a history record
-        of the machine's stored attributes.  The paper calls this out as a
-        source of the Figure 10 startup spike: "whenever an execute machine
-        restarts, the CAS monitors and records extra historical
-        information about machine attributes that only change when the
-        machine is rebooted".
+        Every (re)boot stores the machine as described, bumps the boot
+        counter and writes a history record of the booted description.
+        The paper calls this out as a source of the Figure 10 startup
+        spike: "whenever an execute machine restarts, the CAS monitors
+        and records extra historical information about machine
+        attributes that only change when the machine is rebooted".
         """
         name = description["name"]
         vm_count = description.get("vm_count", 1)
         cores = description.get("cores", 1)
         if cores <= 0 or vm_count <= 0:
             raise ValueError("machine must have cores and vms")
+        attributes = (
+            description.get("arch", "INTEL"),
+            description.get("opsys", "LINUX"),
+            cores,
+            description.get("memory_mb", 512),
+        )
         db = self.db
         with db.transaction():
-            machine = db.query_one(
-                "SELECT arch, opsys, cores, memory_mb, boot_count "
-                "FROM machines WHERE machine_name = ?",
+            boots = db.scalar(
+                "SELECT boot_count FROM machines WHERE machine_name = ?",
                 (name,),
             )
-            if machine is None:
-                attributes = (
-                    description.get("arch", "INTEL"),
-                    description.get("opsys", "LINUX"),
-                    cores,
-                    description.get("memory_mb", 512),
-                )
-                boots = 1
+            if boots is None:
+                # The boot UPDATE below fills in the description.
+                boots = 0
                 db.execute(
-                    "INSERT INTO machines (machine_name, arch, opsys, cores, "
-                    "memory_mb, vm_count, state, last_heartbeat, boot_count) "
-                    "VALUES (?, ?, ?, ?, ?, ?, 'alive', ?, 0)",
-                    (name, *attributes, vm_count, now),
+                    "INSERT INTO machines (machine_name, state) "
+                    "VALUES (?, 'alive')",
+                    (name,),
                 )
-            else:
-                attributes = (machine["arch"], machine["opsys"],
-                              machine["cores"], machine["memory_mb"])
-                boots = machine["boot_count"] + 1
             db.executemany(
                 "INSERT OR IGNORE INTO vms (vm_id, machine_name, state, last_update) "
                 "VALUES (?, ?, 'idle', ?)",
                 [(f"vm{index}@{name}", name, now) for index in range(vm_count)],
             )
             db.execute(
-                "UPDATE machines SET boot_count = ?, last_heartbeat = ? "
-                "WHERE machine_name = ?",
-                (boots, now, name),
+                "UPDATE machines SET arch = ?, opsys = ?, cores = ?, "
+                "memory_mb = ?, vm_count = ?, boot_count = ?, "
+                "last_heartbeat = ? WHERE machine_name = ?",
+                (*attributes, vm_count, boots + 1, now, name),
             )
             db.execute(
                 "INSERT INTO machine_boot_history "
@@ -141,18 +144,23 @@ class HeartbeatService:
                 raise RowNotFound(f"machines[{machine_name!r}] not found")
             # Job events first: completions free VMs for new matches.
             self.apply_events(payload.get("events", ()), now)
-            vm_updates: List[Tuple[str, float, str]] = [
-                (vm_info["state"], now, vm_info["vm_id"])
+            vm_updates: List[Dict[str, Any]] = [
+                {"state": vm_info["state"], "now": now,
+                 "vm_id": vm_info["vm_id"]}
                 for vm_info in payload.get("vms", ())
             ]
             if vm_updates:
                 # The contract's enum has already refused any state
-                # outside VM_STATES.  The guard spans the whole domain:
-                # it names the write's from-states for the lifecycle
-                # pass, which refuses an unguarded state write.
+                # outside VM_STATES.  The IN list names the write's
+                # from-states for the lifecycle pass, which refuses an
+                # unguarded state write; the last two conjuncts write
+                # only a declared move (see the module docstring).
                 self.db.executemany(
-                    "UPDATE vms SET state = ?, last_update = ? "
-                    "WHERE vm_id = ? AND state IN ('idle', 'claiming', 'busy')",
+                    "UPDATE vms SET state = :state, last_update = :now "
+                    "WHERE vm_id = :vm_id "
+                    "AND state IN ('idle', 'claiming', 'busy') "
+                    "AND state <> :state "
+                    "AND (:state <> 'claiming' OR state = 'idle')",
                     vm_updates,
                 )
         matches = self._pending_matches(machine_name)
@@ -204,8 +212,8 @@ class HeartbeatService:
 
         Starts go first, so a job that began and ended between two beats
         still walks its slot ``claiming -> busy -> idle``.  A replayed
-        ``started`` is harmless: the guard leaves a slot that has since
-        gone idle as it is.
+        ``started`` is harmless: the guard writes only a slot still
+        ``claiming``.
         """
         completions: List[Tuple[int, str]] = []
         drops: List[Tuple[int, str, str]] = []
@@ -228,7 +236,7 @@ class HeartbeatService:
             if started_vms:
                 self.db.executemany(
                     "UPDATE vms SET state = 'busy', last_update = ? "
-                    "WHERE vm_id = ? AND state IN ('claiming', 'busy')",
+                    "WHERE vm_id = ? AND state = 'claiming'",
                     started_vms,
                 )
             if completions:

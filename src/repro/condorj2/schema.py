@@ -201,6 +201,8 @@ TABLE_DEFS: Tuple[TableDef, ...] = (
             _col("machine_name", "TEXT", not_null=True),
             _col("state", "TEXT", not_null=True, default="idle",
                  check_in=("idle", "claiming", "busy")),
+            # The time of the slot's last state change: a heartbeat that
+            # reports the state the slot already holds does not touch it.
             _col("last_update", "REAL", not_null=True, default=0),
         ),
         primary_key=("vm_id",),

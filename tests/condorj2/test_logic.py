@@ -17,12 +17,15 @@ from repro.condorj2.logic import (
     SchedulingService,
     SubmissionService,
 )
-from repro.condorj2.schema import TABLE_BY_NAME
+from repro.condorj2.schema import LIFECYCLES, TABLE_BY_NAME, VM_STATES
 
 
 @pytest.fixture
 def services():
-    db = Database()
+    return _services(Database())
+
+
+def _services(db):
     submission = SubmissionService(db)
     scheduling = SchedulingService(db)
     lifecycle = LifecycleService(db)
@@ -359,14 +362,29 @@ def test_register_machine_creates_tuples_and_boot_history(services):
         "SELECT boot_count, last_heartbeat FROM machines "
         "WHERE machine_name = 'm9'")
     assert tuple(machine) == (2, 100.0)
-    # Each boot records the attributes the machine was first stored
-    # with: they change only when the machine is rebooted.
+    # Each boot records the description the machine booted with: its
+    # attributes change only when the machine is rebooted, and the
+    # reboot stores the new ones.
     history = db.query_all(
         "SELECT booted_at, arch, opsys, cores, memory_mb "
         "FROM machine_boot_history ORDER BY boot_id")
     assert [tuple(row) for row in history] == [
         (1.0, "SPARC", "SOLARIS", 2, 1024.0),
-        (100.0, "SPARC", "SOLARIS", 2, 1024.0)]
+        (100.0, "INTEL", "LINUX", 1, 512.0)]
+    stored = db.query_one(
+        "SELECT arch, opsys, cores, memory_mb, vm_count FROM machines "
+        "WHERE machine_name = 'm9'")
+    assert tuple(stored) == ("INTEL", "LINUX", 1, 512.0, 3)
+
+
+def test_reboot_with_more_slots_stores_the_new_vm_count(services):
+    db = services[0]
+    heartbeat = services[4]
+    register_machine(heartbeat, "m3", vm_count=2, now=1.0)
+    register_machine(heartbeat, "m3", vm_count=4, now=2.0)
+    assert db.scalar(
+        "SELECT vm_count FROM machines WHERE machine_name = 'm3'") == 4
+    assert db.table_count("vms") == 4
 
 
 def test_first_contact_stores_the_machine_as_described(services):
@@ -482,6 +500,80 @@ def test_heartbeat_unknown_machine_raises(services):
         heartbeat.process({"machine": "ghost", "vms": [], "events": []},
                           now=1.0)
     assert db.counts.statements - before == 1
+
+
+REPORT_BACKENDS = ("sqlite", "memory")
+
+
+@pytest.mark.parametrize("backend", REPORT_BACKENDS)
+def test_report_of_unchanged_slots_writes_no_row(backend):
+    """The beat's slot report is one batch charged per reported slot,
+    but a slot already in the reported state is not rewritten: no row,
+    no index entry, no ledger edge, and ``last_update`` keeps the time
+    of the slot's last change."""
+    db, *_, heartbeat, _, _ = _services(Database(backend=backend))
+    register_machine(heartbeat, "m40", vm_count=40, now=1.0)
+    before = db.counts.snapshot()
+    heartbeat.process(
+        {"machine": "m40", "events": [],
+         "vms": [{"vm_id": f"vm{index}@m40", "state": "idle"}
+                 for index in range(40)]},
+        now=2.0)
+    delta = db.counts.delta(before)
+    # The machine refresh, then one unit per reported slot.
+    assert (delta.update, delta.batches) == (1 + 40, 1)
+    assert delta.table_writes("vms") == 0
+    assert "vms" not in delta.transitions
+    assert db.scalar("SELECT MAX(last_update) FROM vms") == 1.0
+
+
+@pytest.mark.parametrize("backend", REPORT_BACKENDS)
+def test_stale_claiming_report_does_not_demote_a_started_slot(backend):
+    """The startd queues ``started`` before its slot leaves ``claiming``,
+    so one beat can carry both; the event promotes the slot and the
+    report that follows it in the same transaction writes nothing."""
+    services = _services(Database(backend=backend))
+    db, lifecycle = services[0], services[3]
+    heartbeat = services[4]
+    job_id, vm_id = full_cycle(services)
+    lifecycle.accept_match(job_id, vm_id, now=2.0)
+    before = db.counts.snapshot()
+    heartbeat.process(
+        {"machine": "m1",
+         "vms": [{"vm_id": vm_id, "state": "claiming"}],
+         "events": [{"kind": "started", "job_id": job_id, "vm_id": vm_id}]},
+        now=3.0)
+    assert db.counts.delta(before).transitions == {
+        "vms": {"claiming->busy": 1}}
+    assert db.scalar("SELECT state FROM vms WHERE vm_id = ?",
+                     (vm_id,)) == "busy"
+
+
+@pytest.mark.parametrize("backend", REPORT_BACKENDS)
+@pytest.mark.parametrize("held", VM_STATES)
+@pytest.mark.parametrize("reported", VM_STATES)
+def test_report_writes_exactly_the_declared_edges(backend, held, reported):
+    """Every (held, reported) pair: the report moves the slot iff the
+    lifecycle declares the edge, and writes nothing otherwise."""
+    db, *_, heartbeat, _, _ = _services(Database(backend=backend))
+    register_machine(heartbeat, "m1", vm_count=1, now=1.0)
+    if held != "idle":
+        db.execute("UPDATE vms SET state = ? WHERE state = 'idle'", (held,))
+    before = db.counts.snapshot()
+    heartbeat.process(
+        {"machine": "m1", "events": [],
+         "vms": [{"vm_id": "vm0@m1", "state": reported}]},
+        now=2.0)
+    delta = db.counts.delta(before)
+    moves = held != reported and LIFECYCLES["vms"].allows(held, reported)
+    row = db.query_one("SELECT state, last_update FROM vms")
+    if moves:
+        assert tuple(row) == (reported, 2.0)
+        assert delta.transitions == {"vms": {f"{held}->{reported}": 1}}
+    else:
+        assert tuple(row) == (held, 1.0)
+        assert "vms" not in delta.transitions
+    assert delta.table_writes("vms") == int(moves)
 
 
 # ----------------------------------------------------------------------

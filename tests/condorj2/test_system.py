@@ -10,6 +10,7 @@ from repro.cluster import (
 )
 from repro.condorj2 import CondorJ2System
 from repro.condorj2.costs import CasCostModel
+from repro.condorj2.schema import BORN, LIFECYCLES
 from repro.condorj2.startd import StartdConfig
 from repro.workload import fixed_length_batch, mixed_batch
 
@@ -96,7 +97,22 @@ def test_jobs_survive_drops_and_complete():
     assert system.log.count("job_dropped") > 0  # drops happened and healed
 
 
-def test_seeded_pool_is_pinned_event_for_event():
+@pytest.fixture(scope="module")
+def pinned_pool():
+    """The seeded 36-job pool both tests below read, run once to the end."""
+    system = small_system(execution=FLAKY_EXECUTION, seed=9)
+    # Ids from here, not the process-wide counter: an id's digits are
+    # bytes on the wire, and bytes are simulated transport time.
+    system.submit_at(0.0, [
+        JobSpec(job_id=index + 1, owner=f"user{index % 3}",
+                run_seconds=20.0 if index % 6 else 60.0)
+        for index in range(36)
+    ])
+    system.run_until_complete(expected_jobs=36, max_seconds=7200.0)
+    return system
+
+
+def test_seeded_pool_is_pinned_event_for_event(pinned_pool):
     """The same simulation, pinned: a kernel, wire or scheduling change
     that reorders equal-time events, or moves one envelope's size, moves
     these numbers -- and so would move every figure.  Measured at the
@@ -114,21 +130,31 @@ def test_seeded_pool_is_pinned_event_for_event():
     checkpoints, so a change to the pages a commit writes can move the
     event count there alone (it read one higher while jobs carried an
     index no statement read)."""
-    system = small_system(execution=FLAKY_EXECUTION, seed=9)
-    # Ids from here, not the process-wide counter: an id's digits are
-    # bytes on the wire, and bytes are simulated transport time.
-    system.submit_at(0.0, [
-        JobSpec(job_id=index + 1, owner=f"user{index % 3}",
-                run_seconds=20.0 if index % 6 else 60.0)
-        for index in range(36)
-    ])
-    system.run_until_complete(expected_jobs=36, max_seconds=7200.0)
+    system = pinned_pool
     db = system.cas.db
     assert system.log.count("job_dropped") > 0  # timeouts and cancels ran
     assert (
         system.sim.events_processed, system.sim.now, db.counts.statements,
         db.table_count("job_history"), system.cas.scheduling.matches_created,
     ) == (2880, 210.0, 1445, 36, 48)
+
+
+def test_seeded_pool_walks_only_declared_edges(pinned_pool):
+    """Observed ⊆ declared over a whole pool, beats with slot states
+    included: every slot walks ``idle -> claiming -> busy -> idle`` once
+    per match and nothing else.  A report of the state a slot already
+    holds writes no row, and a ``claiming`` queued before the
+    ``started`` that made the slot ``busy`` does not demote it."""
+    system = pinned_pool
+    transitions = system.cas.db.counts.transitions
+    for table, edges in transitions.items():
+        for edge in edges:
+            source, target = edge.split("->")
+            assert LIFECYCLES[table].allows(source, target), (table, edge)
+    matches = system.cas.scheduling.matches_created
+    assert transitions["vms"] == {
+        f"{BORN}->idle": 6, "idle->claiming": matches,
+        "claiming->busy": matches, "busy->idle": matches}
 
 
 def test_mixed_workload_dependency_free_ordering():
